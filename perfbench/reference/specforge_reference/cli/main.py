@@ -1,0 +1,632 @@
+"""Command-line front end: check, construct, verify, replay.
+
+Exit status contract: 0 means every gated suite passed, 1 means a suite
+failed (the report carries a replayable witness), 2 means the input or
+the invocation itself was unusable.  Reports are deterministic; two runs
+over the same input produce byte-identical machine output.
+
+The enumeration guardrail refuses models whose full construction would
+exceed the cell budget (alphabet^sites * 2^sites * tail classes, default
+10^7) before any work starts; SPECFORGE_THREADS caps how many suites run
+concurrently, with report assembly always single-threaded and ordered.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from typing import Callable
+
+from ..constructor import (
+    ConstructionError,
+    DensityFamily,
+    build_family,
+    check_order_independence,
+)
+from ..core import Configuration, SpecforgeError
+from ..hypotheses import (
+    HypothesisFailure,
+    HypothesisReport,
+    Witness,
+    check_bounded_positivity,
+    check_order_consistency,
+    check_pointwise_compatibility,
+    check_uniqueness_condition,
+    check_very_weak_positivity,
+)
+from ..models import SingletonFamily
+from ..verifier import (
+    FiniteMeasure,
+    check_good_support_mass,
+    check_measure_consistency,
+    check_specification_axioms,
+    exchange_identity,
+    good_support_report,
+    quasilocality_diagnostic,
+    ratio_bounds,
+    roundtrip_reconstruction,
+    uniqueness_probe,
+)
+from .modelfile import ModelFile, ModelFileError, parse_model_file
+from .report import Report, file_sha256, render_json, render_text
+
+__all__ = ["main"]
+
+DEFAULT_BUDGET = 10_000_000
+
+EXIT_OK = 0
+EXIT_FAIL = 1
+EXIT_USAGE = 2
+
+VERIFY_FLAGS = ("axioms", "orders", "uniqueness", "measures", "roundtrip",
+                "quasilocality", "exchange")
+
+
+class UsageError(SpecforgeError):
+    """The invocation cannot be served as given."""
+
+
+# ---------------------------------------------------------------------------
+# suite plumbing
+
+class Job:
+    """One named suite run: a callable producing a HypothesisReport."""
+
+    def __init__(self, name: str, run: Callable[[], HypothesisReport],
+                 gated: bool = True):
+        self.name = name
+        self.run = run
+        self.gated = gated
+
+
+def _guarded(name: str, run: Callable[[], HypothesisReport]) -> HypothesisReport:
+    """Run a suite; a raised precondition becomes a failed report."""
+    try:
+        report = run()
+    except SpecforgeError as exc:
+        report = HypothesisReport(name=name, passed=False)
+        report.witnesses.append(Witness(
+            check=name,
+            description=f"suite could not run: {exc}",
+            replay={"error": type(exc).__name__},
+        ))
+        inner = getattr(exc, "report", None)
+        if inner is not None:
+            report.data["precondition"] = inner.as_dict()
+        return report
+    report.name = name
+    return report
+
+
+def thread_count() -> int:
+    raw = os.environ.get("SPECFORGE_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        count = int(raw)
+    except ValueError:
+        raise UsageError(f"SPECFORGE_THREADS must be an integer, got {raw!r}")
+    if count < 1:
+        raise UsageError(f"SPECFORGE_THREADS must be at least 1, got {count}")
+    return count
+
+
+def run_jobs(jobs: list[Job], report: Report) -> None:
+    """Execute suites (possibly concurrently), assemble in submission order."""
+    threads = thread_count()
+    if threads <= 1 or len(jobs) <= 1:
+        results = [_guarded(job.name, job.run) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_guarded, job.name, job.run) for job in jobs]
+            results = [future.result() for future in futures]
+    for job, result in zip(jobs, results):
+        report.add(result, gate=job.gated)
+
+
+# ---------------------------------------------------------------------------
+# CLI-assembled suites (batteries over library checks)
+
+def exchange_suite(dens: DensityFamily) -> HypothesisReport:
+    """Both sides of the kernel exchange identity over all site pairs.
+
+    For every unordered pair of distinct sites, every ordered pair of
+    symbol indicators, and one representative exterior per class that the
+    identity can depend on, the two compositions must agree exactly.
+    """
+    space = dens.space
+    report = HypothesisReport(name="exchange_identity", passed=True)
+    sites = space.universe.sites
+    symbols = space.alphabet.symbols
+    evaluations = 0
+    for i, site_a in enumerate(sites):
+        for site_b in sites[i + 1:]:
+            union = (site_a, site_b)
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, union)
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                for sym_a in symbols:
+                    for sym_b in symbols:
+                        def f(x: Configuration, s=site_a, v=sym_a) -> Fraction:
+                            return Fraction(1 if x.symbol(s) == v else 0)
+
+                        def g(x: Configuration, s=site_b, v=sym_b) -> Fraction:
+                            return Fraction(1 if x.symbol(s) == v else 0)
+
+                        lhs, rhs = exchange_identity(
+                            dens, (site_a,), (site_b,), f, g, cfg)
+                        evaluations += 1
+                        if lhs != rhs:
+                            report.passed = False
+                            if len(report.witnesses) < 25:
+                                report.witnesses.append(Witness(
+                                    check="exchange_identity",
+                                    description=(
+                                        f"indicator exchange over {site_a!r} and "
+                                        f"{site_b!r} disagrees"
+                                    ),
+                                    replay={
+                                        "site_a": site_a, "symbol_a": sym_a,
+                                        "site_b": site_b, "symbol_b": sym_b,
+                                        "assignment": list(cfg.values),
+                                        "tail": cfg.tail,
+                                    },
+                                    lhs=str(lhs), rhs=str(rhs),
+                                ))
+    report.data = {"evaluations": evaluations,
+                   "site_pairs": len(sites) * (len(sites) - 1) // 2}
+    return report
+
+
+def _class_representative(dens: DensityFamily, tail: str) -> Configuration:
+    for cfg in dens.space.configurations():
+        if cfg.tail == tail:
+            return cfg
+    raise UsageError(f"no configuration carries tail class {tail!r}")
+
+
+def measure_perturbation_suite(dens: DensityFamily, trials: int,
+                               seed: int) -> HypothesisReport:
+    """Perturbed window measures must lose consistency, detectably.
+
+    Each trial moves a seeded sliver of mass between two support points
+    of one class's full-window kernel measure (support therefore
+    unchanged, so class membership is preserved) and checks that full
+    consistency now fails while the singleton/full equivalence verdict
+    stays intact.
+    """
+    space = dens.space
+    report = HypothesisReport(name="measure_perturbations", passed=True)
+    rng = random.Random(seed)
+    tails = space.tail_classes
+    performed = 0
+    skipped = 0
+    detected = 0
+    for trial in range(trials):
+        tail = tails[trial % len(tails)]
+        mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, tail))
+        support = sorted(mu.weights)
+        if len(support) < 2:
+            skipped += 1
+            continue
+        raise_key, lower_key = rng.sample(support, 2)
+        delta = mu.weights[lower_key] / rng.randint(2, 9)
+        weights = dict(mu.weights)
+        weights[raise_key] += delta
+        weights[lower_key] -= delta
+        outcome = check_measure_consistency(FiniteMeasure(space, weights), dens)
+        performed += 1
+        replay = {
+            "trial": trial, "tail": tail,
+            "raise_assignment": list(raise_key[0]),
+            "lower_assignment": list(lower_key[0]),
+            "delta": str(delta),
+        }
+        if outcome.data["fully_consistent"]:
+            report.passed = False
+            report.witnesses.append(Witness(
+                check="measure_perturbations",
+                description="perturbed measure stayed fully consistent",
+                replay=replay,
+            ))
+        else:
+            detected += 1
+        if not outcome.passed:
+            report.passed = False
+            report.witnesses.append(Witness(
+                check="measure_perturbations",
+                description=(
+                    "perturbed measure broke the singleton/full equivalence"
+                ),
+                replay=replay,
+            ))
+    report.data = {"seed": seed, "trials": trials, "performed": performed,
+                   "skipped": skipped, "detected": detected}
+    return report
+
+
+# ---------------------------------------------------------------------------
+# suite catalogs per command
+
+def check_jobs(fam: SingletonFamily) -> list[Job]:
+    return [
+        Job("very_weak_positivity", lambda: check_very_weak_positivity(fam)),
+        Job("order_consistency", lambda: check_order_consistency(fam)),
+        Job("pointwise_compatibility",
+            lambda: check_pointwise_compatibility(fam), gated=False),
+        Job("uniqueness_condition",
+            lambda: check_uniqueness_condition(fam), gated=False),
+        Job("bounded_positivity",
+            lambda: check_bounded_positivity(fam), gated=False),
+    ]
+
+
+def _free_strictly_positive(fam: SingletonFamily) -> bool:
+    space = fam.space
+    return all(space.free.weight(site, sym) > 0
+               for site in space.universe for sym in space.alphabet)
+
+
+def uniqueness_applicable(fam: SingletonFamily) -> bool:
+    return _free_strictly_positive(fam) and check_uniqueness_condition(fam).passed
+
+
+def measure_jobs(model: ModelFile, dens: DensityFamily) -> list[Job]:
+    jobs = [Job("good_support", lambda: good_support_report(dens))]
+    for tail in dens.space.tail_classes:
+        def consistency(t=tail) -> HypothesisReport:
+            mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, t))
+            return check_measure_consistency(mu, dens)
+
+        def support_mass(t=tail) -> HypothesisReport:
+            mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, t))
+            return check_good_support_mass(mu, dens)
+
+        jobs.append(Job(f"measure_consistency[kernel:{tail}]", consistency))
+        jobs.append(Job(f"support_mass[kernel:{tail}]", support_mass))
+    jobs.append(Job("measure_perturbations",
+                    lambda: measure_perturbation_suite(
+                        dens, model.trials, model.seed)))
+    return jobs
+
+
+def verify_jobs(model: ModelFile, fam: SingletonFamily, dens: DensityFamily,
+                joint: dict | None, selected: dict[str, bool]) -> list[Job]:
+    jobs: list[Job] = []
+    if selected["axioms"]:
+        jobs.append(Job("specification_axioms",
+                        lambda: check_specification_axioms(dens)))
+        jobs.append(Job("ratio_bounds", lambda: ratio_bounds(dens), gated=False))
+    if selected["orders"]:
+        jobs.append(Job("order_independence",
+                        lambda: check_order_independence(
+                            fam, permutation_cap=model.permutations,
+                            seed=model.seed)))
+    if selected["uniqueness"]:
+        jobs.append(Job("uniqueness_probe",
+                        lambda: uniqueness_probe(
+                            dens, trials=model.trials, seed=model.seed)))
+    if selected["measures"]:
+        jobs.extend(measure_jobs(model, dens))
+    if selected["exchange"]:
+        jobs.append(Job("exchange_identity", lambda: exchange_suite(dens)))
+    if selected["quasilocality"]:
+        jobs.append(Job("quasilocality",
+                        lambda: quasilocality_diagnostic(dens), gated=False))
+    if selected["roundtrip"]:
+        jobs.append(Job("roundtrip_reconstruction",
+                        lambda: roundtrip_reconstruction(dens.space, joint)))
+    return jobs
+
+
+def select_verify_suites(args: argparse.Namespace, model: ModelFile,
+                         fam: SingletonFamily, joint: dict | None,
+                         report: Report) -> dict[str, bool]:
+    """Which verify suites run: explicit flags, else everything applicable."""
+    explicit = {flag: bool(getattr(args, flag)) for flag in VERIFY_FLAGS}
+    if any(explicit.values()):
+        if explicit["roundtrip"] and joint is None:
+            raise UsageError(
+                "--roundtrip needs a model of kind joint (no joint weight here)")
+        if explicit["measures"] and not fam.space.free.is_normalized:
+            raise UsageError(
+                "--measures needs normalized free weights; rebalance the model")
+        return explicit
+    selected = {flag: True for flag in VERIFY_FLAGS}
+    if joint is None:
+        selected["roundtrip"] = False
+    if not fam.space.free.is_normalized:
+        selected["measures"] = False
+        report.note("measures skipped: free weights are not normalized")
+    if not uniqueness_applicable(fam):
+        selected["uniqueness"] = False
+        report.note("uniqueness probe skipped: its mass precondition fails")
+    return selected
+
+
+# ---------------------------------------------------------------------------
+# rho table serialization
+
+def rho_table_lines(dens: DensityFamily) -> list[str]:
+    """One record per (region, full assignment, tail class), sorted.
+
+    Fields are space-separated: the region as plus-joined site labels,
+    the full window assignment as comma-joined symbols, the tail class,
+    and the exact rational value.  Lexicographic line order makes the
+    file bit-exact across platforms.
+    """
+    space = dens.space
+    lines = []
+    for region in dens.regions():
+        if not region:
+            continue
+        label = "+".join(str(site) for site in region)
+        for cfg in space.configurations():
+            value = dens.density(region, cfg)
+            lines.append(
+                f"{label} {','.join(cfg.values)} {cfg.tail} {value}")
+    return sorted(lines)
+
+
+def write_rho_table(path: str, dens: DensityFamily, model_name: str,
+                    digest: str) -> int:
+    lines = rho_table_lines(dens)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("# specforge rho table v1\n")
+        handle.write(f"# model {model_name} sha256 {digest}\n")
+        handle.write("# record: region assignment tail value\n")
+        for line in lines:
+            handle.write(line + "\n")
+    return len(lines)
+
+
+# ---------------------------------------------------------------------------
+# model loading and guardrail
+
+def load_model(path: str, budget: int) -> ModelFile:
+    model = parse_model_file(path)
+    cells = model.cell_count()
+    if cells > budget:
+        raise UsageError(
+            f"model enumerates {cells} table cells, over the budget of "
+            f"{budget}; drop sites, symbols or tail classes, or raise "
+            f"--budget if you accept the wait")
+    return model
+
+
+def fresh_report(command: str, model: ModelFile, budget: int) -> Report:
+    return Report(
+        command=command,
+        model_path=model.path,
+        model_name=model.name,
+        model_sha256=file_sha256(model.path),
+        cells=model.cell_count(),
+        budget=budget,
+    )
+
+
+def emit(report: Report, model: ModelFile, json_path: str | None) -> int:
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as handle:
+            handle.write(render_json(report))
+    sys.stdout.write(render_text(report, model.float_tolerance))
+    return report.exit_code
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+def cmd_check(args: argparse.Namespace) -> int:
+    model = load_model(args.model, args.budget)
+    _, fam, _ = model.realize()
+    report = fresh_report("check", model, args.budget)
+    run_jobs(check_jobs(fam), report)
+    return emit(report, model, args.json)
+
+
+def cmd_construct(args: argparse.Namespace) -> int:
+    model = load_model(args.model, args.budget)
+    _, fam, _ = model.realize()
+    report = fresh_report("construct", model, args.budget)
+    run_jobs(check_jobs(fam)[:2], report)
+    if report.passed:
+        dens = build_family(fam, sweep=model.sweep, checked=False)
+        axioms = _guarded("specification_axioms",
+                          lambda: check_specification_axioms(dens))
+        report.add(axioms, gate=True)
+        normalized = axioms.data.get("point_mass_off_region", False)
+        report.note("normalization (kernel mass one): "
+                    + ("pass" if normalized else "fail"))
+        if report.passed:
+            out = args.out or _default_out(args.model)
+            records = write_rho_table(out, dens, model.name, report.model_sha256)
+            report.note(f"wrote {records} records to {out}")
+    else:
+        report.note("construction not attempted: hypothesis gate failed")
+    return emit(report, model, args.json)
+
+
+def _default_out(model_path: str) -> str:
+    base = os.path.basename(model_path)
+    stem = base[:-len(".model")] if base.endswith(".model") else base
+    return stem + ".rho"
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = load_model(args.model, args.budget)
+    _, fam, joint = model.realize()
+    report = fresh_report("verify", model, args.budget)
+    try:
+        dens = build_family(fam, sweep=model.sweep, checked=True)
+    except ConstructionError as exc:
+        failed = HypothesisReport(name="construction", passed=False)
+        witnesses = [exc.witness] if exc.witness else []
+        failed.witnesses.extend(witnesses)
+        failed.data["error"] = str(exc)
+        report.add(failed, gate=True)
+        return emit(report, model, args.json)
+    selected = select_verify_suites(args, model, fam, joint, report)
+    run_jobs(verify_jobs(model, fam, dens, joint, selected), report)
+    return emit(report, model, args.json)
+
+
+def replay_catalog(model: ModelFile) -> dict[str, Callable[[], HypothesisReport]]:
+    """Every suite name the pipelines can emit, as a rerunnable job."""
+    _, fam, joint = model.realize()
+    catalog: dict[str, Callable[[], HypothesisReport]] = {
+        job.name: job.run for job in check_jobs(fam)
+    }
+
+    def construction() -> HypothesisReport:
+        try:
+            build_family(fam, sweep=model.sweep, checked=True)
+        except ConstructionError as exc:
+            failed = HypothesisReport(name="construction", passed=False)
+            if exc.witness:
+                failed.witnesses.append(exc.witness)
+            failed.data["error"] = str(exc)
+            return failed
+        return HypothesisReport(name="construction", passed=True)
+
+    catalog["construction"] = construction
+    try:
+        dens = build_family(fam, sweep=model.sweep, checked=True)
+    except ConstructionError:
+        return catalog
+    selected = {flag: True for flag in VERIFY_FLAGS}
+    selected["roundtrip"] = joint is not None
+    for job in verify_jobs(model, fam, dens, joint, selected):
+        catalog[job.name] = job.run
+    return catalog
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    import json as json_module
+    try:
+        with open(args.report, "r", encoding="utf-8") as handle:
+            recorded = json_module.load(handle)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read report {args.report!r}: {exc}")
+    suites = {s["name"]: s for s in recorded.get("suites", [])}
+    if args.suite not in suites:
+        raise UsageError(
+            f"report has no suite named {args.suite!r}; it has: "
+            + ", ".join(sorted(suites)))
+    witnesses = suites[args.suite].get("witnesses", [])
+    if not 0 <= args.witness < len(witnesses):
+        raise UsageError(
+            f"suite {args.suite!r} recorded {len(witnesses)} witnesses; "
+            f"index {args.witness} is out of range")
+    recorded_witness = witnesses[args.witness]
+    model_path = args.model or recorded.get("model", {}).get("path")
+    if not model_path:
+        raise UsageError("report records no model path; pass --model")
+    model = load_model(model_path, args.budget)
+    digest = file_sha256(model_path)
+    if digest != recorded.get("model", {}).get("sha256"):
+        raise UsageError(
+            f"model file {model_path!r} no longer matches the report "
+            "(sha256 differs); replay needs the original input")
+    catalog = replay_catalog(model)
+    if args.suite not in catalog:
+        raise UsageError(f"suite {args.suite!r} is not replayable for this model")
+    fresh = _guarded(args.suite, catalog[args.suite])
+    target = json_module.dumps(recorded_witness, sort_keys=True)
+    reproduced = any(
+        json_module.dumps(w.as_dict(), sort_keys=True) == target
+        for w in fresh.witnesses)
+    if reproduced:
+        sys.stdout.write(
+            f"replay: witness {args.witness} of {args.suite} reproduced\n")
+        return EXIT_FAIL
+    sys.stdout.write(
+        f"replay: witness {args.witness} of {args.suite} no longer occurs\n")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="specforge",
+        description=(
+            "Construct full conditional-kernel families from single-site "
+            "kernels and verify them exactly."),
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def common(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--json", metavar="PATH",
+                         help="also write the machine-readable report here")
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                         metavar="CELLS",
+                         help="enumeration guardrail (default %(default)s)")
+
+    check = commands.add_parser(
+        "check", help="run the hypothesis checks on a model's singletons")
+    check.add_argument("model", help="model definition file")
+    common(check)
+    check.set_defaults(handler=cmd_check)
+
+    construct = commands.add_parser(
+        "construct", help="build every region's density table and save it")
+    construct.add_argument("model", help="model definition file")
+    construct.add_argument("-o", "--out", metavar="PATH",
+                           help="output table path (default: <model>.rho)")
+    common(construct)
+    construct.set_defaults(handler=cmd_construct)
+
+    verify = commands.add_parser(
+        "verify", help="run verification suites over the built family")
+    verify.add_argument("model", help="model definition file")
+    for flag in VERIFY_FLAGS:
+        verify.add_argument(f"--{flag}", action="store_true",
+                            help=f"run the {flag} suite")
+    common(verify)
+    verify.set_defaults(handler=cmd_verify)
+
+    replay = commands.add_parser(
+        "replay", help="re-execute one recorded failure witness")
+    replay.add_argument("report", help="machine-readable report file")
+    replay.add_argument("--suite", required=True,
+                        help="suite name as recorded in the report")
+    replay.add_argument("--witness", type=int, default=0, metavar="INDEX",
+                        help="witness index within the suite (default 0)")
+    replay.add_argument("--model", metavar="PATH",
+                        help="model file override (default: path in report)")
+    common(replay)
+    replay.set_defaults(handler=cmd_replay)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors and 0 on --help; keep the code
+        return int(exc.code or 0)
+    try:
+        return args.handler(args)
+    except (ModelFileError, UsageError) as exc:
+        print(f"specforge: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SpecforgeError as exc:
+        print(f"specforge: invalid model: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"specforge: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

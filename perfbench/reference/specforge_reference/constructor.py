@@ -1,0 +1,560 @@
+"""Recursive construction of multi-site densities and kernel tables.
+
+Starting from a checked family of single-site densities, every larger
+region gets its density by repeatedly dividing out an *extension
+divisor*: the exact factor by which a region's density shrinks when a
+new block of sites joins it.  The end product is a `DensityFamily`
+holding one exact table per subset of the universe, from which finite
+conditional-probability kernels are assembled on demand.
+
+The construction itself makes choices (which good block to evaluate at,
+which order to sweep the sites) that provably do not matter; those
+facts are not assumed here but re-verified, both inline (every good
+block is evaluated and compared) and by the dedicated
+`check_order_independence` / `check_divisor_factorization` suites.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping
+
+from .core import (
+    ArithmeticDomainError,
+    Configuration,
+    DomainError,
+    ExtendedRational,
+    INF,
+    Site,
+    SpecforgeError,
+    ratio,
+)
+from .hypotheses import (
+    HypothesisReport,
+    Witness,
+    check_order_consistency,
+    check_very_weak_positivity,
+    good_blocks,
+)
+from .models import SingletonFamily
+
+__all__ = [
+    "ConstructionError",
+    "DensityFamily",
+    "KernelTable",
+    "extension_divisor",
+    "extend_density",
+    "build_family",
+    "assemble_kernel",
+    "check_order_independence",
+    "check_divisor_factorization",
+]
+
+
+class ConstructionError(SpecforgeError):
+    """The recursive construction cannot proceed or contradicts itself."""
+
+    def __init__(self, message: str, witness: Witness | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class DensityFamily:
+    """Exact density tables for every built region of the universe.
+
+    ``density(region, cfg)`` reads the finite multi-site density; the
+    empty region is the constant 1 and single-site regions reproduce the
+    input family's tables verbatim.  ``construction_order`` records the
+    site sweep that produced each region.  Tables are immutable once
+    registered; ``replace_table`` returns a modified sibling for
+    perturbation probes without touching the original.
+    """
+
+    def __init__(self, singletons: SingletonFamily):
+        self.singletons = singletons
+        self.space = singletons.space
+        self._tables: dict[tuple[Site, ...], dict[tuple, Fraction]] = {}
+        self.construction_order: dict[tuple[Site, ...], tuple[Site, ...]] = {}
+        self._cache: dict = {}
+        space = self.space
+        empty_table = {cfg.key: Fraction(1) for cfg in space.configurations()}
+        self._register((), empty_table, ())
+        for site in space.universe.sites:
+            table = {cfg.key: singletons.density(site, cfg)
+                     for cfg in space.configurations()}
+            self._register((site,), table, (site,))
+
+    def _register(self, region: tuple[Site, ...],
+                  table: dict[tuple, Fraction],
+                  order: tuple[Site, ...]) -> None:
+        self._tables[region] = table
+        self.construction_order[region] = order
+
+    def regions(self) -> list[tuple[Site, ...]]:
+        """All built regions, smallest first, then by site order."""
+        universe = self.space.universe
+        return sorted(
+            self._tables,
+            key=lambda r: (len(r), tuple(universe.index(s) for s in r)),
+        )
+
+    def has(self, region: Iterable[Site]) -> bool:
+        return self.space.universe.region(region) in self._tables
+
+    def density(self, region: Iterable[Site], cfg: Configuration) -> Fraction:
+        reg = tuple(region)
+        table = self._tables.get(reg)
+        if table is None:
+            reg = self.space.universe.region(reg)
+            table = self._tables.get(reg)
+        if table is None:
+            raise DomainError(f"region {reg!r} has not been built")
+        return table[cfg.key]
+
+    def table(self, region: Iterable[Site]) -> Mapping[tuple, Fraction]:
+        reg = self.space.universe.region(region)
+        if reg not in self._tables:
+            raise DomainError(f"region {reg!r} has not been built")
+        return dict(self._tables[reg])
+
+    def replace_table(self, region: Iterable[Site],
+                      table: Mapping[tuple, Fraction]) -> "DensityFamily":
+        """A sibling family with one region's table swapped out."""
+        reg = self.space.universe.region(region)
+        if reg not in self._tables:
+            raise DomainError(f"region {reg!r} has not been built")
+        expected = set(self._tables[reg])
+        if set(table) != expected:
+            raise DomainError("replacement table must cover exactly the same keys")
+        sibling = DensityFamily.__new__(DensityFamily)
+        sibling.singletons = self.singletons
+        sibling.space = self.space
+        sibling._tables = dict(self._tables)
+        sibling._tables[reg] = {k: Fraction(v) for k, v in table.items()}
+        sibling.construction_order = dict(self.construction_order)
+        sibling._cache = {}
+        return sibling
+
+    def cached(self, key: tuple, compute: Callable[[], object]):
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = compute()
+            self._cache[key] = value
+            return value
+
+
+@dataclass(frozen=True)
+class KernelTable:
+    """One finite conditional kernel: weights over a region's assignments.
+
+    ``weights[block]`` is density(region, block over exterior) times the
+    free weight of the block; with normalized single-site kernels the
+    total mass is exactly 1.  The empty region yields the point mass at
+    the exterior configuration.
+    """
+
+    region: tuple[Site, ...]
+    exterior: Configuration
+    weights: dict[tuple[str, ...], Fraction]
+
+    def mass(self) -> Fraction:
+        return sum(self.weights.values(), Fraction(0))
+
+    def weight(self, block: tuple[str, ...]) -> Fraction:
+        return self.weights[tuple(block)]
+
+    def apply(self, h: Callable[[Configuration], Fraction],
+              space) -> Fraction:
+        """Integrate a rational-valued observable against the kernel."""
+        total = Fraction(0)
+        for block, w in self.weights.items():
+            if w == 0:
+                continue
+            total += w * h(space.overlay(self.exterior, self.region, block))
+        return total
+
+
+def _regional_ratio_integral(
+    dens: DensityFamily,
+    over: tuple[Site, ...],
+    num_region: tuple[Site, ...],
+    den_region: tuple[Site, ...],
+    cfg: Configuration,
+) -> ExtendedRational | None:
+    """Free integral over a region of density(num)/density(den).
+
+    Same guarded semantics as the single-site version: an undefined
+    point (0/0, or an infinite ratio carrying zero free weight) makes
+    the whole integral undefined, reported as None.
+    """
+    space = dens.space
+    total = Fraction(0)
+    infinite = False
+    for fill in space.assignments(over):
+        w = space.product_weight(over, fill)
+        point = space.overlay(cfg, over, fill)
+        num = dens.density(num_region, point)
+        den = dens.density(den_region, point)
+        if den == 0:
+            if num == 0 or w == 0:
+                return None
+            infinite = True
+        elif w != 0 and num != 0:
+            total += w * num / den
+    if infinite:
+        return INF
+    return ExtendedRational(total)
+
+
+def extension_divisor(
+    dens: DensityFamily,
+    theta: Iterable[Site],
+    gamma: Iterable[Site],
+    cfg: Configuration,
+) -> ExtendedRational:
+    """The factor dividing a region's density when a block joins it.
+
+    Evaluated as (density(theta)/density(gamma) times the regional ratio
+    integral of gamma against theta) at the configuration rewritten so
+    theta carries a good block; every good block is evaluated and must
+    agree.  The value lies in (0, inf]; it is infinite exactly when
+    density(gamma) vanishes at the rewritten point.  Depends on ``cfg``
+    only off theta.
+    """
+    space = dens.space
+    th = space.universe.region(theta)
+    ga = space.universe.region(gamma)
+    if set(th) & set(ga):
+        raise DomainError("extension blocks must be disjoint")
+    if not ga:
+        raise DomainError("the joining block must be nonempty")
+    for reg in (th, ga):
+        if not dens.has(reg):
+            raise ConstructionError(f"region {reg!r} has not been built yet")
+    mask = space.masked_key(cfg, th)
+
+    def compute() -> ExtendedRational:
+        blocks = good_blocks(dens.singletons, th, ga, cfg)
+        if not blocks.members:
+            raise ConstructionError(
+                f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
+                "very weak positivity fails"
+            )
+        value: ExtendedRational | None = None
+        first_block: tuple[str, ...] | None = None
+        for block in blocks.members:
+            shifted = space.overlay(cfg, th, block)
+            num = dens.density(th, shifted)
+            den = dens.density(ga, shifted)
+            if num == 0:
+                raise ConstructionError(
+                    f"density of {th!r} vanishes at its own good block "
+                    f"{block!r} at {cfg!r}; good-set guarantee violated"
+                )
+            integral = _regional_ratio_integral(dens, ga, ga, th, shifted)
+            if integral is None or integral.is_infinite or integral == 0:
+                raise ConstructionError(
+                    f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
+                    "is not in (0, inf); good-set guarantee violated"
+                )
+            candidate = ratio(num, den) * integral
+            if value is None:
+                value, first_block = candidate, block
+            elif candidate != value:
+                raise ConstructionError(
+                    f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
+                    f"disagrees across good blocks: {value} via "
+                    f"{first_block!r} vs {candidate} via {block!r}",
+                    witness=Witness(
+                        check="extension_divisor",
+                        description="good-block disagreement",
+                        replay={
+                            "assignment": list(cfg.values), "tail": cfg.tail,
+                            "theta": [str(s) for s in th],
+                            "gamma": [str(s) for s in ga],
+                            "block_first": list(first_block),
+                            "block_second": list(block),
+                        },
+                        lhs=str(value), rhs=str(candidate),
+                    ),
+                )
+        return value
+
+    return dens.cached(("extension_divisor", th, ga, mask), compute)
+
+
+def extend_density(
+    dens: DensityFamily,
+    theta: Iterable[Site],
+    gamma: Iterable[Site],
+) -> dict[tuple, Fraction]:
+    """Density table for theta + gamma: density(theta) over the divisor.
+
+    Built pointwise over every configuration; an infinite divisor
+    contracts to the exact value 0, so the stored table is finite
+    everywhere.  The table is returned, not registered; `build_family`
+    owns the bookkeeping.
+    """
+    space = dens.space
+    th = space.universe.region(theta)
+    table: dict[tuple, Fraction] = {}
+    for cfg in space.configurations():
+        divisor = extension_divisor(dens, th, gamma, cfg)
+        value = ExtendedRational(dens.density(th, cfg)) / divisor
+        table[cfg.key] = value.fraction
+    return table
+
+
+def build_family(
+    singletons: SingletonFamily,
+    sweep: Iterable[Site] | None = None,
+    checked: bool = True,
+) -> DensityFamily:
+    """Construct the density of every region by sweeping sites in order.
+
+    Each region's density divides the region-minus-last-site density by
+    the extension divisor of that single joining site, where "last" is
+    relative to ``sweep`` (default: the universe's declared site order).
+    With ``checked`` true (the default) the positivity and
+    order-consistency hypotheses are verified first and failures are
+    raised as construction errors.
+    """
+    space = singletons.space
+    universe = space.universe
+    if sweep is None:
+        order = universe.sites
+    else:
+        order = tuple(sweep)
+        if len(order) != len(universe.sites) or set(order) != set(universe.sites):
+            raise DomainError(
+                f"sweep {order!r} is not a permutation of the universe"
+            )
+    if checked:
+        h1 = check_very_weak_positivity(singletons)
+        if not h1.passed:
+            first = h1.witnesses[0] if h1.witnesses else None
+            raise ConstructionError(
+                "cannot build: very weak positivity fails "
+                f"({h1.data['violations']} index points)", witness=first,
+            )
+        h2 = check_order_consistency(singletons)
+        if not h2.passed:
+            first = h2.witnesses[0] if h2.witnesses else None
+            raise ConstructionError(
+                "cannot build: order consistency fails "
+                f"({h2.data['violations']} comparisons)", witness=first,
+            )
+    dens = DensityFamily(singletons)
+    position = {site: k for k, site in enumerate(order)}
+    for region in universe.subsets():
+        if len(region) < 2:
+            continue
+        swept = tuple(sorted(region, key=position.__getitem__))
+        theta = universe.region(swept[:-1])
+        gamma = (swept[-1],)
+        table = extend_density(dens, theta, gamma)
+        dens._register(universe.region(region), table, swept)
+    return dens
+
+
+def assemble_kernel(
+    dens: DensityFamily,
+    region: Iterable[Site],
+    cfg: Configuration,
+) -> KernelTable:
+    """The finite conditional kernel of a region given its exterior.
+
+    weight(block) = density(region, block over cfg) times the product
+    free weight of the block.  The empty region gives the point mass at
+    ``cfg``; weights depend on ``cfg`` only off the region.
+    """
+    space = dens.space
+    reg = space.universe.region(region)
+    weights: dict[tuple[str, ...], Fraction] = {}
+    for block in space.assignments(reg):
+        point = space.overlay(cfg, reg, block)
+        weights[block] = dens.density(reg, point) * space.product_weight(reg, block)
+    return KernelTable(region=reg, exterior=cfg, weights=weights)
+
+
+def check_order_independence(
+    singletons: SingletonFamily,
+    permutation_cap: int = 24,
+    seed: int = 20260819,
+    witness_cap: int = 25,
+) -> HypothesisReport:
+    """Site-sweep order and extension granularity must not matter.
+
+    Rebuilds the family under every permutation of the universe (or a
+    seeded sample of ``permutation_cap`` permutations when there are
+    more) and compares all tables exactly against the default build.
+    Additionally recomputes every region's table by *block* extension:
+    for every ordered split of the region into two nonempty disjoint
+    blocks, density(theta)/divisor must reproduce the stored table, so
+    multi-site joins agree with site-by-site sweeps.
+    """
+    space = singletons.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="order_independence", passed=True)
+    reference = build_family(singletons, checked=True)
+    all_perms = list(itertools.permutations(sites))
+    if len(all_perms) <= permutation_cap:
+        perms = all_perms
+        sampled = False
+    else:
+        rng = random.Random(seed)
+        perms = rng.sample(all_perms, permutation_cap)
+        sampled = True
+    mismatched_perms = 0
+    for perm in perms:
+        rebuilt = build_family(singletons, sweep=perm, checked=False)
+        for region in reference.regions():
+            if rebuilt.table(region) != reference.table(region):
+                mismatched_perms += 1
+                report.passed = False
+                if len(report.witnesses) < witness_cap:
+                    report.witnesses.append(Witness(
+                        check="order_independence",
+                        description=(
+                            f"sweep {[str(s) for s in perm]!r} changes the "
+                            f"table of region {[str(s) for s in region]!r}"
+                        ),
+                        replay={"sweep": [str(s) for s in perm],
+                                "region": [str(s) for s in region]},
+                    ))
+                break
+    split_checks = 0
+    split_failures = 0
+    for region in reference.regions():
+        if len(region) < 2:
+            continue
+        members = set(region)
+        for r in range(1, len(region)):
+            for theta in itertools.combinations(region, r):
+                gamma = space.universe.region(members - set(theta))
+                theta = space.universe.region(theta)
+                split_checks += 1
+                ok = True
+                for cfg in space.configurations():
+                    divisor = extension_divisor(reference, theta, gamma, cfg)
+                    value = ExtendedRational(reference.density(theta, cfg)) / divisor
+                    if value.fraction != reference.density(region, cfg):
+                        ok = False
+                        split_failures += 1
+                        report.passed = False
+                        if len(report.witnesses) < witness_cap:
+                            report.witnesses.append(Witness(
+                                check="order_independence",
+                                description=(
+                                    "block extension disagrees with the "
+                                    "site-by-site table"
+                                ),
+                                replay={
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "theta": [str(s) for s in theta],
+                                    "gamma": [str(s) for s in gamma],
+                                },
+                                lhs=str(value.fraction),
+                                rhs=str(reference.density(region, cfg)),
+                            ))
+                        break
+                if not ok:
+                    break
+    report.data = {
+        "permutations_tested": len(perms),
+        "permutations_sampled": sampled,
+        "permutation_mismatches": mismatched_perms,
+        "block_splits_tested": split_checks,
+        "block_split_failures": split_failures,
+    }
+    return report
+
+
+def check_divisor_factorization(
+    dens: DensityFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Peeling one site off the base block factorizes the ratio integral.
+
+    For every pair of disjoint nonempty regions (theta, gamma), every
+    site k of theta, every exterior and every good block x for theta
+    against gamma: the integral over gamma of density(gamma)/density(theta)
+    at (x over cfg) must equal the integral over gamma of
+    density(gamma)/density(k) at (x over cfg) times the integral over
+    gamma + {k} of density(gamma + {k})/density(theta minus k) at
+    (x-minus-k over cfg).
+    """
+    space = dens.space
+    universe = space.universe
+    report = HypothesisReport(name="divisor_factorization", passed=True)
+    checked = 0
+    violations = 0
+    for theta in universe.subsets():
+        if not theta:
+            continue
+        complement = universe.complement(theta)
+        for gamma in universe.subsets(complement):
+            if not gamma:
+                continue
+            for k in theta:
+                theta_rest = universe.region(s for s in theta if s != k)
+                gamma_plus = universe.region(gamma + (k,))
+                seen = set()
+                for cfg in space.configurations():
+                    mask = space.masked_key(cfg, theta)
+                    if mask in seen:
+                        continue
+                    seen.add(mask)
+                    blocks = good_blocks(dens.singletons, theta, gamma, cfg)
+                    for block in blocks.members:
+                        checked += 1
+                        shifted = space.overlay(cfg, theta, block)
+                        rest_block = tuple(
+                            b for s, b in zip(theta, block) if s != k
+                        )
+                        shifted_rest = space.overlay(cfg, theta_rest, rest_block)
+                        lhs = _regional_ratio_integral(
+                            dens, gamma, gamma, theta, shifted)
+                        f1 = _regional_ratio_integral(
+                            dens, gamma, gamma, (k,), shifted)
+                        f2 = _regional_ratio_integral(
+                            dens, gamma_plus, gamma_plus, theta_rest,
+                            shifted_rest)
+                        defined = (lhs is not None and f1 is not None
+                                   and f2 is not None)
+                        rhs: ExtendedRational | None = None
+                        equal = False
+                        if defined:
+                            try:
+                                rhs = f1 * f2
+                                equal = lhs == rhs
+                            except ArithmeticDomainError:
+                                defined = False
+                        if not (defined and equal):
+                            violations += 1
+                            report.passed = False
+                            if len(report.witnesses) < witness_cap:
+                                report.witnesses.append(Witness(
+                                    check="divisor_factorization",
+                                    description=(
+                                        "factorized ratio integral "
+                                        f"mismatch peeling {k!r} off "
+                                        f"{[str(s) for s in theta]!r}"
+                                    ),
+                                    replay={
+                                        "assignment": list(cfg.values),
+                                        "tail": cfg.tail,
+                                        "theta": [str(s) for s in theta],
+                                        "gamma": [str(s) for s in gamma],
+                                        "site": str(k),
+                                        "block": list(block),
+                                    },
+                                    lhs=str(lhs) if lhs is not None else "undefined",
+                                    rhs=str(rhs) if rhs is not None else "undefined",
+                                ))
+    report.data = {"evaluations": checked, "violations": violations}
+    return report

@@ -1,0 +1,594 @@
+"""Finite configuration spaces with exact nonnegative rational arithmetic.
+
+Everything downstream works on a finite window of sites, a finite symbol
+alphabet and a finite set of frozen tail-class labels.  A configuration is a
+full symbol assignment on the window plus one tail label; the label stands in
+for the behaviour of the unmodelled exterior and is never touched by any
+kernel.  All numeric work uses `fractions.Fraction`, extended with a single
+point at infinity where ratios demand it.  The indeterminate contractions
+0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
+never silent conventions.
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, Mapping, Union
+
+Site = Union[str, int]
+
+__all__ = [
+    "Site",
+    "SpecforgeError",
+    "DomainError",
+    "ArithmeticDomainError",
+    "ExtendedRational",
+    "INF",
+    "ratio",
+    "parse_rational",
+    "format_rational",
+    "Alphabet",
+    "Universe",
+    "FreeMeasure",
+    "Configuration",
+    "Space",
+    "concat",
+]
+
+
+class SpecforgeError(Exception):
+    """Base class for every error raised deliberately by this package."""
+
+
+class DomainError(SpecforgeError):
+    """A caller violated a documented precondition."""
+
+
+class ArithmeticDomainError(SpecforgeError):
+    """An indeterminate extended-arithmetic contraction was attempted.
+
+    Raised for 0 * inf, 0 / 0 and inf / inf.  These never occur along valid
+    computation paths (good symbols keep every denominator usable), so hitting
+    one means either bad input data or a genuine hypothesis violation; the
+    message names the offending quantity and, where known, the configuration.
+    """
+
+
+_RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a nonnegative rational literal of the form ``n`` or ``n/d``.
+
+    Floating-point syntax is rejected on purpose: exact fields must stay
+    exact all the way from input files to reports.
+    """
+    m = _RATIONAL_RE.match(text.strip())
+    if m is None:
+        raise DomainError(f"not a nonnegative rational literal: {text!r}")
+    num = int(m.group(1))
+    den = int(m.group(3)) if m.group(3) else 1
+    return Fraction(num, den)
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical text form of a nonnegative rational: ``n`` or ``n/d``."""
+    return str(value)
+
+
+class ExtendedRational:
+    """A nonnegative rational extended with a single infinite element.
+
+    Supports exactly the operations the kernel calculus needs: addition,
+    multiplication, division and total ordering, with the conventions
+
+        a / inf = 0        a / 0 = inf (a > 0)        a * inf = inf (a > 0)
+
+    and hard `ArithmeticDomainError` for 0 * inf, 0 / 0 and inf / inf.
+    Instances are immutable and hash-compatible with `Fraction`.
+    """
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: Union[Fraction, int, "ExtendedRational", None] = 0):
+        if isinstance(value, ExtendedRational):
+            self._value = value._value
+            return
+        if value is None:
+            self._value = None  # the infinite element
+            return
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise DomainError(f"not an exact nonnegative rational: {value!r}")
+        frac = Fraction(value)
+        if frac < 0:
+            raise DomainError(f"negative value not representable: {value}")
+        self._value = frac
+
+    @classmethod
+    def infinity(cls) -> "ExtendedRational":
+        return cls(None)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self._value is None
+
+    @property
+    def is_zero(self) -> bool:
+        return self._value == 0
+
+    @property
+    def fraction(self) -> Fraction:
+        if self._value is None:
+            raise DomainError("the infinite element has no finite value")
+        return self._value
+
+    @classmethod
+    def parse(cls, text: str) -> "ExtendedRational":
+        text = text.strip()
+        if text == "inf":
+            return cls(None)
+        return cls(parse_rational(text))
+
+    def __str__(self) -> str:
+        return "inf" if self._value is None else str(self._value)
+
+    def __repr__(self) -> str:
+        return f"ExtendedRational({str(self)!r})"
+
+    @staticmethod
+    def _lift(other) -> "ExtendedRational":
+        if isinstance(other, ExtendedRational):
+            return other
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return ExtendedRational(other)
+        return NotImplemented  # type: ignore[return-value]
+
+    def __add__(self, other) -> "ExtendedRational":
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self._value is None or other._value is None:
+            return ExtendedRational(None)
+        return ExtendedRational(self._value + other._value)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "ExtendedRational":
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self._value is None or other._value is None:
+            if (self._value == 0) or (other._value == 0):
+                raise ArithmeticDomainError("indeterminate product 0 * inf")
+            return ExtendedRational(None)
+        return ExtendedRational(self._value * other._value)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ExtendedRational":
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self._value is None:
+            if other._value is None:
+                raise ArithmeticDomainError("indeterminate quotient inf / inf")
+            return ExtendedRational(None)
+        if other._value is None:
+            return ExtendedRational(0)
+        if other._value == 0:
+            if self._value == 0:
+                raise ArithmeticDomainError("indeterminate quotient 0 / 0")
+            return ExtendedRational(None)
+        return ExtendedRational(self._value / other._value)
+
+    def __rtruediv__(self, other) -> "ExtendedRational":
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__truediv__(self)
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._value == other._value
+
+    def __ne__(self, other) -> bool:
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
+    def __lt__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self._value is None:
+            return False
+        if other._value is None:
+            return True
+        return self._value < other._value
+
+    def __le__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self == other or self < other
+
+    def __gt__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other < self
+
+    def __ge__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other <= self
+
+    def __hash__(self) -> int:
+        # Hash-compatible with Fraction so mixed comparisons stay coherent.
+        return hash(self._value) if self._value is not None else hash("ExtendedRational:inf")
+
+
+INF = ExtendedRational.infinity()
+
+
+def ratio(numerator: Fraction, denominator: Fraction) -> ExtendedRational:
+    """Exact quotient of two nonnegative rationals as an extended value."""
+    if denominator == 0:
+        if numerator == 0:
+            raise ArithmeticDomainError("indeterminate quotient 0 / 0")
+        return INF
+    return ExtendedRational(Fraction(numerator, denominator))
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """The finite symbol set shared by every site."""
+
+    symbols: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.symbols:
+            raise DomainError("alphabet must contain at least one symbol")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise DomainError(f"duplicate alphabet symbols: {self.symbols}")
+        for sym in self.symbols:
+            if not sym or any(ch.isspace() for ch in sym):
+                raise DomainError(f"bad alphabet symbol: {sym!r}")
+
+    def index(self, symbol: str) -> int:
+        try:
+            return self.symbols.index(symbol)
+        except ValueError:
+            raise DomainError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.symbols)
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __contains__(self, symbol) -> bool:
+        return symbol in self.symbols
+
+
+@dataclass(frozen=True)
+class Universe:
+    """The ordered finite window of sites the artifact actually models.
+
+    Site labels are abstract; `dimension_hint` is optional metadata for tools
+    that want to render the window geometrically and plays no role in any
+    computation.
+    """
+
+    sites: tuple[Site, ...]
+    dimension_hint: int | None = None
+
+    def __post_init__(self):
+        if not self.sites:
+            raise DomainError("universe must contain at least one site")
+        if len(set(self.sites)) != len(self.sites):
+            raise DomainError(f"duplicate sites: {self.sites}")
+        object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.sites)})
+
+    def index(self, site: Site) -> int:
+        try:
+            return self._index[site]  # type: ignore[attr-defined]
+        except KeyError:
+            raise DomainError(f"site {site!r} not in universe {self.sites}") from None
+
+    def __iter__(self) -> Iterator[Site]:
+        return iter(self.sites)
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def __contains__(self, site) -> bool:
+        return site in self._index  # type: ignore[attr-defined]
+
+    def region(self, sites: Iterable[Site]) -> tuple[Site, ...]:
+        """Canonical form of a site subset: ordered by universe position."""
+        seen = set()
+        idx = []
+        for s in sites:
+            k = self.index(s)
+            if k in seen:
+                raise DomainError(f"site {s!r} listed twice in region")
+            seen.add(k)
+            idx.append(k)
+        return tuple(self.sites[k] for k in sorted(idx))
+
+    def complement(self, sites: Iterable[Site]) -> tuple[Site, ...]:
+        inside = set(self.region(sites))
+        return tuple(s for s in self.sites if s not in inside)
+
+    def subsets(self, within: Iterable[Site] | None = None) -> Iterator[tuple[Site, ...]]:
+        """All subsets of `within` (default: whole universe), smallest first."""
+        pool = self.region(within) if within is not None else self.sites
+        for size in range(len(pool) + 1):
+            for combo in itertools.combinations(pool, size):
+                yield combo
+
+
+@dataclass(frozen=True)
+class FreeMeasure:
+    """Per-site reference weights over the alphabet.
+
+    Each site carries a finite nonnegative weight per symbol with at least one
+    strictly positive entry.  `is_normalized` reports whether every per-site
+    total equals one; parts of the verifier require that and say so.
+    """
+
+    alphabet: Alphabet
+    weights: Mapping[Site, Mapping[str, Fraction]]
+
+    def __post_init__(self):
+        frozen: dict[Site, dict[str, Fraction]] = {}
+        for site, table in self.weights.items():
+            row: dict[str, Fraction] = {}
+            for sym in self.alphabet:
+                if sym not in table:
+                    raise DomainError(f"free measure at site {site!r} misses symbol {sym!r}")
+                w = Fraction(table[sym])
+                if w < 0:
+                    raise DomainError(f"negative free weight at site {site!r}, symbol {sym!r}")
+                row[sym] = w
+            extra = set(table) - set(self.alphabet.symbols)
+            if extra:
+                raise DomainError(f"free measure at site {site!r} names unknown symbols {sorted(extra)}")
+            if all(w == 0 for w in row.values()):
+                raise DomainError(f"free measure at site {site!r} has no positive weight")
+            frozen[site] = row
+        object.__setattr__(self, "weights", frozen)
+
+    @classmethod
+    def uniform(cls, alphabet: Alphabet, sites: Iterable[Site]) -> "FreeMeasure":
+        share = Fraction(1, len(alphabet))
+        return cls(alphabet, {s: {a: share for a in alphabet} for s in sites})
+
+    def weight(self, site: Site, symbol: str) -> Fraction:
+        try:
+            return self.weights[site][symbol]
+        except KeyError:
+            raise DomainError(f"free measure has no weight for site {site!r}, symbol {symbol!r}") from None
+
+    def site_mass(self, site: Site) -> Fraction:
+        return sum(self.weights[site].values(), Fraction(0))
+
+    @property
+    def is_normalized(self) -> bool:
+        return all(self.site_mass(site) == 1 for site in self.weights)
+
+
+class Configuration:
+    """A full assignment on the window plus a tail-class label.
+
+    Immutable; equality and hashing use the assignment and the tail only,
+    so configurations behave as plain values in tables and caches.
+    """
+
+    __slots__ = ("space", "values", "tail")
+
+    def __init__(self, space: "Space", values: tuple[str, ...], tail: str):
+        self.space = space
+        self.values = values
+        self.tail = tail
+
+    @property
+    def key(self) -> tuple[tuple[str, ...], str]:
+        return (self.values, self.tail)
+
+    def symbol(self, site: Site) -> str:
+        return self.values[self.space.universe.index(site)]
+
+    def restrict(self, sites: Iterable[Site]) -> tuple[str, ...]:
+        uni = self.space.universe
+        return tuple(self.values[uni.index(s)] for s in sites)
+
+    def with_sites(self, assignment: Mapping[Site, str]) -> "Configuration":
+        vals = list(self.values)
+        for site, sym in assignment.items():
+            if sym not in self.space.alphabet:
+                raise DomainError(f"symbol {sym!r} not in alphabet")
+            vals[self.space.universe.index(site)] = sym
+        return Configuration(self.space, tuple(vals), self.tail)
+
+    def with_tail(self, tail: str) -> "Configuration":
+        if tail not in self.space.tail_classes:
+            raise DomainError(f"unknown tail class {tail!r}")
+        return Configuration(self.space, self.values, tail)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return (
+            self.values == other.values
+            and self.tail == other.tail
+            and self.space.universe.sites == other.space.universe.sites
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.tail))
+
+    def __repr__(self) -> str:
+        return f"Configuration({''.join(self.values)}, tail={self.tail})"
+
+
+@dataclass(frozen=True)
+class Space:
+    """Alphabet, window, tail classes and free measure bundled together.
+
+    This is the ambient context every model and kernel computation shares.
+    Enumeration order is part of the contract: assignments iterate in
+    lexicographic order of alphabet positions, tail classes in declared order,
+    so every downstream artifact (tables, reports) is reproducible byte for
+    byte.
+    """
+
+    alphabet: Alphabet
+    universe: Universe
+    free: FreeMeasure
+    tail_classes: tuple[str, ...] = ("default",)
+
+    def __post_init__(self):
+        if not self.tail_classes:
+            raise DomainError("at least one tail class is required")
+        if len(set(self.tail_classes)) != len(self.tail_classes):
+            raise DomainError(f"duplicate tail classes: {self.tail_classes}")
+        missing = [s for s in self.universe if s not in self.free.weights]
+        if missing:
+            raise DomainError(f"free measure misses sites {missing}")
+        if self.free.alphabet != self.alphabet:
+            raise DomainError("free measure alphabet differs from space alphabet")
+
+    # -- construction ------------------------------------------------------
+
+    def configuration(self, assignment: Mapping[Site, str], tail: str | None = None) -> Configuration:
+        if tail is None:
+            if len(self.tail_classes) != 1:
+                raise DomainError("tail class must be named when several are declared")
+            tail = self.tail_classes[0]
+        if tail not in self.tail_classes:
+            raise DomainError(f"unknown tail class {tail!r}; declared: {self.tail_classes}")
+        vals = []
+        for site in self.universe:
+            if site not in assignment:
+                raise DomainError(f"assignment misses site {site!r}")
+            sym = assignment[site]
+            if sym not in self.alphabet:
+                raise DomainError(f"symbol {sym!r} not in alphabet")
+            vals.append(sym)
+        if len(assignment) != len(self.universe):
+            extra = set(assignment) - set(self.universe.sites)
+            raise DomainError(f"assignment names unknown sites {sorted(map(repr, extra))}")
+        return Configuration(self, tuple(vals), tail)
+
+    def make(self, values: tuple[str, ...], tail: str) -> Configuration:
+        """Unchecked fast constructor for values already in window order."""
+        return Configuration(self, values, tail)
+
+    # -- enumeration -------------------------------------------------------
+
+    def assignments(self, sites: Iterable[Site]) -> Iterator[tuple[str, ...]]:
+        region = self.universe.region(sites)
+        return itertools.product(self.alphabet.symbols, repeat=len(region))
+
+    def configurations(self) -> Iterator[Configuration]:
+        for tail in self.tail_classes:
+            for values in itertools.product(self.alphabet.symbols, repeat=len(self.universe)):
+                yield Configuration(self, values, tail)
+
+    def overlay(self, cfg: Configuration, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Configuration:
+        """`cfg` with `region` (canonical order) rewritten to `symbols`."""
+        vals = list(cfg.values)
+        for site, sym in zip(region, symbols):
+            vals[self.universe.index(site)] = sym
+        return Configuration(self, tuple(vals), cfg.tail)
+
+    def masked_key(self, cfg: Configuration, hidden: Iterable[Site]) -> tuple:
+        """Cache key for quantities that ignore `cfg` on `hidden` sites."""
+        vals = list(cfg.values)
+        for site in hidden:
+            vals[self.universe.index(site)] = None
+        return (tuple(vals), cfg.tail)
+
+    # -- free kernel -------------------------------------------------------
+
+    def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:
+        w = Fraction(1)
+        for site, sym in zip(region, symbols):
+            w *= self.free.weight(site, sym)
+        return w
+
+    def free_kernel(
+        self,
+        sites: Iterable[Site],
+        h: Callable[[Configuration], Union[ExtendedRational, Fraction, int]],
+        cfg: Configuration,
+    ) -> ExtendedRational:
+        """Integrate `h` over the given sites against the free weights.
+
+        The integration rewrites the named coordinates of `cfg` and leaves
+        everything else (including the tail class) alone.  An infinite value
+        of `h` at a zero-weight point is the indeterminate 0 * inf and raises,
+        with the offending configuration in the message.
+        """
+        region = self.universe.region(sites)
+        if not region:
+            return ExtendedRational(h(cfg))
+        total = Fraction(0)
+        infinite = False
+        for symbols in itertools.product(self.alphabet.symbols, repeat=len(region)):
+            point = self.overlay(cfg, region, symbols)
+            value = ExtendedRational(h(point))
+            w = self.product_weight(region, symbols)
+            if value.is_infinite:
+                if w == 0:
+                    raise ArithmeticDomainError(
+                        f"indeterminate product 0 * inf integrating over {region} at {point!r}"
+                    )
+                infinite = True
+            elif not infinite:
+                total += w * value.fraction
+        return INF if infinite else ExtendedRational(total)
+
+    def check_factorization(
+        self,
+        region_a: Iterable[Site],
+        region_b: Iterable[Site],
+        h: Callable[[Configuration], Union[ExtendedRational, Fraction, int]],
+        cfg: Configuration,
+    ) -> bool:
+        """Exact joint-vs-nested agreement of the free kernel on disjoint regions.
+
+        Verifies that integrating over the union equals integrating over one
+        region inside the other, in both nesting orders.
+        """
+        a = self.universe.region(region_a)
+        b = self.universe.region(region_b)
+        if set(a) & set(b):
+            raise DomainError(f"regions overlap: {a} and {b}")
+        joint = self.free_kernel(a + b, h, cfg)
+        a_then_b = self.free_kernel(a, lambda c: self.free_kernel(b, h, c), cfg)
+        b_then_a = self.free_kernel(b, lambda c: self.free_kernel(a, h, c), cfg)
+        return joint == a_then_b == b_then_a
+
+
+def concat(
+    primary: Mapping[Site, str],
+    secondary: Mapping[Site, str],
+    base: Configuration,
+) -> Configuration:
+    """Overlay two partial assignments on a base configuration.
+
+    `primary` wins where the two overlap; both win over `base`; the tail
+    class of `base` is kept.  This is the coordinate-splicing every kernel
+    formula is written in.
+    """
+    merged = dict(secondary)
+    merged.update(primary)
+    return base.with_sites(merged)

@@ -1,0 +1,754 @@
+"""Admissibility checks for single-site kernel families.
+
+Everything the construction stage relies on is verified here, exactly
+and exhaustively, before any multi-site kernel is assembled:
+
+* *good symbols*: for a site and a finite context region, the symbols
+  that keep the site's density positive under every rewrite of the
+  context, with every cross-site ratio integral pinned inside (0, inf);
+* *very weak positivity*: every site/context/exterior combination owns
+  at least one good symbol;
+* *order consistency*: swapping the order in which two sites are
+  resolved does not change the combined two-site weight;
+* *pointwise compatibility*: the eight-factor product identity on pairs
+  of sites, an equivalent formulation of order consistency on these
+  models that needs no integrals;
+* *bounded positivity* and the *uniqueness mass condition*: the
+  stronger regimes under which the constructed family is unique or
+  admits two-sided density bounds.
+
+All verdicts come back as `HypothesisReport` values carrying replayable
+witnesses; nothing is sampled, every index point is enumerated.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable
+
+from .core import (
+    INF,
+    Configuration,
+    DomainError,
+    ExtendedRational,
+    Site,
+    SpecforgeError,
+    ratio,
+)
+from .models import SingletonFamily
+
+__all__ = [
+    "GoodSet",
+    "ProductGoodSet",
+    "Witness",
+    "HypothesisReport",
+    "HypothesisFailure",
+    "good_symbols",
+    "site_is_good",
+    "good_blocks",
+    "check_very_weak_positivity",
+    "pair_divisor",
+    "check_order_consistency",
+    "check_pointwise_compatibility",
+    "two_point_identity",
+    "check_uniqueness_condition",
+    "check_bounded_positivity",
+]
+
+
+class HypothesisFailure(SpecforgeError):
+    """A check precondition does not hold, or an internal invariant broke.
+
+    Raised when an operation *needs* a hypothesis that the family fails
+    (for example the order-consistency check on a family with an empty
+    good set), never for an ordinary "checked and found false" verdict;
+    those are returned as reports.
+    """
+
+    def __init__(self, message: str, report: "HypothesisReport | None" = None):
+        super().__init__(message)
+        self.report = report
+
+
+@dataclass(frozen=True)
+class GoodSet:
+    """Good symbols for one site against one context region.
+
+    ``members`` lists, in alphabet order, every symbol ``x`` such that
+    rewriting ``site`` to ``x`` keeps the site's density positive under
+    *every* assignment of ``context``, and keeps every other site's
+    ratio integral against this site strictly between 0 and infinity,
+    again under every assignment of ``context``.  ``exterior`` records
+    the configuration the query was posed at; only its values off
+    ``context + (site,)`` matter.
+    """
+
+    site: Site
+    context: tuple[Site, ...]
+    exterior: Configuration
+    members: tuple[str, ...]
+
+    def __contains__(self, symbol: str) -> bool:
+        return symbol in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class ProductGoodSet:
+    """Blockwise good assignments for a region against a shared context.
+
+    Each site ``k`` of ``region`` contributes its own good set, taken
+    against the context "rest of the region plus ``context``"; members
+    are the full cartesian product, as tuples aligned with the canonical
+    order of ``region``.
+    """
+
+    region: tuple[Site, ...]
+    context: tuple[Site, ...]
+    exterior: Configuration
+    factors: tuple[GoodSet, ...]
+    members: tuple[tuple[str, ...], ...]
+
+    def __contains__(self, block: tuple[str, ...]) -> bool:
+        return tuple(block) in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One replayable counterexample (or anomaly) found by a check."""
+
+    check: str
+    description: str
+    replay: dict
+    lhs: str | None = None
+    rhs: str | None = None
+
+    def as_dict(self) -> dict:
+        out = {"check": self.check, "description": self.description,
+               "replay": dict(self.replay)}
+        if self.lhs is not None:
+            out["lhs"] = self.lhs
+        if self.rhs is not None:
+            out["rhs"] = self.rhs
+        return out
+
+
+@dataclass
+class HypothesisReport:
+    """Outcome of one exhaustive check over a family.
+
+    ``witnesses`` holds up to ``witness_cap`` counterexamples (the cap
+    the check ran with); ``data`` carries check-specific summary values,
+    all JSON-friendly.  ``passed`` is the overall verdict.
+    """
+
+    name: str
+    passed: bool
+    witnesses: list[Witness] = field(default_factory=list)
+    data: dict = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "witnesses": [w.as_dict() for w in self.witnesses],
+            "data": dict(self.data),
+        }
+
+
+def _replay_point(cfg: Configuration, **extra) -> dict:
+    """Replay dict for a configuration plus check-specific fields."""
+    out = {"assignment": list(cfg.values), "tail": cfg.tail}
+    out.update(extra)
+    return out
+
+
+def _site_ratio_kernel(
+    family: SingletonFamily,
+    over: Site,
+    num_site: Site,
+    den_site: Site,
+    cfg: Configuration,
+) -> ExtendedRational | None:
+    """Integrate density(num_site)/density(den_site) over one site.
+
+    Returns the exact extended-rational value of the one-site free
+    integral, or None when the integrand is undefined at some point of
+    the sum: a 0/0 ratio, or an infinite ratio sitting on a zero-weight
+    symbol.  Callers testing good-set candidacy treat None as automatic
+    exclusion, which keeps every downstream integral on good symbols
+    free of indeterminate arithmetic.
+    """
+    space = family.space
+    idx = space.universe.index(over)
+    values = cfg.values
+    tail = cfg.tail
+    total = Fraction(0)
+    infinite = False
+    for symbol in space.alphabet:
+        w = space.free.weight(over, symbol)
+        point = values[:idx] + (symbol,) + values[idx + 1:]
+        num = family.density_at(num_site, point, tail)
+        den = family.density_at(den_site, point, tail)
+        if den == 0:
+            if num == 0 or w == 0:
+                return None
+            infinite = True
+        elif w != 0 and num != 0:
+            total += w * num / den
+    if infinite:
+        return INF
+    return ExtendedRational(total)
+
+
+def _checked_ratio_kernel(
+    family: SingletonFamily,
+    over: Site,
+    num_site: Site,
+    den_site: Site,
+    cfg: Configuration,
+    where: str,
+) -> Fraction:
+    """Like _site_ratio_kernel but required to land in (0, inf).
+
+    Used on configurations whose relevant coordinates are good symbols,
+    where the good-set definition guarantees a finite positive value; a
+    miss means the caller's good-set bookkeeping is broken, so it raises
+    instead of returning a soft verdict.
+    """
+    value = _site_ratio_kernel(family, over, num_site, den_site, cfg)
+    if value is None or value.is_infinite or value == 0:
+        raise HypothesisFailure(
+            f"ratio integral over {over!r} of {num_site!r}/{den_site!r} at "
+            f"{cfg!r} is not in (0, inf) during {where}; good-set guarantee "
+            "violated"
+        )
+    return value.fraction
+
+
+def good_symbols(
+    family: SingletonFamily,
+    site: Site,
+    context: Iterable[Site],
+    cfg: Configuration,
+) -> GoodSet:
+    """Good symbols for ``site`` against ``context`` at exterior ``cfg``.
+
+    A symbol qualifies iff, for every assignment of ``context``:
+
+    * the site's own density at the rewritten configuration is positive;
+    * for every other site ``i`` of the universe, the free integral over
+      ``i`` of density(i)/density(site) is defined, finite and positive.
+
+    The result depends on ``cfg`` only off ``context + (site,)`` and is
+    cached per family under that mask.
+    """
+    space = family.space
+    ctx = space.universe.region(context)
+    if site not in space.universe.sites:
+        raise DomainError(f"site {site!r} not in universe")
+    if site in ctx:
+        raise DomainError(f"site {site!r} may not appear in its own context")
+    hidden = ctx + (site,)
+    mask = space.masked_key(cfg, hidden)
+
+    def compute() -> tuple[str, ...]:
+        others = [i for i in space.universe.sites if i != site]
+        ctx_fills = list(space.assignments(ctx))
+        members = []
+        for candidate in space.alphabet:
+            base = cfg.with_sites({site: candidate})
+            sections = [space.overlay(base, ctx, fill) for fill in ctx_fills]
+            if any(family.density(site, s) == 0 for s in sections):
+                continue
+            keeps = True
+            for i in others:
+                for s in sections:
+                    value = _site_ratio_kernel(family, i, i, site, s)
+                    if value is None or value.is_infinite or value == 0:
+                        keeps = False
+                        break
+                if not keeps:
+                    break
+            if keeps:
+                members.append(candidate)
+        return tuple(members)
+
+    members = family.cached(("good_symbols", site, ctx, mask), compute)
+    return GoodSet(site=site, context=ctx, exterior=cfg, members=members)
+
+
+def site_is_good(
+    family: SingletonFamily,
+    site: Site,
+    context: Iterable[Site],
+    cfg: Configuration,
+) -> bool:
+    """Is the configuration's own symbol at ``site`` a good one?
+
+    Membership of ``cfg[site]`` in the good set of ``site`` against
+    ``context`` at exterior ``cfg``.
+    """
+    return cfg.symbol(site) in good_symbols(family, site, context, cfg)
+
+
+def good_blocks(
+    family: SingletonFamily,
+    region: Iterable[Site],
+    context: Iterable[Site],
+    cfg: Configuration,
+) -> ProductGoodSet:
+    """Blockwise good assignments for ``region`` against ``context``.
+
+    Site ``k`` of the region is tested against the context formed by the
+    rest of the region together with ``context``; the member blocks are
+    the cartesian product of the per-site good sets, in the canonical
+    order of ``region``.  Empty iff some factor is empty.
+    """
+    space = family.space
+    reg = space.universe.region(region)
+    ctx = space.universe.region(context)
+    overlap = set(reg) & set(ctx)
+    if overlap:
+        raise DomainError(f"region and context overlap on {sorted(map(str, overlap))!r}")
+    factors = []
+    for k in reg:
+        rest = tuple(s for s in reg if s != k) + ctx
+        factors.append(good_symbols(family, k, rest, cfg))
+    members = tuple(itertools.product(*(f.members for f in factors)))
+    return ProductGoodSet(
+        region=reg, context=ctx, exterior=cfg,
+        factors=tuple(factors), members=members,
+    )
+
+
+def check_very_weak_positivity(
+    family: SingletonFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Every (site, context, exterior) must own at least one good symbol.
+
+    Exhausts all sites, all context regions inside the complement of the
+    site, and all exteriors up to the mask that the good set actually
+    depends on.  The report's data counts distinct index points and
+    violations.
+    """
+    space = family.space
+    report = HypothesisReport(name="very_weak_positivity", passed=True)
+    checked = 0
+    violations = 0
+    for site in space.universe.sites:
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            hidden = ctx + (site,)
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, hidden)
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                checked += 1
+                gs = good_symbols(family, site, ctx, cfg)
+                if not gs.members:
+                    violations += 1
+                    report.passed = False
+                    if len(report.witnesses) < witness_cap:
+                        report.witnesses.append(Witness(
+                            check="very_weak_positivity",
+                            description=(
+                                f"no good symbol for site {site!r} against "
+                                f"context {list(map(str, ctx))!r}"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(site),
+                                context=[str(s) for s in ctx],
+                            ),
+                        ))
+    report.data = {"index_points": checked, "violations": violations}
+    return report
+
+
+def pair_divisor(
+    family: SingletonFamily, site: Site, other: Site, cfg: Configuration
+) -> ExtendedRational:
+    """The exact factor dividing one site's density when another joins.
+
+    Evaluated as (density(site)/density(other) times the ratio integral
+    of other against site) at the configuration rewritten so that
+    ``site`` carries a good symbol against context {other}.  The value
+    is independent of which good symbol is chosen; all choices are
+    evaluated and checked for agreement.  Infinite exactly when
+    density(other) vanishes at the rewritten point.  Depends on ``cfg``
+    only off ``site``.
+    """
+    space = family.space
+    if site == other:
+        raise DomainError(f"pair divisor needs two distinct sites, got {site!r}")
+    gs = good_symbols(family, site, (other,), cfg)
+    if not gs.members:
+        raise HypothesisFailure(
+            f"no good symbol for site {site!r} against context "
+            f"[{other!r}]; very weak positivity fails at {cfg!r}"
+        )
+
+    def compute() -> ExtendedRational:
+        seen: list[tuple[str, ExtendedRational]] = []
+        for x in gs.members:
+            shifted = cfg.with_sites({site: x})
+            num = family.density(site, shifted)
+            den = family.density(other, shifted)
+            integral = _checked_ratio_kernel(
+                family, other, other, site, shifted, "pair_divisor"
+            )
+            value = ratio(num, den) * ExtendedRational(integral)
+            seen.append((x, value))
+        first_sym, first_val = seen[0]
+        for sym, val in seen[1:]:
+            if val != first_val:
+                raise HypothesisFailure(
+                    f"pair divisor of {site!r} against {other!r} at {cfg!r} "
+                    f"disagrees across good symbols: {first_val} via "
+                    f"{first_sym!r} vs {val} via {sym!r}; order consistency "
+                    "fails"
+                )
+        return first_val
+
+    return family.cached(("pair_divisor", site, other, cfg.key), compute)
+
+
+def _consistency_side(
+    family: SingletonFamily,
+    first: Site,
+    second: Site,
+    cfg: Configuration,
+    x_first: str,
+) -> Fraction:
+    """One side of the order-consistency identity, resolving ``first`` first.
+
+    density(first, cfg) * density(second, shifted) divided by
+    (density(first, shifted) * ratio integral of second against first at
+    shifted), where shifted rewrites ``first`` to the good symbol
+    ``x_first``.  Finite by the good-set guarantees.
+    """
+    shifted = cfg.with_sites({first: x_first})
+    integral = _checked_ratio_kernel(
+        family, second, second, first, shifted, "order consistency"
+    )
+    num = family.density(first, cfg) * family.density(second, shifted)
+    den = family.density(first, shifted) * integral
+    return num / den
+
+
+def check_order_consistency(
+    family: SingletonFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Resolving two sites in either order must give the same weight.
+
+    For every configuration and every unordered pair of sites, and for
+    every pair of good symbols (one per site, each against the other
+    site as context), the two resolution orders are compared exactly.
+    The identity is literally symmetric under swapping the pair, so each
+    unordered pair is checked once.  Requires very weak positivity; if
+    that fails, raises HypothesisFailure carrying its report.
+    """
+    h1 = check_very_weak_positivity(family)
+    if not h1.passed:
+        raise HypothesisFailure(
+            "order consistency needs very weak positivity, which fails "
+            f"at {len(h1.witnesses)} witnessed index points", report=h1,
+        )
+    space = family.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="order_consistency", passed=True)
+    checked = 0
+    violations = 0
+    for cfg in space.configurations():
+        for a_pos, i in enumerate(sites):
+            for j in sites[a_pos + 1:]:
+                gi = good_symbols(family, i, (j,), cfg)
+                gj = good_symbols(family, j, (i,), cfg)
+                sides_i = {x: _consistency_side(family, i, j, cfg, x)
+                           for x in gi.members}
+                sides_j = {y: _consistency_side(family, j, i, cfg, y)
+                           for y in gj.members}
+                for x, lhs in sides_i.items():
+                    for y, rhs in sides_j.items():
+                        checked += 1
+                        if lhs != rhs:
+                            violations += 1
+                            report.passed = False
+                            if len(report.witnesses) < witness_cap:
+                                report.witnesses.append(Witness(
+                                    check="order_consistency",
+                                    description=(
+                                        f"resolving {i!r} then {j!r} differs "
+                                        f"from {j!r} then {i!r}"
+                                    ),
+                                    replay=_replay_point(
+                                        cfg,
+                                        site_first=str(i), site_second=str(j),
+                                        symbol_first=x, symbol_second=y,
+                                    ),
+                                    lhs=str(lhs), rhs=str(rhs),
+                                ))
+    report.data = {"comparisons": checked, "violations": violations}
+    return report
+
+
+def check_pointwise_compatibility(
+    family: SingletonFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Eight-factor two-site product identity, checked pointwise.
+
+    For every configuration, unordered site pair {i, j}, arbitrary
+    symbols u_i, u_j, and good symbols x_i (for i against {j}) and x_j
+    (for j against {i}), the product of four densities along one rewrite
+    path must equal the product along the mirrored path.  No integrals
+    are involved; on these families the verdict agrees with order
+    consistency whenever the good sets are nonempty.
+    """
+    space = family.space
+    sites = space.universe.sites
+    alphabet = list(space.alphabet)
+    report = HypothesisReport(name="pointwise_compatibility", passed=True)
+    checked = 0
+    violations = 0
+    for cfg in space.configurations():
+        for a_pos, i in enumerate(sites):
+            for j in sites[a_pos + 1:]:
+                gi = good_symbols(family, i, (j,), cfg).members
+                gj = good_symbols(family, j, (i,), cfg).members
+                for u_i in alphabet:
+                    for u_j in alphabet:
+                        for x_i in gi:
+                            for x_j in gj:
+                                checked += 1
+                                c_xj_ui = cfg.with_sites({j: x_j, i: u_i})
+                                c_uj_ui = cfg.with_sites({j: u_j, i: u_i})
+                                c_xi_uj = cfg.with_sites({i: x_i, j: u_j})
+                                c_xi_xj = cfg.with_sites({i: x_i, j: x_j})
+                                c_ui_uj = c_uj_ui
+                                lhs = (family.density(i, c_xj_ui)
+                                       * family.density(j, c_uj_ui)
+                                       * family.density(i, c_xi_uj)
+                                       * family.density(j, c_xi_xj))
+                                rhs = (family.density(j, c_xi_uj)
+                                       * family.density(i, c_ui_uj)
+                                       * family.density(j, c_xj_ui)
+                                       * family.density(i, c_xi_xj))
+                                if lhs != rhs:
+                                    violations += 1
+                                    report.passed = False
+                                    if len(report.witnesses) < witness_cap:
+                                        report.witnesses.append(Witness(
+                                            check="pointwise_compatibility",
+                                            description=(
+                                                f"eight-factor identity "
+                                                f"fails on pair "
+                                                f"({i!r}, {j!r})"
+                                            ),
+                                            replay=_replay_point(
+                                                cfg,
+                                                site_first=str(i),
+                                                site_second=str(j),
+                                                free_first=u_i,
+                                                free_second=u_j,
+                                                good_first=x_i,
+                                                good_second=x_j,
+                                            ),
+                                            lhs=str(lhs), rhs=str(rhs),
+                                        ))
+    report.data = {"comparisons": checked, "violations": violations}
+    return report
+
+
+def two_point_identity(
+    family: SingletonFamily,
+    site: Site,
+    other: Site,
+    cfg: Configuration,
+    x_site: str,
+    x_other: str,
+) -> tuple[ExtendedRational, ExtendedRational]:
+    """Both sides of the integrated two-site identity at one point.
+
+    Left: density(site, rewrite both) times the ratio integral of other
+    against site at (site -> x_site).  Right: the mirror image.  The
+    symbols must be good for their sites against the opposite site as
+    context; on order-consistent families the two values are equal.
+    """
+    if site == other:
+        raise DomainError("two-point identity needs two distinct sites")
+    if x_site not in good_symbols(family, site, (other,), cfg):
+        raise DomainError(
+            f"symbol {x_site!r} is not good for site {site!r} against "
+            f"[{other!r}] at {cfg!r}"
+        )
+    if x_other not in good_symbols(family, other, (site,), cfg):
+        raise DomainError(
+            f"symbol {x_other!r} is not good for site {other!r} against "
+            f"[{site!r}] at {cfg!r}"
+        )
+    both = cfg.with_sites({site: x_site, other: x_other})
+    left_integral = _checked_ratio_kernel(
+        family, other, other, site, cfg.with_sites({site: x_site}),
+        "two-point identity",
+    )
+    right_integral = _checked_ratio_kernel(
+        family, site, site, other, cfg.with_sites({other: x_other}),
+        "two-point identity",
+    )
+    lhs = ExtendedRational(family.density(site, both) * left_integral)
+    rhs = ExtendedRational(family.density(other, both) * right_integral)
+    return lhs, rhs
+
+
+def check_uniqueness_condition(
+    family: SingletonFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Good sets must carry positive free mass everywhere.
+
+    For every site, context and exterior mask, the free measure of the
+    site must give the good-symbol set strictly positive mass.  On
+    finite alphabets this strengthens very weak positivity just enough
+    to pin the constructed family down uniquely.  data reports the
+    smallest mass seen.
+    """
+    space = family.space
+    report = HypothesisReport(name="uniqueness_condition", passed=True)
+    checked = 0
+    violations = 0
+    min_mass: Fraction | None = None
+    for site in space.universe.sites:
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            hidden = ctx + (site,)
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, hidden)
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                checked += 1
+                gs = good_symbols(family, site, ctx, cfg)
+                mass = sum(
+                    (space.free.weight(site, x) for x in gs.members),
+                    Fraction(0),
+                )
+                if min_mass is None or mass < min_mass:
+                    min_mass = mass
+                if mass == 0:
+                    violations += 1
+                    report.passed = False
+                    if len(report.witnesses) < witness_cap:
+                        report.witnesses.append(Witness(
+                            check="uniqueness_condition",
+                            description=(
+                                f"good symbols of site {site!r} against "
+                                f"context {list(map(str, ctx))!r} have zero "
+                                "free mass"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(site),
+                                context=[str(s) for s in ctx],
+                            ),
+                        ))
+    report.data = {
+        "index_points": checked,
+        "violations": violations,
+        "min_good_mass": str(min_mass) if min_mass is not None else None,
+    }
+    return report
+
+
+def check_bounded_positivity(
+    family: SingletonFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Uniform two-sided bounds on every cross-site ratio integral.
+
+    Passes iff for every ordered pair of distinct sites the free
+    integral of density(other)/density(site) over the other site is
+    defined, finite and positive at *every* configuration; the exact
+    infimum and supremum per pair are reported.  When the bounds hold,
+    the strict pointwise identity density(site)/integral(site against
+    other) == density(other)/integral(other against site) is also
+    audited and reported under data["strict_identity"].
+    """
+    space = family.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="bounded_positivity", passed=True)
+    bounds: dict[str, dict[str, str | None]] = {}
+    integrals: dict[tuple[Site, Site, tuple], ExtendedRational | None] = {}
+    for i in sites:
+        for j in sites:
+            if i == j:
+                continue
+            lo: Fraction | None = None
+            hi: Fraction | None = None
+            defined = True
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, (j,))
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                value = _site_ratio_kernel(family, j, j, i, cfg)
+                integrals[(i, j, mask)] = value
+                if value is None or value.is_infinite or value == 0:
+                    defined = False
+                    report.passed = False
+                    if len(report.witnesses) < witness_cap:
+                        kind = ("undefined" if value is None else
+                                "infinite" if value.is_infinite else "zero")
+                        report.witnesses.append(Witness(
+                            check="bounded_positivity",
+                            description=(
+                                f"ratio integral of {j!r} against {i!r} is "
+                                f"{kind}"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(i), other=str(j),
+                            ),
+                        ))
+                    continue
+                f = value.fraction
+                if lo is None or f < lo:
+                    lo = f
+                if hi is None or f > hi:
+                    hi = f
+            bounds[f"{i}->{j}"] = {
+                "min": str(lo) if defined and lo is not None else None,
+                "max": str(hi) if defined and hi is not None else None,
+            }
+    strict: bool | None = None
+    if report.passed:
+        strict = True
+        for cfg in space.configurations():
+            for a_pos, i in enumerate(sites):
+                for j in sites[a_pos + 1:]:
+                    int_ij = integrals[(i, j, space.masked_key(cfg, (j,)))]
+                    int_ji = integrals[(j, i, space.masked_key(cfg, (i,)))]
+                    lhs = family.density(i, cfg) / int_ji.fraction
+                    rhs = family.density(j, cfg) / int_ij.fraction
+                    if lhs != rhs:
+                        strict = False
+                        if len(report.witnesses) < witness_cap:
+                            report.witnesses.append(Witness(
+                                check="strict_identity",
+                                description=(
+                                    f"pointwise density/integral identity "
+                                    f"fails on pair ({i!r}, {j!r})"
+                                ),
+                                replay=_replay_point(
+                                    cfg, site=str(i), other=str(j),
+                                ),
+                                lhs=str(lhs), rhs=str(rhs),
+                            ))
+    report.data = {"bounds": bounds, "strict_identity": strict}
+    return report

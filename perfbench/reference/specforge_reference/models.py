@@ -1,0 +1,371 @@
+"""Singleton families: carriers, unit normalization, extraction from joints.
+
+A singleton family assigns to every site a finite nonnegative density over
+full configurations; together with the free measure it forms the single-site
+conditional kernels everything else is built from.  Every family constructed
+here satisfies the unit-mass condition exactly: integrating the site's
+density over its own coordinate against the free weights gives 1 for every
+configuration.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Mapping, Protocol
+
+from .core import (
+    Configuration,
+    DomainError,
+    Site,
+    Space,
+    SpecforgeError,
+)
+
+__all__ = [
+    "NormalizationError",
+    "SingletonFamily",
+    "TableModel",
+    "TailRuleModel",
+    "PotentialModel",
+    "normalize",
+    "extract_singletons",
+    "rebalance_free",
+]
+
+
+class NormalizationError(SpecforgeError):
+    """A raw weight family cannot be scaled to unit mass at some site."""
+
+
+class RawWeightModel(Protocol):
+    """Anything that yields raw (not yet normalized) site weights."""
+
+    provenance: str
+
+    def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction: ...
+
+
+class SingletonFamily:
+    """The per-site densities, tabulated, validated and immutable.
+
+    Construction checks that every value is a finite nonnegative rational and
+    that the unit-mass condition holds at every site for every configuration.
+    Evaluation is a pure table lookup, so the family is safe to share across
+    worker threads.
+    """
+
+    def __init__(
+        self,
+        space: Space,
+        tables: Mapping[Site, Mapping[tuple, Fraction]],
+        provenance: str = "table",
+    ):
+        self.space = space
+        self.provenance = provenance
+        self._tables: dict[Site, dict[tuple, Fraction]] = {}
+        self._cache: dict = {}
+        for site in space.universe:
+            if site not in tables:
+                raise DomainError(f"no density table for site {site!r}")
+            table = dict(tables[site])
+            for cfg in space.configurations():
+                if cfg.key not in table:
+                    raise DomainError(f"density table for site {site!r} misses {cfg!r}")
+                value = table[cfg.key]
+                if not isinstance(value, Fraction):
+                    value = Fraction(value)
+                    table[cfg.key] = value
+                if value < 0:
+                    raise DomainError(f"negative density at site {site!r}, {cfg!r}")
+            self._tables[site] = table
+        self._check_unit_mass()
+
+    @classmethod
+    def from_function(
+        cls,
+        space: Space,
+        density: Callable[[Site, Configuration], Fraction],
+        provenance: str = "table",
+    ) -> "SingletonFamily":
+        tables = {
+            site: {cfg.key: Fraction(density(site, cfg)) for cfg in space.configurations()}
+            for site in space.universe
+        }
+        return cls(space, tables, provenance)
+
+    def _check_unit_mass(self) -> None:
+        space = self.space
+        seen: set = set()
+        for site in space.universe:
+            for cfg in space.configurations():
+                mark = (site, space.masked_key(cfg, (site,)))
+                if mark in seen:
+                    continue
+                seen.add(mark)
+                mass = space.free_kernel((site,), lambda c: self._tables[site][c.key], cfg)
+                if mass != 1:
+                    raise NormalizationError(
+                        f"site {site!r} has mass {mass} (expected 1) at {cfg!r}"
+                    )
+
+    def density(self, site: Site, cfg: Configuration) -> Fraction:
+        """The site's density at a full configuration; always finite."""
+        try:
+            table = self._tables[site]
+        except KeyError:
+            raise DomainError(f"site {site!r} not in universe") from None
+        return table[cfg.key]
+
+    def density_at(self, site: Site, values: tuple[str, ...], tail: str) -> Fraction:
+        """Table lookup by raw key; hot-loop variant of density()."""
+        return self._tables[site][(values, tail)]
+
+    def kernel_weights(self, site: Site, cfg: Configuration) -> dict[str, Fraction]:
+        """The single-site kernel row at cfg: symbol -> density * free weight.
+
+        Rows sum to 1 by the unit-mass invariant.
+        """
+        space = self.space
+        idx = space.universe.index(site)
+        out = {}
+        for sym in space.alphabet:
+            vals = cfg.values[:idx] + (sym,) + cfg.values[idx + 1 :]
+            out[sym] = self._tables[site][(vals, cfg.tail)] * space.free.weight(site, sym)
+        return out
+
+    def cached(self, key: tuple, compute: Callable[[], object]):
+        """Memo slot for derived quantities (good sets, divisors, reports)."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = compute()
+            self._cache[key] = value
+            return value
+
+
+@dataclass(frozen=True)
+class TableModel:
+    """Fully explicit raw weights: (site, own symbol, context, tail) -> value.
+
+    The context is the restriction of the configuration to the other sites,
+    in universe order.  This is the general-purpose carrier; the other model
+    kinds are compact special cases.
+    """
+
+    entries: Mapping[Site, Mapping[tuple, Fraction]]
+    provenance: str = "table"
+
+    def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
+        others = tuple(s for s in space.universe if s != site)
+        key = (cfg.symbol(site), cfg.restrict(others), cfg.tail)
+        try:
+            return Fraction(self.entries[site][key])
+        except KeyError:
+            raise DomainError(f"table model misses entry for site {site!r}, key {key}") from None
+
+
+@dataclass(frozen=True)
+class TailRuleModel:
+    """Raw weights that depend only on the tail class and the own symbol.
+
+    rules: (tail class, site) -> symbol -> weight.  Assignment-dependent
+    weights belong in a TableModel; this carrier exists for models whose
+    singletons are driven purely by the exterior class.
+    """
+
+    rules: Mapping[tuple, Mapping[str, Fraction]]
+    provenance: str = "tail_rule"
+
+    def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
+        try:
+            vector = self.rules[(cfg.tail, site)]
+        except KeyError:
+            raise DomainError(f"tail rule misses (class {cfg.tail!r}, site {site!r})") from None
+        try:
+            return Fraction(vector[cfg.symbol(site)])
+        except KeyError:
+            raise DomainError(
+                f"tail rule for (class {cfg.tail!r}, site {site!r}) misses symbol {cfg.symbol(site)!r}"
+            ) from None
+
+
+@dataclass(frozen=True)
+class PotentialModel:
+    """Strictly positive pairwise-interaction weights, given as exact rationals.
+
+    fields: site -> symbol -> weight (> 0); pairs: (site, site) -> (symbol,
+    symbol) -> weight (> 0), with the pair key and symbol order matching the
+    universe order of the two sites.  The raw weight of a site multiplies its
+    field by every pair factor it participates in, which mirrors conditioning
+    a strictly positive product-form joint on the other coordinates.
+    """
+
+    fields: Mapping[Site, Mapping[str, Fraction]]
+    pairs: Mapping[tuple, Mapping[tuple, Fraction]] = None  # type: ignore[assignment]
+    provenance: str = "potential"
+
+    def __post_init__(self):
+        if self.pairs is None:
+            object.__setattr__(self, "pairs", {})
+        for site, vector in self.fields.items():
+            for sym, w in vector.items():
+                if Fraction(w) <= 0:
+                    raise DomainError(f"field weight must be positive at {site!r}/{sym!r}")
+        for edge, table in self.pairs.items():
+            if len(edge) != 2 or edge[0] == edge[1]:
+                raise DomainError(f"bad pair key {edge!r}")
+            for syms, w in table.items():
+                if Fraction(w) <= 0:
+                    raise DomainError(f"pair weight must be positive at {edge!r}/{syms!r}")
+
+    def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
+        try:
+            value = Fraction(self.fields[site][cfg.symbol(site)])
+        except KeyError:
+            raise DomainError(f"potential misses field for site {site!r}") from None
+        for (a, b), table in self.pairs.items():
+            if site == a:
+                value *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
+            elif site == b:
+                value *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
+        return value
+
+    def joint_weight(self, space: Space, values: tuple[str, ...]) -> Fraction:
+        """The product-form joint this potential is the conditional family of."""
+        cfg = space.make(values, space.tail_classes[0])
+        total = Fraction(1)
+        for site, vector in self.fields.items():
+            total *= Fraction(vector[cfg.symbol(site)])
+        for (a, b), table in self.pairs.items():
+            total *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
+        return total
+
+
+def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
+    """Scale raw site weights to unit mass, configuration by configuration.
+
+    The scale factor at (site, cfg) is the free integral of the raw weight
+    over the site's own coordinate; it must be positive and finite, otherwise
+    a NormalizationError names the offending site and configuration.
+    """
+    tables: dict[Site, dict[tuple, Fraction]] = {}
+    for site in space.universe:
+        table: dict[tuple, Fraction] = {}
+        masses: dict[tuple, Fraction] = {}
+        for cfg in space.configurations():
+            raw = Fraction(model.raw_value(space, site, cfg))
+            if raw < 0:
+                raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
+            mkey = space.masked_key(cfg, (site,))
+            if mkey not in masses:
+                mass = space.free_kernel(
+                    (site,), lambda c: Fraction(model.raw_value(space, site, c)), cfg
+                )
+                if mass.is_infinite or mass.is_zero:
+                    raise NormalizationError(
+                        f"raw mass at site {site!r} is {mass} (need positive finite) at {cfg!r}"
+                    )
+                masses[mkey] = mass.fraction
+            table[cfg.key] = raw / masses[mkey]
+        tables[site] = table
+    return SingletonFamily(space, tables, provenance=model.provenance)
+
+
+def extract_singletons(
+    space: Space,
+    joint: Mapping[tuple, Fraction],
+    provenance: str = "extracted",
+) -> SingletonFamily:
+    """Recover the single-site densities of a strictly positive joint weight.
+
+    `joint` maps full assignments (in universe order) to positive rationals;
+    tail classes, if several are declared, all share it.  The density at
+    (site, cfg) is the joint's conditional probability of the site's symbol
+    given the rest, divided by the free weight of that symbol.  Requires a
+    strictly positive free measure for the division to stay finite.
+    """
+    for site in space.universe:
+        for sym in space.alphabet:
+            if space.free.weight(site, sym) == 0:
+                raise DomainError(
+                    f"extraction needs strictly positive free weights; zero at {site!r}/{sym!r}"
+                )
+    table_values = {}
+    for values in space.assignments(space.universe.sites):
+        if values not in joint:
+            raise DomainError(f"joint weight misses assignment {values}")
+        w = Fraction(joint[values])
+        if w <= 0:
+            raise DomainError(f"joint weight must be strictly positive; got {w} at {values}")
+        table_values[values] = w
+
+    tables: dict[Site, dict[tuple, Fraction]] = {}
+    for site in space.universe:
+        idx = space.universe.index(site)
+        table: dict[tuple, Fraction] = {}
+        for tail in space.tail_classes:
+            for values, w in table_values.items():
+                section = sum(
+                    (table_values[values[:idx] + (b,) + values[idx + 1 :]] for b in space.alphabet),
+                    Fraction(0),
+                )
+                table[(values, tail)] = w / (space.free.weight(site, values[idx]) * section)
+        tables[site] = table
+    return SingletonFamily(space, tables, provenance=provenance)
+
+
+def rebalance_free(
+    family: SingletonFamily,
+    rescalers: Mapping[Site, Mapping[str, Fraction]] | None = None,
+) -> SingletonFamily:
+    """Trade mass between free weights and densities without moving kernels.
+
+    Given positive per-site symbol rescalers r, the free weight picks up a
+    factor r (scaled back to total mass one) and the density gives the same
+    factor up.  The single-site kernels (density times free weight) are
+    unchanged pointwise, so every construction downstream is too; the result
+    has a normalized free measure, which the measure-level verifier requires.
+    With the default r = 1 this simply normalizes each free weight vector.
+    """
+    space = family.space
+    if rescalers is None:
+        rescalers = {site: {sym: Fraction(1) for sym in space.alphabet} for site in space.universe}
+    new_weights: dict[Site, dict[str, Fraction]] = {}
+    masses: dict[Site, Fraction] = {}
+    for site in space.universe:
+        try:
+            r = rescalers[site]
+        except KeyError:
+            raise DomainError(f"rescaler missing for site {site!r}") from None
+        for sym in space.alphabet:
+            if sym not in r or Fraction(r[sym]) <= 0:
+                raise DomainError(f"rescaler must be positive at {site!r}/{sym!r}")
+        mass = sum(
+            (space.free.weight(site, sym) * Fraction(r[sym]) for sym in space.alphabet),
+            Fraction(0),
+        )
+        if mass <= 0:
+            raise NormalizationError(f"rescaled free mass at {site!r} is {mass}")
+        masses[site] = mass
+        new_weights[site] = {
+            sym: space.free.weight(site, sym) * Fraction(r[sym]) / mass for sym in space.alphabet
+        }
+    from .core import FreeMeasure  # local import to avoid cycles in type tools
+
+    new_space = Space(
+        space.alphabet,
+        space.universe,
+        FreeMeasure(space.alphabet, new_weights),
+        space.tail_classes,
+    )
+    tables: dict[Site, dict[tuple, Fraction]] = {}
+    for site in space.universe:
+        idx = space.universe.index(site)
+        r = rescalers[site]
+        tables[site] = {
+            cfg.key: family.density(site, cfg) * masses[site] / Fraction(r[cfg.values[idx]])
+            for cfg in space.configurations()
+        }
+    rebalanced = SingletonFamily(new_space, tables, provenance=family.provenance)
+    return rebalanced

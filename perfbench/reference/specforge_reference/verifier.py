@@ -1,0 +1,1051 @@
+"""Independent verification suites for constructed kernel families.
+
+Everything here re-derives its expectations by direct enumeration over
+the finite configuration space: specification axioms, the two-kernel
+exchange identity, uniqueness probes against perturbed alternatives,
+support-set identities, consistency of finite measures with the family
+(and its equivalence to consistency with singletons alone), exact
+reconstruction round trips, locality diagnostics, and two-sided density
+ratio bounds.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping
+
+from .core import (
+    Configuration,
+    DomainError,
+    ExtendedRational,
+    INF,
+    Site,
+    Space,
+)
+from .constructor import DensityFamily, assemble_kernel, build_family
+from .hypotheses import (
+    HypothesisFailure,
+    HypothesisReport,
+    Witness,
+    check_order_consistency,
+    check_uniqueness_condition,
+    check_very_weak_positivity,
+    good_blocks,
+    site_is_good,
+)
+from .models import SingletonFamily, extract_singletons
+
+__all__ = [
+    "FiniteMeasure",
+    "SupportClassCertificate",
+    "check_specification_axioms",
+    "exchange_identity",
+    "uniqueness_probe",
+    "good_support_report",
+    "support_class_certificate",
+    "check_good_support_mass",
+    "check_measure_consistency",
+    "roundtrip_reconstruction",
+    "quasilocality_diagnostic",
+    "ratio_bounds",
+]
+
+
+class FiniteMeasure:
+    """A probability measure on the finite configuration space.
+
+    Weights are exact nonnegative rationals keyed by configuration and
+    must total exactly 1; missing configurations carry weight 0.
+    """
+
+    def __init__(self, space: Space, weights: Mapping[tuple, Fraction]):
+        self.space = space
+        cleaned: dict[tuple, Fraction] = {}
+        total = Fraction(0)
+        valid = {cfg.key for cfg in space.configurations()}
+        for key, value in weights.items():
+            if key not in valid:
+                raise DomainError(f"unknown configuration key {key!r}")
+            value = Fraction(value)
+            if value < 0:
+                raise DomainError(f"negative weight {value} at {key!r}")
+            if value:
+                cleaned[key] = value
+                total += value
+        if total != 1:
+            raise DomainError(f"total mass is {total}, expected 1")
+        self.weights = cleaned
+
+    @classmethod
+    def kernel_measure(cls, dens: DensityFamily, cfg: Configuration) -> "FiniteMeasure":
+        """The full-window kernel at one exterior, as a measure."""
+        space = dens.space
+        table = assemble_kernel(dens, space.universe.sites, cfg)
+        weights = {
+            space.overlay(cfg, table.region, block).key: w
+            for block, w in table.weights.items()
+        }
+        return cls(space, weights)
+
+    @classmethod
+    def free_measure(cls, space: Space, tail: str) -> "FiniteMeasure":
+        """The product of the single-site free weights on one tail class."""
+        weights = {}
+        sites = space.universe.sites
+        for values in space.assignments(sites):
+            weights[(values, tail)] = space.product_weight(sites, values)
+        return cls(space, weights)
+
+    def mass_of(self, cfg: Configuration) -> Fraction:
+        return self.weights.get(cfg.key, Fraction(0))
+
+    def expect(self, h: Callable[[Configuration], Fraction]) -> Fraction:
+        space = self.space
+        total = Fraction(0)
+        for cfg in space.configurations():
+            w = self.weights.get(cfg.key)
+            if w:
+                total += w * h(cfg)
+        return total
+
+    def push_kernel(self, dens: DensityFamily, region: Iterable[Site]) -> "FiniteMeasure":
+        """The image measure under the region's conditional kernel."""
+        space = self.space
+        reg = space.universe.region(region)
+        out: dict[tuple, Fraction] = {}
+        for cfg in space.configurations():
+            w = self.weights.get(cfg.key)
+            if not w:
+                continue
+            table = assemble_kernel(dens, reg, cfg)
+            for block, kw in table.weights.items():
+                if kw == 0:
+                    continue
+                key = space.overlay(cfg, reg, block).key
+                out[key] = out.get(key, Fraction(0)) + w * kw
+        return FiniteMeasure(space, out)
+
+    def push_free(self, region: Iterable[Site]) -> "FiniteMeasure":
+        """The image measure under the free kernel of a region."""
+        space = self.space
+        reg = space.universe.region(region)
+        out: dict[tuple, Fraction] = {}
+        for cfg in space.configurations():
+            w = self.weights.get(cfg.key)
+            if not w:
+                continue
+            for fill in space.assignments(reg):
+                kw = space.product_weight(reg, fill)
+                if kw == 0:
+                    continue
+                key = space.overlay(cfg, reg, fill).key
+                out[key] = out.get(key, Fraction(0)) + w * kw
+        return FiniteMeasure(space, out)
+
+    def same_as(self, other: "FiniteMeasure") -> bool:
+        return self.weights == other.weights
+
+
+@dataclass(frozen=True)
+class SupportClassCertificate:
+    """Exact masses of the bad sets under the free-smoothed measure.
+
+    One line per (site, context): the mass that the measure, smoothed by
+    the site's free kernel, puts outside the good-membership event of
+    that site against that context.  The measure belongs to the support
+    class iff every line is exactly zero.
+    """
+
+    lines: dict[tuple[Site, tuple[Site, ...]], Fraction]
+    passed: bool
+
+    def as_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "lines": {
+                f"{site}|{','.join(str(s) for s in ctx)}": str(mass)
+                for (site, ctx), mass in sorted(
+                    self.lines.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
+                )
+            },
+        }
+
+
+def support_class_certificate(
+    mu: FiniteMeasure, singletons: SingletonFamily
+) -> SupportClassCertificate:
+    """Membership test for the class where consistency reduces to singletons."""
+    space = singletons.space
+    lines: dict[tuple[Site, tuple[Site, ...]], Fraction] = {}
+    passed = True
+    for site in space.universe.sites:
+        smoothed = mu.push_free((site,))
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            bad = Fraction(0)
+            for cfg in space.configurations():
+                w = smoothed.weights.get(cfg.key)
+                if w and not site_is_good(singletons, site, ctx, cfg):
+                    bad += w
+            lines[(site, ctx)] = bad
+            if bad != 0:
+                passed = False
+    return SupportClassCertificate(lines=lines, passed=passed)
+
+
+def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
+                cfg: Configuration) -> dict[tuple, Fraction]:
+    """Kernel weights of a region at one exterior, keyed by target point."""
+    space = dens.space
+    table = assemble_kernel(dens, region, cfg)
+    return {
+        space.overlay(cfg, region, block).key: w
+        for block, w in table.weights.items()
+        if w != 0
+    }
+
+
+def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
+                  inner: DensityFamily, inner_region: tuple[Site, ...],
+                  cfg: Configuration) -> dict[tuple, Fraction]:
+    """Row of (outer kernel) followed by (inner kernel) at one exterior."""
+    space = outer.space
+    out: dict[tuple, Fraction] = {}
+    for mid_key, w1 in _kernel_row(outer, outer_region, cfg).items():
+        mid = space.make(*mid_key)
+        for key, w2 in _kernel_row(inner, inner_region, mid).items():
+            out[key] = out.get(key, Fraction(0)) + w1 * w2
+    return out
+
+
+def check_specification_axioms(
+    dens: DensityFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """The three defining kernel-family properties, checked exactly.
+
+    (a) each region's kernel table depends on the exterior only off the
+    region; (b) each kernel is the point mass on events determined off
+    its region (total mass 1, all of it on points agreeing with the
+    exterior there); (c) applying a sub-region's kernel after a
+    region's kernel changes nothing, for every nested pair.
+    """
+    space = dens.space
+    universe = space.universe
+    report = HypothesisReport(name="specification_axioms", passed=True)
+    exterior_ok = True
+    point_mass_ok = True
+    consistency_ok = True
+    checks = {"exterior": 0, "point_mass": 0, "nested_pairs": 0}
+
+    def witness(check: str, description: str, **replay):
+        if len(report.witnesses) < witness_cap:
+            report.witnesses.append(
+                Witness(check=check, description=description, replay=replay)
+            )
+
+    for region in universe.subsets():
+        rows: dict[tuple, dict] = {}
+        for cfg in space.configurations():
+            mask = space.masked_key(cfg, region)
+            row = {
+                block: w
+                for block, w in assemble_kernel(dens, region, cfg).weights.items()
+            }
+            checks["exterior"] += 1
+            if mask in rows:
+                if rows[mask] != row:
+                    exterior_ok = False
+                    report.passed = False
+                    witness(
+                        "exterior_measurability",
+                        f"kernel of {[str(s) for s in region]!r} varies "
+                        "inside one exterior class",
+                        region=[str(s) for s in region],
+                        assignment=list(cfg.values), tail=cfg.tail,
+                    )
+            else:
+                rows[mask] = row
+            checks["point_mass"] += 1
+            mass = sum(row.values(), Fraction(0))
+            off_region_moved = any(
+                space.masked_key(
+                    space.overlay(cfg, region, block), region
+                ) != mask
+                for block in row
+            )
+            if mass != 1 or off_region_moved:
+                point_mass_ok = False
+                report.passed = False
+                witness(
+                    "point_mass_off_region",
+                    f"kernel of {[str(s) for s in region]!r} has mass "
+                    f"{mass} or moves exterior coordinates",
+                    region=[str(s) for s in region],
+                    assignment=list(cfg.values), tail=cfg.tail,
+                )
+    for large in universe.subsets():
+        for small in universe.subsets(large):
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, large)
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                checks["nested_pairs"] += 1
+                direct = _kernel_row(dens, large, cfg)
+                composed = _composed_row(dens, large, dens, small, cfg)
+                composed = {k: v for k, v in composed.items() if v != 0}
+                if direct != composed:
+                    consistency_ok = False
+                    report.passed = False
+                    diff_key = next(
+                        k for k in set(direct) | set(composed)
+                        if direct.get(k, Fraction(0)) != composed.get(k, Fraction(0))
+                    )
+                    witness(
+                        "consistency",
+                        f"composing {[str(s) for s in small]!r} after "
+                        f"{[str(s) for s in large]!r} changes the kernel",
+                        large=[str(s) for s in large],
+                        small=[str(s) for s in small],
+                        assignment=list(cfg.values), tail=cfg.tail,
+                        point_assignment=list(diff_key[0]),
+                        point_tail=diff_key[1],
+                    )
+                    break
+    report.data = {
+        "exterior_measurable": exterior_ok,
+        "point_mass_off_region": point_mass_ok,
+        "consistent": consistency_ok,
+        "checks": checks,
+    }
+    return report
+
+
+def exchange_identity(
+    dens: DensityFamily,
+    region_a: Iterable[Site],
+    region_b: Iterable[Site],
+    f: Callable[[Configuration], Fraction],
+    g: Callable[[Configuration], Fraction],
+    cfg: Configuration,
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the two-kernel exchange identity at one exterior.
+
+    Left: the joint kernel of a + b applied to f times (kernel of a
+    applied to (kernel of b applied to g)).  Right: the mirror image
+    with f and g (and a and b) swapped.  Equal on every family passing
+    the specification axioms.
+    """
+    space = dens.space
+    a = space.universe.region(region_a)
+    b = space.universe.region(region_b)
+    if set(a) & set(b):
+        raise DomainError("exchange identity needs disjoint regions")
+    union = space.universe.region(a + b)
+    lhs_outer = assemble_kernel(dens, union, cfg)
+    lhs = lhs_outer.apply(
+        lambda x: f(x) * assemble_kernel(dens, a, x).apply(
+            lambda y: assemble_kernel(dens, b, y).apply(g, space), space
+        ),
+        space,
+    )
+    rhs = lhs_outer.apply(
+        lambda x: g(x) * assemble_kernel(dens, b, x).apply(
+            lambda y: assemble_kernel(dens, a, y).apply(f, space), space
+        ),
+        space,
+    )
+    return lhs, rhs
+
+
+def _site_ratio_integral_over(
+    dens: DensityFamily,
+    over: tuple[Site, ...],
+    num_region: tuple[Site, ...],
+    den_region: tuple[Site, ...],
+    cfg: Configuration,
+) -> ExtendedRational | None:
+    """Guarded free integral of a density ratio, local to this module."""
+    space = dens.space
+    total = Fraction(0)
+    infinite = False
+    for fill in space.assignments(over):
+        w = space.product_weight(over, fill)
+        point = space.overlay(cfg, over, fill)
+        num = dens.density(num_region, point)
+        den = dens.density(den_region, point)
+        if den == 0:
+            if num == 0 or w == 0:
+                return None
+            infinite = True
+        elif w != 0 and num != 0:
+            total += w * num / den
+    if infinite:
+        return INF
+    return ExtendedRational(total)
+
+
+def uniqueness_probe(
+    dens: DensityFamily,
+    trials: int = 25,
+    seed: int = 8141,
+    witness_cap: int = 25,
+) -> HypothesisReport:
+    """No alternative family survives the singleton-consistency test.
+
+    First confirms the constructed family itself satisfies singleton
+    consistency (composing any member site's kernel after a region's
+    kernel changes nothing).  Then, for ``trials`` seeded random
+    perturbations of one region's kernel row (kept normalized, made to
+    differ), verifies each perturbed family violates singleton
+    consistency for some site of the region.  Finally re-derives every
+    multi-site density from a closed-form solve at good blocks and
+    confirms it reproduces the built table.
+    """
+    singletons = dens.singletons
+    space = dens.space
+    universe = space.universe
+    uc = check_uniqueness_condition(singletons)
+    if not uc.passed:
+        raise HypothesisFailure(
+            "uniqueness probe needs the good-mass condition", report=uc
+        )
+    for site in universe.sites:
+        for symbol in space.alphabet:
+            if space.free.weight(site, symbol) == 0:
+                raise HypothesisFailure(
+                    f"uniqueness probe needs strictly positive free weights; "
+                    f"site {site!r} gives zero weight to {symbol!r}"
+                )
+    report = HypothesisReport(name="uniqueness_probe", passed=True)
+    rng = random.Random(seed)
+
+    multi_regions = [r for r in universe.subsets() if len(r) >= 2]
+
+    def singleton_consistent(family: DensityFamily,
+                             region: tuple[Site, ...]) -> tuple[bool, dict | None]:
+        for site in region:
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, region)
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                direct = _kernel_row(family, region, cfg)
+                composed = _composed_row(family, region, dens, (site,), cfg)
+                composed = {k: v for k, v in composed.items() if v != 0}
+                if direct != composed:
+                    return False, {
+                        "site": str(site),
+                        "assignment": list(cfg.values),
+                        "tail": cfg.tail,
+                    }
+        return True, None
+
+    self_checked = 0
+    for region in multi_regions:
+        ok, where = singleton_consistent(dens, region)
+        self_checked += 1
+        if not ok:
+            report.passed = False
+            if len(report.witnesses) < witness_cap:
+                report.witnesses.append(Witness(
+                    check="uniqueness_probe",
+                    description=(
+                        "the constructed family itself fails singleton "
+                        f"consistency on {[str(s) for s in region]!r}"
+                    ),
+                    replay=where or {},
+                ))
+
+    survivors = 0
+    perturbations = []
+    for trial in range(trials if multi_regions else 0):
+        region = multi_regions[rng.randrange(len(multi_regions))]
+        reps = []
+        seen = set()
+        for cfg in space.configurations():
+            mask = space.masked_key(cfg, region)
+            if mask not in seen:
+                seen.add(mask)
+                reps.append(cfg)
+        rep = reps[rng.randrange(len(reps))]
+        blocks = list(space.assignments(region))
+        original = dens.table(region)
+        new_table = dict(original)
+        for attempt in range(10):
+            raw = {block: Fraction(rng.randint(1, 9)) for block in blocks}
+            mass = sum(
+                raw[block] * space.product_weight(region, block)
+                for block in blocks
+            )
+            row = {block: raw[block] / mass for block in blocks}
+            changed = False
+            mask = space.masked_key(rep, region)
+            for cfg in space.configurations():
+                if space.masked_key(cfg, region) != mask:
+                    continue
+                block = tuple(cfg.symbol(s) for s in region)
+                key = cfg.key
+                if original[key] != row[block]:
+                    changed = True
+                new_table[key] = row[block]
+            if changed:
+                break
+        else:
+            continue
+        perturbed = dens.replace_table(region, new_table)
+        ok, _ = singleton_consistent(perturbed, region)
+        perturbations.append({
+            "region": [str(s) for s in region],
+            "tail": rep.tail,
+            "exterior": list(rep.values),
+            "violates": not ok,
+        })
+        if ok:
+            survivors += 1
+            report.passed = False
+            if len(report.witnesses) < witness_cap:
+                report.witnesses.append(Witness(
+                    check="uniqueness_probe",
+                    description=(
+                        "a perturbed family still satisfies singleton "
+                        f"consistency on {[str(s) for s in region]!r}"
+                    ),
+                    replay={"region": [str(s) for s in region],
+                            "assignment": list(rep.values), "tail": rep.tail},
+                ))
+
+    rederived_points = 0
+    rederive_ok = True
+    for region in multi_regions:
+        for cfg in space.configurations():
+            for block in good_blocks(singletons, region, (), cfg).members:
+                shifted = space.overlay(cfg, region, block)
+                for k in region:
+                    rest = universe.region(s for s in region if s != k)
+                    integral = _site_ratio_integral_over(
+                        dens, (k,), (k,), rest, shifted
+                    )
+                    rederived_points += 1
+                    expected: Fraction | None
+                    if integral is None or integral.is_infinite or integral == 0:
+                        expected = None
+                    else:
+                        expected = dens.density((k,), shifted) / integral.fraction
+                    if expected is None or dens.density(region, shifted) != expected:
+                        rederive_ok = False
+                        report.passed = False
+                        if len(report.witnesses) < witness_cap:
+                            report.witnesses.append(Witness(
+                                check="uniqueness_probe",
+                                description=(
+                                    "closed-form re-derivation disagrees "
+                                    f"with the built density on "
+                                    f"{[str(s) for s in region]!r}"
+                                ),
+                                replay={
+                                    "region": [str(s) for s in region],
+                                    "site": str(k),
+                                    "assignment": list(shifted.values),
+                                    "tail": shifted.tail,
+                                },
+                                lhs=str(dens.density(region, shifted)),
+                                rhs=str(expected) if expected is not None else "undefined",
+                            ))
+    report.data = {
+        "seed": seed,
+        "regions_self_checked": self_checked,
+        "trials": trials,
+        "perturbations": perturbations,
+        "surviving_alternatives": survivors,
+        "rederived_points": rederived_points,
+        "rederivation_ok": rederive_ok,
+    }
+    return report
+
+
+def good_support_report(
+    dens: DensityFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Support-set identities for every split of every region.
+
+    Wherever a configuration's own symbols form a good block for a
+    region (each site good against the rest of the region), the region's
+    density must equal either block's density divided by the matching
+    ratio integral.  Also verifies that good-membership of a site
+    against a context never depends on the configuration inside the
+    context.
+    """
+    space = dens.space
+    universe = space.universe
+    singletons = dens.singletons
+    report = HypothesisReport(name="good_support", passed=True)
+    identity_points = 0
+    member_points = 0
+    measurability_points = 0
+
+    def in_core(region: tuple[Site, ...], cfg: Configuration) -> bool:
+        return all(
+            site_is_good(
+                singletons, site,
+                tuple(s for s in region if s != site), cfg,
+            )
+            for site in region
+        )
+
+    for region in universe.subsets():
+        if len(region) < 2:
+            continue
+        splits = []
+        members = set(region)
+        for r in range(1, len(region)):
+            for v in itertools.combinations(region, r):
+                v = universe.region(v)
+                w = universe.region(members - set(v))
+                splits.append((v, w))
+        for cfg in space.configurations():
+            if not in_core(region, cfg):
+                continue
+            member_points += 1
+            for v, w in splits:
+                identity_points += 1
+                int_v = _site_ratio_integral_over(dens, v, v, w, cfg)
+                int_w = _site_ratio_integral_over(dens, w, w, v, cfg)
+                built = dens.density(region, cfg)
+                ok = True
+                values = []
+                for num_region, integral in ((v, int_v), (w, int_w)):
+                    if integral is None or integral.is_infinite or integral == 0:
+                        ok = False
+                        break
+                    values.append(
+                        dens.density(num_region, cfg) / integral.fraction
+                    )
+                if not ok or any(val != built for val in values):
+                    report.passed = False
+                    if len(report.witnesses) < witness_cap:
+                        report.witnesses.append(Witness(
+                            check="good_support",
+                            description=(
+                                "support identity fails on region "
+                                f"{[str(s) for s in region]!r} split "
+                                f"{[str(s) for s in v]!r} / "
+                                f"{[str(s) for s in w]!r}"
+                            ),
+                            replay={"assignment": list(cfg.values),
+                                    "tail": cfg.tail},
+                            lhs=str(built),
+                            rhs=",".join(str(x) for x in values) or "undefined",
+                        ))
+    for site in universe.sites:
+        complement = universe.complement((site,))
+        for ctx in universe.subsets(complement):
+            if not ctx:
+                continue
+            seen = set()
+            for cfg in space.configurations():
+                mask = space.masked_key(cfg, ctx)
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                base = site_is_good(singletons, site, ctx, cfg)
+                for fill in space.assignments(ctx):
+                    measurability_points += 1
+                    if site_is_good(
+                        singletons, site, ctx, space.overlay(cfg, ctx, fill)
+                    ) != base:
+                        report.passed = False
+                        if len(report.witnesses) < witness_cap:
+                            report.witnesses.append(Witness(
+                                check="good_support",
+                                description=(
+                                    f"good membership of {site!r} against "
+                                    f"{[str(s) for s in ctx]!r} depends on "
+                                    "the context's own symbols"
+                                ),
+                                replay={"assignment": list(cfg.values),
+                                        "tail": cfg.tail,
+                                        "fill": list(fill)},
+                            ))
+    report.data = {
+        "core_points": member_points,
+        "identity_points": identity_points,
+        "measurability_points": measurability_points,
+    }
+    return report
+
+
+def check_good_support_mass(
+    mu: FiniteMeasure, dens: DensityFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Zero mass off the good sets, for measures in the support class.
+
+    If the measure's certificate passes, smoothing it by any region's free
+    kernel must leave zero mass where some member site fails to be good
+    against the rest of that region, site by site and for the whole-region
+    intersection.  If the measure is moreover preserved by every
+    single-site kernel, the measure itself must put zero mass off every
+    good-membership event.  Parts whose premise fails are skipped and
+    recorded as out of scope.
+    """
+    space = dens.space
+    singletons = dens.singletons
+    report = HypothesisReport(name="good_support_mass", passed=True)
+    certificate = support_class_certificate(mu, singletons)
+    in_class = certificate.passed
+    counts = {"smoothed_site": 0, "smoothed_region": 0,
+              "plain_site": 0, "plain_region": 0}
+
+    def bad_mass(measure: FiniteMeasure, predicate) -> Fraction:
+        total = Fraction(0)
+        for cfg in space.configurations():
+            w = measure.weights.get(cfg.key)
+            if w and not predicate(cfg):
+                total += w
+        return total
+
+    def witness(description: str, **replay):
+        report.passed = False
+        if len(report.witnesses) < witness_cap:
+            report.witnesses.append(Witness(
+                check="good_support_mass", description=description,
+                replay=replay,
+            ))
+
+    singleton_ok: bool | None = None
+    if in_class:
+        for region in space.universe.subsets():
+            if not region:
+                continue
+            smoothed = mu.push_free(region)
+            for k in region:
+                ctx = tuple(s for s in region if s != k)
+                counts["smoothed_site"] += 1
+                mass = bad_mass(
+                    smoothed,
+                    lambda c, k=k, ctx=ctx: site_is_good(singletons, k, ctx, c),
+                )
+                if mass != 0:
+                    witness(
+                        f"free-smoothed measure of {[str(s) for s in region]!r} "
+                        f"charges configurations where {k!r} is not good",
+                        region=[str(s) for s in region], site=str(k),
+                        mass=str(mass),
+                    )
+            if len(region) >= 2:
+                counts["smoothed_region"] += 1
+                mass = bad_mass(
+                    smoothed,
+                    lambda c, region=region: all(
+                        site_is_good(
+                            singletons, k,
+                            tuple(s for s in region if s != k), c,
+                        )
+                        for k in region
+                    ),
+                )
+                if mass != 0:
+                    witness(
+                        "free-smoothed measure charges the complement of the "
+                        f"good core of {[str(s) for s in region]!r}",
+                        region=[str(s) for s in region], mass=str(mass),
+                    )
+        singleton_ok = all(
+            mu.push_kernel(dens, (site,)).same_as(mu)
+            for site in space.universe.sites
+        )
+        if singleton_ok:
+            for j in space.universe.sites:
+                for ctx in space.universe.subsets(space.universe.complement((j,))):
+                    counts["plain_site"] += 1
+                    mass = bad_mass(
+                        mu,
+                        lambda c, j=j, ctx=ctx: site_is_good(singletons, j, ctx, c),
+                    )
+                    if mass != 0:
+                        witness(
+                            f"the measure itself charges configurations where "
+                            f"{j!r} is not good against "
+                            f"{[str(s) for s in ctx]!r}",
+                            site=str(j), context=[str(s) for s in ctx],
+                            mass=str(mass),
+                        )
+            for region in space.universe.subsets():
+                if len(region) < 2:
+                    continue
+                counts["plain_region"] += 1
+                mass = bad_mass(
+                    mu,
+                    lambda c, region=region: all(
+                        site_is_good(
+                            singletons, k,
+                            tuple(s for s in region if s != k), c,
+                        )
+                        for k in region
+                    ),
+                )
+                if mass != 0:
+                    witness(
+                        "the measure itself charges the complement of the "
+                        f"good core of {[str(s) for s in region]!r}",
+                        region=[str(s) for s in region], mass=str(mass),
+                    )
+    report.data = {
+        "in_support_class": in_class,
+        "singleton_consistent": singleton_ok,
+        "checked": counts,
+    }
+    return report
+
+
+def check_measure_consistency(
+    mu: FiniteMeasure, dens: DensityFamily, witness_cap: int = 25
+) -> HypothesisReport:
+    """Support class, singleton consistency, full consistency, and their link.
+
+    Computes (i) the support-class certificate of the measure, (ii)
+    whether smoothing by each single-site kernel preserves the measure,
+    (iii) whether smoothing by every region's kernel preserves it.  The
+    report passes iff the advertised equivalence holds: for measures in
+    the class, (ii) and (iii) agree.  Measures outside the class are
+    flagged; no claim is made about them.
+    """
+    space = dens.space
+    if not space.free.is_normalized:
+        raise HypothesisFailure(
+            "measure consistency needs normalized free weights"
+        )
+    report = HypothesisReport(name="measure_consistency", passed=True)
+    certificate = support_class_certificate(mu, dens.singletons)
+
+    singleton_ok = True
+    singleton_fail_sites: list[str] = []
+    for site in space.universe.sites:
+        pushed = mu.push_kernel(dens, (site,))
+        if not pushed.same_as(mu):
+            singleton_ok = False
+            singleton_fail_sites.append(str(site))
+    full_ok = True
+    full_fail_regions: list[list[str]] = []
+    for region in space.universe.subsets():
+        if not region:
+            continue
+        pushed = mu.push_kernel(dens, region)
+        if not pushed.same_as(mu):
+            full_ok = False
+            full_fail_regions.append([str(s) for s in region])
+    equivalence = None
+    if certificate.passed:
+        equivalence = singleton_ok == full_ok
+        if not equivalence:
+            report.passed = False
+            report.witnesses.append(Witness(
+                check="measure_consistency",
+                description=(
+                    "inside the support class, singleton consistency and "
+                    "full consistency disagree"
+                ),
+                replay={
+                    "singleton_consistent": singleton_ok,
+                    "fully_consistent": full_ok,
+                    "singleton_failures": singleton_fail_sites[:witness_cap],
+                    "full_failures": full_fail_regions[:witness_cap],
+                },
+            ))
+    report.data = {
+        "in_support_class": certificate.passed,
+        "certificate": certificate.as_dict(),
+        "singleton_consistent": singleton_ok,
+        "fully_consistent": full_ok,
+        "equivalence_holds": equivalence,
+    }
+    return report
+
+
+def roundtrip_reconstruction(
+    space: Space, joint: Mapping[tuple, Fraction], witness_cap: int = 25
+) -> HypothesisReport:
+    """Extract singletons from a positive joint, rebuild, compare exactly.
+
+    The expected multi-site densities are computed directly from the
+    joint weight (section sums over the region divided by free weights)
+    with no reference to the construction; every region's built table
+    must match them entry for entry.
+    """
+    sites = space.universe.sites
+    table: dict[tuple, Fraction] = {}
+    for values in space.assignments(sites):
+        w = joint.get(values)
+        if w is None or Fraction(w) <= 0:
+            raise DomainError(
+                f"round trip needs a strictly positive joint; offending "
+                f"assignment {values!r}"
+            )
+        table[values] = Fraction(w)
+    joint = table
+    singletons = extract_singletons(space, joint)
+    report = HypothesisReport(name="roundtrip_reconstruction", passed=True)
+    h1 = check_very_weak_positivity(singletons)
+    h2 = check_order_consistency(singletons) if h1.passed else None
+    report.data["positivity_passed"] = h1.passed
+    report.data["order_consistency_passed"] = h2.passed if h2 is not None else None
+    if not (h1.passed and h2 is not None and h2.passed):
+        report.passed = False
+        return report
+    dens = build_family(singletons, checked=False)
+    compared = 0
+    mismatches = 0
+    for region in space.universe.subsets():
+        if not region:
+            continue
+        for cfg in space.configurations():
+            compared += 1
+            section = Fraction(0)
+            for fill in space.assignments(region):
+                section += joint[space.overlay(cfg, region, fill).values]
+            free = space.product_weight(
+                region, tuple(cfg.symbol(s) for s in region)
+            )
+            expected = joint[cfg.values] / (section * free)
+            if dens.density(region, cfg) != expected:
+                mismatches += 1
+                report.passed = False
+                if len(report.witnesses) < witness_cap:
+                    report.witnesses.append(Witness(
+                        check="roundtrip_reconstruction",
+                        description=(
+                            f"built density of {[str(s) for s in region]!r} "
+                            "differs from the joint's conditional"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "assignment": list(cfg.values),
+                                "tail": cfg.tail},
+                        lhs=str(dens.density(region, cfg)),
+                        rhs=str(expected),
+                    ))
+    report.data["points_compared"] = compared
+    report.data["mismatches"] = mismatches
+    return report
+
+
+def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
+    """How far away can the exterior still move a region's density?
+
+    For each region, reports the exact maximal variation of its density
+    under rewrites at the exterior sites farthest from the region (in
+    declared site order) and under tail-class swaps at fixed assignment.
+    Purely diagnostic: the report always passes, locality shows up as
+    zero variation and tail sensitivity as a nonzero entry.
+    """
+    space = dens.space
+    universe = space.universe
+    report = HypothesisReport(name="quasilocality", passed=True)
+    per_region = {}
+    for region in universe.subsets():
+        if not region:
+            continue
+        indices = [universe.index(s) for s in region]
+        distances = {
+            s: min(abs(universe.index(s) - i) for i in indices)
+            for s in universe.sites
+            if s not in region
+        }
+        if distances:
+            dmax = max(distances.values())
+            far = universe.region(s for s, d in distances.items() if d == dmax)
+            groups: dict[tuple, list[Fraction]] = {}
+            for cfg in space.configurations():
+                groups.setdefault(
+                    space.masked_key(cfg, far), []
+                ).append(dens.density(region, cfg))
+            far_variation = max(
+                (max(vals) - min(vals) for vals in groups.values()),
+                default=Fraction(0),
+            )
+        else:
+            dmax = 0
+            far = ()
+            far_variation = Fraction(0)
+        tail_groups: dict[tuple, list[Fraction]] = {}
+        for cfg in space.configurations():
+            tail_groups.setdefault(cfg.values, []).append(
+                dens.density(region, cfg)
+            )
+        tail_variation = max(
+            (max(vals) - min(vals) for vals in tail_groups.values()),
+            default=Fraction(0),
+        )
+        per_region["+".join(str(s) for s in region)] = {
+            "far_sites": [str(s) for s in far],
+            "far_distance": dmax,
+            "far_variation": str(far_variation),
+            "tail_variation": str(tail_variation),
+        }
+    report.data = {"regions": per_region}
+    return report
+
+
+def ratio_bounds(dens: DensityFamily, witness_cap: int = 25) -> HypothesisReport:
+    """Tightest two-sided bounds of each region's density against members.
+
+    For each region, the extreme values of density(region)/density(site)
+    over all member sites and configurations; passes iff every ratio is
+    defined (no positive density over a vanishing single-site density,
+    no 0/0) with finite positive extremes.
+    """
+    space = dens.space
+    report = HypothesisReport(name="ratio_bounds", passed=True)
+    bounds: dict[str, dict[str, str | None]] = {}
+    for region in space.universe.subsets():
+        if not region:
+            continue
+        lo: Fraction | None = None
+        hi: Fraction | None = None
+        defined = True
+        for site in region:
+            for cfg in space.configurations():
+                num = dens.density(region, cfg)
+                den = dens.density((site,), cfg)
+                if den == 0:
+                    defined = False
+                    report.passed = False
+                    if len(report.witnesses) < witness_cap:
+                        report.witnesses.append(Witness(
+                            check="ratio_bounds",
+                            description=(
+                                f"density of member {site!r} vanishes, no "
+                                "two-sided bound for region "
+                                f"{[str(s) for s in region]!r}"
+                            ),
+                            replay={"assignment": list(cfg.values),
+                                    "tail": cfg.tail, "site": str(site)},
+                        ))
+                    continue
+                value = num / den
+                if lo is None or value < lo:
+                    lo = value
+                if hi is None or value > hi:
+                    hi = value
+        key = "+".join(str(s) for s in region)
+        bounds[key] = {
+            "lower": str(lo) if defined and lo is not None else None,
+            "upper": str(hi) if defined and hi is not None else None,
+        }
+        if defined and lo is not None and lo == 0:
+            report.passed = False
+            if len(report.witnesses) < witness_cap:
+                report.witnesses.append(Witness(
+                    check="ratio_bounds",
+                    description=(
+                        f"lower ratio bound of {[str(s) for s in region]!r} "
+                        "collapses to zero"
+                    ),
+                    replay={"region": [str(s) for s in region]},
+                ))
+    report.data = {"bounds": bounds}
+    return report
