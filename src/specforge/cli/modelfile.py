@@ -29,7 +29,11 @@ Grammar (one directive per line, ``#`` starts a comment):
     float_tolerance <q>                   display threshold (1/10^9)
 
 ``entry`` context symbols are the other sites' values in declared site
-order; ``pair`` symbol pairs follow the universe order of the two sites.
+order, and the tail of an ``entry`` or ``rule`` line must be a declared
+tail class.  A ``pair`` line's symbol pairs follow the order its two sites
+are written in; the pair is stored in universe order, so ``pair s2 s1
+a,b=q`` is the same factor as ``pair s1 s2 b,a=q``, and each unordered
+pair may be given once.
 """
 
 from __future__ import annotations
@@ -155,6 +159,7 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
     pairs: dict[tuple, dict[tuple, Fraction]] = {}
     joint: dict[tuple, Fraction] = {}
     sweep: tuple[str, ...] | None = None
+    tail_uses: list[tuple[int, str]] = []
     options = {
         "permutations": DEFAULT_PERMUTATIONS,
         "trials": DEFAULT_TRIALS,
@@ -293,6 +298,7 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             for sym in (own, *ctx):
                 if sym not in alphabet:
                     raise fail(line_no, f"unknown symbol {sym!r}")
+            tail_uses.append((line_no, tail))
             key = (own, ctx, tail)
             bucket = table_entries.setdefault(site, {})
             if key in bucket:
@@ -306,6 +312,7 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             tail, site = args[0], args[1]
             if site != "*" and site not in known:
                 raise fail(line_no, f"unknown site {site!r}")
+            tail_uses.append((line_no, tail))
             key = (tail, site)
             if key in rules:
                 raise fail(line_no, f"duplicate rule for {key!r}")
@@ -347,6 +354,9 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
                     line_no,
                     "pair needs one value for every ordered symbol pair",
                 )
+            if known.index(first) > known.index(second):
+                first, second = second, first
+                vector = {(y, x): value for (x, y), value in vector.items()}
             pair_key = (first, second)
             if pair_key in pairs:
                 raise fail(line_no, f"duplicate pair line for {pair_key!r}")
@@ -385,6 +395,12 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
         else:
             raise fail(line_no, f"unknown directive {directive!r}")
 
+    for line_no, tail in tail_uses:
+        if tail not in tails:
+            raise fail(
+                line_no,
+                f"undeclared tail class {tail!r}; declared: {' '.join(tails)}",
+            )
     last = text.count("\n") + 1
     if sites is None:
         raise fail(last, "missing 'sites' directive")

@@ -5,7 +5,9 @@ and exhaustively, before any multi-site kernel is assembled:
 
 * *good symbols*: for a site and a finite context region, the symbols
   that keep the site's density positive under every rewrite of the
-  context, with every cross-site ratio integral pinned inside (0, inf);
+  context, with every cross-site ratio integral pinned inside (0, inf).
+  Both conditions depend only on which densities vanish, so one
+  zero-pattern admissibility table per site answers every context;
 * *very weak positivity*: every site/context/exterior combination owns
   at least one good symbol;
 * *order consistency*: swapping the order in which two sites are
@@ -233,6 +235,46 @@ def _checked_ratio_kernel(
     return value.fraction
 
 
+def _admissible_points(family: SingletonFamily, site: Site) -> frozenset:
+    """Keys ``(values, tail)`` of the points where ``site`` is admissible.
+
+    A point is admissible iff the site's density is nonzero there and, for
+    every other site ``i``, the free integral over ``i`` of
+    density(i)/density(site) is defined, finite and positive.  That is a
+    statement about zero patterns only: the integral is undefined or
+    infinite iff density(site) vanishes somewhere along ``i``'s coordinate,
+    and it is never zero, because unit mass puts a nonzero density(i) on
+    some symbol of positive free weight there.  No rational arithmetic is
+    done.  Built once per (family, site).
+    """
+    space = family.space
+    sites = space.universe.sites
+    alphabet = space.alphabet.symbols
+
+    def compute() -> frozenset:
+        live = {cfg.key for cfg in space.configurations()
+                if family.density_at(site, *cfg.key) != 0}
+        admissible = set(live)
+        for k, other in enumerate(sites):
+            if other == site:
+                continue
+            lines: dict[tuple, bool] = {}
+            for key in list(admissible):
+                values, tail = key
+                line = (values[:k] + values[k + 1:], tail)
+                keeps = lines.get(line)
+                if keeps is None:
+                    keeps = lines[line] = all(
+                        (values[:k] + (s,) + values[k + 1:], tail) in live
+                        for s in alphabet
+                    )
+                if not keeps:
+                    admissible.discard(key)
+        return frozenset(admissible)
+
+    return family.cached(("admissible_points", site), compute)
+
+
 def good_symbols(
     family: SingletonFamily,
     site: Site,
@@ -247,8 +289,11 @@ def good_symbols(
     * for every other site ``i`` of the universe, the free integral over
       ``i`` of density(i)/density(site) is defined, finite and positive.
 
-    The result depends on ``cfg`` only off ``context + (site,)`` and is
-    cached per family under that mask.
+    Both conditions depend only on which densities vanish (the free
+    weights enter through unit mass alone), so the good set is an AND over
+    the context fills of one per-site admissibility table built from zero
+    patterns.  The result depends on ``cfg`` only off ``context + (site,)``
+    and is cached per family under that mask.
     """
     space = family.space
     ctx = space.universe.region(context)
@@ -260,24 +305,13 @@ def good_symbols(
     mask = space.masked_key(cfg, hidden)
 
     def compute() -> tuple[str, ...]:
-        others = [i for i in space.universe.sites if i != site]
+        admissible = _admissible_points(family, site)
         ctx_fills = list(space.assignments(ctx))
         members = []
         for candidate in space.alphabet:
             base = cfg.with_sites({site: candidate})
-            sections = [space.overlay(base, ctx, fill) for fill in ctx_fills]
-            if any(family.density(site, s) == 0 for s in sections):
-                continue
-            keeps = True
-            for i in others:
-                for s in sections:
-                    value = _site_ratio_kernel(family, i, i, site, s)
-                    if value is None or value.is_infinite or value == 0:
-                        keeps = False
-                        break
-                if not keeps:
-                    break
-            if keeps:
+            if all(space.overlay(base, ctx, fill).key in admissible
+                   for fill in ctx_fills):
                 members.append(candidate)
         return tuple(members)
 
@@ -501,6 +535,44 @@ def check_order_consistency(
     return report
 
 
+def _eight_factor_failures(
+    family: SingletonFamily, i: Site, j: Site, cfg: Configuration
+) -> tuple[int, list[tuple]]:
+    """Comparison count and failing rows of the identity on pair {i, j}.
+
+    Every configuration the identity reads rewrites both ``i`` and ``j``,
+    so the outcome depends on ``cfg`` only off {i, j}.  Failing rows are
+    ``(u_i, u_j, x_i, x_j, lhs, rhs)`` in loop order.
+    """
+    space = family.space
+    alphabet = space.alphabet.symbols
+    a = space.universe.index(i)
+    b = space.universe.index(j)
+    gi = good_symbols(family, i, (j,), cfg).members
+    gj = good_symbols(family, j, (i,), cfg).members
+    values, tail = cfg.key
+    d_i: dict[tuple[str, str], Fraction] = {}
+    d_j: dict[tuple[str, str], Fraction] = {}
+    for s_i in alphabet:
+        for s_j in alphabet:
+            point = list(values)
+            point[a], point[b] = s_i, s_j
+            d_i[(s_i, s_j)] = family.density_at(i, tuple(point), tail)
+            d_j[(s_i, s_j)] = family.density_at(j, tuple(point), tail)
+    failures = []
+    for u_i in alphabet:
+        for u_j in alphabet:
+            for x_i in gi:
+                for x_j in gj:
+                    lhs = (d_i[(u_i, x_j)] * d_j[(u_i, u_j)]
+                           * d_i[(x_i, u_j)] * d_j[(x_i, x_j)])
+                    rhs = (d_j[(x_i, u_j)] * d_i[(u_i, u_j)]
+                           * d_j[(u_i, x_j)] * d_i[(x_i, x_j)])
+                    if lhs != rhs:
+                        failures.append((u_i, u_j, x_i, x_j, lhs, rhs))
+    return len(alphabet) ** 2 * len(gi) * len(gj), failures
+
+
 def check_pointwise_compatibility(
     family: SingletonFamily, witness_cap: int = 25
 ) -> HypothesisReport:
@@ -511,59 +583,45 @@ def check_pointwise_compatibility(
     (for j against {i}), the product of four densities along one rewrite
     path must equal the product along the mirrored path.  No integrals
     are involved; on these families the verdict agrees with order
-    consistency whenever the good sets are nonempty.
+    consistency whenever the good sets are nonempty.  The identity is
+    evaluated once per pair and exterior off the pair, then counted at
+    every configuration that shares them.
     """
     space = family.space
     sites = space.universe.sites
-    alphabet = list(space.alphabet)
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
     checked = 0
     violations = 0
+    outcomes: dict[tuple, tuple[int, list[tuple]]] = {}
     for cfg in space.configurations():
         for a_pos, i in enumerate(sites):
             for j in sites[a_pos + 1:]:
-                gi = good_symbols(family, i, (j,), cfg).members
-                gj = good_symbols(family, j, (i,), cfg).members
-                for u_i in alphabet:
-                    for u_j in alphabet:
-                        for x_i in gi:
-                            for x_j in gj:
-                                checked += 1
-                                c_xj_ui = cfg.with_sites({j: x_j, i: u_i})
-                                c_uj_ui = cfg.with_sites({j: u_j, i: u_i})
-                                c_xi_uj = cfg.with_sites({i: x_i, j: u_j})
-                                c_xi_xj = cfg.with_sites({i: x_i, j: x_j})
-                                c_ui_uj = c_uj_ui
-                                lhs = (family.density(i, c_xj_ui)
-                                       * family.density(j, c_uj_ui)
-                                       * family.density(i, c_xi_uj)
-                                       * family.density(j, c_xi_xj))
-                                rhs = (family.density(j, c_xi_uj)
-                                       * family.density(i, c_ui_uj)
-                                       * family.density(j, c_xj_ui)
-                                       * family.density(i, c_xi_xj))
-                                if lhs != rhs:
-                                    violations += 1
-                                    report.passed = False
-                                    if len(report.witnesses) < witness_cap:
-                                        report.witnesses.append(Witness(
-                                            check="pointwise_compatibility",
-                                            description=(
-                                                f"eight-factor identity "
-                                                f"fails on pair "
-                                                f"({i!r}, {j!r})"
-                                            ),
-                                            replay=_replay_point(
-                                                cfg,
-                                                site_first=str(i),
-                                                site_second=str(j),
-                                                free_first=u_i,
-                                                free_second=u_j,
-                                                good_first=x_i,
-                                                good_second=x_j,
-                                            ),
-                                            lhs=str(lhs), rhs=str(rhs),
-                                        ))
+                key = (i, j, space.masked_key(cfg, (i, j)))
+                if key not in outcomes:
+                    outcomes[key] = _eight_factor_failures(family, i, j, cfg)
+                count, failures = outcomes[key]
+                checked += count
+                for u_i, u_j, x_i, x_j, lhs, rhs in failures:
+                    violations += 1
+                    report.passed = False
+                    if len(report.witnesses) < witness_cap:
+                        report.witnesses.append(Witness(
+                            check="pointwise_compatibility",
+                            description=(
+                                f"eight-factor identity fails on pair "
+                                f"({i!r}, {j!r})"
+                            ),
+                            replay=_replay_point(
+                                cfg,
+                                site_first=str(i),
+                                site_second=str(j),
+                                free_first=u_i,
+                                free_second=u_j,
+                                good_first=x_i,
+                                good_second=x_j,
+                            ),
+                            lhs=str(lhs), rhs=str(rhs),
+                        ))
     report.data = {"comparisons": checked, "violations": violations}
     return report
 

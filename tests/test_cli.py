@@ -86,6 +86,42 @@ class TestModelFileParsing:
         with pytest.raises(ModelFileError, match="every ordered symbol pair"):
             parse_model_text(text)
 
+    def test_reversed_pair_is_stored_in_universe_order(self):
+        head = "sites s1 s2\nalphabet a b\nfree uniform\nkind potential\n"
+        reversed_line = parse_model_text(head + "pair s2 s1 a,a=2 a,b=3 b,a=5 b,b=7\n")
+        in_order = parse_model_text(head + "pair s1 s2 a,a=2 b,a=3 a,b=5 b,b=7\n")
+        assert reversed_line.pairs == in_order.pairs
+        assert list(reversed_line.pairs) == [("s1", "s2")]
+        _, family_r, _ = reversed_line.realize()
+        _, family_o, _ = in_order.realize()
+        for cfg in family_o.space.configurations():
+            for site in ("s1", "s2"):
+                assert family_r.density(site, cfg) == family_o.density(site, cfg)
+
+    def test_pair_given_twice_in_either_order_rejected(self):
+        text = ("sites s1 s2\nalphabet a b\nfree uniform\nkind potential\n"
+                "pair s1 s2 a,a=1 a,b=1 b,a=1 b,b=1\n"
+                "pair s2 s1 a,a=1 a,b=1 b,a=1 b,b=1\n")
+        with pytest.raises(ModelFileError, match=r":6: duplicate pair line"):
+            parse_model_text(text)
+
+    def test_rule_with_undeclared_tail_rejected(self):
+        text = ("sites a b\nalphabet x y\nfree uniform\nkind tail_rule\n"
+                "rule default * x=1 y=1\nrule typo * x=5 y=0\n")
+        with pytest.raises(ModelFileError, match=r":6: undeclared tail class 'typo'"):
+            parse_model_text(text)
+
+    def test_entry_with_undeclared_tail_rejected(self):
+        text = ("sites a\nalphabet x y\ntails open\nfree uniform\nkind table\n"
+                "entry a x open 1\nentry a y open 1\nentry a y default 1\n")
+        with pytest.raises(ModelFileError, match=r":8: undeclared tail class 'default'"):
+            parse_model_text(text)
+
+    def test_tails_may_follow_the_lines_that_use_them(self):
+        text = ("sites a\nalphabet x\nfree uniform\nkind tail_rule\n"
+                "rule open a x=1\ntails open\n")
+        assert parse_model_text(text).tails == ("open",)
+
     def test_sweep_must_be_permutation(self):
         text = ("sites a b\nalphabet x\nfree uniform\nkind tail_rule\n"
                 "rule default * x=1\nsweep a a\n")
@@ -165,6 +201,21 @@ class TestCheckCommand:
         bad.write_text("sites a\nalphabet x\nfree uniform\nkind joint\njoint x 1.5\n")
         assert main(["check", str(bad)]) == 2
         assert f"{bad}:5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["rule typo * a=5 b=0",
+                                      "entry s2 b b bogus 7"])
+    def test_undeclared_tail_is_usage_error(self, capsys, tmp_path, line):
+        kind = "tail_rule" if line.startswith("rule") else "table"
+        body = (["rule default * a=1 b=1"] if kind == "tail_rule" else
+                [f"entry {s} {x} {y} default 1"
+                 for s in ("s1", "s2") for x in "ab" for y in "ab"])
+        model = tmp_path / "typo.model"
+        model.write_text("\n".join(
+            ["sites s1 s2", "alphabet a b", "free uniform", f"kind {kind}",
+             *body, line]) + "\n")
+        assert main(["check", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model}:{len(body) + 5}: undeclared tail class" in err
 
     def test_budget_refusal(self, capsys):
         assert main(["check", EXAMPLE1, "--budget", "100"]) == 2

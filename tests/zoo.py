@@ -256,3 +256,68 @@ def anchored_table_family(seed: int, n_sites: int = 3, symbols: tuple[str, ...] 
                     table[(sym, ctx, tail)] = w
         entries[site] = table
     return space, normalize(space, TableModel(entries))
+
+
+def one_sided_hardcore_family(n_sites: int = 3) -> SingletonFamily:
+    """A hard-core chain whose first site ignores the exclusion.
+
+    Symbol "b" at site k has weight k + 1 unless a neighbour carries "b";
+    site s1 keeps "b" regardless.  "a" stays good everywhere, so very weak
+    positivity holds, but no joint has these conditionals: order
+    consistency and the eight-factor identity fail.
+    """
+    space = plain_space(n_sites, ("a", "b"))
+    sites = space.universe.sites
+    entries: dict = {}
+    for k, site in enumerate(sites):
+        table = {}
+        for values in space.assignments(sites):
+            neighbours = values[max(k - 1, 0):k] + values[k + 1:k + 2]
+            if values[k] == "a":
+                w = Fraction(1)
+            elif k > 0 and "b" in neighbours:
+                w = Fraction(0)
+            else:
+                w = Fraction(k + 1)
+            table[(values[k], values[:k] + values[k + 1:], "default")] = w
+        entries[site] = table
+    return normalize(space, TableModel(entries))
+
+
+def random_zero_table_family(seed: int) -> SingletonFamily:
+    """A random table family in the zero-density regime.
+
+    Two to four sites, up to three symbols and up to two tail classes.
+    Each site's free measure is zero on a random subset of symbols (never
+    all of them); raw weights are zero with probability 0.4, except that
+    every row keeps one positive weight on a symbol of positive free
+    weight, so the weights always normalize.
+    """
+    rng = random.Random(seed)
+    n_sites = rng.randint(2, 4)
+    symbols = ("a", "b", "c")[:rng.randint(2, 3) if n_sites < 4 else 2]
+    tails = ("t0", "t1")[:rng.randint(1, 2)]
+    alphabet = Alphabet(symbols)
+    universe = Universe(tuple(f"s{k}" for k in range(1, n_sites + 1)))
+    weights = {}
+    for site in universe:
+        row = {sym: Fraction(rng.choice((0, 1, 2, 3))) for sym in symbols}
+        if all(w == 0 for w in row.values()):
+            row[rng.choice(symbols)] = Fraction(1)
+        weights[site] = row
+    space = Space(alphabet, universe, FreeMeasure(alphabet, weights), tail_classes=tails)
+    entries: dict = {}
+    for site in universe:
+        others = tuple(s for s in universe if s != site)
+        carriers = [sym for sym in symbols if weights[site][sym] != 0]
+        table = {}
+        for tail in tails:
+            for ctx in space.assignments(others):
+                keep = rng.choice(carriers)
+                for sym in symbols:
+                    zero = sym != keep and rng.random() < 0.4
+                    table[(sym, ctx, tail)] = (
+                        Fraction(0) if zero else Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                    )
+        entries[site] = table
+    return normalize(space, TableModel(entries))
