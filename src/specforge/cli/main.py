@@ -7,8 +7,7 @@ over the same input produce byte-identical machine output.
 
 The enumeration guardrail refuses models whose full construction would
 exceed the cell budget (alphabet^sites * 2^sites * tail classes, default
-10^7) before any work starts; SPECFORGE_THREADS caps how many suites run
-concurrently, with report assembly always single-threaded and ordered.
+10^7) before any work starts.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable
 
@@ -102,30 +100,10 @@ def _guarded(name: str, run: Callable[[], HypothesisReport]) -> HypothesisReport
     return report
 
 
-def thread_count() -> int:
-    raw = os.environ.get("SPECFORGE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"SPECFORGE_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise UsageError(f"SPECFORGE_THREADS must be at least 1, got {count}")
-    return count
-
-
 def run_jobs(jobs: list[Job], report: Report) -> None:
-    """Execute suites (possibly concurrently), assemble in submission order."""
-    threads = thread_count()
-    if threads <= 1 or len(jobs) <= 1:
-        results = [_guarded(job.name, job.run) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_guarded, job.name, job.run) for job in jobs]
-            results = [future.result() for future in futures]
-    for job, result in zip(jobs, results):
-        report.add(result, gate=job.gated)
+    """Execute suites in order and add each result to the report."""
+    for job in jobs:
+        report.add(_guarded(job.name, job.run), gate=job.gated)
 
 
 # ---------------------------------------------------------------------------

@@ -348,16 +348,28 @@ def build_family(
                 "cannot build: order consistency fails "
                 f"({h2.data['violations']} comparisons)", witness=first,
             )
+    return _sweep(singletons, order, {})
+
+
+def _sweep(singletons: SingletonFamily, order, store: dict) -> DensityFamily:
+    """Build every region under the sweep ``order``.
+
+    ``store`` maps a region's sites in sweep order to its table: tables
+    found there are reused, and every table built here is added to it.
+    """
+    universe = singletons.space.universe
     dens = DensityFamily(singletons)
     position = {site: k for k, site in enumerate(order)}
     for region in universe.subsets():
         if len(region) < 2:
             continue
         swept = tuple(sorted(region, key=position.__getitem__))
-        theta = universe.region(swept[:-1])
-        gamma = (swept[-1],)
-        table = extend_density(dens, theta, gamma)
-        dens._register(universe.region(region), table, swept)
+        table = store.get(swept)
+        if table is None:
+            table = extend_density(dens, universe.region(swept[:-1]),
+                                   (swept[-1],))
+            store[swept] = table
+        dens._register(region, table, swept)
     return dens
 
 
@@ -392,6 +404,10 @@ def check_order_independence(
     Rebuilds the family under every permutation of the universe (or a
     seeded sample of ``permutation_cap`` permutations when there are
     more) and compares all tables exactly against the default build.
+    A region's table reads only the singletons and the table of the
+    region minus its last swept site, so it depends on the sweep only
+    through its order on the region: each such order is built once and
+    shared by every permutation inducing it.
     Additionally recomputes every region's table by *block* extension:
     for every ordered split of the region into two nonempty disjoint
     blocks, density(theta)/divisor must reproduce the stored table, so
@@ -409,11 +425,21 @@ def check_order_independence(
         rng = random.Random(seed)
         perms = rng.sample(all_perms, permutation_cap)
         sampled = True
+    regions = reference.regions()
+    last_read = {tuple(sorted(region, key=perm.index)): k
+                 for k, perm in enumerate(perms) for region in regions
+                 if len(region) >= 2}
+    store = {order: reference._tables[region]
+             for region, order in reference.construction_order.items()
+             if order in last_read}
     mismatched_perms = 0
-    for perm in perms:
-        rebuilt = build_family(singletons, sweep=perm, checked=False)
-        for region in reference.regions():
-            if rebuilt.table(region) != reference.table(region):
+    for k, perm in enumerate(perms):
+        rebuilt = _sweep(singletons, perm, store)
+        for order in rebuilt.construction_order.values():
+            if last_read.get(order) == k:
+                del store[order]
+        for region in regions:
+            if rebuilt._tables[region] != reference._tables[region]:
                 mismatched_perms += 1
                 report.passed = False
                 if len(report.witnesses) < witness_cap:
@@ -429,7 +455,7 @@ def check_order_independence(
                 break
     split_checks = 0
     split_failures = 0
-    for region in reference.regions():
+    for region in regions:
         if len(region) < 2:
             continue
         members = set(region)

@@ -464,6 +464,7 @@ class Space:
             raise DomainError(f"free measure misses sites {missing}")
         if self.free.alphabet != self.alphabet:
             raise DomainError("free measure alphabet differs from space alphabet")
+        object.__setattr__(self, "_product_weights", {})
 
     # -- construction ------------------------------------------------------
 
@@ -519,9 +520,13 @@ class Space:
     # -- free kernel -------------------------------------------------------
 
     def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:
-        w = Fraction(1)
-        for site, sym in zip(region, symbols):
-            w *= self.free.weight(site, sym)
+        key = (region, symbols)
+        w = self._product_weights.get(key)  # type: ignore[attr-defined]
+        if w is None:
+            w = Fraction(1)
+            for site, sym in zip(region, symbols):
+                w *= self.free.weight(site, sym)
+            self._product_weights[key] = w  # type: ignore[attr-defined]
         return w
 
     def free_kernel(

@@ -51,8 +51,7 @@ class SingletonFamily:
 
     Construction checks that every value is a finite nonnegative rational and
     that the unit-mass condition holds at every site for every configuration.
-    Evaluation is a pure table lookup, so the family is safe to share across
-    worker threads.
+    Evaluation is a pure table lookup.
     """
 
     def __init__(

@@ -20,12 +20,15 @@ from typing import Callable, Iterable, Mapping
 from .core import (
     Configuration,
     DomainError,
-    ExtendedRational,
-    INF,
     Site,
     Space,
 )
-from .constructor import DensityFamily, assemble_kernel, build_family
+from .constructor import (
+    DensityFamily,
+    _regional_ratio_integral,
+    assemble_kernel,
+    build_family,
+)
 from .hypotheses import (
     HypothesisFailure,
     HypothesisReport,
@@ -362,33 +365,6 @@ def exchange_identity(
     return lhs, rhs
 
 
-def _site_ratio_integral_over(
-    dens: DensityFamily,
-    over: tuple[Site, ...],
-    num_region: tuple[Site, ...],
-    den_region: tuple[Site, ...],
-    cfg: Configuration,
-) -> ExtendedRational | None:
-    """Guarded free integral of a density ratio, local to this module."""
-    space = dens.space
-    total = Fraction(0)
-    infinite = False
-    for fill in space.assignments(over):
-        w = space.product_weight(over, fill)
-        point = space.overlay(cfg, over, fill)
-        num = dens.density(num_region, point)
-        den = dens.density(den_region, point)
-        if den == 0:
-            if num == 0 or w == 0:
-                return None
-            infinite = True
-        elif w != 0 and num != 0:
-            total += w * num / den
-    if infinite:
-        return INF
-    return ExtendedRational(total)
-
-
 def uniqueness_probe(
     dens: DensityFamily,
     trials: int = 25,
@@ -528,7 +504,7 @@ def uniqueness_probe(
                 shifted = space.overlay(cfg, region, block)
                 for k in region:
                     rest = universe.region(s for s in region if s != k)
-                    integral = _site_ratio_integral_over(
+                    integral = _regional_ratio_integral(
                         dens, (k,), (k,), rest, shifted
                     )
                     rederived_points += 1
@@ -614,8 +590,8 @@ def good_support_report(
             member_points += 1
             for v, w in splits:
                 identity_points += 1
-                int_v = _site_ratio_integral_over(dens, v, v, w, cfg)
-                int_w = _site_ratio_integral_over(dens, w, w, v, cfg)
+                int_v = _regional_ratio_integral(dens, v, v, w, cfg)
+                int_w = _regional_ratio_integral(dens, w, w, v, cfg)
                 built = dens.density(region, cfg)
                 ok = True
                 values = []

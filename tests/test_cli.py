@@ -388,20 +388,6 @@ class TestDeterminismAndThreads:
         main(["verify", EXTRACTED, "--json", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
-    def test_reports_byte_identical_across_thread_counts(
-            self, capsys, tmp_path, monkeypatch):
-        single = tmp_path / "single.json"
-        main(["verify", INDEPENDENT, "--json", str(single)])
-        monkeypatch.setenv("SPECFORGE_THREADS", "4")
-        threaded = tmp_path / "threaded.json"
-        assert main(["verify", INDEPENDENT, "--json", str(threaded)]) == 0
-        assert single.read_bytes() == threaded.read_bytes()
-
-    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECFORGE_THREADS", "many")
-        assert main(["check", INDEPENDENT]) == 2
-        assert "SPECFORGE_THREADS" in capsys.readouterr().err
-
     def test_rho_files_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.rho"
         second = tmp_path / "b.rho"

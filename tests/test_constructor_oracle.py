@@ -1,0 +1,228 @@
+"""Shared construction work against naive oracles.
+
+``check_order_independence`` builds each distinct (region, sweep order
+restricted to the region) table once and shares it across permutations,
+and ``Space.product_weight`` memoizes free-weight products.  The oracles
+below are the direct definitions: a full rebuild of the family under
+every permutation, and the product of the free weights taken afresh.
+Results must agree exactly, witnesses and raised errors included.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from specforge import constructor
+from specforge.constructor import (
+    ConstructionError,
+    build_family,
+    check_order_independence,
+    extension_divisor,
+)
+from specforge.core import ExtendedRational, FreeMeasure, Space
+from specforge.hypotheses import HypothesisReport, Witness
+
+from zoo import (
+    broken_pair_family,
+    example1_family,
+    extracted_family,
+    hardcore_family,
+    lopsided_free_family,
+    potential_family,
+    random_zero_table_family,
+    unnormalized_free_family,
+)
+
+
+def naive_order_independence(singletons, permutation_cap=24, seed=20260819,
+                             witness_cap=25) -> HypothesisReport:
+    """Rebuild the whole family under every permutation and compare."""
+    space = singletons.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="order_independence", passed=True)
+    reference = build_family(singletons, checked=True)
+    all_perms = list(itertools.permutations(sites))
+    if len(all_perms) <= permutation_cap:
+        perms = all_perms
+        sampled = False
+    else:
+        rng = random.Random(seed)
+        perms = rng.sample(all_perms, permutation_cap)
+        sampled = True
+    mismatched_perms = 0
+    for perm in perms:
+        rebuilt = build_family(singletons, sweep=perm, checked=False)
+        for region in reference.regions():
+            if rebuilt.table(region) != reference.table(region):
+                mismatched_perms += 1
+                report.passed = False
+                if len(report.witnesses) < witness_cap:
+                    report.witnesses.append(Witness(
+                        check="order_independence",
+                        description=(
+                            f"sweep {[str(s) for s in perm]!r} changes the "
+                            f"table of region {[str(s) for s in region]!r}"
+                        ),
+                        replay={"sweep": [str(s) for s in perm],
+                                "region": [str(s) for s in region]},
+                    ))
+                break
+    split_checks = 0
+    split_failures = 0
+    for region in reference.regions():
+        if len(region) < 2:
+            continue
+        members = set(region)
+        for r in range(1, len(region)):
+            for theta in itertools.combinations(region, r):
+                gamma = space.universe.region(members - set(theta))
+                theta = space.universe.region(theta)
+                split_checks += 1
+                ok = True
+                for cfg in space.configurations():
+                    divisor = extension_divisor(reference, theta, gamma, cfg)
+                    value = ExtendedRational(reference.density(theta, cfg)) / divisor
+                    if value.fraction != reference.density(region, cfg):
+                        ok = False
+                        split_failures += 1
+                        report.passed = False
+                        if len(report.witnesses) < witness_cap:
+                            report.witnesses.append(Witness(
+                                check="order_independence",
+                                description=(
+                                    "block extension disagrees with the "
+                                    "site-by-site table"
+                                ),
+                                replay={
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "theta": [str(s) for s in theta],
+                                    "gamma": [str(s) for s in gamma],
+                                },
+                                lhs=str(value.fraction),
+                                rhs=str(reference.density(region, cfg)),
+                            ))
+                        break
+                if not ok:
+                    break
+    report.data = {
+        "permutations_tested": len(perms),
+        "permutations_sampled": sampled,
+        "permutation_mismatches": mismatched_perms,
+        "block_splits_tested": split_checks,
+        "block_split_failures": split_failures,
+    }
+    return report
+
+
+def outcome(check, family, **kwargs):
+    """The report as a dict, or the type and message of the raised error."""
+    try:
+        return check(family, **kwargs).as_dict()
+    except ConstructionError as exc:
+        return ("raised", str(exc))
+
+
+EXHAUSTIVE = {
+    "example1_n3": lambda: example1_family(3),
+    "example1_n4": lambda: example1_family(4),
+    "hardcore_n3": lambda: hardcore_family(3),
+    "hardcore_n4": lambda: hardcore_family(4),
+    "potential_n4": lambda: potential_family(56, n_sites=4)[2],
+    "extracted_n3": lambda: extracted_family(57)[2],
+    "lopsided_free": lopsided_free_family,
+    "unnormalized_free": unnormalized_free_family,
+    "broken_pair": broken_pair_family,
+    "zero_table_15": lambda: random_zero_table_family(15),
+    "zero_table_16": lambda: random_zero_table_family(16),
+}
+
+SAMPLED = {
+    "example1_n5": lambda: example1_family(5),
+    "hardcore_n5": lambda: hardcore_family(5),
+}
+
+
+class TestOrderIndependenceOracle:
+    @pytest.mark.parametrize("name", sorted(EXHAUSTIVE))
+    def test_exhaustive_matches_full_rebuild(self, name):
+        family = EXHAUSTIVE[name]()
+        expected = outcome(naive_order_independence, family)
+        assert outcome(check_order_independence, family) == expected
+
+    @pytest.mark.parametrize("cap", [24, 2])
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_sampled_matches_full_rebuild(self, name, cap):
+        family = SAMPLED[name]()
+        expected = outcome(naive_order_independence, family,
+                           permutation_cap=cap)
+        assert expected["data"]["permutations_sampled"] is True
+        assert outcome(check_order_independence, family,
+                       permutation_cap=cap) == expected
+
+    @pytest.mark.parametrize("chosen", [
+        ("s3", "s1", "s2"),
+        ("s2", "s4", "s1"),
+        ("s4", "s3", "s2", "s1"),
+    ])
+    def test_perturbed_restricted_order_is_caught(self, monkeypatch, chosen):
+        """One non-default restricted order builds a wrong table.
+
+        Only permutations inducing ``chosen`` on its region read the
+        wrong table, so a store that forgets the restricted order (and
+        hands every sweep the default table) reports no mismatch.
+        """
+        honest = constructor.extend_density
+
+        def perturbed(dens, theta, gamma):
+            table = honest(dens, theta, gamma)
+            if dens.construction_order[tuple(theta)] + tuple(gamma) == chosen:
+                key = next(iter(table))
+                table[key] += 1
+            return table
+
+        monkeypatch.setattr(constructor, "extend_density", perturbed)
+        family = hardcore_family(4)
+        expected = outcome(naive_order_independence, family)
+        assert expected["data"]["permutation_mismatches"] > 0
+        assert expected["witnesses"]
+        assert outcome(check_order_independence, family) == expected
+
+
+def naive_product_weight(space, region, block) -> Fraction:
+    w = Fraction(1)
+    for site, sym in zip(region, block):
+        w *= space.free.weights[site][sym]
+    return w
+
+
+class TestProductWeightMemo:
+    @pytest.mark.parametrize("family", [
+        lopsided_free_family, unnormalized_free_family,
+        lambda: random_zero_table_family(3), lambda: example1_family(3),
+    ])
+    def test_every_region_order_and_block(self, family):
+        space = family().space
+        sites = space.universe.sites
+        for size in range(len(sites) + 1):
+            for region in itertools.permutations(sites, size):
+                for block in space.assignments(region):
+                    expected = naive_product_weight(space, region, block)
+                    for _ in range(2):
+                        got = space.product_weight(region, block)
+                        assert type(got) is Fraction
+                        assert got == expected
+
+    def test_spaces_with_different_free_measures_do_not_share(self):
+        space = lopsided_free_family().space
+        heavy = FreeMeasure(space.alphabet, {
+            site: {sym: Fraction(3) for sym in space.alphabet}
+            for site in space.universe
+        })
+        other = Space(space.alphabet, space.universe, heavy)
+        region, block = ("s1", "s2"), ("b", "a")
+        assert space.product_weight(region, block) == 0
+        assert other.product_weight(region, block) == 9
+        assert space.product_weight(region, block) == 0

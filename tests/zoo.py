@@ -258,6 +258,30 @@ def anchored_table_family(seed: int, n_sites: int = 3, symbols: tuple[str, ...] 
     return space, normalize(space, TableModel(entries))
 
 
+def hardcore_family(n_sites: int = 3) -> SingletonFamily:
+    """A hard-core chain: "b" at site k has weight k + 1 unless a neighbour has "b".
+
+    These are the conditionals of a Gibbs measure with site activities
+    k + 1, so every hypothesis holds while many densities are zero.
+    """
+    space = plain_space(n_sites, ("a", "b"))
+    sites = space.universe.sites
+    entries: dict = {}
+    for k, site in enumerate(sites):
+        table = {}
+        for values in space.assignments(sites):
+            neighbours = values[max(k - 1, 0):k] + values[k + 1:k + 2]
+            if values[k] == "a":
+                w = Fraction(1)
+            elif "b" in neighbours:
+                w = Fraction(0)
+            else:
+                w = Fraction(k + 1)
+            table[(values[k], values[:k] + values[k + 1:], "default")] = w
+        entries[site] = table
+    return normalize(space, TableModel(entries))
+
+
 def one_sided_hardcore_family(n_sites: int = 3) -> SingletonFamily:
     """A hard-core chain whose first site ignores the exclusion.
 
