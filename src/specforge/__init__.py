@@ -14,7 +14,6 @@ from .core import (
     Space,
     SpecforgeError,
     Universe,
-    concat,
 )
 from .models import (
     NormalizationError,

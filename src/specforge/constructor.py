@@ -27,12 +27,12 @@ from .core import (
     Configuration,
     DomainError,
     ExtendedRational,
-    INF,
     Site,
     SpecforgeError,
     ratio,
 )
 from .hypotheses import (
+    WITNESS_CAP,
     HypothesisReport,
     Witness,
     check_order_consistency,
@@ -178,38 +178,6 @@ class KernelTable:
         return total
 
 
-def _regional_ratio_integral(
-    dens: DensityFamily,
-    over: tuple[Site, ...],
-    num_region: tuple[Site, ...],
-    den_region: tuple[Site, ...],
-    cfg: Configuration,
-) -> ExtendedRational | None:
-    """Free integral over a region of density(num)/density(den).
-
-    Same guarded semantics as the single-site version: an undefined
-    point (0/0, or an infinite ratio carrying zero free weight) makes
-    the whole integral undefined, reported as None.
-    """
-    space = dens.space
-    total = Fraction(0)
-    infinite = False
-    for fill in space.assignments(over):
-        w = space.product_weight(over, fill)
-        point = space.overlay(cfg, over, fill)
-        num = dens.density(num_region, point)
-        den = dens.density(den_region, point)
-        if den == 0:
-            if num == 0 or w == 0:
-                return None
-            infinite = True
-        elif w != 0 and num != 0:
-            total += w * num / den
-    if infinite:
-        return INF
-    return ExtendedRational(total)
-
-
 def extension_divisor(
     dens: DensityFamily,
     theta: Iterable[Site],
@@ -255,7 +223,10 @@ def extension_divisor(
                     f"density of {th!r} vanishes at its own good block "
                     f"{block!r} at {cfg!r}; good-set guarantee violated"
                 )
-            integral = _regional_ratio_integral(dens, ga, ga, th, shifted)
+            integral = space.ratio_integral(
+                ga, dens._tables[ga], dens._tables[th],
+                shifted.values, shifted.tail,
+            )
             if integral is None or integral.is_infinite or integral == 0:
                 raise ConstructionError(
                     f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
@@ -397,7 +368,7 @@ def check_order_independence(
     singletons: SingletonFamily,
     permutation_cap: int = 24,
     seed: int = 20260819,
-    witness_cap: int = 25,
+    witness_cap: int = WITNESS_CAP,
 ) -> HypothesisReport:
     """Site-sweep order and extension granularity must not matter.
 
@@ -441,17 +412,15 @@ def check_order_independence(
         for region in regions:
             if rebuilt._tables[region] != reference._tables[region]:
                 mismatched_perms += 1
-                report.passed = False
-                if len(report.witnesses) < witness_cap:
-                    report.witnesses.append(Witness(
-                        check="order_independence",
-                        description=(
-                            f"sweep {[str(s) for s in perm]!r} changes the "
-                            f"table of region {[str(s) for s in region]!r}"
-                        ),
-                        replay={"sweep": [str(s) for s in perm],
-                                "region": [str(s) for s in region]},
-                    ))
+                report.fail(witness_cap, lambda: Witness(
+                    check="order_independence",
+                    description=(
+                        f"sweep {[str(s) for s in perm]!r} changes the "
+                        f"table of region {[str(s) for s in region]!r}"
+                    ),
+                    replay={"sweep": [str(s) for s in perm],
+                            "region": [str(s) for s in region]},
+                ))
                 break
     split_checks = 0
     split_failures = 0
@@ -471,23 +440,21 @@ def check_order_independence(
                     if value.fraction != reference.density(region, cfg):
                         ok = False
                         split_failures += 1
-                        report.passed = False
-                        if len(report.witnesses) < witness_cap:
-                            report.witnesses.append(Witness(
-                                check="order_independence",
-                                description=(
-                                    "block extension disagrees with the "
-                                    "site-by-site table"
-                                ),
-                                replay={
-                                    "assignment": list(cfg.values),
-                                    "tail": cfg.tail,
-                                    "theta": [str(s) for s in theta],
-                                    "gamma": [str(s) for s in gamma],
-                                },
-                                lhs=str(value.fraction),
-                                rhs=str(reference.density(region, cfg)),
-                            ))
+                        report.fail(witness_cap, lambda: Witness(
+                            check="order_independence",
+                            description=(
+                                "block extension disagrees with the "
+                                "site-by-site table"
+                            ),
+                            replay={
+                                "assignment": list(cfg.values),
+                                "tail": cfg.tail,
+                                "theta": [str(s) for s in theta],
+                                "gamma": [str(s) for s in gamma],
+                            },
+                            lhs=str(value.fraction),
+                            rhs=str(reference.density(region, cfg)),
+                        ))
                         break
                 if not ok:
                     break
@@ -502,7 +469,7 @@ def check_order_independence(
 
 
 def check_divisor_factorization(
-    dens: DensityFamily, witness_cap: int = 25
+    dens: DensityFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Peeling one site off the base block factorizes the ratio integral.
 
@@ -516,6 +483,7 @@ def check_divisor_factorization(
     """
     space = dens.space
     universe = space.universe
+    tables = dens._tables
     report = HypothesisReport(name="divisor_factorization", passed=True)
     checked = 0
     violations = 0
@@ -529,12 +497,7 @@ def check_divisor_factorization(
             for k in theta:
                 theta_rest = universe.region(s for s in theta if s != k)
                 gamma_plus = universe.region(gamma + (k,))
-                seen = set()
-                for cfg in space.configurations():
-                    mask = space.masked_key(cfg, theta)
-                    if mask in seen:
-                        continue
-                    seen.add(mask)
+                for cfg in space.exterior_classes(theta):
                     blocks = good_blocks(dens.singletons, theta, gamma, cfg)
                     for block in blocks.members:
                         checked += 1
@@ -543,13 +506,15 @@ def check_divisor_factorization(
                             b for s, b in zip(theta, block) if s != k
                         )
                         shifted_rest = space.overlay(cfg, theta_rest, rest_block)
-                        lhs = _regional_ratio_integral(
-                            dens, gamma, gamma, theta, shifted)
-                        f1 = _regional_ratio_integral(
-                            dens, gamma, gamma, (k,), shifted)
-                        f2 = _regional_ratio_integral(
-                            dens, gamma_plus, gamma_plus, theta_rest,
-                            shifted_rest)
+                        lhs = space.ratio_integral(
+                            gamma, tables[gamma], tables[theta],
+                            shifted.values, shifted.tail)
+                        f1 = space.ratio_integral(
+                            gamma, tables[gamma], tables[(k,)],
+                            shifted.values, shifted.tail)
+                        f2 = space.ratio_integral(
+                            gamma_plus, tables[gamma_plus], tables[theta_rest],
+                            shifted_rest.values, shifted_rest.tail)
                         defined = (lhs is not None and f1 is not None
                                    and f2 is not None)
                         rhs: ExtendedRational | None = None
@@ -562,25 +527,23 @@ def check_divisor_factorization(
                                 defined = False
                         if not (defined and equal):
                             violations += 1
-                            report.passed = False
-                            if len(report.witnesses) < witness_cap:
-                                report.witnesses.append(Witness(
-                                    check="divisor_factorization",
-                                    description=(
-                                        "factorized ratio integral "
-                                        f"mismatch peeling {k!r} off "
-                                        f"{[str(s) for s in theta]!r}"
-                                    ),
-                                    replay={
-                                        "assignment": list(cfg.values),
-                                        "tail": cfg.tail,
-                                        "theta": [str(s) for s in theta],
-                                        "gamma": [str(s) for s in gamma],
-                                        "site": str(k),
-                                        "block": list(block),
-                                    },
-                                    lhs=str(lhs) if lhs is not None else "undefined",
-                                    rhs=str(rhs) if rhs is not None else "undefined",
-                                ))
+                            report.fail(witness_cap, lambda: Witness(
+                                check="divisor_factorization",
+                                description=(
+                                    "factorized ratio integral "
+                                    f"mismatch peeling {k!r} off "
+                                    f"{[str(s) for s in theta]!r}"
+                                ),
+                                replay={
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "theta": [str(s) for s in theta],
+                                    "gamma": [str(s) for s in gamma],
+                                    "site": str(k),
+                                    "block": list(block),
+                                },
+                                lhs=str(lhs) if lhs is not None else "undefined",
+                                rhs=str(rhs) if rhs is not None else "undefined",
+                            ))
     report.data = {"evaluations": checked, "violations": violations}
     return report

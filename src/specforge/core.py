@@ -29,13 +29,11 @@ __all__ = [
     "INF",
     "ratio",
     "parse_rational",
-    "format_rational",
     "Alphabet",
     "Universe",
     "FreeMeasure",
     "Configuration",
     "Space",
-    "concat",
 ]
 
 
@@ -72,11 +70,6 @@ def parse_rational(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(3)) if m.group(3) else 1
     return Fraction(num, den)
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical text form of a nonnegative rational: ``n`` or ``n/d``."""
-    return str(value)
 
 
 class ExtendedRational:
@@ -417,11 +410,6 @@ class Configuration:
             vals[self.space.universe.index(site)] = sym
         return Configuration(self.space, tuple(vals), self.tail)
 
-    def with_tail(self, tail: str) -> "Configuration":
-        if tail not in self.space.tail_classes:
-            raise DomainError(f"unknown tail class {tail!r}")
-        return Configuration(self.space, self.values, tail)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
@@ -517,6 +505,23 @@ class Space:
             vals[self.universe.index(site)] = None
         return (tuple(vals), cfg.tail)
 
+    def exterior_classes(self, hidden: Iterable[Site]) -> Iterator[Configuration]:
+        """One representative per class of `masked_key(cfg, hidden)`.
+
+        Representatives are the first members `configurations()` meets:
+        tail classes in declared order, visible sites in lexicographic
+        order, every hidden site on the first alphabet symbol.
+        """
+        symbols = self.alphabet.symbols
+        masked = {self.universe.index(site) for site in hidden}
+        visible = [k for k in range(len(self.universe)) if k not in masked]
+        values = [symbols[0]] * len(self.universe)
+        for tail in self.tail_classes:
+            for fill in itertools.product(symbols, repeat=len(visible)):
+                for k, sym in zip(visible, fill):
+                    values[k] = sym
+                yield Configuration(self, tuple(values), tail)
+
     # -- free kernel -------------------------------------------------------
 
     def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:
@@ -561,39 +566,37 @@ class Space:
                 total += w * value.fraction
         return INF if infinite else ExtendedRational(total)
 
-    def check_factorization(
+    def ratio_integral(
         self,
-        region_a: Iterable[Site],
-        region_b: Iterable[Site],
-        h: Callable[[Configuration], Union[ExtendedRational, Fraction, int]],
-        cfg: Configuration,
-    ) -> bool:
-        """Exact joint-vs-nested agreement of the free kernel on disjoint regions.
+        over: tuple[Site, ...],
+        num: Mapping[tuple, Fraction],
+        den: Mapping[tuple, Fraction],
+        values: tuple[str, ...],
+        tail: str,
+    ) -> ExtendedRational | None:
+        """Free integral over the sites `over` of num/den.
 
-        Verifies that integrating over the union equals integrating over one
-        region inside the other, in both nesting orders.
+        `num` and `den` are density tables keyed by `(values, tail)`; the
+        integration rewrites the `over` coordinates of `values`.  Unlike
+        `free_kernel` nothing raises: a 0/0 point, or an infinite ratio on
+        a zero-weight fill, makes the integral undefined and returns None.
+        Callers testing good-set candidacy treat None as exclusion.
         """
-        a = self.universe.region(region_a)
-        b = self.universe.region(region_b)
-        if set(a) & set(b):
-            raise DomainError(f"regions overlap: {a} and {b}")
-        joint = self.free_kernel(a + b, h, cfg)
-        a_then_b = self.free_kernel(a, lambda c: self.free_kernel(b, h, c), cfg)
-        b_then_a = self.free_kernel(b, lambda c: self.free_kernel(a, h, c), cfg)
-        return joint == a_then_b == b_then_a
-
-
-def concat(
-    primary: Mapping[Site, str],
-    secondary: Mapping[Site, str],
-    base: Configuration,
-) -> Configuration:
-    """Overlay two partial assignments on a base configuration.
-
-    `primary` wins where the two overlap; both win over `base`; the tail
-    class of `base` is kept.  This is the coordinate-splicing every kernel
-    formula is written in.
-    """
-    merged = dict(secondary)
-    merged.update(primary)
-    return base.with_sites(merged)
+        positions = [self.universe.index(site) for site in over]
+        point = list(values)
+        total = Fraction(0)
+        infinite = False
+        for fill in itertools.product(self.alphabet.symbols, repeat=len(over)):
+            for k, sym in zip(positions, fill):
+                point[k] = sym
+            key = (tuple(point), tail)
+            n = num[key]
+            d = den[key]
+            w = self.product_weight(over, fill)
+            if d == 0:
+                if n == 0 or w == 0:
+                    return None
+                infinite = True
+            elif w != 0 and n != 0:
+                total += w * n / d
+        return INF if infinite else ExtendedRational(total)

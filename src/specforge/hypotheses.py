@@ -28,10 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
-    INF,
     Configuration,
     DomainError,
     ExtendedRational,
@@ -42,6 +41,7 @@ from .core import (
 from .models import SingletonFamily
 
 __all__ = [
+    "WITNESS_CAP",
     "GoodSet",
     "ProductGoodSet",
     "Witness",
@@ -58,6 +58,9 @@ __all__ = [
     "check_uniqueness_condition",
     "check_bounded_positivity",
 ]
+
+
+WITNESS_CAP = 25
 
 
 class HypothesisFailure(SpecforgeError):
@@ -164,50 +167,26 @@ class HypothesisReport:
             "data": dict(self.data),
         }
 
+    def add_witness(self, witness_cap: int, build: Callable[[], Witness]) -> None:
+        """Append ``build()`` while fewer than ``witness_cap`` are held.
+
+        ``build`` runs only for a witness that is kept, so a check pays
+        for no description or replay dict past its cap.
+        """
+        if len(self.witnesses) < witness_cap:
+            self.witnesses.append(build())
+
+    def fail(self, witness_cap: int, build: Callable[[], Witness]) -> None:
+        """Mark the report failed and collect the witness under the cap."""
+        self.passed = False
+        self.add_witness(witness_cap, build)
+
 
 def _replay_point(cfg: Configuration, **extra) -> dict:
     """Replay dict for a configuration plus check-specific fields."""
     out = {"assignment": list(cfg.values), "tail": cfg.tail}
     out.update(extra)
     return out
-
-
-def _site_ratio_kernel(
-    family: SingletonFamily,
-    over: Site,
-    num_site: Site,
-    den_site: Site,
-    cfg: Configuration,
-) -> ExtendedRational | None:
-    """Integrate density(num_site)/density(den_site) over one site.
-
-    Returns the exact extended-rational value of the one-site free
-    integral, or None when the integrand is undefined at some point of
-    the sum: a 0/0 ratio, or an infinite ratio sitting on a zero-weight
-    symbol.  Callers testing good-set candidacy treat None as automatic
-    exclusion, which keeps every downstream integral on good symbols
-    free of indeterminate arithmetic.
-    """
-    space = family.space
-    idx = space.universe.index(over)
-    values = cfg.values
-    tail = cfg.tail
-    total = Fraction(0)
-    infinite = False
-    for symbol in space.alphabet:
-        w = space.free.weight(over, symbol)
-        point = values[:idx] + (symbol,) + values[idx + 1:]
-        num = family.density_at(num_site, point, tail)
-        den = family.density_at(den_site, point, tail)
-        if den == 0:
-            if num == 0 or w == 0:
-                return None
-            infinite = True
-        elif w != 0 and num != 0:
-            total += w * num / den
-    if infinite:
-        return INF
-    return ExtendedRational(total)
 
 
 def _checked_ratio_kernel(
@@ -218,14 +197,17 @@ def _checked_ratio_kernel(
     cfg: Configuration,
     where: str,
 ) -> Fraction:
-    """Like _site_ratio_kernel but required to land in (0, inf).
+    """Ratio integral over one site, required to land in (0, inf).
 
     Used on configurations whose relevant coordinates are good symbols,
     where the good-set definition guarantees a finite positive value; a
     miss means the caller's good-set bookkeeping is broken, so it raises
     instead of returning a soft verdict.
     """
-    value = _site_ratio_kernel(family, over, num_site, den_site, cfg)
+    value = family.space.ratio_integral(
+        (over,), family._tables[num_site], family._tables[den_site],
+        cfg.values, cfg.tail,
+    )
     if value is None or value.is_infinite or value == 0:
         raise HypothesisFailure(
             f"ratio integral over {over!r} of {num_site!r}/{den_site!r} at "
@@ -364,7 +346,7 @@ def good_blocks(
 
 
 def check_very_weak_positivity(
-    family: SingletonFamily, witness_cap: int = 25
+    family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Every (site, context, exterior) must own at least one good symbol.
 
@@ -380,30 +362,22 @@ def check_very_weak_positivity(
     for site in space.universe.sites:
         complement = space.universe.complement((site,))
         for ctx in space.universe.subsets(complement):
-            hidden = ctx + (site,)
-            seen = set()
-            for cfg in space.configurations():
-                mask = space.masked_key(cfg, hidden)
-                if mask in seen:
-                    continue
-                seen.add(mask)
+            for cfg in space.exterior_classes(ctx + (site,)):
                 checked += 1
                 gs = good_symbols(family, site, ctx, cfg)
                 if not gs.members:
                     violations += 1
-                    report.passed = False
-                    if len(report.witnesses) < witness_cap:
-                        report.witnesses.append(Witness(
-                            check="very_weak_positivity",
-                            description=(
-                                f"no good symbol for site {site!r} against "
-                                f"context {list(map(str, ctx))!r}"
-                            ),
-                            replay=_replay_point(
-                                cfg, site=str(site),
-                                context=[str(s) for s in ctx],
-                            ),
-                        ))
+                    report.fail(witness_cap, lambda: Witness(
+                        check="very_weak_positivity",
+                        description=(
+                            f"no good symbol for site {site!r} against "
+                            f"context {list(map(str, ctx))!r}"
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(site),
+                            context=[str(s) for s in ctx],
+                        ),
+                    ))
     report.data = {"index_points": checked, "violations": violations}
     return report
 
@@ -480,7 +454,7 @@ def _consistency_side(
 
 
 def check_order_consistency(
-    family: SingletonFamily, witness_cap: int = 25
+    family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Resolving two sites in either order must give the same weight.
 
@@ -516,21 +490,19 @@ def check_order_consistency(
                         checked += 1
                         if lhs != rhs:
                             violations += 1
-                            report.passed = False
-                            if len(report.witnesses) < witness_cap:
-                                report.witnesses.append(Witness(
-                                    check="order_consistency",
-                                    description=(
-                                        f"resolving {i!r} then {j!r} differs "
-                                        f"from {j!r} then {i!r}"
-                                    ),
-                                    replay=_replay_point(
-                                        cfg,
-                                        site_first=str(i), site_second=str(j),
-                                        symbol_first=x, symbol_second=y,
-                                    ),
-                                    lhs=str(lhs), rhs=str(rhs),
-                                ))
+                            report.fail(witness_cap, lambda: Witness(
+                                check="order_consistency",
+                                description=(
+                                    f"resolving {i!r} then {j!r} differs "
+                                    f"from {j!r} then {i!r}"
+                                ),
+                                replay=_replay_point(
+                                    cfg,
+                                    site_first=str(i), site_second=str(j),
+                                    symbol_first=x, symbol_second=y,
+                                ),
+                                lhs=str(lhs), rhs=str(rhs),
+                            ))
     report.data = {"comparisons": checked, "violations": violations}
     return report
 
@@ -574,7 +546,7 @@ def _eight_factor_failures(
 
 
 def check_pointwise_compatibility(
-    family: SingletonFamily, witness_cap: int = 25
+    family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Eight-factor two-site product identity, checked pointwise.
 
@@ -603,25 +575,23 @@ def check_pointwise_compatibility(
                 checked += count
                 for u_i, u_j, x_i, x_j, lhs, rhs in failures:
                     violations += 1
-                    report.passed = False
-                    if len(report.witnesses) < witness_cap:
-                        report.witnesses.append(Witness(
-                            check="pointwise_compatibility",
-                            description=(
-                                f"eight-factor identity fails on pair "
-                                f"({i!r}, {j!r})"
-                            ),
-                            replay=_replay_point(
-                                cfg,
-                                site_first=str(i),
-                                site_second=str(j),
-                                free_first=u_i,
-                                free_second=u_j,
-                                good_first=x_i,
-                                good_second=x_j,
-                            ),
-                            lhs=str(lhs), rhs=str(rhs),
-                        ))
+                    report.fail(witness_cap, lambda: Witness(
+                        check="pointwise_compatibility",
+                        description=(
+                            f"eight-factor identity fails on pair "
+                            f"({i!r}, {j!r})"
+                        ),
+                        replay=_replay_point(
+                            cfg,
+                            site_first=str(i),
+                            site_second=str(j),
+                            free_first=u_i,
+                            free_second=u_j,
+                            good_first=x_i,
+                            good_second=x_j,
+                        ),
+                        lhs=str(lhs), rhs=str(rhs),
+                    ))
     report.data = {"comparisons": checked, "violations": violations}
     return report
 
@@ -668,7 +638,7 @@ def two_point_identity(
 
 
 def check_uniqueness_condition(
-    family: SingletonFamily, witness_cap: int = 25
+    family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Good sets must carry positive free mass everywhere.
 
@@ -686,13 +656,7 @@ def check_uniqueness_condition(
     for site in space.universe.sites:
         complement = space.universe.complement((site,))
         for ctx in space.universe.subsets(complement):
-            hidden = ctx + (site,)
-            seen = set()
-            for cfg in space.configurations():
-                mask = space.masked_key(cfg, hidden)
-                if mask in seen:
-                    continue
-                seen.add(mask)
+            for cfg in space.exterior_classes(ctx + (site,)):
                 checked += 1
                 gs = good_symbols(family, site, ctx, cfg)
                 mass = sum(
@@ -703,20 +667,18 @@ def check_uniqueness_condition(
                     min_mass = mass
                 if mass == 0:
                     violations += 1
-                    report.passed = False
-                    if len(report.witnesses) < witness_cap:
-                        report.witnesses.append(Witness(
-                            check="uniqueness_condition",
-                            description=(
-                                f"good symbols of site {site!r} against "
-                                f"context {list(map(str, ctx))!r} have zero "
-                                "free mass"
-                            ),
-                            replay=_replay_point(
-                                cfg, site=str(site),
-                                context=[str(s) for s in ctx],
-                            ),
-                        ))
+                    report.fail(witness_cap, lambda: Witness(
+                        check="uniqueness_condition",
+                        description=(
+                            f"good symbols of site {site!r} against "
+                            f"context {list(map(str, ctx))!r} have zero "
+                            "free mass"
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(site),
+                            context=[str(s) for s in ctx],
+                        ),
+                    ))
     report.data = {
         "index_points": checked,
         "violations": violations,
@@ -726,7 +688,7 @@ def check_uniqueness_condition(
 
 
 def check_bounded_positivity(
-    family: SingletonFamily, witness_cap: int = 25
+    family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Uniform two-sided bounds on every cross-site ratio integral.
 
@@ -750,30 +712,25 @@ def check_bounded_positivity(
             lo: Fraction | None = None
             hi: Fraction | None = None
             defined = True
-            seen = set()
-            for cfg in space.configurations():
-                mask = space.masked_key(cfg, (j,))
-                if mask in seen:
-                    continue
-                seen.add(mask)
-                value = _site_ratio_kernel(family, j, j, i, cfg)
-                integrals[(i, j, mask)] = value
+            for cfg in space.exterior_classes((j,)):
+                value = space.ratio_integral(
+                    (j,), family._tables[j], family._tables[i],
+                    cfg.values, cfg.tail,
+                )
+                integrals[(i, j, space.masked_key(cfg, (j,)))] = value
                 if value is None or value.is_infinite or value == 0:
                     defined = False
-                    report.passed = False
-                    if len(report.witnesses) < witness_cap:
-                        kind = ("undefined" if value is None else
-                                "infinite" if value.is_infinite else "zero")
-                        report.witnesses.append(Witness(
-                            check="bounded_positivity",
-                            description=(
-                                f"ratio integral of {j!r} against {i!r} is "
-                                f"{kind}"
-                            ),
-                            replay=_replay_point(
-                                cfg, site=str(i), other=str(j),
-                            ),
-                        ))
+                    report.fail(witness_cap, lambda: Witness(
+                        check="bounded_positivity",
+                        description=(
+                            f"ratio integral of {j!r} against {i!r} is "
+                            + ("undefined" if value is None else
+                               "infinite" if value.is_infinite else "zero")
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(i), other=str(j),
+                        ),
+                    ))
                     continue
                 f = value.fraction
                 if lo is None or f < lo:
@@ -796,17 +753,16 @@ def check_bounded_positivity(
                     rhs = family.density(j, cfg) / int_ij.fraction
                     if lhs != rhs:
                         strict = False
-                        if len(report.witnesses) < witness_cap:
-                            report.witnesses.append(Witness(
-                                check="strict_identity",
-                                description=(
-                                    f"pointwise density/integral identity "
-                                    f"fails on pair ({i!r}, {j!r})"
-                                ),
-                                replay=_replay_point(
-                                    cfg, site=str(i), other=str(j),
-                                ),
-                                lhs=str(lhs), rhs=str(rhs),
-                            ))
+                        report.add_witness(witness_cap, lambda: Witness(
+                            check="strict_identity",
+                            description=(
+                                f"pointwise density/integral identity "
+                                f"fails on pair ({i!r}, {j!r})"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(i), other=str(j),
+                            ),
+                            lhs=str(lhs), rhs=str(rhs),
+                        ))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report

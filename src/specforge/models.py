@@ -95,13 +95,8 @@ class SingletonFamily:
 
     def _check_unit_mass(self) -> None:
         space = self.space
-        seen: set = set()
         for site in space.universe:
-            for cfg in space.configurations():
-                mark = (site, space.masked_key(cfg, (site,)))
-                if mark in seen:
-                    continue
-                seen.add(mark)
+            for cfg in space.exterior_classes((site,)):
                 mass = space.free_kernel((site,), lambda c: self._tables[site][c.key], cfg)
                 if mass != 1:
                     raise NormalizationError(

@@ -25,11 +25,11 @@ from .core import (
 )
 from .constructor import (
     DensityFamily,
-    _regional_ratio_integral,
     assemble_kernel,
     build_family,
 )
 from .hypotheses import (
+    WITNESS_CAP,
     HypothesisFailure,
     HypothesisReport,
     Witness,
@@ -225,7 +225,7 @@ def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
 
 
 def check_specification_axioms(
-    dens: DensityFamily, witness_cap: int = 25
+    dens: DensityFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """The three defining kernel-family properties, checked exactly.
 
@@ -243,12 +243,6 @@ def check_specification_axioms(
     consistency_ok = True
     checks = {"exterior": 0, "point_mass": 0, "nested_pairs": 0}
 
-    def witness(check: str, description: str, **replay):
-        if len(report.witnesses) < witness_cap:
-            report.witnesses.append(
-                Witness(check=check, description=description, replay=replay)
-            )
-
     for region in universe.subsets():
         rows: dict[tuple, dict] = {}
         for cfg in space.configurations():
@@ -261,14 +255,16 @@ def check_specification_axioms(
             if mask in rows:
                 if rows[mask] != row:
                     exterior_ok = False
-                    report.passed = False
-                    witness(
-                        "exterior_measurability",
-                        f"kernel of {[str(s) for s in region]!r} varies "
-                        "inside one exterior class",
-                        region=[str(s) for s in region],
-                        assignment=list(cfg.values), tail=cfg.tail,
-                    )
+                    report.fail(witness_cap, lambda: Witness(
+                        check="exterior_measurability",
+                        description=(
+                            f"kernel of {[str(s) for s in region]!r} "
+                            "varies inside one exterior class"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "assignment": list(cfg.values),
+                                "tail": cfg.tail},
+                    ))
             else:
                 rows[mask] = row
             checks["point_mass"] += 1
@@ -281,43 +277,47 @@ def check_specification_axioms(
             )
             if mass != 1 or off_region_moved:
                 point_mass_ok = False
-                report.passed = False
-                witness(
-                    "point_mass_off_region",
-                    f"kernel of {[str(s) for s in region]!r} has mass "
-                    f"{mass} or moves exterior coordinates",
-                    region=[str(s) for s in region],
-                    assignment=list(cfg.values), tail=cfg.tail,
-                )
+                report.fail(witness_cap, lambda: Witness(
+                    check="point_mass_off_region",
+                    description=(
+                        f"kernel of {[str(s) for s in region]!r} has mass "
+                        f"{mass} or moves exterior coordinates"
+                    ),
+                    replay={"region": [str(s) for s in region],
+                            "assignment": list(cfg.values),
+                            "tail": cfg.tail},
+                ))
     for large in universe.subsets():
         for small in universe.subsets(large):
-            seen = set()
-            for cfg in space.configurations():
-                mask = space.masked_key(cfg, large)
-                if mask in seen:
-                    continue
-                seen.add(mask)
+            for cfg in space.exterior_classes(large):
                 checks["nested_pairs"] += 1
                 direct = _kernel_row(dens, large, cfg)
                 composed = _composed_row(dens, large, dens, small, cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
                 if direct != composed:
                     consistency_ok = False
-                    report.passed = False
-                    diff_key = next(
-                        k for k in set(direct) | set(composed)
-                        if direct.get(k, Fraction(0)) != composed.get(k, Fraction(0))
-                    )
-                    witness(
-                        "consistency",
-                        f"composing {[str(s) for s in small]!r} after "
-                        f"{[str(s) for s in large]!r} changes the kernel",
-                        large=[str(s) for s in large],
-                        small=[str(s) for s in small],
-                        assignment=list(cfg.values), tail=cfg.tail,
-                        point_assignment=list(diff_key[0]),
-                        point_tail=diff_key[1],
-                    )
+
+                    def build() -> Witness:
+                        diff_key = min(
+                            k for k in set(direct) | set(composed)
+                            if direct.get(k, Fraction(0))
+                            != composed.get(k, Fraction(0))
+                        )
+                        return Witness(
+                            check="consistency",
+                            description=(
+                                f"composing {[str(s) for s in small]!r} after "
+                                f"{[str(s) for s in large]!r} changes the kernel"
+                            ),
+                            replay={"large": [str(s) for s in large],
+                                    "small": [str(s) for s in small],
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "point_assignment": list(diff_key[0]),
+                                    "point_tail": diff_key[1]},
+                        )
+
+                    report.fail(witness_cap, build)
                     break
     report.data = {
         "exterior_measurable": exterior_ok,
@@ -369,7 +369,7 @@ def uniqueness_probe(
     dens: DensityFamily,
     trials: int = 25,
     seed: int = 8141,
-    witness_cap: int = 25,
+    witness_cap: int = WITNESS_CAP,
 ) -> HypothesisReport:
     """No alternative family survives the singleton-consistency test.
 
@@ -405,12 +405,7 @@ def uniqueness_probe(
     def singleton_consistent(family: DensityFamily,
                              region: tuple[Site, ...]) -> tuple[bool, dict | None]:
         for site in region:
-            seen = set()
-            for cfg in space.configurations():
-                mask = space.masked_key(cfg, region)
-                if mask in seen:
-                    continue
-                seen.add(mask)
+            for cfg in space.exterior_classes(region):
                 direct = _kernel_row(family, region, cfg)
                 composed = _composed_row(family, region, dens, (site,), cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
@@ -427,28 +422,20 @@ def uniqueness_probe(
         ok, where = singleton_consistent(dens, region)
         self_checked += 1
         if not ok:
-            report.passed = False
-            if len(report.witnesses) < witness_cap:
-                report.witnesses.append(Witness(
-                    check="uniqueness_probe",
-                    description=(
-                        "the constructed family itself fails singleton "
-                        f"consistency on {[str(s) for s in region]!r}"
-                    ),
-                    replay=where or {},
-                ))
+            report.fail(witness_cap, lambda: Witness(
+                check="uniqueness_probe",
+                description=(
+                    "the constructed family itself fails singleton "
+                    f"consistency on {[str(s) for s in region]!r}"
+                ),
+                replay=where or {},
+            ))
 
     survivors = 0
     perturbations = []
     for trial in range(trials if multi_regions else 0):
         region = multi_regions[rng.randrange(len(multi_regions))]
-        reps = []
-        seen = set()
-        for cfg in space.configurations():
-            mask = space.masked_key(cfg, region)
-            if mask not in seen:
-                seen.add(mask)
-                reps.append(cfg)
+        reps = list(space.exterior_classes(region))
         rep = reps[rng.randrange(len(reps))]
         blocks = list(space.assignments(region))
         original = dens.table(region)
@@ -461,12 +448,8 @@ def uniqueness_probe(
             )
             row = {block: raw[block] / mass for block in blocks}
             changed = False
-            mask = space.masked_key(rep, region)
-            for cfg in space.configurations():
-                if space.masked_key(cfg, region) != mask:
-                    continue
-                block = tuple(cfg.symbol(s) for s in region)
-                key = cfg.key
+            for block in blocks:
+                key = space.overlay(rep, region, block).key
                 if original[key] != row[block]:
                     changed = True
                 new_table[key] = row[block]
@@ -484,17 +467,15 @@ def uniqueness_probe(
         })
         if ok:
             survivors += 1
-            report.passed = False
-            if len(report.witnesses) < witness_cap:
-                report.witnesses.append(Witness(
-                    check="uniqueness_probe",
-                    description=(
-                        "a perturbed family still satisfies singleton "
-                        f"consistency on {[str(s) for s in region]!r}"
-                    ),
-                    replay={"region": [str(s) for s in region],
-                            "assignment": list(rep.values), "tail": rep.tail},
-                ))
+            report.fail(witness_cap, lambda: Witness(
+                check="uniqueness_probe",
+                description=(
+                    "a perturbed family still satisfies singleton "
+                    f"consistency on {[str(s) for s in region]!r}"
+                ),
+                replay={"region": [str(s) for s in region],
+                        "assignment": list(rep.values), "tail": rep.tail},
+            ))
 
     rederived_points = 0
     rederive_ok = True
@@ -504,8 +485,9 @@ def uniqueness_probe(
                 shifted = space.overlay(cfg, region, block)
                 for k in region:
                     rest = universe.region(s for s in region if s != k)
-                    integral = _regional_ratio_integral(
-                        dens, (k,), (k,), rest, shifted
+                    integral = space.ratio_integral(
+                        (k,), dens._tables[(k,)], dens._tables[rest],
+                        shifted.values, shifted.tail,
                     )
                     rederived_points += 1
                     expected: Fraction | None
@@ -515,24 +497,22 @@ def uniqueness_probe(
                         expected = dens.density((k,), shifted) / integral.fraction
                     if expected is None or dens.density(region, shifted) != expected:
                         rederive_ok = False
-                        report.passed = False
-                        if len(report.witnesses) < witness_cap:
-                            report.witnesses.append(Witness(
-                                check="uniqueness_probe",
-                                description=(
-                                    "closed-form re-derivation disagrees "
-                                    f"with the built density on "
-                                    f"{[str(s) for s in region]!r}"
-                                ),
-                                replay={
-                                    "region": [str(s) for s in region],
-                                    "site": str(k),
-                                    "assignment": list(shifted.values),
-                                    "tail": shifted.tail,
-                                },
-                                lhs=str(dens.density(region, shifted)),
-                                rhs=str(expected) if expected is not None else "undefined",
-                            ))
+                        report.fail(witness_cap, lambda: Witness(
+                            check="uniqueness_probe",
+                            description=(
+                                "closed-form re-derivation disagrees "
+                                f"with the built density on "
+                                f"{[str(s) for s in region]!r}"
+                            ),
+                            replay={
+                                "region": [str(s) for s in region],
+                                "site": str(k),
+                                "assignment": list(shifted.values),
+                                "tail": shifted.tail,
+                            },
+                            lhs=str(dens.density(region, shifted)),
+                            rhs=str(expected) if expected is not None else "undefined",
+                        ))
     report.data = {
         "seed": seed,
         "regions_self_checked": self_checked,
@@ -546,7 +526,7 @@ def uniqueness_probe(
 
 
 def good_support_report(
-    dens: DensityFamily, witness_cap: int = 25
+    dens: DensityFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Support-set identities for every split of every region.
 
@@ -590,8 +570,10 @@ def good_support_report(
             member_points += 1
             for v, w in splits:
                 identity_points += 1
-                int_v = _regional_ratio_integral(dens, v, v, w, cfg)
-                int_w = _regional_ratio_integral(dens, w, w, v, cfg)
+                int_v = space.ratio_integral(
+                    v, dens._tables[v], dens._tables[w], cfg.values, cfg.tail)
+                int_w = space.ratio_integral(
+                    w, dens._tables[w], dens._tables[v], cfg.values, cfg.tail)
                 built = dens.density(region, cfg)
                 ok = True
                 values = []
@@ -603,51 +585,42 @@ def good_support_report(
                         dens.density(num_region, cfg) / integral.fraction
                     )
                 if not ok or any(val != built for val in values):
-                    report.passed = False
-                    if len(report.witnesses) < witness_cap:
-                        report.witnesses.append(Witness(
-                            check="good_support",
-                            description=(
-                                "support identity fails on region "
-                                f"{[str(s) for s in region]!r} split "
-                                f"{[str(s) for s in v]!r} / "
-                                f"{[str(s) for s in w]!r}"
-                            ),
-                            replay={"assignment": list(cfg.values),
-                                    "tail": cfg.tail},
-                            lhs=str(built),
-                            rhs=",".join(str(x) for x in values) or "undefined",
-                        ))
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support",
+                        description=(
+                            "support identity fails on region "
+                            f"{[str(s) for s in region]!r} split "
+                            f"{[str(s) for s in v]!r} / "
+                            f"{[str(s) for s in w]!r}"
+                        ),
+                        replay={"assignment": list(cfg.values),
+                                "tail": cfg.tail},
+                        lhs=str(built),
+                        rhs=",".join(str(x) for x in values) or "undefined",
+                    ))
     for site in universe.sites:
         complement = universe.complement((site,))
         for ctx in universe.subsets(complement):
             if not ctx:
                 continue
-            seen = set()
-            for cfg in space.configurations():
-                mask = space.masked_key(cfg, ctx)
-                if mask in seen:
-                    continue
-                seen.add(mask)
+            for cfg in space.exterior_classes(ctx):
                 base = site_is_good(singletons, site, ctx, cfg)
                 for fill in space.assignments(ctx):
                     measurability_points += 1
                     if site_is_good(
                         singletons, site, ctx, space.overlay(cfg, ctx, fill)
                     ) != base:
-                        report.passed = False
-                        if len(report.witnesses) < witness_cap:
-                            report.witnesses.append(Witness(
-                                check="good_support",
-                                description=(
-                                    f"good membership of {site!r} against "
-                                    f"{[str(s) for s in ctx]!r} depends on "
-                                    "the context's own symbols"
-                                ),
-                                replay={"assignment": list(cfg.values),
-                                        "tail": cfg.tail,
-                                        "fill": list(fill)},
-                            ))
+                        report.fail(witness_cap, lambda: Witness(
+                            check="good_support",
+                            description=(
+                                f"good membership of {site!r} against "
+                                f"{[str(s) for s in ctx]!r} depends on "
+                                "the context's own symbols"
+                            ),
+                            replay={"assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "fill": list(fill)},
+                        ))
     report.data = {
         "core_points": member_points,
         "identity_points": identity_points,
@@ -657,7 +630,7 @@ def good_support_report(
 
 
 def check_good_support_mass(
-    mu: FiniteMeasure, dens: DensityFamily, witness_cap: int = 25
+    mu: FiniteMeasure, dens: DensityFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Zero mass off the good sets, for measures in the support class.
 
@@ -685,14 +658,6 @@ def check_good_support_mass(
                 total += w
         return total
 
-    def witness(description: str, **replay):
-        report.passed = False
-        if len(report.witnesses) < witness_cap:
-            report.witnesses.append(Witness(
-                check="good_support_mass", description=description,
-                replay=replay,
-            ))
-
     singleton_ok: bool | None = None
     if in_class:
         for region in space.universe.subsets():
@@ -707,12 +672,16 @@ def check_good_support_mass(
                     lambda c, k=k, ctx=ctx: site_is_good(singletons, k, ctx, c),
                 )
                 if mass != 0:
-                    witness(
-                        f"free-smoothed measure of {[str(s) for s in region]!r} "
-                        f"charges configurations where {k!r} is not good",
-                        region=[str(s) for s in region], site=str(k),
-                        mass=str(mass),
-                    )
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support_mass",
+                        description=(
+                            "free-smoothed measure of "
+                            f"{[str(s) for s in region]!r} charges "
+                            f"configurations where {k!r} is not good"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "site": str(k), "mass": str(mass)},
+                    ))
             if len(region) >= 2:
                 counts["smoothed_region"] += 1
                 mass = bad_mass(
@@ -726,11 +695,15 @@ def check_good_support_mass(
                     ),
                 )
                 if mass != 0:
-                    witness(
-                        "free-smoothed measure charges the complement of the "
-                        f"good core of {[str(s) for s in region]!r}",
-                        region=[str(s) for s in region], mass=str(mass),
-                    )
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support_mass",
+                        description=(
+                            "free-smoothed measure charges the complement "
+                            f"of the good core of {[str(s) for s in region]!r}"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "mass": str(mass)},
+                    ))
         singleton_ok = all(
             mu.push_kernel(dens, (site,)).same_as(mu)
             for site in space.universe.sites
@@ -744,13 +717,17 @@ def check_good_support_mass(
                         lambda c, j=j, ctx=ctx: site_is_good(singletons, j, ctx, c),
                     )
                     if mass != 0:
-                        witness(
-                            f"the measure itself charges configurations where "
-                            f"{j!r} is not good against "
-                            f"{[str(s) for s in ctx]!r}",
-                            site=str(j), context=[str(s) for s in ctx],
-                            mass=str(mass),
-                        )
+                        report.fail(witness_cap, lambda: Witness(
+                            check="good_support_mass",
+                            description=(
+                                "the measure itself charges configurations "
+                                f"where {j!r} is not good against "
+                                f"{[str(s) for s in ctx]!r}"
+                            ),
+                            replay={"site": str(j),
+                                    "context": [str(s) for s in ctx],
+                                    "mass": str(mass)},
+                        ))
             for region in space.universe.subsets():
                 if len(region) < 2:
                     continue
@@ -766,11 +743,15 @@ def check_good_support_mass(
                     ),
                 )
                 if mass != 0:
-                    witness(
-                        "the measure itself charges the complement of the "
-                        f"good core of {[str(s) for s in region]!r}",
-                        region=[str(s) for s in region], mass=str(mass),
-                    )
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support_mass",
+                        description=(
+                            "the measure itself charges the complement of "
+                            f"the good core of {[str(s) for s in region]!r}"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "mass": str(mass)},
+                    ))
     report.data = {
         "in_support_class": in_class,
         "singleton_consistent": singleton_ok,
@@ -780,7 +761,7 @@ def check_good_support_mass(
 
 
 def check_measure_consistency(
-    mu: FiniteMeasure, dens: DensityFamily, witness_cap: int = 25
+    mu: FiniteMeasure, dens: DensityFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Support class, singleton consistency, full consistency, and their link.
 
@@ -819,8 +800,7 @@ def check_measure_consistency(
     if certificate.passed:
         equivalence = singleton_ok == full_ok
         if not equivalence:
-            report.passed = False
-            report.witnesses.append(Witness(
+            report.fail(witness_cap, lambda: Witness(
                 check="measure_consistency",
                 description=(
                     "inside the support class, singleton consistency and "
@@ -844,7 +824,7 @@ def check_measure_consistency(
 
 
 def roundtrip_reconstruction(
-    space: Space, joint: Mapping[tuple, Fraction], witness_cap: int = 25
+    space: Space, joint: Mapping[tuple, Fraction], witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
     """Extract singletons from a positive joint, rebuild, compare exactly.
 
@@ -890,20 +870,18 @@ def roundtrip_reconstruction(
             expected = joint[cfg.values] / (section * free)
             if dens.density(region, cfg) != expected:
                 mismatches += 1
-                report.passed = False
-                if len(report.witnesses) < witness_cap:
-                    report.witnesses.append(Witness(
-                        check="roundtrip_reconstruction",
-                        description=(
-                            f"built density of {[str(s) for s in region]!r} "
-                            "differs from the joint's conditional"
-                        ),
-                        replay={"region": [str(s) for s in region],
-                                "assignment": list(cfg.values),
-                                "tail": cfg.tail},
-                        lhs=str(dens.density(region, cfg)),
-                        rhs=str(expected),
-                    ))
+                report.fail(witness_cap, lambda: Witness(
+                    check="roundtrip_reconstruction",
+                    description=(
+                        f"built density of {[str(s) for s in region]!r} "
+                        "differs from the joint's conditional"
+                    ),
+                    replay={"region": [str(s) for s in region],
+                            "assignment": list(cfg.values),
+                            "tail": cfg.tail},
+                    lhs=str(dens.density(region, cfg)),
+                    rhs=str(expected),
+                ))
     report.data["points_compared"] = compared
     report.data["mismatches"] = mismatches
     return report
@@ -966,7 +944,7 @@ def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
     return report
 
 
-def ratio_bounds(dens: DensityFamily, witness_cap: int = 25) -> HypothesisReport:
+def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> HypothesisReport:
     """Tightest two-sided bounds of each region's density against members.
 
     For each region, the extreme values of density(region)/density(site)
@@ -989,18 +967,16 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = 25) -> HypothesisReport
                 den = dens.density((site,), cfg)
                 if den == 0:
                     defined = False
-                    report.passed = False
-                    if len(report.witnesses) < witness_cap:
-                        report.witnesses.append(Witness(
-                            check="ratio_bounds",
-                            description=(
-                                f"density of member {site!r} vanishes, no "
-                                "two-sided bound for region "
-                                f"{[str(s) for s in region]!r}"
-                            ),
-                            replay={"assignment": list(cfg.values),
-                                    "tail": cfg.tail, "site": str(site)},
-                        ))
+                    report.fail(witness_cap, lambda: Witness(
+                        check="ratio_bounds",
+                        description=(
+                            f"density of member {site!r} vanishes, no "
+                            "two-sided bound for region "
+                            f"{[str(s) for s in region]!r}"
+                        ),
+                        replay={"assignment": list(cfg.values),
+                                "tail": cfg.tail, "site": str(site)},
+                    ))
                     continue
                 value = num / den
                 if lo is None or value < lo:
@@ -1013,15 +989,13 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = 25) -> HypothesisReport
             "upper": str(hi) if defined and hi is not None else None,
         }
         if defined and lo is not None and lo == 0:
-            report.passed = False
-            if len(report.witnesses) < witness_cap:
-                report.witnesses.append(Witness(
-                    check="ratio_bounds",
-                    description=(
-                        f"lower ratio bound of {[str(s) for s in region]!r} "
-                        "collapses to zero"
-                    ),
-                    replay={"region": [str(s) for s in region]},
-                ))
+            report.fail(witness_cap, lambda: Witness(
+                check="ratio_bounds",
+                description=(
+                    f"lower ratio bound of {[str(s) for s in region]!r} "
+                    "collapses to zero"
+                ),
+                replay={"region": [str(s) for s in region]},
+            ))
     report.data = {"bounds": bounds}
     return report

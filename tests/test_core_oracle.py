@@ -1,0 +1,117 @@
+"""Shared core primitives against the code they replaced.
+
+``Space.exterior_classes`` builds one representative per exterior class
+directly; the oracle scans every configuration and keeps the first of
+each ``masked_key`` class.  ``Space.ratio_integral`` is the one guarded
+ratio integral; the oracles are the single-site and the regional copies
+it replaced.  Results must agree exactly, representatives and their order
+included, and undefined (None) and infinite outcomes included.
+"""
+
+import itertools
+
+import pytest
+
+from specforge.constructor import DensityFamily, build_family
+from specforge.core import SpecforgeError
+
+from oracles import (
+    naive_exterior_classes,
+    regional_ratio_integral,
+    site_ratio_kernel,
+)
+from zoo import (
+    example1_space,
+    hardcore_family,
+    lopsided_free_family,
+    one_sided_hardcore_family,
+    plain_space,
+    potential_family,
+    random_zero_table_family,
+)
+
+SPACES = {
+    "q2_t1": lambda: plain_space(3),
+    "q3_t1": lambda: plain_space(3, ("a", "b", "c")),
+    "q2_t2": lambda: example1_space(3),
+    "q2_t2_n4": lambda: example1_space(4),
+    "q3_t2": lambda: random_zero_table_family(9).space,  # n=3, q=3, T=2
+    "q1_t1": lambda: plain_space(2, ("a",)),
+}
+
+
+class TestExteriorClasses:
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_representatives_match_the_first_occurrence_scan(self, name):
+        space = SPACES[name]()
+        sites = space.universe.sites
+        for size in range(len(sites) + 1):
+            for hidden in itertools.permutations(sites, size):
+                fast = [cfg.key for cfg in space.exterior_classes(hidden)]
+                slow = [cfg.key for cfg in naive_exterior_classes(space, hidden)]
+                assert fast == slow, hidden
+
+    def test_unknown_site_rejected(self):
+        space = plain_space(2)
+        with pytest.raises(SpecforgeError):
+            list(space.exterior_classes(("nowhere",)))
+
+
+def density_family(singletons) -> DensityFamily:
+    """Every region when the family builds, else the empty and site tables."""
+    try:
+        return build_family(singletons, checked=False)
+    except SpecforgeError:
+        return DensityFamily(singletons)
+
+
+FAMILIES = {
+    "hardcore": lambda: hardcore_family(3),
+    "one_sided_hardcore": lambda: one_sided_hardcore_family(3),
+    "lopsided_free": lopsided_free_family,
+    "potential": lambda: potential_family(5)[2],
+    **{f"random_zero_{seed}": (lambda seed=seed: random_zero_table_family(seed))
+       for seed in range(10)},
+}
+
+
+def outcome(value) -> str:
+    if value is None:
+        return "undefined"
+    return "infinite" if value.is_infinite else "finite"
+
+
+def compare_ratio_integrals(singletons) -> set:
+    """Assert agreement on every (over, num, den, cfg); return the outcomes seen."""
+    dens = density_family(singletons)
+    space = dens.space
+    regions = dens.regions()
+    tables = {region: dens.table(region) for region in regions}
+    seen = set()
+    for over in regions:
+        if not over:
+            continue
+        for num, den in itertools.product(regions, repeat=2):
+            for cfg in space.configurations():
+                fast = space.ratio_integral(
+                    over, tables[num], tables[den], cfg.values, cfg.tail)
+                assert fast == regional_ratio_integral(dens, over, num, den, cfg)
+                if len(over) == 1 and len(num) == 1 and len(den) == 1:
+                    assert fast == site_ratio_kernel(
+                        singletons, over[0], num[0], den[0], cfg)
+                seen.add(outcome(fast))
+    return seen
+
+
+class TestRatioIntegral:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_both_replaced_copies(self, name):
+        compare_ratio_integrals(FAMILIES[name]())
+
+    def test_every_outcome_occurs(self):
+        # zero densities and zero free weights must drive the integral to
+        # each of its three outcomes, or the comparison proves little
+        seen = set()
+        for seed in range(8):
+            seen |= compare_ratio_integrals(random_zero_table_family(seed))
+        assert seen == {"undefined", "infinite", "finite"}

@@ -14,10 +14,11 @@ from specforge.hypotheses import (
     HypothesisReport,
     Witness,
     _replay_point,
-    _site_ratio_kernel,
     check_pointwise_compatibility,
     good_symbols,
 )
+
+from oracles import site_ratio_kernel
 
 from zoo import (
     alternating_exclusion_family,
@@ -47,7 +48,7 @@ def naive_good_symbols(family, site, context, cfg) -> tuple[str, ...]:
         keeps = True
         for i in others:
             for s in sections:
-                value = _site_ratio_kernel(family, i, i, site, s)
+                value = site_ratio_kernel(family, i, i, site, s)
                 if value is None or value.is_infinite or value == 0:
                     keeps = False
                     break

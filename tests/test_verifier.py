@@ -173,6 +173,30 @@ class TestSpecificationAxioms:
             "large", "small", "assignment", "tail", "point_assignment", "point_tail",
         }
 
+    def test_consistency_witness_names_the_smallest_differing_point(self):
+        # a set of string tuples iterates in hash-seed order, so the point
+        # must be chosen by value for reports to be reproducible
+        space, _, fam = zoo.extracted_family(61)
+        dens = build_family(fam)
+        key = (("a", "a", "a"), "default")
+        perturbed = renormalized_entry_bump(dens, ("s1", "s2"), key, Fraction(8, 7))
+        report = check_specification_axioms(perturbed, witness_cap=100)
+        witnesses = [w for w in report.witnesses if w.check == "consistency"]
+        assert witnesses
+        for witness in witnesses:
+            replay = witness.replay
+            cfg = space.make(tuple(replay["assignment"]), replay["tail"])
+            direct = kernel_row(perturbed, replay["large"], cfg)
+            composed = {}
+            for mid, w1 in direct.items():
+                for point, w2 in kernel_row(
+                        perturbed, replay["small"], space.make(*mid)).items():
+                    composed[point] = composed.get(point, Fraction(0)) + w1 * w2
+            differing = [k for k in set(direct) | set(composed)
+                         if direct.get(k, 0) != composed.get(k, 0)]
+            assert (tuple(replay["point_assignment"]), replay["point_tail"]) \
+                == min(differing)
+
     def test_raw_entry_edit_breaks_row_mass(self):
         _, _, fam = zoo.extracted_family(61)
         dens = build_family(fam)
