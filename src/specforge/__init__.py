@@ -28,7 +28,6 @@ from .models import (
 from .constructor import (
     ConstructionError,
     DensityFamily,
-    KernelTable,
     assemble_kernel,
     build_family,
     check_divisor_factorization,
@@ -37,10 +36,8 @@ from .constructor import (
     extension_divisor,
 )
 from .hypotheses import (
-    GoodSet,
     HypothesisFailure,
     HypothesisReport,
-    ProductGoodSet,
     Witness,
     check_bounded_positivity,
     check_order_consistency,

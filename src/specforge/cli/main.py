@@ -201,8 +201,7 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
             "delta": str(delta),
         }
         if outcome.data["fully_consistent"]:
-            report.passed = False
-            report.witnesses.append(Witness(
+            report.fail(WITNESS_CAP, lambda: Witness(
                 check="measure_perturbations",
                 description="perturbed measure stayed fully consistent",
                 replay=replay,
@@ -210,8 +209,7 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
         else:
             detected += 1
         if not outcome.passed:
-            report.passed = False
-            report.witnesses.append(Witness(
+            report.fail(WITNESS_CAP, lambda: Witness(
                 check="measure_perturbations",
                 description=(
                     "perturbed measure broke the singleton/full equivalence"

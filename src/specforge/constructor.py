@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -33,10 +32,10 @@ from .core import (
 )
 from .hypotheses import (
     WITNESS_CAP,
+    HypothesisFailure,
     HypothesisReport,
     Witness,
     check_order_consistency,
-    check_very_weak_positivity,
     good_blocks,
 )
 from .models import SingletonFamily
@@ -44,7 +43,6 @@ from .models import SingletonFamily
 __all__ = [
     "ConstructionError",
     "DensityFamily",
-    "KernelTable",
     "extension_divisor",
     "extend_density",
     "build_family",
@@ -147,37 +145,6 @@ class DensityFamily:
             return value
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """One finite conditional kernel: weights over a region's assignments.
-
-    ``weights[block]`` is density(region, block over exterior) times the
-    free weight of the block; with normalized single-site kernels the
-    total mass is exactly 1.  The empty region yields the point mass at
-    the exterior configuration.
-    """
-
-    region: tuple[Site, ...]
-    exterior: Configuration
-    weights: dict[tuple[str, ...], Fraction]
-
-    def mass(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
-    def weight(self, block: tuple[str, ...]) -> Fraction:
-        return self.weights[tuple(block)]
-
-    def apply(self, h: Callable[[Configuration], Fraction],
-              space) -> Fraction:
-        """Integrate a rational-valued observable against the kernel."""
-        total = Fraction(0)
-        for block, w in self.weights.items():
-            if w == 0:
-                continue
-            total += w * h(space.overlay(self.exterior, self.region, block))
-        return total
-
-
 def extension_divisor(
     dens: DensityFamily,
     theta: Iterable[Site],
@@ -207,14 +174,14 @@ def extension_divisor(
 
     def compute() -> ExtendedRational:
         blocks = good_blocks(dens.singletons, th, ga, cfg)
-        if not blocks.members:
+        if not blocks:
             raise ConstructionError(
                 f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
                 "very weak positivity fails"
             )
         value: ExtendedRational | None = None
         first_block: tuple[str, ...] | None = None
-        for block in blocks.members:
+        for block in blocks:
             shifted = space.overlay(cfg, th, block)
             num = dens.density(th, shifted)
             den = dens.density(ga, shifted)
@@ -291,8 +258,9 @@ def build_family(
     the extension divisor of that single joining site, where "last" is
     relative to ``sweep`` (default: the universe's declared site order).
     With ``checked`` true (the default) the positivity and
-    order-consistency hypotheses are verified first and failures are
-    raised as construction errors.
+    order-consistency hypotheses are verified first (order consistency
+    runs the positivity check itself) and failures are raised as
+    construction errors.
     """
     space = singletons.space
     universe = space.universe
@@ -305,14 +273,17 @@ def build_family(
                 f"sweep {order!r} is not a permutation of the universe"
             )
     if checked:
-        h1 = check_very_weak_positivity(singletons)
-        if not h1.passed:
+        try:
+            h2 = check_order_consistency(singletons)
+        except HypothesisFailure as exc:
+            h1 = exc.report
+            if h1 is None:
+                raise
             first = h1.witnesses[0] if h1.witnesses else None
             raise ConstructionError(
                 "cannot build: very weak positivity fails "
                 f"({h1.data['violations']} index points)", witness=first,
-            )
-        h2 = check_order_consistency(singletons)
+            ) from exc
         if not h2.passed:
             first = h2.witnesses[0] if h2.witnesses else None
             raise ConstructionError(
@@ -348,20 +319,25 @@ def assemble_kernel(
     dens: DensityFamily,
     region: Iterable[Site],
     cfg: Configuration,
-) -> KernelTable:
+) -> dict[tuple, Fraction]:
     """The finite conditional kernel of a region given its exterior.
 
-    weight(block) = density(region, block over cfg) times the product
-    free weight of the block.  The empty region gives the point mass at
-    ``cfg``; weights depend on ``cfg`` only off the region.
+    Returns the kernel row ``{(values, tail): weight}`` over the points
+    that agree with ``cfg`` off the region, nonzero weights only, in block
+    order.  The weight of the point carrying ``block`` on the region is
+    density(region, block over cfg) times the product free weight of the
+    block.  The empty region gives the point mass at ``cfg``; weights
+    depend on ``cfg`` only off the region.
     """
     space = dens.space
     reg = space.universe.region(region)
-    weights: dict[tuple[str, ...], Fraction] = {}
+    row: dict[tuple, Fraction] = {}
     for block in space.assignments(reg):
         point = space.overlay(cfg, reg, block)
-        weights[block] = dens.density(reg, point) * space.product_weight(reg, block)
-    return KernelTable(region=reg, exterior=cfg, weights=weights)
+        weight = dens.density(reg, point) * space.product_weight(reg, block)
+        if weight:
+            row[point.key] = weight
+    return row
 
 
 def check_order_independence(
@@ -498,8 +474,7 @@ def check_divisor_factorization(
                 theta_rest = universe.region(s for s in theta if s != k)
                 gamma_plus = universe.region(gamma + (k,))
                 for cfg in space.exterior_classes(theta):
-                    blocks = good_blocks(dens.singletons, theta, gamma, cfg)
-                    for block in blocks.members:
+                    for block in good_blocks(dens.singletons, theta, gamma, cfg):
                         checked += 1
                         shifted = space.overlay(cfg, theta, block)
                         rest_block = tuple(

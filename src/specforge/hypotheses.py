@@ -42,8 +42,6 @@ from .models import SingletonFamily
 
 __all__ = [
     "WITNESS_CAP",
-    "GoodSet",
-    "ProductGoodSet",
     "Witness",
     "HypothesisReport",
     "HypothesisFailure",
@@ -75,54 +73,6 @@ class HypothesisFailure(SpecforgeError):
     def __init__(self, message: str, report: "HypothesisReport | None" = None):
         super().__init__(message)
         self.report = report
-
-
-@dataclass(frozen=True)
-class GoodSet:
-    """Good symbols for one site against one context region.
-
-    ``members`` lists, in alphabet order, every symbol ``x`` such that
-    rewriting ``site`` to ``x`` keeps the site's density positive under
-    *every* assignment of ``context``, and keeps every other site's
-    ratio integral against this site strictly between 0 and infinity,
-    again under every assignment of ``context``.  ``exterior`` records
-    the configuration the query was posed at; only its values off
-    ``context + (site,)`` matter.
-    """
-
-    site: Site
-    context: tuple[Site, ...]
-    exterior: Configuration
-    members: tuple[str, ...]
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class ProductGoodSet:
-    """Blockwise good assignments for a region against a shared context.
-
-    Each site ``k`` of ``region`` contributes its own good set, taken
-    against the context "rest of the region plus ``context``"; members
-    are the full cartesian product, as tuples aligned with the canonical
-    order of ``region``.
-    """
-
-    region: tuple[Site, ...]
-    context: tuple[Site, ...]
-    exterior: Configuration
-    factors: tuple[GoodSet, ...]
-    members: tuple[tuple[str, ...], ...]
-
-    def __contains__(self, block: tuple[str, ...]) -> bool:
-        return tuple(block) in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -262,10 +212,11 @@ def good_symbols(
     site: Site,
     context: Iterable[Site],
     cfg: Configuration,
-) -> GoodSet:
+) -> tuple[str, ...]:
     """Good symbols for ``site`` against ``context`` at exterior ``cfg``.
 
-    A symbol qualifies iff, for every assignment of ``context``:
+    Returns the tuple of good symbols in alphabet order.  A symbol
+    qualifies iff, for every assignment of ``context``:
 
     * the site's own density at the rewritten configuration is positive;
     * for every other site ``i`` of the universe, the free integral over
@@ -297,8 +248,7 @@ def good_symbols(
                 members.append(candidate)
         return tuple(members)
 
-    members = family.cached(("good_symbols", site, ctx, mask), compute)
-    return GoodSet(site=site, context=ctx, exterior=cfg, members=members)
+    return family.cached(("good_symbols", site, ctx, mask), compute)
 
 
 def site_is_good(
@@ -320,13 +270,14 @@ def good_blocks(
     region: Iterable[Site],
     context: Iterable[Site],
     cfg: Configuration,
-) -> ProductGoodSet:
+) -> tuple[tuple[str, ...], ...]:
     """Blockwise good assignments for ``region`` against ``context``.
 
     Site ``k`` of the region is tested against the context formed by the
-    rest of the region together with ``context``; the member blocks are
-    the cartesian product of the per-site good sets, in the canonical
-    order of ``region``.  Empty iff some factor is empty.
+    rest of the region together with ``context``.  Returns the tuple of
+    good blocks: the cartesian product of the per-site good symbols, each
+    block aligned with the canonical order of ``region``.  Empty iff some
+    site has no good symbol.
     """
     space = family.space
     reg = space.universe.region(region)
@@ -334,15 +285,10 @@ def good_blocks(
     overlap = set(reg) & set(ctx)
     if overlap:
         raise DomainError(f"region and context overlap on {sorted(map(str, overlap))!r}")
-    factors = []
-    for k in reg:
-        rest = tuple(s for s in reg if s != k) + ctx
-        factors.append(good_symbols(family, k, rest, cfg))
-    members = tuple(itertools.product(*(f.members for f in factors)))
-    return ProductGoodSet(
-        region=reg, context=ctx, exterior=cfg,
-        factors=tuple(factors), members=members,
-    )
+    return tuple(itertools.product(*(
+        good_symbols(family, k, tuple(s for s in reg if s != k) + ctx, cfg)
+        for k in reg
+    )))
 
 
 def check_very_weak_positivity(
@@ -364,8 +310,7 @@ def check_very_weak_positivity(
         for ctx in space.universe.subsets(complement):
             for cfg in space.exterior_classes(ctx + (site,)):
                 checked += 1
-                gs = good_symbols(family, site, ctx, cfg)
-                if not gs.members:
+                if not good_symbols(family, site, ctx, cfg):
                     violations += 1
                     report.fail(witness_cap, lambda: Witness(
                         check="very_weak_positivity",
@@ -398,8 +343,8 @@ def pair_divisor(
     space = family.space
     if site == other:
         raise DomainError(f"pair divisor needs two distinct sites, got {site!r}")
-    gs = good_symbols(family, site, (other,), cfg)
-    if not gs.members:
+    good = good_symbols(family, site, (other,), cfg)
+    if not good:
         raise HypothesisFailure(
             f"no good symbol for site {site!r} against context "
             f"[{other!r}]; very weak positivity fails at {cfg!r}"
@@ -407,7 +352,7 @@ def pair_divisor(
 
     def compute() -> ExtendedRational:
         seen: list[tuple[str, ExtendedRational]] = []
-        for x in gs.members:
+        for x in good:
             shifted = cfg.with_sites({site: x})
             num = family.density(site, shifted)
             den = family.density(other, shifted)
@@ -479,12 +424,10 @@ def check_order_consistency(
     for cfg in space.configurations():
         for a_pos, i in enumerate(sites):
             for j in sites[a_pos + 1:]:
-                gi = good_symbols(family, i, (j,), cfg)
-                gj = good_symbols(family, j, (i,), cfg)
                 sides_i = {x: _consistency_side(family, i, j, cfg, x)
-                           for x in gi.members}
+                           for x in good_symbols(family, i, (j,), cfg)}
                 sides_j = {y: _consistency_side(family, j, i, cfg, y)
-                           for y in gj.members}
+                           for y in good_symbols(family, j, (i,), cfg)}
                 for x, lhs in sides_i.items():
                     for y, rhs in sides_j.items():
                         checked += 1
@@ -520,8 +463,8 @@ def _eight_factor_failures(
     alphabet = space.alphabet.symbols
     a = space.universe.index(i)
     b = space.universe.index(j)
-    gi = good_symbols(family, i, (j,), cfg).members
-    gj = good_symbols(family, j, (i,), cfg).members
+    gi = good_symbols(family, i, (j,), cfg)
+    gj = good_symbols(family, j, (i,), cfg)
     values, tail = cfg.key
     d_i: dict[tuple[str, str], Fraction] = {}
     d_j: dict[tuple[str, str], Fraction] = {}
@@ -658,9 +601,9 @@ def check_uniqueness_condition(
         for ctx in space.universe.subsets(complement):
             for cfg in space.exterior_classes(ctx + (site,)):
                 checked += 1
-                gs = good_symbols(family, site, ctx, cfg)
                 mass = sum(
-                    (space.free.weight(site, x) for x in gs.members),
+                    (space.free.weight(site, x)
+                     for x in good_symbols(family, site, ctx, cfg)),
                     Fraction(0),
                 )
                 if min_mass is None or mass < min_mass:

@@ -6,13 +6,26 @@ configuration that ``Space.exterior_classes`` replaced;
 ratio integrals that ``Space.ratio_integral`` replaced, one reading a
 singleton family site by site and one reading a density family region by
 region.
+
+``block_kernel``, ``BlockKernel.apply``, ``kernel_row`` and
+``exchange_identity`` are the block-keyed kernel the library used before
+``assemble_kernel`` returned rows keyed by point: weights per block of
+the region with zeros kept, integrated by overlaying each block on the
+exterior, and turned into point-keyed rows by overlaying once more.
+
+``measure_consistency`` is the measure-consistency check that pushed
+the measure through every single-site kernel and then through every
+region's kernel, single sites again included.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from specforge.core import INF, ExtendedRational
+from specforge.hypotheses import WITNESS_CAP, HypothesisReport, Witness
+from specforge.verifier import support_class_certificate
 
 
 def naive_exterior_classes(space, hidden):
@@ -80,3 +93,111 @@ def regional_ratio_integral(dens, over, num_region, den_region, cfg):
     if infinite:
         return INF
     return ExtendedRational(total)
+
+
+@dataclass(frozen=True)
+class BlockKernel:
+    """Weights over a region's blocks at one exterior, zeros kept."""
+
+    region: tuple
+    exterior: object
+    weights: dict
+
+    def apply(self, h, space) -> Fraction:
+        """Integrate a rational-valued observable against the kernel."""
+        total = Fraction(0)
+        for block, w in self.weights.items():
+            if w == 0:
+                continue
+            total += w * h(space.overlay(self.exterior, self.region, block))
+        return total
+
+
+def block_kernel(dens, region, cfg) -> BlockKernel:
+    """weight(block) = density(region, block over cfg) * free weight."""
+    space = dens.space
+    reg = space.universe.region(region)
+    weights = {}
+    for block in space.assignments(reg):
+        point = space.overlay(cfg, reg, block)
+        weights[block] = dens.density(reg, point) * space.product_weight(reg, block)
+    return BlockKernel(region=reg, exterior=cfg, weights=weights)
+
+
+def kernel_row(dens, region, cfg) -> dict:
+    """Kernel weights of a region at one exterior, keyed by target point."""
+    space = dens.space
+    table = block_kernel(dens, region, cfg)
+    return {
+        space.overlay(cfg, table.region, block).key: w
+        for block, w in table.weights.items()
+        if w != 0
+    }
+
+
+def exchange_identity(dens, region_a, region_b, f, g, cfg):
+    """Both sides of the two-kernel exchange identity, via ``apply``."""
+    space = dens.space
+    a = space.universe.region(region_a)
+    b = space.universe.region(region_b)
+    union = space.universe.region(a + b)
+    outer = block_kernel(dens, union, cfg)
+    lhs = outer.apply(
+        lambda x: f(x) * block_kernel(dens, a, x).apply(
+            lambda y: block_kernel(dens, b, y).apply(g, space), space
+        ),
+        space,
+    )
+    rhs = outer.apply(
+        lambda x: g(x) * block_kernel(dens, b, x).apply(
+            lambda y: block_kernel(dens, a, y).apply(f, space), space
+        ),
+        space,
+    )
+    return lhs, rhs
+
+
+def measure_consistency(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Support class, singleton and full consistency, from two loops."""
+    space = dens.space
+    report = HypothesisReport(name="measure_consistency", passed=True)
+    certificate = support_class_certificate(mu, dens.singletons)
+    singleton_ok = True
+    singleton_fail_sites = []
+    for site in space.universe.sites:
+        if not mu.push_kernel(dens, (site,)).same_as(mu):
+            singleton_ok = False
+            singleton_fail_sites.append(str(site))
+    full_ok = True
+    full_fail_regions = []
+    for region in space.universe.subsets():
+        if not region:
+            continue
+        if not mu.push_kernel(dens, region).same_as(mu):
+            full_ok = False
+            full_fail_regions.append([str(s) for s in region])
+    equivalence = None
+    if certificate.passed:
+        equivalence = singleton_ok == full_ok
+        if not equivalence:
+            report.fail(witness_cap, lambda: Witness(
+                check="measure_consistency",
+                description=(
+                    "inside the support class, singleton consistency and "
+                    "full consistency disagree"
+                ),
+                replay={
+                    "singleton_consistent": singleton_ok,
+                    "fully_consistent": full_ok,
+                    "singleton_failures": singleton_fail_sites[:witness_cap],
+                    "full_failures": full_fail_regions[:witness_cap],
+                },
+            ))
+    report.data = {
+        "in_support_class": certificate.passed,
+        "certificate": certificate.as_dict(),
+        "singleton_consistent": singleton_ok,
+        "fully_consistent": full_ok,
+        "equivalence_holds": equivalence,
+    }
+    return report

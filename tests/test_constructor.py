@@ -21,6 +21,7 @@ from specforge.constructor import (
     extension_divisor,
 )
 from specforge.core import DomainError, ExtendedRational, INF, Space
+from specforge import hypotheses
 from specforge.hypotheses import good_blocks, pair_divisor
 
 from zoo import (
@@ -196,7 +197,7 @@ class TestBuildFamily:
                     theta = space.universe.region(theta)
                     gamma = space.universe.region(set(region) - set(theta))
                     for cfg in space.configurations():
-                        for block in good_blocks(family, theta, gamma, cfg).members:
+                        for block in good_blocks(family, theta, gamma, cfg):
                             shifted = space.overlay(cfg, theta, block)
                             expected = dens.density(gamma, shifted) / regional_integral(
                                 dens, gamma, gamma, theta, shifted
@@ -232,43 +233,91 @@ class TestBuildFamily:
         assert "disagrees" in str(err.value)
 
 
+class TestCheckedBuildRunsPositivityOnce:
+    @staticmethod
+    def count_positivity(monkeypatch) -> list:
+        calls = []
+        original = hypotheses.check_very_weak_positivity
+
+        def counted(family, *args, **kwargs):
+            calls.append(family)
+            return original(family, *args, **kwargs)
+
+        monkeypatch.setattr(hypotheses, "check_very_weak_positivity", counted)
+        return calls
+
+    def test_passing_build(self, monkeypatch):
+        calls = self.count_positivity(monkeypatch)
+        build_family(example1_family())
+        assert len(calls) == 1
+
+    def test_order_consistency_failure(self, monkeypatch):
+        calls = self.count_positivity(monkeypatch)
+        with pytest.raises(ConstructionError) as err:
+            build_family(broken_pair_family())
+        assert "order consistency fails" in str(err.value)
+        assert len(calls) == 1
+
+    def test_positivity_failure_keeps_message_and_first_witness(self, monkeypatch):
+        family = alternating_exclusion_family()
+        h1 = hypotheses.check_very_weak_positivity(family)
+        assert not h1.passed
+        calls = self.count_positivity(monkeypatch)
+        with pytest.raises(ConstructionError) as err:
+            build_family(family)
+        assert len(calls) == 1
+        assert str(err.value) == (
+            "cannot build: very weak positivity fails "
+            f"({h1.data['violations']} index points)"
+        )
+        assert err.value.witness == h1.witnesses[0]
+
+    def test_unchecked_build_skips_positivity(self, monkeypatch):
+        calls = self.count_positivity(monkeypatch)
+        build_family(example1_family(), checked=False)
+        assert calls == []
+
+
 class TestAssembleKernel:
     def test_empty_region_is_point_mass(self):
         dens = build_family(independent_family())
         cfg = next(dens.space.configurations())
-        table = assemble_kernel(dens, (), cfg)
-        assert table.weights == {(): Fraction(1)}
+        row = assemble_kernel(dens, (), cfg)
+        assert row == {cfg.key: Fraction(1)}
 
     def test_independent_model_gives_product_weights(self):
         dens = build_family(independent_family())
         cfg = next(dens.space.configurations())
-        table = assemble_kernel(dens, ("s1", "s2"), cfg)
-        assert set(table.weights.values()) == {Fraction(1, 4)}
-        assert table.mass() == 1
+        row = assemble_kernel(dens, ("s1", "s2"), cfg)
+        assert set(row.values()) == {Fraction(1, 4)}
+        assert sum(row.values()) == 1
 
     def test_example1_concentrates_on_preferred_block(self):
         dens = build_family(example1_family())
         space = dens.space
+        region = ("s1", "s2")
         cfg = space.make((HIGH, HIGH, LOW, HIGH), MANY_HIGH)
-        table = assemble_kernel(dens, ("s1", "s2"), cfg)
-        assert table.weight((LOW, LOW)) == 1
-        assert table.mass() == 1
+        row = assemble_kernel(dens, region, cfg)
+        assert row[space.overlay(cfg, region, (LOW, LOW)).key] == 1
+        assert sum(row.values()) == 1
         fh = space.make((HIGH, HIGH, LOW, HIGH), FEW_HIGH)
-        assert assemble_kernel(dens, ("s1", "s2"), fh).weight((HIGH, HIGH)) == 1
+        assert assemble_kernel(dens, region, fh)[
+            space.overlay(fh, region, (HIGH, HIGH)).key] == 1
 
     def test_extracted_kernel_matches_conditional_probabilities(self):
         space, joint, family = extracted_family(48)
         dens = build_family(family)
         region = ("s1", "s3")
         for cfg in space.configurations():
-            table = assemble_kernel(dens, region, cfg)
+            row = assemble_kernel(dens, region, cfg)
             section = sum(
                 joint[space.overlay(cfg, region, fill).values]
                 for fill in space.assignments(region)
             )
             for block in space.assignments(region):
-                expected = joint[space.overlay(cfg, region, block).values] / section
-                assert table.weight(block) == expected
+                point = space.overlay(cfg, region, block)
+                expected = joint[point.values] / section
+                assert row.get(point.key, Fraction(0)) == expected
 
     def test_depends_only_on_exterior(self):
         dens = build_family(extracted_family(49)[2])
@@ -276,18 +325,19 @@ class TestAssembleKernel:
         a = space.make(("a", "b", "a"), "default")
         b = space.make(("b", "a", "a"), "default")
         region = ("s1", "s2")
-        assert assemble_kernel(dens, region, a).weights == assemble_kernel(
+        assert assemble_kernel(dens, region, a) == assemble_kernel(
             dens, region, b
-        ).weights
+        )
 
-    def test_apply_integrates_indicators(self):
+    def test_row_integrates_indicators(self):
         dens = build_family(extracted_family(50)[2])
         space = dens.space
         cfg = next(space.configurations())
-        table = assemble_kernel(dens, ("s1", "s2"), cfg)
+        row = assemble_kernel(dens, ("s1", "s2"), cfg)
         probe = space.overlay(cfg, ("s1", "s2"), ("b", "a"))
         h = lambda c: Fraction(1) if c == probe else Fraction(0)
-        assert table.apply(h, space) == table.weight(("b", "a"))
+        integral = sum(w * h(space.make(*key)) for key, w in row.items())
+        assert integral == row[probe.key]
 
 
 class TestOrderIndependence:

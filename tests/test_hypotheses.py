@@ -51,8 +51,8 @@ class TestGoodSymbols:
         low_cfg = space.make((LOW, HIGH, LOW, HIGH), MANY_HIGH)
         high_cfg = space.make((LOW, HIGH, LOW, HIGH), FEW_HIGH)
         for ctx in ((), ("s2",), ("s2", "s3"), ("s2", "s3", "s4")):
-            assert good_symbols(family, "s1", ctx, low_cfg).members == (LOW,)
-            assert good_symbols(family, "s1", ctx, high_cfg).members == (HIGH,)
+            assert good_symbols(family, "s1", ctx, low_cfg) == (LOW,)
+            assert good_symbols(family, "s1", ctx, high_cfg) == (HIGH,)
 
     def test_strictly_positive_families_keep_every_symbol(self):
         _, _, family = potential_family(3)
@@ -60,8 +60,7 @@ class TestGoodSymbols:
         cfg = next(space.configurations())
         for site in space.universe:
             for ctx in ((), tuple(s for s in space.universe if s != site)):
-                gs = good_symbols(family, site, ctx, cfg)
-                assert gs.members == tuple(space.alphabet)
+                assert good_symbols(family, site, ctx, cfg) == tuple(space.alphabet)
 
     def test_forced_exclusion_drops_the_dying_symbol(self):
         family = forced_exclusion_family()
@@ -70,11 +69,11 @@ class TestGoodSymbols:
         cfg_b = space.make(("b", "b"), "default")
         # "b" at v dies when u carries "b": excluded against {u} by the
         # positivity sweep, excluded against () by an infinite ratio integral.
-        assert good_symbols(family, "s2", ("s1",), cfg_a).members == ("a",)
-        assert good_symbols(family, "s2", (), cfg_a).members == ("a",)
-        assert good_symbols(family, "s2", (), cfg_b).members == ("a",)
+        assert good_symbols(family, "s2", ("s1",), cfg_a) == ("a",)
+        assert good_symbols(family, "s2", (), cfg_a) == ("a",)
+        assert good_symbols(family, "s2", (), cfg_b) == ("a",)
         # u itself is unconstrained.
-        assert good_symbols(family, "s1", ("s2",), cfg_a).members == ("a", "b")
+        assert good_symbols(family, "s1", ("s2",), cfg_a) == ("a", "b")
 
     def test_membership_helper_reads_own_symbol(self):
         family = example1_family()
@@ -92,7 +91,7 @@ class TestGoodSymbols:
         # context {s2} plus own site s1: only s3 and the tail matter.
         a = good_symbols(family, "s1", ("s2",), base)
         b = good_symbols(family, "s1", ("s2",), moved)
-        assert a.members == b.members
+        assert a == b
 
     def test_context_validation(self):
         family = independent_family()
@@ -109,7 +108,7 @@ class TestGoodBlocks:
         space = family.space
         cfg = space.make((LOW, HIGH, LOW, HIGH), MANY_HIGH)
         blocks = good_blocks(family, ("s1", "s2"), (), cfg)
-        assert blocks.members == ((LOW, LOW),)
+        assert blocks == ((LOW, LOW),)
         assert (LOW, LOW) in blocks
 
     def test_independent_blocks_are_full_products(self):
@@ -117,7 +116,8 @@ class TestGoodBlocks:
         cfg = next(family.space.configurations())
         blocks = good_blocks(family, ("s1", "s3"), ("s2",), cfg)
         assert len(blocks) == 4
-        assert blocks.region == ("s1", "s3")
+        # blocks are aligned with the canonical region order
+        assert good_blocks(family, ("s3", "s1"), ("s2",), cfg) == blocks
 
     def test_single_site_region_reduces_to_good_symbols(self):
         _, family = anchored_table_family(9)
@@ -125,7 +125,7 @@ class TestGoodBlocks:
         cfg = space.make(("b", "a", "b"), "default")
         blocks = good_blocks(family, ("s2",), ("s3",), cfg)
         plain = good_symbols(family, "s2", ("s3",), cfg)
-        assert blocks.members == tuple((x,) for x in plain.members)
+        assert blocks == tuple((x,) for x in plain)
 
     def test_region_context_overlap_rejected(self):
         family = independent_family()
@@ -323,8 +323,8 @@ class TestTwoPointIdentity:
         for cfg in space.configurations():
             for a_pos, i in enumerate(sites):
                 for j in sites[a_pos + 1:]:
-                    for x_i in good_symbols(family, i, (j,), cfg).members:
-                        for x_j in good_symbols(family, j, (i,), cfg).members:
+                    for x_i in good_symbols(family, i, (j,), cfg):
+                        for x_j in good_symbols(family, j, (i,), cfg):
                             lhs, rhs = two_point_identity(family, i, j, cfg, x_i, x_j)
                             assert lhs == rhs
 

@@ -121,7 +121,7 @@ def good_set_mismatches(family) -> list:
     for site in space.universe.sites:
         for ctx in space.universe.subsets(space.universe.complement((site,))):
             for cfg in space.configurations():
-                fast = good_symbols(family, site, ctx, cfg).members
+                fast = good_symbols(family, site, ctx, cfg)
                 slow = naive_good_symbols(family, site, ctx, cfg)
                 if fast != slow:
                     mismatches.append((site, ctx, cfg, fast, slow))

@@ -28,6 +28,7 @@ from specforge import (
     uniqueness_probe,
 )
 
+import oracles
 import zoo
 
 
@@ -478,6 +479,32 @@ class TestMeasureConsistency:
         assert report.data["singleton_consistent"]
         assert report.data["fully_consistent"]
         assert report.data["equivalence_holds"] is None
+
+    @pytest.mark.parametrize("failing", [
+        (), (("s1", "s2"),), (("s2",),), (("s1",), ("s1", "s2", "s3")),
+        (("s1",), ("s2",), ("s3",)),
+    ])
+    def test_one_push_per_region_matches_the_two_loop_oracle(
+            self, monkeypatch, failing):
+        # a stand-in push fails exactly the regions in ``failing``, so the
+        # singleton verdict must be read off the single-site regions alone
+        space, _, fam = zoo.extracted_family(61)
+        dens = build_family(fam)
+        mu = FiniteMeasure.kernel_measure(dens, space.make(("a", "a", "a"), "default"))
+        moved = FiniteMeasure.free_measure(space, "default")
+        assert not moved.same_as(mu)
+        pushes = []
+
+        def push_kernel(self, dens, region):
+            pushes.append(tuple(region))
+            return moved if tuple(region) in failing else self
+
+        monkeypatch.setattr(FiniteMeasure, "push_kernel", push_kernel)
+        report = check_measure_consistency(mu, dens)
+        assert sorted(pushes) == sorted(r for r in space.universe.subsets() if r)
+        assert report.as_dict() == oracles.measure_consistency(mu, dens).as_dict()
+        assert report.data["singleton_consistent"] == (
+            not any(len(r) == 1 for r in failing))
 
     def test_unnormalized_free_weights_refused(self):
         fam = zoo.unnormalized_free_family()

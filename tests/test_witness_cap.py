@@ -9,6 +9,7 @@ verdict, same data, same leading witnesses.  A suite whose precondition
 fails must raise the same error at every cap.
 """
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from specforge.constructor import (
 )
 from specforge.core import SpecforgeError
 from specforge.hypotheses import (
+    WITNESS_CAP,
     HypothesisReport,
     Witness,
     check_bounded_positivity,
@@ -44,10 +46,14 @@ from zoo import (
     anchored_table_family,
     broken_pair_family,
     forced_exclusion_family,
+    extracted_family,
     hardcore_family,
     one_sided_hardcore_family,
     random_joint,
 )
+
+# the package re-exports the function ``main`` under the module's name
+cli = importlib.import_module("specforge.cli.main")
 
 UNCAPPED = 10_000
 
@@ -172,3 +178,24 @@ def test_collector_builds_nothing_past_the_cap():
     assert not report.passed
     assert built == [0, 1]
     assert [w.description for w in report.witnesses] == ["failure 0", "failure 1"]
+
+
+def test_perturbation_suite_keeps_at_most_the_cap(monkeypatch):
+    # every trial fails twice: the perturbed measure stays fully
+    # consistent and the equivalence verdict breaks
+    def failing(mu, dens):
+        return HypothesisReport(name="measure_consistency", passed=False,
+                                data={"fully_consistent": True})
+
+    monkeypatch.setattr(cli, "check_measure_consistency", failing)
+    dens = build_family(extracted_family(47)[2])
+    report = cli.measure_perturbation_suite(dens, trials=20, seed=5)
+    assert not report.passed
+    assert report.data["performed"] == 20
+    assert report.data["detected"] == 0
+    assert len(report.witnesses) == WITNESS_CAP
+    assert [w.replay["trial"] for w in report.witnesses[:4]] == [0, 0, 1, 1]
+    assert report.witnesses[0].description == (
+        "perturbed measure stayed fully consistent")
+    assert report.witnesses[1].description == (
+        "perturbed measure broke the singleton/full equivalence")
