@@ -46,7 +46,6 @@ from .hypotheses import (
     check_very_weak_positivity,
     good_blocks,
     good_symbols,
-    pair_divisor,
     site_is_good,
     two_point_identity,
 )

@@ -28,7 +28,6 @@ from ..constructor import (
 from ..core import Configuration, SpecforgeError
 from ..hypotheses import (
     WITNESS_CAP,
-    HypothesisFailure,
     HypothesisReport,
     Witness,
     check_bounded_positivity,

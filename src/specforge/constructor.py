@@ -68,7 +68,11 @@ class DensityFamily:
     input family's tables verbatim.  ``construction_order`` records the
     site sweep that produced each region.  Tables are immutable once
     registered; ``replace_table`` returns a modified sibling for
-    perturbation probes without touching the original.
+    perturbation probes without touching the original.  ``cached``
+    memoises what the tables determine: extension divisors and the
+    kernel rows the verifier reads, each keyed by its regions and
+    exterior class.  A sibling starts with an empty memo, so it never
+    reads its parent's.
     """
 
     def __init__(self, singletons: SingletonFamily):
@@ -260,7 +264,9 @@ def build_family(
     With ``checked`` true (the default) the positivity and
     order-consistency hypotheses are verified first (order consistency
     runs the positivity check itself) and failures are raised as
-    construction errors.
+    construction errors.  The family built under each sweep order is
+    memoised on ``singletons``, so a second build returns the same
+    family, its divisor and kernel-row memos included.
     """
     space = singletons.space
     universe = space.universe
@@ -290,7 +296,8 @@ def build_family(
                 "cannot build: order consistency fails "
                 f"({h2.data['violations']} comparisons)", witness=first,
             )
-    return _sweep(singletons, order, {})
+    return singletons.cached(("family", order),
+                             lambda: _sweep(singletons, order, {}))
 
 
 def _sweep(singletons: SingletonFamily, order, store: dict) -> DensityFamily:
@@ -327,7 +334,8 @@ def assemble_kernel(
     order.  The weight of the point carrying ``block`` on the region is
     density(region, block over cfg) times the product free weight of the
     block.  The empty region gives the point mass at ``cfg``; weights
-    depend on ``cfg`` only off the region.
+    depend on ``cfg`` only off the region.  Every call assembles a new
+    row, which the caller owns.
     """
     space = dens.space
     reg = space.universe.region(region)
@@ -350,7 +358,8 @@ def check_order_independence(
 
     Rebuilds the family under every permutation of the universe (or a
     seeded sample of ``permutation_cap`` permutations when there are
-    more) and compares all tables exactly against the default build.
+    more) and compares all tables exactly against the default build,
+    which `build_family` memoises.
     A region's table reads only the singletons and the table of the
     region minus its last swept site, so it depends on the sweep only
     through its order on the region: each such order is built once and

@@ -36,7 +36,6 @@ from .core import (
     ExtendedRational,
     Site,
     SpecforgeError,
-    ratio,
 )
 from .models import SingletonFamily
 
@@ -49,7 +48,6 @@ __all__ = [
     "site_is_good",
     "good_blocks",
     "check_very_weak_positivity",
-    "pair_divisor",
     "check_order_consistency",
     "check_pointwise_compatibility",
     "two_point_identity",
@@ -300,79 +298,37 @@ def check_very_weak_positivity(
     site, and all exteriors up to the mask that the good set actually
     depends on.  The report's data counts distinct index points and
     violations.
+
+    Memoised on the family per ``witness_cap``: later calls return the
+    same report, which callers only read.
     """
-    space = family.space
-    report = HypothesisReport(name="very_weak_positivity", passed=True)
-    checked = 0
-    violations = 0
-    for site in space.universe.sites:
-        complement = space.universe.complement((site,))
-        for ctx in space.universe.subsets(complement):
-            for cfg in space.exterior_classes(ctx + (site,)):
-                checked += 1
-                if not good_symbols(family, site, ctx, cfg):
-                    violations += 1
-                    report.fail(witness_cap, lambda: Witness(
-                        check="very_weak_positivity",
-                        description=(
-                            f"no good symbol for site {site!r} against "
-                            f"context {list(map(str, ctx))!r}"
-                        ),
-                        replay=_replay_point(
-                            cfg, site=str(site),
-                            context=[str(s) for s in ctx],
-                        ),
-                    ))
-    report.data = {"index_points": checked, "violations": violations}
-    return report
+    def compute() -> HypothesisReport:
+        space = family.space
+        report = HypothesisReport(name="very_weak_positivity", passed=True)
+        checked = 0
+        violations = 0
+        for site in space.universe.sites:
+            complement = space.universe.complement((site,))
+            for ctx in space.universe.subsets(complement):
+                for cfg in space.exterior_classes(ctx + (site,)):
+                    checked += 1
+                    if not good_symbols(family, site, ctx, cfg):
+                        violations += 1
+                        report.fail(witness_cap, lambda: Witness(
+                            check="very_weak_positivity",
+                            description=(
+                                f"no good symbol for site {site!r} against "
+                                f"context {list(map(str, ctx))!r}"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(site),
+                                context=[str(s) for s in ctx],
+                            ),
+                        ))
+        report.data = {"index_points": checked, "violations": violations}
+        return report
 
-
-def pair_divisor(
-    family: SingletonFamily, site: Site, other: Site, cfg: Configuration
-) -> ExtendedRational:
-    """The exact factor dividing one site's density when another joins.
-
-    Evaluated as (density(site)/density(other) times the ratio integral
-    of other against site) at the configuration rewritten so that
-    ``site`` carries a good symbol against context {other}.  The value
-    is independent of which good symbol is chosen; all choices are
-    evaluated and checked for agreement.  Infinite exactly when
-    density(other) vanishes at the rewritten point.  Depends on ``cfg``
-    only off ``site``.
-    """
-    space = family.space
-    if site == other:
-        raise DomainError(f"pair divisor needs two distinct sites, got {site!r}")
-    good = good_symbols(family, site, (other,), cfg)
-    if not good:
-        raise HypothesisFailure(
-            f"no good symbol for site {site!r} against context "
-            f"[{other!r}]; very weak positivity fails at {cfg!r}"
-        )
-
-    def compute() -> ExtendedRational:
-        seen: list[tuple[str, ExtendedRational]] = []
-        for x in good:
-            shifted = cfg.with_sites({site: x})
-            num = family.density(site, shifted)
-            den = family.density(other, shifted)
-            integral = _checked_ratio_kernel(
-                family, other, other, site, shifted, "pair_divisor"
-            )
-            value = ratio(num, den) * ExtendedRational(integral)
-            seen.append((x, value))
-        first_sym, first_val = seen[0]
-        for sym, val in seen[1:]:
-            if val != first_val:
-                raise HypothesisFailure(
-                    f"pair divisor of {site!r} against {other!r} at {cfg!r} "
-                    f"disagrees across good symbols: {first_val} via "
-                    f"{first_sym!r} vs {val} via {sym!r}; order consistency "
-                    "fails"
-                )
-        return first_val
-
-    return family.cached(("pair_divisor", site, other, cfg.key), compute)
+    return family.cached(("very_weak_positivity", witness_cap), compute)
 
 
 def _consistency_side(
@@ -409,45 +365,51 @@ def check_order_consistency(
     The identity is literally symmetric under swapping the pair, so each
     unordered pair is checked once.  Requires very weak positivity; if
     that fails, raises HypothesisFailure carrying its report.
+
+    Memoised on the family per ``witness_cap``, like the positivity
+    report it reads first; a raised HypothesisFailure is not memoised.
     """
-    h1 = check_very_weak_positivity(family)
-    if not h1.passed:
-        raise HypothesisFailure(
-            "order consistency needs very weak positivity, which fails "
-            f"at {len(h1.witnesses)} witnessed index points", report=h1,
-        )
-    space = family.space
-    sites = space.universe.sites
-    report = HypothesisReport(name="order_consistency", passed=True)
-    checked = 0
-    violations = 0
-    for cfg in space.configurations():
-        for a_pos, i in enumerate(sites):
-            for j in sites[a_pos + 1:]:
-                sides_i = {x: _consistency_side(family, i, j, cfg, x)
-                           for x in good_symbols(family, i, (j,), cfg)}
-                sides_j = {y: _consistency_side(family, j, i, cfg, y)
-                           for y in good_symbols(family, j, (i,), cfg)}
-                for x, lhs in sides_i.items():
-                    for y, rhs in sides_j.items():
-                        checked += 1
-                        if lhs != rhs:
-                            violations += 1
-                            report.fail(witness_cap, lambda: Witness(
-                                check="order_consistency",
-                                description=(
-                                    f"resolving {i!r} then {j!r} differs "
-                                    f"from {j!r} then {i!r}"
-                                ),
-                                replay=_replay_point(
-                                    cfg,
-                                    site_first=str(i), site_second=str(j),
-                                    symbol_first=x, symbol_second=y,
-                                ),
-                                lhs=str(lhs), rhs=str(rhs),
-                            ))
-    report.data = {"comparisons": checked, "violations": violations}
-    return report
+    def compute() -> HypothesisReport:
+        h1 = check_very_weak_positivity(family)
+        if not h1.passed:
+            raise HypothesisFailure(
+                "order consistency needs very weak positivity, which fails "
+                f"at {len(h1.witnesses)} witnessed index points", report=h1,
+            )
+        space = family.space
+        sites = space.universe.sites
+        report = HypothesisReport(name="order_consistency", passed=True)
+        checked = 0
+        violations = 0
+        for cfg in space.configurations():
+            for a_pos, i in enumerate(sites):
+                for j in sites[a_pos + 1:]:
+                    sides_i = {x: _consistency_side(family, i, j, cfg, x)
+                               for x in good_symbols(family, i, (j,), cfg)}
+                    sides_j = {y: _consistency_side(family, j, i, cfg, y)
+                               for y in good_symbols(family, j, (i,), cfg)}
+                    for x, lhs in sides_i.items():
+                        for y, rhs in sides_j.items():
+                            checked += 1
+                            if lhs != rhs:
+                                violations += 1
+                                report.fail(witness_cap, lambda: Witness(
+                                    check="order_consistency",
+                                    description=(
+                                        f"resolving {i!r} then {j!r} differs "
+                                        f"from {j!r} then {i!r}"
+                                    ),
+                                    replay=_replay_point(
+                                        cfg,
+                                        site_first=str(i), site_second=str(j),
+                                        symbol_first=x, symbol_second=y,
+                                    ),
+                                    lhs=str(lhs), rhs=str(rhs),
+                                ))
+        report.data = {"comparisons": checked, "violations": violations}
+        return report
+
+    return family.cached(("order_consistency", witness_cap), compute)
 
 
 def _eight_factor_failures(
@@ -590,44 +552,50 @@ def check_uniqueness_condition(
     finite alphabets this strengthens very weak positivity just enough
     to pin the constructed family down uniquely.  data reports the
     smallest mass seen.
+
+    Memoised on the family per ``witness_cap``: later calls return the
+    same report, which callers only read.
     """
-    space = family.space
-    report = HypothesisReport(name="uniqueness_condition", passed=True)
-    checked = 0
-    violations = 0
-    min_mass: Fraction | None = None
-    for site in space.universe.sites:
-        complement = space.universe.complement((site,))
-        for ctx in space.universe.subsets(complement):
-            for cfg in space.exterior_classes(ctx + (site,)):
-                checked += 1
-                mass = sum(
-                    (space.free.weight(site, x)
-                     for x in good_symbols(family, site, ctx, cfg)),
-                    Fraction(0),
-                )
-                if min_mass is None or mass < min_mass:
-                    min_mass = mass
-                if mass == 0:
-                    violations += 1
-                    report.fail(witness_cap, lambda: Witness(
-                        check="uniqueness_condition",
-                        description=(
-                            f"good symbols of site {site!r} against "
-                            f"context {list(map(str, ctx))!r} have zero "
-                            "free mass"
-                        ),
-                        replay=_replay_point(
-                            cfg, site=str(site),
-                            context=[str(s) for s in ctx],
-                        ),
-                    ))
-    report.data = {
-        "index_points": checked,
-        "violations": violations,
-        "min_good_mass": str(min_mass) if min_mass is not None else None,
-    }
-    return report
+    def compute() -> HypothesisReport:
+        space = family.space
+        report = HypothesisReport(name="uniqueness_condition", passed=True)
+        checked = 0
+        violations = 0
+        min_mass: Fraction | None = None
+        for site in space.universe.sites:
+            complement = space.universe.complement((site,))
+            for ctx in space.universe.subsets(complement):
+                for cfg in space.exterior_classes(ctx + (site,)):
+                    checked += 1
+                    mass = sum(
+                        (space.free.weight(site, x)
+                         for x in good_symbols(family, site, ctx, cfg)),
+                        Fraction(0),
+                    )
+                    if min_mass is None or mass < min_mass:
+                        min_mass = mass
+                    if mass == 0:
+                        violations += 1
+                        report.fail(witness_cap, lambda: Witness(
+                            check="uniqueness_condition",
+                            description=(
+                                f"good symbols of site {site!r} against "
+                                f"context {list(map(str, ctx))!r} have zero "
+                                "free mass"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(site),
+                                context=[str(s) for s in ctx],
+                            ),
+                        ))
+        report.data = {
+            "index_points": checked,
+            "violations": violations,
+            "min_good_mass": str(min_mass) if min_mass is not None else None,
+        }
+        return report
+
+    return family.cached(("uniqueness_condition", witness_cap), compute)
 
 
 def check_bounded_positivity(

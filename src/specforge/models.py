@@ -10,7 +10,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Protocol
 
@@ -129,7 +129,13 @@ class SingletonFamily:
         return out
 
     def cached(self, key: tuple, compute: Callable[[], object]):
-        """Memo slot for derived quantities (good sets, divisors, reports)."""
+        """Memo slot for quantities derived from the immutable tables.
+
+        Holds admissible points, good sets, the three gate reports (per
+        witness cap) and the density family built under each sweep order.
+        Values are shared, so callers only read them; a ``compute`` that
+        raises leaves no entry.
+        """
         try:
             return self._cache[key]
         except KeyError:

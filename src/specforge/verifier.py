@@ -85,7 +85,7 @@ class FiniteMeasure:
     @classmethod
     def kernel_measure(cls, dens: DensityFamily, cfg: Configuration) -> "FiniteMeasure":
         """The full-window kernel at one exterior, as a measure."""
-        return cls(dens.space, assemble_kernel(dens, dens.space.universe.sites, cfg))
+        return cls(dens.space, _kernel_row(dens, dens.space.universe.sites, cfg))
 
     @classmethod
     def free_measure(cls, space: Space, tail: str) -> "FiniteMeasure":
@@ -117,7 +117,7 @@ class FiniteMeasure:
             w = self.weights.get(cfg.key)
             if not w:
                 continue
-            for key, kw in assemble_kernel(dens, reg, cfg).items():
+            for key, kw in _kernel_row(dens, reg, cfg).items():
                 out[key] = out.get(key, Fraction(0)) + w * kw
         return FiniteMeasure(space, out)
 
@@ -189,15 +189,29 @@ def support_class_certificate(
     return SupportClassCertificate(lines=lines, passed=passed)
 
 
+def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
+                cfg: Configuration) -> dict[tuple, Fraction]:
+    """``assemble_kernel(dens, region, cfg)``, memoised on the family.
+
+    A row reads the density only at points that carry ``cfg`` off the
+    region, so it is fixed by the region and ``cfg``'s exterior class;
+    the memo holds one row per class, at most as many weights as the
+    tables hold cells.  ``region`` must be canonical.  Rows are shared,
+    so callers only read them.
+    """
+    key = ("kernel_row", region, dens.space.masked_key(cfg, region))
+    return dens.cached(key, lambda: assemble_kernel(dens, region, cfg))
+
+
 def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
                   inner: DensityFamily, inner_region: tuple[Site, ...],
                   cfg: Configuration) -> dict[tuple, Fraction]:
     """Row of (outer kernel) followed by (inner kernel) at one exterior."""
     space = outer.space
     out: dict[tuple, Fraction] = {}
-    for mid_key, w1 in assemble_kernel(outer, outer_region, cfg).items():
+    for mid_key, w1 in _kernel_row(outer, outer_region, cfg).items():
         mid = space.make(*mid_key)
-        for key, w2 in assemble_kernel(inner, inner_region, mid).items():
+        for key, w2 in _kernel_row(inner, inner_region, mid).items():
             out[key] = out.get(key, Fraction(0)) + w1 * w2
     return out
 
@@ -213,7 +227,9 @@ def check_specification_axioms(
     exterior there); (c) applying a sub-region's kernel after a
     region's kernel changes nothing, for every nested pair.  Rows are
     keyed by point; inside one exterior class the points coincide, so
-    comparing rows there compares the weights block by block.
+    comparing rows there compares the weights block by block.  (a)
+    assembles every row afresh at every configuration, because the row
+    memo that (c) reads takes the property (a) checks for granted.
     """
     space = dens.space
     universe = space.universe
@@ -266,7 +282,7 @@ def check_specification_axioms(
         for small in universe.subsets(large):
             for cfg in space.exterior_classes(large):
                 checks["nested_pairs"] += 1
-                direct = assemble_kernel(dens, large, cfg)
+                direct = _kernel_row(dens, large, cfg)
                 composed = _composed_row(dens, large, dens, small, cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
                 if direct != composed:
@@ -326,7 +342,7 @@ def exchange_identity(
     union = space.universe.region(a + b)
 
     def integrate(region, x, h) -> Fraction:
-        row = assemble_kernel(dens, region, x)
+        row = _kernel_row(dens, region, x)
         return sum((w * h(space.make(*key)) for key, w in row.items()),
                    Fraction(0))
 
@@ -378,7 +394,7 @@ def uniqueness_probe(
                              region: tuple[Site, ...]) -> tuple[bool, dict | None]:
         for site in region:
             for cfg in space.exterior_classes(region):
-                direct = assemble_kernel(family, region, cfg)
+                direct = _kernel_row(family, region, cfg)
                 composed = _composed_row(family, region, dens, (site,), cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
                 if direct != composed:

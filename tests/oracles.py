@@ -16,6 +16,10 @@ exterior, and turned into point-keyed rows by overlaying once more.
 ``measure_consistency`` is the measure-consistency check that pushed
 the measure through every single-site kernel and then through every
 region's kernel, single sites again included.
+
+``pair_divisor`` is the one-site case of ``extension_divisor``, written
+against the singleton family alone: the factor dividing one site's
+density when one other site joins it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from specforge.core import INF, ExtendedRational
-from specforge.hypotheses import WITNESS_CAP, HypothesisReport, Witness
+from specforge.core import INF, DomainError, ExtendedRational, ratio
+from specforge.hypotheses import (
+    WITNESS_CAP,
+    HypothesisFailure,
+    HypothesisReport,
+    Witness,
+    _checked_ratio_kernel,
+    good_symbols,
+)
 from specforge.verifier import support_class_certificate
 
 
@@ -201,3 +212,43 @@ def measure_consistency(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
         "equivalence_holds": equivalence,
     }
     return report
+
+
+def pair_divisor(family, site, other, cfg) -> ExtendedRational:
+    """The exact factor dividing one site's density when another joins.
+
+    Evaluated as (density(site)/density(other) times the ratio integral
+    of other against site) at the configuration rewritten so that
+    ``site`` carries a good symbol against context {other}.  The value
+    is independent of which good symbol is chosen; all choices are
+    evaluated and checked for agreement.  Infinite exactly when
+    density(other) vanishes at the rewritten point.  Depends on ``cfg``
+    only off ``site``.
+    """
+    if site == other:
+        raise DomainError(f"pair divisor needs two distinct sites, got {site!r}")
+    good = good_symbols(family, site, (other,), cfg)
+    if not good:
+        raise HypothesisFailure(
+            f"no good symbol for site {site!r} against context "
+            f"[{other!r}]; very weak positivity fails at {cfg!r}"
+        )
+    seen = []
+    for x in good:
+        shifted = cfg.with_sites({site: x})
+        num = family.density(site, shifted)
+        den = family.density(other, shifted)
+        integral = _checked_ratio_kernel(
+            family, other, other, site, shifted, "pair_divisor"
+        )
+        seen.append((x, ratio(num, den) * ExtendedRational(integral)))
+    first_sym, first_val = seen[0]
+    for sym, val in seen[1:]:
+        if val != first_val:
+            raise HypothesisFailure(
+                f"pair divisor of {site!r} against {other!r} at {cfg!r} "
+                f"disagrees across good symbols: {first_val} via "
+                f"{first_sym!r} vs {val} via {sym!r}; order consistency "
+                "fails"
+            )
+    return first_val

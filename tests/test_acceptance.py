@@ -23,7 +23,6 @@ from specforge import (
     check_pointwise_compatibility,
     check_specification_axioms,
     check_very_weak_positivity,
-    pair_divisor,
     ratio_bounds,
     support_class_certificate,
     uniqueness_probe,
@@ -31,6 +30,7 @@ from specforge import (
 from specforge.cli.modelfile import parse_model_file
 
 import zoo
+from oracles import pair_divisor
 
 
 def bundled(name: str) -> str:

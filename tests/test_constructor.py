@@ -22,7 +22,7 @@ from specforge.constructor import (
 )
 from specforge.core import DomainError, ExtendedRational, INF, Space
 from specforge import hypotheses
-from specforge.hypotheses import good_blocks, pair_divisor
+from specforge.hypotheses import good_blocks
 
 from zoo import (
     HIGH,
@@ -37,6 +37,7 @@ from zoo import (
     potential_family,
     ring_potential_family,
 )
+from oracles import pair_divisor
 
 
 def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:

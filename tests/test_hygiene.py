@@ -1,0 +1,110 @@
+"""Every name imported under ``src/`` is read somewhere in its module.
+
+The scan parses each module and compares the names its imports bind with
+the names it reads, string annotations included.  A name listed in the
+module's ``__all__`` counts as read, because it is re-exported; a
+package ``__init__.py`` without ``__all__`` re-exports every name it
+imports.  ``from __future__`` imports bind nothing and are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement, with its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def annotation_names(node: ast.AST) -> set[str]:
+    """Names an annotation reads, looking inside string annotations too."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    names |= annotation_names(arg.annotation)
+            if node.returns is not None:
+                names |= annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            names |= annotation_names(node.annotation)
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str] | None:
+    """Strings in the module's ``__all__``, or None if it declares none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return None
+
+
+def unused_imports(path: Path, root: Path = SRC) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = imported_names(tree)
+    exported = exported_names(tree)
+    if exported is None:
+        if path.name == "__init__.py":
+            return []
+        exported = set()
+    used = read_names(tree) | exported
+    return [f"{path.relative_to(root)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_the_scan_sees_every_module():
+    names = {str(p.relative_to(SRC)) for p in MODULES}
+    assert {"specforge/__init__.py", "specforge/core.py",
+            "specforge/cli/main.py"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_every_imported_name_is_read(path):
+    assert unused_imports(path) == []
+
+
+def test_the_scan_flags_an_unused_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import Mapping, Sequence\n"
+        "from fractions import Fraction\n"
+        "__all__ = ['Fraction']\n"
+        "def f(x: 'Sequence[int]') -> int:\n"
+        "    return len(x)\n"
+    )
+    assert unused_imports(module, tmp_path) == [
+        "module.py:2: os", "module.py:3: Mapping"]

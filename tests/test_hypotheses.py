@@ -19,7 +19,6 @@ from specforge.hypotheses import (
     check_very_weak_positivity,
     good_blocks,
     good_symbols,
-    pair_divisor,
     site_is_good,
     two_point_identity,
 )
@@ -38,6 +37,7 @@ from zoo import (
     independent_family,
     potential_family,
 )
+from oracles import pair_divisor
 
 
 def er(n, d=1) -> ExtendedRational:

@@ -8,6 +8,12 @@ configuration, in the same order, on families with zero densities and
 on positive ones.  ``exchange_identity`` must equal the old ``apply``
 composition, and ``good_blocks`` the product of the per-site good
 symbols.
+
+The verifier reads rows through a memo keyed by region and exterior
+class; a fresh ``assemble_kernel`` row is its oracle.  A sibling from
+``replace_table`` must read its own rows, and exterior measurability
+must keep assembling rows afresh, so a row that varies inside its class
+is still caught.
 """
 
 import itertools
@@ -15,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+from specforge import constructor, verifier
 from specforge.constructor import (
     ConstructionError,
     DensityFamily,
@@ -22,7 +29,11 @@ from specforge.constructor import (
     build_family,
 )
 from specforge.hypotheses import good_blocks, good_symbols
-from specforge.verifier import FiniteMeasure, exchange_identity
+from specforge.verifier import (
+    FiniteMeasure,
+    check_specification_axioms,
+    exchange_identity,
+)
 
 import oracles
 from zoo import (
@@ -138,3 +149,55 @@ def test_good_blocks_are_the_product_of_good_symbols(name):
                 partial |= 0 < len(expected) < len(space.alphabet) ** len(region)
     if name in ZERO_DENSITY:
         assert partial, "zero densities must reach a partial product"
+
+
+MEMO_FAMILIES = ("hardcore", "one_sided_hardcore", "anchored_table",
+                 "potential", "unnormalized_free")
+
+
+@pytest.mark.parametrize("name", MEMO_FAMILIES)
+def test_memoised_rows_equal_fresh_rows(name):
+    dens = densities(FAMILIES[name]())
+    space = dens.space
+    for region in dens.regions():
+        for cfg in space.configurations():
+            fresh = assemble_kernel(dens, region, cfg)
+            row = verifier._kernel_row(dens, region, cfg)
+            assert list(row.items()) == list(fresh.items())
+            assert verifier._kernel_row(dens, region, cfg) is row
+
+
+def test_sibling_reads_its_own_rows_not_the_parents():
+    dens = densities(FAMILIES["potential"]())
+    space = dens.space
+    region = space.universe.sites[:2]
+    configurations = list(space.configurations())
+    parent_rows = [verifier._kernel_row(dens, region, cfg)
+                   for cfg in configurations]
+    doubled = {key: 2 * value for key, value in dens.table(region).items()}
+    sibling = dens.replace_table(region, doubled)
+    for cfg, parent_row in zip(configurations, parent_rows):
+        row = verifier._kernel_row(sibling, region, cfg)
+        assert row == assemble_kernel(sibling, region, cfg)
+        assert row == {key: 2 * w for key, w in parent_row.items()}
+        assert verifier._kernel_row(dens, region, cfg) == (
+            assemble_kernel(dens, region, cfg))
+
+
+@pytest.mark.parametrize("name", ["potential", "hardcore"])
+def test_axiom_a_catches_a_row_that_reads_inside_its_region(monkeypatch, name):
+    dens = densities(FAMILIES[name]())
+    assert check_specification_axioms(dens).data["exterior_measurable"]
+    first = dens.space.alphabet.symbols[0]
+    honest = constructor.assemble_kernel
+
+    def mutated(dens, region, cfg):
+        row = honest(dens, region, cfg)
+        if region and cfg.symbol(region[0]) != first:
+            return dict(zip(row, reversed(list(row.values()))))
+        return row
+
+    monkeypatch.setattr(verifier, "assemble_kernel", mutated)
+    report = check_specification_axioms(densities(FAMILIES[name]()))
+    assert report.data["exterior_measurable"] is False
+    assert any(w.check == "exterior_measurability" for w in report.witnesses)

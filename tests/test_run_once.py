@@ -1,0 +1,120 @@
+"""Each gate and the default build run once per family and command.
+
+The gate reports (very weak positivity, order consistency, uniqueness
+condition) are memoised on the singleton family per witness cap, and the
+family built under each sweep order on the singleton family too.  Body
+runs are counted by the reports the gates construct and by the sweeps
+that start from an empty table store.  A memoised report must equal a
+fresh computation on a newly parsed family.
+"""
+
+from collections import Counter
+from importlib import resources
+
+import pytest
+
+from specforge import constructor, hypotheses
+from specforge.cli.main import main
+from specforge.cli.modelfile import parse_model_file
+
+from zoo import alternating_exclusion_family
+
+MODELS = ("broken_h2", "example1", "extracted", "independent", "potential")
+GATES = {
+    "very_weak_positivity": hypotheses.check_very_weak_positivity,
+    "order_consistency": hypotheses.check_order_consistency,
+    "uniqueness_condition": hypotheses.check_uniqueness_condition,
+}
+
+
+def bundled(model: str) -> str:
+    return str(resources.files("specforge") / "data" / f"{model}.model")
+
+
+@pytest.fixture
+def runs(monkeypatch) -> Counter:
+    """Counts gate bodies by report name and fresh sweeps by order."""
+    counts: Counter = Counter()
+
+    class CountedReport(hypotheses.HypothesisReport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.name in GATES:
+                counts[self.name] += 1
+
+    honest_sweep = constructor._sweep
+
+    def counted_sweep(singletons, order, store):
+        if not store:
+            counts[("sweep", tuple(order))] += 1
+        return honest_sweep(singletons, order, store)
+
+    monkeypatch.setattr(hypotheses, "HypothesisReport", CountedReport)
+    monkeypatch.setattr(constructor, "_sweep", counted_sweep)
+    return counts
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("command", ["check", "construct", "verify"])
+def test_each_gate_and_the_default_build_run_once(
+        model, command, runs, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, bundled(model), "--json", "report.json"]
+    if command == "construct":
+        argv += ["-o", "out.rho"]
+    main(argv)
+    capsys.readouterr()
+    expected = Counter({"very_weak_positivity": 1, "order_consistency": 1})
+    if command == "check":
+        expected["uniqueness_condition"] = 1
+    report = (tmp_path / "report.json").read_text()
+    space, _, _ = parse_model_file(bundled(model)).realize()
+    default = ("sweep", space.universe.sites)
+    if command == "construct" and "construction not attempted" not in report:
+        expected[default] = 1
+    if command == "verify" and '"construction"' not in report:
+        expected[default] = 1
+        if all(space.free.weight(site, symbol) > 0
+               for site in space.universe for symbol in space.alphabet):
+            expected["uniqueness_condition"] = 1
+        if '"roundtrip_reconstruction"' in report:
+            # the round trip extracts its own family from the joint, then
+            # gates and builds that second family once
+            expected.update(["very_weak_positivity", "order_consistency",
+                             default])
+    assert runs == expected
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_memoised_report_equals_a_fresh_one(model, gate):
+    _, family, _ = parse_model_file(bundled(model)).realize()
+    first = GATES[gate](family)
+    try:
+        constructor.build_family(family)
+    except constructor.ConstructionError:
+        pass
+    assert GATES[gate](family) is first
+    _, fresh, _ = parse_model_file(bundled(model)).realize()
+    assert first.as_dict() == GATES[gate](fresh).as_dict()
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_another_witness_cap_recomputes(gate, runs):
+    _, family, _ = parse_model_file(bundled("broken_h2")).realize()
+    full = GATES[gate](family)
+    capped = GATES[gate](family, witness_cap=1)
+    assert capped is not full
+    assert GATES[gate](family, witness_cap=1) is capped
+    assert capped.as_dict() == {**full.as_dict(),
+                                "witnesses": full.as_dict()["witnesses"][:1]}
+    assert runs[gate] == 2
+
+
+def test_a_raised_precondition_is_not_memoised(runs):
+    family = alternating_exclusion_family()
+    for _ in range(2):
+        with pytest.raises(hypotheses.HypothesisFailure) as err:
+            hypotheses.check_order_consistency(family)
+        assert not err.value.report.passed
+    assert runs == Counter({"very_weak_positivity": 1})
