@@ -482,7 +482,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
             recorded = json_module.load(handle)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.report!r}: {exc}")
-    suites = {s["name"]: s for s in recorded.get("suites", [])}
+    entries = recorded.get("suites", []) if isinstance(recorded, dict) else None
+    if (not isinstance(entries, list)
+            or not isinstance(recorded.get("model", {}), dict)
+            or not all(isinstance(s, dict) and "name" in s
+                       and isinstance(s.get("witnesses", []), list)
+                       for s in entries)):
+        raise UsageError(
+            f"report {args.report!r} does not fit the schema: expected an "
+            "object with a 'model' object and 'suites' entries that each "
+            "carry a 'name' and a list of 'witnesses'")
+    suites = {s["name"]: s for s in entries}
     if args.suite not in suites:
         raise UsageError(
             f"report has no suite named {args.suite!r}; it has: "

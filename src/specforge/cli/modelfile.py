@@ -38,6 +38,7 @@ pair may be given once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,6 +60,8 @@ DEFAULT_PERMUTATIONS = 24
 DEFAULT_TRIALS = 12
 DEFAULT_SEED = 20260819
 DEFAULT_FLOAT_TOLERANCE = Fraction(1, 10**9)
+# ASCII digits: str.isdigit() also accepts "²", which int() rejects
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class ModelFileError(SpecforgeError):
@@ -242,7 +245,7 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
                 raise fail(line_no, "duplicate site labels")
             sites = tuple(args)
         elif directive == "dimension":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not _INTEGER.fullmatch(args[0]) or args[0].startswith("-"):
                 raise fail(line_no, "dimension takes one nonnegative integer")
             dimension = int(args[0])
         elif directive == "alphabet":
@@ -381,7 +384,7 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
                 raise fail(line_no, "sweep must list every site exactly once")
             sweep = tuple(args)
         elif directive in ("permutations", "trials", "seed"):
-            if len(args) != 1 or not args[0].lstrip("-").isdigit():
+            if len(args) != 1 or not _INTEGER.fullmatch(args[0]):
                 raise fail(line_no, f"{directive} takes one integer")
             value = int(args[0])
             if directive != "seed" and value < 1:

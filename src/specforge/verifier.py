@@ -170,23 +170,50 @@ class SupportClassCertificate:
 def support_class_certificate(
     mu: FiniteMeasure, singletons: SingletonFamily
 ) -> SupportClassCertificate:
-    """Membership test for the class where consistency reduces to singletons."""
+    """Membership test for the class where consistency reduces to singletons.
+
+    Each line is the smoothed measure's weight on the ``_bad_points``
+    table of its (site, context).
+    """
     space = singletons.space
     lines: dict[tuple[Site, tuple[Site, ...]], Fraction] = {}
-    passed = True
     for site in space.universe.sites:
         smoothed = mu.push_free((site,))
         complement = space.universe.complement((site,))
         for ctx in space.universe.subsets(complement):
-            bad = Fraction(0)
-            for cfg in space.configurations():
-                w = smoothed.weights.get(cfg.key)
-                if w and not site_is_good(singletons, site, ctx, cfg):
-                    bad += w
-            lines[(site, ctx)] = bad
-            if bad != 0:
-                passed = False
-    return SupportClassCertificate(lines=lines, passed=passed)
+            lines[(site, ctx)] = _mass_on(smoothed, _bad_points(singletons, site, ctx))
+    return SupportClassCertificate(lines=lines, passed=not any(lines.values()))
+
+
+def _bad_points(singletons: SingletonFamily, site: Site,
+                context: tuple[Site, ...]) -> frozenset:
+    """Keys ``(values, tail)`` where ``site``'s own symbol is not good.
+
+    Good against ``context`` at the configuration itself.  This is where
+    the support suites read good membership: the table is built once per
+    family, site and canonical ``context`` by asking ``site_is_good`` at
+    every key of the site's density table, and holds those key tuples
+    themselves, so the memo adds set slots only.
+    """
+    def compute() -> frozenset:
+        make = singletons.space.make
+        return frozenset(key for key in singletons._tables[site]
+                         if not site_is_good(singletons, site, context, make(*key)))
+
+    return singletons.cached(("bad_points", site, context), compute)
+
+
+def _off_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozenset:
+    """Keys where some member of ``region`` is not good against the rest."""
+    return frozenset().union(*(
+        _bad_points(singletons, k, tuple(s for s in region if s != k))
+        for k in region
+    ))
+
+
+def _mass_on(measure: FiniteMeasure, keys: frozenset) -> Fraction:
+    """The measure's weight on a set of configuration keys."""
+    return sum((w for key, w in measure.weights.items() if key in keys), Fraction(0))
 
 
 def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
@@ -523,7 +550,7 @@ def good_support_report(
     density must equal either block's density divided by the matching
     ratio integral.  Also verifies that good-membership of a site
     against a context never depends on the configuration inside the
-    context.
+    context.  Both read membership off the ``_bad_points`` tables.
     """
     space = dens.space
     universe = space.universe
@@ -532,15 +559,6 @@ def good_support_report(
     identity_points = 0
     member_points = 0
     measurability_points = 0
-
-    def in_core(region: tuple[Site, ...], cfg: Configuration) -> bool:
-        return all(
-            site_is_good(
-                singletons, site,
-                tuple(s for s in region if s != site), cfg,
-            )
-            for site in region
-        )
 
     for region in universe.subsets():
         if len(region) < 2:
@@ -552,8 +570,9 @@ def good_support_report(
                 v = universe.region(v)
                 w = universe.region(members - set(v))
                 splits.append((v, w))
+        off_core = _off_core(singletons, region)
         for cfg in space.configurations():
-            if not in_core(region, cfg):
+            if cfg.key in off_core:
                 continue
             member_points += 1
             for v, w in splits:
@@ -587,17 +606,15 @@ def good_support_report(
                         rhs=",".join(str(x) for x in values) or "undefined",
                     ))
     for site in universe.sites:
-        complement = universe.complement((site,))
-        for ctx in universe.subsets(complement):
+        for ctx in universe.subsets(universe.complement((site,))):
             if not ctx:
                 continue
+            bad = _bad_points(singletons, site, ctx)
             for cfg in space.exterior_classes(ctx):
-                base = site_is_good(singletons, site, ctx, cfg)
+                base = cfg.key in bad
                 for fill in space.assignments(ctx):
                     measurability_points += 1
-                    if site_is_good(
-                        singletons, site, ctx, space.overlay(cfg, ctx, fill)
-                    ) != base:
+                    if (space.overlay(cfg, ctx, fill).key in bad) != base:
                         report.fail(witness_cap, lambda: Witness(
                             check="good_support",
                             description=(
@@ -628,118 +645,60 @@ def check_good_support_mass(
     intersection.  If the measure is moreover preserved by every
     single-site kernel, the measure itself must put zero mass off every
     good-membership event.  Parts whose premise fails are skipped and
-    recorded as out of scope.
+    recorded as out of scope.  Every bad mass is the measure's weight on
+    a ``_bad_points`` table or on the union of a region's tables.
     """
     space = dens.space
+    universe = space.universe
     singletons = dens.singletons
     report = HypothesisReport(name="good_support_mass", passed=True)
-    certificate = support_class_certificate(mu, singletons)
-    in_class = certificate.passed
+    in_class = support_class_certificate(mu, singletons).passed
     counts = {"smoothed_site": 0, "smoothed_region": 0,
               "plain_site": 0, "plain_region": 0}
 
-    def bad_mass(measure: FiniteMeasure, predicate) -> Fraction:
-        total = Fraction(0)
-        for cfg in space.configurations():
-            w = measure.weights.get(cfg.key)
-            if w and not predicate(cfg):
-                total += w
-        return total
+    def charge(part: str, measure: FiniteMeasure, keys: frozenset,
+               describe: str, replay: dict) -> None:
+        counts[part] += 1
+        mass = _mass_on(measure, keys)
+        if mass != 0:
+            report.fail(witness_cap, lambda: Witness(
+                check="good_support_mass", description=describe,
+                replay={**replay, "mass": str(mass)},
+            ))
 
     singleton_ok: bool | None = None
     if in_class:
-        for region in space.universe.subsets():
+        for region in universe.subsets():
             if not region:
                 continue
             smoothed = mu.push_free(region)
+            names = [str(s) for s in region]
             for k in region:
-                ctx = tuple(s for s in region if s != k)
-                counts["smoothed_site"] += 1
-                mass = bad_mass(
-                    smoothed,
-                    lambda c, k=k, ctx=ctx: site_is_good(singletons, k, ctx, c),
-                )
-                if mass != 0:
-                    report.fail(witness_cap, lambda: Witness(
-                        check="good_support_mass",
-                        description=(
-                            "free-smoothed measure of "
-                            f"{[str(s) for s in region]!r} charges "
-                            f"configurations where {k!r} is not good"
-                        ),
-                        replay={"region": [str(s) for s in region],
-                                "site": str(k), "mass": str(mass)},
-                    ))
+                rest = tuple(s for s in region if s != k)
+                charge("smoothed_site", smoothed, _bad_points(singletons, k, rest),
+                       f"free-smoothed measure of {names!r} charges "
+                       f"configurations where {k!r} is not good",
+                       {"region": names, "site": str(k)})
             if len(region) >= 2:
-                counts["smoothed_region"] += 1
-                mass = bad_mass(
-                    smoothed,
-                    lambda c, region=region: all(
-                        site_is_good(
-                            singletons, k,
-                            tuple(s for s in region if s != k), c,
-                        )
-                        for k in region
-                    ),
-                )
-                if mass != 0:
-                    report.fail(witness_cap, lambda: Witness(
-                        check="good_support_mass",
-                        description=(
-                            "free-smoothed measure charges the complement "
-                            f"of the good core of {[str(s) for s in region]!r}"
-                        ),
-                        replay={"region": [str(s) for s in region],
-                                "mass": str(mass)},
-                    ))
-        singleton_ok = all(
-            mu.push_kernel(dens, (site,)).same_as(mu)
-            for site in space.universe.sites
-        )
+                charge("smoothed_region", smoothed, _off_core(singletons, region),
+                       "free-smoothed measure charges the complement "
+                       f"of the good core of {names!r}", {"region": names})
+        singleton_ok = all(mu.push_kernel(dens, (site,)).same_as(mu)
+                           for site in universe.sites)
         if singleton_ok:
-            for j in space.universe.sites:
-                for ctx in space.universe.subsets(space.universe.complement((j,))):
-                    counts["plain_site"] += 1
-                    mass = bad_mass(
-                        mu,
-                        lambda c, j=j, ctx=ctx: site_is_good(singletons, j, ctx, c),
-                    )
-                    if mass != 0:
-                        report.fail(witness_cap, lambda: Witness(
-                            check="good_support_mass",
-                            description=(
-                                "the measure itself charges configurations "
-                                f"where {j!r} is not good against "
-                                f"{[str(s) for s in ctx]!r}"
-                            ),
-                            replay={"site": str(j),
-                                    "context": [str(s) for s in ctx],
-                                    "mass": str(mass)},
-                        ))
-            for region in space.universe.subsets():
-                if len(region) < 2:
-                    continue
-                counts["plain_region"] += 1
-                mass = bad_mass(
-                    mu,
-                    lambda c, region=region: all(
-                        site_is_good(
-                            singletons, k,
-                            tuple(s for s in region if s != k), c,
-                        )
-                        for k in region
-                    ),
-                )
-                if mass != 0:
-                    report.fail(witness_cap, lambda: Witness(
-                        check="good_support_mass",
-                        description=(
-                            "the measure itself charges the complement of "
-                            f"the good core of {[str(s) for s in region]!r}"
-                        ),
-                        replay={"region": [str(s) for s in region],
-                                "mass": str(mass)},
-                    ))
+            for j in universe.sites:
+                for ctx in universe.subsets(universe.complement((j,))):
+                    context = [str(s) for s in ctx]
+                    charge("plain_site", mu, _bad_points(singletons, j, ctx),
+                           "the measure itself charges configurations where "
+                           f"{j!r} is not good against {context!r}",
+                           {"site": str(j), "context": context})
+            for region in universe.subsets():
+                if len(region) >= 2:
+                    charge("plain_region", mu, _off_core(singletons, region),
+                           "the measure itself charges the complement of "
+                           f"the good core of {[str(s) for s in region]!r}",
+                           {"region": [str(s) for s in region]})
     report.data = {
         "in_support_class": in_class,
         "singleton_consistent": singleton_ok,

@@ -20,10 +20,16 @@ region's kernel, single sites again included.
 ``pair_divisor`` is the one-site case of ``extension_divisor``, written
 against the singleton family alone: the factor dividing one site's
 density when one other site joins it.
+
+``support_class_certificate``, ``good_support_report`` and
+``check_good_support_mass`` are the support suites as they were before
+they read good membership off one bad-point table per (site, context):
+they ask ``site_is_good`` configuration by configuration.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +41,10 @@ from specforge.hypotheses import (
     Witness,
     _checked_ratio_kernel,
     good_symbols,
+    site_is_good,
 )
-from specforge.verifier import support_class_certificate
+from specforge import verifier
+from specforge.verifier import SupportClassCertificate
 
 
 def naive_exterior_classes(space, hidden):
@@ -172,7 +180,7 @@ def measure_consistency(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
     """Support class, singleton and full consistency, from two loops."""
     space = dens.space
     report = HypothesisReport(name="measure_consistency", passed=True)
-    certificate = support_class_certificate(mu, dens.singletons)
+    certificate = verifier.support_class_certificate(mu, dens.singletons)
     singleton_ok = True
     singleton_fail_sites = []
     for site in space.universe.sites:
@@ -252,3 +260,254 @@ def pair_divisor(family, site, other, cfg) -> ExtendedRational:
                 "fails"
             )
     return first_val
+
+
+def support_class_certificate(mu, singletons) -> SupportClassCertificate:
+    """Bad masses summed configuration by configuration."""
+    space = singletons.space
+    lines = {}
+    passed = True
+    for site in space.universe.sites:
+        smoothed = mu.push_free((site,))
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            bad = Fraction(0)
+            for cfg in space.configurations():
+                w = smoothed.weights.get(cfg.key)
+                if w and not site_is_good(singletons, site, ctx, cfg):
+                    bad += w
+            lines[(site, ctx)] = bad
+            if bad != 0:
+                passed = False
+    return SupportClassCertificate(lines=lines, passed=passed)
+
+
+def good_support_report(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Support-set identities for every split of every region.
+
+    Wherever a configuration's own symbols form a good block for a
+    region (each site good against the rest of the region), the region's
+    density must equal either block's density divided by the matching
+    ratio integral.  Also verifies that good-membership of a site
+    against a context never depends on the configuration inside the
+    context.
+    """
+    space = dens.space
+    universe = space.universe
+    singletons = dens.singletons
+    report = HypothesisReport(name="good_support", passed=True)
+    identity_points = 0
+    member_points = 0
+    measurability_points = 0
+
+    def in_core(region, cfg):
+        return all(
+            site_is_good(
+                singletons, site,
+                tuple(s for s in region if s != site), cfg,
+            )
+            for site in region
+        )
+
+    for region in universe.subsets():
+        if len(region) < 2:
+            continue
+        splits = []
+        members = set(region)
+        for r in range(1, len(region)):
+            for v in itertools.combinations(region, r):
+                v = universe.region(v)
+                w = universe.region(members - set(v))
+                splits.append((v, w))
+        for cfg in space.configurations():
+            if not in_core(region, cfg):
+                continue
+            member_points += 1
+            for v, w in splits:
+                identity_points += 1
+                int_v = space.ratio_integral(
+                    v, dens._tables[v], dens._tables[w], cfg.values, cfg.tail)
+                int_w = space.ratio_integral(
+                    w, dens._tables[w], dens._tables[v], cfg.values, cfg.tail)
+                built = dens.density(region, cfg)
+                ok = True
+                values = []
+                for num_region, integral in ((v, int_v), (w, int_w)):
+                    if integral is None or integral.is_infinite or integral == 0:
+                        ok = False
+                        break
+                    values.append(
+                        dens.density(num_region, cfg) / integral.fraction
+                    )
+                if not ok or any(val != built for val in values):
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support",
+                        description=(
+                            "support identity fails on region "
+                            f"{[str(s) for s in region]!r} split "
+                            f"{[str(s) for s in v]!r} / "
+                            f"{[str(s) for s in w]!r}"
+                        ),
+                        replay={"assignment": list(cfg.values),
+                                "tail": cfg.tail},
+                        lhs=str(built),
+                        rhs=",".join(str(x) for x in values) or "undefined",
+                    ))
+    for site in universe.sites:
+        complement = universe.complement((site,))
+        for ctx in universe.subsets(complement):
+            if not ctx:
+                continue
+            for cfg in space.exterior_classes(ctx):
+                base = site_is_good(singletons, site, ctx, cfg)
+                for fill in space.assignments(ctx):
+                    measurability_points += 1
+                    if site_is_good(
+                        singletons, site, ctx, space.overlay(cfg, ctx, fill)
+                    ) != base:
+                        report.fail(witness_cap, lambda: Witness(
+                            check="good_support",
+                            description=(
+                                f"good membership of {site!r} against "
+                                f"{[str(s) for s in ctx]!r} depends on "
+                                "the context's own symbols"
+                            ),
+                            replay={"assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "fill": list(fill)},
+                        ))
+    report.data = {
+        "core_points": member_points,
+        "identity_points": identity_points,
+        "measurability_points": measurability_points,
+    }
+    return report
+
+
+def check_good_support_mass(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Zero mass off the good sets, for measures in the support class.
+
+    If the measure's certificate passes, smoothing it by any region's free
+    kernel must leave zero mass where some member site fails to be good
+    against the rest of that region, site by site and for the whole-region
+    intersection.  If the measure is moreover preserved by every
+    single-site kernel, the measure itself must put zero mass off every
+    good-membership event.  Parts whose premise fails are skipped and
+    recorded as out of scope.
+    """
+    space = dens.space
+    singletons = dens.singletons
+    report = HypothesisReport(name="good_support_mass", passed=True)
+    certificate = support_class_certificate(mu, singletons)
+    in_class = certificate.passed
+    counts = {"smoothed_site": 0, "smoothed_region": 0,
+              "plain_site": 0, "plain_region": 0}
+
+    def bad_mass(measure, predicate):
+        total = Fraction(0)
+        for cfg in space.configurations():
+            w = measure.weights.get(cfg.key)
+            if w and not predicate(cfg):
+                total += w
+        return total
+
+    singleton_ok = None
+    if in_class:
+        for region in space.universe.subsets():
+            if not region:
+                continue
+            smoothed = mu.push_free(region)
+            for k in region:
+                ctx = tuple(s for s in region if s != k)
+                counts["smoothed_site"] += 1
+                mass = bad_mass(
+                    smoothed,
+                    lambda c, k=k, ctx=ctx: site_is_good(singletons, k, ctx, c),
+                )
+                if mass != 0:
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support_mass",
+                        description=(
+                            "free-smoothed measure of "
+                            f"{[str(s) for s in region]!r} charges "
+                            f"configurations where {k!r} is not good"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "site": str(k), "mass": str(mass)},
+                    ))
+            if len(region) >= 2:
+                counts["smoothed_region"] += 1
+                mass = bad_mass(
+                    smoothed,
+                    lambda c, region=region: all(
+                        site_is_good(
+                            singletons, k,
+                            tuple(s for s in region if s != k), c,
+                        )
+                        for k in region
+                    ),
+                )
+                if mass != 0:
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support_mass",
+                        description=(
+                            "free-smoothed measure charges the complement "
+                            f"of the good core of {[str(s) for s in region]!r}"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "mass": str(mass)},
+                    ))
+        singleton_ok = all(
+            mu.push_kernel(dens, (site,)).same_as(mu)
+            for site in space.universe.sites
+        )
+        if singleton_ok:
+            for j in space.universe.sites:
+                for ctx in space.universe.subsets(space.universe.complement((j,))):
+                    counts["plain_site"] += 1
+                    mass = bad_mass(
+                        mu,
+                        lambda c, j=j, ctx=ctx: site_is_good(singletons, j, ctx, c),
+                    )
+                    if mass != 0:
+                        report.fail(witness_cap, lambda: Witness(
+                            check="good_support_mass",
+                            description=(
+                                "the measure itself charges configurations "
+                                f"where {j!r} is not good against "
+                                f"{[str(s) for s in ctx]!r}"
+                            ),
+                            replay={"site": str(j),
+                                    "context": [str(s) for s in ctx],
+                                    "mass": str(mass)},
+                        ))
+            for region in space.universe.subsets():
+                if len(region) < 2:
+                    continue
+                counts["plain_region"] += 1
+                mass = bad_mass(
+                    mu,
+                    lambda c, region=region: all(
+                        site_is_good(
+                            singletons, k,
+                            tuple(s for s in region if s != k), c,
+                        )
+                        for k in region
+                    ),
+                )
+                if mass != 0:
+                    report.fail(witness_cap, lambda: Witness(
+                        check="good_support_mass",
+                        description=(
+                            "the measure itself charges the complement of "
+                            f"the good core of {[str(s) for s in region]!r}"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "mass": str(mass)},
+                    ))
+    report.data = {
+        "in_support_class": in_class,
+        "singleton_consistent": singleton_ok,
+        "checked": counts,
+    }
+    return report

@@ -136,6 +136,25 @@ class TestModelFileParsing:
         assert (model.seed, model.trials, model.permutations) == (99, 3, 6)
         assert model.float_tolerance == Fraction(1, 100)
 
+    @pytest.mark.parametrize("line", [
+        "trials \u00b2", "permutations \u00b9\u00b2", "seed --5",
+        "seed \u0661", "dimension \u00b2", "dimension -1", "dimension +1",
+    ])
+    def test_integer_directive_rejected_with_location(self, line, tmp_path):
+        text = ("sites a\nalphabet x\nfree uniform\nkind tail_rule\n"
+                f"rule default a x=1\n{line}\n")
+        with pytest.raises(ModelFileError, match=r"bad\.model:6: .*integer"):
+            parse_model_text(text, path="bad.model")
+        path = tmp_path / "bad.model"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+
+    def test_signed_seed_and_unsigned_dimension_parse(self):
+        text = ("sites a\nalphabet x\nfree uniform\nkind tail_rule\n"
+                "rule default a x=1\nseed -5\ndimension 2\n")
+        model = parse_model_text(text)
+        assert (model.seed, model.dimension) == (-5, 2)
+
     def test_realize_all_kinds(self):
         for path, kind in [(EXAMPLE1, "tail_rule"), (BROKEN_H2, "table"),
                            (EXTRACTED, "joint"), (POTENTIAL, "potential")]:
@@ -435,6 +454,28 @@ class TestReplayCommand:
         assert main(["replay", str(report_path), "--suite", "nope"]) == 2
         assert main(["replay", str(report_path),
                      "--suite", "very_weak_positivity"]) == 2
+
+    def test_report_that_is_not_an_object_is_refused(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        report_path.write_text("[]")
+        assert main(["replay", str(report_path), "--suite", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "does not fit the schema" in err and str(report_path) in err
+
+    @pytest.mark.parametrize("damage", ["unnamed suite", "model list"])
+    def test_report_off_the_schema_is_refused(self, damage, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        main(["check", EXAMPLE1, "--json", str(report_path)])
+        report = json.loads(report_path.read_text())
+        if damage == "unnamed suite":
+            del report["suites"][0]["name"]
+        else:
+            report["model"] = []
+        report_path.write_text(json.dumps(report))
+        assert main(["replay", str(report_path),
+                     "--suite", "bounded_positivity"]) == 2
+        err = capsys.readouterr().err
+        assert "does not fit the schema" in err and str(report_path) in err
 
     def test_verify_suite_witness_replays(self, capsys, tmp_path):
         model = tmp_path / "zerofree.model"

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import specforge.hypotheses as hypotheses
 from specforge.constructor import (
     build_family,
     check_divisor_factorization,
@@ -45,9 +46,11 @@ from specforge.verifier import (
 from zoo import (
     anchored_table_family,
     broken_pair_family,
+    context_reading,
     forced_exclusion_family,
     extracted_family,
     hardcore_family,
+    independent_family,
     one_sided_hardcore_family,
     random_joint,
 )
@@ -161,6 +164,21 @@ def test_failing_families_overrun_the_small_caps():
         counts = [len(suite(dens, UNCAPPED).witnesses)
                   for suite in (check_specification_axioms, good_support_report)]
         assert max(counts) > 3, name
+
+
+def test_good_support_mass_overruns_the_small_caps(monkeypatch):
+    # no family above makes the mass suite fail; a good-symbols predicate
+    # that reads the context does, at a point mass inside the class
+    dens = build_family(independent_family())
+    monkeypatch.setattr(hypotheses, "good_symbols",
+                        context_reading(hypotheses.good_symbols))
+    mu = FiniteMeasure(dens.space, {next(dens.space.configurations()).key: Fraction(1)})
+
+    def run(cap):
+        return check_good_support_mass(mu, dens, witness_cap=cap)
+
+    assert len(run(UNCAPPED).witnesses) > 3
+    assert_capping_only_truncates(run)
 
 
 def test_collector_builds_nothing_past_the_cap():

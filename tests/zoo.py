@@ -345,3 +345,21 @@ def random_zero_table_family(seed: int) -> SingletonFamily:
                     )
         entries[site] = table
     return normalize(space, TableModel(entries))
+
+
+def context_reading(good_symbols):
+    """``good_symbols`` made to read the context's own symbols.
+
+    Drops the first good symbol wherever the first context site holds the
+    last alphabet symbol.  Real good sets never depend on the context's
+    symbols, so the support suites must report the patched predicate.
+    """
+
+    def patched(family, site, context, cfg):
+        good = good_symbols(family, site, context, cfg)
+        ctx = family.space.universe.region(context)
+        if ctx and cfg.symbol(ctx[0]) == family.space.alphabet.symbols[-1]:
+            return good[1:]
+        return good
+
+    return patched
