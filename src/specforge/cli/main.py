@@ -369,6 +369,23 @@ def load_model(path: str, budget: int) -> ModelFile:
     return model
 
 
+def check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an output path under a missing directory."""
+    for flag, path in (("--json", args.json), ("--out", getattr(args, "out", None))):
+        parent = os.path.dirname(path or "") or "."
+        if path and not os.path.isdir(parent):
+            raise UsageError(
+                f"cannot write {flag} {path!r}: {parent!r} is not a directory")
+
+
+def positive_budget(text: str) -> int:
+    """``--budget``: a positive number of table cells."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def fresh_report(command: str, model: ModelFile, budget: int) -> Report:
     return Report(
         command=command,
@@ -544,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--json", metavar="PATH",
                          help="also write the machine-readable report here")
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sub.add_argument("--budget", type=positive_budget, default=DEFAULT_BUDGET,
                          metavar="CELLS",
                          help="enumeration guardrail (default %(default)s)")
 
@@ -594,6 +611,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep the code
         return int(exc.code or 0)
     try:
+        check_output_paths(args)
         return args.handler(args)
     except (ModelFileError, UsageError) as exc:
         print(f"specforge: {exc}", file=sys.stderr)

@@ -71,7 +71,8 @@ class DensityFamily:
     perturbation probes without touching the original.  ``cached``
     memoises what the tables determine: extension divisors and the
     kernel rows the verifier reads, each keyed by its regions and
-    exterior class.  A sibling starts with an empty memo, so it never
+    exterior class, and the full-window kernel measure of each tail
+    class.  A sibling starts with an empty memo, so it never
     reads its parent's.
     """
 
@@ -229,6 +230,16 @@ def extension_divisor(
     return dens.cached(("extension_divisor", th, ga, mask), compute)
 
 
+def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],
+                    gamma: Iterable[Site]):
+    """``(cfg, density(th)/divisor)`` per configuration, lazily, with one
+    divisor per exterior class of ``th``; an infinite divisor gives 0."""
+    for cfg, divisor in dens.space.per_class(
+            th, lambda cfg: extension_divisor(dens, th, gamma, cfg)):
+        yield cfg, (Fraction(0) if divisor.is_infinite
+                    else dens.density(th, cfg) / divisor.fraction)
+
+
 def extend_density(
     dens: DensityFamily,
     theta: Iterable[Site],
@@ -236,19 +247,13 @@ def extend_density(
 ) -> dict[tuple, Fraction]:
     """Density table for theta + gamma: density(theta) over the divisor.
 
-    Built pointwise over every configuration; an infinite divisor
-    contracts to the exact value 0, so the stored table is finite
-    everywhere.  The table is returned, not registered; `build_family`
-    owns the bookkeeping.
+    Built over every configuration with one `extension_divisor` call per
+    exterior class of theta; an infinite divisor contracts to the exact
+    value 0, so the stored table is finite everywhere.  The table is
+    returned, not registered; `build_family` owns the bookkeeping.
     """
-    space = dens.space
-    th = space.universe.region(theta)
-    table: dict[tuple, Fraction] = {}
-    for cfg in space.configurations():
-        divisor = extension_divisor(dens, th, gamma, cfg)
-        value = ExtendedRational(dens.density(th, cfg)) / divisor
-        table[cfg.key] = value.fraction
-    return table
+    th = dens.space.universe.region(theta)
+    return {cfg.key: value for cfg, value in _extended_cells(dens, th, gamma)}
 
 
 def build_family(
@@ -367,7 +372,8 @@ def check_order_independence(
     Additionally recomputes every region's table by *block* extension:
     for every ordered split of the region into two nonempty disjoint
     blocks, density(theta)/divisor must reproduce the stored table, so
-    multi-site joins agree with site-by-site sweeps.
+    multi-site joins agree with site-by-site sweeps, with one divisor per
+    exterior class of theta, up to the first mismatching cell.
     """
     space = singletons.space
     sites = space.universe.sites
@@ -419,10 +425,8 @@ def check_order_independence(
                 theta = space.universe.region(theta)
                 split_checks += 1
                 ok = True
-                for cfg in space.configurations():
-                    divisor = extension_divisor(reference, theta, gamma, cfg)
-                    value = ExtendedRational(reference.density(theta, cfg)) / divisor
-                    if value.fraction != reference.density(region, cfg):
+                for cfg, value in _extended_cells(reference, theta, gamma):
+                    if value != reference.density(region, cfg):
                         ok = False
                         split_failures += 1
                         report.fail(witness_cap, lambda: Witness(
@@ -437,7 +441,7 @@ def check_order_independence(
                                 "theta": [str(s) for s in theta],
                                 "gamma": [str(s) for s in gamma],
                             },
-                            lhs=str(value.fraction),
+                            lhs=str(value),
                             rhs=str(reference.density(region, cfg)),
                         ))
                         break

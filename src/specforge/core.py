@@ -522,6 +522,26 @@ class Space:
                     values[k] = sym
                 yield Configuration(self, tuple(values), tail)
 
+    def per_class(self, hidden: Iterable[Site],
+                  evaluate: Callable[[Configuration], object]) -> Iterator[tuple]:
+        """``(cfg, evaluate(cfg))`` for every configuration, in order, lazily,
+        for an ``evaluate`` that reads ``cfg`` only off ``hidden``: it runs at
+        the first member of each `masked_key` class, whose index is the key of
+        the class (each index, read as mixed-radix, with hidden digits zeroed).
+        """
+        q = len(self.alphabet)
+        masked = {self.universe.index(site) for site in hidden}
+        keys = [0]
+        for k in range(len(self.universe)):
+            keys = [key * q + (0 if k in masked else d) for key in keys for d in range(q)]
+        size = len(keys)
+        outcomes: dict[int, object] = {}
+        for cfg, key in zip(self.configurations(), (
+                t * size + key for t in range(len(self.tail_classes)) for key in keys)):
+            if key not in outcomes:
+                outcomes[key] = evaluate(cfg)
+            yield cfg, outcomes[key]
+
     # -- free kernel -------------------------------------------------------
 
     def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:

@@ -331,27 +331,61 @@ def check_very_weak_positivity(
     return family.cached(("very_weak_positivity", witness_cap), compute)
 
 
-def _consistency_side(
-    family: SingletonFamily,
-    first: Site,
-    second: Site,
-    cfg: Configuration,
-    x_first: str,
-) -> Fraction:
-    """One side of the order-consistency identity, resolving ``first`` first.
-
-    density(first, cfg) * density(second, shifted) divided by
-    (density(first, shifted) * ratio integral of second against first at
-    shifted), where shifted rewrites ``first`` to the good symbol
-    ``x_first``.  Finite by the good-set guarantees.
+def _per_pair_class(family: SingletonFamily, evaluate: Callable):
+    """``(cfg, i, j, outcome)`` per configuration, then site pair, with
+    ``evaluate(family, i, j, cfg)`` run once per exterior class off {i, j}.
     """
-    shifted = cfg.with_sites({first: x_first})
-    integral = _checked_ratio_kernel(
-        family, second, second, first, shifted, "order consistency"
-    )
-    num = family.density(first, cfg) * family.density(second, shifted)
-    den = family.density(first, shifted) * integral
-    return num / den
+    space = family.space
+    pairs = list(itertools.combinations(space.universe.sites, 2))
+    for row in zip(*(space.per_class((i, j), lambda cfg, i=i, j=j: evaluate(family, i, j, cfg))
+                     for i, j in pairs)):
+        for (i, j), (cfg, outcome) in zip(pairs, row):
+            yield cfg, i, j, outcome
+
+
+def _pair_densities(
+    family: SingletonFamily, i: Site, j: Site, cfg: Configuration
+) -> tuple[dict, dict]:
+    """density(i) and density(j) at ``cfg`` rewritten to each (s_i, s_j)."""
+    space = family.space
+    a, b = space.universe.index(i), space.universe.index(j)
+    values, tail = cfg.key
+    d_i: dict[tuple[str, str], Fraction] = {}
+    d_j: dict[tuple[str, str], Fraction] = {}
+    for s in itertools.product(space.alphabet.symbols, repeat=2):
+        point = list(values)
+        point[a], point[b] = s
+        d_i[s] = family.density_at(i, tuple(point), tail)
+        d_j[s] = family.density_at(j, tuple(point), tail)
+    return d_i, d_j
+
+
+def _consistency_failures(
+    family: SingletonFamily, i: Site, j: Site, cfg: Configuration
+) -> tuple[int, dict[tuple[str, str], list[tuple]]]:
+    """Comparison count and failing rows of order consistency on {i, j}.
+
+    Resolving i first to the good symbol x gives, at (u_i, u_j),
+    d_i(u_i, u_j) d_j(x, u_j) / (d_i(x, u_j) K_i(x)), with K_i(x) the
+    ratio integral over j of d_j/d_i at i = x; resolving j first mirrors
+    it.  Good sets and integrals depend on ``cfg`` only off {i, j}.
+    Failing rows ``(x_i, x_j, lhs, rhs)`` are keyed by (u_i, u_j).
+    """
+    gi = good_symbols(family, i, (j,), cfg)
+    gj = good_symbols(family, j, (i,), cfg)
+    where = "order consistency"
+    k_i = {x: _checked_ratio_kernel(family, j, j, i, cfg.with_sites({i: x}), where)
+           for x in gi}
+    k_j = {y: _checked_ratio_kernel(family, i, i, j, cfg.with_sites({j: y}), where)
+           for y in gj}
+    d_i, d_j = _pair_densities(family, i, j, cfg)
+    failures = {}
+    for u_i, u_j in d_i:
+        lhs = {x: d_i[(u_i, u_j)] * d_j[(x, u_j)] / (d_i[(x, u_j)] * k_i[x]) for x in gi}
+        rhs = {y: d_j[(u_i, u_j)] * d_i[(u_i, y)] / (d_j[(u_i, y)] * k_j[y]) for y in gj}
+        failures[(u_i, u_j)] = [(x, y, lhs[x], rhs[y]) for x in gi for y in gj
+                                if lhs[x] != rhs[y]]
+    return len(gi) * len(gj), failures
 
 
 def check_order_consistency(
@@ -363,8 +397,10 @@ def check_order_consistency(
     every pair of good symbols (one per site, each against the other
     site as context), the two resolution orders are compared exactly.
     The identity is literally symmetric under swapping the pair, so each
-    unordered pair is checked once.  Requires very weak positivity; if
-    that fails, raises HypothesisFailure carrying its report.
+    unordered pair is checked once, each side once per pair, exterior
+    class off the pair and value of the pair.  Requires very weak
+    positivity; if that fails, raises HypothesisFailure carrying its
+    report.
 
     Memoised on the family per ``witness_cap``, like the positivity
     report it reads first; a raised HypothesisFailure is not memoised.
@@ -376,36 +412,28 @@ def check_order_consistency(
                 "order consistency needs very weak positivity, which fails "
                 f"at {len(h1.witnesses)} witnessed index points", report=h1,
             )
-        space = family.space
-        sites = space.universe.sites
         report = HypothesisReport(name="order_consistency", passed=True)
         checked = 0
         violations = 0
-        for cfg in space.configurations():
-            for a_pos, i in enumerate(sites):
-                for j in sites[a_pos + 1:]:
-                    sides_i = {x: _consistency_side(family, i, j, cfg, x)
-                               for x in good_symbols(family, i, (j,), cfg)}
-                    sides_j = {y: _consistency_side(family, j, i, cfg, y)
-                               for y in good_symbols(family, j, (i,), cfg)}
-                    for x, lhs in sides_i.items():
-                        for y, rhs in sides_j.items():
-                            checked += 1
-                            if lhs != rhs:
-                                violations += 1
-                                report.fail(witness_cap, lambda: Witness(
-                                    check="order_consistency",
-                                    description=(
-                                        f"resolving {i!r} then {j!r} differs "
-                                        f"from {j!r} then {i!r}"
-                                    ),
-                                    replay=_replay_point(
-                                        cfg,
-                                        site_first=str(i), site_second=str(j),
-                                        symbol_first=x, symbol_second=y,
-                                    ),
-                                    lhs=str(lhs), rhs=str(rhs),
-                                ))
+        for cfg, i, j, (count, failures) in _per_pair_class(
+                family, _consistency_failures):
+            checked += count
+            for x, y, lhs, rhs in failures.get(
+                    (cfg.symbol(i), cfg.symbol(j)), ()):
+                violations += 1
+                report.fail(witness_cap, lambda: Witness(
+                    check="order_consistency",
+                    description=(
+                        f"resolving {i!r} then {j!r} differs "
+                        f"from {j!r} then {i!r}"
+                    ),
+                    replay=_replay_point(
+                        cfg,
+                        site_first=str(i), site_second=str(j),
+                        symbol_first=x, symbol_second=y,
+                    ),
+                    lhs=str(lhs), rhs=str(rhs),
+                ))
         report.data = {"comparisons": checked, "violations": violations}
         return report
 
@@ -421,21 +449,10 @@ def _eight_factor_failures(
     so the outcome depends on ``cfg`` only off {i, j}.  Failing rows are
     ``(u_i, u_j, x_i, x_j, lhs, rhs)`` in loop order.
     """
-    space = family.space
-    alphabet = space.alphabet.symbols
-    a = space.universe.index(i)
-    b = space.universe.index(j)
+    alphabet = family.space.alphabet.symbols
     gi = good_symbols(family, i, (j,), cfg)
     gj = good_symbols(family, j, (i,), cfg)
-    values, tail = cfg.key
-    d_i: dict[tuple[str, str], Fraction] = {}
-    d_j: dict[tuple[str, str], Fraction] = {}
-    for s_i in alphabet:
-        for s_j in alphabet:
-            point = list(values)
-            point[a], point[b] = s_i, s_j
-            d_i[(s_i, s_j)] = family.density_at(i, tuple(point), tail)
-            d_j[(s_i, s_j)] = family.density_at(j, tuple(point), tail)
+    d_i, d_j = _pair_densities(family, i, j, cfg)
     failures = []
     for u_i in alphabet:
         for u_j in alphabet:
@@ -464,39 +481,31 @@ def check_pointwise_compatibility(
     evaluated once per pair and exterior off the pair, then counted at
     every configuration that shares them.
     """
-    space = family.space
-    sites = space.universe.sites
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
     checked = 0
     violations = 0
-    outcomes: dict[tuple, tuple[int, list[tuple]]] = {}
-    for cfg in space.configurations():
-        for a_pos, i in enumerate(sites):
-            for j in sites[a_pos + 1:]:
-                key = (i, j, space.masked_key(cfg, (i, j)))
-                if key not in outcomes:
-                    outcomes[key] = _eight_factor_failures(family, i, j, cfg)
-                count, failures = outcomes[key]
-                checked += count
-                for u_i, u_j, x_i, x_j, lhs, rhs in failures:
-                    violations += 1
-                    report.fail(witness_cap, lambda: Witness(
-                        check="pointwise_compatibility",
-                        description=(
-                            f"eight-factor identity fails on pair "
-                            f"({i!r}, {j!r})"
-                        ),
-                        replay=_replay_point(
-                            cfg,
-                            site_first=str(i),
-                            site_second=str(j),
-                            free_first=u_i,
-                            free_second=u_j,
-                            good_first=x_i,
-                            good_second=x_j,
-                        ),
-                        lhs=str(lhs), rhs=str(rhs),
-                    ))
+    for cfg, i, j, (count, failures) in _per_pair_class(
+            family, _eight_factor_failures):
+        checked += count
+        for u_i, u_j, x_i, x_j, lhs, rhs in failures:
+            violations += 1
+            report.fail(witness_cap, lambda: Witness(
+                check="pointwise_compatibility",
+                description=(
+                    f"eight-factor identity fails on pair "
+                    f"({i!r}, {j!r})"
+                ),
+                replay=_replay_point(
+                    cfg,
+                    site_first=str(i),
+                    site_second=str(j),
+                    free_first=u_i,
+                    free_second=u_j,
+                    good_first=x_i,
+                    good_second=x_j,
+                ),
+                lhs=str(lhs), rhs=str(rhs),
+            ))
     report.data = {"comparisons": checked, "violations": violations}
     return report
 

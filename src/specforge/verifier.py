@@ -62,6 +62,8 @@ class FiniteMeasure:
 
     Weights are exact nonnegative rationals keyed by configuration and
     must total exactly 1; missing configurations carry weight 0.
+    Measures are read-only, so they are shared, and ``cached`` memoises
+    their support-class certificates and which kernels preserve them.
     """
 
     def __init__(self, space: Space, weights: Mapping[tuple, Fraction]):
@@ -81,11 +83,20 @@ class FiniteMeasure:
         if total != 1:
             raise DomainError(f"total mass is {total}, expected 1")
         self.weights = cleaned
+        self._cache: dict = {}
+
+    def cached(self, key: tuple, compute: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     @classmethod
     def kernel_measure(cls, dens: DensityFamily, cfg: Configuration) -> "FiniteMeasure":
-        """The full-window kernel at one exterior, as a measure."""
-        return cls(dens.space, _kernel_row(dens, dens.space.universe.sites, cfg))
+        """The full-window kernel at one exterior, as a measure, built once
+        per family and tail class (the only exterior it depends on)."""
+        sites = dens.space.universe.sites
+        return dens.cached(("kernel_measure", cfg.tail),
+                           lambda: cls(dens.space, _kernel_row(dens, sites, cfg)))
 
     @classmethod
     def free_measure(cls, space: Space, tail: str) -> "FiniteMeasure":
@@ -120,6 +131,12 @@ class FiniteMeasure:
             for key, kw in _kernel_row(dens, reg, cfg).items():
                 out[key] = out.get(key, Fraction(0)) + w * kw
         return FiniteMeasure(space, out)
+
+    def preserved_by(self, dens: DensityFamily, region: Iterable[Site]) -> bool:
+        """Does the region's kernel map the measure to itself?  Memoised."""
+        reg = self.space.universe.region(region)
+        return self.cached(("preserved_by", dens, reg),
+                           lambda: self.push_kernel(dens, reg).same_as(self))
 
     def push_free(self, region: Iterable[Site]) -> "FiniteMeasure":
         """The image measure under the free kernel of a region."""
@@ -173,16 +190,19 @@ def support_class_certificate(
     """Membership test for the class where consistency reduces to singletons.
 
     Each line is the smoothed measure's weight on the ``_bad_points``
-    table of its (site, context).
+    table of its (site, context).  Memoised on the measure per family.
     """
-    space = singletons.space
-    lines: dict[tuple[Site, tuple[Site, ...]], Fraction] = {}
-    for site in space.universe.sites:
-        smoothed = mu.push_free((site,))
-        complement = space.universe.complement((site,))
-        for ctx in space.universe.subsets(complement):
-            lines[(site, ctx)] = _mass_on(smoothed, _bad_points(singletons, site, ctx))
-    return SupportClassCertificate(lines=lines, passed=not any(lines.values()))
+    def compute() -> SupportClassCertificate:
+        space = singletons.space
+        lines: dict[tuple[Site, tuple[Site, ...]], Fraction] = {}
+        for site in space.universe.sites:
+            smoothed = mu.push_free((site,))
+            complement = space.universe.complement((site,))
+            for ctx in space.universe.subsets(complement):
+                lines[(site, ctx)] = _mass_on(smoothed, _bad_points(singletons, site, ctx))
+        return SupportClassCertificate(lines=lines, passed=not any(lines.values()))
+
+    return mu.cached(("certificate", singletons), compute)
 
 
 def _bad_points(singletons: SingletonFamily, site: Site,
@@ -395,7 +415,8 @@ def uniqueness_probe(
     differ), verifies each perturbed family violates singleton
     consistency for some site of the region.  Finally re-derives every
     multi-site density from a closed-form solve at good blocks and
-    confirms it reproduces the built table.
+    confirms it reproduces the built table, solving once per region and
+    exterior class of the region and replaying at the class's members.
     """
     singletons = dens.singletons
     space = dens.space
@@ -495,39 +516,45 @@ def uniqueness_probe(
     rederived_points = 0
     rederive_ok = True
     for region in multi_regions:
-        for cfg in space.configurations():
+        def solve(cfg: Configuration) -> list[tuple]:
+            rows = []
             for block in good_blocks(singletons, region, (), cfg):
                 shifted = space.overlay(cfg, region, block)
+                built = dens.density(region, shifted)
                 for k in region:
-                    rest = universe.region(s for s in region if s != k)
+                    rest = tuple(s for s in region if s != k)
                     integral = space.ratio_integral(
                         (k,), dens._tables[(k,)], dens._tables[rest],
                         shifted.values, shifted.tail,
                     )
-                    rederived_points += 1
-                    expected: Fraction | None
-                    if integral is None or integral.is_infinite or integral == 0:
-                        expected = None
-                    else:
+                    expected: Fraction | None = None
+                    if not (integral is None or integral.is_infinite or integral == 0):
                         expected = dens.density((k,), shifted) / integral.fraction
-                    if expected is None or dens.density(region, shifted) != expected:
-                        rederive_ok = False
-                        report.fail(witness_cap, lambda: Witness(
-                            check="uniqueness_probe",
-                            description=(
-                                "closed-form re-derivation disagrees "
-                                f"with the built density on "
-                                f"{[str(s) for s in region]!r}"
-                            ),
-                            replay={
-                                "region": [str(s) for s in region],
-                                "site": str(k),
-                                "assignment": list(shifted.values),
-                                "tail": shifted.tail,
-                            },
-                            lhs=str(dens.density(region, shifted)),
-                            rhs=str(expected) if expected is not None else "undefined",
-                        ))
+                    rows.append((k, shifted, built, expected))
+            return rows
+
+        for _, rows in space.per_class(region, solve):
+            for k, shifted, built, expected in rows:
+                rederived_points += 1
+                if expected is not None and built == expected:
+                    continue
+                rederive_ok = False
+                report.fail(witness_cap, lambda: Witness(
+                    check="uniqueness_probe",
+                    description=(
+                        "closed-form re-derivation disagrees "
+                        f"with the built density on "
+                        f"{[str(s) for s in region]!r}"
+                    ),
+                    replay={
+                        "region": [str(s) for s in region],
+                        "site": str(k),
+                        "assignment": list(shifted.values),
+                        "tail": shifted.tail,
+                    },
+                    lhs=str(built),
+                    rhs=str(expected) if expected is not None else "undefined",
+                ))
     report.data = {
         "seed": seed,
         "regions_self_checked": self_checked,
@@ -683,7 +710,7 @@ def check_good_support_mass(
                 charge("smoothed_region", smoothed, _off_core(singletons, region),
                        "free-smoothed measure charges the complement "
                        f"of the good core of {names!r}", {"region": names})
-        singleton_ok = all(mu.push_kernel(dens, (site,)).same_as(mu)
+        singleton_ok = all(mu.preserved_by(dens, (site,))
                            for site in universe.sites)
         if singleton_ok:
             for j in universe.sites:
@@ -731,7 +758,7 @@ def check_measure_consistency(
     singleton_fail_sites: list[str] = []
     full_fail_regions: list[list[str]] = []
     for region in space.universe.subsets():
-        if region and not mu.push_kernel(dens, region).same_as(mu):
+        if region and not mu.preserved_by(dens, region):
             full_fail_regions.append([str(s) for s in region])
             if len(region) == 1:
                 singleton_fail_sites.append(str(region[0]))

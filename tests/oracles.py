@@ -25,11 +25,23 @@ density when one other site joins it.
 ``check_good_support_mass`` are the support suites as they were before
 they read good membership off one bad-point table per (site, context):
 they ask ``site_is_good`` configuration by configuration.
+
+``check_order_consistency`` (with ``consistency_side``),
+``extend_density``, the block-split loop of ``check_order_independence``
+and the re-derivation of ``uniqueness_probe`` are those checks as they
+were before they evaluated each quantity once per exterior class: every
+configuration computes its own good sets, ratio integrals and extension
+divisor.  ``check_order_independence`` also rebuilds the whole family
+under every permutation instead of sharing tables between them.  They
+look up ``good_symbols``, ``good_blocks`` and ``_checked_ratio_kernel``
+on their modules at call time, so a test that patches one patches the
+library and the oracle alike.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +55,8 @@ from specforge.hypotheses import (
     good_symbols,
     site_is_good,
 )
-from specforge import verifier
+from specforge import constructor, hypotheses, verifier
+from specforge.hypotheses import _replay_point, check_uniqueness_condition
 from specforge.verifier import SupportClassCertificate
 
 
@@ -509,5 +522,331 @@ def check_good_support_mass(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
         "in_support_class": in_class,
         "singleton_consistent": singleton_ok,
         "checked": counts,
+    }
+    return report
+
+
+def consistency_side(family, first, second, cfg, x_first) -> Fraction:
+    """One side of the order-consistency identity, resolving ``first`` first.
+
+    density(first, cfg) * density(second, shifted) divided by
+    (density(first, shifted) * ratio integral of second against first at
+    shifted), where shifted rewrites ``first`` to the good symbol
+    ``x_first``.  Finite by the good-set guarantees.
+    """
+    shifted = cfg.with_sites({first: x_first})
+    integral = hypotheses._checked_ratio_kernel(
+        family, second, second, first, shifted, "order consistency"
+    )
+    num = family.density(first, cfg) * family.density(second, shifted)
+    den = family.density(first, shifted) * integral
+    return num / den
+
+
+def check_order_consistency(family, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Resolving two sites in either order must give the same weight.
+
+    For every configuration and every unordered pair of sites, and for
+    every pair of good symbols (one per site, each against the other
+    site as context), the two resolution orders are compared exactly.
+    The identity is literally symmetric under swapping the pair, so each
+    unordered pair is checked once.  Requires very weak positivity; if
+    that fails, raises HypothesisFailure carrying its report.
+
+    Not memoised: every call evaluates every configuration afresh.
+    """
+    h1 = hypotheses.check_very_weak_positivity(family)
+    if not h1.passed:
+        raise HypothesisFailure(
+            "order consistency needs very weak positivity, which fails "
+            f"at {len(h1.witnesses)} witnessed index points", report=h1,
+        )
+    space = family.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="order_consistency", passed=True)
+    checked = 0
+    violations = 0
+    for cfg in space.configurations():
+        for a_pos, i in enumerate(sites):
+            for j in sites[a_pos + 1:]:
+                sides_i = {x: consistency_side(family, i, j, cfg, x)
+                           for x in hypotheses.good_symbols(family, i, (j,), cfg)}
+                sides_j = {y: consistency_side(family, j, i, cfg, y)
+                           for y in hypotheses.good_symbols(family, j, (i,), cfg)}
+                for x, lhs in sides_i.items():
+                    for y, rhs in sides_j.items():
+                        checked += 1
+                        if lhs != rhs:
+                            violations += 1
+                            report.fail(witness_cap, lambda: Witness(
+                                check="order_consistency",
+                                description=(
+                                    f"resolving {i!r} then {j!r} differs "
+                                    f"from {j!r} then {i!r}"
+                                ),
+                                replay=_replay_point(
+                                    cfg,
+                                    site_first=str(i), site_second=str(j),
+                                    symbol_first=x, symbol_second=y,
+                                ),
+                                lhs=str(lhs), rhs=str(rhs),
+                            ))
+    report.data = {"comparisons": checked, "violations": violations}
+    return report
+
+
+def extend_density(dens, theta, gamma) -> dict:
+    """Density table for theta + gamma: density(theta) over the divisor.
+
+    Built pointwise over every configuration; an infinite divisor
+    contracts to the exact value 0, so the stored table is finite
+    everywhere.  The table is returned, not registered; `build_family`
+    owns the bookkeeping.
+    """
+    space = dens.space
+    th = space.universe.region(theta)
+    table = {}
+    for cfg in space.configurations():
+        divisor = constructor.extension_divisor(dens, th, gamma, cfg)
+        value = ExtendedRational(dens.density(th, cfg)) / divisor
+        table[cfg.key] = value.fraction
+    return table
+
+
+def uniqueness_probe(dens, trials=25, seed=8141,
+                     witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """No alternative family survives the singleton-consistency test.
+
+    First confirms the constructed family itself satisfies singleton
+    consistency (composing any member site's kernel after a region's
+    kernel changes nothing).  Then, for ``trials`` seeded random
+    perturbations of one region's kernel row (kept normalized, made to
+    differ), verifies each perturbed family violates singleton
+    consistency for some site of the region.  Finally re-derives every
+    multi-site density from a closed-form solve at good blocks and
+    confirms it reproduces the built table.
+    """
+    singletons = dens.singletons
+    space = dens.space
+    universe = space.universe
+    uc = check_uniqueness_condition(singletons)
+    if not uc.passed:
+        raise HypothesisFailure(
+            "uniqueness probe needs the good-mass condition", report=uc
+        )
+    for site in universe.sites:
+        for symbol in space.alphabet:
+            if space.free.weight(site, symbol) == 0:
+                raise HypothesisFailure(
+                    f"uniqueness probe needs strictly positive free weights; "
+                    f"site {site!r} gives zero weight to {symbol!r}"
+                )
+    report = HypothesisReport(name="uniqueness_probe", passed=True)
+    rng = random.Random(seed)
+
+    multi_regions = [r for r in universe.subsets() if len(r) >= 2]
+
+    def singleton_consistent(family, region):
+        for site in region:
+            for cfg in space.exterior_classes(region):
+                direct = verifier._kernel_row(family, region, cfg)
+                composed = verifier._composed_row(family, region, dens, (site,), cfg)
+                composed = {k: v for k, v in composed.items() if v != 0}
+                if direct != composed:
+                    return False, {
+                        "site": str(site),
+                        "assignment": list(cfg.values),
+                        "tail": cfg.tail,
+                    }
+        return True, None
+
+    self_checked = 0
+    for region in multi_regions:
+        ok, where = singleton_consistent(dens, region)
+        self_checked += 1
+        if not ok:
+            report.fail(witness_cap, lambda: Witness(
+                check="uniqueness_probe",
+                description=(
+                    "the constructed family itself fails singleton "
+                    f"consistency on {[str(s) for s in region]!r}"
+                ),
+                replay=where or {},
+            ))
+
+    survivors = 0
+    perturbations = []
+    for trial in range(trials if multi_regions else 0):
+        region = multi_regions[rng.randrange(len(multi_regions))]
+        reps = list(space.exterior_classes(region))
+        rep = reps[rng.randrange(len(reps))]
+        blocks = list(space.assignments(region))
+        original = dens.table(region)
+        new_table = dict(original)
+        for attempt in range(10):
+            raw = {block: Fraction(rng.randint(1, 9)) for block in blocks}
+            mass = sum(
+                raw[block] * space.product_weight(region, block)
+                for block in blocks
+            )
+            row = {block: raw[block] / mass for block in blocks}
+            changed = False
+            for block in blocks:
+                key = space.overlay(rep, region, block).key
+                if original[key] != row[block]:
+                    changed = True
+                new_table[key] = row[block]
+            if changed:
+                break
+        else:
+            continue
+        perturbed = dens.replace_table(region, new_table)
+        ok, _ = singleton_consistent(perturbed, region)
+        perturbations.append({
+            "region": [str(s) for s in region],
+            "tail": rep.tail,
+            "exterior": list(rep.values),
+            "violates": not ok,
+        })
+        if ok:
+            survivors += 1
+            report.fail(witness_cap, lambda: Witness(
+                check="uniqueness_probe",
+                description=(
+                    "a perturbed family still satisfies singleton "
+                    f"consistency on {[str(s) for s in region]!r}"
+                ),
+                replay={"region": [str(s) for s in region],
+                        "assignment": list(rep.values), "tail": rep.tail},
+            ))
+
+    rederived_points = 0
+    rederive_ok = True
+    for region in multi_regions:
+        for cfg in space.configurations():
+            for block in verifier.good_blocks(singletons, region, (), cfg):
+                shifted = space.overlay(cfg, region, block)
+                for k in region:
+                    rest = universe.region(s for s in region if s != k)
+                    integral = space.ratio_integral(
+                        (k,), dens._tables[(k,)], dens._tables[rest],
+                        shifted.values, shifted.tail,
+                    )
+                    rederived_points += 1
+                    if integral is None or integral.is_infinite or integral == 0:
+                        expected = None
+                    else:
+                        expected = dens.density((k,), shifted) / integral.fraction
+                    if expected is None or dens.density(region, shifted) != expected:
+                        rederive_ok = False
+                        report.fail(witness_cap, lambda: Witness(
+                            check="uniqueness_probe",
+                            description=(
+                                "closed-form re-derivation disagrees "
+                                f"with the built density on "
+                                f"{[str(s) for s in region]!r}"
+                            ),
+                            replay={
+                                "region": [str(s) for s in region],
+                                "site": str(k),
+                                "assignment": list(shifted.values),
+                                "tail": shifted.tail,
+                            },
+                            lhs=str(dens.density(region, shifted)),
+                            rhs=str(expected) if expected is not None else "undefined",
+                        ))
+    report.data = {
+        "seed": seed,
+        "regions_self_checked": self_checked,
+        "trials": trials,
+        "perturbations": perturbations,
+        "surviving_alternatives": survivors,
+        "rederived_points": rederived_points,
+        "rederivation_ok": rederive_ok,
+    }
+    return report
+
+
+def check_order_independence(singletons, permutation_cap=24, seed=20260819,
+                             witness_cap=25) -> HypothesisReport:
+    """Rebuild the whole family under every permutation and compare.
+
+    Block splits are recomputed cell by cell, with one
+    ``extension_divisor`` call per configuration.
+    """
+    space = singletons.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="order_independence", passed=True)
+    reference = constructor.build_family(singletons, checked=True)
+    all_perms = list(itertools.permutations(sites))
+    if len(all_perms) <= permutation_cap:
+        perms = all_perms
+        sampled = False
+    else:
+        rng = random.Random(seed)
+        perms = rng.sample(all_perms, permutation_cap)
+        sampled = True
+    mismatched_perms = 0
+    for perm in perms:
+        rebuilt = constructor.build_family(singletons, sweep=perm, checked=False)
+        for region in reference.regions():
+            if rebuilt.table(region) != reference.table(region):
+                mismatched_perms += 1
+                report.passed = False
+                if len(report.witnesses) < witness_cap:
+                    report.witnesses.append(Witness(
+                        check="order_independence",
+                        description=(
+                            f"sweep {[str(s) for s in perm]!r} changes the "
+                            f"table of region {[str(s) for s in region]!r}"
+                        ),
+                        replay={"sweep": [str(s) for s in perm],
+                                "region": [str(s) for s in region]},
+                    ))
+                break
+    split_checks = 0
+    split_failures = 0
+    for region in reference.regions():
+        if len(region) < 2:
+            continue
+        members = set(region)
+        for r in range(1, len(region)):
+            for theta in itertools.combinations(region, r):
+                gamma = space.universe.region(members - set(theta))
+                theta = space.universe.region(theta)
+                split_checks += 1
+                ok = True
+                for cfg in space.configurations():
+                    divisor = constructor.extension_divisor(reference, theta, gamma, cfg)
+                    value = ExtendedRational(reference.density(theta, cfg)) / divisor
+                    if value.fraction != reference.density(region, cfg):
+                        ok = False
+                        split_failures += 1
+                        report.passed = False
+                        if len(report.witnesses) < witness_cap:
+                            report.witnesses.append(Witness(
+                                check="order_independence",
+                                description=(
+                                    "block extension disagrees with the "
+                                    "site-by-site table"
+                                ),
+                                replay={
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "theta": [str(s) for s in theta],
+                                    "gamma": [str(s) for s in gamma],
+                                },
+                                lhs=str(value.fraction),
+                                rhs=str(reference.density(region, cfg)),
+                            ))
+                        break
+                if not ok:
+                    break
+    report.data = {
+        "permutations_tested": len(perms),
+        "permutations_sampled": sampled,
+        "permutation_mismatches": mismatched_perms,
+        "block_splits_tested": split_checks,
+        "block_split_failures": split_failures,
     }
     return report

@@ -1,0 +1,220 @@
+"""Per-exterior-class evaluation against the configuration-by-configuration oracles.
+
+``check_order_consistency`` reads good sets and ratio integrals once per
+site pair and exterior class off the pair, ``extend_density`` and the
+block-split loop of ``check_order_independence`` fetch one extension
+divisor per exterior class of the base block, and ``uniqueness_probe``
+re-derives each region once per exterior class of the region.  Each
+replays its counts and witnesses at every configuration.  The oracles in
+``oracles.py`` evaluate everything at every configuration.  Reports must
+be equal as dicts, or both calls must raise the same error with the same
+message, at witness caps 0, 1 and 25.  The uniqueness probe needs a
+built family, so it runs on the families whose unchecked build succeeds.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from specforge import constructor, hypotheses, verifier
+from specforge.constructor import (
+    DensityFamily,
+    build_family,
+    check_order_independence,
+    extend_density,
+)
+from specforge.core import SpecforgeError
+from specforge.hypotheses import check_order_consistency
+from specforge.verifier import uniqueness_probe
+
+import oracles
+import zoo
+
+CAPS = (0, 1, 25)
+
+ZOO = {
+    "broken_pair": zoo.broken_pair_family,
+    "one_sided_hardcore_3": lambda: zoo.one_sided_hardcore_family(3),
+    "anchored_table_5": lambda: zoo.anchored_table_family(5)[1],
+    "anchored_table_6_n4": lambda: zoo.anchored_table_family(6, n_sites=4)[1],
+    "forced_exclusion": zoo.forced_exclusion_family,
+    "alternating_exclusion": zoo.alternating_exclusion_family,
+    "hardcore_3": lambda: zoo.hardcore_family(3),
+    "hardcore_4": lambda: zoo.hardcore_family(4),
+    "example1": zoo.example1_family,
+    "independent": zoo.independent_family,
+    "lopsided_free": zoo.lopsided_free_family,
+    "extracted_5": lambda: zoo.extracted_family(5)[2],
+    "potential_1": lambda: zoo.potential_family(1)[2],
+    "ring_potential_2": lambda: zoo.ring_potential_family(2)[2],
+}
+# seeds 0-19, then three later draws whose uniqueness probe runs to a verdict
+ZERO_SEEDS = (*range(20), 28, 91, 117)
+FAMILIES = {**ZOO, **{f"zero_table_{seed}": (lambda s=seed: zoo.random_zero_table_family(s))
+                      for seed in ZERO_SEEDS}}
+# the families whose unchecked build succeeds
+BUILDING = ("anchored_table_5", "example1", "extracted_5", "hardcore_3", "hardcore_4",
+            "independent", "lopsided_free", "potential_1", "ring_potential_2",
+            "zero_table_7", "zero_table_15", "zero_table_18", "zero_table_28",
+            "zero_table_91", "zero_table_117")
+
+
+def outcome(run, *args, **kwargs):
+    """The report as a dict, or the type and message of the raised error."""
+    try:
+        return run(*args, **kwargs).as_dict()
+    except SpecforgeError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def cells(run, dens, theta, gamma):
+    """An extended table, or the type and message of the raised error."""
+    try:
+        return run(dens, theta, gamma)
+    except SpecforgeError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def fresh(dens: DensityFamily) -> DensityFamily:
+    """The same tables behind an empty memo."""
+    return dens.replace_table((), dens.table(()))
+
+
+def built(fam):
+    try:
+        return build_family(fam, checked=False)
+    except SpecforgeError:
+        return None
+
+
+def splits(region):
+    """Every ordered split of a region into two nonempty blocks."""
+    for mask in range(1, 2 ** len(region) - 1):
+        theta = tuple(s for k, s in enumerate(region) if mask >> k & 1)
+        yield theta, tuple(s for s in region if s not in theta)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_order_consistency(name):
+    fam = FAMILIES[name]()
+    for cap in CAPS:
+        assert (outcome(check_order_consistency, fam, cap)
+                == outcome(oracles.check_order_consistency, fam, cap)), cap
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_extend_density_on_every_split(name):
+    fam = FAMILIES[name]()
+    for i, j in splits(fam.space.universe.sites[:2]):
+        assert (cells(extend_density, DensityFamily(fam), i, j)
+                == cells(oracles.extend_density, DensityFamily(fam), i, j))
+    dens = built(fam)
+    if dens is None:
+        return
+    for region in dens.regions():
+        for theta, gamma in splits(region):
+            assert (cells(extend_density, fresh(dens), theta, gamma)
+                    == cells(oracles.extend_density, fresh(dens), theta, gamma))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_order_independence(name):
+    fam = FAMILIES[name]()
+    for cap in CAPS:
+        assert (outcome(check_order_independence, fam, witness_cap=cap)
+                == outcome(oracles.check_order_independence, fam,
+                           witness_cap=cap)), cap
+
+
+def test_building_list_is_exact():
+    assert {name for name in FAMILIES if built(FAMILIES[name]())} == set(BUILDING)
+
+
+@pytest.mark.parametrize("name", BUILDING)
+def test_uniqueness_probe(name):
+    dens = built(FAMILIES[name]())
+    for cap in CAPS:
+        assert (outcome(uniqueness_probe, dens, trials=4, witness_cap=cap)
+                == outcome(oracles.uniqueness_probe, dens, trials=4,
+                           witness_cap=cap)), cap
+
+
+def test_block_split_mismatch_stops_at_the_same_cell(monkeypatch):
+    """A wrong default-order table makes every split of its region fail."""
+    honest = constructor.extend_density
+
+    def perturbed(dens, theta, gamma):
+        table = honest(dens, theta, gamma)
+        if tuple(theta) + tuple(gamma) == ("s1", "s2", "s3"):
+            key = sorted(table)[5]
+            table[key] += 1
+        return table
+
+    monkeypatch.setattr(constructor, "extend_density", perturbed)
+    fam = zoo.hardcore_family(4)
+    for cap in CAPS + (10_000,):
+        expected = outcome(oracles.check_order_independence, fam, witness_cap=cap)
+        assert expected["data"]["block_split_failures"] > 0
+        assert outcome(check_order_independence, fam, witness_cap=cap) == expected
+
+
+def all_blocks(singletons, region, context, cfg):
+    """Every assignment of the region, good or not."""
+    return tuple(singletons.space.assignments(region))
+
+
+@pytest.mark.parametrize("name", ["hardcore_3", "hardcore_4", "example1"])
+def test_failing_rederivation_repeats_its_witnesses(name, monkeypatch):
+    """Re-deriving at blocks that are not good fails at every class member."""
+    dens = built(FAMILIES[name]())
+    monkeypatch.setattr(verifier, "good_blocks", all_blocks)
+    for cap in CAPS + (10_000,):
+        expected = outcome(oracles.uniqueness_probe, dens, trials=2,
+                           witness_cap=cap)
+        assert outcome(uniqueness_probe, dens, trials=2, witness_cap=cap) == expected
+    rederived = [w for w in expected["witnesses"]
+                 if w["description"].startswith("closed-form")]
+    assert expected["data"]["rederivation_ok"] is False
+    assert len(rederived) > len({repr(w) for w in rederived}) > 0
+
+
+def every_symbol(family, site, context, cfg):
+    """Every alphabet symbol, good or not."""
+    return family.space.alphabet.symbols
+
+
+@pytest.mark.parametrize("name", ["hardcore_3", "hardcore_4", "forced_exclusion",
+                                  "one_sided_hardcore_3", "zero_table_3"])
+def test_ratio_kernel_failure_raises_the_same_text(name, monkeypatch):
+    """A symbol that is not good sends its ratio integral out of (0, inf)."""
+    monkeypatch.setattr(hypotheses, "good_symbols", every_symbol)
+    for cap in CAPS:
+        expected = outcome(oracles.check_order_consistency, FAMILIES[name](), cap)
+        assert expected[:2] == ("raised", "HypothesisFailure")
+        assert "good-set guarantee violated" in expected[2]
+        assert outcome(check_order_consistency, FAMILIES[name](), cap) == expected
+
+
+def test_per_class_evaluates_at_each_first_member_once():
+    for fam in (zoo.example1_family(3), zoo.random_zero_table_family(3),
+                zoo.hardcore_family(4)):
+        space = fam.space
+        cfgs = list(space.configurations())
+        for hidden in space.universe.subsets():
+            first = {}
+            for cfg in cfgs:
+                first.setdefault(space.masked_key(cfg, hidden), cfg)
+            calls = []
+            replayed = list(space.per_class(hidden, lambda cfg: calls.append(cfg) or cfg))
+            assert calls == list(first.values())
+            assert replayed == [(cfg, first[space.masked_key(cfg, hidden)])
+                                for cfg in cfgs]
+
+
+def test_infinite_divisor_writes_exact_zero():
+    """Hard-core extension meets infinite divisors; their cells are 0."""
+    dens = build_family(zoo.hardcore_family(3), checked=False)
+    table = extend_density(fresh(dens), ("s1",), ("s2",))
+    assert all(type(value) is Fraction for value in table.values())
+    assert Fraction(0) in table.values()
+    assert table == oracles.extend_density(fresh(dens), ("s1",), ("s2",))

@@ -1,6 +1,7 @@
 """Command-line front end: parsing, exit codes, reports, replay."""
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -503,3 +504,61 @@ class TestTextRendering:
         main(["check", EXAMPLE1])
         out = capsys.readouterr().out
         assert "bounded_positivity  [informational]" in out
+
+
+class TestArgumentsCheckedFirst:
+    """Unusable output paths and budgets are refused before any work."""
+
+    @pytest.fixture
+    def suites_run(self, monkeypatch):
+        cli_main = importlib.import_module("specforge.cli.main")
+        ran = []
+        honest = cli_main.run_jobs
+
+        def recording(jobs, report):
+            ran.extend(job.name for job in jobs)
+            honest(jobs, report)
+
+        monkeypatch.setattr(cli_main, "run_jobs", recording)
+        return ran
+
+    @pytest.mark.parametrize("command", ["check", "construct", "verify"])
+    def test_json_under_a_missing_directory(self, command, capsys, tmp_path,
+                                            suites_run):
+        target = tmp_path / "missing" / "r.json"
+        assert main([command, EXAMPLE1, "--json", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "--json" in err and str(target) in err
+        assert suites_run == []
+
+    def test_json_under_a_file(self, capsys, tmp_path, suites_run):
+        blocker = tmp_path / "plain"
+        blocker.write_text("")
+        assert main(["verify", INDEPENDENT, "--json",
+                     str(blocker / "r.json")]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert suites_run == []
+
+    def test_out_under_a_missing_directory(self, capsys, tmp_path, suites_run):
+        target = tmp_path / "missing" / "t.rho"
+        assert main(["construct", EXAMPLE1, "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(target) in err
+        assert suites_run == []
+        assert not target.parent.exists()
+
+    def test_paths_in_the_working_directory_are_accepted(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["construct", EXAMPLE1, "-o", "t.rho",
+                     "--json", "r.json"]) == 0
+        assert (tmp_path / "t.rho").exists() and (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_budget_is_a_usage_error(self, budget, capsys,
+                                                  suites_run):
+        assert main(["check", EXAMPLE1, "--budget", budget]) == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and "positive" in err
+        assert "over the budget" not in err
+        assert suites_run == []

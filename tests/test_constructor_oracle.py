@@ -4,26 +4,21 @@
 restricted to the region) table once and shares it across permutations,
 and ``Space.product_weight`` memoizes free-weight products.  The oracles
 below are the direct definitions: a full rebuild of the family under
-every permutation, and the product of the free weights taken afresh.
-Results must agree exactly, witnesses and raised errors included.
+every permutation (``oracles.check_order_independence``), and the
+product of the free weights taken afresh.  Results must agree exactly,
+witnesses and raised errors included.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 from specforge import constructor
-from specforge.constructor import (
-    ConstructionError,
-    build_family,
-    check_order_independence,
-    extension_divisor,
-)
-from specforge.core import ExtendedRational, FreeMeasure, Space
-from specforge.hypotheses import HypothesisReport, Witness
+from specforge.constructor import ConstructionError, check_order_independence
+from specforge.core import FreeMeasure, Space
 
+from oracles import check_order_independence as naive_order_independence
 from zoo import (
     broken_pair_family,
     example1_family,
@@ -34,87 +29,6 @@ from zoo import (
     random_zero_table_family,
     unnormalized_free_family,
 )
-
-
-def naive_order_independence(singletons, permutation_cap=24, seed=20260819,
-                             witness_cap=25) -> HypothesisReport:
-    """Rebuild the whole family under every permutation and compare."""
-    space = singletons.space
-    sites = space.universe.sites
-    report = HypothesisReport(name="order_independence", passed=True)
-    reference = build_family(singletons, checked=True)
-    all_perms = list(itertools.permutations(sites))
-    if len(all_perms) <= permutation_cap:
-        perms = all_perms
-        sampled = False
-    else:
-        rng = random.Random(seed)
-        perms = rng.sample(all_perms, permutation_cap)
-        sampled = True
-    mismatched_perms = 0
-    for perm in perms:
-        rebuilt = build_family(singletons, sweep=perm, checked=False)
-        for region in reference.regions():
-            if rebuilt.table(region) != reference.table(region):
-                mismatched_perms += 1
-                report.passed = False
-                if len(report.witnesses) < witness_cap:
-                    report.witnesses.append(Witness(
-                        check="order_independence",
-                        description=(
-                            f"sweep {[str(s) for s in perm]!r} changes the "
-                            f"table of region {[str(s) for s in region]!r}"
-                        ),
-                        replay={"sweep": [str(s) for s in perm],
-                                "region": [str(s) for s in region]},
-                    ))
-                break
-    split_checks = 0
-    split_failures = 0
-    for region in reference.regions():
-        if len(region) < 2:
-            continue
-        members = set(region)
-        for r in range(1, len(region)):
-            for theta in itertools.combinations(region, r):
-                gamma = space.universe.region(members - set(theta))
-                theta = space.universe.region(theta)
-                split_checks += 1
-                ok = True
-                for cfg in space.configurations():
-                    divisor = extension_divisor(reference, theta, gamma, cfg)
-                    value = ExtendedRational(reference.density(theta, cfg)) / divisor
-                    if value.fraction != reference.density(region, cfg):
-                        ok = False
-                        split_failures += 1
-                        report.passed = False
-                        if len(report.witnesses) < witness_cap:
-                            report.witnesses.append(Witness(
-                                check="order_independence",
-                                description=(
-                                    "block extension disagrees with the "
-                                    "site-by-site table"
-                                ),
-                                replay={
-                                    "assignment": list(cfg.values),
-                                    "tail": cfg.tail,
-                                    "theta": [str(s) for s in theta],
-                                    "gamma": [str(s) for s in gamma],
-                                },
-                                lhs=str(value.fraction),
-                                rhs=str(reference.density(region, cfg)),
-                            ))
-                        break
-                if not ok:
-                    break
-    report.data = {
-        "permutations_tested": len(perms),
-        "permutations_sampled": sampled,
-        "permutation_mismatches": mismatched_perms,
-        "block_splits_tested": split_checks,
-        "block_split_failures": split_failures,
-    }
-    return report
 
 
 def outcome(check, family, **kwargs):

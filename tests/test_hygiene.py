@@ -1,10 +1,19 @@
-"""Every name imported under ``src/`` is read somewhere in its module.
+"""Every name imported under ``src/`` is read somewhere in its module,
+and every private module-level function or class is read somewhere in
+``src/``.
 
-The scan parses each module and compares the names its imports bind with
-the names it reads, string annotations included.  A name listed in the
-module's ``__all__`` counts as read, because it is re-exported; a
-package ``__init__.py`` without ``__all__`` re-exports every name it
-imports.  ``from __future__`` imports bind nothing and are skipped.
+The import scan parses each module and compares the names its imports
+bind with the names it reads, string annotations included.  A name
+listed in the module's ``__all__`` counts as read, because it is
+re-exported; a package ``__init__.py`` without ``__all__`` re-exports
+every name it imports.  ``from __future__`` imports bind nothing and are
+skipped.
+
+The private-definition scan collects the underscore-named functions and
+classes defined at module level and the names read anywhere under
+``src/``: loaded names, attribute names and imported names.  A private
+definition that nothing reads is a leftover, such as the old body of a
+fast path that only the test oracles still need.
 """
 
 import ast
@@ -83,6 +92,37 @@ def unused_imports(path: Path, root: Path = SRC) -> list[str]:
             if name not in used]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Underscore-named module-level functions and classes, with line numbers."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def names_read_anywhere(trees) -> set[str]:
+    """Names, attributes and imported names read by any of the modules."""
+    names = set()
+    for tree in trees:
+        names |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+def unread_private_definitions(paths, root: Path = SRC) -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    read = names_read_anywhere(trees.values())
+    return [f"{path.relative_to(root)}:{line}: {name}"
+            for path, tree in trees.items()
+            for name, line in private_definitions(tree).items()
+            if name not in read]
+
+
 def test_the_scan_sees_every_module():
     names = {str(p.relative_to(SRC)) for p in MODULES}
     assert {"specforge/__init__.py", "specforge/core.py",
@@ -108,3 +148,31 @@ def test_the_scan_flags_an_unused_import(tmp_path):
     )
     assert unused_imports(module, tmp_path) == [
         "module.py:2: os", "module.py:3: Mapping"]
+
+
+def test_every_private_definition_is_read():
+    assert unread_private_definitions(MODULES) == []
+
+
+def test_the_scan_flags_an_unread_private_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _leftover(x):\n"
+        "    return x\n"
+        "def _helper(x):\n"
+        "    return x\n"
+        "class _Shared:\n"
+        "    def _method(self):\n"
+        "        return 1\n"
+        "def __getattr__(name):\n"
+        "    return name\n"
+        "def public(x):\n"
+        "    return _helper(x)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from a import _Shared\n"
+        "class _Unused:\n"
+        "    pass\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_private_definitions(paths, tmp_path) == [
+        "a.py:1: _leftover", "b.py:2: _Unused"]
