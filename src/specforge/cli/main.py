@@ -371,7 +371,8 @@ def load_model(path: str, budget: int) -> ModelFile:
 
 def check_output_paths(args: argparse.Namespace) -> None:
     """Refuse, before any work, an output path under a missing directory."""
-    for flag, path in (("--json", args.json), ("--out", getattr(args, "out", None))):
+    for flag, path in (("--json", getattr(args, "json", None)),
+                       ("--out", getattr(args, "out", None))):
         parent = os.path.dirname(path or "") or "."
         if path and not os.path.isdir(parent):
             raise UsageError(
@@ -559,16 +560,20 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--json", metavar="PATH",
-                         help="also write the machine-readable report here")
         sub.add_argument("--budget", type=positive_budget, default=DEFAULT_BUDGET,
                          metavar="CELLS",
                          help="enumeration guardrail (default %(default)s)")
 
+    def reporting(sub: argparse.ArgumentParser) -> None:
+        """``common`` plus ``--json``, for the commands that write a report."""
+        sub.add_argument("--json", metavar="PATH",
+                         help="also write the machine-readable report here")
+        common(sub)
+
     check = commands.add_parser(
         "check", help="run the hypothesis checks on a model's singletons")
     check.add_argument("model", help="model definition file")
-    common(check)
+    reporting(check)
     check.set_defaults(handler=cmd_check)
 
     construct = commands.add_parser(
@@ -576,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("model", help="model definition file")
     construct.add_argument("-o", "--out", metavar="PATH",
                            help="output table path (default: <model>.rho)")
-    common(construct)
+    reporting(construct)
     construct.set_defaults(handler=cmd_construct)
 
     verify = commands.add_parser(
@@ -585,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in VERIFY_FLAGS:
         verify.add_argument(f"--{flag}", action="store_true",
                             help=f"run the {flag} suite")
-    common(verify)
+    reporting(verify)
     verify.set_defaults(handler=cmd_verify)
 
     replay = commands.add_parser(

@@ -289,6 +289,43 @@ def good_blocks(
     )))
 
 
+def _floor_good_sets(family: SingletonFamily) -> dict[tuple[Site, str], tuple[str, ...]]:
+    """good(site, all other sites, tail) per (site, tail class).
+
+    A good set is an AND over the fills of its context, and the fills of
+    the whole complement of the site cover the points that any smaller
+    context, at any exterior of the same tail class, rewrites.  So each
+    floor set lies inside every good set of its site and tail class.
+    Computed once per family.
+    """
+    def compute() -> dict[tuple[Site, str], tuple[str, ...]]:
+        universe = family.space.universe
+        return {(site, cfg.tail): good_symbols(family, site, universe.complement((site,)), cfg)
+                for site in universe.sites
+                for cfg in family.space.exterior_classes(universe.sites)}
+
+    return family.cached(("floor_good_sets",), compute)
+
+
+def _index_points(family: SingletonFamily) -> int:
+    """(site, context, exterior class) points the good-set sweeps visit:
+    each site has C(n-1, k) contexts of k sites with T·q^(n-1-k) classes
+    each, n·T·(q+1)^(n-1) in all."""
+    space = family.space
+    n = len(space.universe)
+    return n * len(space.tail_classes) * (len(space.alphabet) + 1) ** (n - 1)
+
+
+def _good_set_sweep(family: SingletonFamily):
+    """``(site, ctx, cfg, good symbols)`` at every index point."""
+    space = family.space
+    for site in space.universe.sites:
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            for cfg in space.exterior_classes(ctx + (site,)):
+                yield site, ctx, cfg, good_symbols(family, site, ctx, cfg)
+
+
 def check_very_weak_positivity(
     family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
@@ -299,32 +336,37 @@ def check_very_weak_positivity(
     depends on.  The report's data counts distinct index points and
     violations.
 
+    Every good set contains the floor set of its site and tail class
+    (`_floor_good_sets`), so when no floor set is empty the check passes
+    at all ``_index_points`` without visiting them.  A floor set is
+    itself an index point, so otherwise the check fails, and the sweep
+    runs to collect the violations and witnesses.
+
     Memoised on the family per ``witness_cap``: later calls return the
     same report, which callers only read.
     """
     def compute() -> HypothesisReport:
-        space = family.space
         report = HypothesisReport(name="very_weak_positivity", passed=True)
+        if all(_floor_good_sets(family).values()):
+            report.data = {"index_points": _index_points(family), "violations": 0}
+            return report
         checked = 0
         violations = 0
-        for site in space.universe.sites:
-            complement = space.universe.complement((site,))
-            for ctx in space.universe.subsets(complement):
-                for cfg in space.exterior_classes(ctx + (site,)):
-                    checked += 1
-                    if not good_symbols(family, site, ctx, cfg):
-                        violations += 1
-                        report.fail(witness_cap, lambda: Witness(
-                            check="very_weak_positivity",
-                            description=(
-                                f"no good symbol for site {site!r} against "
-                                f"context {list(map(str, ctx))!r}"
-                            ),
-                            replay=_replay_point(
-                                cfg, site=str(site),
-                                context=[str(s) for s in ctx],
-                            ),
-                        ))
+        for site, ctx, cfg, good in _good_set_sweep(family):
+            checked += 1
+            if not good:
+                violations += 1
+                report.fail(witness_cap, lambda: Witness(
+                    check="very_weak_positivity",
+                    description=(
+                        f"no good symbol for site {site!r} against "
+                        f"context {list(map(str, ctx))!r}"
+                    ),
+                    replay=_replay_point(
+                        cfg, site=str(site),
+                        context=[str(s) for s in ctx],
+                    ),
+                ))
         report.data = {"index_points": checked, "violations": violations}
         return report
 
@@ -562,41 +604,50 @@ def check_uniqueness_condition(
     to pin the constructed family down uniquely.  data reports the
     smallest mass seen.
 
+    Free weights are nonnegative and every good set contains the floor
+    set of its site and tail class (`_floor_good_sets`), which is an
+    index point itself, so the smallest mass is the smallest floor mass.
+    When that is positive the check passes without visiting the other
+    index points; otherwise the sweep runs to collect the witnesses.
+
     Memoised on the family per ``witness_cap``: later calls return the
     same report, which callers only read.
     """
     def compute() -> HypothesisReport:
         space = family.space
+
+        def mass(site: Site, good: tuple[str, ...]) -> Fraction:
+            return sum((space.free.weight(site, x) for x in good), Fraction(0))
+
         report = HypothesisReport(name="uniqueness_condition", passed=True)
+        floor = min(mass(site, good)
+                    for (site, _), good in _floor_good_sets(family).items())
+        if floor > 0:
+            report.data = {"index_points": _index_points(family),
+                           "violations": 0, "min_good_mass": str(floor)}
+            return report
         checked = 0
         violations = 0
         min_mass: Fraction | None = None
-        for site in space.universe.sites:
-            complement = space.universe.complement((site,))
-            for ctx in space.universe.subsets(complement):
-                for cfg in space.exterior_classes(ctx + (site,)):
-                    checked += 1
-                    mass = sum(
-                        (space.free.weight(site, x)
-                         for x in good_symbols(family, site, ctx, cfg)),
-                        Fraction(0),
-                    )
-                    if min_mass is None or mass < min_mass:
-                        min_mass = mass
-                    if mass == 0:
-                        violations += 1
-                        report.fail(witness_cap, lambda: Witness(
-                            check="uniqueness_condition",
-                            description=(
-                                f"good symbols of site {site!r} against "
-                                f"context {list(map(str, ctx))!r} have zero "
-                                "free mass"
-                            ),
-                            replay=_replay_point(
-                                cfg, site=str(site),
-                                context=[str(s) for s in ctx],
-                            ),
-                        ))
+        for site, ctx, cfg, good in _good_set_sweep(family):
+            checked += 1
+            good_mass = mass(site, good)
+            if min_mass is None or good_mass < min_mass:
+                min_mass = good_mass
+            if good_mass == 0:
+                violations += 1
+                report.fail(witness_cap, lambda: Witness(
+                    check="uniqueness_condition",
+                    description=(
+                        f"good symbols of site {site!r} against "
+                        f"context {list(map(str, ctx))!r} have zero "
+                        "free mass"
+                    ),
+                    replay=_replay_point(
+                        cfg, site=str(site),
+                        context=[str(s) for s in ctx],
+                    ),
+                ))
         report.data = {
             "index_points": checked,
             "violations": violations,

@@ -12,6 +12,7 @@ ratio bounds.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,68 +264,72 @@ def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
     return out
 
 
-def check_specification_axioms(
-    dens: DensityFamily, witness_cap: int = WITNESS_CAP
-) -> HypothesisReport:
-    """The three defining kernel-family properties, checked exactly.
+def _covering_row(dens: DensityFamily, outer: dict[tuple, Fraction],
+                  region: tuple[Site, ...], site: Site) -> dict[tuple, Fraction]:
+    """The ``outer`` row of the region's kernel followed by the kernel of
+    region - site.
 
-    (a) each region's kernel row depends on the exterior only off the
-    region; (b) each kernel is the point mass on events determined off
-    its region (total mass 1, all of it on points agreeing with the
-    exterior there); (c) applying a sub-region's kernel after a
-    region's kernel changes nothing, for every nested pair.  Rows are
-    keyed by point; inside one exterior class the points coincide, so
-    comparing rows there compares the weights block by block.  (a)
-    assembles every row afresh at every configuration, because the row
-    memo that (c) reads takes the property (a) checks for granted.
+    Under (a) and (b) of `check_specification_axioms`, every point the
+    outer row charges agrees with its exterior ω off the region, and the
+    inner row depends on that point only through its symbol at ``site``.
+    So the composition is the marginal identity
+
+        (γ_Λ γ_{Λ∖x})(σ|ω) = M_Λ(σ_x|ω) · γ_{Λ∖x}(σ | σ_x, ω),
+
+    with M_Λ(s|ω) the outer mass on points carrying s at x: one inner
+    row per value of x, read at any charged point with that value.  The
+    inner rows of distinct values charge disjoint points, so each weight
+    is one product.  The values equal those of `_composed_row`.
     """
+    position = dens.space.universe.index(site)
+    masses: dict[str, Fraction] = {}
+    charged: dict[str, tuple] = {}
+    for key, w in outer.items():
+        value = key[0][position]
+        if value in masses:
+            masses[value] += w
+        else:
+            masses[value] = w
+            charged[value] = key
+    inner_region = tuple(s for s in region if s != site)
+    out: dict[tuple, Fraction] = {}
+    for value, mass in masses.items():
+        inner = _kernel_row(dens, inner_region, dens.space.make(*charged[value]))
+        for point, w in inner.items():
+            out[point] = mass * w
+    return out
+
+
+def _covering_pairs_consistent(dens: DensityFamily,
+                               class_rows: dict[tuple, dict[tuple, dict]]) -> bool:
+    """Does γ_Λ γ_{Λ∖x} = γ_Λ hold for every region Λ and x in Λ?
+
+    ``class_rows`` holds the rows (a) assembled, per region and exterior
+    class; (a) holds, so each is the row of its whole class, and they go
+    into the row memo first.  Composed by `_covering_row` at one exterior
+    per class of Λ; stops at the first pair that differs.
+    """
+    for region, rows in class_rows.items():
+        for mask, row in rows.items():
+            dens.cached(("kernel_row", region, mask), lambda row=row: row)
+    space = dens.space
+    for region in space.universe.subsets():
+        for cfg in space.exterior_classes(region):
+            direct = _kernel_row(dens, region, cfg)
+            if any(_covering_row(dens, direct, region, site) != direct
+                   for site in region):
+                return False
+    return True
+
+
+def _nested_pairs_consistent(dens: DensityFamily, report: HypothesisReport,
+                             witness_cap: int, checks: dict) -> bool:
+    """Part (c) pair by pair: compose every nested pair at every exterior
+    class of the larger region, count the pairs and collect a witness
+    (the smallest differing point) per failing pair."""
     space = dens.space
     universe = space.universe
-    report = HypothesisReport(name="specification_axioms", passed=True)
-    exterior_ok = True
-    point_mass_ok = True
-    consistency_ok = True
-    checks = {"exterior": 0, "point_mass": 0, "nested_pairs": 0}
-
-    for region in universe.subsets():
-        rows: dict[tuple, dict] = {}
-        for cfg in space.configurations():
-            mask = space.masked_key(cfg, region)
-            row = assemble_kernel(dens, region, cfg)
-            checks["exterior"] += 1
-            if mask in rows:
-                if rows[mask] != row:
-                    exterior_ok = False
-                    report.fail(witness_cap, lambda: Witness(
-                        check="exterior_measurability",
-                        description=(
-                            f"kernel of {[str(s) for s in region]!r} "
-                            "varies inside one exterior class"
-                        ),
-                        replay={"region": [str(s) for s in region],
-                                "assignment": list(cfg.values),
-                                "tail": cfg.tail},
-                    ))
-            else:
-                rows[mask] = row
-            checks["point_mass"] += 1
-            mass = sum(row.values(), Fraction(0))
-            off_region_moved = any(
-                space.masked_key(space.make(*key), region) != mask
-                for key in row
-            )
-            if mass != 1 or off_region_moved:
-                point_mass_ok = False
-                report.fail(witness_cap, lambda: Witness(
-                    check="point_mass_off_region",
-                    description=(
-                        f"kernel of {[str(s) for s in region]!r} has mass "
-                        f"{mass} or moves exterior coordinates"
-                    ),
-                    replay={"region": [str(s) for s in region],
-                            "assignment": list(cfg.values),
-                            "tail": cfg.tail},
-                ))
+    consistent = True
     for large in universe.subsets():
         for small in universe.subsets(large):
             for cfg in space.exterior_classes(large):
@@ -333,7 +338,7 @@ def check_specification_axioms(
                 composed = _composed_row(dens, large, dens, small, cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
                 if direct != composed:
-                    consistency_ok = False
+                    consistent = False
 
                     def build() -> Witness:
                         diff_key = min(
@@ -357,6 +362,91 @@ def check_specification_axioms(
 
                     report.fail(witness_cap, build)
                     break
+    return consistent
+
+
+def check_specification_axioms(
+    dens: DensityFamily, witness_cap: int = WITNESS_CAP
+) -> HypothesisReport:
+    """The three defining kernel-family properties, checked exactly.
+
+    (a) each region's kernel row depends on the exterior only off the
+    region; (b) each kernel is the point mass on events determined off
+    its region (total mass 1, all of it on points agreeing with the
+    exterior there); (c) applying a sub-region's kernel after a
+    region's kernel changes nothing, for every nested pair.  Rows are
+    keyed by point; inside one exterior class the points coincide, so
+    comparing rows there compares the weights block by block.  (a)
+    assembles every row afresh at every configuration, because the row
+    memo that (c) reads takes the property (a) checks for granted.
+
+    When (a) and (b) hold, (c) is checked on the covering pairs
+    (Λ, Λ∖x) alone, composed by the marginal identity of
+    `_covering_row`.  That suffices: kernels compose as matrices, so
+    associatively.  For Δ = Λ, (a) puts one row on every point the row
+    charges and (b) gives it mass 1, so γ_Λ γ_Λ = γ_Λ.  For Δ ⊊ Λ pick
+    x in Λ∖Δ; by induction on |Λ∖Δ|, γ_{Λ∖x} γ_Δ = γ_{Λ∖x}, so
+    γ_Λ γ_Δ = (γ_Λ γ_{Λ∖x}) γ_Δ = γ_Λ (γ_{Λ∖x} γ_Δ) = γ_Λ γ_{Λ∖x} = γ_Λ.
+    A region of k sites has 2^k sub-regions and T·q^(n−k) exterior
+    classes, so the pair-by-pair count is Σ_k C(n,k)·2^k·q^(n−k)·T =
+    T·(q+2)^n, which is reported.  If (a) or (b) fails, or a covering
+    pair differs, part (c) runs pair by pair from the start, so failing
+    reports and their witnesses are those of the full enumeration.
+    """
+    space = dens.space
+    universe = space.universe
+    report = HypothesisReport(name="specification_axioms", passed=True)
+    exterior_ok = True
+    point_mass_ok = True
+    checks = {"exterior": 0, "point_mass": 0, "nested_pairs": 0}
+    class_rows: dict[tuple, dict[tuple, dict]] = {}
+
+    for region in universe.subsets():
+        rows = class_rows[region] = {}
+        outside = [k for k, s in enumerate(universe.sites) if s not in region]
+        off_region = operator.itemgetter(*outside) if outside else (lambda values: ())
+        for cfg in space.configurations():
+            mask = space.masked_key(cfg, region)
+            row = assemble_kernel(dens, region, cfg)
+            checks["exterior"] += 1
+            if mask in rows:
+                if rows[mask] != row:
+                    exterior_ok = False
+                    report.fail(witness_cap, lambda: Witness(
+                        check="exterior_measurability",
+                        description=(
+                            f"kernel of {[str(s) for s in region]!r} "
+                            "varies inside one exterior class"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "assignment": list(cfg.values),
+                                "tail": cfg.tail},
+                    ))
+            else:
+                rows[mask] = row
+            checks["point_mass"] += 1
+            mass = sum(row.values(), Fraction(0))
+            here = (off_region(cfg.values), cfg.tail)
+            off_region_moved = any((off_region(values), tail) != here
+                                   for values, tail in row)
+            if mass != 1 or off_region_moved:
+                point_mass_ok = False
+                report.fail(witness_cap, lambda: Witness(
+                    check="point_mass_off_region",
+                    description=(
+                        f"kernel of {[str(s) for s in region]!r} has mass "
+                        f"{mass} or moves exterior coordinates"
+                    ),
+                    replay={"region": [str(s) for s in region],
+                            "assignment": list(cfg.values),
+                            "tail": cfg.tail},
+                ))
+    if exterior_ok and point_mass_ok and _covering_pairs_consistent(dens, class_rows):
+        consistency_ok = True
+        checks["nested_pairs"] = (len(space.tail_classes)
+                                  * (len(space.alphabet) + 2) ** len(universe))
+    else:
+        consistency_ok = _nested_pairs_consistent(dens, report, witness_cap, checks)
     report.data = {
         "exterior_measurable": exterior_ok,
         "point_mass_off_region": point_mass_ok,

@@ -36,6 +36,14 @@ under every permutation instead of sharing tables between them.  They
 look up ``good_symbols``, ``good_blocks`` and ``_checked_ratio_kernel``
 on their modules at call time, so a test that patches one patches the
 library and the oracle alike.
+
+``check_specification_axioms``, ``check_very_weak_positivity`` and
+``check_uniqueness_condition`` are those checks as they were before they
+read a generating set: part (c) of the axioms composes every nested pair
+point by point, and both good-set checks visit every (site, context,
+exterior class) index point.  The good-set sweeps look up
+``good_symbols`` on its module at call time too, and neither is
+memoised.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from specforge.hypotheses import (
     site_is_good,
 )
 from specforge import constructor, hypotheses, verifier
-from specforge.hypotheses import _replay_point, check_uniqueness_condition
+from specforge.hypotheses import _replay_point
 from specforge.verifier import SupportClassCertificate
 
 
@@ -629,7 +637,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
     singletons = dens.singletons
     space = dens.space
     universe = space.universe
-    uc = check_uniqueness_condition(singletons)
+    uc = hypotheses.check_uniqueness_condition(singletons)
     if not uc.passed:
         raise HypothesisFailure(
             "uniqueness probe needs the good-mass condition", report=uc
@@ -848,5 +856,173 @@ def check_order_independence(singletons, permutation_cap=24, seed=20260819,
         "permutation_mismatches": mismatched_perms,
         "block_splits_tested": split_checks,
         "block_split_failures": split_failures,
+    }
+    return report
+
+
+def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Exterior measurability, point mass off the region, and every nested pair.
+
+    (a) and (b) assemble every row afresh at every configuration; (c)
+    composes two kernel rows, one inner row per point of the outer row,
+    for every pair Δ ⊆ Λ and every exterior class of Λ.
+    """
+    space = dens.space
+    universe = space.universe
+    report = HypothesisReport(name="specification_axioms", passed=True)
+    exterior_ok = True
+    point_mass_ok = True
+    consistency_ok = True
+    checks = {"exterior": 0, "point_mass": 0, "nested_pairs": 0}
+
+    for region in universe.subsets():
+        rows: dict = {}
+        for cfg in space.configurations():
+            mask = space.masked_key(cfg, region)
+            row = verifier.assemble_kernel(dens, region, cfg)
+            checks["exterior"] += 1
+            if mask in rows:
+                if rows[mask] != row:
+                    exterior_ok = False
+                    report.fail(witness_cap, lambda: Witness(
+                        check="exterior_measurability",
+                        description=(
+                            f"kernel of {[str(s) for s in region]!r} "
+                            "varies inside one exterior class"
+                        ),
+                        replay={"region": [str(s) for s in region],
+                                "assignment": list(cfg.values),
+                                "tail": cfg.tail},
+                    ))
+            else:
+                rows[mask] = row
+            checks["point_mass"] += 1
+            mass = sum(row.values(), Fraction(0))
+            off_region_moved = any(
+                space.masked_key(space.make(*key), region) != mask
+                for key in row
+            )
+            if mass != 1 or off_region_moved:
+                point_mass_ok = False
+                report.fail(witness_cap, lambda: Witness(
+                    check="point_mass_off_region",
+                    description=(
+                        f"kernel of {[str(s) for s in region]!r} has mass "
+                        f"{mass} or moves exterior coordinates"
+                    ),
+                    replay={"region": [str(s) for s in region],
+                            "assignment": list(cfg.values),
+                            "tail": cfg.tail},
+                ))
+    for large in universe.subsets():
+        for small in universe.subsets(large):
+            for cfg in space.exterior_classes(large):
+                checks["nested_pairs"] += 1
+                direct = verifier._kernel_row(dens, large, cfg)
+                composed: dict = {}
+                for mid_key, w1 in direct.items():
+                    inner = verifier._kernel_row(dens, small, space.make(*mid_key))
+                    for key, w2 in inner.items():
+                        composed[key] = composed.get(key, Fraction(0)) + w1 * w2
+                composed = {k: v for k, v in composed.items() if v != 0}
+                if direct != composed:
+                    consistency_ok = False
+
+                    def build() -> Witness:
+                        diff_key = min(
+                            k for k in set(direct) | set(composed)
+                            if direct.get(k, Fraction(0))
+                            != composed.get(k, Fraction(0))
+                        )
+                        return Witness(
+                            check="consistency",
+                            description=(
+                                f"composing {[str(s) for s in small]!r} after "
+                                f"{[str(s) for s in large]!r} changes the kernel"
+                            ),
+                            replay={"large": [str(s) for s in large],
+                                    "small": [str(s) for s in small],
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "point_assignment": list(diff_key[0]),
+                                    "point_tail": diff_key[1]},
+                        )
+
+                    report.fail(witness_cap, build)
+                    break
+    report.data = {
+        "exterior_measurable": exterior_ok,
+        "point_mass_off_region": point_mass_ok,
+        "consistent": consistency_ok,
+        "checks": checks,
+    }
+    return report
+
+
+def check_very_weak_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """A good symbol at every (site, context, exterior class) index point."""
+    space = family.space
+    report = HypothesisReport(name="very_weak_positivity", passed=True)
+    checked = 0
+    violations = 0
+    for site in space.universe.sites:
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            for cfg in space.exterior_classes(ctx + (site,)):
+                checked += 1
+                if not hypotheses.good_symbols(family, site, ctx, cfg):
+                    violations += 1
+                    report.fail(witness_cap, lambda: Witness(
+                        check="very_weak_positivity",
+                        description=(
+                            f"no good symbol for site {site!r} against "
+                            f"context {list(map(str, ctx))!r}"
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(site),
+                            context=[str(s) for s in ctx],
+                        ),
+                    ))
+    report.data = {"index_points": checked, "violations": violations}
+    return report
+
+
+def check_uniqueness_condition(family, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Positive free mass on the good set at every index point."""
+    space = family.space
+    report = HypothesisReport(name="uniqueness_condition", passed=True)
+    checked = 0
+    violations = 0
+    min_mass = None
+    for site in space.universe.sites:
+        complement = space.universe.complement((site,))
+        for ctx in space.universe.subsets(complement):
+            for cfg in space.exterior_classes(ctx + (site,)):
+                checked += 1
+                mass = sum(
+                    (space.free.weight(site, x)
+                     for x in hypotheses.good_symbols(family, site, ctx, cfg)),
+                    Fraction(0),
+                )
+                if min_mass is None or mass < min_mass:
+                    min_mass = mass
+                if mass == 0:
+                    violations += 1
+                    report.fail(witness_cap, lambda: Witness(
+                        check="uniqueness_condition",
+                        description=(
+                            f"good symbols of site {site!r} against "
+                            f"context {list(map(str, ctx))!r} have zero "
+                            "free mass"
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(site),
+                            context=[str(s) for s in ctx],
+                        ),
+                    ))
+    report.data = {
+        "index_points": checked,
+        "violations": violations,
+        "min_good_mass": str(min_mass) if min_mass is not None else None,
     }
     return report

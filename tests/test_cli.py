@@ -478,6 +478,16 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert "does not fit the schema" in err and str(report_path) in err
 
+    def test_replay_refuses_json(self, capsys, tmp_path):
+        # replay writes no report, so it must not accept a path for one
+        report_path = tmp_path / "report.json"
+        main(["check", BROKEN_H2, "--json", str(report_path)])
+        out_path = tmp_path / "out.json"
+        assert main(["replay", str(report_path), "--suite", "order_consistency",
+                     "--json", str(out_path)]) == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_verify_suite_witness_replays(self, capsys, tmp_path):
         model = tmp_path / "zerofree.model"
         model.write_text(

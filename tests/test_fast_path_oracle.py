@@ -1,0 +1,288 @@
+"""Generating-set fast paths against the full enumerations.
+
+Once (a) exterior measurability and (b) point mass off the region pass,
+part (c) of ``check_specification_axioms`` composes only the covering
+pairs (Λ, Λ∖x), by the marginal identity.  ``check_very_weak_positivity``
+and ``check_uniqueness_condition`` read the floor good sets, one per site
+and tail class.  Each runs its full enumeration from the start whenever
+the shortcut does not settle the verdict.  The oracles in ``oracles.py``
+always enumerate.  Reports must be equal as dicts at witness caps 0, 1
+and 25 on every zoo family, on random zero-table seeds 0-19 and 198, and on
+perturbations that force each fallback.  The last group counts kernel-row
+reads and good-set calls, so the fast paths must actually run.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from specforge import constructor, hypotheses, verifier
+from specforge.constructor import DensityFamily, build_family
+from specforge.core import SpecforgeError
+from specforge.hypotheses import check_uniqueness_condition, check_very_weak_positivity
+from specforge.verifier import check_specification_axioms
+
+import oracles
+import zoo
+
+CAPS = (0, 1, 25)
+
+ZOO = {
+    "alternating_exclusion": zoo.alternating_exclusion_family,
+    "anchored_table_5": lambda: zoo.anchored_table_family(5)[1],
+    "anchored_table_6_n4": lambda: zoo.anchored_table_family(6, n_sites=4)[1],
+    "broken_pair": zoo.broken_pair_family,
+    "example1": zoo.example1_family,
+    "extracted_5": lambda: zoo.extracted_family(5)[2],
+    "forced_exclusion": zoo.forced_exclusion_family,
+    "hardcore_3": lambda: zoo.hardcore_family(3),
+    "hardcore_4": lambda: zoo.hardcore_family(4),
+    "independent": zoo.independent_family,
+    "lopsided_free": zoo.lopsided_free_family,
+    "one_sided_hardcore_3": lambda: zoo.one_sided_hardcore_family(3),
+    "potential_1": lambda: zoo.potential_family(1)[2],
+    "potential_1_n4": lambda: zoo.potential_family(1, 4)[2],
+    "ring_potential_2": lambda: zoo.ring_potential_family(2)[2],
+    "unnormalized_free": zoo.unnormalized_free_family,
+}
+FAMILIES = {**ZOO, **{f"zero_table_{seed}": (lambda s=seed: zoo.random_zero_table_family(s))
+                      for seed in (*range(20), 198)}}
+# every floor set is nonempty, but one carries only symbols of zero free
+# weight: positivity takes the floor path, the uniqueness condition falls back
+ZERO_MASS_FLOOR = "zero_table_198"
+
+
+def outcome(run, *args, **kwargs):
+    """The report as a dict, or the type and message of the raised error."""
+    try:
+        return run(*args, **kwargs).as_dict()
+    except SpecforgeError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def fresh(dens: DensityFamily) -> DensityFamily:
+    """The same tables behind an empty memo."""
+    return dens.replace_table((), dens.table(()))
+
+
+def built(fam):
+    try:
+        return build_family(fam, checked=False)
+    except SpecforgeError:
+        return None
+
+
+def floor_masses(fam) -> list[Fraction]:
+    free = fam.space.free
+    return [sum((free.weight(site, x) for x in good), Fraction(0))
+            for (site, _), good in hypotheses._floor_good_sets(fam).items()]
+
+
+def assert_good_set_checks_match(fam):
+    for cap in CAPS:
+        assert (outcome(check_very_weak_positivity, fam, cap)
+                == outcome(oracles.check_very_weak_positivity, fam, cap)), cap
+        assert (outcome(check_uniqueness_condition, fam, cap)
+                == outcome(oracles.check_uniqueness_condition, fam, cap)), cap
+
+
+def assert_axioms_match(dens, caps=CAPS):
+    for cap in caps:
+        assert (outcome(check_specification_axioms, fresh(dens), cap)
+                == outcome(oracles.check_specification_axioms, fresh(dens), cap)), cap
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_good_set_checks(name):
+    assert_good_set_checks_match(FAMILIES[name]())
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_specification_axioms(name):
+    dens = built(FAMILIES[name]())
+    if dens is not None:
+        assert_axioms_match(dens)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_floor_sets_lie_inside_every_good_set(name):
+    fam = FAMILIES[name]()
+    space = fam.space
+    floors = hypotheses._floor_good_sets(fam)
+    for site in space.universe.sites:
+        complement = space.universe.complement((site,))
+        for cfg in space.exterior_classes(space.universe.sites):
+            assert floors[(site, cfg.tail)] == hypotheses.good_symbols(
+                fam, site, complement, cfg)
+        for ctx in space.universe.subsets(complement):
+            for cfg in space.exterior_classes(ctx + (site,)):
+                good = hypotheses.good_symbols(fam, site, ctx, cfg)
+                assert set(floors[(site, cfg.tail)]) <= set(good), (site, ctx, cfg)
+
+
+# -- forced fallbacks --------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["alternating_exclusion", "zero_table_0", "zero_table_5"])
+def test_empty_floor_set_runs_the_sweep(name):
+    fam = FAMILIES[name]()
+    assert not all(hypotheses._floor_good_sets(fam).values())
+    assert not oracles.check_very_weak_positivity(fam).passed
+    assert_good_set_checks_match(fam)
+
+
+def test_floor_set_of_zero_free_mass_runs_the_sweep():
+    fam = FAMILIES[ZERO_MASS_FLOOR]()
+    assert all(hypotheses._floor_good_sets(fam).values())
+    assert min(floor_masses(fam)) == 0
+    assert check_very_weak_positivity(fam).passed
+    naive = oracles.check_uniqueness_condition(fam)
+    assert not naive.passed and naive.witnesses
+    assert_good_set_checks_match(fam)
+
+
+def reweighted(dens: DensityFamily, region, weigh) -> DensityFamily:
+    """``dens`` with the region's row at its first exterior class replaced
+    by ``weigh(block, original density)`` for every block."""
+    space = dens.space
+    rep = next(space.exterior_classes(region))
+    table = dens.table(region)
+    for block in space.assignments(region):
+        key = space.overlay(rep, region, block).key
+        table[key] = weigh(block, table[key])
+    return dens.replace_table(region, table)
+
+
+def renormalized(dens: DensityFamily, region) -> DensityFamily:
+    """A different row of mass one at the region's first exterior class:
+    (a) and (b) still hold, the row is no longer the constructed one."""
+    space = dens.space
+    blocks = list(space.assignments(region))
+    raw = {block: Fraction(k + 2) for k, block in enumerate(blocks)}
+    mass = sum(raw[b] * space.product_weight(region, b) for b in blocks)
+    return reweighted(dens, region, lambda block, _: raw[block] / mass)
+
+
+PERTURBED = ("potential_1", "hardcore_3", "example1", "anchored_table_5",
+             "zero_table_15", "zero_table_18")
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_broken_point_mass_runs_every_nested_pair(name):
+    dens = built(FAMILIES[name]())
+    region = dens.space.universe.sites[:2]
+    doubled = reweighted(dens, region, lambda _, value: 2 * value)
+    naive = oracles.check_specification_axioms(fresh(doubled))
+    assert not naive.data["point_mass_off_region"]
+    assert_axioms_match(doubled)
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_broken_covering_pair_runs_every_nested_pair(name):
+    dens = built(FAMILIES[name]())
+    broken = 0
+    for region in dens.regions():
+        if not region:
+            continue
+        sibling = renormalized(dens, region)
+        naive = oracles.check_specification_axioms(fresh(sibling))
+        assert naive.data["exterior_measurable"] and naive.data["point_mass_off_region"]
+        broken += not naive.data["consistent"]
+        assert_axioms_match(sibling)
+    assert broken
+
+
+@pytest.mark.parametrize("name", ["potential_1", "hardcore_3", "anchored_table_5",
+                                  "zero_table_18"])
+def test_broken_exterior_measurability_runs_every_nested_pair(monkeypatch, name):
+    # every member of an exterior class reads the same table cells, so no
+    # table makes (a) fail; a kernel that reads inside its region does
+    dens = built(FAMILIES[name]())
+    first = dens.space.alphabet.symbols[0]
+    honest = constructor.assemble_kernel
+
+    def mutated(dens, region, cfg):
+        row = honest(dens, region, cfg)
+        if region and cfg.symbol(region[0]) != first:
+            return dict(zip(row, reversed(list(row.values()))))
+        return row
+
+    monkeypatch.setattr(verifier, "assemble_kernel", mutated)
+    assert not oracles.check_specification_axioms(fresh(dens)).data["exterior_measurable"]
+    # (a)'s witnesses fill the usual caps; an unbounded one shows (c)'s too
+    assert_axioms_match(dens, caps=(*CAPS, 10 ** 6))
+
+
+# -- the fast paths run --------------------------------------------------------
+
+def covering_reads(space) -> int:
+    """Kernel-row reads of the covering-pair check: per region of k sites
+    and each of its T·q^(n-k) exterior classes, the region's row and at
+    most q inner rows per member site."""
+    n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
+    return t * ((q + 1) ** n + q * n * (q + 1) ** (n - 1))
+
+
+@pytest.mark.parametrize("make", [lambda: zoo.potential_family(1, 5)[2],
+                                  lambda: zoo.hardcore_family(4)],
+                         ids=["chain_5", "hardcore_4"])
+def test_fast_paths_read_only_the_generating_sets(monkeypatch, make):
+    fam = make()
+    space = fam.space
+    n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
+    good_calls = []
+    honest_good = hypotheses.good_symbols
+
+    def counted_good(*args):
+        good_calls.append(args)
+        return honest_good(*args)
+
+    monkeypatch.setattr(hypotheses, "good_symbols", counted_good)
+    positivity = check_very_weak_positivity(fam)
+    uniqueness = check_uniqueness_condition(fam)
+    assert positivity.passed and uniqueness.passed
+    assert len(good_calls) == n * t
+    assert positivity.data["index_points"] == n * t * (q + 1) ** (n - 1)
+
+    dens = build_family(fam, checked=False)
+    row_reads = []
+    assembled = []
+    honest_row = verifier._kernel_row
+    honest_assemble = verifier.assemble_kernel
+
+    def counted_row(*args):
+        row_reads.append(args)
+        return honest_row(*args)
+
+    def counted_assemble(*args):
+        assembled.append(args)
+        return honest_assemble(*args)
+
+    monkeypatch.setattr(verifier, "_kernel_row", counted_row)
+    monkeypatch.setattr(verifier, "assemble_kernel", counted_assemble)
+    axioms = check_specification_axioms(dens)
+    assert axioms.passed
+    assert 0 < len(row_reads) <= covering_reads(space)
+    assert axioms.data["checks"]["nested_pairs"] == t * (q + 2) ** n
+    # (a) assembles every row at every configuration, and (c) reads those
+    # rows through the memo instead of assembling its own
+    assert len(assembled) == t * q ** n * 2 ** n
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_closed_form_counts_equal_the_enumerated_counts(name):
+    fam = FAMILIES[name]()
+    positivity = oracles.check_very_weak_positivity(fam)
+    if positivity.passed:
+        assert (check_very_weak_positivity(fam).data["index_points"]
+                == positivity.data["index_points"])
+    uniqueness = oracles.check_uniqueness_condition(fam)
+    if uniqueness.passed:
+        assert (check_uniqueness_condition(fam).data["index_points"]
+                == uniqueness.data["index_points"])
+    dens = built(fam)
+    if dens is None:
+        return
+    axioms = oracles.check_specification_axioms(fresh(dens))
+    if axioms.passed:
+        assert (check_specification_axioms(fresh(dens)).data["checks"]["nested_pairs"]
+                == axioms.data["checks"]["nested_pairs"])
