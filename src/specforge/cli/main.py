@@ -445,6 +445,15 @@ def _default_out(model_path: str) -> str:
     return stem + ".rho"
 
 
+def _construction_failure(exc: ConstructionError) -> HypothesisReport:
+    """The failed ``construction`` report for a build that raised."""
+    failed = HypothesisReport(name="construction", passed=False,
+                              data={"error": str(exc)})
+    if exc.witness:
+        failed.witnesses.append(exc.witness)
+    return failed
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     model = load_model(args.model, args.budget)
     _, fam, joint = model.realize()
@@ -452,11 +461,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         dens = build_family(fam, sweep=model.sweep, checked=True)
     except ConstructionError as exc:
-        failed = HypothesisReport(name="construction", passed=False)
-        witnesses = [exc.witness] if exc.witness else []
-        failed.witnesses.extend(witnesses)
-        failed.data["error"] = str(exc)
-        report.add(failed, gate=True)
+        report.add(_construction_failure(exc), gate=True)
         return emit(report, model, args.json)
     selected = select_verify_suites(args, model, fam, joint, report)
     run_jobs(verify_jobs(model, fam, dens, joint, selected), report)
@@ -474,11 +479,7 @@ def replay_catalog(model: ModelFile) -> dict[str, Callable[[], HypothesisReport]
         try:
             build_family(fam, sweep=model.sweep, checked=True)
         except ConstructionError as exc:
-            failed = HypothesisReport(name="construction", passed=False)
-            if exc.witness:
-                failed.witnesses.append(exc.witness)
-            failed.data["error"] = str(exc)
-            return failed
+            return _construction_failure(exc)
         return HypothesisReport(name="construction", passed=True)
 
     catalog["construction"] = construction

@@ -6,8 +6,8 @@ and exhaustively, before any multi-site kernel is assembled:
 * *good symbols*: for a site and a finite context region, the symbols
   that keep the site's density positive under every rewrite of the
   context, with every cross-site ratio integral pinned inside (0, inf).
-  Both conditions depend only on which densities vanish, so one
-  zero-pattern admissibility table per site answers every context;
+  Both conditions depend only on which densities vanish, so good
+  membership is read off one zero-pattern table per site and context;
 * *very weak positivity*: every site/context/exterior combination owns
   at least one good symbol;
 * *order consistency*: swapping the order in which two sites are
@@ -26,6 +26,7 @@ witnesses; nothing is sampled, every index point is enumerated.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -165,44 +166,46 @@ def _checked_ratio_kernel(
     return value.fraction
 
 
-def _admissible_points(family: SingletonFamily, site: Site) -> frozenset:
-    """Keys ``(values, tail)`` of the points where ``site`` is admissible.
+def _full_lines(points: frozenset, k: int, q: int) -> frozenset:
+    """The keys of ``points`` whose whole line along position ``k``, all
+    ``q`` symbols there with the rest of the key fixed, lies in ``points``."""
+    lines = Counter((values[:k] + values[k + 1:], tail) for values, tail in points)
+    return frozenset(key for key in points
+                     if lines[(key[0][:k] + key[0][k + 1:], key[1])] == q)
 
-    A point is admissible iff the site's density is nonzero there and, for
-    every other site ``i``, the free integral over ``i`` of
-    density(i)/density(site) is defined, finite and positive.  That is a
-    statement about zero patterns only: the integral is undefined or
-    infinite iff density(site) vanishes somewhere along ``i``'s coordinate,
-    and it is never zero, because unit mass puts a nonzero density(i) on
-    some symbol of positive free weight there.  No rational arithmetic is
-    done.  Built once per (family, site).
+
+def _good_points(family: SingletonFamily, site: Site, ctx: tuple[Site, ...]) -> frozenset:
+    """Keys ``(values, tail)`` where ``site``'s own symbol is good against ``ctx``.
+
+    ``ctx`` must be canonical.  Against the empty context a point is good
+    iff the site's density is nonzero there and, for every other site
+    ``i``, the free integral over ``i`` of density(i)/density(site) is
+    defined, finite and positive.  That is a statement about zero
+    patterns only: the integral is undefined or infinite iff
+    density(site) vanishes somewhere along ``i``'s coordinate, and it is
+    never zero, because unit mass puts a nonzero density(i) on some
+    symbol of positive free weight there.  So the table holds the live
+    points whose whole line along every other site is live.  A good set
+    is an AND over the fills of its context, so a longer context keeps
+    the points of its prefix's table whose whole line along its last
+    site lies in that table.  No rational arithmetic is done; each table
+    is built once per (family, site, context).
     """
     space = family.space
-    sites = space.universe.sites
-    alphabet = space.alphabet.symbols
+    universe = space.universe
+    q = len(space.alphabet)
 
     def compute() -> frozenset:
-        live = {cfg.key for cfg in space.configurations()
-                if family.density_at(site, *cfg.key) != 0}
-        admissible = set(live)
-        for k, other in enumerate(sites):
-            if other == site:
-                continue
-            lines: dict[tuple, bool] = {}
-            for key in list(admissible):
-                values, tail = key
-                line = (values[:k] + values[k + 1:], tail)
-                keeps = lines.get(line)
-                if keeps is None:
-                    keeps = lines[line] = all(
-                        (values[:k] + (s,) + values[k + 1:], tail) in live
-                        for s in alphabet
-                    )
-                if not keeps:
-                    admissible.discard(key)
-        return frozenset(admissible)
+        if ctx:
+            return _full_lines(_good_points(family, site, ctx[:-1]),
+                               universe.index(ctx[-1]), q)
+        live = frozenset(cfg.key for cfg in space.configurations()
+                         if family.density_at(site, *cfg.key) != 0)
+        return live.intersection(*(_full_lines(live, k, q)
+                                   for k, other in enumerate(universe.sites)
+                                   if other != site))
 
-    return family.cached(("admissible_points", site), compute)
+    return family.cached(("good_points", site, ctx), compute)
 
 
 def good_symbols(
@@ -221,32 +224,29 @@ def good_symbols(
       ``i`` of density(i)/density(site) is defined, finite and positive.
 
     Both conditions depend only on which densities vanish (the free
-    weights enter through unit mass alone), so the good set is an AND over
-    the context fills of one per-site admissibility table built from zero
-    patterns.  The result depends on ``cfg`` only off ``context + (site,)``
-    and is cached per family under that mask.
+    weights enter through unit mass alone), so a symbol is good iff
+    ``cfg`` with ``site`` set to it lies in the site's good-point table
+    for the canonical context (`_good_points`).  The result depends on
+    ``cfg`` only off ``context + (site,)``.  The argument checks and the
+    canonical context are memoised per (site, context as given); nothing
+    is memoised per exterior.
     """
-    space = family.space
-    ctx = space.universe.region(context)
-    if site not in space.universe.sites:
-        raise DomainError(f"site {site!r} not in universe")
-    if site in ctx:
-        raise DomainError(f"site {site!r} may not appear in its own context")
-    hidden = ctx + (site,)
-    mask = space.masked_key(cfg, hidden)
+    context = tuple(context)
 
-    def compute() -> tuple[str, ...]:
-        admissible = _admissible_points(family, site)
-        ctx_fills = list(space.assignments(ctx))
-        members = []
-        for candidate in space.alphabet:
-            base = cfg.with_sites({site: candidate})
-            if all(space.overlay(base, ctx, fill).key in admissible
-                   for fill in ctx_fills):
-                members.append(candidate)
-        return tuple(members)
+    def canonical() -> tuple[tuple[Site, ...], int]:
+        universe = family.space.universe
+        ctx = universe.region(context)
+        if site not in universe.sites:
+            raise DomainError(f"site {site!r} not in universe")
+        if site in ctx:
+            raise DomainError(f"site {site!r} may not appear in its own context")
+        return ctx, universe.index(site)
 
-    return family.cached(("good_symbols", site, ctx, mask), compute)
+    ctx, k = family.cached(("good_symbols", site, context), canonical)
+    table = _good_points(family, site, ctx)
+    before, after = cfg.values[:k], cfg.values[k + 1:]
+    return tuple(s for s in family.space.alphabet.symbols
+                 if (before + (s,) + after, cfg.tail) in table)
 
 
 def site_is_good(

@@ -131,13 +131,13 @@ class SingletonFamily:
     def cached(self, key: tuple, compute: Callable[[], object]):
         """Memo slot for quantities derived from the immutable tables.
 
-        Holds admissible points, good sets, the three gate reports (per
-        witness cap), the density family built under each sweep order and
-        the verifier's bad-point tables: per site and context, the keys
-        where the site's own symbol is not good.  The support-class
-        certificate and the good-support suites read good membership
-        there and nowhere else.  Values are shared, so callers only read
-        them; a ``compute`` that raises leaves no entry.
+        Holds the good-point tables (per site and context, the keys where
+        the site's own symbol is good; every good-set reader looks there),
+        the canonical context ``good_symbols`` resolves per site and
+        context as given, the floor good sets, the three gate reports (per
+        witness cap) and the density family built under each sweep order.
+        Values are shared, so callers only read them; a ``compute`` that
+        raises leaves no entry.
         """
         try:
             return self._cache[key]

@@ -24,6 +24,7 @@ from .core import (
     Site,
     Space,
 )
+from . import hypotheses
 from .constructor import (
     DensityFamily,
     assemble_kernel,
@@ -38,7 +39,6 @@ from .hypotheses import (
     check_uniqueness_condition,
     check_very_weak_positivity,
     good_blocks,
-    site_is_good,
 )
 from .models import SingletonFamily, extract_singletons
 
@@ -190,8 +190,8 @@ def support_class_certificate(
 ) -> SupportClassCertificate:
     """Membership test for the class where consistency reduces to singletons.
 
-    Each line is the smoothed measure's weight on the ``_bad_points``
-    table of its (site, context).  Memoised on the measure per family.
+    Each line is the smoothed measure's weight off the good-point table
+    of its (site, context).  Memoised on the measure per family.
     """
     def compute() -> SupportClassCertificate:
         space = singletons.space
@@ -200,41 +200,24 @@ def support_class_certificate(
             smoothed = mu.push_free((site,))
             complement = space.universe.complement((site,))
             for ctx in space.universe.subsets(complement):
-                lines[(site, ctx)] = _mass_on(smoothed, _bad_points(singletons, site, ctx))
+                good = hypotheses._good_points(singletons, site, ctx)
+                lines[(site, ctx)] = _mass_off(smoothed, good)
         return SupportClassCertificate(lines=lines, passed=not any(lines.values()))
 
     return mu.cached(("certificate", singletons), compute)
 
 
-def _bad_points(singletons: SingletonFamily, site: Site,
-                context: tuple[Site, ...]) -> frozenset:
-    """Keys ``(values, tail)`` where ``site``'s own symbol is not good.
-
-    Good against ``context`` at the configuration itself.  This is where
-    the support suites read good membership: the table is built once per
-    family, site and canonical ``context`` by asking ``site_is_good`` at
-    every key of the site's density table, and holds those key tuples
-    themselves, so the memo adds set slots only.
-    """
-    def compute() -> frozenset:
-        make = singletons.space.make
-        return frozenset(key for key in singletons._tables[site]
-                         if not site_is_good(singletons, site, context, make(*key)))
-
-    return singletons.cached(("bad_points", site, context), compute)
-
-
-def _off_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozenset:
-    """Keys where some member of ``region`` is not good against the rest."""
-    return frozenset().union(*(
-        _bad_points(singletons, k, tuple(s for s in region if s != k))
+def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozenset:
+    """Keys where every member of ``region`` is good against the rest."""
+    return frozenset.intersection(*(
+        hypotheses._good_points(singletons, k, tuple(s for s in region if s != k))
         for k in region
     ))
 
 
-def _mass_on(measure: FiniteMeasure, keys: frozenset) -> Fraction:
-    """The measure's weight on a set of configuration keys."""
-    return sum((w for key, w in measure.weights.items() if key in keys), Fraction(0))
+def _mass_off(measure: FiniteMeasure, good: frozenset) -> Fraction:
+    """The measure's weight off a set of configuration keys."""
+    return sum((w for key, w in measure.weights.items() if key not in good), Fraction(0))
 
 
 def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
@@ -667,7 +650,7 @@ def good_support_report(
     density must equal either block's density divided by the matching
     ratio integral.  Also verifies that good-membership of a site
     against a context never depends on the configuration inside the
-    context.  Both read membership off the ``_bad_points`` tables.
+    context.  Both read membership off the good-point tables.
     """
     space = dens.space
     universe = space.universe
@@ -687,9 +670,9 @@ def good_support_report(
                 v = universe.region(v)
                 w = universe.region(members - set(v))
                 splits.append((v, w))
-        off_core = _off_core(singletons, region)
+        core = _good_core(singletons, region)
         for cfg in space.configurations():
-            if cfg.key in off_core:
+            if cfg.key not in core:
                 continue
             member_points += 1
             for v, w in splits:
@@ -726,12 +709,12 @@ def good_support_report(
         for ctx in universe.subsets(universe.complement((site,))):
             if not ctx:
                 continue
-            bad = _bad_points(singletons, site, ctx)
+            good = hypotheses._good_points(singletons, site, ctx)
             for cfg in space.exterior_classes(ctx):
-                base = cfg.key in bad
+                base = cfg.key in good
                 for fill in space.assignments(ctx):
                     measurability_points += 1
-                    if (space.overlay(cfg, ctx, fill).key in bad) != base:
+                    if (space.overlay(cfg, ctx, fill).key in good) != base:
                         report.fail(witness_cap, lambda: Witness(
                             check="good_support",
                             description=(
@@ -762,8 +745,8 @@ def check_good_support_mass(
     intersection.  If the measure is moreover preserved by every
     single-site kernel, the measure itself must put zero mass off every
     good-membership event.  Parts whose premise fails are skipped and
-    recorded as out of scope.  Every bad mass is the measure's weight on
-    a ``_bad_points`` table or on the union of a region's tables.
+    recorded as out of scope.  Every bad mass is the measure's weight off
+    a good-point table or off the intersection of a region's tables.
     """
     space = dens.space
     universe = space.universe
@@ -773,10 +756,10 @@ def check_good_support_mass(
     counts = {"smoothed_site": 0, "smoothed_region": 0,
               "plain_site": 0, "plain_region": 0}
 
-    def charge(part: str, measure: FiniteMeasure, keys: frozenset,
+    def charge(part: str, measure: FiniteMeasure, good: frozenset,
                describe: str, replay: dict) -> None:
         counts[part] += 1
-        mass = _mass_on(measure, keys)
+        mass = _mass_off(measure, good)
         if mass != 0:
             report.fail(witness_cap, lambda: Witness(
                 check="good_support_mass", description=describe,
@@ -792,12 +775,12 @@ def check_good_support_mass(
             names = [str(s) for s in region]
             for k in region:
                 rest = tuple(s for s in region if s != k)
-                charge("smoothed_site", smoothed, _bad_points(singletons, k, rest),
+                charge("smoothed_site", smoothed, hypotheses._good_points(singletons, k, rest),
                        f"free-smoothed measure of {names!r} charges "
                        f"configurations where {k!r} is not good",
                        {"region": names, "site": str(k)})
             if len(region) >= 2:
-                charge("smoothed_region", smoothed, _off_core(singletons, region),
+                charge("smoothed_region", smoothed, _good_core(singletons, region),
                        "free-smoothed measure charges the complement "
                        f"of the good core of {names!r}", {"region": names})
         singleton_ok = all(mu.preserved_by(dens, (site,))
@@ -806,13 +789,13 @@ def check_good_support_mass(
             for j in universe.sites:
                 for ctx in universe.subsets(universe.complement((j,))):
                     context = [str(s) for s in ctx]
-                    charge("plain_site", mu, _bad_points(singletons, j, ctx),
+                    charge("plain_site", mu, hypotheses._good_points(singletons, j, ctx),
                            "the measure itself charges configurations where "
                            f"{j!r} is not good against {context!r}",
                            {"site": str(j), "context": context})
             for region in universe.subsets():
                 if len(region) >= 2:
-                    charge("plain_region", mu, _off_core(singletons, region),
+                    charge("plain_region", mu, _good_core(singletons, region),
                            "the measure itself charges the complement of "
                            f"the good core of {[str(s) for s in region]!r}",
                            {"region": [str(s) for s in region]})

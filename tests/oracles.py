@@ -23,7 +23,7 @@ density when one other site joins it.
 
 ``support_class_certificate``, ``good_support_report`` and
 ``check_good_support_mass`` are the support suites as they were before
-they read good membership off one bad-point table per (site, context):
+they read good membership off one good-point table per (site, context):
 they ask ``site_is_good`` configuration by configuration.
 
 ``check_order_consistency`` (with ``consistency_side``),

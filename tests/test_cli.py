@@ -488,6 +488,13 @@ class TestReplayCommand:
         assert "unrecognized arguments: --json" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_construction_witness_replays(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert main(["verify", BROKEN_H2, "--json", str(report_path)]) == 1
+        code = main(["replay", str(report_path), "--suite", "construction"])
+        assert code == 1
+        assert "reproduced" in capsys.readouterr().out
+
     def test_verify_suite_witness_replays(self, capsys, tmp_path):
         model = tmp_path / "zerofree.model"
         model.write_text(

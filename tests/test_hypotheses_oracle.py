@@ -1,7 +1,7 @@
 """Fast hypothesis paths against their naive oracles.
 
-``good_symbols`` reads a per-site admissibility table built from zero
-patterns, and ``check_pointwise_compatibility`` evaluates the eight-factor
+``good_symbols`` reads one good-point table per (site, context), built
+from zero patterns, and ``check_pointwise_compatibility`` evaluates the eight-factor
 identity once per pair and exterior.  The oracles below are the direct
 definitions: fresh ratio integrals for every (site, context, exterior),
 and the identity recomputed at every configuration.  Results must agree

@@ -5,7 +5,9 @@ condition) are memoised on the singleton family per witness cap, and the
 family built under each sweep order on the singleton family too.  Body
 runs are counted by the reports the gates construct and by the sweeps
 that start from an empty table store.  A memoised report must equal a
-fresh computation on a newly parsed family.
+fresh computation on a newly parsed family.  The support suites read
+good membership off the good-point tables alone, each built once per
+(site, context); misses are counted by wrapping ``SingletonFamily.cached``.
 """
 
 from collections import Counter
@@ -16,8 +18,15 @@ import pytest
 from specforge import constructor, hypotheses
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
+from specforge.models import SingletonFamily
+from specforge.verifier import (
+    FiniteMeasure,
+    check_good_support_mass,
+    good_support_report,
+    support_class_certificate,
+)
 
-from zoo import alternating_exclusion_family
+from zoo import alternating_exclusion_family, hardcore_family, potential_family
 
 MODELS = ("broken_h2", "example1", "extracted", "independent", "potential")
 GATES = {
@@ -118,3 +127,48 @@ def test_a_raised_precondition_is_not_memoised(runs):
             hypotheses.check_order_consistency(family)
         assert not err.value.report.passed
     assert runs == Counter({"very_weak_positivity": 1})
+
+
+@pytest.mark.parametrize("build", [lambda: hardcore_family(4),
+                                   lambda: potential_family(1, 4)[2]],
+                         ids=["hardcore_4", "potential_1_4"])
+def test_support_suites_build_each_good_point_table_once(build, monkeypatch):
+    family = build()
+    misses: Counter = Counter()
+    honest_cached = SingletonFamily.cached
+
+    def counted_cached(self, key, compute):
+        def counted():
+            misses[key] += 1
+            return compute()
+        return honest_cached(self, key, counted)
+
+    monkeypatch.setattr(SingletonFamily, "cached", counted_cached)
+    dens = constructor.build_family(family, checked=False)
+    mu = FiniteMeasure.kernel_measure(dens, next(family.space.configurations()))
+    calls = Counter()
+    honest_good = hypotheses.good_symbols
+
+    def counted_good(*args):
+        calls["good_symbols"] += 1
+        return honest_good(*args)
+
+    monkeypatch.setattr(hypotheses, "good_symbols", counted_good)
+    support_class_certificate(mu, family)
+    good_support_report(dens)
+    check_good_support_mass(mu, dens)
+    assert calls["good_symbols"] == 0
+    tables = [key for key in misses if key[0] == "good_points"]
+    n = len(family.space.universe)
+    assert all(misses[key] == 1 for key in tables)
+    assert len(tables) <= n * 2 ** (n - 1)
+    assert {key[0] for key in family._cache} & {"admissible_points", "bad_points"} == set()
+
+
+def test_good_symbols_memoises_nothing_per_exterior():
+    family = hardcore_family(4)
+    constructor.build_family(family, checked=True)
+    keys = [key for key in family._cache if key[0] == "good_symbols"]
+    n = len(family.space.universe)
+    assert keys and all(len(key) == 3 for key in keys)
+    assert len(keys) <= n * 2 ** (n - 1)

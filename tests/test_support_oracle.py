@@ -1,14 +1,15 @@
 """The support suites against their configuration-by-configuration oracles.
 
 ``support_class_certificate``, ``good_support_report`` and
-``check_good_support_mass`` read good membership off one bad-point table
-per (site, context).  Each must report exactly what the oracle in
-``oracles.py`` reports, which asks ``site_is_good`` at every
-configuration, at witness caps 1 and 25 and uncapped.  The families are
+``check_good_support_mass`` read good membership off one good-point
+table per (site, context), ``hypotheses._good_points``.  Each must
+report exactly what the oracle in ``oracles.py`` reports, which asks
+``site_is_good`` at every configuration, at witness caps 1 and 25 and
+uncapped.  The families are
 the zoo families with at most four sites and normalised free weights,
 and random zero-pattern draws rescaled to unit free mass; the measures
 are kernel measures, random full-support measures and point masses.
-A patched ``good_symbols`` that reads the context makes the mass suite
+A patched good-point table that reads the context makes the mass suite
 fail, so failing reports are compared as well.
 """
 
@@ -130,17 +131,17 @@ def test_zero_pattern_density_families(seed):
     assert_matches_oracles(fam, build_family(fam, checked=False), seed=seed)
 
 
-def context_reading_good_symbols(monkeypatch) -> None:
-    """Patch the predicate both the suites and the oracles read."""
-    monkeypatch.setattr(hypotheses, "good_symbols",
-                        zoo.context_reading(hypotheses.good_symbols))
+def context_reading_good_points(monkeypatch) -> None:
+    """Patch the table; every good-set reader looks it up through ``hypotheses``."""
+    patched = zoo.context_reading(hypotheses._good_points)
+    monkeypatch.setattr(hypotheses, "_good_points", patched)
 
 
 @pytest.mark.parametrize("family", ["independent", "potential_1", "hardcore_3"])
 def test_context_reading_predicate(family, monkeypatch):
     fam = DENSITY_FAMILIES[family]()
     dens = build_family(fam)
-    context_reading_good_symbols(monkeypatch)
+    context_reading_good_points(monkeypatch)
     assert_matches_oracles(fam, dens)
     assert not good_support_report(dens).passed
 
@@ -149,7 +150,7 @@ def test_context_reading_predicate(family, monkeypatch):
 def test_point_mass_fails_the_smoothed_parts(family, monkeypatch):
     fam = DENSITY_FAMILIES[family]()
     dens = build_family(fam)
-    context_reading_good_symbols(monkeypatch)
+    context_reading_good_points(monkeypatch)
     mu = FiniteMeasure(fam.space, {next(fam.space.configurations()).key: Fraction(1)})
     assert support_class_certificate(mu, fam).passed
     report = check_good_support_mass(mu, dens, 10_000)

@@ -167,11 +167,11 @@ def test_failing_families_overrun_the_small_caps():
 
 
 def test_good_support_mass_overruns_the_small_caps(monkeypatch):
-    # no family above makes the mass suite fail; a good-symbols predicate
-    # that reads the context does, at a point mass inside the class
+    # no family above makes the mass suite fail; a good-point table that
+    # reads the context does, at a point mass inside the class
     dens = build_family(independent_family())
-    monkeypatch.setattr(hypotheses, "good_symbols",
-                        context_reading(hypotheses.good_symbols))
+    patched = context_reading(hypotheses._good_points)
+    monkeypatch.setattr(hypotheses, "_good_points", patched)
     mu = FiniteMeasure(dens.space, {next(dens.space.configurations()).key: Fraction(1)})
 
     def run(cap):

@@ -347,19 +347,20 @@ def random_zero_table_family(seed: int) -> SingletonFamily:
     return normalize(space, TableModel(entries))
 
 
-def context_reading(good_symbols):
-    """``good_symbols`` made to read the context's own symbols.
+def context_reading(good_points):
+    """A good-point table made to read the context's own symbols.
 
-    Drops the first good symbol wherever the first context site holds the
-    last alphabet symbol.  Real good sets never depend on the context's
-    symbols, so the support suites must report the patched predicate.
+    Drops the points whose first context site holds the last alphabet
+    symbol.  Real good sets never depend on the context's symbols, so
+    the support suites must report the patched table.
     """
 
-    def patched(family, site, context, cfg):
-        good = good_symbols(family, site, context, cfg)
-        ctx = family.space.universe.region(context)
-        if ctx and cfg.symbol(ctx[0]) == family.space.alphabet.symbols[-1]:
-            return good[1:]
-        return good
+    def patched(family, site, ctx):
+        table = good_points(family, site, ctx)
+        if not ctx:
+            return table
+        k = family.space.universe.index(ctx[0])
+        last = family.space.alphabet.symbols[-1]
+        return frozenset(key for key in table if key[0][k] != last)
 
     return patched
