@@ -30,7 +30,6 @@ from .constructor import (
     DensityFamily,
     assemble_kernel,
     build_family,
-    check_divisor_factorization,
     check_order_independence,
     extend_density,
     extension_divisor,

@@ -11,7 +11,7 @@ The construction itself makes choices (which good block to evaluate at,
 which order to sweep the sites) that provably do not matter; those
 facts are not assumed here but re-verified, both inline (every good
 block is evaluated and compared) and by the dedicated
-`check_order_independence` / `check_divisor_factorization` suites.
+`check_order_independence` suite.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .core import (
-    ArithmeticDomainError,
     Configuration,
     DomainError,
     ExtendedRational,
@@ -48,7 +47,6 @@ __all__ = [
     "build_family",
     "assemble_kernel",
     "check_order_independence",
-    "check_divisor_factorization",
 ]
 
 
@@ -456,82 +454,3 @@ def check_order_independence(
     }
     return report
 
-
-def check_divisor_factorization(
-    dens: DensityFamily, witness_cap: int = WITNESS_CAP
-) -> HypothesisReport:
-    """Peeling one site off the base block factorizes the ratio integral.
-
-    For every pair of disjoint nonempty regions (theta, gamma), every
-    site k of theta, every exterior and every good block x for theta
-    against gamma: the integral over gamma of density(gamma)/density(theta)
-    at (x over cfg) must equal the integral over gamma of
-    density(gamma)/density(k) at (x over cfg) times the integral over
-    gamma + {k} of density(gamma + {k})/density(theta minus k) at
-    (x-minus-k over cfg).
-    """
-    space = dens.space
-    universe = space.universe
-    tables = dens._tables
-    report = HypothesisReport(name="divisor_factorization", passed=True)
-    checked = 0
-    violations = 0
-    for theta in universe.subsets():
-        if not theta:
-            continue
-        complement = universe.complement(theta)
-        for gamma in universe.subsets(complement):
-            if not gamma:
-                continue
-            for k in theta:
-                theta_rest = universe.region(s for s in theta if s != k)
-                gamma_plus = universe.region(gamma + (k,))
-                for cfg in space.exterior_classes(theta):
-                    for block in good_blocks(dens.singletons, theta, gamma, cfg):
-                        checked += 1
-                        shifted = space.overlay(cfg, theta, block)
-                        rest_block = tuple(
-                            b for s, b in zip(theta, block) if s != k
-                        )
-                        shifted_rest = space.overlay(cfg, theta_rest, rest_block)
-                        lhs = space.ratio_integral(
-                            gamma, tables[gamma], tables[theta],
-                            shifted.values, shifted.tail)
-                        f1 = space.ratio_integral(
-                            gamma, tables[gamma], tables[(k,)],
-                            shifted.values, shifted.tail)
-                        f2 = space.ratio_integral(
-                            gamma_plus, tables[gamma_plus], tables[theta_rest],
-                            shifted_rest.values, shifted_rest.tail)
-                        defined = (lhs is not None and f1 is not None
-                                   and f2 is not None)
-                        rhs: ExtendedRational | None = None
-                        equal = False
-                        if defined:
-                            try:
-                                rhs = f1 * f2
-                                equal = lhs == rhs
-                            except ArithmeticDomainError:
-                                defined = False
-                        if not (defined and equal):
-                            violations += 1
-                            report.fail(witness_cap, lambda: Witness(
-                                check="divisor_factorization",
-                                description=(
-                                    "factorized ratio integral "
-                                    f"mismatch peeling {k!r} off "
-                                    f"{[str(s) for s in theta]!r}"
-                                ),
-                                replay={
-                                    "assignment": list(cfg.values),
-                                    "tail": cfg.tail,
-                                    "theta": [str(s) for s in theta],
-                                    "gamma": [str(s) for s in gamma],
-                                    "site": str(k),
-                                    "block": list(block),
-                                },
-                                lhs=str(lhs) if lhs is not None else "undefined",
-                                rhs=str(rhs) if rhs is not None else "undefined",
-                            ))
-    report.data = {"evaluations": checked, "violations": violations}
-    return report

@@ -13,6 +13,11 @@ region.
 the region with zeros kept, integrated by overlaying each block on the
 exterior, and turned into point-keyed rows by overlaying once more.
 
+``kernel_class_violations`` assembles every row at every configuration
+and lists the rows that differ inside one exterior class or charge a
+point off the class; ``check_specification_axioms`` takes both
+properties as proven and reports no such row.
+
 ``measure_consistency`` is the measure-consistency check that pushed
 the measure through every single-site kernel and then through every
 region's kernel, single sites again included.
@@ -25,6 +30,9 @@ density when one other site joins it.
 ``check_good_support_mass`` are the support suites as they were before
 they read good membership off one good-point table per (site, context):
 they ask ``site_is_good`` configuration by configuration.
+``membership_measurability`` is the half of ``good_support_report`` that
+``verifier.good_support_report`` proves and counts in closed form: good
+membership at every fill of every context against its class.
 
 ``check_order_consistency`` (with ``consistency_side``),
 ``extend_density``, the block-split loop of ``check_order_independence``
@@ -37,10 +45,15 @@ look up ``good_symbols``, ``good_blocks`` and ``_checked_ratio_kernel``
 on their modules at call time, so a test that patches one patches the
 library and the oracle alike.
 
+``check_divisor_factorization`` is the factorization lemma for ratio
+integrals that no command runs: peeling one site off the base block of
+a ratio integral splits it into two.
+
 ``check_specification_axioms``, ``check_very_weak_positivity`` and
 ``check_uniqueness_condition`` are those checks as they were before they
-read a generating set: part (c) of the axioms composes every nested pair
-point by point, and both good-set checks visit every (site, context,
+read a generating set: parts (a) and (b) of the axioms assemble every
+row at every configuration, part (c) composes every nested pair point
+by point, and both good-set checks visit every (site, context,
 exterior class) index point.  The good-set sweeps look up
 ``good_symbols`` on its module at call time too, and neither is
 memoised.
@@ -53,7 +66,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from specforge.core import INF, DomainError, ExtendedRational, ratio
+from specforge.core import INF, ArithmeticDomainError, DomainError, ExtendedRational, ratio
 from specforge.hypotheses import (
     WITNESS_CAP,
     HypothesisFailure,
@@ -173,6 +186,28 @@ def kernel_row(dens, region, cfg) -> dict:
         for block, w in table.weights.items()
         if w != 0
     }
+
+
+def kernel_class_violations(dens) -> list:
+    """Rows that read their exterior class, or move it.
+
+    Assembles every built region's row at every configuration and
+    returns the ``(region, cfg)`` whose row differs, items and order, from
+    the row at the first member of ``cfg``'s exterior class, or charges a
+    point that differs from ``cfg`` off the region.
+    """
+    space = dens.space
+    violations = []
+    for region in dens.regions():
+        first = {}
+        for cfg in space.configurations():
+            mask = space.masked_key(cfg, region)
+            row = list(verifier.assemble_kernel(dens, region, cfg).items())
+            if (row != first.setdefault(mask, row)
+                    or any(space.masked_key(space.make(*key), region) != mask
+                           for key, _ in row)):
+                violations.append((region, cfg))
+    return violations
 
 
 def exchange_identity(dens, region_a, region_b, f, g, cfg):
@@ -319,7 +354,6 @@ def good_support_report(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
     report = HypothesisReport(name="good_support", passed=True)
     identity_points = 0
     member_points = 0
-    measurability_points = 0
 
     def in_core(region, cfg):
         return all(
@@ -374,35 +408,52 @@ def good_support_report(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
                         lhs=str(built),
                         rhs=",".join(str(x) for x in values) or "undefined",
                     ))
-    for site in universe.sites:
-        complement = universe.complement((site,))
-        for ctx in universe.subsets(complement):
-            if not ctx:
-                continue
-            for cfg in space.exterior_classes(ctx):
-                base = site_is_good(singletons, site, ctx, cfg)
-                for fill in space.assignments(ctx):
-                    measurability_points += 1
-                    if site_is_good(
-                        singletons, site, ctx, space.overlay(cfg, ctx, fill)
-                    ) != base:
-                        report.fail(witness_cap, lambda: Witness(
-                            check="good_support",
-                            description=(
-                                f"good membership of {site!r} against "
-                                f"{[str(s) for s in ctx]!r} depends on "
-                                "the context's own symbols"
-                            ),
-                            replay={"assignment": list(cfg.values),
-                                    "tail": cfg.tail,
-                                    "fill": list(fill)},
-                        ))
+    measurability_points, violations = membership_measurability(singletons)
+    for site, ctx, cfg, fill in violations:
+        report.fail(witness_cap, lambda: Witness(
+            check="good_support",
+            description=(
+                f"good membership of {site!r} against "
+                f"{[str(s) for s in ctx]!r} depends on "
+                "the context's own symbols"
+            ),
+            replay={"assignment": list(cfg.values),
+                    "tail": cfg.tail,
+                    "fill": list(fill)},
+        ))
     report.data = {
         "core_points": member_points,
         "identity_points": identity_points,
         "measurability_points": measurability_points,
     }
     return report
+
+
+def membership_measurability(singletons) -> tuple[int, list]:
+    """Good membership at every fill of every context, against its class.
+
+    Visits every (site, nonempty context, exterior class of the context,
+    fill of the context) point and returns their number with the list of
+    ``(site, context, representative, fill)`` where ``site_is_good`` at
+    the fill differs from its value at the class representative.
+    """
+    space = singletons.space
+    universe = space.universe
+    points = 0
+    violations = []
+    for site in universe.sites:
+        for ctx in universe.subsets(universe.complement((site,))):
+            if not ctx:
+                continue
+            for cfg in space.exterior_classes(ctx):
+                base = site_is_good(singletons, site, ctx, cfg)
+                for fill in space.assignments(ctx):
+                    points += 1
+                    if site_is_good(
+                        singletons, site, ctx, space.overlay(cfg, ctx, fill)
+                    ) != base:
+                        violations.append((site, ctx, cfg, fill))
+    return points, violations
 
 
 def check_good_support_mass(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
@@ -1025,4 +1076,82 @@ def check_uniqueness_condition(family, witness_cap=WITNESS_CAP) -> HypothesisRep
         "violations": violations,
         "min_good_mass": str(min_mass) if min_mass is not None else None,
     }
+    return report
+
+
+def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Peeling one site off the base block factorizes the ratio integral.
+
+    For every pair of disjoint nonempty regions (theta, gamma), every
+    site k of theta, every exterior and every good block x for theta
+    against gamma: the integral over gamma of density(gamma)/density(theta)
+    at (x over cfg) must equal the integral over gamma of
+    density(gamma)/density(k) at (x over cfg) times the integral over
+    gamma + {k} of density(gamma + {k})/density(theta minus k) at
+    (x-minus-k over cfg).
+    """
+    space = dens.space
+    universe = space.universe
+    tables = dens._tables
+    report = HypothesisReport(name="divisor_factorization", passed=True)
+    checked = 0
+    violations = 0
+    for theta in universe.subsets():
+        if not theta:
+            continue
+        complement = universe.complement(theta)
+        for gamma in universe.subsets(complement):
+            if not gamma:
+                continue
+            for k in theta:
+                theta_rest = universe.region(s for s in theta if s != k)
+                gamma_plus = universe.region(gamma + (k,))
+                for cfg in space.exterior_classes(theta):
+                    for block in hypotheses.good_blocks(dens.singletons, theta, gamma, cfg):
+                        checked += 1
+                        shifted = space.overlay(cfg, theta, block)
+                        rest_block = tuple(
+                            b for s, b in zip(theta, block) if s != k
+                        )
+                        shifted_rest = space.overlay(cfg, theta_rest, rest_block)
+                        lhs = space.ratio_integral(
+                            gamma, tables[gamma], tables[theta],
+                            shifted.values, shifted.tail)
+                        f1 = space.ratio_integral(
+                            gamma, tables[gamma], tables[(k,)],
+                            shifted.values, shifted.tail)
+                        f2 = space.ratio_integral(
+                            gamma_plus, tables[gamma_plus], tables[theta_rest],
+                            shifted_rest.values, shifted_rest.tail)
+                        defined = (lhs is not None and f1 is not None
+                                   and f2 is not None)
+                        rhs = None
+                        equal = False
+                        if defined:
+                            try:
+                                rhs = f1 * f2
+                                equal = lhs == rhs
+                            except ArithmeticDomainError:
+                                defined = False
+                        if not (defined and equal):
+                            violations += 1
+                            report.fail(witness_cap, lambda: Witness(
+                                check="divisor_factorization",
+                                description=(
+                                    "factorized ratio integral "
+                                    f"mismatch peeling {k!r} off "
+                                    f"{[str(s) for s in theta]!r}"
+                                ),
+                                replay={
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                    "theta": [str(s) for s in theta],
+                                    "gamma": [str(s) for s in gamma],
+                                    "site": str(k),
+                                    "block": list(block),
+                                },
+                                lhs=str(lhs) if lhs is not None else "undefined",
+                                rhs=str(rhs) if rhs is not None else "undefined",
+                            ))
+    report.data = {"evaluations": checked, "violations": violations}
     return report

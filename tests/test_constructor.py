@@ -16,7 +16,6 @@ from specforge.constructor import (
     DensityFamily,
     assemble_kernel,
     build_family,
-    check_divisor_factorization,
     check_order_independence,
     extension_divisor,
 )
@@ -37,7 +36,7 @@ from zoo import (
     potential_family,
     ring_potential_family,
 )
-from oracles import pair_divisor
+from oracles import check_divisor_factorization, pair_divisor
 
 
 def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:

@@ -1,26 +1,32 @@
-"""Generating-set fast paths against the full enumerations.
+"""Generating-set fast paths and closed forms against the full enumerations.
 
-Once (a) exterior measurability and (b) point mass off the region pass,
-part (c) of ``check_specification_axioms`` composes only the covering
+``check_specification_axioms`` takes (a) exterior measurability and the
+off-region half of (b) as proven, and sums each row's mass once per
+exterior class.  Once (b) passes, part (c) composes only the covering
 pairs (Λ, Λ∖x), by the marginal identity.  ``check_very_weak_positivity``
 and ``check_uniqueness_condition`` read the floor good sets, one per site
 and tail class.  Each runs its full enumeration from the start whenever
 the shortcut does not settle the verdict.  The oracles in ``oracles.py``
 always enumerate.  Reports must be equal as dicts at witness caps 0, 1
 and 25 on every zoo family, on random zero-table seeds 0-19 and 198, and on
-perturbations that force each fallback.  The last group counts kernel-row
-reads and good-set calls, so the fast paths must actually run.
+perturbations that force each fallback.  The proven properties are
+checked by enumeration on the same families and perturbations: every
+row is a function of its exterior class and charges only that class,
+and good membership never reads the context's own symbols.  The last
+group counts kernel-row reads, row assemblies and good-set calls, so
+the fast paths must actually run, and compares every count reported in
+closed form with the enumerated one.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from specforge import constructor, hypotheses, verifier
+from specforge import hypotheses, verifier
 from specforge.constructor import DensityFamily, build_family
 from specforge.core import SpecforgeError
 from specforge.hypotheses import check_uniqueness_condition, check_very_weak_positivity
-from specforge.verifier import check_specification_axioms
+from specforge.verifier import check_specification_axioms, good_support_report
 
 import oracles
 import zoo
@@ -140,18 +146,6 @@ def test_floor_set_of_zero_free_mass_runs_the_sweep():
     assert_good_set_checks_match(fam)
 
 
-def reweighted(dens: DensityFamily, region, weigh) -> DensityFamily:
-    """``dens`` with the region's row at its first exterior class replaced
-    by ``weigh(block, original density)`` for every block."""
-    space = dens.space
-    rep = next(space.exterior_classes(region))
-    table = dens.table(region)
-    for block in space.assignments(region):
-        key = space.overlay(rep, region, block).key
-        table[key] = weigh(block, table[key])
-    return dens.replace_table(region, table)
-
-
 def renormalized(dens: DensityFamily, region) -> DensityFamily:
     """A different row of mass one at the region's first exterior class:
     (a) and (b) still hold, the row is no longer the constructed one."""
@@ -159,7 +153,7 @@ def renormalized(dens: DensityFamily, region) -> DensityFamily:
     blocks = list(space.assignments(region))
     raw = {block: Fraction(k + 2) for k, block in enumerate(blocks)}
     mass = sum(raw[b] * space.product_weight(region, b) for b in blocks)
-    return reweighted(dens, region, lambda block, _: raw[block] / mass)
+    return zoo.reweighted(dens, region, lambda block, _: raw[block] / mass)
 
 
 PERTURBED = ("potential_1", "hardcore_3", "example1", "anchored_table_5",
@@ -170,7 +164,7 @@ PERTURBED = ("potential_1", "hardcore_3", "example1", "anchored_table_5",
 def test_broken_point_mass_runs_every_nested_pair(name):
     dens = built(FAMILIES[name]())
     region = dens.space.universe.sites[:2]
-    doubled = reweighted(dens, region, lambda _, value: 2 * value)
+    doubled = zoo.reweighted(dens, region, lambda _, value: 2 * value)
     naive = oracles.check_specification_axioms(fresh(doubled))
     assert not naive.data["point_mass_off_region"]
     assert_axioms_match(doubled)
@@ -191,35 +185,43 @@ def test_broken_covering_pair_runs_every_nested_pair(name):
     assert broken
 
 
-@pytest.mark.parametrize("name", ["potential_1", "hardcore_3", "anchored_table_5",
-                                  "zero_table_18"])
-def test_broken_exterior_measurability_runs_every_nested_pair(monkeypatch, name):
-    # every member of an exterior class reads the same table cells, so no
-    # table makes (a) fail; a kernel that reads inside its region does
+# -- proven properties ---------------------------------------------------------
+
+def rows_of(fam) -> DensityFamily:
+    """The built family, or its empty and single-site regions if none builds."""
+    dens = built(fam)
+    return DensityFamily(fam) if dens is None else dens
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_rows_are_functions_of_the_exterior_class(name):
+    assert oracles.kernel_class_violations(rows_of(FAMILIES[name]())) == []
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_perturbed_rows_are_functions_of_the_exterior_class(name):
     dens = built(FAMILIES[name]())
-    first = dens.space.alphabet.symbols[0]
-    honest = constructor.assemble_kernel
+    doubled = zoo.reweighted(dens, dens.space.universe.sites[:2], lambda _, value: 2 * value)
+    for sibling in [doubled, *(renormalized(dens, region)
+                               for region in dens.regions() if region)]:
+        assert oracles.kernel_class_violations(sibling) == []
 
-    def mutated(dens, region, cfg):
-        row = honest(dens, region, cfg)
-        if region and cfg.symbol(region[0]) != first:
-            return dict(zip(row, reversed(list(row.values()))))
-        return row
 
-    monkeypatch.setattr(verifier, "assemble_kernel", mutated)
-    assert not oracles.check_specification_axioms(fresh(dens)).data["exterior_measurable"]
-    # (a)'s witnesses fill the usual caps; an unbounded one shows (c)'s too
-    assert_axioms_match(dens, caps=(*CAPS, 10 ** 6))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_good_membership_ignores_the_context(name):
+    points, violations = oracles.membership_measurability(FAMILIES[name]())
+    assert points and violations == []
 
 
 # -- the fast paths run --------------------------------------------------------
 
-def covering_reads(space) -> int:
-    """Kernel-row reads of the covering-pair check: per region of k sites
-    and each of its T·q^(n-k) exterior classes, the region's row and at
-    most q inner rows per member site."""
+def axiom_row_reads(space) -> int:
+    """Kernel-row reads of the axiom check: per region of k sites and each
+    of its T·q^(n-k) exterior classes, one read for the mass of (b), and
+    for the covering pairs the region's row and at most q inner rows per
+    member site."""
     n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
-    return t * ((q + 1) ** n + q * n * (q + 1) ** (n - 1))
+    return t * (2 * (q + 1) ** n + q * n * (q + 1) ** (n - 1))
 
 
 @pytest.mark.parametrize("make", [lambda: zoo.potential_family(1, 5)[2],
@@ -261,11 +263,11 @@ def test_fast_paths_read_only_the_generating_sets(monkeypatch, make):
     monkeypatch.setattr(verifier, "assemble_kernel", counted_assemble)
     axioms = check_specification_axioms(dens)
     assert axioms.passed
-    assert 0 < len(row_reads) <= covering_reads(space)
+    assert 0 < len(row_reads) <= axiom_row_reads(space)
     assert axioms.data["checks"]["nested_pairs"] == t * (q + 2) ** n
-    # (a) assembles every row at every configuration, and (c) reads those
-    # rows through the memo instead of assembling its own
-    assert len(assembled) == t * q ** n * 2 ** n
+    # (b) assembles one row per region and exterior class, Σ_k C(n,k)·T·q^(n−k)
+    # in all, and (c) reads those rows through the memo
+    assert len(assembled) == t * (q + 1) ** n
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -283,6 +285,10 @@ def test_closed_form_counts_equal_the_enumerated_counts(name):
     if dens is None:
         return
     axioms = oracles.check_specification_axioms(fresh(dens))
+    checks = check_specification_axioms(fresh(dens)).data["checks"]
+    for count in ("exterior", "point_mass"):
+        assert checks[count] == axioms.data["checks"][count], count
     if axioms.passed:
-        assert (check_specification_axioms(fresh(dens)).data["checks"]["nested_pairs"]
-                == axioms.data["checks"]["nested_pairs"])
+        assert checks["nested_pairs"] == axioms.data["checks"]["nested_pairs"]
+    points, _ = oracles.membership_measurability(fam)
+    assert good_support_report(dens).data["measurability_points"] == points

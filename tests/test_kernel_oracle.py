@@ -11,9 +11,10 @@ symbols.
 
 The verifier reads rows through a memo keyed by region and exterior
 class; a fresh ``assemble_kernel`` row is its oracle.  A sibling from
-``replace_table`` must read its own rows, and exterior measurability
-must keep assembling rows afresh, so a row that varies inside its class
-is still caught.
+``replace_table`` must read its own rows.  The axiom check takes exterior
+measurability as proven; the enumeration that replaces it in
+``oracles.kernel_class_violations`` must still catch a row that varies
+inside its class.
 """
 
 import itertools
@@ -29,11 +30,7 @@ from specforge.constructor import (
     build_family,
 )
 from specforge.hypotheses import good_blocks, good_symbols
-from specforge.verifier import (
-    FiniteMeasure,
-    check_specification_axioms,
-    exchange_identity,
-)
+from specforge.verifier import FiniteMeasure, exchange_identity
 
 import oracles
 from zoo import (
@@ -186,8 +183,10 @@ def test_sibling_reads_its_own_rows_not_the_parents():
 
 @pytest.mark.parametrize("name", ["potential", "hardcore"])
 def test_axiom_a_catches_a_row_that_reads_inside_its_region(monkeypatch, name):
+    # every member of an exterior class reads the same table cells, so no
+    # table makes (a) fail; a kernel that reads inside its region does
     dens = densities(FAMILIES[name]())
-    assert check_specification_axioms(dens).data["exterior_measurable"]
+    assert oracles.kernel_class_violations(dens) == []
     first = dens.space.alphabet.symbols[0]
     honest = constructor.assemble_kernel
 
@@ -198,6 +197,6 @@ def test_axiom_a_catches_a_row_that_reads_inside_its_region(monkeypatch, name):
         return row
 
     monkeypatch.setattr(verifier, "assemble_kernel", mutated)
-    report = check_specification_axioms(densities(FAMILIES[name]()))
-    assert report.data["exterior_measurable"] is False
-    assert any(w.check == "exterior_measurability" for w in report.witnesses)
+    violations = oracles.kernel_class_violations(densities(FAMILIES[name]()))
+    assert violations
+    assert all(cfg.symbol(region[0]) != first for region, cfg in violations)

