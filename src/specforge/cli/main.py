@@ -28,6 +28,7 @@ from ..constructor import (
 from ..core import Configuration, SpecforgeError
 from ..hypotheses import (
     WITNESS_CAP,
+    HypothesisFailure,
     HypothesisReport,
     Witness,
     check_bounded_positivity,
@@ -47,6 +48,7 @@ from ..verifier import (
     quasilocality_diagnostic,
     ratio_bounds,
     roundtrip_reconstruction,
+    support_class_certificate,
     uniqueness_probe,
 )
 from .modelfile import ModelFile, ModelFileError, parse_model_file
@@ -166,19 +168,25 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
                                seed: int) -> HypothesisReport:
     """Perturbed window measures must lose consistency, detectably.
 
-    Each trial moves a seeded sliver of mass between two support points
-    of one class's full-window kernel measure (support therefore
-    unchanged, so class membership is preserved) and checks that full
-    consistency now fails while the singleton/full equivalence verdict
-    stays intact.
+    Each trial moves a seeded sliver δ of mass between two support points
+    of one class's full-window kernel measure μ.  The perturbed μ′ must
+    not be fully consistent, and the singleton/full equivalence must hold.
+    *Full consistency always fails:* the full-window kernel reads only the
+    tail, so it maps μ′ to its row μ ≠ μ′.  *Class membership carries
+    over:* 0 < δ < μ(lower) keeps μ's support, and a certificate line's
+    zero pattern depends on the support alone.  So a trial fails exactly
+    when μ is in the class and every single-site kernel preserves μ′.
+    Multi-site rows are never read: where they lack mass one, pushing μ′
+    through them raises ``DomainError`` and this suite does not.  Such
+    rows fail axiom (b), which ``verify``'s checked build satisfies.
     """
     space = dens.space
     report = HypothesisReport(name="measure_perturbations", passed=True)
     rng = random.Random(seed)
     tails = space.tail_classes
+    sites = space.universe.sites
     performed = 0
     skipped = 0
-    detected = 0
     for trial in range(trials):
         tail = tails[trial % len(tails)]
         mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, tail))
@@ -186,37 +194,32 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
         if len(support) < 2:
             skipped += 1
             continue
+        if not space.free.is_normalized:
+            raise HypothesisFailure(
+                "measure consistency needs normalized free weights")
         raise_key, lower_key = rng.sample(support, 2)
         delta = mu.weights[lower_key] / rng.randint(2, 9)
         weights = dict(mu.weights)
         weights[raise_key] += delta
         weights[lower_key] -= delta
-        outcome = check_measure_consistency(FiniteMeasure(space, weights), dens)
+        perturbed = FiniteMeasure(space, weights)
         performed += 1
-        replay = {
-            "trial": trial, "tail": tail,
-            "raise_assignment": list(raise_key[0]),
-            "lower_assignment": list(lower_key[0]),
-            "delta": str(delta),
-        }
-        if outcome.data["fully_consistent"]:
-            report.fail(WITNESS_CAP, lambda: Witness(
-                check="measure_perturbations",
-                description="perturbed measure stayed fully consistent",
-                replay=replay,
-            ))
-        else:
-            detected += 1
-        if not outcome.passed:
+        if (support_class_certificate(mu, dens.singletons).passed
+                and all(perturbed.preserved_by(dens, (site,)) for site in sites)):
             report.fail(WITNESS_CAP, lambda: Witness(
                 check="measure_perturbations",
                 description=(
                     "perturbed measure broke the singleton/full equivalence"
                 ),
-                replay=replay,
+                replay={
+                    "trial": trial, "tail": tail,
+                    "raise_assignment": list(raise_key[0]),
+                    "lower_assignment": list(lower_key[0]),
+                    "delta": str(delta),
+                },
             ))
     report.data = {"seed": seed, "trials": trials, "performed": performed,
-                   "skipped": skipped, "detected": detected}
+                   "skipped": skipped, "detected": performed}
     return report
 
 
@@ -290,7 +293,7 @@ def verify_jobs(model: ModelFile, fam: SingletonFamily, dens: DensityFamily,
                         lambda: quasilocality_diagnostic(dens), gated=False))
     if selected["roundtrip"]:
         jobs.append(Job("roundtrip_reconstruction",
-                        lambda: roundtrip_reconstruction(dens.space, joint)))
+                        lambda: roundtrip_reconstruction(fam, joint)))
     return jobs
 
 

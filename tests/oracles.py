@@ -30,6 +30,14 @@ density when one other site joins it.
 ``check_good_support_mass`` are the support suites as they were before
 they read good membership off one good-point table per (site, context):
 they ask ``site_is_good`` configuration by configuration.
+``check_good_support_mass`` also charges every smoothed and plain part,
+which ``verifier.check_good_support_mass`` proves and counts in closed
+form.
+
+``measure_perturbation_suite`` is the CLI suite as it was before it took
+full inconsistency and class membership of the perturbed measure as
+proven: every trial runs ``verifier.check_measure_consistency`` on the
+perturbed measure, pushing it through every region's kernel.
 ``membership_measurability`` is the half of ``good_support_report`` that
 ``verifier.good_support_report`` proves and counts in closed form: good
 membership at every fill of every context against its class.
@@ -582,6 +590,58 @@ def check_good_support_mass(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
         "singleton_consistent": singleton_ok,
         "checked": counts,
     }
+    return report
+
+
+def measure_perturbation_suite(dens, trials, seed) -> HypothesisReport:
+    """Perturbed window measures, each checked for consistency in full."""
+    space = dens.space
+    report = HypothesisReport(name="measure_perturbations", passed=True)
+    rng = random.Random(seed)
+    tails = space.tail_classes
+    performed = 0
+    skipped = 0
+    detected = 0
+    for trial in range(trials):
+        tail = tails[trial % len(tails)]
+        rep = next(cfg for cfg in space.configurations() if cfg.tail == tail)
+        mu = verifier.FiniteMeasure.kernel_measure(dens, rep)
+        support = sorted(mu.weights)
+        if len(support) < 2:
+            skipped += 1
+            continue
+        raise_key, lower_key = rng.sample(support, 2)
+        delta = mu.weights[lower_key] / rng.randint(2, 9)
+        weights = dict(mu.weights)
+        weights[raise_key] += delta
+        weights[lower_key] -= delta
+        outcome = verifier.check_measure_consistency(
+            verifier.FiniteMeasure(space, weights), dens)
+        performed += 1
+        replay = {
+            "trial": trial, "tail": tail,
+            "raise_assignment": list(raise_key[0]),
+            "lower_assignment": list(lower_key[0]),
+            "delta": str(delta),
+        }
+        if outcome.data["fully_consistent"]:
+            report.fail(WITNESS_CAP, lambda: Witness(
+                check="measure_perturbations",
+                description="perturbed measure stayed fully consistent",
+                replay=replay,
+            ))
+        else:
+            detected += 1
+        if not outcome.passed:
+            report.fail(WITNESS_CAP, lambda: Witness(
+                check="measure_perturbations",
+                description=(
+                    "perturbed measure broke the singleton/full equivalence"
+                ),
+                replay=replay,
+            ))
+    report.data = {"seed": seed, "trials": trials, "performed": performed,
+                   "skipped": skipped, "detected": detected}
     return report
 
 

@@ -7,6 +7,11 @@ table are compared against digests frozen before the exterior-class,
 witness-collector and ratio-integral refactor, so any change to a printed
 or written byte shows up here.  ``None`` marks an output that is not
 written (``construct`` on a model whose gate fails writes no table).
+
+``CHAIN5`` extends the bundled four-site chain to five sites, so the
+digests also cover a model larger than the bundled ones.  Its ``verify``
+digests were recorded before the measure suites' enumerations were
+replaced by the proofs in their docstrings.
 """
 
 import hashlib
@@ -24,10 +29,30 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+CHAIN5 = """\
+name chain5
+sites s1 s2 s3 s4 s5
+dimension 1
+alphabet a b
+free uniform
+kind potential
+field s2 a=3/2 b=1
+pair s1 s2 a,a=2 a,b=1 b,a=1 b,b=2
+pair s2 s3 a,a=2 a,b=1 b,a=1 b,b=2
+pair s3 s4 a,a=2 a,b=1 b,a=1 b,b=2
+pair s4 s5 a,a=2 a,b=1 b,a=1 b,b=2
+"""
+
+
 def run_bundled(model: str, command: str, workdir, capsys) -> dict:
     """Exit code and output digests of one command on one bundled model."""
     source = resources.files("specforge") / "data" / f"{model}.model"
     shutil.copyfile(str(source), workdir / f"{model}.model")
+    return run_command(model, command, workdir, capsys)
+
+
+def run_command(model: str, command: str, workdir, capsys) -> dict:
+    """Exit code and output digests of one command on ``<model>.model``."""
     argv = [command, f"{model}.model"]
     if command == "construct":
         argv += ["-o", "out.rho"]
@@ -142,3 +167,14 @@ GOLDEN = {
 def test_outputs_are_byte_identical(model, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_bundled(model, command, tmp_path, capsys) == GOLDEN[(model, command)]
+
+
+def test_five_site_chain_verify_is_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    assert run_command("chain5", "verify", tmp_path, capsys) == {
+        "exit": 0,
+        "stdout": "94728e3483dc8fe3926d9f4d61b049866daec851fe2cad140afea90b7a789a41",
+        "json": "90d90156911f20b1d54461f86c5679390c0526a5f5d14a7ccbd6c8e730622f47",
+        "rho": None,
+    }

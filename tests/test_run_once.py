@@ -8,8 +8,13 @@ that start from an empty table store.  A memoised report must equal a
 fresh computation on a newly parsed family.  The support suites read
 good membership off the good-point tables alone, each built once per
 (site, context); misses are counted by wrapping ``SingletonFamily.cached``.
+The measure suites push a measure only through the kernels their
+verdicts read: the perturbation suite through at most one single-site
+kernel per site and trial, the mass suite through none once the
+measure's certificate is memoised.
 """
 
+import importlib
 from collections import Counter
 from importlib import resources
 
@@ -27,6 +32,9 @@ from specforge.verifier import (
 )
 
 from zoo import alternating_exclusion_family, hardcore_family, potential_family
+
+# the package re-exports the function ``main`` under the module's name
+cli = importlib.import_module("specforge.cli.main")
 
 MODELS = ("broken_h2", "example1", "extracted", "independent", "potential")
 GATES = {
@@ -86,11 +94,6 @@ def test_each_gate_and_the_default_build_run_once(
         if all(space.free.weight(site, symbol) > 0
                for site in space.universe for symbol in space.alphabet):
             expected["uniqueness_condition"] = 1
-        if '"roundtrip_reconstruction"' in report:
-            # the round trip extracts its own family from the joint, then
-            # gates and builds that second family once
-            expected.update(["very_weak_positivity", "order_consistency",
-                             default])
     assert runs == expected
 
 
@@ -172,3 +175,36 @@ def test_good_symbols_memoises_nothing_per_exterior():
     n = len(family.space.universe)
     assert keys and all(len(key) == 3 for key in keys)
     assert len(keys) <= n * 2 ** (n - 1)
+
+
+def test_measure_suites_push_single_sites_only(monkeypatch):
+    family = potential_family(1, 4)[2]
+    dens = constructor.build_family(family)
+    pushes = []
+    honest_kernel = FiniteMeasure.push_kernel
+    honest_free = FiniteMeasure.push_free
+
+    def push_kernel(self, kernels_of, region):
+        pushes.append(("kernel", tuple(region)))
+        return honest_kernel(self, kernels_of, region)
+
+    def push_free(self, region):
+        pushes.append(("free", tuple(region)))
+        return honest_free(self, region)
+
+    monkeypatch.setattr(FiniteMeasure, "push_kernel", push_kernel)
+    monkeypatch.setattr(FiniteMeasure, "push_free", push_free)
+    space = dens.space
+    kernels = [FiniteMeasure.kernel_measure(dens, cfg)
+               for cfg in space.exterior_classes(space.universe.sites)]
+    for mu in kernels:
+        support_class_certificate(mu, family)
+    pushes.clear()
+    report = cli.measure_perturbation_suite(dens, trials=12, seed=3)
+    assert report.passed and report.data["performed"] == 12
+    assert pushes and all(kind == "kernel" and len(region) == 1 for kind, region in pushes)
+    assert len(pushes) <= len(space.universe) * report.data["performed"]
+    pushes.clear()
+    for mu in kernels:
+        assert check_good_support_mass(mu, dens).passed
+    assert [push for push in pushes if push[0] == "free"] == []

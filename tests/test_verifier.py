@@ -557,13 +557,18 @@ class TestGoodSupportMass:
         assert all(n == 0 for n in report.data["checked"].values())
 
 
+def roundtrip(space, joint):
+    """The round trip on the joint's extracted singleton family."""
+    return roundtrip_reconstruction(extract_singletons(space, joint), joint)
+
+
 class TestRoundtrip:
     def test_random_positive_joint(self):
         import random
 
         space = zoo.plain_space()
         joint = zoo.random_joint(space, random.Random(77))
-        report = roundtrip_reconstruction(space, joint)
+        report = roundtrip(space, joint)
         assert report.passed
         assert report.data["points_compared"] == 56
         assert report.data["mismatches"] == 0
@@ -574,7 +579,7 @@ class TestRoundtrip:
         space = zoo.plain_space()
         for seed in range(100, 106):
             joint = zoo.random_joint(space, random.Random(seed))
-            assert roundtrip_reconstruction(space, joint).passed
+            assert roundtrip(space, joint).passed
 
     def test_uniform_joint_gives_unit_densities(self):
         space = zoo.plain_space()
@@ -582,7 +587,7 @@ class TestRoundtrip:
             values: Fraction(1)
             for values in space.assignments(space.universe.sites)
         }
-        assert roundtrip_reconstruction(space, joint).passed
+        assert roundtrip(space, joint).passed
         dens = build_family(extract_singletons(space, joint))
         for region in dens.regions():
             if not region:
@@ -606,7 +611,7 @@ class TestRoundtrip:
             for site, sym in zip(space.universe.sites, values):
                 w *= marginals[site][sym]
             joint[values] = w
-        assert roundtrip_reconstruction(space, joint).passed
+        assert roundtrip(space, joint).passed
         dens = build_family(extract_singletons(space, joint))
         for region in dens.regions():
             if len(region) < 2:
@@ -620,23 +625,43 @@ class TestRoundtrip:
     def test_zero_entry_rejected(self):
         space = zoo.plain_space(2)
         joint = {values: Fraction(1) for values in space.assignments(space.universe.sites)}
+        family = extract_singletons(space, joint)
         joint[("a", "b")] = Fraction(0)
-        with pytest.raises(DomainError, match="strictly positive"):
-            roundtrip_reconstruction(space, joint)
+        with pytest.raises(DomainError, match="strictly positive joint"):
+            roundtrip_reconstruction(family, joint)
 
     def test_missing_entry_rejected(self):
         space = zoo.plain_space(2)
         joint = {values: Fraction(1) for values in space.assignments(space.universe.sites)}
+        family = extract_singletons(space, joint)
         del joint[("b", "b")]
-        with pytest.raises(DomainError):
-            roundtrip_reconstruction(space, joint)
+        with pytest.raises(DomainError, match="offending assignment"):
+            roundtrip_reconstruction(family, joint)
+
+    def test_zero_free_weight_rejected_before_dividing(self):
+        family = zoo.lopsided_free_family()
+        joint = {values: Fraction(1)
+                 for values in family.space.assignments(family.space.universe.sites)}
+        with pytest.raises(DomainError, match="strictly positive free weights; zero at 's1'/'b'"):
+            roundtrip_reconstruction(family, joint)
+
+    def test_another_family_mismatches_at_the_single_sites(self):
+        import random
+
+        space = zoo.plain_space()
+        joint = zoo.random_joint(space, random.Random(77))
+        other = extract_singletons(space, zoo.random_joint(space, random.Random(78)))
+        report = roundtrip_reconstruction(other, joint)
+        assert not report.passed
+        assert report.data["mismatches"] > 0
+        assert len(report.witnesses[0].replay["region"]) == 1
 
     def test_four_site_joint(self):
         import random
 
         space = zoo.plain_space(4)
         joint = zoo.random_joint(space, random.Random(69))
-        report = roundtrip_reconstruction(space, joint)
+        report = roundtrip(space, joint)
         assert report.passed
         assert report.data["points_compared"] == 240
 

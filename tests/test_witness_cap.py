@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-import specforge.hypotheses as hypotheses
 from specforge.constructor import build_family, check_order_independence
 from specforge.core import SpecforgeError
+from specforge.models import extract_singletons
 from specforge.hypotheses import (
     WITNESS_CAP,
     HypothesisReport,
@@ -43,11 +43,9 @@ import oracles
 from zoo import (
     anchored_table_family,
     broken_pair_family,
-    context_reading,
     forced_exclusion_family,
     extracted_family,
     hardcore_family,
-    independent_family,
     one_sided_hardcore_family,
     random_joint,
 )
@@ -85,6 +83,11 @@ def kernel_measure(dens) -> FiniteMeasure:
     return FiniteMeasure.kernel_measure(dens, next(dens.space.configurations()))
 
 
+def roundtrip(joint, space, cap):
+    """The round trip on the joint's extracted singleton family."""
+    return roundtrip_reconstruction(extract_singletons(space, joint), joint, cap)
+
+
 SINGLETON_CHECKS = {
     "very_weak_positivity": check_very_weak_positivity,
     "order_consistency": check_order_consistency,
@@ -93,8 +96,8 @@ SINGLETON_CHECKS = {
     "bounded_positivity": check_bounded_positivity,
     "order_independence": lambda fam, cap: check_order_independence(
         fam, witness_cap=cap),
-    "roundtrip_reconstruction": lambda fam, cap: roundtrip_reconstruction(
-        fam.space, random_joint(fam.space, random.Random(3)), cap),
+    "roundtrip_reconstruction": lambda fam, cap: roundtrip(
+        random_joint(fam.space, random.Random(3)), fam.space, cap),
 }
 
 FAMILY_SUITES = {
@@ -163,21 +166,6 @@ def test_failing_families_overrun_the_small_caps():
         assert max(counts) > 3, name
 
 
-def test_good_support_mass_overruns_the_small_caps(monkeypatch):
-    # no family above makes the mass suite fail; a good-point table that
-    # reads the context does, at a point mass inside the class
-    dens = build_family(independent_family())
-    patched = context_reading(hypotheses._good_points)
-    monkeypatch.setattr(hypotheses, "_good_points", patched)
-    mu = FiniteMeasure(dens.space, {next(dens.space.configurations()).key: Fraction(1)})
-
-    def run(cap):
-        return check_good_support_mass(mu, dens, witness_cap=cap)
-
-    assert len(run(UNCAPPED).witnesses) > 3
-    assert_capping_only_truncates(run)
-
-
 def test_collector_builds_nothing_past_the_cap():
     report = HypothesisReport(name="probe", passed=True)
     built = []
@@ -195,22 +183,36 @@ def test_collector_builds_nothing_past_the_cap():
     assert [w.description for w in report.witnesses] == ["failure 0", "failure 1"]
 
 
-def test_perturbation_suite_keeps_at_most_the_cap(monkeypatch):
-    # every trial fails twice: the perturbed measure stays fully
-    # consistent and the equivalence verdict breaks
-    def failing(mu, dens):
-        return HypothesisReport(name="measure_consistency", passed=False,
-                                data={"fully_consistent": True})
+def single_sites_preserve(monkeypatch) -> None:
+    """Make every single-site kernel preserve every measure."""
+    honest = FiniteMeasure.preserved_by
 
-    monkeypatch.setattr(cli, "check_measure_consistency", failing)
+    def preserved_by(self, dens, region):
+        return len(region) == 1 or honest(self, dens, region)
+
+    monkeypatch.setattr(FiniteMeasure, "preserved_by", preserved_by)
+
+
+def test_perturbation_suite_keeps_at_most_the_cap(monkeypatch):
+    # every trial fails once: with every single-site kernel made to
+    # preserve the perturbed measure, the equivalence verdict breaks
+    single_sites_preserve(monkeypatch)
     dens = build_family(extracted_family(47)[2])
-    report = cli.measure_perturbation_suite(dens, trials=20, seed=5)
+    report = cli.measure_perturbation_suite(dens, trials=30, seed=5)
     assert not report.passed
-    assert report.data["performed"] == 20
-    assert report.data["detected"] == 0
+    assert report.data["performed"] == 30
+    assert report.data["detected"] == report.data["performed"]
     assert len(report.witnesses) == WITNESS_CAP
-    assert [w.replay["trial"] for w in report.witnesses[:4]] == [0, 0, 1, 1]
-    assert report.witnesses[0].description == (
-        "perturbed measure stayed fully consistent")
-    assert report.witnesses[1].description == (
-        "perturbed measure broke the singleton/full equivalence")
+    assert [w.replay["trial"] for w in report.witnesses[:4]] == [0, 1, 2, 3]
+    assert all(w.description == "perturbed measure broke the singleton/full equivalence"
+               for w in report.witnesses)
+
+
+def test_perturbation_suite_judges_only_measures_in_the_class(monkeypatch):
+    # the hard-core chain's kernel measure lies outside the support
+    # class, so the same patch must break no trial
+    single_sites_preserve(monkeypatch)
+    dens = build_family(hardcore_family(4))
+    report = cli.measure_perturbation_suite(dens, trials=12, seed=5)
+    assert report.passed and report.data["performed"] == 12
+    assert report.as_dict() == oracles.measure_perturbation_suite(dens, 12, 5).as_dict()
