@@ -300,15 +300,11 @@ def build_family(
                 f"({h2.data['violations']} comparisons)", witness=first,
             )
     return singletons.cached(("family", order),
-                             lambda: _sweep(singletons, order, {}))
+                             lambda: _sweep(singletons, order))
 
 
-def _sweep(singletons: SingletonFamily, order, store: dict) -> DensityFamily:
-    """Build every region under the sweep ``order``.
-
-    ``store`` maps a region's sites in sweep order to its table: tables
-    found there are reused, and every table built here is added to it.
-    """
+def _sweep(singletons: SingletonFamily, order) -> DensityFamily:
+    """Build every region by joining its last site in ``order`` to the rest."""
     universe = singletons.space.universe
     dens = DensityFamily(singletons)
     position = {site: k for k, site in enumerate(order)}
@@ -316,11 +312,8 @@ def _sweep(singletons: SingletonFamily, order, store: dict) -> DensityFamily:
         if len(region) < 2:
             continue
         swept = tuple(sorted(region, key=position.__getitem__))
-        table = store.get(swept)
-        if table is None:
-            table = extend_density(dens, universe.region(swept[:-1]),
-                                   (swept[-1],))
-            store[swept] = table
+        table = extend_density(dens, universe.region(swept[:-1]),
+                               (swept[-1],))
         dens._register(region, table, swept)
     return dens
 
@@ -359,14 +352,23 @@ def check_order_independence(
 ) -> HypothesisReport:
     """Site-sweep order and extension granularity must not matter.
 
-    Rebuilds the family under every permutation of the universe (or a
-    seeded sample of ``permutation_cap`` permutations when there are
-    more) and compares all tables exactly against the default build,
-    which `build_family` memoises.
-    A region's table reads only the singletons and the table of the
-    region minus its last swept site, so it depends on the sweep only
-    through its order on the region: each such order is built once and
-    shared by every permutation inducing it.
+    For every permutation of the universe (or a seeded sample of
+    ``permutation_cap`` permutations when there are more) it reports the
+    first region whose table a sweep in that order builds differently
+    from the default build, which `build_family` memoises, without
+    rebuilding the sweep.  Proof: `_sweep` builds region R as
+    ``extend_density`` of R minus x by (x,), x being R's last swept
+    site, and that reads only the tables of R minus x and {x}.  Let
+    J(R, x) say that this join on the default tables gives R's default
+    table, and R* be the first region of size at least 2, by size and
+    then site order, with J false.  R minus x precedes R, so by
+    induction every region before R* is rebuilt equal to the default,
+    and R* is rebuilt as its join on default tables, which differs.  So
+    one ``extend_density`` per (R, x) settles every sweep.  Only a
+    raised `ConstructionError` can differ from a full rebuild, which
+    also runs joins past a sweep's first mismatch, on wrong tables: its
+    message may name another join, or a rebuild may raise where this
+    suite reports a mismatch.
     Additionally recomputes every region's table by *block* extension:
     for every ordered split of the region into two nonempty disjoint
     blocks, density(theta)/divisor must reproduce the stored table, so
@@ -386,20 +388,19 @@ def check_order_independence(
         perms = rng.sample(all_perms, permutation_cap)
         sampled = True
     regions = reference.regions()
-    last_read = {tuple(sorted(region, key=perm.index)): k
-                 for k, perm in enumerate(perms) for region in regions
-                 if len(region) >= 2}
-    store = {order: reference._tables[region]
-             for region, order in reference.construction_order.items()
-             if order in last_read}
+    joins: dict[tuple, bool] = {}
+
+    def join(region: tuple[Site, ...], site: Site) -> bool:
+        if (region, site) not in joins:
+            rest = tuple(s for s in region if s != site)
+            joins[region, site] = (extend_density(reference, rest, (site,))
+                                   == reference._tables[region])
+        return joins[region, site]
+
     mismatched_perms = 0
-    for k, perm in enumerate(perms):
-        rebuilt = _sweep(singletons, perm, store)
-        for order in rebuilt.construction_order.values():
-            if last_read.get(order) == k:
-                del store[order]
+    for perm in perms:
         for region in regions:
-            if rebuilt._tables[region] != reference._tables[region]:
+            if len(region) >= 2 and not join(region, max(region, key=perm.index)):
                 mismatched_perms += 1
                 report.fail(witness_cap, lambda: Witness(
                     check="order_independence",

@@ -234,16 +234,6 @@ class PotentialModel:
                 value *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
         return value
 
-    def joint_weight(self, space: Space, values: tuple[str, ...]) -> Fraction:
-        """The product-form joint this potential is the conditional family of."""
-        cfg = space.make(values, space.tail_classes[0])
-        total = Fraction(1)
-        for site, vector in self.fields.items():
-            total *= Fraction(vector[cfg.symbol(site)])
-        for (a, b), table in self.pairs.items():
-            total *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
-        return total
-
 
 def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
     """Scale raw site weights to unit mass, configuration by configuration.

@@ -107,9 +107,6 @@ class FiniteMeasure:
             weights[(values, tail)] = space.product_weight(sites, values)
         return cls(space, weights)
 
-    def mass_of(self, cfg: Configuration) -> Fraction:
-        return self.weights.get(cfg.key, Fraction(0))
-
     def expect(self, h: Callable[[Configuration], Fraction]) -> Fraction:
         space = self.space
         total = Fraction(0)

@@ -1,8 +1,9 @@
 """Shared construction work against naive oracles.
 
-``check_order_independence`` builds each distinct (region, sweep order
-restricted to the region) table once and shares it across permutations,
-and ``Space.product_weight`` memoizes free-weight products.  The oracles
+``check_order_independence`` rebuilds no sweep: it reads each sweep's
+first mismatching region off the single-site joins of the reference
+tables, one ``extend_density`` call per (region, joining site), and
+``Space.product_weight`` memoizes free-weight products.  The oracles
 below are the direct definitions: a full rebuild of the family under
 every permutation (``oracles.check_order_independence``), and the
 product of the free weights taken afresh.  Results must agree exactly,
@@ -82,17 +83,20 @@ class TestOrderIndependenceOracle:
         ("s4", "s3", "s2", "s1"),
     ])
     def test_perturbed_restricted_order_is_caught(self, monkeypatch, chosen):
-        """One non-default restricted order builds a wrong table.
+        """One non-default single-site join builds a wrong table.
 
-        Only permutations inducing ``chosen`` on its region read the
-        wrong table, so a store that forgets the restricted order (and
-        hands every sweep the default table) reports no mismatch.
+        The patch is keyed on the inputs of ``extend_density``: the
+        region ``chosen`` joined by its last site.  Only permutations
+        sweeping that site last on the region build the wrong table, so
+        a suite that reads every sweep off the default join reports no
+        mismatch.
         """
         honest = constructor.extend_density
 
         def perturbed(dens, theta, gamma):
             table = honest(dens, theta, gamma)
-            if dens.construction_order[tuple(theta)] + tuple(gamma) == chosen:
+            if (set(theta) | set(gamma) == set(chosen)
+                    and tuple(gamma) == chosen[-1:]):
                 key = next(iter(table))
                 table[key] += 1
             return table

@@ -14,6 +14,14 @@ classes defined at module level and the names read anywhere under
 ``src/``: loaded names, attribute names and imported names.  A private
 definition that nothing reads is a leftover, such as the old body of a
 fast path that only the test oracles still need.
+
+The definition scan widens that to every function and method defined
+under ``src/``, at any depth: each must be read, as a name or an
+attribute, somewhere in ``src/``, ``tests/`` or ``perfbench/`` (the
+frozen reference copy under ``perfbench/reference/`` excepted), or be
+listed in an ``__all__``.  Dunder methods are exempt, since Python
+calls them.  A public method that nothing reads is dead weight kept in
+step with the code around it.
 """
 
 import ast
@@ -21,8 +29,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+READERS = MODULES + sorted(ROOT.joinpath("tests").rglob("*.py")) + sorted(
+    path for path in ROOT.joinpath("perfbench").rglob("*.py")
+    if not path.is_relative_to(ROOT / "perfbench" / "reference"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -176,3 +188,63 @@ def test_the_scan_flags_an_unread_private_definition(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert unread_private_definitions(paths, tmp_path) == [
         "a.py:1: _leftover", "b.py:2: _Unused"]
+
+
+def defined_functions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Functions and methods defined anywhere in the module, dunders excepted."""
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def unread_definitions(paths, readers, root: Path = SRC) -> list[str]:
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    trees = {path: parse(path) for path in paths}
+    read = names_read_anywhere(parse(path) for path in readers)
+    for tree in trees.values():
+        read |= exported_names(tree) or set()
+    return [f"{path.relative_to(root)}:{line}: {name}"
+            for path, tree in trees.items()
+            for line, name in defined_functions(tree)
+            if name not in read]
+
+
+def test_the_definition_scan_reads_tests_and_perfbench():
+    names = {str(p.relative_to(ROOT)) for p in READERS}
+    assert {"tests/oracles.py", "perfbench/run.py",
+            "perfbench/tests/test_perfbench.py"} <= names
+    assert not any(name.startswith("perfbench/reference/") for name in names)
+
+
+def test_every_function_and_method_is_read():
+    assert unread_definitions(MODULES, READERS) == []
+
+
+def test_the_scan_flags_an_unread_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['exported']\n"
+        "def exported():\n"
+        "    def nested():\n"
+        "        return 1\n"
+        "    return nested()\n"
+        "class Measure:\n"
+        "    def __init__(self):\n"
+        "        self.w = 1\n"
+        "    def read_by_test(self):\n"
+        "        return self.w\n"
+        "    def leftover(self):\n"
+        "        return self.w\n"
+        "def unread():\n"
+        "    def unread_nested():\n"
+        "        return 2\n"
+        "    return 3\n"
+    )
+    (tmp_path / "test_a.py").write_text(
+        "from a import Measure\n"
+        "Measure().read_by_test()\n"
+    )
+    assert unread_definitions([tmp_path / "a.py"], sorted(tmp_path.glob("*.py")),
+                              tmp_path) == [
+        "a.py:11: leftover", "a.py:13: unread", "a.py:14: unread_nested"]

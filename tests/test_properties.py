@@ -12,18 +12,27 @@ need: ``check_good_support_mass`` on kernel, random full-support and
 point-mass measures, at the same caps, on the family and on a
 doubled-row sibling, and ``measure_perturbation_suite`` (which has no
 cap), on the raw draw too, where both must raise the same precondition.
-Draws are derandomised and not stored, so every run tries the same
-seeds.
+``check_order_independence`` must equal the full rebuild of
+``oracles.check_order_independence`` at caps 1 and 25 on the draws that
+build and on three-site families extracted from positive joints
+(``zoo.extracted_family``), and again with joins that the default sweep
+does not make perturbed: for a drawn region R and a site x of R that is
+not R's last, ``constructor.extension_divisor`` doubles its value (an
+infinite divisor becomes 1) whenever a region containing R, minus x, is
+joined by x, so a sweep can go wrong at several regions.  Draws are
+derandomised and not stored, so every run tries the same seeds.
 """
 
 import importlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from specforge.constructor import build_family
-from specforge.core import SpecforgeError
+from specforge import constructor
+from specforge.constructor import build_family, check_order_independence
+from specforge.core import ExtendedRational, SpecforgeError
 from specforge.models import rebalance_free
 from specforge.verifier import (
     FiniteMeasure,
@@ -147,3 +156,49 @@ def test_perturbation_suite_equals_the_oracle(seed, rebalanced):
     if dens is not None:
         assert (outcome(cli.measure_perturbation_suite, fresh(dens), 12, seed)
                 == outcome(oracles.measure_perturbation_suite, fresh(dens), 12, seed))
+
+
+def drawn_family(seed: int, extracted: bool):
+    """A zero-table draw, or a three-site family extracted from a positive
+    joint, which passes the gates (zero-table draws pass them at two
+    sites only)."""
+    return zoo.extracted_family(seed)[2] if extracted else zoo.random_zero_table_family(seed)
+
+
+def assert_order_independence_matches(seed: int, extracted: bool):
+    for cap in (1, 25):
+        assert (outcome(check_order_independence, drawn_family(seed, extracted),
+                        24, 20260819, cap)
+                == outcome(oracles.check_order_independence,
+                           drawn_family(seed, extracted), 24, 20260819, cap)), cap
+
+
+@settings(PROPERTY, max_examples=35)
+@given(SEEDS, st.booleans())
+def test_order_independence_equals_the_full_rebuild(seed, extracted):
+    if extracted or built(seed) is not None:
+        assert_order_independence_matches(seed, extracted)
+
+
+@settings(PROPERTY, max_examples=35)
+@given(SEEDS, st.booleans(), st.integers(min_value=0, max_value=63))
+def test_perturbed_join_order_independence_equals_the_full_rebuild(seed, extracted, pick):
+    dens = build_family(drawn_family(seed, extracted), checked=False) if extracted else built(seed)
+    if dens is None:
+        return
+    joins = [(set(region), site) for region in dens.regions()
+             for site in region[:-1]]
+    region, site = joins[pick % len(joins)]
+    honest = constructor.extension_divisor
+
+    def perturbed(dens, theta, gamma, cfg):
+        divisor = honest(dens, theta, gamma, cfg)
+        if tuple(gamma) != (site,) or not region <= set(theta) | {site}:
+            return divisor
+        if divisor.is_infinite:
+            return ExtendedRational(1)
+        return ExtendedRational(2 * divisor.fraction)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructor, "extension_divisor", perturbed)
+        assert_order_independence_matches(seed, extracted)

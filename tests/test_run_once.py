@@ -4,10 +4,12 @@ The gate reports (very weak positivity, order consistency, uniqueness
 condition) are memoised on the singleton family per witness cap, and the
 family built under each sweep order on the singleton family too.  Body
 runs are counted by the reports the gates construct and by the sweeps
-that start from an empty table store.  A memoised report must equal a
-fresh computation on a newly parsed family.  The support suites read
-good membership off the good-point tables alone, each built once per
-(site, context); misses are counted by wrapping ``SingletonFamily.cached``.
+that build a family; ``check_order_independence`` runs no sweep and at
+most one ``extend_density`` per (region, joining site).  A memoised
+report must equal a fresh computation on a newly parsed family.  The
+support suites read good membership off the good-point tables alone,
+each built once per (site, context); misses are counted by wrapping
+``SingletonFamily.cached``.
 The measure suites push a measure only through the kernels their
 verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
@@ -50,7 +52,7 @@ def bundled(model: str) -> str:
 
 @pytest.fixture
 def runs(monkeypatch) -> Counter:
-    """Counts gate bodies by report name and fresh sweeps by order."""
+    """Counts gate bodies by report name and sweeps by order."""
     counts: Counter = Counter()
 
     class CountedReport(hypotheses.HypothesisReport):
@@ -61,10 +63,9 @@ def runs(monkeypatch) -> Counter:
 
     honest_sweep = constructor._sweep
 
-    def counted_sweep(singletons, order, store):
-        if not store:
-            counts[("sweep", tuple(order))] += 1
-        return honest_sweep(singletons, order, store)
+    def counted_sweep(singletons, order, *rest):
+        counts[("sweep", tuple(order))] += 1
+        return honest_sweep(singletons, order, *rest)
 
     monkeypatch.setattr(hypotheses, "HypothesisReport", CountedReport)
     monkeypatch.setattr(constructor, "_sweep", counted_sweep)
@@ -95,6 +96,26 @@ def test_each_gate_and_the_default_build_run_once(
                for site in space.universe for symbol in space.alphabet):
             expected["uniqueness_condition"] = 1
     assert runs == expected
+
+
+@pytest.mark.parametrize("build", [lambda: hardcore_family(4),
+                                   lambda: potential_family(1, n_sites=5)[2]],
+                         ids=["hardcore_4", "potential_1_5"])
+def test_order_independence_joins_each_region_once_per_site(build, runs, monkeypatch):
+    family = build()
+    constructor.build_family(family)
+    runs.clear()
+    honest_extend = constructor.extend_density
+
+    def counted_extend(*args):
+        runs["extend_density"] += 1
+        return honest_extend(*args)
+
+    monkeypatch.setattr(constructor, "extend_density", counted_extend)
+    assert constructor.check_order_independence(family).passed
+    n = len(family.space.universe)
+    assert set(runs) == {"extend_density"}
+    assert runs["extend_density"] <= n * 2 ** (n - 1) - n
 
 
 @pytest.mark.parametrize("model", MODELS)
