@@ -63,36 +63,26 @@ class DensityFamily:
 
     ``density(region, cfg)`` reads the finite multi-site density; the
     empty region is the constant 1 and single-site regions reproduce the
-    input family's tables verbatim.  ``construction_order`` records the
-    site sweep that produced each region.  Tables are immutable once
+    input family's tables verbatim.  Tables are immutable once
     registered; ``replace_table`` returns a modified sibling for
     perturbation probes without touching the original.  ``cached``
-    memoises what the tables determine: extension divisors and the
-    kernel rows the verifier reads, each keyed by its regions and
-    exterior class, and the full-window kernel measure of each tail
-    class.  A sibling starts with an empty memo, so it never
-    reads its parent's.
+    memoises what the tables determine: guarded ratio integrals,
+    extension divisors and the kernel rows the verifier reads, each
+    keyed by its regions and exterior class, and the full-window kernel
+    measure of each tail class.  A sibling starts with an empty memo,
+    so it never reads its parent's.
     """
 
     def __init__(self, singletons: SingletonFamily):
         self.singletons = singletons
         self.space = singletons.space
         self._tables: dict[tuple[Site, ...], dict[tuple, Fraction]] = {}
-        self.construction_order: dict[tuple[Site, ...], tuple[Site, ...]] = {}
         self._cache: dict = {}
         space = self.space
-        empty_table = {cfg.key: Fraction(1) for cfg in space.configurations()}
-        self._register((), empty_table, ())
+        self._tables[()] = {cfg.key: Fraction(1) for cfg in space.configurations()}
         for site in space.universe.sites:
-            table = {cfg.key: singletons.density(site, cfg)
-                     for cfg in space.configurations()}
-            self._register((site,), table, (site,))
-
-    def _register(self, region: tuple[Site, ...],
-                  table: dict[tuple, Fraction],
-                  order: tuple[Site, ...]) -> None:
-        self._tables[region] = table
-        self.construction_order[region] = order
+            self._tables[(site,)] = {cfg.key: singletons.density(site, cfg)
+                                     for cfg in space.configurations()}
 
     def regions(self) -> list[tuple[Site, ...]]:
         """All built regions, smallest first, then by site order."""
@@ -135,17 +125,38 @@ class DensityFamily:
         sibling.space = self.space
         sibling._tables = dict(self._tables)
         sibling._tables[reg] = {k: Fraction(v) for k, v in table.items()}
-        sibling.construction_order = dict(self.construction_order)
         sibling._cache = {}
         return sibling
 
     def cached(self, key: tuple, compute: Callable[[], object]):
+        """``compute()``, memoised under ``key``: the kind of value, its
+        regions and the ``masked_key`` of the exterior class it reads, as
+        ``("ratio_integral", over, against, class)``."""
         try:
             return self._cache[key]
         except KeyError:
             value = compute()
             self._cache[key] = value
             return value
+
+    def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
+                       cfg: Configuration) -> Fraction | None:
+        """The free integral over ``over`` of density(over)/density(against)
+        at ``cfg`` when it lies in (0, inf), else None.
+
+        The integral rewrites ``over``, so it reads ``cfg`` only off
+        ``over`` and is kept once per exterior class of ``over``.  Both
+        regions must be canonical and built.
+        """
+        def compute() -> Fraction | None:
+            value = self.space.ratio_integral(
+                over, self._tables[over], self._tables[against], cfg.values, cfg.tail)
+            if value is None or value.is_infinite or value == 0:
+                return None
+            return value.fraction
+
+        return self.cached(("ratio_integral", over, against,
+                            self.space.masked_key(cfg, over)), compute)
 
 
 def extension_divisor(
@@ -193,11 +204,8 @@ def extension_divisor(
                     f"density of {th!r} vanishes at its own good block "
                     f"{block!r} at {cfg!r}; good-set guarantee violated"
                 )
-            integral = space.ratio_integral(
-                ga, dens._tables[ga], dens._tables[th],
-                shifted.values, shifted.tail,
-            )
-            if integral is None or integral.is_infinite or integral == 0:
+            integral = dens.ratio_integral(ga, th, shifted)
+            if integral is None:
                 raise ConstructionError(
                     f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
                     "is not in (0, inf); good-set guarantee violated"
@@ -314,7 +322,7 @@ def _sweep(singletons: SingletonFamily, order) -> DensityFamily:
         swept = tuple(sorted(region, key=position.__getitem__))
         table = extend_density(dens, universe.region(swept[:-1]),
                                (swept[-1],))
-        dens._register(region, table, swept)
+        dens._tables[region] = table
     return dens
 
 

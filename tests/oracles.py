@@ -1018,8 +1018,7 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
                 report.fail(witness_cap, lambda: Witness(
                     check="point_mass_off_region",
                     description=(
-                        f"kernel of {[str(s) for s in region]!r} has mass "
-                        f"{mass} or moves exterior coordinates"
+                        f"kernel of {[str(s) for s in region]!r} has mass {mass}"
                     ),
                     replay={"region": [str(s) for s in region],
                             "assignment": list(cfg.values),

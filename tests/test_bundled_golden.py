@@ -11,7 +11,9 @@ written (``construct`` on a model whose gate fails writes no table).
 ``CHAIN5`` extends the bundled four-site chain to five sites, so the
 digests also cover a model larger than the bundled ones.  Its ``verify``
 digests were recorded before the measure suites' enumerations were
-replaced by the proofs in their docstrings.
+replaced by the proofs in their docstrings.  ``CHAIN6`` adds a sixth
+site; its ``verify`` digests were recorded before the ratio integrals
+were shared between the build and the verify suites.
 """
 
 import hashlib
@@ -42,6 +44,9 @@ pair s2 s3 a,a=2 a,b=1 b,a=1 b,b=2
 pair s3 s4 a,a=2 a,b=1 b,a=1 b,b=2
 pair s4 s5 a,a=2 a,b=1 b,a=1 b,b=2
 """
+
+CHAIN6 = (CHAIN5.replace("chain5", "chain6").replace("s5\n", "s5 s6\n", 1)
+          + "pair s5 s6 a,a=2 a,b=1 b,a=1 b,b=2\n")
 
 
 def run_bundled(model: str, command: str, workdir, capsys) -> dict:
@@ -176,5 +181,16 @@ def test_five_site_chain_verify_is_byte_identical(tmp_path, monkeypatch, capsys)
         "exit": 0,
         "stdout": "94728e3483dc8fe3926d9f4d61b049866daec851fe2cad140afea90b7a789a41",
         "json": "90d90156911f20b1d54461f86c5679390c0526a5f5d14a7ccbd6c8e730622f47",
+        "rho": None,
+    }
+
+
+def test_six_site_chain_verify_is_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain6.model").write_text(CHAIN6, encoding="utf-8")
+    assert run_command("chain6", "verify", tmp_path, capsys) == {
+        "exit": 0,
+        "stdout": "b47557ae0db1c3acbbd6a7ff24a780ff035954394304e1f6094d898ec142591b",
+        "json": "fd0f8a04e9b73e4e632d262e9be8aaabf49f6fc52faa65ce53cf4b2d91d870fa",
         "rho": None,
     }

@@ -204,13 +204,14 @@ class TestBuildFamily:
                             )
                             assert dens.density(region, shifted) == expected
 
-    def test_construction_order_recorded(self):
+    def test_another_sweep_builds_the_default_tables(self):
         family = example1_family()
-        dens = build_family(family, sweep=("s3", "s1", "s4", "s2"))
-        assert dens.construction_order[("s1", "s3")] == ("s3", "s1")
-        assert dens.construction_order[("s1", "s2", "s3", "s4")] == (
-            "s3", "s1", "s4", "s2"
-        )
+        swept = build_family(family, sweep=("s3", "s1", "s4", "s2"))
+        default = build_family(family)
+        assert swept is not default
+        assert swept.regions() == default.regions()
+        for region in default.regions():
+            assert swept.table(region) == default.table(region)
 
     def test_bad_sweep_rejected(self):
         family = independent_family()

@@ -2,10 +2,14 @@
 
 ``Space.exterior_classes`` builds one representative per exterior class
 directly; the oracle scans every configuration and keeps the first of
-each ``masked_key`` class.  ``Space.ratio_integral`` is the one guarded
+each ``masked_key`` class.  ``Space.ratio_integral`` is the one raw
 ratio integral; the oracles are the single-site and the regional copies
-it replaced.  Results must agree exactly, representatives and their order
-included, and undefined (None) and infinite outcomes included.
+it replaced.  ``DensityFamily.ratio_integral`` is the one guarded ratio
+integral, memoised per exterior class of the region it integrates over;
+at every configuration it must equal the raw integral there when that
+lies in (0, inf), and None otherwise.  Results must agree exactly,
+representatives and their order included, and undefined (None) and
+infinite outcomes included.
 """
 
 import itertools
@@ -115,3 +119,57 @@ class TestRatioIntegral:
         for seed in range(8):
             seen |= compare_ratio_integrals(random_zero_table_family(seed))
         assert seen == {"undefined", "infinite", "finite"}
+
+
+def guarded(value):
+    """The raw integral when it lies in (0, inf), else None."""
+    if value is None or value.is_infinite or value == 0:
+        return None
+    return value.fraction
+
+
+def compare_memoised_ratio_integrals(dens) -> set:
+    """Assert the memo equals the raw integral for every ordered pair of
+    disjoint nonempty built regions at every configuration, filling it in
+    reverse enumeration order so that each class is first met at its last
+    member; return the raw outcomes seen."""
+    space = dens.space
+    regions = [region for region in dens.regions() if region]
+    tables = {region: dens.table(region) for region in regions}
+    seen = set()
+    for cfg in reversed(list(space.configurations())):
+        for over, against in itertools.product(regions, repeat=2):
+            if set(over) & set(against):
+                continue
+            raw = space.ratio_integral(
+                over, tables[over], tables[against], cfg.values, cfg.tail)
+            assert dens.ratio_integral(over, against, cfg) == guarded(raw), (
+                over, against, cfg)
+            seen.add(outcome(raw))
+    return seen
+
+
+class TestMemoisedRatioIntegral:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_the_guarded_raw_integral(self, name):
+        compare_memoised_ratio_integrals(density_family(FAMILIES[name]()))
+
+    def test_every_raw_outcome_occurs(self):
+        seen = set()
+        for seed in range(8):
+            seen |= compare_memoised_ratio_integrals(
+                density_family(random_zero_table_family(seed)))
+        assert seen == {"undefined", "infinite", "finite"}
+
+    def test_a_sibling_with_another_table_keeps_its_own_memo(self):
+        dens = build_family(potential_family(5)[2], checked=False)
+        region = ("s1", "s2")
+        table = dens.table(region)
+        sibling = dens.replace_table(region, {
+            key: value * (k % 3 + 1) for k, (key, value) in enumerate(table.items())})
+        compare_memoised_ratio_integrals(dens)
+        compare_memoised_ratio_integrals(sibling)
+        cfg = next(dens.space.configurations())
+        assert any(dens.ratio_integral(over, region, cfg)
+                   != sibling.ratio_integral(over, region, cfg)
+                   for over in dens.regions() if over and not set(over) & set(region))

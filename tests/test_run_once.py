@@ -14,6 +14,12 @@ The measure suites push a measure only through the kernels their
 verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
 measure's certificate is memoised.
+Each ratio integral is evaluated once per (over, against, exterior class
+off ``over``), counted by wrapping ``Space.ratio_integral``.  The build
+and the block splits of ``check_order_independence`` evaluate every
+integral that ``good_support_report`` and ``uniqueness_probe`` read on a
+positive family: each core point's own block is a good block of every
+split of its region.
 """
 
 import importlib
@@ -25,14 +31,17 @@ import pytest
 from specforge import constructor, hypotheses
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
+from specforge.core import Space
 from specforge.models import SingletonFamily
 from specforge.verifier import (
     FiniteMeasure,
     check_good_support_mass,
     good_support_report,
     support_class_certificate,
+    uniqueness_probe,
 )
 
+from test_bundled_golden import CHAIN5
 from zoo import alternating_exclusion_family, hardcore_family, potential_family
 
 # the package re-exports the function ``main`` under the module's name
@@ -69,6 +78,27 @@ def runs(monkeypatch) -> Counter:
 
     monkeypatch.setattr(hypotheses, "HypothesisReport", CountedReport)
     monkeypatch.setattr(constructor, "_sweep", counted_sweep)
+    return counts
+
+
+@pytest.fixture
+def integrals(monkeypatch) -> Counter:
+    """Counts ``Space.ratio_integral`` calls by (over, num table, den table,
+    exterior class off ``over``); every table is kept alive so that no
+    ``id`` is reused."""
+    counts: Counter = Counter()
+    tables = []
+    honest = Space.ratio_integral
+
+    def counted(self, over, num, den, values, tail):
+        tables.append((num, den))
+        masked = list(values)
+        for site in over:
+            masked[self.universe.index(site)] = None
+        counts[over, id(num), id(den), tuple(masked), tail] += 1
+        return honest(self, over, num, den, values, tail)
+
+    monkeypatch.setattr(Space, "ratio_integral", counted)
     return counts
 
 
@@ -116,6 +146,26 @@ def test_order_independence_joins_each_region_once_per_site(build, runs, monkeyp
     n = len(family.space.universe)
     assert set(runs) == {"extend_density"}
     assert runs["extend_density"] <= n * 2 ** (n - 1) - n
+
+
+def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    assert main(["verify", "chain5.model"]) == 0
+    capsys.readouterr()
+    assert integrals and max(integrals.values()) == 1
+
+
+def test_support_and_probe_integrals_are_block_split_entries(integrals):
+    family = potential_family(1, n_sites=5)[2]
+    assert constructor.check_order_independence(family).passed
+    made = sum(integrals.values())
+    dens = constructor.build_family(family)
+    support = good_support_report(dens)
+    probe = uniqueness_probe(dens)
+    assert support.passed and support.data["core_points"] > 0
+    assert probe.passed and probe.data["rederived_points"] > 0
+    assert made > 0 and sum(integrals.values()) == made
 
 
 @pytest.mark.parametrize("model", MODELS)

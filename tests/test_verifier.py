@@ -208,6 +208,7 @@ class TestSpecificationAxioms:
         report = check_specification_axioms(dens.replace_table(region, table))
         assert not report.passed
         assert not report.data["point_mass_off_region"]
+        assert report.witnesses[0].description == "kernel of ['s2', 's3'] has mass 21/20"
         # Kernel rows are functions of the overlaid point, so exterior
         # measurability survives any table edit; only the masses break.
         assert report.data["exterior_measurable"]
