@@ -138,28 +138,43 @@ def _replay_point(cfg: Configuration, **extra) -> dict:
     return out
 
 
+def _ratio_integral(
+    family: SingletonFamily, over: Site, against: Site, cfg: Configuration
+) -> ExtendedRational | None:
+    """The raw free integral over ``over`` of density(over)/density(against).
+
+    `Space.ratio_integral` at ``cfg``, memoised on the family per (over,
+    against, exterior class off ``over``), which is all it reads.  The
+    guarded reader is `_checked_ratio_kernel`; `check_bounded_positivity`
+    reads the raw value, because its witnesses tell undefined, infinite
+    and zero apart.
+    """
+    space = family.space
+    return family.cached(
+        ("ratio_integral", over, against, space.masked_key(cfg, (over,))),
+        lambda: space.ratio_integral((over,), family._tables[over],
+                                     family._tables[against], cfg.values, cfg.tail))
+
+
 def _checked_ratio_kernel(
     family: SingletonFamily,
     over: Site,
-    num_site: Site,
-    den_site: Site,
+    against: Site,
     cfg: Configuration,
     where: str,
 ) -> Fraction:
-    """Ratio integral over one site, required to land in (0, inf).
+    """Ratio integral over one site of density(over)/density(against),
+    required to land in (0, inf).
 
     Used on configurations whose relevant coordinates are good symbols,
     where the good-set definition guarantees a finite positive value; a
     miss means the caller's good-set bookkeeping is broken, so it raises
     instead of returning a soft verdict.
     """
-    value = family.space.ratio_integral(
-        (over,), family._tables[num_site], family._tables[den_site],
-        cfg.values, cfg.tail,
-    )
+    value = _ratio_integral(family, over, against, cfg)
     if value is None or value.is_infinite or value == 0:
         raise HypothesisFailure(
-            f"ratio integral over {over!r} of {num_site!r}/{den_site!r} at "
+            f"ratio integral over {over!r} of {over!r}/{against!r} at "
             f"{cfg!r} is not in (0, inf) during {where}; good-set guarantee "
             "violated"
         )
@@ -388,17 +403,21 @@ def _per_pair_class(family: SingletonFamily, evaluate: Callable):
 def _pair_densities(
     family: SingletonFamily, i: Site, j: Site, cfg: Configuration
 ) -> tuple[dict, dict]:
-    """density(i) and density(j) at ``cfg`` rewritten to each (s_i, s_j)."""
+    """density(i) and density(j) at ``cfg`` rewritten to each (s_i, s_j),
+    each as its (numerator, denominator) pair; every denominator is
+    positive."""
     space = family.space
     a, b = space.universe.index(i), space.universe.index(j)
     values, tail = cfg.key
-    d_i: dict[tuple[str, str], Fraction] = {}
-    d_j: dict[tuple[str, str], Fraction] = {}
+    table_i, table_j = family._tables[i], family._tables[j]
+    d_i: dict[tuple[str, str], tuple[int, int]] = {}
+    d_j: dict[tuple[str, str], tuple[int, int]] = {}
+    point = list(values)
     for s in itertools.product(space.alphabet.symbols, repeat=2):
-        point = list(values)
         point[a], point[b] = s
-        d_i[s] = family.density_at(i, tuple(point), tail)
-        d_j[s] = family.density_at(j, tuple(point), tail)
+        key = (tuple(point), tail)
+        d_i[s] = table_i[key].as_integer_ratio()
+        d_j[s] = table_j[key].as_integer_ratio()
     return d_i, d_j
 
 
@@ -407,26 +426,48 @@ def _consistency_failures(
 ) -> tuple[int, dict[tuple[str, str], list[tuple]]]:
     """Comparison count and failing rows of order consistency on {i, j}.
 
-    Resolving i first to the good symbol x gives, at (u_i, u_j),
-    d_i(u_i, u_j) d_j(x, u_j) / (d_i(x, u_j) K_i(x)), with K_i(x) the
-    ratio integral over j of d_j/d_i at i = x; resolving j first mirrors
-    it.  Good sets and integrals depend on ``cfg`` only off {i, j}.
-    Failing rows ``(x_i, x_j, lhs, rhs)`` are keyed by (u_i, u_j).
+    Resolving i first to the good symbol x gives, at u = (u_i, u_j),
+    lhs_x = d_i(u) d_j(x, u_j) / (d_i(x, u_j) K_i(x)), with K_i(x) the
+    ratio integral over j of d_j/d_i at i = x; resolving j first to y
+    mirrors it as rhs_y = d_j(u) d_i(u_i, y) / (d_j(u_i, y) K_j(y)).
+    Good sets and integrals depend on ``cfg`` only off {i, j}.
+
+    Each side is compared as one integer numerator over one integer
+    denominator, with lhs_x == rhs_y iff num(lhs_x) den(rhs_y) ==
+    num(rhs_y) den(lhs_x).  That needs both denominators nonzero, and
+    they are positive: every `Fraction` denominator is; x is good for i
+    against {j}, so d_i(x, .) > 0 along j's whole line; y is good for j
+    against {i}, so d_j(., y) > 0 along i's whole line; and K is guarded
+    to lie in (0, inf).  A `Fraction` is built only for a failing row.
+    Failing rows ``(x_i, x_j, lhs, rhs)`` are keyed by (u_i, u_j), x-major.
     """
     gi = good_symbols(family, i, (j,), cfg)
     gj = good_symbols(family, j, (i,), cfg)
     where = "order consistency"
-    k_i = {x: _checked_ratio_kernel(family, j, j, i, cfg.with_sites({i: x}), where)
-           for x in gi}
-    k_j = {y: _checked_ratio_kernel(family, i, i, j, cfg.with_sites({j: y}), where)
-           for y in gj}
+    alphabet = family.space.alphabet.symbols
     d_i, d_j = _pair_densities(family, i, j, cfg)
+    # per u_j, (x, d_j(x, u_j) / (d_i(x, u_j) K_i(x))) for each good x; mirrored per u_i
+    factor_i: dict[str, list] = {u: [] for u in alphabet}
+    for x in gi:
+        k = _checked_ratio_kernel(family, j, i, cfg.with_sites({i: x}), where)
+        for u in alphabet:
+            (n_j, m_j), (n_i, m_i) = d_j[(x, u)], d_i[(x, u)]
+            factor_i[u].append((x, n_j * m_i * k.denominator, m_j * n_i * k.numerator))
+    factor_j: dict[str, list] = {u: [] for u in alphabet}
+    for y in gj:
+        k = _checked_ratio_kernel(family, i, j, cfg.with_sites({j: y}), where)
+        for u in alphabet:
+            (n_i, m_i), (n_j, m_j) = d_i[(u, y)], d_j[(u, y)]
+            factor_j[u].append((y, n_i * m_j * k.denominator, m_i * n_j * k.numerator))
     failures = {}
-    for u_i, u_j in d_i:
-        lhs = {x: d_i[(u_i, u_j)] * d_j[(x, u_j)] / (d_i[(x, u_j)] * k_i[x]) for x in gi}
-        rhs = {y: d_j[(u_i, u_j)] * d_i[(u_i, y)] / (d_j[(u_i, y)] * k_j[y]) for y in gj}
-        failures[(u_i, u_j)] = [(x, y, lhs[x], rhs[y]) for x in gi for y in gj
-                                if lhs[x] != rhs[y]]
+    for (u_i, u_j), (a_num, a_den) in d_i.items():
+        b_num, b_den = d_j[(u_i, u_j)]
+        lhs = [(x, a_num * num, a_den * den) for x, num, den in factor_i[u_j]]
+        rhs = [(y, b_num * num, b_den * den) for y, num, den in factor_j[u_i]]
+        failures[(u_i, u_j)] = [
+            (x, y, Fraction(l_num, l_den), Fraction(r_num, r_den))
+            for x, l_num, l_den in lhs for y, r_num, r_den in rhs
+            if l_num * r_den != r_num * l_den]
     return len(gi) * len(gj), failures
 
 
@@ -440,9 +481,12 @@ def check_order_consistency(
     site as context), the two resolution orders are compared exactly.
     The identity is literally symmetric under swapping the pair, so each
     unordered pair is checked once, each side once per pair, exterior
-    class off the pair and value of the pair.  Requires very weak
-    positivity; if that fails, raises HypothesisFailure carrying its
-    report.
+    class off the pair and value of the pair.  Sides are compared by
+    integer cross-multiplication (`_consistency_failures` proves every
+    denominator positive), and each ratio integral is read from the
+    family's memo (`_ratio_integral`), which `check_bounded_positivity`
+    reads too.  Requires very weak positivity; if that fails, raises
+    HypothesisFailure carrying its report.
 
     Memoised on the family per ``witness_cap``, like the positivity
     report it reads first; a raised HypothesisFailure is not memoised.
@@ -488,8 +532,12 @@ def _eight_factor_failures(
     """Comparison count and failing rows of the identity on pair {i, j}.
 
     Every configuration the identity reads rewrites both ``i`` and ``j``,
-    so the outcome depends on ``cfg`` only off {i, j}.  Failing rows are
-    ``(u_i, u_j, x_i, x_j, lhs, rhs)`` in loop order.
+    so the outcome depends on ``cfg`` only off {i, j}.  Each side is a
+    product of four densities, taken as the product of their numerators
+    over the product of their denominators, which is positive; so lhs ==
+    rhs iff num(lhs) den(rhs) == num(rhs) den(lhs), and a `Fraction` is
+    built only for a failing row.  Failing rows are ``(u_i, u_j, x_i,
+    x_j, lhs, rhs)`` in loop order.
     """
     alphabet = family.space.alphabet.symbols
     gi = good_symbols(family, i, (j,), cfg)
@@ -500,12 +548,15 @@ def _eight_factor_failures(
         for u_j in alphabet:
             for x_i in gi:
                 for x_j in gj:
-                    lhs = (d_i[(u_i, x_j)] * d_j[(u_i, u_j)]
-                           * d_i[(x_i, u_j)] * d_j[(x_i, x_j)])
-                    rhs = (d_j[(x_i, u_j)] * d_i[(u_i, u_j)]
-                           * d_j[(u_i, x_j)] * d_i[(x_i, x_j)])
-                    if lhs != rhs:
-                        failures.append((u_i, u_j, x_i, x_j, lhs, rhs))
+                    (n1, m1), (n2, m2), (n3, m3), (n4, m4) = (
+                        d_i[(u_i, x_j)], d_j[(u_i, u_j)], d_i[(x_i, u_j)], d_j[(x_i, x_j)])
+                    (n5, m5), (n6, m6), (n7, m7), (n8, m8) = (
+                        d_j[(x_i, u_j)], d_i[(u_i, u_j)], d_j[(u_i, x_j)], d_i[(x_i, x_j)])
+                    l_num, l_den = n1 * n2 * n3 * n4, m1 * m2 * m3 * m4
+                    r_num, r_den = n5 * n6 * n7 * n8, m5 * m6 * m7 * m8
+                    if l_num * r_den != r_num * l_den:
+                        failures.append((u_i, u_j, x_i, x_j, Fraction(l_num, l_den),
+                                         Fraction(r_num, r_den)))
     return len(alphabet) ** 2 * len(gi) * len(gj), failures
 
 
@@ -521,7 +572,9 @@ def check_pointwise_compatibility(
     are involved; on these families the verdict agrees with order
     consistency whenever the good sets are nonempty.  The identity is
     evaluated once per pair and exterior off the pair, then counted at
-    every configuration that shares them.
+    every configuration that shares them, and decided by integer
+    cross-multiplication of the two products' numerators and
+    denominators (`_eight_factor_failures`).
     """
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
     checked = 0
@@ -581,12 +634,10 @@ def two_point_identity(
         )
     both = cfg.with_sites({site: x_site, other: x_other})
     left_integral = _checked_ratio_kernel(
-        family, other, other, site, cfg.with_sites({site: x_site}),
-        "two-point identity",
+        family, other, site, cfg.with_sites({site: x_site}), "two-point identity",
     )
     right_integral = _checked_ratio_kernel(
-        family, site, site, other, cfg.with_sites({other: x_other}),
-        "two-point identity",
+        family, site, other, cfg.with_sites({other: x_other}), "two-point identity",
     )
     lhs = ExtendedRational(family.density(site, both) * left_integral)
     rhs = ExtendedRational(family.density(other, both) * right_integral)
@@ -670,12 +721,20 @@ def check_bounded_positivity(
     the strict pointwise identity density(site)/integral(site against
     other) == density(other)/integral(other against site) is also
     audited and reported under data["strict_identity"].
+
+    Each integral is the raw value of the family's memo
+    (`_ratio_integral`), so after `check_order_consistency` on a family
+    whose good sets are the whole alphabet no integral is evaluated
+    afresh.  The strict identity is decided by integer
+    cross-multiplication: both integrals lie in (0, inf) once the bounds
+    hold, so d_i/I_ji == d_j/I_ij iff num(d_i) den(I_ji) den(d_j)
+    num(I_ij) == num(d_j) den(I_ij) den(d_i) num(I_ji), every factor
+    of either divisor being positive.
     """
     space = family.space
     sites = space.universe.sites
     report = HypothesisReport(name="bounded_positivity", passed=True)
     bounds: dict[str, dict[str, str | None]] = {}
-    integrals: dict[tuple[Site, Site, tuple], ExtendedRational | None] = {}
     for i in sites:
         for j in sites:
             if i == j:
@@ -684,11 +743,7 @@ def check_bounded_positivity(
             hi: Fraction | None = None
             defined = True
             for cfg in space.exterior_classes((j,)):
-                value = space.ratio_integral(
-                    (j,), family._tables[j], family._tables[i],
-                    cfg.values, cfg.tail,
-                )
-                integrals[(i, j, space.masked_key(cfg, (j,)))] = value
+                value = _ratio_integral(family, j, i, cfg)
                 if value is None or value.is_infinite or value == 0:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
@@ -717,12 +772,13 @@ def check_bounded_positivity(
         strict = True
         for cfg in space.configurations():
             for a_pos, i in enumerate(sites):
+                d_i = family.density(i, cfg)
                 for j in sites[a_pos + 1:]:
-                    int_ij = integrals[(i, j, space.masked_key(cfg, (j,)))]
-                    int_ji = integrals[(j, i, space.masked_key(cfg, (i,)))]
-                    lhs = family.density(i, cfg) / int_ji.fraction
-                    rhs = family.density(j, cfg) / int_ij.fraction
-                    if lhs != rhs:
+                    d_j = family.density(j, cfg)
+                    int_ij = _ratio_integral(family, j, i, cfg).fraction
+                    int_ji = _ratio_integral(family, i, j, cfg).fraction
+                    if (d_i.numerator * int_ji.denominator * d_j.denominator * int_ij.numerator
+                            != d_j.numerator * int_ij.denominator * d_i.denominator * int_ji.numerator):
                         strict = False
                         report.add_witness(witness_cap, lambda: Witness(
                             check="strict_identity",
@@ -733,7 +789,7 @@ def check_bounded_positivity(
                             replay=_replay_point(
                                 cfg, site=str(i), other=str(j),
                             ),
-                            lhs=str(lhs), rhs=str(rhs),
+                            lhs=str(d_i / int_ji), rhs=str(d_j / int_ij),
                         ))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report

@@ -134,8 +134,11 @@ class SingletonFamily:
         Holds the good-point tables (per site and context, the keys where
         the site's own symbol is good; every good-set reader looks there),
         the canonical context ``good_symbols`` resolves per site and
-        context as given, the floor good sets, the three gate reports (per
-        witness cap) and the density family built under each sweep order.
+        context as given, the floor good sets, the raw single-site ratio
+        integrals (``("ratio_integral", over, against, class off over)``,
+        read by the order-consistency and bounded-positivity gates), the
+        three gate reports (per witness cap) and the density family built
+        under each sweep order.
         Values are shared, so callers only read them; a ``compute`` that
         raises leaves no entry.
         """
@@ -241,20 +244,29 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
     The scale factor at (site, cfg) is the free integral of the raw weight
     over the site's own coordinate; it must be positive and finite, otherwise
     a NormalizationError names the offending site and configuration.
+    ``raw_value`` runs once per (site, configuration): the mass of a class,
+    summed at its first member, reads the values the later members reuse.
     """
     tables: dict[Site, dict[tuple, Fraction]] = {}
     for site in space.universe:
         table: dict[tuple, Fraction] = {}
         masses: dict[tuple, Fraction] = {}
+        raws: dict[tuple, Fraction] = {}
+
+        def read(c: Configuration) -> Fraction:
+            try:
+                return raws[c.key]
+            except KeyError:
+                raws[c.key] = value = Fraction(model.raw_value(space, site, c))
+                return value
+
         for cfg in space.configurations():
-            raw = Fraction(model.raw_value(space, site, cfg))
+            raw = read(cfg)
             if raw < 0:
                 raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
             mkey = space.masked_key(cfg, (site,))
             if mkey not in masses:
-                mass = space.free_kernel(
-                    (site,), lambda c: Fraction(model.raw_value(space, site, c)), cfg
-                )
+                mass = space.free_kernel((site,), read, cfg)
                 if mass.is_infinite or mass.is_zero:
                     raise NormalizationError(
                         f"raw mass at site {site!r} is {mass} (need positive finite) at {cfg!r}"

@@ -1,5 +1,9 @@
 """Direct definitions kept as oracles for the library's shared primitives.
 
+``normalize`` is ``models.normalize`` as it was when the first member of
+each exterior class read every member's raw weight a second time to sum
+the class's mass.
+
 ``naive_exterior_classes`` is the first-occurrence scan over every
 configuration that ``Space.exterior_classes`` replaced;
 ``site_ratio_kernel`` and ``regional_ratio_integral`` are the two guarded
@@ -53,6 +57,13 @@ look up ``good_symbols``, ``good_blocks`` and ``_checked_ratio_kernel``
 on their modules at call time, so a test that patches one patches the
 library and the oracle alike.
 
+``check_pointwise_compatibility`` (with ``eight_factor_failures`` and
+``pair_densities``) and ``check_bounded_positivity`` are those gates as
+they were before they compared cross-multiplied integers: both sides of
+every identity are built as `Fraction` values, and bounded positivity
+evaluates every ratio integral afresh instead of reading the family's
+memo.
+
 ``check_divisor_factorization`` is the factorization lemma for ratio
 integrals that no command runs: peeling one site off the base block of
 a ratio integral splits it into two.
@@ -86,7 +97,37 @@ from specforge.hypotheses import (
 )
 from specforge import constructor, hypotheses, verifier
 from specforge.hypotheses import _replay_point
+from specforge.models import NormalizationError, SingletonFamily
 from specforge.verifier import SupportClassCertificate
+
+
+def normalize(space, model) -> SingletonFamily:
+    """Scale raw site weights to unit mass, reading each class's mass afresh.
+
+    Each configuration reads its raw weight, and the first member of each
+    exterior class reads every member's again inside ``free_kernel``.
+    """
+    tables = {}
+    for site in space.universe:
+        table = {}
+        masses = {}
+        for cfg in space.configurations():
+            raw = Fraction(model.raw_value(space, site, cfg))
+            if raw < 0:
+                raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
+            mkey = space.masked_key(cfg, (site,))
+            if mkey not in masses:
+                mass = space.free_kernel(
+                    (site,), lambda c: Fraction(model.raw_value(space, site, c)), cfg
+                )
+                if mass.is_infinite or mass.is_zero:
+                    raise NormalizationError(
+                        f"raw mass at site {site!r} is {mass} (need positive finite) at {cfg!r}"
+                    )
+                masses[mkey] = mass.fraction
+            table[cfg.key] = raw / masses[mkey]
+        tables[site] = table
+    return SingletonFamily(space, tables, provenance=model.provenance)
 
 
 def naive_exterior_classes(space, hidden):
@@ -310,9 +351,7 @@ def pair_divisor(family, site, other, cfg) -> ExtendedRational:
         shifted = cfg.with_sites({site: x})
         num = family.density(site, shifted)
         den = family.density(other, shifted)
-        integral = _checked_ratio_kernel(
-            family, other, other, site, shifted, "pair_divisor"
-        )
+        integral = _checked_ratio_kernel(family, other, site, shifted, "pair_divisor")
         seen.append((x, ratio(num, den) * ExtendedRational(integral)))
     first_sym, first_val = seen[0]
     for sym, val in seen[1:]:
@@ -655,7 +694,7 @@ def consistency_side(family, first, second, cfg, x_first) -> Fraction:
     """
     shifted = cfg.with_sites({first: x_first})
     integral = hypotheses._checked_ratio_kernel(
-        family, second, second, first, shifted, "order consistency"
+        family, second, first, shifted, "order consistency"
     )
     num = family.density(first, cfg) * family.density(second, shifted)
     den = family.density(first, shifted) * integral
@@ -711,6 +750,166 @@ def check_order_consistency(family, witness_cap=WITNESS_CAP) -> HypothesisReport
                                 lhs=str(lhs), rhs=str(rhs),
                             ))
     report.data = {"comparisons": checked, "violations": violations}
+    return report
+
+
+def pair_densities(family, i, j, cfg) -> tuple[dict, dict]:
+    """density(i) and density(j) at ``cfg`` rewritten to each (s_i, s_j)."""
+    space = family.space
+    a, b = space.universe.index(i), space.universe.index(j)
+    values, tail = cfg.key
+    d_i: dict[tuple[str, str], Fraction] = {}
+    d_j: dict[tuple[str, str], Fraction] = {}
+    for s in itertools.product(space.alphabet.symbols, repeat=2):
+        point = list(values)
+        point[a], point[b] = s
+        d_i[s] = family.density_at(i, tuple(point), tail)
+        d_j[s] = family.density_at(j, tuple(point), tail)
+    return d_i, d_j
+
+
+def eight_factor_failures(family, i, j, cfg) -> tuple[int, list[tuple]]:
+    """Comparison count and failing rows of the identity on pair {i, j}.
+
+    Every configuration the identity reads rewrites both ``i`` and ``j``,
+    so the outcome depends on ``cfg`` only off {i, j}.  Failing rows are
+    ``(u_i, u_j, x_i, x_j, lhs, rhs)`` in loop order.
+    """
+    alphabet = family.space.alphabet.symbols
+    gi = hypotheses.good_symbols(family, i, (j,), cfg)
+    gj = hypotheses.good_symbols(family, j, (i,), cfg)
+    d_i, d_j = pair_densities(family, i, j, cfg)
+    failures = []
+    for u_i in alphabet:
+        for u_j in alphabet:
+            for x_i in gi:
+                for x_j in gj:
+                    lhs = (d_i[(u_i, x_j)] * d_j[(u_i, u_j)]
+                           * d_i[(x_i, u_j)] * d_j[(x_i, x_j)])
+                    rhs = (d_j[(x_i, u_j)] * d_i[(u_i, u_j)]
+                           * d_j[(u_i, x_j)] * d_i[(x_i, x_j)])
+                    if lhs != rhs:
+                        failures.append((u_i, u_j, x_i, x_j, lhs, rhs))
+    return len(alphabet) ** 2 * len(gi) * len(gj), failures
+
+
+def check_pointwise_compatibility(family, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Eight-factor two-site product identity, checked pointwise.
+
+    For every configuration, unordered site pair {i, j}, arbitrary
+    symbols u_i, u_j, and good symbols x_i (for i against {j}) and x_j
+    (for j against {i}), the product of four densities along one rewrite
+    path must equal the product along the mirrored path.  No integrals
+    are involved; on these families the verdict agrees with order
+    consistency whenever the good sets are nonempty.  The identity is
+    evaluated once per pair and exterior off the pair, then counted at
+    every configuration that shares them.
+    """
+    report = HypothesisReport(name="pointwise_compatibility", passed=True)
+    checked = 0
+    violations = 0
+    for cfg, i, j, (count, failures) in hypotheses._per_pair_class(
+            family, eight_factor_failures):
+        checked += count
+        for u_i, u_j, x_i, x_j, lhs, rhs in failures:
+            violations += 1
+            report.fail(witness_cap, lambda: Witness(
+                check="pointwise_compatibility",
+                description=(
+                    f"eight-factor identity fails on pair "
+                    f"({i!r}, {j!r})"
+                ),
+                replay=_replay_point(
+                    cfg,
+                    site_first=str(i),
+                    site_second=str(j),
+                    free_first=u_i,
+                    free_second=u_j,
+                    good_first=x_i,
+                    good_second=x_j,
+                ),
+                lhs=str(lhs), rhs=str(rhs),
+            ))
+    report.data = {"comparisons": checked, "violations": violations}
+    return report
+
+
+def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """Uniform two-sided bounds on every cross-site ratio integral.
+
+    Passes iff for every ordered pair of distinct sites the free
+    integral of density(other)/density(site) over the other site is
+    defined, finite and positive at *every* configuration; the exact
+    infimum and supremum per pair are reported.  When the bounds hold,
+    the strict pointwise identity density(site)/integral(site against
+    other) == density(other)/integral(other against site) is also
+    audited and reported under data["strict_identity"].
+    """
+    space = family.space
+    sites = space.universe.sites
+    report = HypothesisReport(name="bounded_positivity", passed=True)
+    bounds: dict[str, dict[str, str | None]] = {}
+    integrals: dict[tuple, ExtendedRational | None] = {}
+    for i in sites:
+        for j in sites:
+            if i == j:
+                continue
+            lo: Fraction | None = None
+            hi: Fraction | None = None
+            defined = True
+            for cfg in space.exterior_classes((j,)):
+                value = space.ratio_integral(
+                    (j,), family._tables[j], family._tables[i],
+                    cfg.values, cfg.tail,
+                )
+                integrals[(i, j, space.masked_key(cfg, (j,)))] = value
+                if value is None or value.is_infinite or value == 0:
+                    defined = False
+                    report.fail(witness_cap, lambda: Witness(
+                        check="bounded_positivity",
+                        description=(
+                            f"ratio integral of {j!r} against {i!r} is "
+                            + ("undefined" if value is None else
+                               "infinite" if value.is_infinite else "zero")
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(i), other=str(j),
+                        ),
+                    ))
+                    continue
+                f = value.fraction
+                if lo is None or f < lo:
+                    lo = f
+                if hi is None or f > hi:
+                    hi = f
+            bounds[f"{i}->{j}"] = {
+                "min": str(lo) if defined and lo is not None else None,
+                "max": str(hi) if defined and hi is not None else None,
+            }
+    strict: bool | None = None
+    if report.passed:
+        strict = True
+        for cfg in space.configurations():
+            for a_pos, i in enumerate(sites):
+                for j in sites[a_pos + 1:]:
+                    int_ij = integrals[(i, j, space.masked_key(cfg, (j,)))]
+                    int_ji = integrals[(j, i, space.masked_key(cfg, (i,)))]
+                    lhs = family.density(i, cfg) / int_ji.fraction
+                    rhs = family.density(j, cfg) / int_ij.fraction
+                    if lhs != rhs:
+                        strict = False
+                        report.add_witness(witness_cap, lambda: Witness(
+                            check="strict_identity",
+                            description=(
+                                f"pointwise density/integral identity "
+                                f"fails on pair ({i!r}, {j!r})"
+                            ),
+                            replay=_replay_point(
+                                cfg, site=str(i), other=str(j),
+                            ),
+                            lhs=str(lhs), rhs=str(rhs),
+                        ))
+    report.data = {"bounds": bounds, "strict_identity": strict}
     return report
 
 

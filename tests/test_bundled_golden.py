@@ -2,18 +2,23 @@
 
 Each bundled model is copied into a fresh working directory and run there
 by relative path, because the report records the model path.  The SHA-256
-of stdout, of the ``verify --json`` report and of the ``construct -o``
-table are compared against digests frozen before the exterior-class,
-witness-collector and ratio-integral refactor, so any change to a printed
-or written byte shows up here.  ``None`` marks an output that is not
-written (``construct`` on a model whose gate fails writes no table).
+of stdout, of the ``check --json`` and ``verify --json`` reports and of
+the ``construct -o`` table are compared against frozen digests, so any
+change to a printed or written byte shows up here.  The stdout, ``verify``
+and table digests were frozen before the exterior-class,
+witness-collector and ratio-integral refactor.  ``None`` marks an output
+that is not written (``construct`` on a model whose gate fails writes no
+table).
 
 ``CHAIN5`` extends the bundled four-site chain to five sites, so the
 digests also cover a model larger than the bundled ones.  Its ``verify``
 digests were recorded before the measure suites' enumerations were
 replaced by the proofs in their docstrings.  ``CHAIN6`` adds a sixth
 site; its ``verify`` digests were recorded before the ratio integrals
-were shared between the build and the verify suites.
+were shared between the build and the verify suites.  The ``check
+--json`` digests, bundled and ``CHAIN5``, were recorded before the
+two-site gates compared cross-multiplied integers; they hold the lhs/rhs
+strings of ``broken_h2``'s failing witnesses byte for byte.
 """
 
 import hashlib
@@ -61,7 +66,7 @@ def run_command(model: str, command: str, workdir, capsys) -> dict:
     argv = [command, f"{model}.model"]
     if command == "construct":
         argv += ["-o", "out.rho"]
-    if command == "verify":
+    if command in ("check", "verify"):
         argv += ["--json", "report.json"]
     capsys.readouterr()
     code = main(argv)
@@ -77,7 +82,7 @@ GOLDEN = {
     ("broken_h2", "check"): {
         "exit": 1,
         "stdout": "548e0cc7e977a85c4e84f77b1706d14bfcfebd61568b875024b652eaa9afb00a",
-        "json": None,
+        "json": "4c7f226b2f3083be751927287c34d9ec8d8b8c1fa20074dfc2ec1aa547a031f5",
         "rho": None,
     },
     ("broken_h2", "construct"): {
@@ -95,7 +100,7 @@ GOLDEN = {
     ("example1", "check"): {
         "exit": 0,
         "stdout": "17eb39ddbc83c761b57520517bea31e80ec59051fb4ca1c2ca4e49c817cb9ac1",
-        "json": None,
+        "json": "417fc8a4c89d1b0528c5cbf9d976555327cd7f54ea112932cb80abd077850762",
         "rho": None,
     },
     ("example1", "construct"): {
@@ -113,7 +118,7 @@ GOLDEN = {
     ("extracted", "check"): {
         "exit": 0,
         "stdout": "765b0fe57db77c76dedada015c7121af00b56920cd6056aac95ae992256e008f",
-        "json": None,
+        "json": "378f1593e1a5c4aaa8c716777b7a8d50f3c242974592d8f5b9696dcef913acaf",
         "rho": None,
     },
     ("extracted", "construct"): {
@@ -131,7 +136,7 @@ GOLDEN = {
     ("independent", "check"): {
         "exit": 0,
         "stdout": "2640e8eb3b3f306f033cf437e4d78c7e11acce6d93b08b22e1508ca72267e8dd",
-        "json": None,
+        "json": "7004d78e1c7d8970d34ed37296b07271dd043a38df02c50f015fcde21f61e461",
         "rho": None,
     },
     ("independent", "construct"): {
@@ -149,7 +154,7 @@ GOLDEN = {
     ("potential", "check"): {
         "exit": 0,
         "stdout": "0607e471ddfb6a39325e67fbff676277952d051f6fbd230d75d867d8093a94df",
-        "json": None,
+        "json": "9967a0d375bcdc46209d64c5bab0cd7e8e1426027488d17540bb25f650a1ebe5",
         "rho": None,
     },
     ("potential", "construct"): {
@@ -172,6 +177,17 @@ GOLDEN = {
 def test_outputs_are_byte_identical(model, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_bundled(model, command, tmp_path, capsys) == GOLDEN[(model, command)]
+
+
+def test_five_site_chain_check_is_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    assert run_command("chain5", "check", tmp_path, capsys) == {
+        "exit": 0,
+        "stdout": "774e44f10e4921dfb0be7a7c2ae2eb4fe1854b53afeaf6b20410198a00440d2e",
+        "json": "2453aed7c9a9b15c39e5e25b36226f2442304b0e33df92627de4a838712eb1e2",
+        "rho": None,
+    }
 
 
 def test_five_site_chain_verify_is_byte_identical(tmp_path, monkeypatch, capsys):

@@ -1,15 +1,21 @@
 """Per-exterior-class evaluation against the configuration-by-configuration oracles.
 
-``check_order_consistency`` reads good sets and ratio integrals once per
-site pair and exterior class off the pair, ``extend_density`` and the
-block-split loop of ``check_order_independence`` fetch one extension
-divisor per exterior class of the base block, and ``uniqueness_probe``
-re-derives each region once per exterior class of the region.  Each
-replays its counts and witnesses at every configuration.  The oracles in
-``oracles.py`` evaluate everything at every configuration.  Reports must
-be equal as dicts, or both calls must raise the same error with the same
-message, at witness caps 0, 1 and 25.  The uniqueness probe needs a
-built family, so it runs on the families whose unchecked build succeeds.
+``check_order_consistency`` and ``check_pointwise_compatibility`` read
+good sets, ratio integrals and densities once per site pair and exterior
+class off the pair and compare their sides as cross-multiplied
+integers; ``check_bounded_positivity`` reads the ratio integrals
+memoised on the family; ``extend_density`` and the block-split loop of
+``check_order_independence`` fetch one extension divisor per exterior
+class of the base block; and ``uniqueness_probe`` re-derives each region
+once per exterior class of the region.  Each replays its counts and
+witnesses at every configuration.  The oracles in ``oracles.py``
+evaluate everything at every configuration, except those of pointwise
+compatibility and bounded positivity, which are the gates as they were
+before the integers: `Fraction` sides, and integrals evaluated afresh.
+Reports must be equal as dicts, or both calls must raise the same error
+with the same message, at witness caps 0, 1 and 25.  The uniqueness
+probe needs a built family, so it runs on the families whose unchecked
+build succeeds.
 """
 
 from fractions import Fraction
@@ -24,7 +30,11 @@ from specforge.constructor import (
     extend_density,
 )
 from specforge.core import SpecforgeError
-from specforge.hypotheses import check_order_consistency
+from specforge.hypotheses import (
+    check_bounded_positivity,
+    check_order_consistency,
+    check_pointwise_compatibility,
+)
 from specforge.verifier import uniqueness_probe
 
 import oracles
@@ -100,6 +110,22 @@ def test_order_consistency(name):
     for cap in CAPS:
         assert (outcome(check_order_consistency, fam, cap)
                 == outcome(oracles.check_order_consistency, fam, cap)), cap
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_pointwise_compatibility(name):
+    fam = FAMILIES[name]()
+    for cap in CAPS:
+        assert (outcome(check_pointwise_compatibility, fam, cap)
+                == outcome(oracles.check_pointwise_compatibility, fam, cap)), cap
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_bounded_positivity(name):
+    fam = FAMILIES[name]()
+    for cap in CAPS:
+        assert (outcome(check_bounded_positivity, fam, cap)
+                == outcome(oracles.check_bounded_positivity, fam, cap)), cap
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from specforge.models import (
     normalize,
     rebalance_free,
 )
+import oracles
 from zoo import (
+    FEW_HIGH,
     HIGH,
     LOW,
     MANY_HIGH,
@@ -124,6 +127,57 @@ class TestNormalize:
     def test_tail_rule_model_normalizes_per_class(self):
         family = example1_family()
         assert unit_mass_everywhere(family)
+
+    @pytest.mark.parametrize("build", [
+        lambda: (example1_space(3), TailRuleModel(
+            {(tail, site): {LOW: Fraction(1), HIGH: Fraction(tail == FEW_HIGH)}
+             for tail in (MANY_HIGH, FEW_HIGH) for site in example1_space(3).universe})),
+        lambda: potential_family(2, n_sites=4, symbols=("a", "b", "c"))[:2],
+    ], ids=["tail_rule_3", "potential_4_q3"])
+    def test_reads_each_raw_weight_once(self, build):
+        space, model = build()
+        calls: Counter = Counter()
+        honest = model.raw_value
+
+        class Counted:
+            provenance = model.provenance
+
+            def raw_value(self, space, site, cfg):
+                calls[site, cfg.key] += 1
+                return honest(space, site, cfg)
+
+        family = normalize(space, Counted())
+        n, q, tails = len(space.universe), len(space.alphabet), len(space.tail_classes)
+        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == n * tails * q ** n
+        assert family._tables == oracles.normalize(space, model)._tables
+
+    def test_errors_match_the_two_read_oracle(self):
+        """Random tables with missing, zero and (on odd seeds) negative
+        entries normalize to the same tables, or raise the same error
+        naming the same configuration, as the oracle."""
+        space = plain_space(3)
+        kinds: Counter = Counter()
+        for seed in range(400):
+            rng = random.Random(seed)
+            pool = (0, 0, 1, 1, 2, Fraction(1, 2)) + (-1,) * (seed % 2)
+            entries = {}
+            for site in space.universe:
+                others = [s for s in space.universe if s != site]
+                entries[site] = {(sym, ctx, "default"): rng.choice(pool)
+                                 for sym in space.alphabet
+                                 for ctx in space.assignments(others)
+                                 if rng.random() > 0.01}
+            outcomes = []
+            for run in (normalize, oracles.normalize):
+                try:
+                    outcomes.append(run(space, TableModel(entries))._tables)
+                except (DomainError, NormalizationError) as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], seed
+            kinds[next((word for word in ("negative", "misses", "raw mass")
+                        if word in outcomes[0]), "ok")] += 1
+        assert min(kinds[kind] for kind in ("ok", "negative", "misses", "raw mass")) > 0
 
 
 class TestExtraction:

@@ -12,6 +12,13 @@ need: ``check_good_support_mass`` on kernel, random full-support and
 point-mass measures, at the same caps, on the family and on a
 doubled-row sibling, and ``measure_perturbation_suite`` (which has no
 cap), on the raw draw too, where both must raise the same precondition.
+The three two-site gates (order consistency, pointwise compatibility
+and bounded positivity, run in that order on one family, as ``check``
+runs them) must equal their oracles, run on a second copy, at caps 0, 1
+and 25, on zero-table draws and extracted families, each also with one
+nonzero density entry doubled and its line rescaled to unit mass
+(``zoo.doubled_entry``), so that failing witnesses and their lhs/rhs
+strings are compared in order.
 ``check_order_independence`` must equal the full rebuild of
 ``oracles.check_order_independence`` at caps 1 and 25 on the draws that
 build and on three-site families extracted from positive joints
@@ -33,6 +40,11 @@ from hypothesis import given, settings, strategies as st
 from specforge import constructor
 from specforge.constructor import build_family, check_order_independence
 from specforge.core import ExtendedRational, SpecforgeError
+from specforge.hypotheses import (
+    check_bounded_positivity,
+    check_order_consistency,
+    check_pointwise_compatibility,
+)
 from specforge.models import rebalance_free
 from specforge.verifier import (
     FiniteMeasure,
@@ -202,3 +214,22 @@ def test_perturbed_join_order_independence_equals_the_full_rebuild(seed, extract
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(constructor, "extension_divisor", perturbed)
         assert_order_independence_matches(seed, extracted)
+
+
+TWO_SITE_GATES = (
+    (check_order_consistency, oracles.check_order_consistency),
+    (check_pointwise_compatibility, oracles.check_pointwise_compatibility),
+    (check_bounded_positivity, oracles.check_bounded_positivity),
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(SEEDS, st.booleans(), st.none() | st.integers(min_value=0, max_value=255))
+def test_two_site_gates_equal_their_oracles(seed, extracted, pick):
+    family, fresh_family = (drawn_family(seed, extracted) for _ in range(2))
+    if pick is not None:
+        family, fresh_family = (zoo.doubled_entry(f, pick) for f in (family, fresh_family))
+    for cap in CAPS:
+        got = [outcome(gate, family, cap) for gate, _ in TWO_SITE_GATES]
+        want = [outcome(oracle, fresh_family, cap) for _, oracle in TWO_SITE_GATES]
+        assert got == want, cap

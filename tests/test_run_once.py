@@ -15,7 +15,10 @@ verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
 measure's certificate is memoised.
 Each ratio integral is evaluated once per (over, against, exterior class
-off ``over``), counted by wrapping ``Space.ratio_integral``.  The build
+off ``over``), counted by wrapping ``Space.ratio_integral``: the
+single-site ones of the gates through the singleton family's memo, so
+that ``check_bounded_positivity`` evaluates none after
+``check_order_consistency`` on a positive family.  The build
 and the block splits of ``check_order_independence`` evaluate every
 integral that ``good_support_report`` and ``uniqueness_probe`` read on a
 positive family: each core point's own block is a good block of every
@@ -154,6 +157,24 @@ def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypa
     assert main(["verify", "chain5.model"]) == 0
     capsys.readouterr()
     assert integrals and max(integrals.values()) == 1
+
+
+def test_check_evaluates_each_single_site_integral_once(
+        integrals, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    assert main(["check", "chain5.model"]) == 0
+    capsys.readouterr()
+    single = [count for key, count in integrals.items() if len(key[0]) == 1]
+    assert single and max(single) == 1
+
+
+def test_bounded_positivity_reads_the_order_consistency_integrals(integrals):
+    family = potential_family(1, n_sites=5)[2]
+    assert hypotheses.check_order_consistency(family).passed
+    made = sum(integrals.values())
+    assert hypotheses.check_bounded_positivity(family).passed
+    assert made > 0 and sum(integrals.values()) == made
 
 
 def test_support_and_probe_integrals_are_block_split_entries(integrals):

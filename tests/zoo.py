@@ -376,3 +376,21 @@ def reweighted(dens, region, weigh):
         key = space.overlay(rep, region, block).key
         table[key] = weigh(block, table[key])
     return dens.replace_table(region, table)
+
+
+def doubled_entry(family: SingletonFamily, pick: int) -> SingletonFamily:
+    """``family`` with one nonzero density entry doubled and its line along
+    the entry's own site rescaled to unit mass again."""
+    space = family.space
+    entries = [(site, key) for site in space.universe.sites
+               for key, value in family._tables[site].items() if value != 0]
+    site, (values, tail) = entries[pick % len(entries)]
+    k = space.universe.index(site)
+    tables = {s: dict(table) for s, table in family._tables.items()}
+    table = tables[site]
+    table[(values, tail)] *= 2
+    line = [(values[:k] + (sym,) + values[k + 1:], tail) for sym in space.alphabet]
+    mass = sum(space.free.weight(site, key[0][k]) * table[key] for key in line)
+    for key in line:
+        table[key] /= mass
+    return SingletonFamily(space, tables, provenance=family.provenance)
