@@ -8,15 +8,26 @@ kernel.  All numeric work uses `fractions.Fraction`, extended with a single
 point at infinity where ratios demand it.  The indeterminate contractions
 0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
 never silent conventions.
+
+A configuration's index is its position in `Space.configurations()`: with
+pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
+tail_pos·q^n + Σ_k pos(v_k)·q^(n-1-k), site 0 most significant.  Its class
+off some hidden sites is the index with the hidden digits zeroed
+(`Space.class_index`), the index of the class's first member.  Density
+tables are lists indexed by it and memos key classes by it.  The density
+tables a `SingletonFamily` is given and `DensityFamily.table` returns, and
+the weights of measures and kernel rows, whose sorted keys order reports,
+stay keyed by `Configuration.key`, ``(values, tail)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Site = Union[str, int]
 
@@ -380,16 +391,18 @@ class FreeMeasure:
 class Configuration:
     """A full assignment on the window plus a tail-class label.
 
-    Immutable; equality and hashing use the assignment and the tail only,
-    so configurations behave as plain values in tables and caches.
+    Immutable, at its ``index`` in `Space.configurations()`; equality and
+    hashing use the assignment and the tail only, so configurations
+    behave as plain values in tables and caches.
     """
 
-    __slots__ = ("space", "values", "tail")
+    __slots__ = ("space", "values", "tail", "index")
 
-    def __init__(self, space: "Space", values: tuple[str, ...], tail: str):
+    def __init__(self, space: "Space", values: tuple[str, ...], tail: str, index: int):
         self.space = space
         self.values = values
         self.tail = tail
+        self.index = index
 
     @property
     def key(self) -> tuple[tuple[str, ...], str]:
@@ -403,12 +416,10 @@ class Configuration:
         return tuple(self.values[uni.index(s)] for s in sites)
 
     def with_sites(self, assignment: Mapping[Site, str]) -> "Configuration":
-        vals = list(self.values)
-        for site, sym in assignment.items():
+        for sym in assignment.values():
             if sym not in self.space.alphabet:
                 raise DomainError(f"symbol {sym!r} not in alphabet")
-            vals[self.space.universe.index(site)] = sym
-        return Configuration(self.space, tuple(vals), self.tail)
+        return self.space.overlay(self, tuple(assignment), tuple(assignment.values()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
@@ -434,7 +445,7 @@ class Space:
     Enumeration order is part of the contract: assignments iterate in
     lexicographic order of alphabet positions, tail classes in declared order,
     so every downstream artifact (tables, reports) is reproducible byte for
-    byte.
+    byte.  Each configuration is built once, at its index.
     """
 
     alphabet: Alphabet
@@ -452,7 +463,25 @@ class Space:
             raise DomainError(f"free measure misses sites {missing}")
         if self.free.alphabet != self.alphabet:
             raise DomainError("free measure alphabet differs from space alphabet")
-        object.__setattr__(self, "_product_weights", {})
+        q, n = len(self.alphabet), len(self.universe)
+        fills = itertools.product(self.tail_classes,
+                                  itertools.product(self.alphabet.symbols, repeat=n))
+        # the configurations by index, q, each site's stride and symbol's
+        # digit; memos of strides per site tuple, fill offsets and weights
+        for name, value in (
+                ("_configs", tuple(Configuration(self, values, tail, index)
+                                   for index, (tail, values) in enumerate(fills))),
+                ("_q", q), ("_strides", tuple(q ** (n - 1 - k) for k in range(n))),
+                ("_digits", {sym: d for d, sym in enumerate(self.alphabet.symbols)}),
+                ("_site_strides", {}), ("_memo", {})):
+            object.__setattr__(self, name, value)
+
+    def _memoised(self, key: tuple, compute: Callable[[], object]):
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     # -- construction ------------------------------------------------------
 
@@ -474,11 +503,14 @@ class Space:
         if len(assignment) != len(self.universe):
             extra = set(assignment) - set(self.universe.sites)
             raise DomainError(f"assignment names unknown sites {sorted(map(repr, extra))}")
-        return Configuration(self, tuple(vals), tail)
+        return self.make(tuple(vals), tail)
 
     def make(self, values: tuple[str, ...], tail: str) -> Configuration:
-        """Unchecked fast constructor for values already in window order."""
-        return Configuration(self, values, tail)
+        """The configuration of ``values`` (window order) and ``tail``, unchecked."""
+        index = self.tail_classes.index(tail)
+        for sym in values:
+            index = index * self._q + self._digits[sym]
+        return self._configs[index]
 
     # -- enumeration -------------------------------------------------------
 
@@ -487,57 +519,60 @@ class Space:
         return itertools.product(self.alphabet.symbols, repeat=len(region))
 
     def configurations(self) -> Iterator[Configuration]:
-        for tail in self.tail_classes:
-            for values in itertools.product(self.alphabet.symbols, repeat=len(self.universe)):
-                yield Configuration(self, values, tail)
+        """Every configuration, in index order."""
+        return iter(self._configs)
+
+    def at(self, index: int) -> Configuration:
+        """The configuration of the given index."""
+        return self._configs[index]
 
     def overlay(self, cfg: Configuration, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Configuration:
-        """`cfg` with `region` (canonical order) rewritten to `symbols`."""
-        vals = list(cfg.values)
+        """`cfg` with the sites of `region` rewritten to `symbols`."""
+        index = cfg.index
         for site, sym in zip(region, symbols):
-            vals[self.universe.index(site)] = sym
-        return Configuration(self, tuple(vals), cfg.tail)
+            stride = self._strides[self.universe.index(site)]
+            index += (self._digits[sym] - index // stride % self._q) * stride
+        return self._configs[index]
 
-    def masked_key(self, cfg: Configuration, hidden: Iterable[Site]) -> tuple:
-        """Cache key for quantities that ignore `cfg` on `hidden` sites."""
-        vals = list(cfg.values)
-        for site in hidden:
-            vals[self.universe.index(site)] = None
-        return (tuple(vals), cfg.tail)
+    def strides(self, sites: Iterable[Site]) -> tuple[int, ...]:
+        """The index stride of each of ``sites``, memoised per tuple."""
+        sites = tuple(sites)
+        try:
+            return self._site_strides[sites]
+        except KeyError:
+            strides = self._site_strides[sites] = tuple(
+                self._strides[self.universe.index(site)] for site in sites)
+            return strides
+
+    def class_index(self, cfg: Configuration, hidden: Iterable[Site]) -> int:
+        """The exterior class of ``cfg`` off ``hidden``: its index with the
+        hidden digits zeroed, the index of the class's first member."""
+        index = cfg.index
+        for stride in self.strides(hidden):
+            index -= index // stride % self._q * stride
+        return index
 
     def exterior_classes(self, hidden: Iterable[Site]) -> Iterator[Configuration]:
-        """One representative per class of `masked_key(cfg, hidden)`.
-
-        Representatives are the first members `configurations()` meets:
-        tail classes in declared order, visible sites in lexicographic
-        order, every hidden site on the first alphabet symbol.
-        """
-        symbols = self.alphabet.symbols
-        masked = {self.universe.index(site) for site in hidden}
-        visible = [k for k in range(len(self.universe)) if k not in masked]
-        values = [symbols[0]] * len(self.universe)
-        for tail in self.tail_classes:
-            for fill in itertools.product(symbols, repeat=len(visible)):
-                for k, sym in zip(visible, fill):
-                    values[k] = sym
-                yield Configuration(self, tuple(values), tail)
+        """The first member of each exterior class off ``hidden``, at the
+        sorted distinct class indices (every hidden site on the first
+        symbol)."""
+        q = self._q
+        masked = set(self.strides(hidden))  # strides differ unless q = 1, all digits 0
+        visible = [stride for stride in self._strides if stride not in masked]
+        for t in range(len(self.tail_classes)):
+            for digits in itertools.product(range(q), repeat=len(visible)):
+                yield self._configs[t * q * self._strides[0] + sum(
+                    d * stride for d, stride in zip(digits, visible))]
 
     def per_class(self, hidden: Iterable[Site],
                   evaluate: Callable[[Configuration], object]) -> Iterator[tuple]:
         """``(cfg, evaluate(cfg))`` for every configuration, in order, lazily,
-        for an ``evaluate`` that reads ``cfg`` only off ``hidden``: it runs at
-        the first member of each `masked_key` class, whose index is the key of
-        the class (each index, read as mixed-radix, with hidden digits zeroed).
-        """
-        q = len(self.alphabet)
-        masked = {self.universe.index(site) for site in hidden}
-        keys = [0]
-        for k in range(len(self.universe)):
-            keys = [key * q + (0 if k in masked else d) for key in keys for d in range(q)]
-        size = len(keys)
+        for an ``evaluate`` that reads ``cfg`` only off ``hidden``: it runs
+        once per `class_index`, at the class's first member."""
+        hidden = tuple(hidden)
         outcomes: dict[int, object] = {}
-        for cfg, key in zip(self.configurations(), (
-                t * size + key for t in range(len(self.tail_classes)) for key in keys)):
+        for cfg in self._configs:
+            key = self.class_index(cfg, hidden)
             if key not in outcomes:
                 outcomes[key] = evaluate(cfg)
             yield cfg, outcomes[key]
@@ -545,14 +580,18 @@ class Space:
     # -- free kernel -------------------------------------------------------
 
     def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:
-        key = (region, symbols)
-        w = self._product_weights.get(key)  # type: ignore[attr-defined]
-        if w is None:
-            w = Fraction(1)
-            for site, sym in zip(region, symbols):
-                w *= self.free.weight(site, sym)
-            self._product_weights[key] = w  # type: ignore[attr-defined]
-        return w
+        return self._memoised(("weight", region, symbols), lambda: math.prod(
+            (self.free.weight(site, sym) for site, sym in zip(region, symbols)),
+            start=Fraction(1)))
+
+    def fill_offsets(self, region: tuple[Site, ...]) -> list[tuple[int, Fraction]]:
+        """``(offset, product free weight)`` per fill of the canonical
+        ``region``, in `assignments` order: a class index off ``region``
+        plus the offset indexes the class member carrying the fill."""
+        return self._memoised(("offsets", region), lambda: [
+            (sum(self._digits[sym] * stride for sym, stride in zip(fill, self.strides(region))),
+             self.product_weight(region, fill))
+            for fill in self.assignments(region)])
 
     def free_kernel(
         self,
@@ -570,12 +609,12 @@ class Space:
         region = self.universe.region(sites)
         if not region:
             return ExtendedRational(h(cfg))
+        base = self.class_index(cfg, region)
         total = Fraction(0)
         infinite = False
-        for symbols in itertools.product(self.alphabet.symbols, repeat=len(region)):
-            point = self.overlay(cfg, region, symbols)
+        for offset, w in self.fill_offsets(region):
+            point = self._configs[base + offset]
             value = ExtendedRational(h(point))
-            w = self.product_weight(region, symbols)
             if value.is_infinite:
                 if w == 0:
                     raise ArithmeticDomainError(
@@ -589,30 +628,23 @@ class Space:
     def ratio_integral(
         self,
         over: tuple[Site, ...],
-        num: Mapping[tuple, Fraction],
-        den: Mapping[tuple, Fraction],
-        values: tuple[str, ...],
-        tail: str,
+        num: Sequence[Fraction],
+        den: Sequence[Fraction],
+        cfg: Configuration,
     ) -> ExtendedRational | None:
-        """Free integral over the sites `over` of num/den.
+        """Free integral over the canonical sites `over` of num/den at `cfg`.
 
-        `num` and `den` are density tables keyed by `(values, tail)`; the
-        integration rewrites the `over` coordinates of `values`.  Unlike
-        `free_kernel` nothing raises: a 0/0 point, or an infinite ratio on
-        a zero-weight fill, makes the integral undefined and returns None.
-        Callers testing good-set candidacy treat None as exclusion.
+        `num` and `den` are flat density tables, read at the `fill_offsets`
+        of the class of `cfg` off `over`.  Unlike `free_kernel` nothing
+        raises: a 0/0 point, or an infinite ratio on a zero-weight fill,
+        makes the integral undefined and returns None.
         """
-        positions = [self.universe.index(site) for site in over]
-        point = list(values)
+        base = self.class_index(cfg, over)
         total = Fraction(0)
         infinite = False
-        for fill in itertools.product(self.alphabet.symbols, repeat=len(over)):
-            for k, sym in zip(positions, fill):
-                point[k] = sym
-            key = (tuple(point), tail)
-            n = num[key]
-            d = den[key]
-            w = self.product_weight(over, fill)
+        for offset, w in self.fill_offsets(over):
+            n = num[base + offset]
+            d = den[base + offset]
             if d == 0:
                 if n == 0 or w == 0:
                     return None

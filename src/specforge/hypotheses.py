@@ -138,24 +138,6 @@ def _replay_point(cfg: Configuration, **extra) -> dict:
     return out
 
 
-def _ratio_integral(
-    family: SingletonFamily, over: Site, against: Site, cfg: Configuration
-) -> ExtendedRational | None:
-    """The raw free integral over ``over`` of density(over)/density(against).
-
-    `Space.ratio_integral` at ``cfg``, memoised on the family per (over,
-    against, exterior class off ``over``), which is all it reads.  The
-    guarded reader is `_checked_ratio_kernel`; `check_bounded_positivity`
-    reads the raw value, because its witnesses tell undefined, infinite
-    and zero apart.
-    """
-    space = family.space
-    return family.cached(
-        ("ratio_integral", over, against, space.masked_key(cfg, (over,))),
-        lambda: space.ratio_integral((over,), family._tables[over],
-                                     family._tables[against], cfg.values, cfg.tail))
-
-
 def _checked_ratio_kernel(
     family: SingletonFamily,
     over: Site,
@@ -163,34 +145,29 @@ def _checked_ratio_kernel(
     cfg: Configuration,
     where: str,
 ) -> Fraction:
-    """Ratio integral over one site of density(over)/density(against),
-    required to land in (0, inf).
-
-    Used on configurations whose relevant coordinates are good symbols,
-    where the good-set definition guarantees a finite positive value; a
-    miss means the caller's good-set bookkeeping is broken, so it raises
-    instead of returning a soft verdict.
-    """
-    value = _ratio_integral(family, over, against, cfg)
-    if value is None or value.is_infinite or value == 0:
+    """`SingletonFamily.ratio_integral` of ``over`` against ``against``,
+    which the good-set definition keeps in (0, inf) where the callers
+    read it; a miss means broken good-set bookkeeping, so it raises."""
+    value = family.ratio_integral((over,), (against,), cfg)
+    if value is None:
         raise HypothesisFailure(
             f"ratio integral over {over!r} of {over!r}/{against!r} at "
             f"{cfg!r} is not in (0, inf) during {where}; good-set guarantee "
             "violated"
         )
-    return value.fraction
+    return value
 
 
-def _full_lines(points: frozenset, k: int, q: int) -> frozenset:
-    """The keys of ``points`` whose whole line along position ``k``, all
-    ``q`` symbols there with the rest of the key fixed, lies in ``points``."""
-    lines = Counter((values[:k] + values[k + 1:], tail) for values, tail in points)
-    return frozenset(key for key in points
-                     if lines[(key[0][:k] + key[0][k + 1:], key[1])] == q)
+def _full_lines(points: frozenset, stride: int, q: int) -> frozenset:
+    """The indices of ``points`` whose whole line along the site of index
+    stride ``stride``, all ``q`` digits there with the other digits fixed,
+    lies in ``points``."""
+    lines = Counter(i - i // stride % q * stride for i in points)
+    return frozenset(i for i in points if lines[i - i // stride % q * stride] == q)
 
 
 def _good_points(family: SingletonFamily, site: Site, ctx: tuple[Site, ...]) -> frozenset:
-    """Keys ``(values, tail)`` where ``site``'s own symbol is good against ``ctx``.
+    """Configuration indices where ``site``'s own symbol is good against ``ctx``.
 
     ``ctx`` must be canonical.  Against the empty context a point is good
     iff the site's density is nonzero there and, for every other site
@@ -207,18 +184,16 @@ def _good_points(family: SingletonFamily, site: Site, ctx: tuple[Site, ...]) -> 
     is built once per (family, site, context).
     """
     space = family.space
-    universe = space.universe
     q = len(space.alphabet)
 
     def compute() -> frozenset:
         if ctx:
             return _full_lines(_good_points(family, site, ctx[:-1]),
-                               universe.index(ctx[-1]), q)
-        live = frozenset(cfg.key for cfg in space.configurations()
-                         if family.density_at(site, *cfg.key) != 0)
-        return live.intersection(*(_full_lines(live, k, q)
-                                   for k, other in enumerate(universe.sites)
-                                   if other != site))
+                               space.strides(ctx[-1:])[0], q)
+        live = frozenset(i for i, value in enumerate(family._tables[(site,)]) if value != 0)
+        return live.intersection(*(_full_lines(live, stride, q)
+                                   for stride in space.strides(
+                                       space.universe.complement((site,)))))
 
     return family.cached(("good_points", site, ctx), compute)
 
@@ -247,21 +222,22 @@ def good_symbols(
     is memoised per exterior.
     """
     context = tuple(context)
+    space = family.space
 
     def canonical() -> tuple[tuple[Site, ...], int]:
-        universe = family.space.universe
+        universe = space.universe
         ctx = universe.region(context)
         if site not in universe.sites:
             raise DomainError(f"site {site!r} not in universe")
         if site in ctx:
             raise DomainError(f"site {site!r} may not appear in its own context")
-        return ctx, universe.index(site)
+        return ctx, space.strides((site,))[0]
 
-    ctx, k = family.cached(("good_symbols", site, context), canonical)
+    ctx, stride = family.cached(("good_symbols", site, context), canonical)
     table = _good_points(family, site, ctx)
-    before, after = cfg.values[:k], cfg.values[k + 1:]
-    return tuple(s for s in family.space.alphabet.symbols
-                 if (before + (s,) + after, cfg.tail) in table)
+    base = space.class_index(cfg, (site,))
+    return tuple(s for d, s in enumerate(space.alphabet.symbols)
+                 if base + d * stride in table)
 
 
 def site_is_good(
@@ -407,17 +383,14 @@ def _pair_densities(
     each as its (numerator, denominator) pair; every denominator is
     positive."""
     space = family.space
-    a, b = space.universe.index(i), space.universe.index(j)
-    values, tail = cfg.key
-    table_i, table_j = family._tables[i], family._tables[j]
+    base = space.class_index(cfg, (i, j))
+    table_i, table_j = family._tables[(i,)], family._tables[(j,)]
     d_i: dict[tuple[str, str], tuple[int, int]] = {}
     d_j: dict[tuple[str, str], tuple[int, int]] = {}
-    point = list(values)
-    for s in itertools.product(space.alphabet.symbols, repeat=2):
-        point[a], point[b] = s
-        key = (tuple(point), tail)
-        d_i[s] = table_i[key].as_integer_ratio()
-        d_j[s] = table_j[key].as_integer_ratio()
+    for s, (offset, _) in zip(itertools.product(space.alphabet.symbols, repeat=2),
+                              space.fill_offsets((i, j))):
+        d_i[s] = table_i[base + offset].as_integer_ratio()
+        d_j[s] = table_j[base + offset].as_integer_ratio()
     return d_i, d_j
 
 
@@ -484,9 +457,9 @@ def check_order_consistency(
     class off the pair and value of the pair.  Sides are compared by
     integer cross-multiplication (`_consistency_failures` proves every
     denominator positive), and each ratio integral is read from the
-    family's memo (`_ratio_integral`), which `check_bounded_positivity`
-    reads too.  Requires very weak positivity; if that fails, raises
-    HypothesisFailure carrying its report.
+    family's memo (`SingletonFamily.raw_ratio_integral`), which
+    `check_bounded_positivity` reads too.  Requires very weak positivity;
+    if that fails, raises HypothesisFailure carrying its report.
 
     Memoised on the family per ``witness_cap``, like the positivity
     report it reads first; a raised HypothesisFailure is not memoised.
@@ -723,13 +696,13 @@ def check_bounded_positivity(
     audited and reported under data["strict_identity"].
 
     Each integral is the raw value of the family's memo
-    (`_ratio_integral`), so after `check_order_consistency` on a family
-    whose good sets are the whole alphabet no integral is evaluated
-    afresh.  The strict identity is decided by integer
-    cross-multiplication: both integrals lie in (0, inf) once the bounds
-    hold, so d_i/I_ji == d_j/I_ij iff num(d_i) den(I_ji) den(d_j)
-    num(I_ij) == num(d_j) den(I_ij) den(d_i) num(I_ji), every factor
-    of either divisor being positive.
+    (`SingletonFamily.raw_ratio_integral`), so after
+    `check_order_consistency` on a family whose good sets are the whole
+    alphabet no integral is evaluated afresh.  The strict identity is
+    decided by integer cross-multiplication: both integrals lie in
+    (0, inf) once the bounds hold, so d_i/I_ji == d_j/I_ij iff
+    num(d_i) den(I_ji) den(d_j) num(I_ij) == num(d_j) den(I_ij) den(d_i)
+    num(I_ji), every factor of either divisor being positive.
     """
     space = family.space
     sites = space.universe.sites
@@ -743,7 +716,7 @@ def check_bounded_positivity(
             hi: Fraction | None = None
             defined = True
             for cfg in space.exterior_classes((j,)):
-                value = _ratio_integral(family, j, i, cfg)
+                value = family.raw_ratio_integral((j,), (i,), cfg)
                 if value is None or value.is_infinite or value == 0:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
@@ -775,8 +748,8 @@ def check_bounded_positivity(
                 d_i = family.density(i, cfg)
                 for j in sites[a_pos + 1:]:
                     d_j = family.density(j, cfg)
-                    int_ij = _ratio_integral(family, j, i, cfg).fraction
-                    int_ji = _ratio_integral(family, i, j, cfg).fraction
+                    int_ij = family.ratio_integral((j,), (i,), cfg)
+                    int_ji = family.ratio_integral((i,), (j,), cfg)
                     if (d_i.numerator * int_ji.denominator * d_j.denominator * int_ij.numerator
                             != d_j.numerator * int_ij.denominator * d_i.denominator * int_ji.numerator):
                         strict = False

@@ -17,6 +17,8 @@ from typing import Callable, Mapping, Protocol
 from .core import (
     Configuration,
     DomainError,
+    ExtendedRational,
+    FreeMeasure,
     Site,
     Space,
     SpecforgeError,
@@ -46,11 +48,61 @@ class RawWeightModel(Protocol):
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction: ...
 
 
-class SingletonFamily:
+class Tabulated:
+    """``_tables``, a list per canonical region of exact values indexed by
+    `Space` configuration index, and a memo of what they determine."""
+
+    def cached(self, key: tuple, compute: Callable[[], object]):
+        """``compute()``, memoised under ``key`` for the life of the family.
+
+        ``key[0]`` names the kind of value, then come its sites or regions
+        and the `Space.class_index` of the exterior class it reads, as in
+        ``("ratio_integral", over, against, class)``.  Good-point tables
+        are sets of configuration indices.  Values are shared, so callers
+        only read them; a ``compute`` that raises leaves no entry.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = compute()
+            self._cache[key] = value
+            return value
+
+    def _integral_memo(self, over: tuple[Site, ...], against: tuple[Site, ...]) -> "Tabulated":
+        """The family whose memo keeps the integrals of ``over`` against
+        ``against``: this one, unless it reads another family's tables."""
+        return self
+
+    def raw_ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
+                           cfg: Configuration) -> ExtendedRational | None:
+        """The free integral over ``over`` of density(over)/density(against)
+        at ``cfg``, None where undefined, memoised per (over, against, class
+        of ``cfg`` off ``over``), which is all it reads.
+
+        It keeps the raw value, since bounded positivity's witnesses tell
+        undefined, infinite and zero apart; other readers use the guard.
+        """
+        space = self.space
+        tables = self._tables
+        return self._integral_memo(over, against).cached(
+            ("ratio_integral", over, against, space.class_index(cfg, over)),
+            lambda: space.ratio_integral(over, tables[over], tables[against], cfg))
+
+    def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
+                       cfg: Configuration) -> Fraction | None:
+        """`raw_ratio_integral` when it lies in (0, inf), else None."""
+        value = self.raw_ratio_integral(over, against, cfg)
+        if value is None or value.is_infinite or value.is_zero:
+            return None
+        return value.fraction
+
+
+class SingletonFamily(Tabulated):
     """The per-site densities, tabulated, validated and immutable.
 
-    Construction checks that every value is a finite nonnegative rational and
-    that the unit-mass condition holds at every site for every configuration.
+    Construction takes one table per site keyed by `Configuration.key`
+    and checks that every value is a finite nonnegative rational and that
+    the unit-mass condition holds at every site for every configuration.
     Evaluation is a pure table lookup.
     """
 
@@ -62,22 +114,21 @@ class SingletonFamily:
     ):
         self.space = space
         self.provenance = provenance
-        self._tables: dict[Site, dict[tuple, Fraction]] = {}
-        self._cache: dict = {}
+        self._tables = {}
+        self._cache = {}
         for site in space.universe:
             if site not in tables:
                 raise DomainError(f"no density table for site {site!r}")
-            table = dict(tables[site])
+            given = tables[site]
+            table = []
             for cfg in space.configurations():
-                if cfg.key not in table:
+                if cfg.key not in given:
                     raise DomainError(f"density table for site {site!r} misses {cfg!r}")
-                value = table[cfg.key]
-                if not isinstance(value, Fraction):
-                    value = Fraction(value)
-                    table[cfg.key] = value
+                value = Fraction(given[cfg.key])
                 if value < 0:
                     raise DomainError(f"negative density at site {site!r}, {cfg!r}")
-            self._tables[site] = table
+                table.append(value)
+            self._tables[(site,)] = table
         self._check_unit_mass()
 
     @classmethod
@@ -96,8 +147,9 @@ class SingletonFamily:
     def _check_unit_mass(self) -> None:
         space = self.space
         for site in space.universe:
+            table = self._tables[(site,)]
             for cfg in space.exterior_classes((site,)):
-                mass = space.free_kernel((site,), lambda c: self._tables[site][c.key], cfg)
+                mass = space.free_kernel((site,), lambda c: table[c.index], cfg)
                 if mass != 1:
                     raise NormalizationError(
                         f"site {site!r} has mass {mass} (expected 1) at {cfg!r}"
@@ -106,14 +158,10 @@ class SingletonFamily:
     def density(self, site: Site, cfg: Configuration) -> Fraction:
         """The site's density at a full configuration; always finite."""
         try:
-            table = self._tables[site]
+            table = self._tables[(site,)]
         except KeyError:
             raise DomainError(f"site {site!r} not in universe") from None
-        return table[cfg.key]
-
-    def density_at(self, site: Site, values: tuple[str, ...], tail: str) -> Fraction:
-        """Table lookup by raw key; hot-loop variant of density()."""
-        return self._tables[site][(values, tail)]
+        return table[cfg.index]
 
     def kernel_weights(self, site: Site, cfg: Configuration) -> dict[str, Fraction]:
         """The single-site kernel row at cfg: symbol -> density * free weight.
@@ -121,33 +169,10 @@ class SingletonFamily:
         Rows sum to 1 by the unit-mass invariant.
         """
         space = self.space
-        idx = space.universe.index(site)
-        out = {}
-        for sym in space.alphabet:
-            vals = cfg.values[:idx] + (sym,) + cfg.values[idx + 1 :]
-            out[sym] = self._tables[site][(vals, cfg.tail)] * space.free.weight(site, sym)
-        return out
-
-    def cached(self, key: tuple, compute: Callable[[], object]):
-        """Memo slot for quantities derived from the immutable tables.
-
-        Holds the good-point tables (per site and context, the keys where
-        the site's own symbol is good; every good-set reader looks there),
-        the canonical context ``good_symbols`` resolves per site and
-        context as given, the floor good sets, the raw single-site ratio
-        integrals (``("ratio_integral", over, against, class off over)``,
-        read by the order-consistency and bounded-positivity gates), the
-        three gate reports (per witness cap) and the density family built
-        under each sweep order.
-        Values are shared, so callers only read them; a ``compute`` that
-        raises leaves no entry.
-        """
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = compute()
-            self._cache[key] = value
-            return value
+        table = self._tables[(site,)]
+        base = space.class_index(cfg, (site,))
+        return {sym: table[base + offset] * w
+                for sym, (offset, w) in zip(space.alphabet, space.fill_offsets((site,)))}
 
 
 @dataclass(frozen=True)
@@ -250,21 +275,21 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
     tables: dict[Site, dict[tuple, Fraction]] = {}
     for site in space.universe:
         table: dict[tuple, Fraction] = {}
-        masses: dict[tuple, Fraction] = {}
-        raws: dict[tuple, Fraction] = {}
+        masses: dict[int, Fraction] = {}
+        raws: dict[int, Fraction] = {}
 
         def read(c: Configuration) -> Fraction:
             try:
-                return raws[c.key]
+                return raws[c.index]
             except KeyError:
-                raws[c.key] = value = Fraction(model.raw_value(space, site, c))
+                raws[c.index] = value = Fraction(model.raw_value(space, site, c))
                 return value
 
         for cfg in space.configurations():
             raw = read(cfg)
             if raw < 0:
                 raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
-            mkey = space.masked_key(cfg, (site,))
+            mkey = space.class_index(cfg, (site,))
             if mkey not in masses:
                 mass = space.free_kernel((site,), read, cfg)
                 if mass.is_infinite or mass.is_zero:
@@ -305,19 +330,12 @@ def extract_singletons(
             raise DomainError(f"joint weight must be strictly positive; got {w} at {values}")
         table_values[values] = w
 
-    tables: dict[Site, dict[tuple, Fraction]] = {}
-    for site in space.universe:
-        idx = space.universe.index(site)
-        table: dict[tuple, Fraction] = {}
-        for tail in space.tail_classes:
-            for values, w in table_values.items():
-                section = sum(
-                    (table_values[values[:idx] + (b,) + values[idx + 1 :]] for b in space.alphabet),
-                    Fraction(0),
-                )
-                table[(values, tail)] = w / (space.free.weight(site, values[idx]) * section)
-        tables[site] = table
-    return SingletonFamily(space, tables, provenance=provenance)
+    def density(site: Site, cfg: Configuration) -> Fraction:
+        section = sum((table_values[space.overlay(cfg, (site,), (b,)).values]
+                       for b in space.alphabet), Fraction(0))
+        return table_values[cfg.values] / (space.free.weight(site, cfg.symbol(site)) * section)
+
+    return SingletonFamily.from_function(space, density, provenance)
 
 
 def rebalance_free(
@@ -356,21 +374,14 @@ def rebalance_free(
         new_weights[site] = {
             sym: space.free.weight(site, sym) * Fraction(r[sym]) / mass for sym in space.alphabet
         }
-    from .core import FreeMeasure  # local import to avoid cycles in type tools
-
     new_space = Space(
         space.alphabet,
         space.universe,
         FreeMeasure(space.alphabet, new_weights),
         space.tail_classes,
     )
-    tables: dict[Site, dict[tuple, Fraction]] = {}
-    for site in space.universe:
-        idx = space.universe.index(site)
-        r = rescalers[site]
-        tables[site] = {
-            cfg.key: family.density(site, cfg) * masses[site] / Fraction(r[cfg.values[idx]])
-            for cfg in space.configurations()
-        }
-    rebalanced = SingletonFamily(new_space, tables, provenance=family.provenance)
-    return rebalanced
+    return SingletonFamily.from_function(
+        new_space,
+        lambda site, cfg: (family.density(site, cfg) * masses[site]
+                           / Fraction(rescalers[site][cfg.symbol(site)])),
+        provenance=family.provenance)

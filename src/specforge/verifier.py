@@ -204,7 +204,7 @@ def support_class_certificate(
 
 
 def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozenset:
-    """Keys where every member of ``region`` is good against the rest."""
+    """Indices where every member of ``region`` is good against the rest."""
     return frozenset.intersection(*(
         hypotheses._good_points(singletons, k, tuple(s for s in region if s != k))
         for k in region
@@ -212,8 +212,9 @@ def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozens
 
 
 def _mass_off(measure: FiniteMeasure, good: frozenset) -> Fraction:
-    """The measure's weight off a set of configuration keys."""
-    return sum((w for key, w in measure.weights.items() if key not in good), Fraction(0))
+    """The measure's weight off a set of configuration indices."""
+    return sum((w for key, w in measure.weights.items()
+                if measure.space.make(*key).index not in good), Fraction(0))
 
 
 def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
@@ -226,7 +227,7 @@ def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
     tables hold cells.  ``region`` must be canonical.  Rows are shared,
     so callers only read them.
     """
-    key = ("kernel_row", region, dens.space.masked_key(cfg, region))
+    key = ("kernel_row", region, dens.space.class_index(cfg, region))
     return dens.cached(key, lambda: assemble_kernel(dens, region, cfg))
 
 
@@ -655,7 +656,7 @@ def good_support_report(
                 splits.append((v, w))
         core = _good_core(singletons, region)
         for cfg in space.configurations():
-            if cfg.key not in core:
+            if cfg.index not in core:
                 continue
             member_points += 1
             for v, w in splits:
@@ -804,7 +805,9 @@ def roundtrip_reconstruction(
     The expected densities come straight from the joint weight (section
     sums over the region divided by free weights); every region's built
     table, the single sites' included, must match them entry for entry.
-    The family's gates and default build are its memoised ones.
+    A section sum reads the configuration only off its region, so it is
+    summed once per exterior class (`Space.per_class`).  The family's
+    gates and default build are its memoised ones.
     """
     space = singletons.space
     sites = space.universe.sites
@@ -836,11 +839,11 @@ def roundtrip_reconstruction(
     for region in space.universe.subsets():
         if not region:
             continue
-        for cfg in space.configurations():
+        sections = space.per_class(region, lambda cfg: sum(
+            (joint[space.overlay(cfg, region, fill).values]
+             for fill in space.assignments(region)), Fraction(0)))
+        for cfg, section in sections:
             compared += 1
-            section = Fraction(0)
-            for fill in space.assignments(region):
-                section += joint[space.overlay(cfg, region, fill).values]
             free = space.product_weight(
                 region, tuple(cfg.symbol(s) for s in region)
             )
@@ -889,10 +892,10 @@ def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
         if distances:
             dmax = max(distances.values())
             far = universe.region(s for s, d in distances.items() if d == dmax)
-            groups: dict[tuple, list[Fraction]] = {}
+            groups: dict[int, list[Fraction]] = {}
             for cfg in space.configurations():
                 groups.setdefault(
-                    space.masked_key(cfg, far), []
+                    space.class_index(cfg, far), []
                 ).append(dens.density(region, cfg))
             far_variation = max(
                 (max(vals) - min(vals) for vals in groups.values()),

@@ -4,6 +4,9 @@
 each exterior class read every member's raw weight a second time to sum
 the class's mass.
 
+``naive_index`` computes a configuration's index digit by digit, and
+``masked_key`` is the tuple key (hidden sites set to None) that named
+exterior classes before the class index did.
 ``naive_exterior_classes`` is the first-occurrence scan over every
 configuration that ``Space.exterior_classes`` replaced;
 ``site_ratio_kernel`` and ``regional_ratio_integral`` are the two guarded
@@ -115,7 +118,7 @@ def normalize(space, model) -> SingletonFamily:
             raw = Fraction(model.raw_value(space, site, cfg))
             if raw < 0:
                 raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
-            mkey = space.masked_key(cfg, (site,))
+            mkey = masked_key(space, cfg, (site,))
             if mkey not in masses:
                 mass = space.free_kernel(
                     (site,), lambda c: Fraction(model.raw_value(space, site, c)), cfg
@@ -130,11 +133,29 @@ def normalize(space, model) -> SingletonFamily:
     return SingletonFamily(space, tables, provenance=model.provenance)
 
 
+def naive_index(space, cfg) -> int:
+    """tail_pos·q^n + Σ_k pos(v_k)·q^(n-1-k), digit by digit."""
+    q = len(space.alphabet)
+    index = space.tail_classes.index(cfg.tail)
+    for sym in cfg.values:
+        index = index * q + space.alphabet.symbols.index(sym)
+    return index
+
+
+def masked_key(space, cfg, hidden) -> tuple:
+    """The configuration with every ``hidden`` site's value replaced by
+    None: the key that named an exterior class before the class index."""
+    vals = list(cfg.values)
+    for site in hidden:
+        vals[space.universe.index(site)] = None
+    return (tuple(vals), cfg.tail)
+
+
 def naive_exterior_classes(space, hidden):
     """First configuration of each ``masked_key`` class, in enumeration order."""
     seen = set()
     for cfg in space.configurations():
-        mask = space.masked_key(cfg, hidden)
+        mask = masked_key(space, cfg, hidden)
         if mask in seen:
             continue
         seen.add(mask)
@@ -158,8 +179,8 @@ def site_ratio_kernel(family, over, num_site, den_site, cfg):
     for symbol in space.alphabet:
         w = space.free.weight(over, symbol)
         point = values[:idx] + (symbol,) + values[idx + 1:]
-        num = family.density_at(num_site, point, tail)
-        den = family.density_at(den_site, point, tail)
+        num = family.density(num_site, space.make(point, tail))
+        den = family.density(den_site, space.make(point, tail))
         if den == 0:
             if num == 0 or w == 0:
                 return None
@@ -250,10 +271,10 @@ def kernel_class_violations(dens) -> list:
     for region in dens.regions():
         first = {}
         for cfg in space.configurations():
-            mask = space.masked_key(cfg, region)
+            mask = masked_key(space, cfg, region)
             row = list(verifier.assemble_kernel(dens, region, cfg).items())
             if (row != first.setdefault(mask, row)
-                    or any(space.masked_key(space.make(*key), region) != mask
+                    or any(masked_key(space, space.make(*key), region) != mask
                            for key, _ in row)):
                 violations.append((region, cfg))
     return violations
@@ -427,10 +448,8 @@ def good_support_report(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
             member_points += 1
             for v, w in splits:
                 identity_points += 1
-                int_v = space.ratio_integral(
-                    v, dens._tables[v], dens._tables[w], cfg.values, cfg.tail)
-                int_w = space.ratio_integral(
-                    w, dens._tables[w], dens._tables[v], cfg.values, cfg.tail)
+                int_v = regional_ratio_integral(dens, v, v, w, cfg)
+                int_w = regional_ratio_integral(dens, w, w, v, cfg)
                 built = dens.density(region, cfg)
                 ok = True
                 values = []
@@ -763,8 +782,8 @@ def pair_densities(family, i, j, cfg) -> tuple[dict, dict]:
     for s in itertools.product(space.alphabet.symbols, repeat=2):
         point = list(values)
         point[a], point[b] = s
-        d_i[s] = family.density_at(i, tuple(point), tail)
-        d_j[s] = family.density_at(j, tuple(point), tail)
+        d_i[s] = family.density(i, space.make(tuple(point), tail))
+        d_j[s] = family.density(j, space.make(tuple(point), tail))
     return d_i, d_j
 
 
@@ -858,11 +877,8 @@ def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRepor
             hi: Fraction | None = None
             defined = True
             for cfg in space.exterior_classes((j,)):
-                value = space.ratio_integral(
-                    (j,), family._tables[j], family._tables[i],
-                    cfg.values, cfg.tail,
-                )
-                integrals[(i, j, space.masked_key(cfg, (j,)))] = value
+                value = site_ratio_kernel(family, j, j, i, cfg)
+                integrals[(i, j, masked_key(space, cfg, (j,)))] = value
                 if value is None or value.is_infinite or value == 0:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
@@ -892,8 +908,8 @@ def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRepor
         for cfg in space.configurations():
             for a_pos, i in enumerate(sites):
                 for j in sites[a_pos + 1:]:
-                    int_ij = integrals[(i, j, space.masked_key(cfg, (j,)))]
-                    int_ji = integrals[(j, i, space.masked_key(cfg, (i,)))]
+                    int_ij = integrals[(i, j, masked_key(space, cfg, (j,)))]
+                    int_ji = integrals[(j, i, masked_key(space, cfg, (i,)))]
                     lhs = family.density(i, cfg) / int_ji.fraction
                     rhs = family.density(j, cfg) / int_ij.fraction
                     if lhs != rhs:
@@ -913,8 +929,8 @@ def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRepor
     return report
 
 
-def extend_density(dens, theta, gamma) -> dict:
-    """Density table for theta + gamma: density(theta) over the divisor.
+def extend_density(dens, theta, gamma) -> list:
+    """Flat density table for theta + gamma: density(theta) over the divisor.
 
     Built pointwise over every configuration; an infinite divisor
     contracts to the exact value 0, so the stored table is finite
@@ -923,11 +939,11 @@ def extend_density(dens, theta, gamma) -> dict:
     """
     space = dens.space
     th = space.universe.region(theta)
-    table = {}
+    table = []
     for cfg in space.configurations():
         divisor = constructor.extension_divisor(dens, th, gamma, cfg)
         value = ExtendedRational(dens.density(th, cfg)) / divisor
-        table[cfg.key] = value.fraction
+        table.append(value.fraction)
     return table
 
 
@@ -1046,10 +1062,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
                 shifted = space.overlay(cfg, region, block)
                 for k in region:
                     rest = universe.region(s for s in region if s != k)
-                    integral = space.ratio_integral(
-                        (k,), dens._tables[(k,)], dens._tables[rest],
-                        shifted.values, shifted.tail,
-                    )
+                    integral = regional_ratio_integral(dens, (k,), (k,), rest, shifted)
                     rederived_points += 1
                     if integral is None or integral.is_infinite or integral == 0:
                         expected = None
@@ -1188,7 +1201,7 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
     for region in universe.subsets():
         rows: dict = {}
         for cfg in space.configurations():
-            mask = space.masked_key(cfg, region)
+            mask = masked_key(space, cfg, region)
             row = verifier.assemble_kernel(dens, region, cfg)
             checks["exterior"] += 1
             if mask in rows:
@@ -1209,7 +1222,7 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
             checks["point_mass"] += 1
             mass = sum(row.values(), Fraction(0))
             off_region_moved = any(
-                space.masked_key(space.make(*key), region) != mask
+                masked_key(space, space.make(*key), region) != mask
                 for key in row
             )
             if mass != 1 or off_region_moved:
@@ -1373,14 +1386,12 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
                         )
                         shifted_rest = space.overlay(cfg, theta_rest, rest_block)
                         lhs = space.ratio_integral(
-                            gamma, tables[gamma], tables[theta],
-                            shifted.values, shifted.tail)
+                            gamma, tables[gamma], tables[theta], shifted)
                         f1 = space.ratio_integral(
-                            gamma, tables[gamma], tables[(k,)],
-                            shifted.values, shifted.tail)
+                            gamma, tables[gamma], tables[(k,)], shifted)
                         f2 = space.ratio_integral(
                             gamma_plus, tables[gamma_plus], tables[theta_rest],
-                            shifted_rest.values, shifted_rest.tail)
+                            shifted_rest)
                         defined = (lhs is not None and f1 is not None
                                    and f2 is not None)
                         rhs = None

@@ -166,17 +166,21 @@ def test_uniqueness_probe(name):
 
 
 def test_block_split_mismatch_stops_at_the_same_cell(monkeypatch):
-    """A wrong default-order table makes every split of its region fail."""
-    honest = constructor.extend_density
+    """A wrong default-order table makes the other splits of its region fail.
 
-    def perturbed(dens, theta, gamma):
-        table = honest(dens, theta, gamma)
+    The fault doubles every extension divisor of the default join of
+    (s1, s2, s3), so that join and its block split read the same wrong
+    cells and pass, and every other split of the region fails.
+    """
+    honest = constructor.extension_divisor
+
+    def perturbed(dens, theta, gamma, cfg):
+        divisor = honest(dens, theta, gamma, cfg)
         if tuple(theta) + tuple(gamma) == ("s1", "s2", "s3"):
-            key = sorted(table)[5]
-            table[key] += 1
-        return table
+            return divisor * 2
+        return divisor
 
-    monkeypatch.setattr(constructor, "extend_density", perturbed)
+    monkeypatch.setattr(constructor, "extension_divisor", perturbed)
     fam = zoo.hardcore_family(4)
     for cap in CAPS + (10_000,):
         expected = outcome(oracles.check_order_independence, fam, witness_cap=cap)
@@ -229,11 +233,11 @@ def test_per_class_evaluates_at_each_first_member_once():
         for hidden in space.universe.subsets():
             first = {}
             for cfg in cfgs:
-                first.setdefault(space.masked_key(cfg, hidden), cfg)
+                first.setdefault(oracles.masked_key(space, cfg, hidden), cfg)
             calls = []
             replayed = list(space.per_class(hidden, lambda cfg: calls.append(cfg) or cfg))
             assert calls == list(first.values())
-            assert replayed == [(cfg, first[space.masked_key(cfg, hidden)])
+            assert replayed == [(cfg, first[oracles.masked_key(space, cfg, hidden)])
                                 for cfg in cfgs]
 
 
@@ -241,6 +245,6 @@ def test_infinite_divisor_writes_exact_zero():
     """Hard-core extension meets infinite divisors; their cells are 0."""
     dens = build_family(zoo.hardcore_family(3), checked=False)
     table = extend_density(fresh(dens), ("s1",), ("s2",))
-    assert all(type(value) is Fraction for value in table.values())
-    assert Fraction(0) in table.values()
+    assert all(type(value) is Fraction for value in table)
+    assert Fraction(0) in table
     assert table == oracles.extend_density(fresh(dens), ("s1",), ("s2",))

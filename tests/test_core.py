@@ -243,7 +243,7 @@ class TestFreeKernel:
         region = ("1", "2")
         values = {}
         for cfg in space.configurations():
-            key = space.masked_key(cfg, region)
+            key = space.class_index(cfg, region)
             got = space.free_kernel(region, h, cfg)
             if key in values:
                 assert values[key] == got

@@ -1,13 +1,17 @@
 """Shared core primitives against the code they replaced.
 
-``Space.exterior_classes`` builds one representative per exterior class
-directly; the oracle scans every configuration and keeps the first of
-each ``masked_key`` class.  ``Space.ratio_integral`` is the one raw
-ratio integral; the oracles are the single-site and the regional copies
-it replaced.  ``DensityFamily.ratio_integral`` is the one guarded ratio
-integral, memoised per exterior class of the region it integrates over;
-at every configuration it must equal the raw integral there when that
-lies in (0, inf), and None otherwise.  Results must agree exactly,
+The integer configuration index must be the position in
+``configurations()`` and follow its digits (``naive_index``), and the
+class index off a set of hidden sites must group configurations exactly
+as the ``masked_key`` tuples did, at the index of each class's first
+member.  ``Space.exterior_classes`` builds one representative per
+exterior class directly; the oracle scans every configuration and keeps
+the first of each ``masked_key`` class.  ``Space.ratio_integral`` is the
+one raw ratio integral; the oracles are the single-site and the regional
+copies it replaced.  ``DensityFamily.ratio_integral`` is the one guarded
+ratio integral, memoised per exterior class of the region it integrates
+over; at every configuration it must equal the raw integral there when
+that lies in (0, inf), and None otherwise.  Results must agree exactly,
 representatives and their order included, and undefined (None) and
 infinite outcomes included.
 """
@@ -17,10 +21,12 @@ import itertools
 import pytest
 
 from specforge.constructor import DensityFamily, build_family
-from specforge.core import SpecforgeError
+from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe
 
 from oracles import (
+    masked_key,
     naive_exterior_classes,
+    naive_index,
     regional_ratio_integral,
     site_ratio_kernel,
 )
@@ -41,19 +47,84 @@ SPACES = {
     "q2_t2_n4": lambda: example1_space(4),
     "q3_t2": lambda: random_zero_table_family(9).space,  # n=3, q=3, T=2
     "q1_t1": lambda: plain_space(2, ("a",)),
+    "q2_t2_reversed": lambda: declared_space(("b", "a"), ("u", "t"), 3),
+    "q3_t2_shuffled": lambda: declared_space(("c", "a", "b"), ("t1", "t0"), 3),
 }
+
+
+def declared_space(symbols, tails, n_sites) -> Space:
+    """A space whose alphabet and tail classes are declared out of string
+    order, so that declared positions and sorted strings disagree."""
+    alphabet = Alphabet(symbols)
+    universe = Universe(tuple(f"s{k}" for k in range(1, n_sites + 1)))
+    return Space(alphabet, universe, FreeMeasure.uniform(alphabet, universe), tails)
+
+
+def every_hidden(space):
+    """Every ordered tuple of distinct sites, the empty one included."""
+    sites = space.universe.sites
+    for size in range(len(sites) + 1):
+        yield from itertools.permutations(sites, size)
+
+
+class TestConfigurationIndex:
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_the_kth_configuration_has_index_k(self, name):
+        space = SPACES[name]()
+        for k, cfg in enumerate(space.configurations()):
+            assert cfg.index == k == naive_index(space, cfg)
+            assert space.at(k) is cfg
+            assert space.make(*cfg.key) is cfg
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_overlay_and_with_sites_keep_the_index(self, name):
+        space = SPACES[name]()
+        sites = space.universe.sites
+        symbols = space.alphabet.symbols
+        for cfg in space.configurations():
+            for k, site in enumerate(sites):
+                sym = symbols[k % len(symbols)]
+                for moved in (space.overlay(cfg, (site,), (sym,)),
+                              cfg.with_sites({site: sym})):
+                    values = cfg.values[:k] + (sym,) + cfg.values[k + 1:]
+                    assert moved.key == (values, cfg.tail)
+                    assert moved.index == naive_index(space, moved)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_class_index_groups_as_the_masked_key(self, name):
+        space = SPACES[name]()
+        for hidden in every_hidden(space):
+            first = {}
+            for cfg in space.configurations():
+                first.setdefault(masked_key(space, cfg, hidden), cfg)
+            for cfg in space.configurations():
+                assert (space.class_index(cfg, hidden)
+                        == first[masked_key(space, cfg, hidden)].index), hidden
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_classes_and_per_class_replay_the_first_member(self, name):
+        space = SPACES[name]()
+        for hidden in every_hidden(space):
+            slow = list(naive_exterior_classes(space, hidden))
+            assert list(space.exterior_classes(hidden)) == slow, hidden
+            assert [cfg.index for cfg in slow] == sorted(
+                {space.class_index(cfg, hidden) for cfg in space.configurations()})
+            first = {masked_key(space, cfg, hidden): cfg for cfg in reversed(slow)}
+            calls = []
+            replayed = list(space.per_class(hidden, lambda cfg: calls.append(cfg) or cfg))
+            assert calls == slow
+            assert replayed == [(cfg, first[masked_key(space, cfg, hidden)])
+                                for cfg in space.configurations()]
 
 
 class TestExteriorClasses:
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_representatives_match_the_first_occurrence_scan(self, name):
         space = SPACES[name]()
-        sites = space.universe.sites
-        for size in range(len(sites) + 1):
-            for hidden in itertools.permutations(sites, size):
-                fast = [cfg.key for cfg in space.exterior_classes(hidden)]
-                slow = [cfg.key for cfg in naive_exterior_classes(space, hidden)]
-                assert fast == slow, hidden
+        for hidden in every_hidden(space):
+            fast = [cfg.key for cfg in space.exterior_classes(hidden)]
+            slow = [cfg.key for cfg in naive_exterior_classes(space, hidden)]
+            assert fast == slow, hidden
 
     def test_unknown_site_rejected(self):
         space = plain_space(2)
@@ -90,15 +161,14 @@ def compare_ratio_integrals(singletons) -> set:
     dens = density_family(singletons)
     space = dens.space
     regions = dens.regions()
-    tables = {region: dens.table(region) for region in regions}
+    tables = {region: list(dens.table(region).values()) for region in regions}
     seen = set()
     for over in regions:
         if not over:
             continue
         for num, den in itertools.product(regions, repeat=2):
             for cfg in space.configurations():
-                fast = space.ratio_integral(
-                    over, tables[num], tables[den], cfg.values, cfg.tail)
+                fast = space.ratio_integral(over, tables[num], tables[den], cfg)
                 assert fast == regional_ratio_integral(dens, over, num, den, cfg)
                 if len(over) == 1 and len(num) == 1 and len(den) == 1:
                     assert fast == site_ratio_kernel(
@@ -135,14 +205,13 @@ def compare_memoised_ratio_integrals(dens) -> set:
     member; return the raw outcomes seen."""
     space = dens.space
     regions = [region for region in dens.regions() if region]
-    tables = {region: dens.table(region) for region in regions}
+    tables = {region: list(dens.table(region).values()) for region in regions}
     seen = set()
     for cfg in reversed(list(space.configurations())):
         for over, against in itertools.product(regions, repeat=2):
             if set(over) & set(against):
                 continue
-            raw = space.ratio_integral(
-                over, tables[over], tables[against], cfg.values, cfg.tail)
+            raw = space.ratio_integral(over, tables[over], tables[against], cfg)
             assert dens.ratio_integral(over, against, cfg) == guarded(raw), (
                 over, against, cfg)
             seen.add(outcome(raw))

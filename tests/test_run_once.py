@@ -15,14 +15,16 @@ verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
 measure's certificate is memoised.
 Each ratio integral is evaluated once per (over, against, exterior class
-off ``over``), counted by wrapping ``Space.ratio_integral``: the
-single-site ones of the gates through the singleton family's memo, so
-that ``check_bounded_positivity`` evaluates none after
-``check_order_consistency`` on a positive family.  The build
-and the block splits of ``check_order_independence`` evaluate every
-integral that ``good_support_report`` and ``uniqueness_probe`` read on a
-positive family: each core point's own block is a good block of every
-split of its region.
+off ``over``), counted by wrapping the families' memos: the single-site
+ones of the gates and of the build through the singleton family's memo,
+so that ``check_bounded_positivity`` evaluates none after
+``check_order_consistency`` on a positive family, and ``build_family``
+none that the gates have.  The build and the block splits of
+``check_order_independence`` evaluate every integral that
+``good_support_report`` and ``uniqueness_probe`` read on a positive
+family: each core point's own block is a good block of every split of
+its region.  A block split that is a single-site join the sweeps have
+compared walks no cell of its own.
 """
 
 import importlib
@@ -85,23 +87,43 @@ def runs(monkeypatch) -> Counter:
 
 
 @pytest.fixture
-def integrals(monkeypatch) -> Counter:
-    """Counts ``Space.ratio_integral`` calls by (over, num table, den table,
-    exterior class off ``over``); every table is kept alive so that no
-    ``id`` is reused."""
+def integrals(monkeypatch):
+    """Counts ratio-integral evaluations by (over, against, exterior class
+    off ``over``), over every family's memo.
+
+    An evaluation is a ``"ratio_integral"`` memo entry being computed, on
+    a singleton or a density family; the key names the regions, a lone
+    site counting as its one-site region.  The fixture also checks that
+    ``Space.ratio_integral`` runs only inside such a computation, so that
+    no evaluation escapes the count.
+    """
     counts: Counter = Counter()
-    tables = []
-    honest = Space.ratio_integral
+    depth = [0]
+    honest_integral = Space.ratio_integral
 
-    def counted(self, over, num, den, values, tail):
-        tables.append((num, den))
-        masked = list(values)
-        for site in over:
-            masked[self.universe.index(site)] = None
-        counts[over, id(num), id(den), tuple(masked), tail] += 1
-        return honest(self, over, num, den, values, tail)
+    def counted_integral(self, *args):
+        assert depth[0] > 0, "a ratio integral evaluated outside the memo"
+        return honest_integral(self, *args)
 
-    monkeypatch.setattr(Space, "ratio_integral", counted)
+    def counting(cached):
+        def counted(self, key, compute):
+            if key[0] != "ratio_integral":
+                return cached(self, key, compute)
+
+            def evaluate():
+                over, against = (r if isinstance(r, tuple) else (r,) for r in key[1:3])
+                counts[over, against, key[3]] += 1
+                depth[0] += 1
+                try:
+                    return compute()
+                finally:
+                    depth[0] -= 1
+            return cached(self, key, evaluate)
+        return counted
+
+    monkeypatch.setattr(Space, "ratio_integral", counted_integral)
+    for owner in (SingletonFamily, constructor.DensityFamily):
+        monkeypatch.setattr(owner, "cached", counting(owner.cached))
     return counts
 
 
@@ -151,6 +173,35 @@ def test_order_independence_joins_each_region_once_per_site(build, runs, monkeyp
     assert runs["extend_density"] <= n * 2 ** (n - 1) - n
 
 
+@pytest.mark.parametrize("build", [lambda: hardcore_family(4),
+                                   lambda: potential_family(1, n_sites=4)[2]],
+                         ids=["hardcore_4", "potential_1_4"])
+def test_block_splits_walk_no_cell_a_join_has_walked(build, monkeypatch):
+    """Every (region, site) join is compared once, and a single-site split
+    whose join passed walks no cell of its own."""
+    family = build()
+    constructor.build_family(family)
+    walked = Counter()
+    honest_cells = constructor._extended_cells
+
+    def counted_cells(dens, theta, gamma):
+        for cell in honest_cells(dens, theta, gamma):
+            walked[theta, tuple(gamma)] += 1
+            yield cell
+
+    monkeypatch.setattr(constructor, "_extended_cells", counted_cells)
+    report = constructor.check_order_independence(family)
+    assert report.passed and not report.data["permutations_sampled"]
+    space = family.space
+    n = len(space.universe)
+    cells = len(list(space.configurations()))
+    joins = n * 2 ** (n - 1) - n
+    multi_site_splits = 3 ** n - 2 ** (n + 1) + 1 - joins
+    assert report.data["block_splits_tested"] == joins + multi_site_splits
+    assert set(walked.values()) == {cells}
+    assert len(walked) == joins + multi_site_splits
+
+
 def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
@@ -166,6 +217,18 @@ def test_check_evaluates_each_single_site_integral_once(
     assert main(["check", "chain5.model"]) == 0
     capsys.readouterr()
     single = [count for key, count in integrals.items() if len(key[0]) == 1]
+    assert single and max(single) == 1
+
+
+def test_construct_evaluates_each_single_site_integral_once(integrals):
+    """The gates and the build share one memo for one-site integrals."""
+    family = potential_family(1, n_sites=5)[2]
+    assert hypotheses.check_very_weak_positivity(family).passed
+    assert hypotheses.check_order_consistency(family).passed
+    assert hypotheses.check_bounded_positivity(family).passed
+    constructor.build_family(family, checked=False)
+    single = [count for (over, against, _), count in integrals.items()
+              if len(over) == len(against) == 1]
     assert single and max(single) == 1
 
 

@@ -72,7 +72,7 @@ def normalized(fam: SingletonFamily) -> SingletonFamily:
     })
     rescaled = Space(space.alphabet, space.universe, free, space.tail_classes)
     return SingletonFamily(rescaled, {
-        site: {key: value * mass[site] for key, value in fam._tables[site].items()}
+        site: {cfg.key: fam.density(site, cfg) * mass[site] for cfg in space.configurations()}
         for site in space.universe
     })
 

@@ -67,10 +67,10 @@ def renormalized_entry_bump(dens, region, key, factor):
     table = dict(dens.table(region))
     table[key] = table[key] * factor
     cfg = space.make(*key)
-    mask = space.masked_key(cfg, region)
+    mask = space.class_index(cfg, region)
     row_keys = [
         c.key for c in space.configurations()
-        if space.masked_key(c, region) == mask
+        if space.class_index(c, region) == mask
     ]
     mass = sum(
         table[k] * space.product_weight(region, tuple(

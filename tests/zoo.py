@@ -361,7 +361,7 @@ def context_reading(good_points):
             return table
         k = family.space.universe.index(ctx[0])
         last = family.space.alphabet.symbols[-1]
-        return frozenset(key for key in table if key[0][k] != last)
+        return frozenset(i for i in table if family.space.at(i).values[k] != last)
 
     return patched
 
@@ -382,11 +382,12 @@ def doubled_entry(family: SingletonFamily, pick: int) -> SingletonFamily:
     """``family`` with one nonzero density entry doubled and its line along
     the entry's own site rescaled to unit mass again."""
     space = family.space
+    tables = {s: {cfg.key: family.density(s, cfg) for cfg in space.configurations()}
+              for s in space.universe.sites}
     entries = [(site, key) for site in space.universe.sites
-               for key, value in family._tables[site].items() if value != 0]
+               for key, value in tables[site].items() if value != 0]
     site, (values, tail) = entries[pick % len(entries)]
     k = space.universe.index(site)
-    tables = {s: dict(table) for s, table in family._tables.items()}
     table = tables[site]
     table[(values, tail)] *= 2
     line = [(values[:k] + (sym,) + values[k + 1:], tail) for sym in space.alphabet]
