@@ -157,13 +157,6 @@ def exchange_suite(dens: DensityFamily) -> HypothesisReport:
     return report
 
 
-def _class_representative(dens: DensityFamily, tail: str) -> Configuration:
-    for cfg in dens.space.configurations():
-        if cfg.tail == tail:
-            return cfg
-    raise UsageError(f"no configuration carries tail class {tail!r}")
-
-
 def measure_perturbation_suite(dens: DensityFamily, trials: int,
                                seed: int) -> HypothesisReport:
     """Perturbed window measures must lose consistency, detectably.
@@ -179,29 +172,31 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
     Multi-site rows are never read: where they lack mass one, pushing μ′
     through them raises ``DomainError`` and this suite does not.  Such
     rows fail axiom (b), which ``verify``'s checked build satisfies.
+    The seeded draw reads the support sorted by `Configuration.key`.
     """
     space = dens.space
     report = HypothesisReport(name="measure_perturbations", passed=True)
     rng = random.Random(seed)
-    tails = space.tail_classes
     sites = space.universe.sites
+    # the first configuration of each tail class
+    firsts = list(space.exterior_classes(sites))
     performed = 0
     skipped = 0
     for trial in range(trials):
-        tail = tails[trial % len(tails)]
-        mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, tail))
-        support = sorted(mu.weights)
+        first = firsts[trial % len(firsts)]
+        mu = FiniteMeasure.kernel_measure(dens, first)
+        support = sorted(mu.weights, key=lambda index: space.at(index).key)
         if len(support) < 2:
             skipped += 1
             continue
         if not space.free.is_normalized:
             raise HypothesisFailure(
                 "measure consistency needs normalized free weights")
-        raise_key, lower_key = rng.sample(support, 2)
-        delta = mu.weights[lower_key] / rng.randint(2, 9)
+        raised, lowered = rng.sample(support, 2)
+        delta = mu.weights[lowered] / rng.randint(2, 9)
         weights = dict(mu.weights)
-        weights[raise_key] += delta
-        weights[lower_key] -= delta
+        weights[raised] += delta
+        weights[lowered] -= delta
         perturbed = FiniteMeasure(space, weights)
         performed += 1
         if (support_class_certificate(mu, dens.singletons).passed
@@ -212,9 +207,9 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
                     "perturbed measure broke the singleton/full equivalence"
                 ),
                 replay={
-                    "trial": trial, "tail": tail,
-                    "raise_assignment": list(raise_key[0]),
-                    "lower_assignment": list(lower_key[0]),
+                    "trial": trial, "tail": first.tail,
+                    "raise_assignment": list(space.at(raised).values),
+                    "lower_assignment": list(space.at(lowered).values),
                     "delta": str(delta),
                 },
             ))
@@ -251,17 +246,15 @@ def uniqueness_applicable(fam: SingletonFamily) -> bool:
 
 def measure_jobs(model: ModelFile, dens: DensityFamily) -> list[Job]:
     jobs = [Job("good_support", lambda: good_support_report(dens))]
-    for tail in dens.space.tail_classes:
-        def consistency(t=tail) -> HypothesisReport:
-            mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, t))
-            return check_measure_consistency(mu, dens)
+    for first in dens.space.exterior_classes(dens.space.universe.sites):
+        def consistency(cfg=first) -> HypothesisReport:
+            return check_measure_consistency(FiniteMeasure.kernel_measure(dens, cfg), dens)
 
-        def support_mass(t=tail) -> HypothesisReport:
-            mu = FiniteMeasure.kernel_measure(dens, _class_representative(dens, t))
-            return check_good_support_mass(mu, dens)
+        def support_mass(cfg=first) -> HypothesisReport:
+            return check_good_support_mass(FiniteMeasure.kernel_measure(dens, cfg), dens)
 
-        jobs.append(Job(f"measure_consistency[kernel:{tail}]", consistency))
-        jobs.append(Job(f"support_mass[kernel:{tail}]", support_mass))
+        jobs.append(Job(f"measure_consistency[kernel:{first.tail}]", consistency))
+        jobs.append(Job(f"support_mass[kernel:{first.tail}]", support_mass))
     jobs.append(Job("measure_perturbations",
                     lambda: measure_perturbation_suite(
                         dens, model.trials, model.seed)))

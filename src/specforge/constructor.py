@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 from .core import (
     Configuration,
@@ -27,6 +27,7 @@ from .core import (
     ExtendedRational,
     Site,
     SpecforgeError,
+    exact,
     ratio,
 )
 from .hypotheses import (
@@ -76,7 +77,7 @@ class DensityFamily(Tabulated):
     def __init__(self, singletons: SingletonFamily):
         self.singletons = singletons
         self.space = singletons.space
-        ones = [Fraction(1) for _ in self.space.configurations()]
+        ones = [Fraction(1)] * self.space.size
         self._tables = {(): ones, **singletons._tables}
         self._cache = {}
 
@@ -108,28 +109,31 @@ class DensityFamily(Tabulated):
             raise DomainError(f"region {reg!r} has not been built")
         return table[cfg.index]
 
-    def table(self, region: Iterable[Site]) -> Mapping[tuple, Fraction]:
-        """The region's table, keyed by `Configuration.key`."""
+    def table(self, region: Iterable[Site]) -> tuple[Fraction, ...]:
+        """The region's values, the k-th at configuration index k."""
         reg = self.space.universe.region(region)
         if reg not in self._tables:
             raise DomainError(f"region {reg!r} has not been built")
-        return {cfg.key: value
-                for cfg, value in zip(self.space.configurations(), self._tables[reg])}
+        return tuple(self._tables[reg])
 
     def replace_table(self, region: Iterable[Site],
-                      table: Mapping[tuple, Fraction]) -> "DensityFamily":
-        """A sibling with one region's table (keyed by `Configuration.key`) swapped out."""
-        reg = self.space.universe.region(region)
+                      values: Sequence[Fraction]) -> "DensityFamily":
+        """A sibling with one region's table swapped for ``values``, the
+        k-th at configuration index k, each an exact rational."""
+        space = self.space
+        reg = space.universe.region(region)
         if reg not in self._tables:
             raise DomainError(f"region {reg!r} has not been built")
-        configurations = list(self.space.configurations())
-        if set(table) != {cfg.key for cfg in configurations}:
-            raise DomainError("replacement table must cover exactly the same keys")
+        if len(values) != space.size:
+            raise DomainError(f"replacement table holds {len(values)} values; "
+                              f"expected one per configuration, {space.size}")
         sibling = DensityFamily.__new__(DensityFamily)
         sibling.singletons = self.singletons
-        sibling.space = self.space
+        sibling.space = space
         sibling._tables = dict(self._tables)
-        sibling._tables[reg] = [Fraction(table[cfg.key]) for cfg in configurations]
+        sibling._tables[reg] = [
+            exact(value, lambda: f"region {reg!r}, {space.at(index)!r}")
+            for index, value in enumerate(values)]
         sibling._cache = {}
         return sibling
 
@@ -305,26 +309,25 @@ def assemble_kernel(
     dens: DensityFamily,
     region: Iterable[Site],
     cfg: Configuration,
-) -> dict[tuple, Fraction]:
+) -> dict[int, Fraction]:
     """The finite conditional kernel of a region given its exterior.
 
-    Returns the kernel row ``{(values, tail): weight}`` over the points
-    that agree with ``cfg`` off the region, nonzero weights only, in block
-    order.  The weight of the point carrying ``block`` on the region is
-    density(region, block over cfg) times the product free weight of the
-    block.  The empty region gives the point mass at ``cfg``; weights
-    depend on ``cfg`` only off the region.  Every call assembles a new
-    row, which the caller owns.
+    Returns the kernel row ``{index: weight}`` over the configuration
+    indices of the points that agree with ``cfg`` off the region, nonzero
+    weights only, in block order.  The weight of the point carrying
+    ``block`` on the region is density(region, block over cfg) times the
+    product free weight of the block.  The empty region gives the point
+    mass at ``cfg``; weights depend on ``cfg`` only off the region.  Every
+    call assembles a new row, which the caller owns.
     """
     space = dens.space
     reg = space.universe.region(region)
     base = space.class_index(cfg, reg)
-    row: dict[tuple, Fraction] = {}
+    row: dict[int, Fraction] = {}
     for offset, w in space.fill_offsets(reg):
-        point = space.at(base + offset)
-        weight = dens.density(reg, point) * w
+        weight = dens.density(reg, space.at(base + offset)) * w
         if weight:
-            row[point.key] = weight
+            row[base + offset] = weight
     return row
 
 

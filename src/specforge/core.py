@@ -13,11 +13,12 @@ A configuration's index is its position in `Space.configurations()`: with
 pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
 tail_pos·q^n + Σ_k pos(v_k)·q^(n-1-k), site 0 most significant.  Its class
 off some hidden sites is the index with the hidden digits zeroed
-(`Space.class_index`), the index of the class's first member.  Density
-tables are lists indexed by it and memos key classes by it.  The density
-tables a `SingletonFamily` is given and `DensityFamily.table` returns, and
-the weights of measures and kernel rows, whose sorted keys order reports,
-stay keyed by `Configuration.key`, ``(values, tail)``.
+(`Space.class_index`), the index of the class's first member.  It is
+the only key inside the library: density tables are lists indexed by it,
+memos key classes by it, and kernel rows and measure weights are keyed by
+it.  `Configuration.key`, ``(values, tail)``, keys only the per-site
+tables a `SingletonFamily` is given and the report orders that sort
+points by it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "INF",
     "ratio",
     "parse_rational",
+    "exact",
     "Alphabet",
     "Universe",
     "FreeMeasure",
@@ -64,6 +66,16 @@ class ArithmeticDomainError(SpecforgeError):
     one means either bad input data or a genuine hypothesis violation; the
     message names the offending quantity and, where known, the configuration.
     """
+
+
+def exact(value, where: Callable[[], str]) -> Fraction:
+    """``value`` as a `Fraction` if it is exact, an int (not a bool) or a
+    Fraction; else `DomainError`, naming the place ``where()`` describes."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"not an exact rational at {where()}: {value!r}")
+    return Fraction(value)
 
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
@@ -104,9 +116,7 @@ class ExtendedRational:
         if value is None:
             self._value = None  # the infinite element
             return
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise DomainError(f"not an exact nonnegative rational: {value!r}")
-        frac = Fraction(value)
+        frac = exact(value, lambda: "ExtendedRational")
         if frac < 0:
             raise DomainError(f"negative value not representable: {value}")
         self._value = frac
@@ -357,7 +367,7 @@ class FreeMeasure:
             for sym in self.alphabet:
                 if sym not in table:
                     raise DomainError(f"free measure at site {site!r} misses symbol {sym!r}")
-                w = Fraction(table[sym])
+                w = exact(table[sym], lambda: f"site {site!r}, symbol {sym!r}")
                 if w < 0:
                     raise DomainError(f"negative free weight at site {site!r}, symbol {sym!r}")
                 row[sym] = w
@@ -525,6 +535,11 @@ class Space:
     def at(self, index: int) -> Configuration:
         """The configuration of the given index."""
         return self._configs[index]
+
+    @property
+    def size(self) -> int:
+        """The number of configurations, T·q^n."""
+        return len(self._configs)
 
     def overlay(self, cfg: Configuration, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Configuration:
         """`cfg` with the sites of `region` rewritten to `symbols`."""

@@ -22,6 +22,7 @@ from .core import (
     Site,
     Space,
     SpecforgeError,
+    exact,
 )
 
 __all__ = [
@@ -100,10 +101,11 @@ class Tabulated:
 class SingletonFamily(Tabulated):
     """The per-site densities, tabulated, validated and immutable.
 
-    Construction takes one table per site keyed by `Configuration.key`
-    and checks that every value is a finite nonnegative rational and that
-    the unit-mass condition holds at every site for every configuration.
-    Evaluation is a pure table lookup.
+    Construction takes one table per site keyed by `Configuration.key`,
+    the input boundary of the configuration index, and checks that every
+    value is an exact nonnegative rational and that the unit-mass
+    condition holds at every site for every configuration.  Evaluation is
+    a pure table lookup.
     """
 
     def __init__(
@@ -124,7 +126,7 @@ class SingletonFamily(Tabulated):
             for cfg in space.configurations():
                 if cfg.key not in given:
                     raise DomainError(f"density table for site {site!r} misses {cfg!r}")
-                value = Fraction(given[cfg.key])
+                value = exact(given[cfg.key], lambda: f"site {site!r}, {cfg!r}")
                 if value < 0:
                     raise DomainError(f"negative density at site {site!r}, {cfg!r}")
                 table.append(value)
@@ -139,7 +141,7 @@ class SingletonFamily(Tabulated):
         provenance: str = "table",
     ) -> "SingletonFamily":
         tables = {
-            site: {cfg.key: Fraction(density(site, cfg)) for cfg in space.configurations()}
+            site: {cfg.key: density(site, cfg) for cfg in space.configurations()}
             for site in space.universe
         }
         return cls(space, tables, provenance)

@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     Site,
     Space,
+    exact,
 )
 from . import hypotheses
 from .constructor import (
@@ -60,25 +61,25 @@ __all__ = [
 class FiniteMeasure:
     """A probability measure on the finite configuration space.
 
-    Weights are exact nonnegative rationals keyed by configuration and
-    must total exactly 1; missing configurations carry weight 0.
+    Weights are exact nonnegative rationals keyed by configuration index
+    and must total exactly 1; missing configurations carry weight 0.
     Measures are read-only, so they are shared, and ``cached`` memoises
     their support-class certificates and which kernels preserve them.
     """
 
-    def __init__(self, space: Space, weights: Mapping[tuple, Fraction]):
+    def __init__(self, space: Space, weights: Mapping[int, Fraction]):
         self.space = space
-        cleaned: dict[tuple, Fraction] = {}
+        cleaned: dict[int, Fraction] = {}
         total = Fraction(0)
-        valid = {cfg.key for cfg in space.configurations()}
-        for key, value in weights.items():
-            if key not in valid:
-                raise DomainError(f"unknown configuration key {key!r}")
-            value = Fraction(value)
+        for index, value in weights.items():
+            if (isinstance(index, bool) or not isinstance(index, int)
+                    or not 0 <= index < space.size):
+                raise DomainError(f"not a configuration index: {index!r}")
+            value = exact(value, lambda: repr(space.at(index)))
             if value < 0:
-                raise DomainError(f"negative weight {value} at {key!r}")
+                raise DomainError(f"negative weight {value} at {space.at(index)!r}")
             if value:
-                cleaned[key] = value
+                cleaned[index] = value
                 total += value
         if total != 1:
             raise DomainError(f"total mass is {total}, expected 1")
@@ -100,33 +101,24 @@ class FiniteMeasure:
 
     @classmethod
     def free_measure(cls, space: Space, tail: str) -> "FiniteMeasure":
-        """The product of the single-site free weights on one tail class."""
-        weights = {}
+        """The product of the single-site free weights on one tail class,
+        whose indices start at tail_pos·q^n."""
         sites = space.universe.sites
-        for values in space.assignments(sites):
-            weights[(values, tail)] = space.product_weight(sites, values)
-        return cls(space, weights)
+        base = space.tail_classes.index(tail) * len(space.alphabet) ** len(sites)
+        return cls(space, {base + offset: w for offset, w in space.fill_offsets(sites)})
 
     def expect(self, h: Callable[[Configuration], Fraction]) -> Fraction:
-        space = self.space
-        total = Fraction(0)
-        for cfg in space.configurations():
-            w = self.weights.get(cfg.key)
-            if w:
-                total += w * h(cfg)
-        return total
+        at = self.space.at
+        return sum((w * h(at(index)) for index, w in self.weights.items()), Fraction(0))
 
     def push_kernel(self, dens: DensityFamily, region: Iterable[Site]) -> "FiniteMeasure":
         """The image measure under the region's conditional kernel."""
         space = self.space
         reg = space.universe.region(region)
-        out: dict[tuple, Fraction] = {}
-        for cfg in space.configurations():
-            w = self.weights.get(cfg.key)
-            if not w:
-                continue
-            for key, kw in _kernel_row(dens, reg, cfg).items():
-                out[key] = out.get(key, Fraction(0)) + w * kw
+        out: dict[int, Fraction] = {}
+        for index, w in self.weights.items():
+            for point, kw in _kernel_row(dens, reg, space.at(index)).items():
+                out[point] = out.get(point, Fraction(0)) + w * kw
         return FiniteMeasure(space, out)
 
     def preserved_by(self, dens: DensityFamily, region: Iterable[Site]) -> bool:
@@ -139,17 +131,13 @@ class FiniteMeasure:
         """The image measure under the free kernel of a region."""
         space = self.space
         reg = space.universe.region(region)
-        out: dict[tuple, Fraction] = {}
-        for cfg in space.configurations():
-            w = self.weights.get(cfg.key)
-            if not w:
-                continue
-            for fill in space.assignments(reg):
-                kw = space.product_weight(reg, fill)
-                if kw == 0:
-                    continue
-                key = space.overlay(cfg, reg, fill).key
-                out[key] = out.get(key, Fraction(0)) + w * kw
+        offsets = space.fill_offsets(reg)
+        out: dict[int, Fraction] = {}
+        for index, w in self.weights.items():
+            base = space.class_index(space.at(index), reg)
+            for offset, kw in offsets:
+                if kw:
+                    out[base + offset] = out.get(base + offset, Fraction(0)) + w * kw
         return FiniteMeasure(space, out)
 
     def same_as(self, other: "FiniteMeasure") -> bool:
@@ -197,7 +185,8 @@ def support_class_certificate(
             complement = space.universe.complement((site,))
             for ctx in space.universe.subsets(complement):
                 good = hypotheses._good_points(singletons, site, ctx)
-                lines[(site, ctx)] = _mass_off(smoothed, good)
+                lines[(site, ctx)] = sum((w for index, w in smoothed.weights.items()
+                                          if index not in good), Fraction(0))
         return SupportClassCertificate(lines=lines, passed=not any(lines.values()))
 
     return mu.cached(("certificate", singletons), compute)
@@ -211,14 +200,8 @@ def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozens
     ))
 
 
-def _mass_off(measure: FiniteMeasure, good: frozenset) -> Fraction:
-    """The measure's weight off a set of configuration indices."""
-    return sum((w for key, w in measure.weights.items()
-                if measure.space.make(*key).index not in good), Fraction(0))
-
-
 def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
-                cfg: Configuration) -> dict[tuple, Fraction]:
+                cfg: Configuration) -> dict[int, Fraction]:
     """``assemble_kernel(dens, region, cfg)``, memoised on the family.
 
     A row reads the density only at points that carry ``cfg`` off the
@@ -233,19 +216,18 @@ def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
 
 def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
                   inner: DensityFamily, inner_region: tuple[Site, ...],
-                  cfg: Configuration) -> dict[tuple, Fraction]:
+                  cfg: Configuration) -> dict[int, Fraction]:
     """Row of (outer kernel) followed by (inner kernel) at one exterior."""
-    space = outer.space
-    out: dict[tuple, Fraction] = {}
-    for mid_key, w1 in _kernel_row(outer, outer_region, cfg).items():
-        mid = space.make(*mid_key)
-        for key, w2 in _kernel_row(inner, inner_region, mid).items():
-            out[key] = out.get(key, Fraction(0)) + w1 * w2
+    at = outer.space.at
+    out: dict[int, Fraction] = {}
+    for mid, w1 in _kernel_row(outer, outer_region, cfg).items():
+        for point, w2 in _kernel_row(inner, inner_region, at(mid)).items():
+            out[point] = out.get(point, Fraction(0)) + w1 * w2
     return out
 
 
-def _covering_row(dens: DensityFamily, outer: dict[tuple, Fraction],
-                  region: tuple[Site, ...], site: Site) -> dict[tuple, Fraction]:
+def _covering_row(dens: DensityFamily, outer: dict[int, Fraction],
+                  region: tuple[Site, ...], site: Site) -> dict[int, Fraction]:
     """The ``outer`` row of the region's kernel followed by the kernel of
     region - site.
 
@@ -261,22 +243,20 @@ def _covering_row(dens: DensityFamily, outer: dict[tuple, Fraction],
     inner rows of distinct values charge disjoint points, so each weight
     is one product.  The values equal those of `_composed_row`.
     """
+    at = dens.space.at
     position = dens.space.universe.index(site)
     masses: dict[str, Fraction] = {}
-    charged: dict[str, tuple] = {}
-    for key, w in outer.items():
-        value = key[0][position]
-        if value in masses:
-            masses[value] += w
-        else:
-            masses[value] = w
-            charged[value] = key
+    charged: dict[str, Configuration] = {}
+    for index, w in outer.items():
+        point = at(index)
+        value = point.values[position]
+        masses[value] = masses.get(value, Fraction(0)) + w
+        charged.setdefault(value, point)
     inner_region = tuple(s for s in region if s != site)
-    out: dict[tuple, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for value, mass in masses.items():
-        inner = _kernel_row(dens, inner_region, dens.space.make(*charged[value]))
-        for point, w in inner.items():
-            out[point] = mass * w
+        for index, w in _kernel_row(dens, inner_region, charged[value]).items():
+            out[index] = mass * w
     return out
 
 
@@ -315,11 +295,11 @@ def _nested_pairs_consistent(dens: DensityFamily, report: HypothesisReport,
                     consistent = False
 
                     def build() -> Witness:
-                        diff_key = min(
-                            k for k in set(direct) | set(composed)
-                            if direct.get(k, Fraction(0))
-                            != composed.get(k, Fraction(0))
-                        )
+                        point = min(
+                            (space.at(i) for i in set(direct) | set(composed)
+                             if direct.get(i, Fraction(0))
+                             != composed.get(i, Fraction(0))),
+                            key=lambda p: p.key)
                         return Witness(
                             check="consistency",
                             description=(
@@ -330,8 +310,8 @@ def _nested_pairs_consistent(dens: DensityFamily, report: HypothesisReport,
                                     "small": [str(s) for s in small],
                                     "assignment": list(cfg.values),
                                     "tail": cfg.tail,
-                                    "point_assignment": list(diff_key[0]),
-                                    "point_tail": diff_key[1]},
+                                    "point_assignment": list(point.values),
+                                    "point_tail": point.tail},
                         )
 
                     report.fail(witness_cap, build)
@@ -436,8 +416,7 @@ def exchange_identity(
 
     def integrate(region, x, h) -> Fraction:
         row = _kernel_row(dens, region, x)
-        return sum((w * h(space.make(*key)) for key, w in row.items()),
-                   Fraction(0))
+        return sum((w * h(space.at(i)) for i, w in row.items()), Fraction(0))
 
     lhs = integrate(union, cfg, lambda x: f(x) * integrate(
         a, x, lambda y: integrate(b, y, g)))
@@ -521,7 +500,7 @@ def uniqueness_probe(
         rep = reps[rng.randrange(len(reps))]
         blocks = list(space.assignments(region))
         original = dens.table(region)
-        new_table = dict(original)
+        new_table = list(original)
         for attempt in range(10):
             raw = {block: Fraction(rng.randint(1, 9)) for block in blocks}
             mass = sum(
@@ -531,10 +510,10 @@ def uniqueness_probe(
             row = {block: raw[block] / mass for block in blocks}
             changed = False
             for block in blocks:
-                key = space.overlay(rep, region, block).key
-                if original[key] != row[block]:
+                index = space.overlay(rep, region, block).index
+                if original[index] != row[block]:
                     changed = True
-                new_table[key] = row[block]
+                new_table[index] = row[block]
             if changed:
                 break
         else:

@@ -18,7 +18,13 @@ region.
 ``exchange_identity`` are the block-keyed kernel the library used before
 ``assemble_kernel`` returned rows keyed by point: weights per block of
 the region with zeros kept, integrated by overlaying each block on the
-exterior, and turned into point-keyed rows by overlaying once more.
+exterior, and turned into rows keyed by ``(values, tail)`` by overlaying
+once more.  The library keys rows and measures by configuration index;
+``keyed`` turns one of them into that key form, in the same order, for
+comparison with these oracles.  ``kernel_row``,
+``measure_perturbation_suite`` and ``check_specification_axioms`` keep
+the key form throughout: the perturbation draw sorts the support by key,
+and the axiom (c) witness names the smallest differing point by key.
 
 ``kernel_class_violations`` assembles every row at every configuration
 and lists the rows that differ inside one exterior class or charge a
@@ -102,6 +108,11 @@ from specforge import constructor, hypotheses, verifier
 from specforge.hypotheses import _replay_point
 from specforge.models import NormalizationError, SingletonFamily
 from specforge.verifier import SupportClassCertificate
+
+
+def keyed(space, weights) -> dict:
+    """An index-keyed row or measure weight dict keyed by ``(values, tail)``."""
+    return {space.at(index).key: w for index, w in weights.items()}
 
 
 def normalize(space, model) -> SingletonFamily:
@@ -272,7 +283,7 @@ def kernel_class_violations(dens) -> list:
         first = {}
         for cfg in space.configurations():
             mask = masked_key(space, cfg, region)
-            row = list(verifier.assemble_kernel(dens, region, cfg).items())
+            row = list(keyed(space, verifier.assemble_kernel(dens, region, cfg)).items())
             if (row != first.setdefault(mask, row)
                     or any(masked_key(space, space.make(*key), region) != mask
                            for key, _ in row)):
@@ -397,7 +408,7 @@ def support_class_certificate(mu, singletons) -> SupportClassCertificate:
         for ctx in space.universe.subsets(complement):
             bad = Fraction(0)
             for cfg in space.configurations():
-                w = smoothed.weights.get(cfg.key)
+                w = smoothed.weights.get(cfg.index)
                 if w and not site_is_good(singletons, site, ctx, cfg):
                     bad += w
             lines[(site, ctx)] = bad
@@ -544,7 +555,7 @@ def check_good_support_mass(mu, dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
     def bad_mass(measure, predicate):
         total = Fraction(0)
         for cfg in space.configurations():
-            w = measure.weights.get(cfg.key)
+            w = measure.weights.get(cfg.index)
             if w and not predicate(cfg):
                 total += w
         return total
@@ -663,18 +674,18 @@ def measure_perturbation_suite(dens, trials, seed) -> HypothesisReport:
     for trial in range(trials):
         tail = tails[trial % len(tails)]
         rep = next(cfg for cfg in space.configurations() if cfg.tail == tail)
-        mu = verifier.FiniteMeasure.kernel_measure(dens, rep)
-        support = sorted(mu.weights)
+        mu = keyed(space, verifier.FiniteMeasure.kernel_measure(dens, rep).weights)
+        support = sorted(mu)
         if len(support) < 2:
             skipped += 1
             continue
         raise_key, lower_key = rng.sample(support, 2)
-        delta = mu.weights[lower_key] / rng.randint(2, 9)
-        weights = dict(mu.weights)
+        delta = mu[lower_key] / rng.randint(2, 9)
+        weights = dict(mu)
         weights[raise_key] += delta
         weights[lower_key] -= delta
-        outcome = verifier.check_measure_consistency(
-            verifier.FiniteMeasure(space, weights), dens)
+        outcome = verifier.check_measure_consistency(verifier.FiniteMeasure(
+            space, {space.make(*key).index: w for key, w in weights.items()}), dens)
         performed += 1
         replay = {
             "trial": trial, "tail": tail,
@@ -1016,7 +1027,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
         rep = reps[rng.randrange(len(reps))]
         blocks = list(space.assignments(region))
         original = dens.table(region)
-        new_table = dict(original)
+        new_table = list(original)
         for attempt in range(10):
             raw = {block: Fraction(rng.randint(1, 9)) for block in blocks}
             mass = sum(
@@ -1026,10 +1037,10 @@ def uniqueness_probe(dens, trials=25, seed=8141,
             row = {block: raw[block] / mass for block in blocks}
             changed = False
             for block in blocks:
-                key = space.overlay(rep, region, block).key
-                if original[key] != row[block]:
+                index = space.overlay(rep, region, block).index
+                if original[index] != row[block]:
                     changed = True
-                new_table[key] = row[block]
+                new_table[index] = row[block]
             if changed:
                 break
         else:
@@ -1202,7 +1213,7 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
         rows: dict = {}
         for cfg in space.configurations():
             mask = masked_key(space, cfg, region)
-            row = verifier.assemble_kernel(dens, region, cfg)
+            row = keyed(space, verifier.assemble_kernel(dens, region, cfg))
             checks["exterior"] += 1
             if mask in rows:
                 if rows[mask] != row:
@@ -1240,10 +1251,10 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
         for small in universe.subsets(large):
             for cfg in space.exterior_classes(large):
                 checks["nested_pairs"] += 1
-                direct = verifier._kernel_row(dens, large, cfg)
+                direct = keyed(space, verifier._kernel_row(dens, large, cfg))
                 composed: dict = {}
                 for mid_key, w1 in direct.items():
-                    inner = verifier._kernel_row(dens, small, space.make(*mid_key))
+                    inner = keyed(space, verifier._kernel_row(dens, small, space.make(*mid_key)))
                     for key, w2 in inner.items():
                         composed[key] = composed.get(key, Fraction(0)) + w1 * w2
                 composed = {k: v for k, v in composed.items() if v != 0}

@@ -95,14 +95,22 @@ class TestDensityFamily:
     def test_replace_table_is_isolated(self):
         dens = build_family(independent_family())
         region = ("s1", "s2")
-        table = dict(dens.table(region))
-        key = next(iter(table))
-        table[key] = table[key] + Fraction(1, 7)
+        table = list(dens.table(region))
+        table[0] += Fraction(1, 7)
         sibling = dens.replace_table(region, table)
-        assert sibling.table(region)[key] == Fraction(8, 7)
-        assert dens.table(region)[key] == Fraction(1)
-        with pytest.raises(DomainError):
-            dens.replace_table(region, {key: Fraction(1)})
+        assert sibling.table(region)[0] == Fraction(8, 7)
+        assert dens.table(region)[0] == Fraction(1)
+        with pytest.raises(DomainError, match="holds 7 values"):
+            dens.replace_table(region, table[1:])
+
+    @pytest.mark.parametrize("inexact", [1.0, True])
+    def test_replace_table_takes_exact_values_only(self, inexact):
+        dens = build_family(independent_family())
+        table = list(dens.table(("s1", "s2")))
+        table[3] = inexact
+        with pytest.raises(DomainError, match=r"region \('s1', 's2'\), "
+                           rf"Configuration\(abb, tail=default\): {inexact!r}"):
+            dens.replace_table(("s1", "s2"), table)
 
 
 class TestExtensionDivisor:
@@ -284,7 +292,7 @@ class TestAssembleKernel:
         dens = build_family(independent_family())
         cfg = next(dens.space.configurations())
         row = assemble_kernel(dens, (), cfg)
-        assert row == {cfg.key: Fraction(1)}
+        assert row == {cfg.index: Fraction(1)}
 
     def test_independent_model_gives_product_weights(self):
         dens = build_family(independent_family())
@@ -299,11 +307,11 @@ class TestAssembleKernel:
         region = ("s1", "s2")
         cfg = space.make((HIGH, HIGH, LOW, HIGH), MANY_HIGH)
         row = assemble_kernel(dens, region, cfg)
-        assert row[space.overlay(cfg, region, (LOW, LOW)).key] == 1
+        assert row[space.overlay(cfg, region, (LOW, LOW)).index] == 1
         assert sum(row.values()) == 1
         fh = space.make((HIGH, HIGH, LOW, HIGH), FEW_HIGH)
         assert assemble_kernel(dens, region, fh)[
-            space.overlay(fh, region, (HIGH, HIGH)).key] == 1
+            space.overlay(fh, region, (HIGH, HIGH)).index] == 1
 
     def test_extracted_kernel_matches_conditional_probabilities(self):
         space, joint, family = extracted_family(48)
@@ -318,7 +326,7 @@ class TestAssembleKernel:
             for block in space.assignments(region):
                 point = space.overlay(cfg, region, block)
                 expected = joint[point.values] / section
-                assert row.get(point.key, Fraction(0)) == expected
+                assert row.get(point.index, Fraction(0)) == expected
 
     def test_depends_only_on_exterior(self):
         dens = build_family(extracted_family(49)[2])
@@ -337,8 +345,8 @@ class TestAssembleKernel:
         row = assemble_kernel(dens, ("s1", "s2"), cfg)
         probe = space.overlay(cfg, ("s1", "s2"), ("b", "a"))
         h = lambda c: Fraction(1) if c == probe else Fraction(0)
-        integral = sum(w * h(space.make(*key)) for key, w in row.items())
-        assert integral == row[probe.key]
+        integral = sum(w * h(space.at(index)) for index, w in row.items())
+        assert integral == row[probe.index]
 
 
 class TestOrderIndependence:

@@ -148,6 +148,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             FreeMeasure(alphabet, {"i": {"a": Fraction(1), "b": Fraction(-1)}})
 
+    @pytest.mark.parametrize("inexact", [0.1, True, False])
+    def test_free_measure_takes_exact_weights_only(self, inexact):
+        # 0.1 would read as 3602879701896397/36028797018963968, True as 1
+        alphabet = Alphabet(("a", "b"))
+        with pytest.raises(DomainError, match=rf"site 's', symbol 'a': {inexact!r}"):
+            FreeMeasure(alphabet, {"s": {"a": inexact, "b": Fraction(9, 10)}})
+
     def test_normalized_flag(self):
         alphabet = Alphabet(("a", "b"))
         assert FreeMeasure.uniform(alphabet, ("i",)).is_normalized

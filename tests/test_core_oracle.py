@@ -161,7 +161,7 @@ def compare_ratio_integrals(singletons) -> set:
     dens = density_family(singletons)
     space = dens.space
     regions = dens.regions()
-    tables = {region: list(dens.table(region).values()) for region in regions}
+    tables = {region: dens.table(region) for region in regions}
     seen = set()
     for over in regions:
         if not over:
@@ -205,7 +205,7 @@ def compare_memoised_ratio_integrals(dens) -> set:
     member; return the raw outcomes seen."""
     space = dens.space
     regions = [region for region in dens.regions() if region]
-    tables = {region: list(dens.table(region).values()) for region in regions}
+    tables = {region: dens.table(region) for region in regions}
     seen = set()
     for cfg in reversed(list(space.configurations())):
         for over, against in itertools.product(regions, repeat=2):
@@ -234,8 +234,8 @@ class TestMemoisedRatioIntegral:
         dens = build_family(potential_family(5)[2], checked=False)
         region = ("s1", "s2")
         table = dens.table(region)
-        sibling = dens.replace_table(region, {
-            key: value * (k % 3 + 1) for k, (key, value) in enumerate(table.items())})
+        sibling = dens.replace_table(
+            region, [value * (k % 3 + 1) for k, value in enumerate(table)])
         compare_memoised_ratio_integrals(dens)
         compare_memoised_ratio_integrals(sibling)
         cfg = next(dens.space.configurations())

@@ -22,6 +22,14 @@ frozen reference copy under ``perfbench/reference/`` excepted), or be
 listed in an ``__all__``.  Dunder methods are exempt, since Python
 calls them.  A public method that nothing reads is dead weight kept in
 step with the code around it.
+
+The key scan lists the module-level functions and methods under
+``src/`` that read the attribute ``make`` or ``key``.  The library keys
+tables, rows and measures by configuration index; the key form
+``(values, tail)`` is read only where input tables come in
+(``SingletonFamily`` and the two functions that fill its tables) and
+where reports sort points by it, and ``Space.make`` only by
+``Space.configuration``.
 """
 
 import ast
@@ -248,3 +256,50 @@ def test_the_scan_flags_an_unread_method(tmp_path):
     assert unread_definitions([tmp_path / "a.py"], sorted(tmp_path.glob("*.py")),
                               tmp_path) == [
         "a.py:11: leftover", "a.py:13: unread", "a.py:14: unread_nested"]
+
+
+def attribute_readers(paths, attr: str, root: Path = SRC) -> set[str]:
+    """``module:function`` or ``module:Class.method`` of each module-level
+    function and method that reads the attribute ``attr``, at any depth."""
+    readers = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                           if isinstance(sub, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+        module = path.relative_to(root).with_suffix("").as_posix()
+        readers |= {f"{module}:{name}" for name, scope in scopes
+                    if any(isinstance(sub, ast.Attribute) and sub.attr == attr
+                           for sub in ast.walk(scope))}
+    return readers
+
+
+def test_the_key_form_is_read_only_at_the_input_and_report_boundaries():
+    assert attribute_readers(MODULES, "make") == {"specforge/core:Space.configuration"}
+    assert attribute_readers(MODULES, "key") == {
+        "specforge/models:SingletonFamily.__init__",
+        "specforge/models:SingletonFamily.from_function",
+        "specforge/models:normalize",
+        "specforge/verifier:_nested_pairs_consistent",
+        "specforge/cli/main:measure_perturbation_suite",
+    }
+
+
+def test_the_scan_finds_nested_attribute_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def outer(cfg):\n"
+        "    return sorted([cfg], key=lambda c: c.key)\n"
+        "class Space:\n"
+        "    def at(self, i):\n"
+        "        return i\n"
+        "    def fill(self, cfg):\n"
+        "        def inner():\n"
+        "            return cfg.key\n"
+        "        return inner\n"
+    )
+    assert attribute_readers([tmp_path / "a.py"], "key", tmp_path) == {
+        "a:outer", "a:Space.fill"}

@@ -1,8 +1,9 @@
 """Kernel rows and good blocks as plain values, against the old code.
 
-``assemble_kernel`` returns the row ``{point key: weight}`` with zero
+``assemble_kernel`` returns the row ``{point index: weight}`` with zero
 weights dropped; the oracle is the block-keyed kernel it replaced, turned
-into point keys by overlaying each block on the exterior.  Rows must
+into ``(values, tail)`` keys by overlaying each block on the exterior,
+and rows are compared in that form through ``oracles.keyed``.  Rows must
 agree for every built region (the empty one included) and every
 configuration, in the same order, on families with zero densities and
 on positive ones.  ``exchange_identity`` must equal the old ``apply``
@@ -74,7 +75,7 @@ def test_rows_equal_the_block_keyed_kernel(name):
     zero_blocks = 0
     for region in dens.regions():
         for cfg in space.configurations():
-            row = assemble_kernel(dens, region, cfg)
+            row = oracles.keyed(space, assemble_kernel(dens, region, cfg))
             expected = oracles.kernel_row(dens, region, cfg)
             assert row == expected
             assert list(row) == list(expected)
@@ -88,7 +89,7 @@ def test_rows_equal_the_block_keyed_kernel(name):
 def test_empty_region_is_the_point_mass(name):
     dens = densities(FAMILIES[name]())
     for cfg in dens.space.configurations():
-        assert assemble_kernel(dens, (), cfg) == {cfg.key: Fraction(1)}
+        assert assemble_kernel(dens, (), cfg) == {cfg.index: Fraction(1)}
 
 
 @pytest.mark.parametrize("name", ["hardcore", "example1", "extracted"])
@@ -98,7 +99,7 @@ def test_kernel_measure_reads_the_full_window_row(name):
     sites = space.universe.sites
     for cfg in space.configurations():
         mu = FiniteMeasure.kernel_measure(dens, cfg)
-        assert mu.weights == oracles.kernel_row(dens, sites, cfg)
+        assert oracles.keyed(space, mu.weights) == oracles.kernel_row(dens, sites, cfg)
 
 
 def observables(space):
@@ -171,7 +172,7 @@ def test_sibling_reads_its_own_rows_not_the_parents():
     configurations = list(space.configurations())
     parent_rows = [verifier._kernel_row(dens, region, cfg)
                    for cfg in configurations]
-    doubled = {key: 2 * value for key, value in dens.table(region).items()}
+    doubled = [2 * value for value in dens.table(region)]
     sibling = dens.replace_table(region, doubled)
     for cfg, parent_row in zip(configurations, parent_rows):
         row = verifier._kernel_row(sibling, region, cfg)

@@ -288,6 +288,15 @@ class TestFamilyInvariants:
         with pytest.raises(DomainError):
             SingletonFamily(space, tables)
 
+    @pytest.mark.parametrize("inexact", [0.5, True])
+    def test_inexact_density_rejected(self, inexact):
+        space = plain_space(1)
+        table = {cfg.key: Fraction(1) for cfg in space.configurations()}
+        table[(("b",), "default")] = inexact
+        with pytest.raises(DomainError, match=r"site 's1', Configuration\(b, "
+                           rf"tail=default\): {inexact!r}"):
+            SingletonFamily(space, {"s1": table})
+
     def test_unnormalized_tables_rejected(self):
         space = plain_space(1)
         tables = {

@@ -131,10 +131,10 @@ def measures(dens, seed: int) -> list[FiniteMeasure]:
     rng = random.Random(seed)
     cfgs = list(space.configurations())
     out = [FiniteMeasure.kernel_measure(dens, cfg) for cfg in (cfgs[0], cfgs[-1])]
-    raw = {cfg.key: Fraction(rng.randint(1, 9)) for cfg in cfgs}
+    raw = {cfg.index: Fraction(rng.randint(1, 9)) for cfg in cfgs}
     total = sum(raw.values())
-    out.append(FiniteMeasure(space, {key: w / total for key, w in raw.items()}))
-    return out + [FiniteMeasure(space, {cfg.key: Fraction(1)})
+    out.append(FiniteMeasure(space, {index: w / total for index, w in raw.items()}))
+    return out + [FiniteMeasure(space, {cfg.index: Fraction(1)})
                   for cfg in rng.sample(cfgs, 2)]
 
 

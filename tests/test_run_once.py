@@ -25,6 +25,9 @@ none that the gates have.  The build and the block splits of
 family: each core point's own block is a good block of every split of
 its region.  A block split that is a single-site join the sweeps have
 compared walks no cell of its own.
+Kernel rows and measures are keyed by configuration index, so ``verify``
+turns no ``(values, tail)`` key back into a configuration: it calls
+``Space.make`` zero times.
 """
 
 import importlib
@@ -208,6 +211,23 @@ def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypa
     assert main(["verify", "chain5.model"]) == 0
     capsys.readouterr()
     assert integrals and max(integrals.values()) == 1
+
+
+@pytest.mark.parametrize("model", ["example1", "chain5"])
+def test_verify_makes_no_configuration_from_a_key(model, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    calls = []
+    honest = Space.make
+
+    def counted(self, values, tail):
+        calls.append((values, tail))
+        return honest(self, values, tail)
+
+    monkeypatch.setattr(Space, "make", counted)
+    assert main(["verify", bundled(model) if model == "example1" else "chain5.model"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_check_evaluates_each_single_site_integral_once(

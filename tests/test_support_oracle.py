@@ -88,11 +88,11 @@ def measures(space: Space, dens=None, seed: int = 0) -> list[FiniteMeasure]:
     out = []
     if dens is not None:
         out += [FiniteMeasure.kernel_measure(dens, cfg) for cfg in (cfgs[0], cfgs[-1])]
-    raw = {cfg.key: Fraction(rng.randint(1, 9)) for cfg in cfgs}
+    raw = {cfg.index: Fraction(rng.randint(1, 9)) for cfg in cfgs}
     total = sum(raw.values())
-    out.append(FiniteMeasure(space, {key: w / total for key, w in raw.items()}))
+    out.append(FiniteMeasure(space, {index: w / total for index, w in raw.items()}))
     for cfg in [cfgs[0]] + rng.sample(cfgs, min(3, len(cfgs))):
-        out.append(FiniteMeasure(space, {cfg.key: Fraction(1)}))
+        out.append(FiniteMeasure(space, {cfg.index: Fraction(1)}))
     return out
 
 

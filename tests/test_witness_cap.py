@@ -6,7 +6,10 @@ built family run on the failing families that build (anchored tables)
 and on a hard-core chain with one region's table perturbed.  The capped
 report must be the uncapped one with its witness list truncated: same
 verdict, same data, same leading witnesses.  A suite whose precondition
-fails must raise the same error at every cap.
+fails must raise the same error at every cap.  With every trial that
+draws made to fail, the perturbation suite must name the points of its
+oracle's draw over the support sorted by ``(values, tail)``, also on
+example1's space, where index order is the reverse of that order.
 """
 
 import importlib
@@ -43,6 +46,8 @@ import oracles
 from zoo import (
     anchored_table_family,
     broken_pair_family,
+    example1_family,
+    example1_space,
     forced_exclusion_family,
     extracted_family,
     hardcore_family,
@@ -65,8 +70,8 @@ FAMILIES = {
 
 def perturbed_hardcore():
     dens = build_family(hardcore_family(3), checked=False)
-    table = {key: value * 2 if value else Fraction(1)
-             for key, value in dens.table(("s1", "s2")).items()}
+    table = [value * 2 if value else Fraction(1)
+             for value in dens.table(("s1", "s2"))]
     return dens.replace_table(("s1", "s2"), table)
 
 
@@ -215,4 +220,26 @@ def test_perturbation_suite_judges_only_measures_in_the_class(monkeypatch):
     dens = build_family(hardcore_family(4))
     report = cli.measure_perturbation_suite(dens, trials=12, seed=5)
     assert report.passed and report.data["performed"] == 12
+    assert report.as_dict() == oracles.measure_perturbation_suite(dens, 12, 5).as_dict()
+
+
+def extracted_on_example1_space():
+    space = example1_space(3)
+    return extract_singletons(space, random_joint(space, random.Random(11)))
+
+
+@pytest.mark.parametrize("build, performed", [
+    (example1_family, 0), (extracted_on_example1_space, 12)],
+    ids=["example1", "extracted_on_example1_space"])
+def test_perturbation_draw_reads_the_support_in_key_order(monkeypatch, build, performed):
+    # alphabet L H and tails many-high few-high are declared against string
+    # order, so index order is the reverse of key order on both.  With the
+    # patch every trial that draws fails and names its two points, which
+    # must be the oracle's draw over the key-sorted support.  example1's
+    # kernel measures are point masses, so it skips every trial
+    single_sites_preserve(monkeypatch)
+    dens = build_family(build())
+    report = cli.measure_perturbation_suite(dens, trials=12, seed=5)
+    assert report.data["performed"] == performed
+    assert len(report.witnesses) == min(performed, WITNESS_CAP)
     assert report.as_dict() == oracles.measure_perturbation_suite(dens, 12, 5).as_dict()

@@ -371,10 +371,10 @@ def reweighted(dens, region, weigh):
     by ``weigh(block, original density)`` for every block."""
     space = dens.space
     rep = next(space.exterior_classes(region))
-    table = dens.table(region)
+    table = list(dens.table(region))
     for block in space.assignments(region):
-        key = space.overlay(rep, region, block).key
-        table[key] = weigh(block, table[key])
+        index = space.overlay(rep, region, block).index
+        table[index] = weigh(block, table[index])
     return dens.replace_table(region, table)
 
 
