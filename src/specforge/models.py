@@ -193,9 +193,10 @@ class TableModel:
         others = tuple(s for s in space.universe if s != site)
         key = (cfg.symbol(site), cfg.restrict(others), cfg.tail)
         try:
-            return Fraction(self.entries[site][key])
+            value = self.entries[site][key]
         except KeyError:
             raise DomainError(f"table model misses entry for site {site!r}, key {key}") from None
+        return exact(value, lambda: f"table model entry for site {site!r}, key {key}")
 
 
 @dataclass(frozen=True)
@@ -215,12 +216,12 @@ class TailRuleModel:
             vector = self.rules[(cfg.tail, site)]
         except KeyError:
             raise DomainError(f"tail rule misses (class {cfg.tail!r}, site {site!r})") from None
+        rule = f"tail rule for (class {cfg.tail!r}, site {site!r})"
         try:
-            return Fraction(vector[cfg.symbol(site)])
+            value = vector[cfg.symbol(site)]
         except KeyError:
-            raise DomainError(
-                f"tail rule for (class {cfg.tail!r}, site {site!r}) misses symbol {cfg.symbol(site)!r}"
-            ) from None
+            raise DomainError(f"{rule} misses symbol {cfg.symbol(site)!r}") from None
+        return exact(value, lambda: f"{rule}, symbol {cfg.symbol(site)!r}")
 
 
 @dataclass(frozen=True)
@@ -239,29 +240,32 @@ class PotentialModel:
     provenance: str = "potential"
 
     def __post_init__(self):
-        if self.pairs is None:
-            object.__setattr__(self, "pairs", {})
-        for site, vector in self.fields.items():
-            for sym, w in vector.items():
-                if Fraction(w) <= 0:
-                    raise DomainError(f"field weight must be positive at {site!r}/{sym!r}")
-        for edge, table in self.pairs.items():
+        def positive(w, kind: str, at: str) -> Fraction:
+            value = exact(w, lambda: f"{kind} {at}")
+            if value <= 0:
+                raise DomainError(f"{kind} must be positive at {at}")
+            return value
+
+        fields = {site: {sym: positive(w, "field weight", f"{site!r}/{sym!r}")
+                         for sym, w in vector.items()}
+                  for site, vector in self.fields.items()}
+        pairs = {}
+        for edge, table in (self.pairs or {}).items():
             if len(edge) != 2 or edge[0] == edge[1]:
                 raise DomainError(f"bad pair key {edge!r}")
-            for syms, w in table.items():
-                if Fraction(w) <= 0:
-                    raise DomainError(f"pair weight must be positive at {edge!r}/{syms!r}")
+            pairs[edge] = {syms: positive(w, "pair weight", f"{edge!r}/{syms!r}")
+                           for syms, w in table.items()}
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "pairs", pairs)
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
         try:
-            value = Fraction(self.fields[site][cfg.symbol(site)])
+            value = self.fields[site][cfg.symbol(site)]
         except KeyError:
             raise DomainError(f"potential misses field for site {site!r}") from None
         for (a, b), table in self.pairs.items():
-            if site == a:
-                value *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
-            elif site == b:
-                value *= Fraction(table[(cfg.symbol(a), cfg.symbol(b))])
+            if site in (a, b):
+                value *= table[(cfg.symbol(a), cfg.symbol(b))]
         return value
 
 
@@ -284,7 +288,8 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
             try:
                 return raws[c.index]
             except KeyError:
-                raws[c.index] = value = Fraction(model.raw_value(space, site, c))
+                raws[c.index] = value = exact(model.raw_value(space, site, c),
+                                              lambda: f"raw weight of site {site!r}, {c!r}")
                 return value
 
         for cfg in space.configurations():
@@ -327,7 +332,7 @@ def extract_singletons(
     for values in space.assignments(space.universe.sites):
         if values not in joint:
             raise DomainError(f"joint weight misses assignment {values}")
-        w = Fraction(joint[values])
+        w = exact(joint[values], lambda: f"joint weight of {values}")
         if w <= 0:
             raise DomainError(f"joint weight must be strictly positive; got {w} at {values}")
         table_values[values] = w
@@ -354,28 +359,26 @@ def rebalance_free(
     With the default r = 1 this simply normalizes each free weight vector.
     """
     space = family.space
-    if rescalers is None:
-        rescalers = {site: {sym: Fraction(1) for sym in space.alphabet} for site in space.universe}
+    scales: dict[Site, dict[str, Fraction]] = {}
     new_weights: dict[Site, dict[str, Fraction]] = {}
     masses: dict[Site, Fraction] = {}
     for site in space.universe:
-        try:
-            r = rescalers[site]
-        except KeyError:
-            raise DomainError(f"rescaler missing for site {site!r}") from None
+        if rescalers is not None and site not in rescalers:
+            raise DomainError(f"rescaler missing for site {site!r}")
+        r = dict.fromkeys(space.alphabet, 1) if rescalers is None else rescalers[site]
+        scales[site] = {}
         for sym in space.alphabet:
-            if sym not in r or Fraction(r[sym]) <= 0:
+            scale = exact(r[sym], lambda: f"rescaler {site!r}/{sym!r}") if sym in r else 0
+            if scale <= 0:
                 raise DomainError(f"rescaler must be positive at {site!r}/{sym!r}")
-        mass = sum(
-            (space.free.weight(site, sym) * Fraction(r[sym]) for sym in space.alphabet),
-            Fraction(0),
-        )
+            scales[site][sym] = scale
+        mass = sum((space.free.weight(site, sym) * scale
+                    for sym, scale in scales[site].items()), Fraction(0))
         if mass <= 0:
             raise NormalizationError(f"rescaled free mass at {site!r} is {mass}")
         masses[site] = mass
-        new_weights[site] = {
-            sym: space.free.weight(site, sym) * Fraction(r[sym]) / mass for sym in space.alphabet
-        }
+        new_weights[site] = {sym: space.free.weight(site, sym) * scale / mass
+                             for sym, scale in scales[site].items()}
     new_space = Space(
         space.alphabet,
         space.universe,
@@ -385,5 +388,5 @@ def rebalance_free(
     return SingletonFamily.from_function(
         new_space,
         lambda site, cfg: (family.density(site, cfg) * masses[site]
-                           / Fraction(rescalers[site][cfg.symbol(site)])),
+                           / scales[site][cfg.symbol(site)]),
         provenance=family.provenance)

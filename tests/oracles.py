@@ -47,6 +47,11 @@ they ask ``site_is_good`` configuration by configuration.
 which ``verifier.check_good_support_mass`` proves and counts in closed
 form.
 
+``exchange_suite`` is the CLI suite as it was before it read its verdict
+off the specification axioms: both sides of the exchange identity
+evaluated for every site pair, exterior class off the pair and pair of
+symbol indicators.
+
 ``measure_perturbation_suite`` is the CLI suite as it was before it took
 full inconsistency and class membership of the perturbed measure as
 proven: every trial runs ``verifier.check_measure_consistency`` on the
@@ -83,8 +88,10 @@ read a generating set: parts (a) and (b) of the axioms assemble every
 row at every configuration, part (c) composes every nested pair point
 by point, and both good-set checks visit every (site, context,
 exterior class) index point.  The good-set sweeps look up
-``good_symbols`` on its module at call time too, and neither is
-memoised.
+``good_symbols`` on its module at call time too, and none of the three
+is memoised.  The self-check of ``uniqueness_probe`` composes each
+(region, member site) pair itself, as it did before it read the
+library's record of part (c).
 """
 
 from __future__ import annotations
@@ -711,6 +718,48 @@ def measure_perturbation_suite(dens, trials, seed) -> HypothesisReport:
             ))
     report.data = {"seed": seed, "trials": trials, "performed": performed,
                    "skipped": skipped, "detected": detected}
+    return report
+
+
+def exchange_suite(dens) -> HypothesisReport:
+    """Both sides of the kernel exchange identity, evaluated for every
+    site pair, exterior class off the pair and pair of symbol indicators."""
+    space = dens.space
+    report = HypothesisReport(name="exchange_identity", passed=True)
+    sites = space.universe.sites
+    symbols = space.alphabet.symbols
+    evaluations = 0
+    for i, site_a in enumerate(sites):
+        for site_b in sites[i + 1:]:
+            for cfg in space.exterior_classes((site_a, site_b)):
+                for sym_a in symbols:
+                    for sym_b in symbols:
+                        def f(x, s=site_a, v=sym_a) -> Fraction:
+                            return Fraction(1 if x.symbol(s) == v else 0)
+
+                        def g(x, s=site_b, v=sym_b) -> Fraction:
+                            return Fraction(1 if x.symbol(s) == v else 0)
+
+                        lhs, rhs = verifier.exchange_identity(
+                            dens, (site_a,), (site_b,), f, g, cfg)
+                        evaluations += 1
+                        if lhs != rhs:
+                            report.fail(WITNESS_CAP, lambda: Witness(
+                                check="exchange_identity",
+                                description=(
+                                    f"indicator exchange over {site_a!r} and "
+                                    f"{site_b!r} disagrees"
+                                ),
+                                replay={
+                                    "site_a": site_a, "symbol_a": sym_a,
+                                    "site_b": site_b, "symbol_b": sym_b,
+                                    "assignment": list(cfg.values),
+                                    "tail": cfg.tail,
+                                },
+                                lhs=str(lhs), rhs=str(rhs),
+                            ))
+    report.data = {"evaluations": evaluations,
+                   "site_pairs": len(sites) * (len(sites) - 1) // 2}
     return report
 
 

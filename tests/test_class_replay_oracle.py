@@ -15,7 +15,9 @@ before the integers: `Fraction` sides, and integrals evaluated afresh.
 Reports must be equal as dicts, or both calls must raise the same error
 with the same message, at witness caps 0, 1 and 25.  The uniqueness
 probe needs a built family, so it runs on the families whose unchecked
-build succeeds.
+build succeeds; its self-check reads the record of axiom (c) that the
+axiom report reads, so the axiom report is compared on those families
+too.
 """
 
 from fractions import Fraction
@@ -35,7 +37,7 @@ from specforge.hypotheses import (
     check_order_consistency,
     check_pointwise_compatibility,
 )
-from specforge.verifier import uniqueness_probe
+from specforge.verifier import check_specification_axioms, uniqueness_probe
 
 import oracles
 import zoo
@@ -163,6 +165,16 @@ def test_uniqueness_probe(name):
         assert (outcome(uniqueness_probe, dens, trials=4, witness_cap=cap)
                 == outcome(oracles.uniqueness_probe, dens, trials=4,
                            witness_cap=cap)), cap
+
+
+@pytest.mark.parametrize("name", BUILDING)
+def test_specification_axioms(name):
+    """The axiom report and the uniqueness probe's self-check read one
+    record of part (c); the report must equal the enumeration."""
+    dens = built(FAMILIES[name]())
+    for cap in CAPS:
+        assert (outcome(check_specification_axioms, dens, cap)
+                == outcome(oracles.check_specification_axioms, fresh(dens), cap)), cap
 
 
 def test_block_split_mismatch_stops_at_the_same_cell(monkeypatch):

@@ -15,7 +15,11 @@ row is a function of its exterior class and charges only that class,
 and good membership never reads the context's own symbols.  The last
 group counts kernel-row reads, row assemblies and good-set calls, so
 the fast paths must actually run, and compares every count reported in
-closed form with the enumerated one.
+closed form with the enumerated one.  The exchange suite is read off the
+axioms: where they pass, its report must equal the oracle's evaluation of
+every identity, and where they fail it must raise with their report.
+Every family built with the gates checked, from the zoo and from 400
+random zero-table seeds, must pass the axioms.
 """
 
 from fractions import Fraction
@@ -23,10 +27,19 @@ from fractions import Fraction
 import pytest
 
 from specforge import hypotheses, verifier
-from specforge.constructor import DensityFamily, build_family
+from specforge.cli.main import exchange_suite
+from specforge.constructor import ConstructionError, DensityFamily, build_family
 from specforge.core import SpecforgeError
-from specforge.hypotheses import check_uniqueness_condition, check_very_weak_positivity
-from specforge.verifier import check_specification_axioms, good_support_report
+from specforge.hypotheses import (
+    HypothesisFailure,
+    check_uniqueness_condition,
+    check_very_weak_positivity,
+)
+from specforge.verifier import (
+    check_specification_axioms,
+    good_support_report,
+    uniqueness_probe,
+)
 
 import oracles
 import zoo
@@ -182,6 +195,10 @@ def test_broken_covering_pair_runs_every_nested_pair(name):
         assert naive.data["exterior_measurable"] and naive.data["point_mass_off_region"]
         broken += not naive.data["consistent"]
         assert_axioms_match(sibling)
+        # the uniqueness self-check reads the same record of (c): where
+        # several member sites fail, it must name the first, as its oracle does
+        assert (outcome(uniqueness_probe, fresh(sibling), trials=0)
+                == outcome(oracles.uniqueness_probe, fresh(sibling), trials=0))
     assert broken
 
 
@@ -292,3 +309,44 @@ def test_closed_form_counts_equal_the_enumerated_counts(name):
         assert checks["nested_pairs"] == axioms.data["checks"]["nested_pairs"]
     points, _ = oracles.membership_measurability(fam)
     assert good_support_report(dens).data["measurability_points"] == points
+
+
+# -- suites read off the axioms ------------------------------------------------
+
+def gated(fam):
+    try:
+        return build_family(fam, checked=True)
+    except ConstructionError:
+        return None
+
+
+def test_gated_families_pass_the_axioms():
+    """The construction theorem: a family built with the gates checked
+    passes the specification axioms, so the exchange suite's precondition
+    never fails under ``verify``."""
+    zoo_built = [gated(build()) for build in ZOO.values()]
+    seeds_built = [gated(zoo.random_zero_table_family(seed)) for seed in range(400)]
+    assert sum(dens is not None for dens in seeds_built) == 18
+    families = [dens for dens in zoo_built + seeds_built if dens is not None]
+    for dens in families:
+        assert check_specification_axioms(dens).passed
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_exchange_suite_equals_its_oracle_where_the_axioms_pass(name):
+    dens = built(FAMILIES[name]())
+    if dens is None or not check_specification_axioms(dens).passed:
+        return
+    naive = oracles.exchange_suite(fresh(dens))
+    assert naive.passed
+    assert exchange_suite(dens).as_dict() == naive.as_dict()
+
+
+@pytest.mark.parametrize("name", ["anchored_table_5", "zero_table_18"])
+def test_exchange_suite_raises_with_the_axiom_report(name):
+    dens = built(FAMILIES[name]())
+    axioms = check_specification_axioms(dens)
+    assert not axioms.data["consistent"]
+    with pytest.raises(HypothesisFailure, match="needs the specification axioms") as err:
+        exchange_suite(dens)
+    assert err.value.report is axioms

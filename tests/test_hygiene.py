@@ -284,7 +284,7 @@ def test_the_key_form_is_read_only_at_the_input_and_report_boundaries():
         "specforge/models:SingletonFamily.__init__",
         "specforge/models:SingletonFamily.from_function",
         "specforge/models:normalize",
-        "specforge/verifier:_nested_pairs_consistent",
+        "specforge/verifier:_axiom_record",
         "specforge/cli/main:measure_perturbation_suite",
     }
 

@@ -19,6 +19,7 @@ from specforge.models import (
     normalize,
     rebalance_free,
 )
+from specforge.verifier import roundtrip_reconstruction
 import oracles
 from zoo import (
     FEW_HIGH,
@@ -369,3 +370,71 @@ class TestRebalance:
         family = self.unnormalized_family()
         with pytest.raises(DomainError):
             rebalance_free(family, {"u": {"a": Fraction(0), "b": Fraction(1)}, "v": {"a": Fraction(1), "b": Fraction(1)}})
+
+
+class RawWeights:
+    """A raw weight model whose every value is ``value``."""
+
+    provenance = "raw"
+
+    def __init__(self, value):
+        self.value = value
+
+    def raw_value(self, space, site, cfg):
+        return self.value
+
+
+def with_one_inexact(mapping: dict, value) -> dict:
+    """A copy of ``mapping`` whose first entry is replaced by ``value``."""
+    first = next(iter(mapping))
+    return {**mapping, first: value}
+
+
+def table_entries(space: Space, value) -> dict:
+    return {
+        site: {(sym, ctx, tail): value
+               for sym in space.alphabet
+               for ctx in space.assignments([s for s in space.universe if s != site])
+               for tail in space.tail_classes}
+        for site in space.universe
+    }
+
+
+def tail_rules(space: Space, value) -> dict:
+    return {(tail, site): {sym: value for sym in space.alphabet}
+            for tail in space.tail_classes for site in space.universe}
+
+
+def uniform_joint(space: Space, value) -> dict:
+    return {values: value for values in space.assignments(space.universe.sites)}
+
+
+def roundtrip_with_joint(value):
+    _, joint, family = extracted_family(3)
+    return roundtrip_reconstruction(family, with_one_inexact(joint, value))
+
+
+CARRIERS = {
+    "table_model": lambda v: normalize(plain_space(2), TableModel(
+        table_entries(plain_space(2), v))),
+    "tail_rule_model": lambda v: normalize(plain_space(2), TailRuleModel(
+        tail_rules(plain_space(2), v))),
+    "potential_fields": lambda v: PotentialModel({"s1": {"a": v, "b": Fraction(1)}}),
+    "potential_pairs": lambda v: PotentialModel(
+        {}, {("s1", "s2"): {("a", "a"): v, ("a", "b"): Fraction(1)}}),
+    "normalize_read": lambda v: normalize(plain_space(2), RawWeights(v)),
+    "extract_singletons": lambda v: extract_singletons(
+        plain_space(2), with_one_inexact(uniform_joint(plain_space(2), Fraction(1)), v)),
+    "rebalance_free": lambda v: rebalance_free(
+        independent_family(2), {site: {"a": v, "b": Fraction(1)} for site in ("s1", "s2")}),
+    "roundtrip_joint": roundtrip_with_joint,
+}
+
+
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+def test_carriers_reject_inexact_values(carrier, value):
+    with pytest.raises(DomainError, match="not an exact rational at .*: " + repr(value)):
+        CARRIERS[carrier](value)
+    # the same carrier takes the exact value
+    CARRIERS[carrier](Fraction(1, 2) if value == 0.5 else 1)

@@ -28,6 +28,11 @@ compared walks no cell of its own.
 Kernel rows and measures are keyed by configuration index, so ``verify``
 turns no ``(values, tail)`` key back into a configuration: it calls
 ``Space.make`` zero times.
+Part (c) of the specification axioms is recorded once per family, and
+the axiom report is computed once per witness cap although ``construct``
+and several ``verify`` suites ask for it.  The exchange suite and the
+uniqueness probe's self-check read that record: on a passing family
+neither composes a kernel row with another of the same family.
 """
 
 import importlib
@@ -36,7 +41,7 @@ from importlib import resources
 
 import pytest
 
-from specforge import constructor, hypotheses
+from specforge import constructor, hypotheses, verifier
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
 from specforge.core import Space
@@ -44,6 +49,7 @@ from specforge.models import SingletonFamily
 from specforge.verifier import (
     FiniteMeasure,
     check_good_support_mass,
+    check_specification_axioms,
     good_support_report,
     support_class_certificate,
     uniqueness_probe,
@@ -383,3 +389,68 @@ def test_measure_suites_push_single_sites_only(monkeypatch):
     for mu in kernels:
         assert check_good_support_mass(mu, dens).passed
     assert [push for push in pushes if push[0] == "free"] == []
+
+
+@pytest.fixture
+def compositions(monkeypatch) -> Counter:
+    """Counts ``_composed_row`` calls by whether a family's row is composed
+    with a row of the same family (``"self"``) or of another (``"other"``),
+    and misses of the density families' memo by key kind."""
+    counts: Counter = Counter()
+    honest_composed = verifier._composed_row
+    honest_cached = constructor.DensityFamily.cached
+
+    def counted_composed(outer, outer_region, inner, inner_region, cfg):
+        counts["self" if outer is inner else "other"] += 1
+        return honest_composed(outer, outer_region, inner, inner_region, cfg)
+
+    def counted_cached(self, key, compute):
+        def counted():
+            counts[key[0]] += 1
+            return compute()
+        return honest_cached(self, key, counted)
+
+    monkeypatch.setattr(verifier, "_composed_row", counted_composed)
+    monkeypatch.setattr(constructor.DensityFamily, "cached", counted_cached)
+    return counts
+
+
+def test_verify_records_part_c_once_and_composes_no_self_pair(
+        compositions, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    assert main(["verify", "chain5.model"]) == 0
+    capsys.readouterr()
+    assert compositions["axiom_record"] == 1
+    assert compositions["specification_axioms"] == 1
+    assert compositions["self"] == 0
+    # the probe's perturbed families still compose against the built one
+    assert compositions["other"] > 0
+
+
+def test_construct_and_verify_callers_share_one_axiom_report(
+        compositions, tmp_path, monkeypatch):
+    path = tmp_path / "chain5.model"
+    path.write_text(CHAIN5, encoding="utf-8")
+    model = parse_model_file(str(path))
+    _, fam, joint = model.realize()
+    dens = constructor.build_family(fam, checked=True)
+    axioms = check_specification_axioms(dens)
+    selected = {flag: True for flag in cli.VERIFY_FLAGS}
+    selected["roundtrip"] = False
+    jobs = {job.name: job for job in cli.verify_jobs(model, fam, dens, joint, selected)}
+    assert jobs["specification_axioms"].run() is axioms
+    rows = Counter()
+    honest_row = verifier._kernel_row
+
+    def counted_row(*args):
+        rows["read"] += 1
+        return honest_row(*args)
+
+    monkeypatch.setattr(verifier, "_kernel_row", counted_row)
+    exchange = jobs["exchange_identity"].run()
+    probe = uniqueness_probe(dens, trials=0)
+    assert exchange.passed and probe.passed
+    assert probe.data["regions_self_checked"] == 2 ** 5 - 5 - 1
+    assert rows["read"] == 0 and compositions["self"] == compositions["other"] == 0
+    assert compositions["axiom_record"] == compositions["specification_axioms"] == 1
