@@ -7,7 +7,10 @@ for the behaviour of the unmodelled exterior and is never touched by any
 kernel.  All numeric work uses `fractions.Fraction`, extended with a single
 point at infinity where ratios demand it.  The indeterminate contractions
 0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
-never silent conventions.
+never silent conventions.  Sums along a line of the free measure
+(`Space.free_integral`, `Space.ratio_integral`) are accumulated in
+integers by `_line_sum`, one numerator over one common denominator, and
+one `Fraction` is built per result.
 
 A configuration's index is its position in `Space.configurations()`: with
 pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
@@ -76,6 +79,20 @@ def exact(value, where: Callable[[], str]) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"not an exact rational at {where()}: {value!r}")
     return Fraction(value)
+
+
+def _line_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Σ n/d over ``terms``, integer pairs with every d > 0, as one
+    numerator over one denominator, the lcm of the ds: one gcd per term,
+    and no `Fraction` built.  The pair is not reduced, but its
+    denominator is positive, so the sum is 1 iff the two are equal, 0
+    iff the numerator is, and ``Fraction(*pair)`` is its value."""
+    num, den = 0, 1
+    for n, d in terms:
+        g = math.gcd(den, d)
+        num = num * (d // g) + n * (den // g)
+        den = den // g * d
+    return num, den
 
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
@@ -592,7 +609,7 @@ class Space:
                 outcomes[key] = evaluate(cfg)
             yield cfg, outcomes[key]
 
-    # -- free kernel -------------------------------------------------------
+    # -- free integrals ----------------------------------------------------
 
     def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:
         return self._memoised(("weight", region, symbols), lambda: math.prod(
@@ -608,37 +625,19 @@ class Space:
              self.product_weight(region, fill))
             for fill in self.assignments(region)])
 
-    def free_kernel(
-        self,
-        sites: Iterable[Site],
-        h: Callable[[Configuration], Union[ExtendedRational, Fraction, int]],
-        cfg: Configuration,
-    ) -> ExtendedRational:
-        """Integrate `h` over the given sites against the free weights.
-
-        The integration rewrites the named coordinates of `cfg` and leaves
-        everything else (including the tail class) alone.  An infinite value
-        of `h` at a zero-weight point is the indeterminate 0 * inf and raises,
-        with the offending configuration in the message.
-        """
-        region = self.universe.region(sites)
-        if not region:
-            return ExtendedRational(h(cfg))
+    def free_integral(self, region: tuple[Site, ...], value: Callable[[int], Fraction],
+                      cfg: Configuration) -> tuple[int, int]:
+        """Free integral over the canonical ``region`` at the class of
+        ``cfg`` of ``value``, read at each member's configuration index,
+        as `_line_sum`'s integer pair."""
         base = self.class_index(cfg, region)
-        total = Fraction(0)
-        infinite = False
+        terms = []
         for offset, w in self.fill_offsets(region):
-            point = self._configs[base + offset]
-            value = ExtendedRational(h(point))
-            if value.is_infinite:
-                if w == 0:
-                    raise ArithmeticDomainError(
-                        f"indeterminate product 0 * inf integrating over {region} at {point!r}"
-                    )
-                infinite = True
-            elif not infinite:
-                total += w * value.fraction
-        return INF if infinite else ExtendedRational(total)
+            w_num, w_den = w.as_integer_ratio()
+            v_num, v_den = value(base + offset).as_integer_ratio()
+            if w_num and v_num:
+                terms.append((w_num * v_num, w_den * v_den))
+        return _line_sum(terms)
 
     def ratio_integral(
         self,
@@ -650,20 +649,23 @@ class Space:
         """Free integral over the canonical sites `over` of num/den at `cfg`.
 
         `num` and `den` are flat density tables, read at the `fill_offsets`
-        of the class of `cfg` off `over`.  Unlike `free_kernel` nothing
-        raises: a 0/0 point, or an infinite ratio on a zero-weight fill,
-        makes the integral undefined and returns None.
+        of the class of `cfg` off `over`.  Nothing raises: a 0/0 point,
+        or an infinite ratio on a zero-weight fill, makes the integral
+        undefined and returns None; an infinite ratio on a positive
+        weight makes it infinite.  The finite terms w·n/d are summed by
+        `_line_sum`, and one `Fraction` is built for the result.
         """
         base = self.class_index(cfg, over)
-        total = Fraction(0)
+        terms = []
         infinite = False
         for offset, w in self.fill_offsets(over):
-            n = num[base + offset]
-            d = den[base + offset]
-            if d == 0:
-                if n == 0 or w == 0:
+            w_num, w_den = w.as_integer_ratio()
+            n_num, n_den = num[base + offset].as_integer_ratio()
+            d_num, d_den = den[base + offset].as_integer_ratio()
+            if not d_num:
+                if not n_num or not w_num:
                     return None
                 infinite = True
-            elif w != 0 and n != 0:
-                total += w * n / d
-        return INF if infinite else ExtendedRational(total)
+            elif w_num and n_num:
+                terms.append((w_num * n_num * d_den, w_den * n_den * d_num))
+        return INF if infinite else ExtendedRational(Fraction(*_line_sum(terms)))

@@ -21,6 +21,10 @@ and exhaustively, before any multi-site kernel is assembled:
 
 All verdicts come back as `HypothesisReport` values carrying replayable
 witnesses; nothing is sampled, every index point is enumerated.
+The two-site identities and bounded positivity's strict identity and
+extremes are decided by cross-multiplying integer numerators and
+denominators, over ratio integrals that `Space.ratio_integral` sums in
+integers; a `Fraction` is built only for a witness or a reported bound.
 """
 
 from __future__ import annotations
@@ -682,6 +686,44 @@ def check_uniqueness_condition(
     return family.cached(("uniqueness_condition", witness_cap), compute)
 
 
+def _strict_identity(family: SingletonFamily, report: HypothesisReport,
+                     witness_cap: int) -> bool:
+    """Does density(i)/integral(i against j) == density(j)/integral(j
+    against i) hold at every configuration and pair i < j?  Failures are
+    added to ``report`` as witnesses.
+
+    Every ratio integral must lie in (0, inf), as the bounds make it.
+    Then d_i/I_ji == d_j/I_ij iff num(d_i) den(I_ji) den(d_j) num(I_ij)
+    == num(d_j) den(I_ij) den(d_i) num(I_ji), every factor of either
+    divisor being positive.
+    """
+    space = family.space
+    sites = space.universe.sites
+    strict = True
+    for cfg in space.configurations():
+        for a_pos, i in enumerate(sites):
+            d_i = family.density(i, cfg)
+            for j in sites[a_pos + 1:]:
+                d_j = family.density(j, cfg)
+                int_ij = family.ratio_integral((j,), (i,), cfg)
+                int_ji = family.ratio_integral((i,), (j,), cfg)
+                if (d_i.numerator * int_ji.denominator * d_j.denominator * int_ij.numerator
+                        != d_j.numerator * int_ij.denominator * d_i.denominator * int_ji.numerator):
+                    strict = False
+                    report.add_witness(witness_cap, lambda: Witness(
+                        check="strict_identity",
+                        description=(
+                            f"pointwise density/integral identity "
+                            f"fails on pair ({i!r}, {j!r})"
+                        ),
+                        replay=_replay_point(
+                            cfg, site=str(i), other=str(j),
+                        ),
+                        lhs=str(d_i / int_ji), rhs=str(d_j / int_ij),
+                    ))
+    return strict
+
+
 def check_bounded_positivity(
     family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
@@ -698,11 +740,26 @@ def check_bounded_positivity(
     Each integral is the raw value of the family's memo
     (`SingletonFamily.raw_ratio_integral`), so after
     `check_order_consistency` on a family whose good sets are the whole
-    alphabet no integral is evaluated afresh.  The strict identity is
-    decided by integer cross-multiplication: both integrals lie in
-    (0, inf) once the bounds hold, so d_i/I_ji == d_j/I_ij iff
-    num(d_i) den(I_ji) den(d_j) num(I_ij) == num(d_j) den(I_ij) den(d_i)
-    num(I_ji), every factor of either divisor being positive.
+    alphabet no integral is evaluated afresh.  Extremes are kept as
+    integer pairs and compared cross-multiplied; denominators are
+    positive.
+
+    The strict identity is read off order consistency when that passes.
+    With n ≥ 2 sites, passing bounds make every density positive: a zero
+    of density(i) at σ makes the integral of any j against i undefined
+    or infinite at σ's class off j.  So every good set is the whole
+    alphabet, very weak positivity holds, and `check_order_consistency`
+    compares, at every configuration u and pair i < j, the cell x = u_i,
+    y = u_j.  There K_i(u_i) = I_ij(u) and K_j(u_j) = I_ji(u), so
+    lhs_x = d_i(u) d_j(u) / (d_i(u) I_ij(u)) = d_j(u)/I_ij(u) and
+    rhs_y = d_i(u)/I_ji(u): that cell is the strict identity at (u, i, j).
+    With n = 1 there is no pair, the identity holds vacuously, and order
+    consistency passes too: unit mass keeps the one site's density
+    positive on some symbol of each class, so its good sets are nonempty
+    and there is no pair to compare.  So when the memoised order
+    consistency report passes, the identity holds and no cell is
+    evaluated; otherwise `_strict_identity` walks every cell, with its
+    witnesses.
     """
     space = family.space
     sites = space.universe.sites
@@ -712,12 +769,12 @@ def check_bounded_positivity(
         for j in sites:
             if i == j:
                 continue
-            lo: Fraction | None = None
-            hi: Fraction | None = None
+            lo: tuple[int, int] | None = None
+            hi: tuple[int, int] | None = None
             defined = True
             for cfg in space.exterior_classes((j,)):
                 value = family.raw_ratio_integral((j,), (i,), cfg)
-                if value is None or value.is_infinite or value == 0:
+                if value is None or value.is_infinite or value.is_zero:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
                         check="bounded_positivity",
@@ -731,38 +788,18 @@ def check_bounded_positivity(
                         ),
                     ))
                     continue
-                f = value.fraction
-                if lo is None or f < lo:
-                    lo = f
-                if hi is None or f > hi:
-                    hi = f
+                f_num, f_den = value.fraction.as_integer_ratio()
+                if lo is None or f_num * lo[1] < lo[0] * f_den:
+                    lo = f_num, f_den
+                if hi is None or f_num * hi[1] > hi[0] * f_den:
+                    hi = f_num, f_den
             bounds[f"{i}->{j}"] = {
-                "min": str(lo) if defined and lo is not None else None,
-                "max": str(hi) if defined and hi is not None else None,
+                "min": str(Fraction(*lo)) if defined and lo is not None else None,
+                "max": str(Fraction(*hi)) if defined and hi is not None else None,
             }
     strict: bool | None = None
     if report.passed:
-        strict = True
-        for cfg in space.configurations():
-            for a_pos, i in enumerate(sites):
-                d_i = family.density(i, cfg)
-                for j in sites[a_pos + 1:]:
-                    d_j = family.density(j, cfg)
-                    int_ij = family.ratio_integral((j,), (i,), cfg)
-                    int_ji = family.ratio_integral((i,), (j,), cfg)
-                    if (d_i.numerator * int_ji.denominator * d_j.denominator * int_ij.numerator
-                            != d_j.numerator * int_ij.denominator * d_i.denominator * int_ji.numerator):
-                        strict = False
-                        report.add_witness(witness_cap, lambda: Witness(
-                            check="strict_identity",
-                            description=(
-                                f"pointwise density/integral identity "
-                                f"fails on pair ({i!r}, {j!r})"
-                            ),
-                            replay=_replay_point(
-                                cfg, site=str(i), other=str(j),
-                            ),
-                            lhs=str(d_i / int_ji), rhs=str(d_j / int_ij),
-                        ))
+        strict = (check_order_consistency(family).passed
+                  or _strict_identity(family, report, witness_cap))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report

@@ -147,14 +147,17 @@ class SingletonFamily(Tabulated):
         return cls(space, tables, provenance)
 
     def _check_unit_mass(self) -> None:
+        """Each site's mass, the free integral of its density over its own
+        coordinate, is 1 at every exterior class: `Space.free_integral`'s
+        numerator equals its denominator."""
         space = self.space
         for site in space.universe:
             table = self._tables[(site,)]
             for cfg in space.exterior_classes((site,)):
-                mass = space.free_kernel((site,), lambda c: table[c.index], cfg)
-                if mass != 1:
+                num, den = space.free_integral((site,), table.__getitem__, cfg)
+                if num != den:
                     raise NormalizationError(
-                        f"site {site!r} has mass {mass} (expected 1) at {cfg!r}"
+                        f"site {site!r} has mass {Fraction(num, den)} (expected 1) at {cfg!r}"
                     )
 
     def density(self, site: Site, cfg: Configuration) -> Fraction:
@@ -265,7 +268,12 @@ class PotentialModel:
             raise DomainError(f"potential misses field for site {site!r}") from None
         for (a, b), table in self.pairs.items():
             if site in (a, b):
-                value *= table[(cfg.symbol(a), cfg.symbol(b))]
+                symbols = (cfg.symbol(a), cfg.symbol(b))
+                try:
+                    value *= table[symbols]
+                except KeyError:
+                    raise DomainError(f"potential pair {(a, b)!r} misses symbol pair "
+                                      f"{symbols!r}") from None
         return value
 
 
@@ -273,10 +281,13 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
     """Scale raw site weights to unit mass, configuration by configuration.
 
     The scale factor at (site, cfg) is the free integral of the raw weight
-    over the site's own coordinate; it must be positive and finite, otherwise
-    a NormalizationError names the offending site and configuration.
+    over the site's own coordinate, summed by `Space.free_integral` in
+    integers; it must be positive (raw weights are finite), otherwise a
+    NormalizationError names the offending site and configuration.
     ``raw_value`` runs once per (site, configuration): the mass of a class,
     summed at its first member, reads the values the later members reuse.
+    A negative raw weight raises `DomainError` naming the configuration
+    it is read at, a later member of the class included.
     """
     tables: dict[Site, dict[tuple, Fraction]] = {}
     for site in space.universe:
@@ -284,26 +295,28 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
         masses: dict[int, Fraction] = {}
         raws: dict[int, Fraction] = {}
 
-        def read(c: Configuration) -> Fraction:
+        def read(index: int) -> Fraction:
             try:
-                return raws[c.index]
+                return raws[index]
             except KeyError:
-                raws[c.index] = value = exact(model.raw_value(space, site, c),
-                                              lambda: f"raw weight of site {site!r}, {c!r}")
+                c = space.at(index)
+                value = exact(model.raw_value(space, site, c),
+                              lambda: f"raw weight of site {site!r}, {c!r}")
+                if value < 0:
+                    raise DomainError(f"negative raw weight at site {site!r}, {c!r}")
+                raws[index] = value
                 return value
 
         for cfg in space.configurations():
-            raw = read(cfg)
-            if raw < 0:
-                raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
+            raw = read(cfg.index)
             mkey = space.class_index(cfg, (site,))
             if mkey not in masses:
-                mass = space.free_kernel((site,), read, cfg)
-                if mass.is_infinite or mass.is_zero:
+                num, den = space.free_integral((site,), read, cfg)
+                if not num:
                     raise NormalizationError(
-                        f"raw mass at site {site!r} is {mass} (need positive finite) at {cfg!r}"
+                        f"raw mass at site {site!r} is 0 (need positive finite) at {cfg!r}"
                     )
-                masses[mkey] = mass.fraction
+                masses[mkey] = Fraction(num, den)
             table[cfg.key] = raw / masses[mkey]
         tables[site] = table
     return SingletonFamily(space, tables, provenance=model.provenance)

@@ -25,6 +25,7 @@ from .core import (
     DomainError,
     Site,
     Space,
+    _line_sum,
     exact,
 )
 from . import hypotheses
@@ -245,23 +246,35 @@ def _covering_pairs_agree(dens: DensityFamily, region: tuple[Site, ...],
     with M_Λ(s|ω) the mass of the row of Λ on points carrying s at x:
     one inner row per value of x, read at any charged point with that
     value.  The inner rows of distinct values charge disjoint points, so
-    each weight is one product, equal to that of `_composed_row`.
+    each weight is one product, equal to that of `_composed_row`.  Each
+    mass is summed by `_line_sum`, and each direct weight d is compared
+    with M·w cross-multiplied, every denominator being positive.  When
+    every inner point is a direct point of weight M·w, no other direct
+    point is left: by (b) the inner row has mass 1, so the direct points
+    carrying s at x and off it weigh M(s|ω) − M(s|ω)·1 = 0 together, and
+    rows hold nonzero weights only.
     """
     at = dens.space.at
     direct = _kernel_row(dens, region, cfg)
     for site in region:
         position = dens.space.universe.index(site)
-        masses: dict[str, Fraction] = {}
+        weights: dict[str, list] = {}
         charged: dict[str, Configuration] = {}
         for index, w in direct.items():
             point = at(index)
             value = point.values[position]
-            masses[value] = masses.get(value, Fraction(0)) + w
+            weights.setdefault(value, []).append(w.as_integer_ratio())
             charged.setdefault(value, point)
         inner = tuple(s for s in region if s != site)
-        if direct != {index: mass * w for value, mass in masses.items()
-                      for index, w in _kernel_row(dens, inner, charged[value]).items()}:
-            return False
+        for value, pairs in weights.items():
+            m_num, m_den = _line_sum(pairs)
+            for index, w in _kernel_row(dens, inner, charged[value]).items():
+                if index not in direct:
+                    return False
+                d_num, d_den = direct[index].as_integer_ratio()
+                w_num, w_den = w.as_integer_ratio()
+                if d_num * m_den * w_den != m_num * w_num * d_den:
+                    return False
     return True
 
 
@@ -283,10 +296,10 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
         universe = space.universe
         masses = []
         for region in universe.subsets():
-            for cfg, mass in space.per_class(region, lambda cfg: sum(
-                    _kernel_row(dens, region, cfg).values(), Fraction(0))):
-                if mass != 1:
-                    masses.append((region, cfg, mass))
+            for cfg, (num, den) in space.per_class(region, lambda cfg: _line_sum(
+                    w.as_integer_ratio() for w in _kernel_row(dens, region, cfg).values())):
+                if num != den:
+                    masses.append((region, cfg, Fraction(num, den)))
         if not masses and all(_covering_pairs_agree(dens, region, cfg)
                               for region in universe.subsets()
                               for cfg in space.exterior_classes(region)):
@@ -906,7 +919,9 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
     For each region, the extreme values of density(region)/density(site)
     over all member sites and configurations; passes iff every ratio is
     defined (no positive density over a vanishing single-site density,
-    no 0/0) with finite positive extremes.
+    no 0/0) with finite positive extremes.  Each ratio is kept as an
+    integer pair over a positive denominator and compared
+    cross-multiplied; a `Fraction` is built only for each reported bound.
     """
     space = dens.space
     report = HypothesisReport(name="ratio_bounds", passed=True)
@@ -914,14 +929,14 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
     for region in space.universe.subsets():
         if not region:
             continue
-        lo: Fraction | None = None
-        hi: Fraction | None = None
+        lo: tuple[int, int] | None = None
+        hi: tuple[int, int] | None = None
         defined = True
         for site in region:
             for cfg in space.configurations():
-                num = dens.density(region, cfg)
-                den = dens.density((site,), cfg)
-                if den == 0:
+                n_num, n_den = dens.density(region, cfg).as_integer_ratio()
+                d_num, d_den = dens.density((site,), cfg).as_integer_ratio()
+                if not d_num:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
                         check="ratio_bounds",
@@ -934,17 +949,17 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
                                 "tail": cfg.tail, "site": str(site)},
                     ))
                     continue
-                value = num / den
-                if lo is None or value < lo:
-                    lo = value
-                if hi is None or value > hi:
-                    hi = value
+                v_num, v_den = n_num * d_den, n_den * d_num
+                if lo is None or v_num * lo[1] < lo[0] * v_den:
+                    lo = v_num, v_den
+                if hi is None or v_num * hi[1] > hi[0] * v_den:
+                    hi = v_num, v_den
         key = "+".join(str(s) for s in region)
         bounds[key] = {
-            "lower": str(lo) if defined and lo is not None else None,
-            "upper": str(hi) if defined and hi is not None else None,
+            "lower": str(Fraction(*lo)) if defined and lo is not None else None,
+            "upper": str(Fraction(*hi)) if defined and hi is not None else None,
         }
-        if defined and lo is not None and lo == 0:
+        if defined and lo is not None and not lo[0]:
             report.fail(witness_cap, lambda: Witness(
                 check="ratio_bounds",
                 description=(

@@ -2,7 +2,17 @@
 
 ``normalize`` is ``models.normalize`` as it was when the first member of
 each exterior class read every member's raw weight a second time to sum
-the class's mass.
+the class's mass, through ``free_kernel``.
+
+``free_kernel``, ``check_unit_mass``, ``ratio_integral``,
+``covering_pairs_agree`` and ``ratio_bounds`` are the line sums and
+comparisons as they were before they were done in integers: each term a
+`Fraction` product added to a `Fraction` total, and each comparison one
+of `Fraction` values.  ``free_kernel`` was ``Space.free_kernel``, the
+integral of any function (infinite values included) over a region, and
+``check_unit_mass`` is ``SingletonFamily``'s unit-mass check through it;
+``covering_pairs_agree`` compares the direct row with a dict of the
+products mass·w.
 
 ``naive_index`` computes a configuration's index digit by digit, and
 ``masked_key`` is the tuple key (hidden sites set to None) that named
@@ -76,7 +86,8 @@ library and the oracle alike.
 they were before they compared cross-multiplied integers: both sides of
 every identity are built as `Fraction` values, and bounded positivity
 evaluates every ratio integral afresh instead of reading the family's
-memo.
+memo, keeps its extremes as `Fraction` values, and walks the strict
+identity at every cell, also where order consistency settles it.
 
 ``check_divisor_factorization`` is the factorization lemma for ratio
 integrals that no command runs: peeling one site off the base block of
@@ -127,20 +138,24 @@ def normalize(space, model) -> SingletonFamily:
 
     Each configuration reads its raw weight, and the first member of each
     exterior class reads every member's again inside ``free_kernel``.
+    Every read refuses a negative weight, naming the configuration read.
     """
     tables = {}
     for site in space.universe:
         table = {}
         masses = {}
-        for cfg in space.configurations():
-            raw = Fraction(model.raw_value(space, site, cfg))
+
+        def read(c):
+            raw = Fraction(model.raw_value(space, site, c))
             if raw < 0:
-                raise DomainError(f"negative raw weight at site {site!r}, {cfg!r}")
+                raise DomainError(f"negative raw weight at site {site!r}, {c!r}")
+            return raw
+
+        for cfg in space.configurations():
+            raw = read(cfg)
             mkey = masked_key(space, cfg, (site,))
             if mkey not in masses:
-                mass = space.free_kernel(
-                    (site,), lambda c: Fraction(model.raw_value(space, site, c)), cfg
-                )
+                mass = free_kernel(space, (site,), read, cfg)
                 if mass.is_infinite or mass.is_zero:
                     raise NormalizationError(
                         f"raw mass at site {site!r} is {mass} (need positive finite) at {cfg!r}"
@@ -178,6 +193,66 @@ def naive_exterior_classes(space, hidden):
             continue
         seen.add(mask)
         yield cfg
+
+
+def free_kernel(space, sites, h, cfg) -> ExtendedRational:
+    """Integrate ``h`` over the given sites against the free weights.
+
+    The integration rewrites the named coordinates of ``cfg`` and leaves
+    everything else (including the tail class) alone.  An infinite value
+    of ``h`` at a zero-weight point is the indeterminate 0 * inf and
+    raises, with the offending configuration in the message.
+    """
+    region = space.universe.region(sites)
+    if not region:
+        return ExtendedRational(h(cfg))
+    base = space.class_index(cfg, region)
+    total = Fraction(0)
+    infinite = False
+    for offset, w in space.fill_offsets(region):
+        point = space.at(base + offset)
+        value = ExtendedRational(h(point))
+        if value.is_infinite:
+            if w == 0:
+                raise ArithmeticDomainError(
+                    f"indeterminate product 0 * inf integrating over {region} at {point!r}"
+                )
+            infinite = True
+        elif not infinite:
+            total += w * value.fraction
+    return INF if infinite else ExtendedRational(total)
+
+
+def check_unit_mass(space, tables) -> None:
+    """Unit mass of per-site flat tables, keyed by one-site region, each
+    class's mass a ``free_kernel`` value compared with 1."""
+    for site in space.universe:
+        table = tables[(site,)]
+        for cfg in space.exterior_classes((site,)):
+            mass = free_kernel(space, (site,), lambda c: table[c.index], cfg)
+            if mass != 1:
+                raise NormalizationError(
+                    f"site {site!r} has mass {mass} (expected 1) at {cfg!r}"
+                )
+
+
+def ratio_integral(space, over, num, den, cfg):
+    """Free integral over the canonical sites ``over`` of num/den at ``cfg``,
+    read from flat tables, one `Fraction` operation per term; None where
+    undefined, INF where infinite."""
+    base = space.class_index(cfg, over)
+    total = Fraction(0)
+    infinite = False
+    for offset, w in space.fill_offsets(over):
+        n = num[base + offset]
+        d = den[base + offset]
+        if d == 0:
+            if n == 0 or w == 0:
+                return None
+            infinite = True
+        elif w != 0 and n != 0:
+            total += w * n / d
+    return INF if infinite else ExtendedRational(total)
 
 
 def site_ratio_kernel(family, over, num_site, den_site, cfg):
@@ -1483,4 +1558,78 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
                                 rhs=str(rhs) if rhs is not None else "undefined",
                             ))
     report.data = {"evaluations": checked, "violations": violations}
+    return report
+
+
+def covering_pairs_agree(dens, region, cfg) -> bool:
+    """``verifier._covering_pairs_agree`` as it was before it summed each
+    mass in integers: the masses as `Fraction` sums, and the direct row
+    compared with a dict of the products mass·w."""
+    at = dens.space.at
+    direct = verifier._kernel_row(dens, region, cfg)
+    for site in region:
+        position = dens.space.universe.index(site)
+        masses: dict = {}
+        charged: dict = {}
+        for index, w in direct.items():
+            point = at(index)
+            value = point.values[position]
+            masses[value] = masses.get(value, Fraction(0)) + w
+            charged.setdefault(value, point)
+        inner = tuple(s for s in region if s != site)
+        if direct != {index: mass * w for value, mass in masses.items()
+                      for index, w in verifier._kernel_row(dens, inner, charged[value]).items()}:
+            return False
+    return True
+
+
+def ratio_bounds(dens, witness_cap=WITNESS_CAP) -> HypothesisReport:
+    """``verifier.ratio_bounds`` as it was before it kept its extremes as
+    integer pairs: every ratio a `Fraction`, compared as one."""
+    space = dens.space
+    report = HypothesisReport(name="ratio_bounds", passed=True)
+    bounds: dict = {}
+    for region in space.universe.subsets():
+        if not region:
+            continue
+        lo = None
+        hi = None
+        defined = True
+        for site in region:
+            for cfg in space.configurations():
+                num = dens.density(region, cfg)
+                den = dens.density((site,), cfg)
+                if den == 0:
+                    defined = False
+                    report.fail(witness_cap, lambda: Witness(
+                        check="ratio_bounds",
+                        description=(
+                            f"density of member {site!r} vanishes, no "
+                            "two-sided bound for region "
+                            f"{[str(s) for s in region]!r}"
+                        ),
+                        replay={"assignment": list(cfg.values),
+                                "tail": cfg.tail, "site": str(site)},
+                    ))
+                    continue
+                value = num / den
+                if lo is None or value < lo:
+                    lo = value
+                if hi is None or value > hi:
+                    hi = value
+        key = "+".join(str(s) for s in region)
+        bounds[key] = {
+            "lower": str(lo) if defined and lo is not None else None,
+            "upper": str(hi) if defined and hi is not None else None,
+        }
+        if defined and lo is not None and lo == 0:
+            report.fail(witness_cap, lambda: Witness(
+                check="ratio_bounds",
+                description=(
+                    f"lower ratio bound of {[str(s) for s in region]!r} "
+                    "collapses to zero"
+                ),
+                replay={"region": [str(s) for s in region]},
+            ))
+    report.data = {"bounds": bounds}
     return report

@@ -36,7 +36,7 @@ from zoo import (
     potential_family,
     ring_potential_family,
 )
-from oracles import check_divisor_factorization, pair_divisor
+from oracles import check_divisor_factorization, free_kernel, pair_divisor
 
 
 def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:
@@ -188,8 +188,8 @@ class TestBuildFamily:
             space = family.space
             for region in space.universe.subsets():
                 for cfg in space.configurations():
-                    value = space.free_kernel(
-                        region, lambda c: dens.density(region, c), cfg
+                    value = free_kernel(
+                        space, region, lambda c: dens.density(region, c), cfg
                     )
                     assert value == ExtendedRational(Fraction(1))
 

@@ -1,4 +1,6 @@
-"""Core layer: extended arithmetic, configurations, free kernels."""
+"""Core layer: extended arithmetic, configurations, and the free kernel
+that `Space.free_integral` and `Space.ratio_integral` are checked against
+(`oracles.free_kernel`)."""
 
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ from specforge.core import (
     parse_rational,
     ratio,
 )
+
+from oracles import free_kernel
 
 
 def concat(primary, secondary, base: Configuration) -> Configuration:
@@ -43,9 +47,9 @@ def check_factorization(space: Space, region_a, region_b, h, cfg) -> bool:
     b = space.universe.region(region_b)
     if set(a) & set(b):
         raise DomainError(f"regions overlap: {a} and {b}")
-    joint = space.free_kernel(a + b, h, cfg)
-    a_then_b = space.free_kernel(a, lambda c: space.free_kernel(b, h, c), cfg)
-    b_then_a = space.free_kernel(b, lambda c: space.free_kernel(a, h, c), cfg)
+    joint = free_kernel(space, a + b, h, cfg)
+    a_then_b = free_kernel(space, a, lambda c: free_kernel(space, b, h, c), cfg)
+    b_then_a = free_kernel(space, b, lambda c: free_kernel(space, a, h, c), cfg)
     return joint == a_then_b == b_then_a
 
 
@@ -225,12 +229,12 @@ class TestFreeKernel:
         space = two_site_space()
         omega = space.configuration({"i": "a", "j": "b"})
         h = lambda c: Fraction(5, 7) if c.symbol("i") == "a" else Fraction(0)
-        assert space.free_kernel((), h, omega) == Fraction(5, 7)
+        assert free_kernel(space, (), h, omega) == Fraction(5, 7)
 
     def test_constant_one_integrates_to_one(self):
         space = two_site_space()
         omega = space.configuration({"i": "b", "j": "b"})
-        assert space.free_kernel(("i",), lambda c: 1, omega) == 1
+        assert free_kernel(space, ("i",), lambda c: 1, omega) == 1
 
     def test_two_site_indicator_has_mass_one_half(self):
         space = two_site_space()
@@ -242,7 +246,7 @@ class TestFreeKernel:
             for sj in "ab":
                 expected += Fraction(1, 4) * (1 if si == "a" else 0)
         assert expected == Fraction(1, 2)
-        assert space.free_kernel(("i", "j"), h, omega) == Fraction(1, 2)
+        assert free_kernel(space, ("i", "j"), h, omega) == Fraction(1, 2)
 
     def test_depends_only_on_exterior(self):
         space = four_site_space()
@@ -251,7 +255,7 @@ class TestFreeKernel:
         values = {}
         for cfg in space.configurations():
             key = space.class_index(cfg, region)
-            got = space.free_kernel(region, h, cfg)
+            got = free_kernel(space, region, h, cfg)
             if key in values:
                 assert values[key] == got
             else:
@@ -267,20 +271,20 @@ class TestFreeKernel:
         omega = space.configuration({"i": "a"})
         h = lambda c: INF if c.symbol("i") == "b" else ExtendedRational(1)
         with pytest.raises(ArithmeticDomainError) as err:
-            space.free_kernel(("i",), h, omega)
+            free_kernel(space, ("i",), h, omega)
         assert "0 * inf" in str(err.value)
 
     def test_infinite_value_with_positive_weight_is_infinite(self):
         space = two_site_space()
         omega = space.configuration({"i": "a", "j": "a"})
         h = lambda c: INF if c.symbol("i") == "b" else ExtendedRational(1)
-        assert space.free_kernel(("i",), h, omega).is_infinite
+        assert free_kernel(space, ("i",), h, omega).is_infinite
 
     def test_region_outside_universe_rejected(self):
         space = two_site_space()
         omega = space.configuration({"i": "a", "j": "a"})
         with pytest.raises(DomainError):
-            space.free_kernel(("k",), lambda c: 1, omega)
+            free_kernel(space, ("k",), lambda c: 1, omega)
 
 
 class TestFactorization:

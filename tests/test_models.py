@@ -125,6 +125,30 @@ class TestNormalize:
             normalize(space, TableModel(entries))
         assert repr(u) in str(err.value)
 
+    def test_negative_raw_weight_of_a_later_class_member_is_located(self):
+        # the -1 sits at (b, a), the second member of the class of the
+        # first configuration (a, a) off s1, read while summing its mass
+        space = plain_space(2)
+        u, v = space.universe.sites
+        entries = {site: {(sym, ctx, "default"): Fraction(1)
+                          for sym in space.alphabet for ctx in space.assignments((other,))}
+                   for site, other in ((u, v), (v, u))}
+        entries[u][("b", ("a",), "default")] = -1
+        with pytest.raises(DomainError, match=r"^negative raw weight at site 's1', "
+                           r"Configuration\(ba, tail=default\)$"):
+            normalize(space, TableModel(entries))
+
+    def test_potential_missing_symbol_pair_is_located(self):
+        space = plain_space(2)
+        model = PotentialModel({site: {"a": 1, "b": 1} for site in space.universe},
+                               {("s1", "s2"): {("a", "a"): 2}})
+        cfg = space.make(("b", "a"), "default")
+        for run in (lambda: model.raw_value(space, "s2", cfg),
+                    lambda: normalize(space, model)):
+            with pytest.raises(DomainError, match=r"^potential pair \('s1', 's2'\) misses "
+                               r"symbol pair \('b', 'a'\)$"):
+                run()
+
     def test_tail_rule_model_normalizes_per_class(self):
         family = example1_family()
         assert unit_mass_everywhere(family)

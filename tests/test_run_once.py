@@ -33,6 +33,10 @@ the axiom report is computed once per witness cap although ``construct``
 and several ``verify`` suites ask for it.  The exchange suite and the
 uniqueness probe's self-check read that record: on a passing family
 neither composes a kernel row with another of the same family.
+``check`` reads bounded positivity's strict identity off the order
+consistency report on a positive family, walking no cell of its own, and
+a ``SingletonFamily`` checks unit mass with one integer line sum per
+site and exterior class, building no extended rational.
 """
 
 import importlib
@@ -44,7 +48,7 @@ import pytest
 from specforge import constructor, hypotheses, verifier
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
-from specforge.core import Space
+from specforge.core import ExtendedRational, Space
 from specforge.models import SingletonFamily
 from specforge.verifier import (
     FiniteMeasure,
@@ -454,3 +458,71 @@ def test_construct_and_verify_callers_share_one_axiom_report(
     assert probe.data["regions_self_checked"] == 2 ** 5 - 5 - 1
     assert rows["read"] == 0 and compositions["self"] == compositions["other"] == 0
     assert compositions["axiom_record"] == compositions["specification_axioms"] == 1
+
+
+def test_check_of_a_positive_family_evaluates_no_strict_identity_cell(
+        tmp_path, monkeypatch, capsys):
+    """Order consistency passes on a positive family, so bounded positivity
+    reads its strict identity off that report: no loop, no density read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    counts = Counter()
+    honest_loop = hypotheses._strict_identity
+    honest_bounds = hypotheses.check_bounded_positivity
+    honest_density = SingletonFamily.density
+
+    def counted_loop(*args):
+        counts["loop"] += 1
+        return honest_loop(*args)
+
+    def counted_bounds(*args, **kwargs):
+        counts["bounds"] += 1
+        counts["inside"] += 1
+        try:
+            return honest_bounds(*args, **kwargs)
+        finally:
+            counts["inside"] -= 1
+
+    def counted_density(self, *args):
+        counts["density_in_bounds"] += counts["inside"] > 0
+        return honest_density(self, *args)
+
+    monkeypatch.setattr(hypotheses, "_strict_identity", counted_loop)
+    monkeypatch.setattr(cli, "check_bounded_positivity", counted_bounds)
+    monkeypatch.setattr(SingletonFamily, "density", counted_density)
+    assert main(["check", "chain5.model", "--json", "report.json"]) == 0
+    capsys.readouterr()
+    assert '"strict_identity": true' in (tmp_path / "report.json").read_text()
+    assert counts["bounds"] == 1
+    assert counts["loop"] == counts["density_in_bounds"] == 0
+
+    family = potential_family(1, n_sites=5)[2]
+    assert hypotheses.check_bounded_positivity(family).data["strict_identity"] is True
+    assert counts["loop"] == 0
+
+
+def test_singleton_family_construction_integrates_in_integers(monkeypatch):
+    """Unit mass is one integer line sum per (site, exterior class off the
+    site), with no extended rational built."""
+    family = potential_family(1, n_sites=5)[2]
+    space = family.space
+    tables = {site: {cfg.key: family.density(site, cfg) for cfg in space.configurations()}
+              for site in space.universe.sites}
+    counts = Counter()
+    honest_integral = Space.free_integral
+    honest_init = ExtendedRational.__init__
+
+    def counted_integral(self, *args):
+        counts["free_integral"] += 1
+        return honest_integral(self, *args)
+
+    def counted_init(self, *args):
+        counts["extended"] += 1
+        honest_init(self, *args)
+
+    monkeypatch.setattr(Space, "free_integral", counted_integral)
+    monkeypatch.setattr(ExtendedRational, "__init__", counted_init)
+    SingletonFamily(space, tables)
+    n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
+    assert counts == Counter({"free_integral": n * t * q ** (n - 1)})
+    assert not hasattr(Space, "free_kernel")
