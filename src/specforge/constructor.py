@@ -17,6 +17,7 @@ block is evaluated and compared) and by the dedicated
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,10 +26,10 @@ from .core import (
     Configuration,
     DomainError,
     ExtendedRational,
+    INF,
     Site,
     SpecforgeError,
     exact,
-    ratio,
 )
 from .hypotheses import (
     WITNESS_CAP,
@@ -96,9 +97,6 @@ class DensityFamily(Tabulated):
             key=lambda r: (len(r), tuple(universe.index(s) for s in r)),
         )
 
-    def has(self, region: Iterable[Site]) -> bool:
-        return self.space.universe.region(region) in self._tables
-
     def density(self, region: Iterable[Site], cfg: Configuration) -> Fraction:
         reg = tuple(region)
         table = self._tables.get(reg)
@@ -151,19 +149,25 @@ def extension_divisor(
     theta carries a good block; every good block is evaluated and must
     agree.  The value lies in (0, inf]; it is infinite exactly when
     density(gamma) vanishes at the rewritten point.  Depends on ``cfg``
-    only off theta.
+    only off theta.  Each block's point is the class index of ``cfg``
+    off theta plus the block's digits times theta's strides, and its
+    value is the integer pair (num(rho_theta)·den(rho_gamma)·num(I),
+    den(rho_theta)·num(rho_gamma)·den(I)), a zero second member being
+    the infinite value.  Both first members are positive, so two pairs
+    agree iff they cross-multiply equal, infinite ones included; one
+    `ExtendedRational` is built per divisor.
     """
     space = dens.space
     th = space.universe.region(theta)
     ga = space.universe.region(gamma)
-    if set(th) & set(ga):
+    if not set(th).isdisjoint(ga):
         raise DomainError("extension blocks must be disjoint")
     if not ga:
         raise DomainError("the joining block must be nonempty")
     for reg in (th, ga):
-        if not dens.has(reg):
+        if reg not in dens._tables:
             raise ConstructionError(f"region {reg!r} has not been built yet")
-    mask = space.class_index(cfg, th)
+    base = space.class_index(cfg, th)
 
     def compute() -> ExtendedRational:
         blocks = good_blocks(dens.singletons, th, ga, cfg)
@@ -172,31 +176,35 @@ def extension_divisor(
                 f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
                 "very weak positivity fails"
             )
-        value: ExtendedRational | None = None
+        digits, strides = space._digits, space.strides(th)
+        th_table, ga_table = dens._tables[th], dens._tables[ga]
+        value: tuple[int, int] | None = None
         first_block: tuple[str, ...] | None = None
         for block in blocks:
-            shifted = space.overlay(cfg, th, block)
-            num = dens.density(th, shifted)
-            den = dens.density(ga, shifted)
+            point = base + sum(digits[sym] * stride for sym, stride in zip(block, strides))
+            num, den = th_table[point], ga_table[point]
             if num == 0:
                 raise ConstructionError(
                     f"density of {th!r} vanishes at its own good block "
                     f"{block!r} at {cfg!r}; good-set guarantee violated"
                 )
+            shifted = space.at(point)
             integral = dens.ratio_integral(ga, th, shifted)
             if integral is None:
                 raise ConstructionError(
                     f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
                     "is not in (0, inf); good-set guarantee violated"
                 )
-            candidate = ratio(num, den) * integral
+            candidate = (num.numerator * den.denominator * integral.numerator,
+                         num.denominator * den.numerator * integral.denominator)
             if value is None:
                 value, first_block = candidate, block
-            elif candidate != value:
+            elif candidate[0] * value[1] != candidate[1] * value[0]:
+                lhs, rhs = str(_extended(value)), str(_extended(candidate))
                 raise ConstructionError(
                     f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
-                    f"disagrees across good blocks: {value} via "
-                    f"{first_block!r} vs {candidate} via {block!r}",
+                    f"disagrees across good blocks: {lhs} via "
+                    f"{first_block!r} vs {rhs} via {block!r}",
                     witness=Witness(
                         check="extension_divisor",
                         description="good-block disagreement",
@@ -207,22 +215,34 @@ def extension_divisor(
                             "block_first": list(first_block),
                             "block_second": list(block),
                         },
-                        lhs=str(value), rhs=str(candidate),
+                        lhs=lhs, rhs=rhs,
                     ),
                 )
-        return value
+        return _extended(value)
 
-    return dens.cached(("extension_divisor", th, ga, mask), compute)
+    return dens.cached(("extension_divisor", th, ga, base), compute)
+
+
+def _extended(pair: tuple[int, int]) -> ExtendedRational:
+    """The value of a divisor's integer pair; a zero second member is INF."""
+    num, den = pair
+    return INF if not den else ExtendedRational(Fraction(num, den))
 
 
 def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],
                     gamma: Iterable[Site]):
-    """``(cfg, density(th)/divisor)`` per configuration, lazily, with one
-    divisor per exterior class of ``th``; an infinite divisor gives 0."""
-    for cfg, divisor in dens.space.per_class(
-            th, lambda cfg: extension_divisor(dens, th, gamma, cfg)):
-        yield cfg, (Fraction(0) if divisor.is_infinite
-                    else dens.density(th, cfg) / divisor.fraction)
+    """``(cfg, num, den)`` per configuration, lazily, with den > 0 and
+    num/den = density(th)/divisor, one divisor per exterior class of
+    ``th``; an infinite divisor gives 0."""
+    def reciprocal(cfg: Configuration) -> tuple[int, int]:
+        divisor = extension_divisor(dens, th, gamma, cfg)
+        if divisor.is_infinite:
+            return 0, 1
+        return divisor.fraction.denominator, divisor.fraction.numerator
+
+    for cfg, (num, den) in dens.space.per_class(th, reciprocal):
+        value = dens._tables[th][cfg.index]
+        yield cfg, value.numerator * num, value.denominator * den
 
 
 def extend_density(
@@ -238,7 +258,7 @@ def extend_density(
     returned, not registered; `build_family` owns the bookkeeping.
     """
     th = dens.space.universe.region(theta)
-    return [value for _, value in _extended_cells(dens, th, gamma)]
+    return [Fraction(num, den) for _, num, den in _extended_cells(dens, th, gamma)]
 
 
 def build_family(
@@ -331,6 +351,30 @@ def assemble_kernel(
     return row
 
 
+def _sweep_orders(sites: Sequence[Site], cap: int, seed: int) -> tuple[list, bool]:
+    """Every permutation of ``sites`` if there are at most ``cap``, else
+    ``cap`` of them drawn by ``random.Random(seed)``, and whether drawn.
+
+    The draw samples ranks, not a list of every permutation, and
+    unranks each in the order `itertools.permutations` yields them,
+    lexicographic in positions: ``sample``'s picks depend only on the
+    population's length and the cap, so these are the permutations a
+    sample of the listed ones would give.
+    """
+    count = math.factorial(len(sites))
+    if count <= cap:
+        return list(itertools.permutations(sites)), False
+    perms = []
+    for rank in random.Random(seed).sample(range(count), cap):
+        pool = list(sites)
+        perm = []
+        for size in range(len(pool), 0, -1):
+            position, rank = divmod(rank, math.factorial(size - 1))
+            perm.append(pool.pop(position))
+        perms.append(tuple(perm))
+    return perms, True
+
+
 def check_order_independence(
     singletons: SingletonFamily,
     permutation_cap: int = 24,
@@ -363,19 +407,13 @@ def check_order_independence(
     exterior class of theta, up to the first mismatching cell.  A split
     (R minus x, {x}) walks the cells of J(R, x), so it passes unwalked if
     the sweeps found that join true, and walks to its witness if false.
+    A cell compares density(theta)·den(divisor) with the stored value
+    times num(divisor) as integers.
     """
     space = singletons.space
-    sites = space.universe.sites
     report = HypothesisReport(name="order_independence", passed=True)
     reference = build_family(singletons, checked=True)
-    all_perms = list(itertools.permutations(sites))
-    if len(all_perms) <= permutation_cap:
-        perms = all_perms
-        sampled = False
-    else:
-        rng = random.Random(seed)
-        perms = rng.sample(all_perms, permutation_cap)
-        sampled = True
+    perms, sampled = _sweep_orders(space.universe.sites, permutation_cap, seed)
     regions = reference.regions()
     joins: dict[tuple, bool] = {}
 
@@ -415,8 +453,10 @@ def check_order_independence(
                 if len(gamma) == 1 and joins.get((region, gamma[0])):
                     continue
                 ok = True
-                for cfg, value in _extended_cells(reference, theta, gamma):
-                    if value != reference.density(region, cfg):
+                table = reference._tables[region]
+                for cfg, num, den in _extended_cells(reference, theta, gamma):
+                    value = table[cfg.index]
+                    if num * value.denominator != value.numerator * den:
                         ok = False
                         split_failures += 1
                         report.fail(witness_cap, lambda: Witness(
@@ -431,8 +471,8 @@ def check_order_independence(
                                 "theta": [str(s) for s in theta],
                                 "gamma": [str(s) for s in gamma],
                             },
-                            lhs=str(value),
-                            rhs=str(reference.density(region, cfg)),
+                            lhs=str(Fraction(num, den)),
+                            rhs=str(value),
                         ))
                         break
                 if not ok:
@@ -445,4 +485,3 @@ def check_order_independence(
         "block_split_failures": split_failures,
     }
     return report
-

@@ -16,7 +16,8 @@ A configuration's index is its position in `Space.configurations()`: with
 pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
 tail_pos·q^n + Σ_k pos(v_k)·q^(n-1-k), site 0 most significant.  Its class
 off some hidden sites is the index with the hidden digits zeroed
-(`Space.class_index`), the index of the class's first member.  It is
+(`Space.class_index`), the index of the class's first member, read off
+one class map per tuple of hidden sites.  The index is
 the only key inside the library: density tables are lists indexed by it,
 memos key classes by it, and kernel rows and measure weights are keyed by
 it.  `Configuration.key`, ``(values, tail)``, keys only the per-site
@@ -42,7 +43,6 @@ __all__ = [
     "ArithmeticDomainError",
     "ExtendedRational",
     "INF",
-    "ratio",
     "parse_rational",
     "exact",
     "Alphabet",
@@ -267,15 +267,6 @@ class ExtendedRational:
 INF = ExtendedRational.infinity()
 
 
-def ratio(numerator: Fraction, denominator: Fraction) -> ExtendedRational:
-    """Exact quotient of two nonnegative rationals as an extended value."""
-    if denominator == 0:
-        if numerator == 0:
-            raise ArithmeticDomainError("indeterminate quotient 0 / 0")
-        return INF
-    return ExtendedRational(Fraction(numerator, denominator))
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """The finite symbol set shared by every site."""
@@ -325,6 +316,7 @@ class Universe:
         if len(set(self.sites)) != len(self.sites):
             raise DomainError(f"duplicate sites: {self.sites}")
         object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.sites)})
+        object.__setattr__(self, "_regions", {})
 
     def index(self, site: Site) -> int:
         try:
@@ -342,7 +334,14 @@ class Universe:
         return site in self._index  # type: ignore[attr-defined]
 
     def region(self, sites: Iterable[Site]) -> tuple[Site, ...]:
-        """Canonical form of a site subset: ordered by universe position."""
+        """Canonical form of a site subset: ordered by universe position.
+
+        Memoised per input tuple; an input that raises leaves no entry."""
+        sites = tuple(sites)
+        try:
+            return self._regions[sites]  # type: ignore[attr-defined]
+        except KeyError:
+            pass
         seen = set()
         idx = []
         for s in sites:
@@ -351,7 +350,9 @@ class Universe:
                 raise DomainError(f"site {s!r} listed twice in region")
             seen.add(k)
             idx.append(k)
-        return tuple(self.sites[k] for k in sorted(idx))
+        region = self._regions[sites] = tuple(  # type: ignore[attr-defined]
+            self.sites[k] for k in sorted(idx))
+        return region
 
     def complement(self, sites: Iterable[Site]) -> tuple[Site, ...]:
         inside = set(self.region(sites))
@@ -494,13 +495,14 @@ class Space:
         fills = itertools.product(self.tail_classes,
                                   itertools.product(self.alphabet.symbols, repeat=n))
         # the configurations by index, q, each site's stride and symbol's
-        # digit; memos of strides per site tuple, fill offsets and weights
+        # digit; memos of strides and class maps per site tuple, fill
+        # offsets and weights
         for name, value in (
                 ("_configs", tuple(Configuration(self, values, tail, index)
                                    for index, (tail, values) in enumerate(fills))),
                 ("_q", q), ("_strides", tuple(q ** (n - 1 - k) for k in range(n))),
                 ("_digits", {sym: d for d, sym in enumerate(self.alphabet.symbols)}),
-                ("_site_strides", {}), ("_memo", {})):
+                ("_site_strides", {}), ("_class_maps", {}), ("_memo", {})):
             object.__setattr__(self, name, value)
 
     def _memoised(self, key: tuple, compute: Callable[[], object]):
@@ -576,13 +578,23 @@ class Space:
                 self._strides[self.universe.index(site)] for site in sites)
             return strides
 
+    def _class_map(self, hidden: Iterable[Site]) -> list[int]:
+        """The `class_index` off ``hidden`` of every configuration, in
+        index order, memoised per tuple."""
+        hidden = tuple(hidden)
+        try:
+            return self._class_maps[hidden]
+        except KeyError:
+            classes = list(range(self.size))
+            for stride in self.strides(hidden):
+                classes = [index - index // stride % self._q * stride for index in classes]
+            self._class_maps[hidden] = classes
+            return classes
+
     def class_index(self, cfg: Configuration, hidden: Iterable[Site]) -> int:
         """The exterior class of ``cfg`` off ``hidden``: its index with the
         hidden digits zeroed, the index of the class's first member."""
-        index = cfg.index
-        for stride in self.strides(hidden):
-            index -= index // stride % self._q * stride
-        return index
+        return self._class_map(hidden)[cfg.index]
 
     def exterior_classes(self, hidden: Iterable[Site]) -> Iterator[Configuration]:
         """The first member of each exterior class off ``hidden``, at the
@@ -601,10 +613,8 @@ class Space:
         """``(cfg, evaluate(cfg))`` for every configuration, in order, lazily,
         for an ``evaluate`` that reads ``cfg`` only off ``hidden``: it runs
         once per `class_index`, at the class's first member."""
-        hidden = tuple(hidden)
         outcomes: dict[int, object] = {}
-        for cfg in self._configs:
-            key = self.class_index(cfg, hidden)
+        for cfg, key in zip(self._configs, self._class_map(hidden)):
             if key not in outcomes:
                 outcomes[key] = evaluate(cfg)
             yield cfg, outcomes[key]

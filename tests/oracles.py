@@ -45,9 +45,17 @@ properties as proven and reports no such row.
 the measure through every single-site kernel and then through every
 region's kernel, single sites again included.
 
+``ratio`` is the quotient of two nonnegative rationals as an extended
+value, with which the extension divisors were built before they were
+decided in integers.
+
 ``pair_divisor`` is the one-site case of ``extension_divisor``, written
 against the singleton family alone: the factor dividing one site's
-density when one other site joins it.
+density when one other site joins it.  ``extension_divisor`` is the
+library's as it was before it found each good block's point by stride
+arithmetic and compared the candidates as integer pairs: each point is
+an overlay, each candidate an `ExtendedRational` product, and nothing
+is memoised.
 
 ``support_class_certificate``, ``good_support_report`` and
 ``check_good_support_mass`` are the support suites as they were before
@@ -112,7 +120,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from specforge.core import INF, ArithmeticDomainError, DomainError, ExtendedRational, ratio
+from specforge.core import INF, ArithmeticDomainError, DomainError, ExtendedRational
 from specforge.hypotheses import (
     WITNESS_CAP,
     HypothesisFailure,
@@ -126,6 +134,15 @@ from specforge import constructor, hypotheses, verifier
 from specforge.hypotheses import _replay_point
 from specforge.models import NormalizationError, SingletonFamily
 from specforge.verifier import SupportClassCertificate
+
+
+def ratio(numerator: Fraction, denominator: Fraction) -> ExtendedRational:
+    """Exact quotient of two nonnegative rationals as an extended value."""
+    if denominator == 0:
+        if numerator == 0:
+            raise ArithmeticDomainError("indeterminate quotient 0 / 0")
+        return INF
+    return ExtendedRational(Fraction(numerator, denominator))
 
 
 def keyed(space, weights) -> dict:
@@ -1062,6 +1079,67 @@ def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRepor
                         ))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report
+
+
+def extension_divisor(dens, theta, gamma, cfg) -> ExtendedRational:
+    """The factor dividing a region's density when a block joins it,
+    evaluated afresh: each good block's point by overlay, and each
+    candidate an `ExtendedRational` product compared as one."""
+    space = dens.space
+    th = space.universe.region(theta)
+    ga = space.universe.region(gamma)
+    if set(th) & set(ga):
+        raise DomainError("extension blocks must be disjoint")
+    if not ga:
+        raise DomainError("the joining block must be nonempty")
+    for reg in (th, ga):
+        if reg not in dens._tables:
+            raise constructor.ConstructionError(f"region {reg!r} has not been built yet")
+    blocks = hypotheses.good_blocks(dens.singletons, th, ga, cfg)
+    if not blocks:
+        raise constructor.ConstructionError(
+            f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
+            "very weak positivity fails"
+        )
+    value = None
+    first_block = None
+    for block in blocks:
+        shifted = space.overlay(cfg, th, block)
+        num = dens.density(th, shifted)
+        den = dens.density(ga, shifted)
+        if num == 0:
+            raise constructor.ConstructionError(
+                f"density of {th!r} vanishes at its own good block "
+                f"{block!r} at {cfg!r}; good-set guarantee violated"
+            )
+        integral = dens.ratio_integral(ga, th, shifted)
+        if integral is None:
+            raise constructor.ConstructionError(
+                f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
+                "is not in (0, inf); good-set guarantee violated"
+            )
+        candidate = ratio(num, den) * integral
+        if value is None:
+            value, first_block = candidate, block
+        elif candidate != value:
+            raise constructor.ConstructionError(
+                f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
+                f"disagrees across good blocks: {value} via "
+                f"{first_block!r} vs {candidate} via {block!r}",
+                witness=Witness(
+                    check="extension_divisor",
+                    description="good-block disagreement",
+                    replay={
+                        "assignment": list(cfg.values), "tail": cfg.tail,
+                        "theta": [str(s) for s in th],
+                        "gamma": [str(s) for s in ga],
+                        "block_first": list(first_block),
+                        "block_second": list(block),
+                    },
+                    lhs=str(value), rhs=str(candidate),
+                ),
+            )
+    return value
 
 
 def extend_density(dens, theta, gamma) -> list:

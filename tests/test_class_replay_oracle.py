@@ -17,7 +17,9 @@ with the same message, at witness caps 0, 1 and 25.  The uniqueness
 probe needs a built family, so it runs on the families whose unchecked
 build succeeds; its self-check reads the record of axiom (c) that the
 axiom report reads, so the axiom report is compared on those families
-too.
+too.  ``extension_divisor`` decides its good-block candidates as integer
+pairs; its oracle builds each as an `ExtendedRational` product, and the
+two must return equal values or raise the same text and witness.
 """
 
 from fractions import Fraction
@@ -260,3 +262,82 @@ def test_infinite_divisor_writes_exact_zero():
     assert all(type(value) is Fraction for value in table)
     assert Fraction(0) in table
     assert table == oracles.extend_density(fresh(dens), ("s1",), ("s2",))
+
+
+def divisor(run, dens, theta, gamma, cfg):
+    """An extension divisor, or the type, message and witness of the raised error."""
+    try:
+        return run(dens, theta, gamma, cfg)
+    except SpecforgeError as exc:
+        witness = getattr(exc, "witness", None)
+        return ("raised", type(exc).__name__, str(exc),
+                witness.as_dict() if witness else None)
+
+
+def divisors(run, dens, joins):
+    """The divisor of every (theta, gamma) join at every configuration."""
+    return [divisor(run, dens, theta, gamma, cfg)
+            for theta, gamma in joins for cfg in dens.space.configurations()]
+
+
+def site_joins(space):
+    """Every ordered pair of distinct sites, as one-site blocks."""
+    sites = space.universe.sites
+    return [((i,), (j,)) for i in sites for j in sites if i != j]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_extension_divisor(name):
+    """Values, infinite ones included, and raised texts equal the oracle's:
+    one-site joins on the singleton tables of every family, and every
+    split of every region of the families that build."""
+    fam = FAMILIES[name]()
+    joins = site_joins(fam.space)
+    assert (divisors(constructor.extension_divisor, DensityFamily(fam), joins)
+            == divisors(oracles.extension_divisor, DensityFamily(fam), joins))
+    dens = built(fam)
+    if dens is None:
+        return
+    joins = [split for region in dens.regions() for split in splits(region)]
+    assert (divisors(constructor.extension_divisor, fresh(dens), joins)
+            == divisors(oracles.extension_divisor, fresh(dens), joins))
+
+
+def test_extension_divisor_comparison_meets_every_outcome():
+    """The families above reach finite and infinite divisors and a raise."""
+    seen = set()
+    for name in ("hardcore_3", "broken_pair", "zero_table_0"):
+        fam = FAMILIES[name]()
+        for value in divisors(constructor.extension_divisor, DensityFamily(fam),
+                              site_joins(fam.space)):
+            seen.add(value[:2] if isinstance(value, tuple) else value.is_infinite)
+    assert {False, True, ("raised", "ConstructionError")} <= seen
+
+
+@pytest.mark.parametrize("table, expected", [
+    (("s1",), ("3/2", "1")),
+    (("s2",), ("inf", "1")),
+])
+def test_disagreeing_good_blocks_raise_the_same_witness(table, expected):
+    """A swapped table that breaks the agreement of the good blocks.
+
+    Good blocks are read off the singleton family, which the swap leaves
+    alone; doubling the first cell of density(s1), or zeroing that of
+    density(s2), changes the candidate at block ``a`` only."""
+    dens = build_family(zoo.independent_family())
+    values = list(dens.table(table))
+    values[0] = values[0] * 2 if table == ("s1",) else 0
+    sibling = dens.replace_table(table, values)
+    cfg = dens.space.at(0)
+    got = divisor(constructor.extension_divisor, sibling, ("s1",), ("s2",), cfg)
+    assert got == divisor(oracles.extension_divisor, fresh(sibling), ("s1",), ("s2",), cfg)
+    lhs, rhs = expected
+    assert got == ("raised", "ConstructionError",
+                   "extension divisor of ('s1',) by ('s2',) at "
+                   "Configuration(aaa, tail=default) disagrees across good blocks: "
+                   f"{lhs} via ('a',) vs {rhs} via ('b',)",
+                   {"check": "extension_divisor", "description": "good-block disagreement",
+                    "replay": {"assignment": ["a", "a", "a"], "tail": "default",
+                               "theta": ["s1"], "gamma": ["s2"],
+                               "block_first": ["a"], "block_second": ["b"]},
+                    "lhs": lhs, "rhs": rhs})

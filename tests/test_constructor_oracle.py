@@ -7,10 +7,13 @@ tables, one ``extend_density`` call per (region, joining site), and
 below are the direct definitions: a full rebuild of the family under
 every permutation (``oracles.check_order_independence``), and the
 product of the free weights taken afresh.  Results must agree exactly,
-witnesses and raised errors included.
+witnesses and raised errors included.  The sweep sample draws ranks and
+unranks them; it must equal the sample drawn from the list of every
+permutation.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +109,24 @@ class TestOrderIndependenceOracle:
         assert expected["data"]["permutation_mismatches"] > 0
         assert expected["witnesses"]
         assert outcome(check_order_independence, family) == expected
+
+
+class TestSweepOrders:
+    """The sweep sample draws ranks and unranks them; it must be the sample
+    ``random.Random(seed).sample`` draws from the list of every
+    permutation, which ``check_order_independence`` used to build."""
+
+    @pytest.mark.parametrize("n_sites", [1, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", [20260819, 7])
+    def test_sample_equals_the_listed_sample(self, n_sites, seed):
+        sites = tuple(f"s{k}" for k in range(1, n_sites + 1))
+        every = list(itertools.permutations(sites))
+        for cap in (0, 1, 24, 100):
+            if len(every) <= cap:
+                expected = (every, False)
+            else:
+                expected = (random.Random(seed).sample(every, cap), True)
+            assert constructor._sweep_orders(sites, cap, seed) == expected, cap
 
 
 def naive_product_weight(space, region, block) -> Fraction:

@@ -20,10 +20,9 @@ from specforge.core import (
     Space,
     Universe,
     parse_rational,
-    ratio,
 )
 
-from oracles import free_kernel
+from oracles import free_kernel, ratio
 
 
 def concat(primary, secondary, base: Configuration) -> Configuration:

@@ -21,7 +21,7 @@ import itertools
 import pytest
 
 from specforge.constructor import DensityFamily, build_family
-from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe
+from specforge.core import Alphabet, DomainError, FreeMeasure, Space, SpecforgeError, Universe
 
 from oracles import (
     masked_key,
@@ -92,8 +92,11 @@ class TestConfigurationIndex:
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_class_index_groups_as_the_masked_key(self, name):
+        """Twice over every hidden tuple: the second pass reads the memoised
+        class maps, after every other tuple's."""
         space = SPACES[name]()
-        for hidden in every_hidden(space):
+        hiddens = list(every_hidden(space))
+        for hidden in hiddens + hiddens[::-1]:
             first = {}
             for cfg in space.configurations():
                 first.setdefault(masked_key(space, cfg, hidden), cfg)
@@ -110,11 +113,52 @@ class TestConfigurationIndex:
             assert [cfg.index for cfg in slow] == sorted(
                 {space.class_index(cfg, hidden) for cfg in space.configurations()})
             first = {masked_key(space, cfg, hidden): cfg for cfg in reversed(slow)}
-            calls = []
-            replayed = list(space.per_class(hidden, lambda cfg: calls.append(cfg) or cfg))
-            assert calls == slow
-            assert replayed == [(cfg, first[masked_key(space, cfg, hidden)])
-                                for cfg in space.configurations()]
+            for form in (tuple, iter):
+                calls = []
+                replayed = list(space.per_class(form(hidden),
+                                                lambda cfg: calls.append(cfg) or cfg))
+                assert calls == slow
+                assert replayed == [(cfg, first[masked_key(space, cfg, hidden)])
+                                    for cfg in space.configurations()]
+
+
+class TestMemoisedIndexBookkeeping:
+    """``Universe.region`` and the class maps behind ``Space.class_index``
+    and ``Space.per_class`` are memoised per input tuple: a repeated call
+    must return what the first did, whatever form the sites come in (the
+    class maps are read twice in ``TestConfigurationIndex``), and an input
+    that raises must raise on every call."""
+
+    def test_region_of_lists_generators_and_shuffled_tuples(self):
+        universe = Universe(("s1", "s2", "s3", "s4"))
+        for size in range(len(universe) + 1):
+            for sites in itertools.permutations(universe.sites, size):
+                want = tuple(s for s in universe.sites if s in sites)
+                for _ in range(2):
+                    assert universe.region(list(sites)) == want
+                    assert universe.region(s for s in sites) == want
+                    assert universe.region(sites) == want
+
+    @pytest.mark.parametrize("sites, message", [
+        (("s1", "s1"), "listed twice"),
+        (("s3", "s1", "s3"), "listed twice"),
+        (("s2", "nowhere"), "not in universe"),
+    ])
+    def test_bad_region_raises_on_every_call(self, sites, message):
+        universe = Universe(("s1", "s2", "s3"))
+        for _ in range(3):
+            for form in (tuple, list, iter):
+                with pytest.raises(DomainError, match=message):
+                    universe.region(form(sites))
+
+    def test_unknown_hidden_site_raises_on_every_call(self):
+        space = plain_space(2)
+        cfg = space.at(0)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="not in universe"):
+                space.class_index(cfg, ("s1", "nowhere"))
+            with pytest.raises(DomainError, match="not in universe"):
+                list(space.per_class(("nowhere",), lambda cfg: cfg))
 
 
 class TestExteriorClasses:
