@@ -70,7 +70,8 @@ class DensityFamily(Tabulated):
     without touching the original.  ``cached`` memoises what the tables
     determine: ratio integrals, extension divisors and the kernel rows
     the verifier reads, each keyed by its regions and exterior class,
-    and the full-window kernel measure of each tail class.  Integrals of
+    the full-window kernel measure of each tail class, and the record of
+    passing block splits (`check_order_independence`).  Integrals of
     shared single-site tables are the singleton family's; a sibling
     starts with an empty memo, so it never reads its parent's.
     """
@@ -409,6 +410,13 @@ def check_order_independence(
     the sweeps found that join true, and walks to its witness if false.
     A cell compares density(theta)·den(divisor) with the stored value
     times num(divisor) as integers.
+    When every block split passes (a raise leaves the check unfinished),
+    the verdict is recorded on every family `build_family` has memoised
+    for ``singletons``, the reference among them, under
+    ``("block_splits",)``.  Each split (R minus x, {x}) is J(R, x), so
+    every join holds and, by the induction above, every sweep builds the
+    reference's tables.  `good_support_report` and `uniqueness_probe`
+    read the record.
     """
     space = singletons.space
     report = HypothesisReport(name="order_independence", passed=True)
@@ -477,6 +485,10 @@ def check_order_independence(
                         break
                 if not ok:
                     break
+    if not split_failures:
+        for key, family in singletons._cache.items():
+            if key[0] == "family":
+                family._cache[("block_splits",)] = True
     report.data = {
         "permutations_tested": len(perms),
         "permutations_sampled": sampled,

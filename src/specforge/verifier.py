@@ -8,8 +8,14 @@ consistency with singletons alone), exact reconstruction round trips,
 locality diagnostics, and two-sided density ratio bounds.  What a proof
 settles is counted in closed form.  Part (c) of the axioms is recorded
 once per family (`_axiom_record`); the axiom report and the uniqueness
-probe's self-check read it, and the command line's exchange suite reads
-the axiom report.
+probe's self-check read it, the command line's exchange suite reads
+the axiom report, and a kernel measure is marked preserved by every
+region whose pair with the window passed, so the measure suites push it
+only through the others.  `check_order_independence` records passing
+block splits on the built families; `good_support_report` and the
+uniqueness probe's re-derivation read that record and walk no point.
+Without it (a suite run alone, ``replay``, a `replace_table` sibling, a
+failing split) both walk their identities through `_support_failures`.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .hypotheses import (
     check_order_consistency,
     check_uniqueness_condition,
     check_very_weak_positivity,
-    good_blocks,
 )
 from .models import SingletonFamily
 
@@ -98,10 +103,31 @@ class FiniteMeasure:
     @classmethod
     def kernel_measure(cls, dens: DensityFamily, cfg: Configuration) -> "FiniteMeasure":
         """The full-window kernel at one exterior, as a measure, built once
-        per family and tail class (the only exterior it depends on)."""
-        sites = dens.space.universe.sites
-        return dens.cached(("kernel_measure", cfg.tail),
-                           lambda: cls(dens.space, _kernel_row(dens, sites, cfg)))
+        per family and tail class (the only exterior it depends on).
+
+        μ = γ_V(·|ω), V the whole window, is marked as preserved by every
+        region Λ whose pair (V, Λ) has no entry in the failures of the
+        family's `_axiom_record`, so `preserved_by` pushes it only
+        through the regions whose pair failed.  Proof: pushing μ through
+        γ_Λ sums w·γ_Λ(·|x) over μ's weights w = γ_V(x|ω), which is the
+        composed row (γ_V γ_Λ)(·|ω) of `_composed_row`, term for term.
+        A pair with no entry has composed = direct, γ_V γ_Λ = γ_V, at
+        every exterior class of V (the fast path of the record proves it
+        for all pairs at once), so μγ_Λ = μ, with zero weights dropped on
+        both sides.
+        """
+        space = dens.space
+        sites = space.universe.sites
+
+        def compute() -> "FiniteMeasure":
+            mu = cls(space, _kernel_row(dens, sites, cfg))
+            failures = _axiom_record(dens)[2]
+            mu._cache.update({("preserved_by", dens, region): True
+                              for region in space.universe.subsets()
+                              if (sites, region) not in failures})
+            return mu
+
+        return dens.cached(("kernel_measure", cfg.tail), compute)
 
     @classmethod
     def free_measure(cls, space: Space, tail: str) -> "FiniteMeasure":
@@ -202,6 +228,35 @@ def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozens
         hypotheses._good_points(singletons, k, tuple(s for s in region if s != k))
         for k in region
     ))
+
+
+def _support_value(dens: DensityFamily, over: tuple[Site, ...],
+                   against: tuple[Site, ...], cfg: Configuration) -> Fraction | None:
+    """density(over) / ratio_integral(over, against) at ``cfg``, None
+    where the integral is not in (0, inf)."""
+    integral = dens.ratio_integral(over, against, cfg)
+    return None if integral is None else dens.density(over, cfg) / integral
+
+
+def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
+                      sides: list[tuple[tuple[Site, ...], tuple[Site, ...]]]):
+    """The support-identity walk: ``(point, j)``, lazily, for each good-core
+    point of ``region`` in index order and each j-th ``(V, W)`` of
+    ``sides`` in order, where density(region) = density(V) / I(V, W)
+    fails at the point or I = ratio_integral(V, W) is undefined.
+
+    With ρ_Λ = a/b, ρ_V = c/d and I = e/f, every denominator and e
+    positive, the identity holds iff a·d·e = c·b·f, so it is compared in
+    integers; `_support_value` builds the `Fraction` of a witness.
+    """
+    table = dens._tables[region]
+    for point in sorted(_good_core(dens.singletons, region)):
+        a, b = table[point].as_integer_ratio()
+        for j, (v, w) in enumerate(sides):
+            i = dens.ratio_integral(v, w, dens.space.at(point))
+            c, d = dens._tables[v][point].as_integer_ratio()
+            if i is None or a * d * i.numerator != c * b * i.denominator:
+                yield point, j
 
 
 def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
@@ -456,9 +511,16 @@ def uniqueness_probe(
     (kept normalized, made to differ), verifies each perturbed family
     violates singleton consistency for some site of the region.
     Finally re-derives every multi-site density from a closed-form solve
-    at good blocks and confirms it reproduces the built table, solving
-    once per region and exterior class of the region and replaying at
-    the class's members.
+    at good blocks and confirms it reproduces the built table: at each
+    configuration ω, each good block of Λ (the good-core points p of Λ
+    in ω's class off Λ) and each k ∈ Λ, ρ_Λ(p) = ρ_k(p) / I({k}, Λ∖k, p).
+    ``rederived_points`` is Σ|Λ|·q^|Λ|·|core_Λ|, each core point counted
+    at the q^|Λ| members of its class.  This is the identity of
+    `good_support_report` with V = {k}, so on a family carrying the
+    record of passing block splits it holds everywhere (proof there) and
+    nothing is walked.  Otherwise `_support_failures` walks it once per
+    core point, and each failure is replayed at every member of its
+    class, in configuration order.
     """
     singletons = dens.singletons
     space = dens.space
@@ -511,18 +573,10 @@ def uniqueness_probe(
         new_table = list(original)
         for attempt in range(10):
             raw = {block: Fraction(rng.randint(1, 9)) for block in blocks}
-            mass = sum(
-                raw[block] * space.product_weight(region, block)
-                for block in blocks
-            )
-            row = {block: raw[block] / mass for block in blocks}
-            changed = False
+            mass = sum(raw[block] * space.product_weight(region, block) for block in blocks)
             for block in blocks:
-                index = space.overlay(rep, region, block).index
-                if original[index] != row[block]:
-                    changed = True
-                new_table[index] = row[block]
-            if changed:
+                new_table[space.overlay(rep, region, block).index] = raw[block] / mass
+            if tuple(new_table) != original:
                 break
         else:
             continue
@@ -548,26 +602,22 @@ def uniqueness_probe(
 
     rederived_points = 0
     rederive_ok = True
+    walk = ("block_splits",) not in dens._cache
+    q = len(space.alphabet)
     for region in multi_regions:
-        def solve(cfg: Configuration) -> list[tuple]:
-            rows = []
-            for block in good_blocks(singletons, region, (), cfg):
-                shifted = space.overlay(cfg, region, block)
-                built = dens.density(region, shifted)
-                for k in region:
-                    rest = tuple(s for s in region if s != k)
-                    integral = dens.ratio_integral((k,), rest, shifted)
-                    expected = (None if integral is None
-                                else dens.density((k,), shifted) / integral)
-                    rows.append((k, shifted, built, expected))
-            return rows
-
-        for _, rows in space.per_class(region, solve):
-            for k, shifted, built, expected in rows:
-                rederived_points += 1
-                if expected is not None and built == expected:
-                    continue
+        rederived_points += (len(region) * q ** len(region)
+                             * len(_good_core(singletons, region)))
+        if not walk:
+            continue
+        sides = [((k,), tuple(s for s in region if s != k)) for k in region]
+        failed: dict[int, list] = {}
+        for point, j in _support_failures(dens, region, sides):
+            shifted = space.at(point)
+            failed.setdefault(space.class_index(shifted, region), []).append((shifted, j))
+        for cfg in space.configurations() if failed else ():
+            for shifted, j in failed.get(space.class_index(cfg, region), ()):
                 rederive_ok = False
+                expected = _support_value(dens, *sides[j], shifted)
                 report.fail(witness_cap, lambda: Witness(
                     check="uniqueness_probe",
                     description=(
@@ -577,11 +627,11 @@ def uniqueness_probe(
                     ),
                     replay={
                         "region": [str(s) for s in region],
-                        "site": str(k),
+                        "site": str(region[j]),
                         "assignment": list(shifted.values),
                         "tail": shifted.tail,
                     },
-                    lhs=str(built),
+                    lhs=str(dens.density(region, shifted)),
                     rhs=str(expected) if expected is not None else "undefined",
                 ))
     report.data = {
@@ -605,6 +655,30 @@ def good_support_report(
     region (each site good against the rest of the region), the region's
     density must equal either block's density divided by the matching
     ratio integral, reading membership off the good-point tables.
+    ``core_points`` is Σ|core_Λ| over the regions Λ of at least two
+    sites, and ``identity_points`` is Σ|core_Λ|·(2^|Λ| − 2), one per core
+    point and ordered split (V, W).
+
+    *Passing block splits settle every identity.*  On a family carrying
+    `check_order_independence`'s record of passing block splits, nothing
+    is walked.  Take a core point p of Λ and a split (V, W).  The
+    block-split cell (θ = W, γ = V) at p compares ρ_Λ(p) with
+    ρ_W(p) / D, D being `extension_divisor` of W by V at p's class off W.
+    p's own W-block is one of D's good blocks: `good_blocks` tests each
+    k ∈ W against (W∖k) + V, which `good_symbols` canonicalises to Λ∖k,
+    the context of p's core table for k, and that table is a union of
+    whole lines along Λ∖k (below), so p's other symbols on W do not
+    matter.  `extension_divisor` raises unless every good block agrees
+    with the first, so D is the candidate at p:
+    ρ_W(p)·I(V, W, p) / ρ_V(p), where ρ_W(p) > 0 and the integral, the
+    same `ratio_integral` read here, lies in (0, inf), or else it raises.
+    If ρ_V(p) > 0 the cell says ρ_Λ(p) = ρ_V(p) / I(V, W, p); if
+    ρ_V(p) = 0, D is infinite, the cell says ρ_Λ(p) = 0, and so is the
+    right side.  So every identity holds, and the report passes with the
+    counts above.  Without the record (a suite run alone, ``replay``, a
+    `replace_table` sibling, a failing split) `_support_failures` walks
+    every core point and split, and each failure is reported with the
+    values of both sides up to the first undefined one.
 
     Good membership of a site against a context never depends on the
     configuration inside the context, and no table can break that: each
@@ -626,54 +700,40 @@ def good_support_report(
     """
     space = dens.space
     universe = space.universe
-    singletons = dens.singletons
     report = HypothesisReport(name="good_support", passed=True)
+    walk = ("block_splits",) not in dens._cache
     identity_points = 0
-    member_points = 0
-
+    core_points = 0
     for region in universe.subsets():
         if len(region) < 2:
             continue
-        splits = []
-        members = set(region)
-        for r in range(1, len(region)):
-            for v in itertools.combinations(region, r):
-                v = universe.region(v)
-                w = universe.region(members - set(v))
-                splits.append((v, w))
-        core = _good_core(singletons, region)
-        for cfg in space.configurations():
-            if cfg.index not in core:
-                continue
-            member_points += 1
-            for v, w in splits:
-                identity_points += 1
-                built = dens.density(region, cfg)
-                ok = True
-                values = []
-                for over, against in ((v, w), (w, v)):
-                    integral = dens.ratio_integral(over, against, cfg)
-                    if integral is None:
-                        ok = False
-                        break
-                    values.append(dens.density(over, cfg) / integral)
-                if not ok or any(val != built for val in values):
-                    report.fail(witness_cap, lambda: Witness(
-                        check="good_support",
-                        description=(
-                            "support identity fails on region "
-                            f"{[str(s) for s in region]!r} split "
-                            f"{[str(s) for s in v]!r} / "
-                            f"{[str(s) for s in w]!r}"
-                        ),
-                        replay={"assignment": list(cfg.values),
-                                "tail": cfg.tail},
-                        lhs=str(built),
-                        rhs=",".join(str(x) for x in values) or "undefined",
-                    ))
+        core = len(_good_core(dens.singletons, region))
+        core_points += core
+        identity_points += core * (2 ** len(region) - 2)
+        if not walk:
+            continue
+        splits = [(v, universe.region(set(region) - set(v)))
+                  for r in range(1, len(region))
+                  for v in itertools.combinations(region, r)]
+        sides = [side for v, w in splits for side in ((v, w), (w, v))]
+        failed = dict.fromkeys((point, j // 2) for point, j
+                               in _support_failures(dens, region, sides))
+        for point, split in failed:
+            cfg = space.at(point)
+            v, w = splits[split]
+            values = [_support_value(dens, v, w, cfg), _support_value(dens, w, v, cfg)]
+            values = values[:values.index(None)] if None in values else values
+            report.fail(witness_cap, lambda: Witness(
+                check="good_support",
+                description=(f"support identity fails on region {[str(s) for s in region]!r} "
+                             f"split {[str(s) for s in v]!r} / {[str(s) for s in w]!r}"),
+                replay={"assignment": list(cfg.values), "tail": cfg.tail},
+                lhs=str(dens.density(region, cfg)),
+                rhs=",".join(str(x) for x in values) or "undefined",
+            ))
     n = len(universe)
     report.data = {
-        "core_points": member_points,
+        "core_points": core_points,
         "identity_points": identity_points,
         "measurability_points": (n * (2 ** (n - 1) - 1) * len(space.tail_classes)
                                  * len(space.alphabet) ** n),
@@ -737,7 +797,10 @@ def check_measure_consistency(
     (ii) read off the single-site regions of (iii).  The report passes
     iff the advertised equivalence holds: for measures in the class, (ii)
     and (iii) agree.  Measures outside the class are flagged; no claim is
-    made about them.
+    made about them.  A kernel measure comes marked preserved by every
+    region whose nested pair of axiom (c) with the window passed
+    (`FiniteMeasure.kernel_measure`), so on a family passing the axioms
+    nothing is pushed.
     """
     space = dens.space
     if not space.free.is_normalized:
@@ -747,13 +810,10 @@ def check_measure_consistency(
     report = HypothesisReport(name="measure_consistency", passed=True)
     certificate = support_class_certificate(mu, dens.singletons)
 
-    singleton_fail_sites: list[str] = []
-    full_fail_regions: list[list[str]] = []
-    for region in space.universe.subsets():
-        if region and not mu.preserved_by(dens, region):
-            full_fail_regions.append([str(s) for s in region])
-            if len(region) == 1:
-                singleton_fail_sites.append(str(region[0]))
+    failed = [region for region in space.universe.subsets()
+              if region and not mu.preserved_by(dens, region)]
+    full_fail_regions = [[str(s) for s in region] for region in failed]
+    singleton_fail_sites = [str(region[0]) for region in failed if len(region) == 1]
     singleton_ok = not singleton_fail_sites
     full_ok = not full_fail_regions
     equivalence = None

@@ -1271,7 +1271,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
     rederive_ok = True
     for region in multi_regions:
         for cfg in space.configurations():
-            for block in verifier.good_blocks(singletons, region, (), cfg):
+            for block in hypotheses.good_blocks(singletons, region, (), cfg):
                 shifted = space.overlay(cfg, region, block)
                 for k in region:
                     rest = universe.region(s for s in region if s != k)

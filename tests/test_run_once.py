@@ -23,8 +23,14 @@ none that the gates have.  The build and the block splits of
 ``check_order_independence`` evaluate every integral that
 ``good_support_report`` and ``uniqueness_probe`` read on a positive
 family: each core point's own block is a good block of every split of
-its region.  A block split that is a single-site join the sweeps have
-compared walks no cell of its own.
+its region.  Once the block splits have passed, those two suites read
+their record and walk nothing: a full ``verify`` of ``CHAIN5`` runs no
+support walk and reads no ratio integral inside them.  A block split
+that is a single-site join the sweeps have compared walks no cell of
+its own.  A kernel measure is pushed only through the regions whose
+nested pair of axiom (c) with the window failed: through none in a
+full ``verify``, and through exactly those on a sibling whose window
+row was replaced.
 Kernel rows and measures are keyed by configuration index, so ``verify``
 turns no ``(values, tail)`` key back into a configuration: it calls
 ``Space.make`` zero times.
@@ -60,6 +66,7 @@ from specforge.verifier import (
 )
 
 from test_bundled_golden import CHAIN5
+import zoo
 from zoo import alternating_exclusion_family, hardcore_family, potential_family
 
 # the package re-exports the function ``main`` under the module's name
@@ -393,6 +400,86 @@ def test_measure_suites_push_single_sites_only(monkeypatch):
     for mu in kernels:
         assert check_good_support_mass(mu, dens).passed
     assert [push for push in pushes if push[0] == "free"] == []
+
+
+def test_verify_reads_the_support_suites_off_the_split_record(tmp_path, monkeypatch, capsys):
+    """A full ``verify`` runs the block splits first, so the support
+    identities and the re-derivation walk nothing and read no ratio
+    integral, and the kernel measures are pushed through no kernel."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    counts = Counter()
+    inside = []
+    kernels = []
+    honest_walk = verifier._support_failures
+    honest_integral = constructor.DensityFamily.ratio_integral
+    honest_push = FiniteMeasure.push_kernel
+    honest_kernel = FiniteMeasure.kernel_measure
+
+    def suite(name, honest):
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                return honest(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    def counted_walk(*args):
+        counts["walk"] += 1
+        return honest_walk(*args)
+
+    def counted_integral(self, *args):
+        counts["integral_in_support_suites"] += bool(inside)
+        return honest_integral(self, *args)
+
+    def counted_push(self, *args):
+        counts["kernel_measure_pushes"] += any(self is mu for mu in kernels)
+        return honest_push(self, *args)
+
+    def kernel_measure(cls, *args):
+        kernels.append(honest_kernel(*args))
+        return kernels[-1]
+
+    for name in ("good_support_report", "uniqueness_probe"):
+        monkeypatch.setattr(cli, name, suite(name, getattr(cli, name)))
+    monkeypatch.setattr(verifier, "_support_failures", counted_walk)
+    monkeypatch.setattr(constructor.DensityFamily, "ratio_integral", counted_integral)
+    monkeypatch.setattr(FiniteMeasure, "push_kernel", counted_push)
+    monkeypatch.setattr(FiniteMeasure, "kernel_measure", classmethod(kernel_measure))
+    assert main(["verify", "chain5.model", "--json", "report.json"]) == 0
+    capsys.readouterr()
+    assert '"good_support"' in (tmp_path / "report.json").read_text()
+    assert kernels
+    assert counts == Counter()
+
+
+def test_a_sibling_kernel_measure_pushes_its_failed_regions(monkeypatch):
+    """A sibling whose window row is another row of mass one fails some
+    nested pairs of (c) with the window; its kernel measure is pushed
+    through exactly those regions, once each."""
+    dens = constructor.build_family(potential_family(1, n_sites=4)[2])
+    space = dens.space
+    window = space.universe.sites
+    blocks = list(space.assignments(window))
+    mass = sum((k + 2) * space.product_weight(window, b) for k, b in enumerate(blocks))
+    row = {block: (k + 2) / mass for k, block in enumerate(blocks)}
+    sibling = zoo.reweighted(dens, window, lambda block, _: row[block])
+    failed = sorted(small for large, small in verifier._axiom_record(sibling)[2]
+                    if large == window and small)
+    assert failed
+    pushes = []
+    honest_push = FiniteMeasure.push_kernel
+
+    def counted_push(self, family, region):
+        pushes.append(tuple(region))
+        return honest_push(self, family, region)
+
+    monkeypatch.setattr(FiniteMeasure, "push_kernel", counted_push)
+    mu = FiniteMeasure.kernel_measure(sibling, space.at(0))
+    verifier.check_measure_consistency(mu, sibling)
+    check_good_support_mass(mu, sibling)
+    assert sorted(pushes) == failed
 
 
 @pytest.fixture

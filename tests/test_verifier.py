@@ -489,10 +489,13 @@ class TestMeasureConsistency:
     def test_one_push_per_region_matches_the_two_loop_oracle(
             self, monkeypatch, failing):
         # a stand-in push fails exactly the regions in ``failing``, so the
-        # singleton verdict must be read off the single-site regions alone
+        # singleton verdict must be read off the single-site regions alone;
+        # the measure is an unmarked copy of a kernel measure, which would
+        # come marked preserved by every region whose pair of (c) passed
         space, _, fam = zoo.extracted_family(61)
         dens = build_family(fam)
-        mu = FiniteMeasure.kernel_measure(dens, space.make(("a", "a", "a"), "default"))
+        kernel = FiniteMeasure.kernel_measure(dens, space.make(("a", "a", "a"), "default"))
+        mu = FiniteMeasure(space, kernel.weights)
         moved = FiniteMeasure.free_measure(space, "default")
         assert not moved.same_as(mu)
         pushes = []

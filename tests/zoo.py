@@ -6,6 +6,7 @@ seed, so that any expected value frozen in a test stays meaningful.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -343,6 +344,54 @@ def random_zero_table_family(seed: int) -> SingletonFamily:
                     table[(sym, ctx, tail)] = (
                         Fraction(0) if zero else Fraction(rng.randint(1, 5), rng.randint(1, 5))
                     )
+        entries[site] = table
+    return normalize(space, TableModel(entries))
+
+
+def random_hardcore_family(seed: int) -> SingletonFamily:
+    """Hard-core exclusion on a random graph, with random positive activities.
+
+    Two to five sites (three symbols only up to three sites), up to two
+    tail classes, uniform free weights.  The first symbol is the empty
+    one; every other symbol is a particle, and no two neighbours in the
+    graph (each pair joined with probability 1/2, and one pair at least)
+    both hold one.  Tail class t1 also pins a random set of sites to the
+    empty symbol, as an occupied exterior would.  The densities are the
+    conditionals of the Gibbs weight Π λ_x(σ_x) over the allowed
+    configurations of each tail class, so order consistency holds, and
+    the empty symbol keeps a positive density everywhere, so every site
+    has a good symbol: every draw passes the gates and builds, and the
+    sites of an edge have zero densities.
+    """
+    rng = random.Random(seed)
+    n_sites = rng.randint(2, 5)
+    symbols = ("a", "b", "c")[:rng.randint(2, 3) if n_sites <= 3 else 2]
+    tails = ("t0", "t1")[:rng.randint(1, 2)]
+    alphabet = Alphabet(symbols)
+    universe = Universe(tuple(f"s{k}" for k in range(1, n_sites + 1)))
+    space = Space(alphabet, universe, FreeMeasure.uniform(alphabet, universe),
+                  tail_classes=tails)
+    sites = universe.sites
+    pairs = list(itertools.combinations(sites, 2))
+    edges = [pair for pair in pairs if rng.random() < 0.5] or [rng.choice(pairs)]
+    neighbours = {site: set() for site in sites}
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    pinned = {"t0": set(), "t1": {site for site in sites if rng.random() < 0.4}}
+    activity = {site: {sym: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for sym in symbols}
+                for site in sites}
+    empty = symbols[0]
+    entries: dict = {}
+    for k, site in enumerate(sites):
+        table = {}
+        for tail in tails:
+            for values in space.assignments(sites):
+                blocked = site in pinned[tail] or any(
+                    values[universe.index(other)] != empty for other in neighbours[site])
+                occupied = values[k] != empty
+                table[(values[k], values[:k] + values[k + 1:], tail)] = (
+                    Fraction(0) if occupied and blocked else activity[site][values[k]])
         entries[site] = table
     return normalize(space, TableModel(entries))
 
