@@ -33,7 +33,10 @@ order, and the tail of an ``entry`` or ``rule`` line must be a declared
 tail class.  A ``pair`` line's symbol pairs follow the order its two sites
 are written in; the pair is stored in universe order, so ``pair s2 s1
 a,b=q`` is the same factor as ``pair s1 s2 b,a=q``, and each unordered
-pair may be given once.
+pair may be given once.  Every directive but ``free``, ``entry``,
+``rule``, ``field``, ``pair`` and ``joint`` may be given once, and the
+labels of ``sites``, ``alphabet`` and ``tails`` must be distinct; a
+repeat is rejected at the line that repeats it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ from ..models import (
 __all__ = ["ModelFile", "ModelFileError", "parse_model_file", "parse_model_text"]
 
 KINDS = ("table", "tail_rule", "potential", "joint")
+# directives a model may give at most once
+SINGLE_VALUED = ("name", "sites", "dimension", "alphabet", "tails", "kind", "sweep",
+                 "permutations", "trials", "seed", "float_tolerance")
 
 DEFAULT_PERMUTATIONS = 24
 DEFAULT_TRIALS = 12
@@ -168,9 +174,18 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
         "seed": DEFAULT_SEED,
     }
     float_tolerance = DEFAULT_FLOAT_TOLERANCE
+    first_given: dict[str, int] = {}
 
     def fail(line_no: int, message: str) -> ModelFileError:
         return ModelFileError(path, line_no, message)
+
+    def distinct(labels: list[str], line_no: int, what: str) -> tuple[str, ...]:
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise fail(line_no, f"duplicate {what} {label!r}")
+            seen.add(label)
+        return tuple(labels)
 
     def rational(token: str, line_no: int, what: str) -> Fraction:
         try:
@@ -231,33 +246,32 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             continue
         tokens = line.split()
         directive, args = tokens[0], tokens[1:]
+        if directive in SINGLE_VALUED:
+            if directive in first_given:
+                raise fail(line_no, f"duplicate {directive!r} directive "
+                                    f"(first given on line {first_given[directive]})")
+            first_given[directive] = line_no
 
         if directive == "name":
             if len(args) != 1:
                 raise fail(line_no, "name takes exactly one label")
             name = args[0]
         elif directive == "sites":
-            if sites is not None:
-                raise fail(line_no, "duplicate 'sites' directive")
             if not args:
                 raise fail(line_no, "sites needs at least one label")
-            if len(set(args)) != len(args):
-                raise fail(line_no, "duplicate site labels")
-            sites = tuple(args)
+            sites = distinct(args, line_no, "site label")
         elif directive == "dimension":
             if len(args) != 1 or not _INTEGER.fullmatch(args[0]) or args[0].startswith("-"):
                 raise fail(line_no, "dimension takes one nonnegative integer")
             dimension = int(args[0])
         elif directive == "alphabet":
-            if alphabet is not None:
-                raise fail(line_no, "duplicate 'alphabet' directive")
             if not args:
                 raise fail(line_no, "alphabet needs at least one symbol")
-            alphabet = tuple(args)
+            alphabet = distinct(args, line_no, "alphabet symbol")
         elif directive == "tails":
             if not args:
                 raise fail(line_no, "tails needs at least one label")
-            tails = tuple(args)
+            tails = distinct(args, line_no, "tail label")
         elif directive == "free":
             if args == ["uniform"]:
                 if free_weights:
@@ -275,8 +289,6 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
                     raise fail(line_no, f"duplicate free line for site {site!r}")
                 free_weights[site] = full_vector(args[1:], line_no, "free weight")
         elif directive == "kind":
-            if kind is not None:
-                raise fail(line_no, "duplicate 'kind' directive")
             if len(args) != 1 or args[0] not in KINDS:
                 raise fail(line_no, f"kind must be one of {', '.join(KINDS)}")
             kind = args[0]

@@ -92,10 +92,12 @@ library and the oracle alike.
 ``check_pointwise_compatibility`` (with ``eight_factor_failures`` and
 ``pair_densities``) and ``check_bounded_positivity`` are those gates as
 they were before they compared cross-multiplied integers: both sides of
-every identity are built as `Fraction` values, and bounded positivity
-evaluates every ratio integral afresh instead of reading the family's
-memo, keeps its extremes as `Fraction` values, and walks the strict
-identity at every cell, also where order consistency settles it.
+every identity are built as `Fraction` values, pointwise compatibility
+walks its identity also where a passing order consistency settles it,
+and bounded positivity evaluates every ratio integral afresh instead of
+reading the family's memo, keeps its extremes as `Fraction` values, and
+walks the strict identity at every cell, also where order consistency
+settles it.
 
 ``check_divisor_factorization`` is the factorization lemma for ratio
 integrals that no command runs: peeling one site off the base block of
@@ -971,10 +973,11 @@ def check_pointwise_compatibility(family, witness_cap=WITNESS_CAP) -> Hypothesis
     symbols u_i, u_j, and good symbols x_i (for i against {j}) and x_j
     (for j against {i}), the product of four densities along one rewrite
     path must equal the product along the mirrored path.  No integrals
-    are involved; on these families the verdict agrees with order
-    consistency whenever the good sets are nonempty.  The identity is
+    are involved.  Order consistency implies the identity cell by cell;
+    the converse is only observed on the test families.  The identity is
     evaluated once per pair and exterior off the pair, then counted at
-    every configuration that shares them.
+    every configuration that shares them, whatever order consistency
+    says.
     """
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
     checked = 0

@@ -137,6 +137,52 @@ class TestModelFileParsing:
         assert (model.seed, model.trials, model.permutations) == (99, 3, 6)
         assert model.float_tolerance == Fraction(1, 100)
 
+    @pytest.mark.parametrize("first, again", [
+        ("name one", "name two"), ("sites a", "sites a"), ("dimension 1", "dimension 2"),
+        ("alphabet x", "alphabet x"), ("tails default", "tails z"),
+        ("kind tail_rule", "kind tail_rule"), ("sweep a", "sweep a"),
+        ("permutations 2", "permutations 3"), ("trials 2", "trials 3"),
+        ("seed 3", "seed 4"), ("float_tolerance 1/10", "float_tolerance 1/100"),
+    ])
+    def test_repeated_single_valued_directive_rejected_with_location(
+            self, first, again, tmp_path, capsys):
+        directive = first.split()[0]
+        lines = ["sites a", "alphabet x", "tails default", "free uniform",
+                 "kind tail_rule", "rule default a x=1"]
+        given = [line.split()[0] for line in lines]
+        if directive in given:
+            lines[given.index(directive)] = first
+        else:
+            lines.append(first)
+        text = "\n".join([*lines, again]) + "\n"
+        at, last = lines.index(first) + 1, len(lines) + 1
+        with pytest.raises(ModelFileError, match=(
+                rf"^bad\.model:{last}: duplicate '{directive}' directive "
+                rf"\(first given on line {at}\)$")):
+            parse_model_text(text, path="bad.model")
+        path = tmp_path / "bad.model"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert f"bad.model:{last}: duplicate '{directive}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, what", [
+        ("tails x x", "tail label 'x'"), ("alphabet y x y", "alphabet symbol 'y'"),
+        ("sites b a b", "site label 'b'"),
+    ])
+    def test_duplicate_labels_rejected_at_their_line(self, line, what, tmp_path, capsys):
+        directive = line.split()[0]
+        lines = [entry for entry in ("sites a", "alphabet x", "free uniform",
+                                     "kind tail_rule", "rule x a x=1 y=1")
+                 if entry.split()[0] != directive]
+        text = "\n".join([*lines[:1], line, *lines[1:]]) + "\n"
+        with pytest.raises(ModelFileError, match=rf"^bad\.model:2: duplicate {what}$"):
+            parse_model_text(text, path="bad.model")
+        path = tmp_path / "bad.model"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.model:2: duplicate {what}" in err and "invalid model" not in err
+
     @pytest.mark.parametrize("line", [
         "trials \u00b2", "permutations \u00b9\u00b2", "seed --5",
         "seed \u0661", "dimension \u00b2", "dimension -1", "dimension +1",

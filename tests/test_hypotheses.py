@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from specforge.core import Configuration, DomainError, ExtendedRational, INF
+from specforge import hypotheses
+from specforge.core import Configuration, DomainError, ExtendedRational, INF, Universe
 from specforge.hypotheses import (
     HypothesisFailure,
     check_bounded_positivity,
@@ -23,6 +24,7 @@ from specforge.hypotheses import (
     two_point_identity,
 )
 
+import oracles
 from zoo import (
     HIGH,
     LOW,
@@ -132,6 +134,38 @@ class TestGoodBlocks:
         cfg = next(family.space.configurations())
         with pytest.raises(DomainError):
             good_blocks(family, ("s1", "s2"), ("s2",), cfg)
+
+    def test_an_overlap_raises_on_every_call(self):
+        family = independent_family()
+        cfg = next(family.space.configurations())
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"overlap on \['s2'\]"):
+                good_blocks(family, ("s1", "s2"), ("s2",), cfg)
+        assert [key for key in family._cache if key[0] == "good_blocks"] == []
+
+    def test_site_contexts_are_memoised_per_region_and_context_as_given(self, monkeypatch):
+        _, family = anchored_table_family(9)
+        cfgs = list(family.space.configurations())
+        first = [good_blocks(family, ("s3", "s1"), ("s2",), cfg) for cfg in cfgs]
+        regions = []
+        honest_region = Universe.region
+
+        def counted_region(self, sites):
+            regions.append(tuple(sites))
+            return honest_region(self, sites)
+
+        asked = []
+        honest_good = hypotheses.good_symbols
+
+        def counted_good(family, site, context, cfg):
+            asked.append((site, context))
+            return honest_good(family, site, context, cfg)
+
+        monkeypatch.setattr(Universe, "region", counted_region)
+        monkeypatch.setattr(hypotheses, "good_symbols", counted_good)
+        assert [good_blocks(family, ("s3", "s1"), ("s2",), cfg) for cfg in cfgs] == first
+        assert regions == []
+        assert asked == [("s1", ("s3", "s2")), ("s3", ("s1", "s2"))] * len(cfgs)
 
 
 class TestVeryWeakPositivity:
@@ -271,7 +305,9 @@ class TestPointwiseCompatibility:
 
     def test_agrees_with_order_consistency_on_anchored_battery(self):
         # positivity holds by construction here, so the two checks must
-        # return the same verdict on every draw
+        # return the same verdict on every draw; a passing order
+        # consistency settles pointwise compatibility, so the eight-factor
+        # walk of the oracle, on a fresh copy, must agree as well
         agree_false = 0
         agree_true = 0
         for seed in range(15):
@@ -279,6 +315,7 @@ class TestPointwiseCompatibility:
             a = check_order_consistency(family).passed
             b = check_pointwise_compatibility(family).passed
             assert a == b
+            assert oracles.check_pointwise_compatibility(anchored_table_family(seed)[1]).passed == a
             if a:
                 agree_true += 1
             else:

@@ -40,8 +40,10 @@ and several ``verify`` suites ask for it.  The exchange suite and the
 uniqueness probe's self-check read that record: on a passing family
 neither composes a kernel row with another of the same family.
 ``check`` reads bounded positivity's strict identity off the order
-consistency report on a positive family, walking no cell of its own, and
-a ``SingletonFamily`` checks unit mass with one integer line sum per
+consistency report on a positive family, walking no cell of its own;
+it decides order consistency of ``CHAIN5`` one site pair at a time and
+reads pointwise compatibility off it, walking neither per configuration;
+and a ``SingletonFamily`` checks unit mass with one integer line sum per
 site and exterior class, building no extended rational.
 """
 
@@ -586,6 +588,28 @@ def test_check_of_a_positive_family_evaluates_no_strict_identity_cell(
     family = potential_family(1, n_sites=5)[2]
     assert hypotheses.check_bounded_positivity(family).data["strict_identity"] is True
     assert counts["loop"] == 0
+
+
+def test_a_passing_check_walks_no_pair_configuration(tmp_path, monkeypatch, capsys):
+    """Order consistency of ``CHAIN5`` is decided pair by pair, and pointwise
+    compatibility is read off it: neither per-configuration walk runs.  A
+    failing family still takes both walks, which build the witnesses."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
+    calls = Counter()
+    for name in ("_consistency_failures", "_eight_factor_failures"):
+        def counted(*args, name=name, honest=getattr(hypotheses, name)):
+            calls[name] += 1
+            return honest(*args)
+        monkeypatch.setattr(hypotheses, name, counted)
+    assert main(["check", "chain5.model", "--json", "report.json"]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "report.json").read_text()
+    assert '"comparisons": 1280' in report and '"comparisons": 5120' in report
+    assert calls == Counter()
+    assert main(["check", bundled("broken_h2")]) == 1
+    capsys.readouterr()
+    assert calls["_consistency_failures"] > 0 and calls["_eight_factor_failures"] > 0
 
 
 def test_singleton_family_construction_integrates_in_integers(monkeypatch):

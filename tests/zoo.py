@@ -396,6 +396,25 @@ def random_hardcore_family(seed: int) -> SingletonFamily:
     return normalize(space, TableModel(entries))
 
 
+def last_pair_broken_family(n_sites: int = 4) -> SingletonFamily:
+    """Strictly positive sites that cohere on every pair but the last one.
+
+    Every site but the last has density 1 whatever the configuration,
+    and the last site's preference flips with the one before it, as in
+    ``broken_pair_family``; so order consistency fails on the site pair
+    that comes last in universe order, and only there.
+    """
+    space = plain_space(n_sites, ("0", "1"))
+    *_, before, last = space.universe.sites
+
+    def density(site, cfg):
+        if site != last:
+            return Fraction(1)
+        return Fraction(2, 3) if cfg.symbol(site) == cfg.symbol(before) else Fraction(4, 3)
+
+    return SingletonFamily.from_function(space, density)
+
+
 def context_reading(good_points):
     """A good-point table made to read the context's own symbols.
 
