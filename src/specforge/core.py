@@ -489,6 +489,9 @@ class Space:
         missing = [s for s in self.universe if s not in self.free.weights]
         if missing:
             raise DomainError(f"free measure misses sites {missing}")
+        stray = [s for s in self.free.weights if s not in self.universe.sites]
+        if stray:
+            raise DomainError(f"free measure names sites outside the universe {stray}")
         if self.free.alphabet != self.alphabet:
             raise DomainError("free measure alphabet differs from space alphabet")
         q, n = len(self.alphabet), len(self.universe)

@@ -22,10 +22,15 @@ and exhaustively, before any multi-site kernel is assembled:
 
 All verdicts come back as `HypothesisReport` values carrying replayable
 witnesses; nothing is sampled, every index point is enumerated.
-The two-site identities and bounded positivity's strict identity and
-extremes are decided by cross-multiplying integer numerators and
-denominators, over ratio integrals that `Space.ratio_integral` sums in
-integers; a `Fraction` is built only for a witness or a reported bound.
+Order consistency's two-site cells are read once per family, one site
+pair and exterior class off it at a time, into one record
+(`_pair_record`): the order-consistency report at every witness cap and
+bounded positivity's strict identity are read off it, and pointwise
+compatibility off a passing order consistency.  The two-site identities
+and bounded positivity's extremes are decided by cross-multiplying
+integer numerators and denominators, over ratio integrals that
+`Space.ratio_integral` sums in integers; a `Fraction` is built only for
+a witness or a reported bound.
 """
 
 from __future__ import annotations
@@ -406,139 +411,108 @@ def _pair_densities(
     return d_i, d_j
 
 
-def _consistency_failures(
-    family: SingletonFamily, i: Site, j: Site, cfg: Configuration
-) -> tuple[int, dict[tuple[str, str], list[tuple]]]:
-    """Comparison count and failing rows of order consistency on {i, j}.
+def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
+    """Order consistency's two-site cells, once per family:
+    ``(comparisons, failures)``.
 
     Resolving i first to the good symbol x gives, at u = (u_i, u_j),
-    lhs_x = d_i(u) d_j(x, u_j) / (d_i(x, u_j) K_i(x)), with K_i(x) the
+    lhs_x(u) = d_i(u) d_j(x, u_j) / (d_i(x, u_j) K_i(x)), with K_i(x) the
     ratio integral over j of d_j/d_i at i = x; resolving j first to y
-    mirrors it as rhs_y = d_j(u) d_i(u_i, y) / (d_j(u_i, y) K_j(y)).
-    Good sets and integrals depend on ``cfg`` only off {i, j}.
+    mirrors it as rhs_y(u) = d_j(u) d_i(u_i, y) / (d_j(u_i, y) K_j(y)).
+    Good sets and integrals depend on u only off {i, j}, so the cells
+    are read one unordered pair {i, j} and exterior class off it at a
+    time, with the good sets g_i and g_j from `good_symbols` at the
+    class's base index b (both sites on digit 0).  The classes go in the
+    order a walk over every configuration, then pair, first reaches
+    them: by (b, pair position).  In each class every K of a good symbol
+    is read, g_i's then g_j's, through `_checked_ratio_kernel`, so a
+    broken good-set guarantee raises at that walk's integral, with its
+    text.
 
-    Each side is compared as one integer numerator over one integer
-    denominator, with lhs_x == rhs_y iff num(lhs_x) den(rhs_y) ==
-    num(rhs_y) den(lhs_x).  That needs both denominators nonzero, and
-    they are positive: every `Fraction` denominator is; x is good for i
-    against {j}, so d_i(x, .) > 0 along j's whole line; y is good for j
-    against {i}, so d_j(., y) > 0 along i's whole line; and K is guarded
-    to lie in (0, inf).  A `Fraction` is built only for a failing row.
-    Failing rows ``(x_i, x_j, lhs, rhs)`` are keyed by (u_i, u_j), x-major.
-    """
-    gi = good_symbols(family, i, (j,), cfg)
-    gj = good_symbols(family, j, (i,), cfg)
-    where = "order consistency"
-    alphabet = family.space.alphabet.symbols
-    d_i, d_j = _pair_densities(family, i, j, cfg)
-    # per u_j, (x, d_j(x, u_j) / (d_i(x, u_j) K_i(x))) for each good x; mirrored per u_i
-    factor_i: dict[str, list] = {u: [] for u in alphabet}
-    for x in gi:
-        k = _checked_ratio_kernel(family, j, i, cfg.with_sites({i: x}), where)
-        for u in alphabet:
-            (n_j, m_j), (n_i, m_i) = d_j[(x, u)], d_i[(x, u)]
-            factor_i[u].append((x, n_j * m_i * k.denominator, m_j * n_i * k.numerator))
-    factor_j: dict[str, list] = {u: [] for u in alphabet}
-    for y in gj:
-        k = _checked_ratio_kernel(family, i, j, cfg.with_sites({j: y}), where)
-        for u in alphabet:
-            (n_i, m_i), (n_j, m_j) = d_i[(u, y)], d_j[(u, y)]
-            factor_j[u].append((y, n_i * m_j * k.denominator, m_i * n_j * k.numerator))
-    failures = {}
-    for (u_i, u_j), (a_num, a_den) in d_i.items():
-        b_num, b_den = d_j[(u_i, u_j)]
-        lhs = [(x, a_num * num, a_den * den) for x, num, den in factor_i[u_j]]
-        rhs = [(y, b_num * num, b_den * den) for y, num, den in factor_j[u_i]]
-        failures[(u_i, u_j)] = [
-            (x, y, Fraction(l_num, l_den), Fraction(r_num, r_den))
-            for x, l_num, l_den in lhs for y, r_num, r_den in rhs
-            if l_num * r_den != r_num * l_den]
-    return len(gi) * len(gj), failures
-
-
-def _resolution_factor(family: SingletonFamily, ratios: dict, own: Site, other: Site,
-                       base: int, good: list[int]) -> list[tuple[int, int]] | None:
-    """P(u) = d_other / (d_own K(x)) at ``own`` = x, ``other`` = u, for the
-    first good digit x of ``own`` and every digit u of ``other``, as
-    integer pairs, at the exterior class off {own, other} of index
-    ``base``; None if K(g) is outside (0, inf) for some good digit g.
-
-    d is read from ``ratios``, each site's table as integer pairs; K(g)
-    is the ratio integral over ``other`` of d_other/d_own at ``own`` = g,
-    read through the family's memo under the key `_checked_ratio_kernel`
-    uses.  K(g) in (0, inf) forces d_own(g, u) > 0 for every u on
-    ``other``'s line, good sets or not: where d_own(g, u) = 0,
-    `Space.ratio_integral` is undefined (a 0/0 point, or an infinite
-    ratio on a zero free weight) or infinite, and the guarded memo reads
-    None.  So every denominator here is positive.
-    """
-    space = family.space
-    s_own, s_other = space.strides((own, other))
-    integrals = [family.ratio_integral((other,), (own,), space.at(base + g * s_own))
-                 for g in good]
-    if any(k is None for k in integrals):
-        return None
-    k_num, k_den = integrals[0].as_integer_ratio()
-    d_own, d_other = ratios[own], ratios[other]
-    row = base + good[0] * s_own
-    return [(d_other[p][0] * d_own[p][1] * k_den, d_other[p][1] * d_own[p][0] * k_num)
-            for p in range(row, row + len(space.alphabet) * s_other, s_other)]
-
-
-def _consistency_comparisons(family: SingletonFamily) -> int | None:
-    """The comparison count of a passing order consistency, or None.
-
-    One unordered pair {i, j} at a time, at each exterior class off
-    {i, j} with base index b (both sites on digit 0), the good sets g_i
-    and g_j come from `good_symbols`.  Write a(s, t) and c(s, t) for d_i
-    and d_j with i = s, j = t.  The cells of `_consistency_failures` are
+    Write a(s, t) and c(s, t) for d_i and d_j with i = s, j = t, so that
     lhs_x(u) = a(u) P_x(u_j) and rhs_y(u) = c(u) Q_y(u_i), with P_x =
     c(x, .) / (a(x, .) K_i(x)) and Q_y = a(., y) / (c(., y) K_j(y)).
+    K_i(x) in (0, inf) forces a(x, v) > 0 for every v, good sets or not:
+    where a(x, v) = 0, `Space.ratio_integral` is undefined (a 0/0 point,
+    or an infinite ratio on a zero free weight) or infinite, and the
+    guard raises.  Mirrored, c(., y) > 0.  So each side is one integer
+    numerator over one positive integer denominator, read off the tables
+    as integer pairs, and lhs == rhs iff num(lhs) den(rhs) == num(rhs)
+    den(lhs).  A `Fraction` is built only for a failing cell.
 
-    Once every K of a good symbol lies in (0, inf), which makes a(x, .)
-    and c(., y) positive (`_resolution_factor`), the q² cells of the
-    first good pair (x0, y0) decide all the others.  By the definition
-    of K_i(x0), Σ_v w_j(v) P_x0(v) = 1.  The cell (u = (x, v), x0, y0)
-    reads a(x, v) P_x0(v) = c(x, v) Q_y0(x), with Q_y0(x) > 0, so c(x, .)
-    / a(x, .) = P_x0 / Q_y0(x).  Then K_i(x) = Σ_v w_j(v) c(x, v) / a(x,
-    v) = 1 / Q_y0(x), and P_x = P_x0.  Mirrored, the cells (u = (v, y),
-    x0, y0) give Q_y = Q_y0, since P_x0(y) > 0.  So every lhs_x(u) equals
+    The q² cells of the first good pair (x0, y0) decide the class.  By
+    the definition of K_i(x0), Σ_v w_j(v) P_x0(v) = 1.  The cell
+    (u = (x, v), x0, y0) reads a(x, v) P_x0(v) = c(x, v) Q_y0(x), with
+    Q_y0(x) > 0, so c(x, .) / a(x, .) = P_x0 / Q_y0(x).  Then K_i(x) =
+    Σ_v w_j(v) c(x, v) / a(x, v) = 1 / Q_y0(x), and P_x = P_x0.
+    Mirrored, the cells (u = (v, y), x0, y0) give Q_y = Q_y0, since
+    P_x0(y) > 0.  So when those q² cells hold, every lhs_x(u) equals
     lhs_x0(u), every rhs_y(u) equals rhs_y0(u), and those two are equal.
+    Only when one of them fails are all cells of the class compared.
 
-    So the pass reads every K of a good symbol, compares the q² cells
-    of (x0, y0) as cross-multiplied integers and, if they all pass,
-    reports the walk's count: Σ over pairs and classes of
-    q²·|g_i|·|g_j|.  At the first failing cell, or the first K outside
-    (0, inf), it returns None, and the caller walks every configuration
-    to collect the failures or raise the walk's error.
+    ``comparisons`` is Σ over pairs and classes of q²·|g_i|·|g_j|, the
+    cells of a walk over every configuration and pair.  ``failures``
+    lists each failing cell ``(index, i, j, x, y, lhs, rhs)``, with u
+    the configuration of ``index``, in configuration order, then pair
+    order, x-major: that walk's order.  Memoised on the family; an error
+    leaves no entry, so it raises on every call.
     """
-    space = family.space
-    q = len(space.alphabet)
-    digit = {s: d for d, s in enumerate(space.alphabet.symbols)}
-    ratios = {site: [value.as_integer_ratio() for value in family._tables[(site,)]]
-              for site in space.universe.sites}
-    comparisons = 0
-    for i, j in itertools.combinations(space.universe.sites, 2):
-        s_i, s_j = space.strides((i, j))
-        d_i, d_j = ratios[i], ratios[j]
-        for cfg in space.exterior_classes((i, j)):
-            b = cfg.index
-            gi = [digit[x] for x in good_symbols(family, i, (j,), cfg)]
-            gj = [digit[y] for y in good_symbols(family, j, (i,), cfg)]
-            if not (gi and gj):
-                continue
-            p_x0 = _resolution_factor(family, ratios, i, j, b, gi)
-            q_y0 = None if p_x0 is None else _resolution_factor(family, ratios, j, i, b, gj)
-            if q_y0 is None:
-                return None
-            for u_i, (q_num, q_den) in enumerate(q_y0):
-                for u_j, (p_num, p_den) in enumerate(p_x0):
+    def compute() -> tuple[int, list[tuple]]:
+        space = family.space
+        q = len(space.alphabet)
+        digit = {s: d for d, s in enumerate(space.alphabet.symbols)}
+        ratios = {site: [value.as_integer_ratio() for value in family._tables[(site,)]]
+                  for site in space.universe.sites}
+        pairs = list(itertools.combinations(space.universe.sites, 2))
+        rank = {pair: pos for pos, pair in enumerate(pairs)}
+
+        def resolution(d_own: list, d_other: list, row: int, stride: int,
+                       k: Fraction) -> list[tuple[int, int]]:
+            """d_other / (d_own K) from index ``row`` along the line of
+            stride ``stride``, as integer pairs."""
+            k_num, k_den = k.as_integer_ratio()
+            return [(d_other[p][0] * d_own[p][1] * k_den, d_other[p][1] * d_own[p][0] * k_num)
+                    for p in range(row, row + q * stride, stride)]
+
+        def failing(i: Site, j: Site, b: int, g_i: list, g_j: list):
+            """The failing cells of the class off {i, j} at ``b`` with x, y
+            from the ``(symbol, K)`` lists ``g_i``, ``g_j``, in u then x
+            then y order."""
+            s_i, s_j = space.strides((i, j))
+            d_i, d_j = ratios[i], ratios[j]
+            p_x = [(x, resolution(d_i, d_j, b + digit[x] * s_i, s_j, k)) for x, k in g_i]
+            q_y = [(y, resolution(d_j, d_i, b + digit[y] * s_j, s_i, k)) for y, k in g_j]
+            for u_i in range(q):
+                for u_j in range(q):
                     p = b + u_i * s_i + u_j * s_j
                     (a_num, a_den), (c_num, c_den) = d_i[p], d_j[p]
-                    if a_num * p_num * c_den * q_den != c_num * q_num * a_den * p_den:
-                        return None
-            comparisons += q * q * len(gi) * len(gj)
-    return comparisons
+                    for x, factor in p_x:
+                        l_num, l_den = a_num * factor[u_j][0], a_den * factor[u_j][1]
+                        for y, mirror in q_y:
+                            r_num, r_den = c_num * mirror[u_i][0], c_den * mirror[u_i][1]
+                            if l_num * r_den != r_num * l_den:
+                                yield (p, i, j, x, y, Fraction(l_num, l_den),
+                                       Fraction(r_num, r_den))
+
+        comparisons = 0
+        failures: list[tuple] = []
+        for b, pos in sorted((cfg.index, pos) for pos, pair in enumerate(pairs)
+                             for cfg in space.exterior_classes(pair)):
+            i, j = pairs[pos]
+            s_i, s_j = space.strides((i, j))
+            cfg = space.at(b)
+            good_i, good_j = good_symbols(family, i, (j,), cfg), good_symbols(family, j, (i,), cfg)
+            g_i = [(x, _checked_ratio_kernel(family, j, i, space.at(b + digit[x] * s_i),
+                                             "order consistency")) for x in good_i]
+            g_j = [(y, _checked_ratio_kernel(family, i, j, space.at(b + digit[y] * s_j),
+                                             "order consistency")) for y in good_j]
+            comparisons += q * q * len(g_i) * len(g_j)
+            if any(failing(i, j, b, g_i[:1], g_j[:1])):
+                failures.extend(failing(i, j, b, g_i, g_j))
+        failures.sort(key=lambda cell: (cell[0], rank[cell[1], cell[2]]))
+        return comparisons, failures
+
+    return family.cached(("pair_record",), compute)
 
 
 def check_order_consistency(
@@ -550,19 +524,16 @@ def check_order_consistency(
     every pair of good symbols (one per site, each against the other
     site as context), the two resolution orders are compared exactly.
     The identity is literally symmetric under swapping the pair, so each
-    unordered pair is checked once, each side once per pair, exterior
-    class off the pair and value of the pair.  Sides are compared by
-    integer cross-multiplication (`_consistency_failures` proves every
-    denominator positive), and each ratio integral is read from the
-    family's memo (`SingletonFamily.raw_ratio_integral`), which
-    `check_bounded_positivity` reads too.  Requires very weak positivity;
-    if that fails, raises HypothesisFailure carrying its report.
+    unordered pair is checked once.  Requires very weak positivity; if
+    that fails, raises HypothesisFailure carrying its report.
 
-    A passing family is decided one site pair at a time
-    (`_consistency_comparisons`), with the count in closed form.  Only
-    when that pass meets a failing cell, or an integral outside (0, inf),
-    does the check walk every configuration and pair, which builds the
-    witnesses and raises the walk's error in configuration order.
+    The count, the failing cells and the raised error are those of the
+    family's `_pair_record`, which decides each pair and exterior class
+    off it from the q² cells of one pair of good symbols and compares
+    every cell only where one of those fails.  Each ratio integral is
+    read from the family's memo (`SingletonFamily.raw_ratio_integral`),
+    which `check_bounded_positivity` reads too, and bounded positivity
+    reads its strict identity off the same record.
 
     Memoised on the family per ``witness_cap``, like the positivity
     report it reads first; a raised HypothesisFailure is not memoised.
@@ -574,33 +545,23 @@ def check_order_consistency(
                 "order consistency needs very weak positivity, which fails "
                 f"at {len(h1.witnesses)} witnessed index points", report=h1,
             )
+        comparisons, failures = _pair_record(family)
         report = HypothesisReport(name="order_consistency", passed=True)
-        comparisons = _consistency_comparisons(family)
-        if comparisons is not None:
-            report.data = {"comparisons": comparisons, "violations": 0}
-            return report
-        checked = 0
-        violations = 0
-        for cfg, i, j, (count, failures) in _per_pair_class(
-                family, _consistency_failures):
-            checked += count
-            for x, y, lhs, rhs in failures.get(
-                    (cfg.symbol(i), cfg.symbol(j)), ()):
-                violations += 1
-                report.fail(witness_cap, lambda: Witness(
-                    check="order_consistency",
-                    description=(
-                        f"resolving {i!r} then {j!r} differs "
-                        f"from {j!r} then {i!r}"
-                    ),
-                    replay=_replay_point(
-                        cfg,
-                        site_first=str(i), site_second=str(j),
-                        symbol_first=x, symbol_second=y,
-                    ),
-                    lhs=str(lhs), rhs=str(rhs),
-                ))
-        report.data = {"comparisons": checked, "violations": violations}
+        for index, i, j, x, y, lhs, rhs in failures:
+            report.fail(witness_cap, lambda: Witness(
+                check="order_consistency",
+                description=(
+                    f"resolving {i!r} then {j!r} differs "
+                    f"from {j!r} then {i!r}"
+                ),
+                replay=_replay_point(
+                    family.space.at(index),
+                    site_first=str(i), site_second=str(j),
+                    symbol_first=x, symbol_second=y,
+                ),
+                lhs=str(lhs), rhs=str(rhs),
+            ))
+        report.data = {"comparisons": comparisons, "violations": len(failures)}
         return report
 
     return family.cached(("order_consistency", witness_cap), compute)
@@ -654,12 +615,12 @@ def check_pointwise_compatibility(
     Order consistency implies the identity cell by cell.  Write d for
     densities at the configuration with i and j rewritten, u = (u_i,
     u_j), x good for i and y good for j, and K_i(x), K_j(y) for the
-    ratio integrals of `_consistency_failures`.  Order consistency at the
+    ratio integrals of `_pair_record`.  Order consistency at the
     cell (u = (x, y), x, y) reads d_j(x,y) / K_i(x) = d_i(x,y) / K_j(y),
     that is d_j(x,y) K_j(y) = d_i(x,y) K_i(x).  A passing order
     consistency has read both integrals inside (0, inf), which makes
     d_i(x, .) positive along j's line and d_j(., y) along i's line
-    (`_resolution_factor`), good sets or not.  At the cell
+    (`_pair_record`), good sets or not.  At the cell
     (u, x, y) it reads d_i(u) d_j(x,u_j) d_j(u_i,y) K_j(y) = d_j(u)
     d_i(u_i,y) d_i(x,u_j) K_i(x), once both sides are multiplied by
     their positive divisors.  Put K_i(x) = d_j(x,y) K_j(y) / d_i(x,y),
@@ -821,44 +782,6 @@ def check_uniqueness_condition(
     return family.cached(("uniqueness_condition", witness_cap), compute)
 
 
-def _strict_identity(family: SingletonFamily, report: HypothesisReport,
-                     witness_cap: int) -> bool:
-    """Does density(i)/integral(i against j) == density(j)/integral(j
-    against i) hold at every configuration and pair i < j?  Failures are
-    added to ``report`` as witnesses.
-
-    Every ratio integral must lie in (0, inf), as the bounds make it.
-    Then d_i/I_ji == d_j/I_ij iff num(d_i) den(I_ji) den(d_j) num(I_ij)
-    == num(d_j) den(I_ij) den(d_i) num(I_ji), every factor of either
-    divisor being positive.
-    """
-    space = family.space
-    sites = space.universe.sites
-    strict = True
-    for cfg in space.configurations():
-        for a_pos, i in enumerate(sites):
-            d_i = family.density(i, cfg)
-            for j in sites[a_pos + 1:]:
-                d_j = family.density(j, cfg)
-                int_ij = family.ratio_integral((j,), (i,), cfg)
-                int_ji = family.ratio_integral((i,), (j,), cfg)
-                if (d_i.numerator * int_ji.denominator * d_j.denominator * int_ij.numerator
-                        != d_j.numerator * int_ij.denominator * d_i.denominator * int_ji.numerator):
-                    strict = False
-                    report.add_witness(witness_cap, lambda: Witness(
-                        check="strict_identity",
-                        description=(
-                            f"pointwise density/integral identity "
-                            f"fails on pair ({i!r}, {j!r})"
-                        ),
-                        replay=_replay_point(
-                            cfg, site=str(i), other=str(j),
-                        ),
-                        lhs=str(d_i / int_ji), rhs=str(d_j / int_ij),
-                    ))
-    return strict
-
-
 def check_bounded_positivity(
     family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
@@ -879,22 +802,20 @@ def check_bounded_positivity(
     integer pairs and compared cross-multiplied; denominators are
     positive.
 
-    The strict identity is read off order consistency when that passes.
+    The strict identity is read off order consistency's `_pair_record`.
     With n ≥ 2 sites, passing bounds make every density positive: a zero
     of density(i) at σ makes the integral of any j against i undefined
     or infinite at σ's class off j.  So every good set is the whole
-    alphabet, very weak positivity holds, and `check_order_consistency`
-    compares, at every configuration u and pair i < j, the cell x = u_i,
-    y = u_j.  There K_i(u_i) = I_ij(u) and K_j(u_j) = I_ji(u), so
-    lhs_x = d_i(u) d_j(u) / (d_i(u) I_ij(u)) = d_j(u)/I_ij(u) and
-    rhs_y = d_i(u)/I_ji(u): that cell is the strict identity at (u, i, j).
-    With n = 1 there is no pair, the identity holds vacuously, and order
-    consistency passes too: unit mass keeps the one site's density
-    positive on some symbol of each class, so its good sets are nonempty
-    and there is no pair to compare.  So when the memoised order
-    consistency report passes, the identity holds and no cell is
-    evaluated; otherwise `_strict_identity` walks every cell, with its
-    witnesses.
+    alphabet, and the record holds, at every configuration u and pair
+    i < j, the cell x = u_i, y = u_j.  There K_i(u_i) = I_ij(u) and
+    K_j(u_j) = I_ji(u), the integrals of j against i and of i against
+    j, so lhs_x = d_i(u) d_j(u) / (d_i(u) I_ij(u)) = d_j(u)/I_ij(u) and
+    rhs_y = d_i(u)/I_ji(u): that cell is the strict identity at
+    (u, i, j), with its two sides swapped.  The identity fails exactly at
+    those diagonal cells of the record's failures, and its witnesses
+    are theirs, in record order.  With n = 1 there is no pair, and the
+    identity holds vacuously.  No density is read here, and on a family
+    whose order consistency has run, no cell is compared afresh.
     """
     space = family.space
     sites = space.universe.sites
@@ -934,7 +855,22 @@ def check_bounded_positivity(
             }
     strict: bool | None = None
     if report.passed:
-        strict = (check_order_consistency(family).passed
-                  or _strict_identity(family, report, witness_cap))
+        strict = True
+        for index, i, j, x, y, lhs, rhs in _pair_record(family)[1]:
+            cfg = space.at(index)
+            if (x, y) != (cfg.symbol(i), cfg.symbol(j)):
+                continue
+            strict = False
+            report.add_witness(witness_cap, lambda: Witness(
+                check="strict_identity",
+                description=(
+                    f"pointwise density/integral identity "
+                    f"fails on pair ({i!r}, {j!r})"
+                ),
+                replay=_replay_point(
+                    cfg, site=str(i), other=str(j),
+                ),
+                lhs=str(rhs), rhs=str(lhs),
+            ))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report

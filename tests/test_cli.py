@@ -5,6 +5,7 @@ import importlib
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ EXTRACTED_JOINT = {
 
 def read_rho(path) -> list[tuple[str, tuple[str, ...], str, Fraction]]:
     records = []
-    for line in open(path, encoding="utf-8"):
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
             continue
         region, assignment, tail, value = line.split()
@@ -294,7 +295,7 @@ class TestCheckCommand:
         report = json.loads(report_path.read_text())
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["tool"] == "specforge"
-        digest = hashlib.sha256(open(INDEPENDENT, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(INDEPENDENT).read_bytes()).hexdigest()
         assert report["model"]["sha256"] == digest
         assert [s["name"] for s in report["suites"]] == [
             "very_weak_positivity", "order_consistency",
@@ -486,7 +487,7 @@ class TestReplayCommand:
 
     def test_changed_model_is_refused(self, capsys, tmp_path):
         model = tmp_path / "copy.model"
-        model.write_text(open(BROKEN_H2, encoding="utf-8").read())
+        model.write_text(Path(BROKEN_H2).read_text(encoding="utf-8"))
         report_path = tmp_path / "report.json"
         main(["check", str(model), "--json", str(report_path)])
         model.write_text(model.read_text() + "\n# edited\n")

@@ -164,6 +164,17 @@ class TestValidation:
         lopsided = FreeMeasure(alphabet, {"i": {"a": Fraction(1), "b": Fraction(2)}})
         assert not lopsided.is_normalized
 
+    def test_space_rejects_free_weights_outside_its_universe(self):
+        """A stray site's weights would count in `is_normalized` and turn
+        the measure suites off for a window that does not hold it."""
+        alphabet = Alphabet(("a", "b"))
+        weights = {s: {"a": Fraction(1, 2), "b": Fraction(1, 2)} for s in ("s1", "s2")}
+        weights["s9"] = {"a": Fraction(1), "b": Fraction(1)}
+        free = FreeMeasure(alphabet, weights)
+        assert not free.is_normalized
+        with pytest.raises(DomainError, match=r"outside the universe \['s9'\]"):
+            Space(alphabet, Universe(("s1", "s2")), free)
+
     def test_configuration_requires_total_assignment(self):
         space = two_site_space()
         with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ have zero weights; error messages must be equal where unit mass fails.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -218,40 +219,60 @@ def test_ratio_bounds_equal_the_fraction_oracle(name):
 
 
 @pytest.fixture
-def strict_loops(monkeypatch) -> list:
-    """Counts runs of the strict-identity loop of bounded positivity."""
-    runs = []
-    honest = hypotheses._strict_identity
+def pair_reads(monkeypatch) -> Counter:
+    """Counts singleton-family memo misses by key kind, so computations of
+    order consistency's ``"pair_record"``, and ``"density"`` reads."""
+    counts: Counter = Counter()
+    honest_cached, honest_density = SingletonFamily.cached, SingletonFamily.density
 
-    def counted(*args):
-        runs.append(args[0])
-        return honest(*args)
+    def counted_cached(self, key, compute):
+        def counted():
+            counts[key[0]] += 1
+            return compute()
+        return honest_cached(self, key, counted)
 
-    monkeypatch.setattr(hypotheses, "_strict_identity", counted)
-    return runs
+    def counted_density(self, *args):
+        counts["density"] += 1
+        return honest_density(self, *args)
+
+    monkeypatch.setattr(SingletonFamily, "cached", counted_cached)
+    monkeypatch.setattr(SingletonFamily, "density", counted_density)
+    return counts
 
 
-def test_broken_pair_runs_the_strict_loop(strict_loops):
-    """Bounds pass and order consistency fails, so every cell is walked,
-    with the oracle's witnesses at every cap."""
+def bounded(reads: Counter, fam, cap: int = hypotheses.WITNESS_CAP):
+    """The outcome of `check_bounded_positivity`, which reads no density."""
+    read = reads["density"]
+    report = outcome(check_bounded_positivity, fam, cap)
+    assert reads["density"] == read
+    return report
+
+
+def test_broken_pair_reads_its_strict_witnesses_off_the_record(pair_reads):
+    """Bounds pass and order consistency fails, so the strict identity
+    fails at the diagonal cells of order consistency's record, with the
+    oracle's witnesses at every cap, and the record is computed once per
+    family."""
     for cap in CAPS:
         fam = zoo.broken_pair_family()
         assert not check_order_consistency(fam).passed
-        report = outcome(check_bounded_positivity, fam, cap)
+        report = bounded(pair_reads, fam, cap)
         assert report == outcome(oracles.check_bounded_positivity, fam, cap), cap
         assert report["passed"] and report["data"]["strict_identity"] is False
         strict = [w for w in report["witnesses"] if w["check"] == "strict_identity"]
         assert len(strict) == min(cap, 4)
-    assert len(strict_loops) == len(CAPS)
+    assert pair_reads["pair_record"] == len(CAPS)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_strict_identity_is_read_off_a_passing_order_consistency(name, strict_loops):
+def test_strict_identity_is_read_off_a_passing_order_consistency(name, pair_reads):
     fam = FAMILIES[name]()
-    report = check_bounded_positivity(fam)
-    assert report.as_dict() == oracles.check_bounded_positivity(fam).as_dict()
-    if report.passed and check_order_consistency(fam).passed:
-        assert report.data["strict_identity"] is True and strict_loops == []
+    report = bounded(pair_reads, fam)
+    assert report == oracles.check_bounded_positivity(fam).as_dict()
+    if report["passed"]:
+        if check_order_consistency(fam).passed:
+            assert report["data"]["strict_identity"] is True
+        assert pair_reads["pair_record"] == 1
 
 
 def one_site_family(weights) -> SingletonFamily:
@@ -264,13 +285,13 @@ def one_site_family(weights) -> SingletonFamily:
 
 @pytest.mark.parametrize("weights", [{"a": 1, "b": 2}, {"a": 1, "b": 0}],
                          ids=["positive", "zero_density"])
-def test_one_site_identity_holds_vacuously(weights, strict_loops):
+def test_one_site_identity_holds_vacuously(weights, pair_reads):
     """No pair: the bounds pass, order consistency passes with no
-    comparison, and the identity holds without a loop."""
+    comparison, and the identity holds, read off the same empty record."""
     fam = one_site_family(weights)
     order = check_order_consistency(fam)
     assert order.passed and order.data["comparisons"] == 0
-    report = check_bounded_positivity(fam)
-    assert report.as_dict() == oracles.check_bounded_positivity(fam).as_dict()
-    assert report.passed and report.data == {"bounds": {}, "strict_identity": True}
-    assert strict_loops == []
+    report = bounded(pair_reads, fam)
+    assert report == oracles.check_bounded_positivity(fam).as_dict()
+    assert report["passed"] and report["data"] == {"bounds": {}, "strict_identity": True}
+    assert pair_reads["pair_record"] == 1

@@ -1,20 +1,22 @@
-"""The pair-by-pair pass of order consistency, and pointwise compatibility
-read off it, against the configuration-by-configuration walks.
+"""Order consistency's pair record, and the gates read off it, against the
+configuration-by-configuration walks.
 
-``check_order_consistency`` decides a passing family one site pair at a
-time (``hypotheses._consistency_comparisons``) and reports its count in
-closed form; only a failing cell, or a ratio integral outside (0, inf),
-sends it to the walk that builds witnesses.  ``check_pointwise_compatibility``
-passes with q² times that count when very weak positivity and order
-consistency pass.  Both reports must equal the oracles in ``oracles.py``
-at caps 0, 1 and 25: on the zoo families, zero-table seeds 15 and 28,
-hard-core draws and families that fail only at their last site pair,
-with pointwise compatibility run after order consistency on the same
-family (as ``check`` runs them) and alone on a fresh one.  The pass
-must return a count exactly when the oracle passes, and wherever order
-consistency passes the oracle's eight-factor walk must pass with q²
-times its count, so the read-off is held to a walk that does not read
-order consistency.
+``hypotheses._pair_record`` reads order consistency's cells one site pair
+and exterior class at a time, decides each class from the cells of one
+pair of good symbols, and lists every failing cell only where one of
+those fails.  ``check_order_consistency`` builds its report from it,
+``check_bounded_positivity`` reads its strict identity off it, and
+``check_pointwise_compatibility`` passes with q² times its count when
+very weak positivity and order consistency pass.  The reports must equal
+the oracles in ``oracles.py`` at caps 0, 1 and 25: on the zoo families,
+zero-table seeds 15 and 28, hard-core draws and families that fail only
+at their last site pair, with pointwise compatibility run after order
+consistency on the same family (as ``check`` runs them) and alone on a
+fresh one; on the failing families, at a cap past every witness too.
+The record's count must be the oracle's, its failures empty exactly when
+the oracle passes, and wherever order consistency passes the oracle's
+eight-factor walk must pass with q² times its count, so the read-off is
+held to a walk that does not read order consistency.
 """
 
 import itertools
@@ -52,16 +54,14 @@ def test_both_gates_equal_their_oracles(name):
                 == expected), cap
 
 
-def assert_pass_counts_the_passing_family(family, fresh_family):
+def assert_record_counts_the_walk(family, fresh_family):
     expected = outcome(oracles.check_order_consistency, fresh_family)
     if not hypotheses.check_very_weak_positivity(family).passed:
         assert expected[:2] == ("raised", "HypothesisFailure")
         return
-    count = hypotheses._consistency_comparisons(family)
-    if expected["passed"]:
-        assert count == expected["data"]["comparisons"]
-    else:
-        assert count is None
+    count, failures = hypotheses._pair_record(family)
+    assert count == expected["data"]["comparisons"]
+    assert (failures == []) == expected["passed"]
 
 
 def assert_eight_factor_walk_passes(family, fresh_family):
@@ -80,8 +80,8 @@ def assert_eight_factor_walk_passes(family, fresh_family):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_pass_counts_exactly_the_passing_families(name):
-    assert_pass_counts_the_passing_family(FAMILIES[name](), FAMILIES[name]())
+def test_record_counts_the_walk_and_fails_exactly_with_it(name):
+    assert_record_counts_the_walk(FAMILIES[name](), FAMILIES[name]())
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -89,18 +89,39 @@ def test_eight_factor_walk_passes_wherever_order_consistency_passes(name):
     assert_eight_factor_walk_passes(FAMILIES[name](), FAMILIES[name]())
 
 
+FAILING = ("anchored_table_5", "anchored_table_6_n4", "broken_pair", "forced_exclusion",
+           "last_pair_broken_3", "last_pair_broken_4", "one_sided_hardcore_3")
+ALL_WITNESSES = 10_000
+
+
 def test_the_battery_holds_passing_and_failing_families():
-    verdicts = set()
-    for build in FAMILIES.values():
+    verdicts = {}
+    for name, build in FAMILIES.items():
         try:
-            verdicts.add(hypotheses.check_order_consistency(build()).passed)
+            verdicts[name] = hypotheses.check_order_consistency(build()).passed
         except hypotheses.HypothesisFailure:
-            verdicts.add("raised")
-    assert verdicts == {True, False, "raised"}
+            verdicts[name] = "raised"
+    assert set(verdicts.values()) == {True, False, "raised"}
+    assert sorted(name for name, verdict in verdicts.items() if verdict is False) == list(FAILING)
+
+
+def assert_all_witnesses_equal_the_oracles(build):
+    """Every witness of both record readers, in the walks' order."""
+    for run, walk in ((hypotheses.check_order_consistency, oracles.check_order_consistency),
+                      (hypotheses.check_bounded_positivity, oracles.check_bounded_positivity)):
+        assert outcome(run, build(), ALL_WITNESSES) == outcome(walk, build(), ALL_WITNESSES)
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_failing_families_list_every_witness_in_walk_order(name):
+    family = FAMILIES[name]()
+    report = hypotheses.check_order_consistency(family, ALL_WITNESSES)
+    assert len(report.witnesses) == report.data["violations"] > 0
+    assert_all_witnesses_equal_the_oracles(FAMILIES[name])
 
 
 @pytest.mark.parametrize("n_sites", [3, 4])
-def test_the_pass_reaches_the_last_pair_before_it_fails(n_sites, monkeypatch):
+def test_the_record_reaches_the_last_pair_and_fails_only_there(n_sites, monkeypatch):
     family = zoo.last_pair_broken_family(n_sites)
     assert hypotheses.check_very_weak_positivity(family).passed
     asked = set()
@@ -111,13 +132,47 @@ def test_the_pass_reaches_the_last_pair_before_it_fails(n_sites, monkeypatch):
         return honest(family, site, context, cfg)
 
     monkeypatch.setattr(hypotheses, "good_symbols", recorded)
-    assert hypotheses._consistency_comparisons(family) is None
+    failures = hypotheses._pair_record(family)[1]
     pairs = list(itertools.combinations(family.space.universe.sites, 2))
     assert asked == {(i, (j,)) for i, j in pairs} | {(j, (i,)) for i, j in pairs}
+    assert failures and {(i, j) for _, i, j, *_ in failures} == {pairs[-1]}
     report = hypotheses.check_order_consistency(family)
     assert not report.passed
     assert {(w.replay["site_first"], w.replay["site_second"])
             for w in report.witnesses} == {pairs[-1]}
+
+
+def broken_guarantee(*cases):
+    """`good_symbols` with every symbol good for the given (site, context,
+    smallest class index off both) cases."""
+    honest = hypotheses.good_symbols
+
+    def patched(family, site, context, cfg):
+        context = tuple(context)
+        space = family.space
+        for c_site, c_context, first in cases:
+            if (site, context) == (c_site, c_context) and space.class_index(
+                    cfg, (site,) + context) >= first:
+                return space.alphabet.symbols
+        return honest(family, site, context, cfg)
+
+    return patched
+
+
+@pytest.mark.parametrize("cases, named", [
+    ((("s1", ("s2",), 1),), "over 's2' of 's2'/'s1'"),
+    ((("s1", ("s2",), 1), ("s3", ("s2",), 0)), "over 's2' of 's2'/'s3'"),
+], ids=["first_pair_alone", "later_pair_breaks_at_an_earlier_class"])
+def test_a_broken_guarantee_raises_where_the_walk_does(cases, named, monkeypatch):
+    """Pair (s1, s2) breaks only at its second class; (s2, s3), a later
+    pair, breaks at its first, which a walk over configurations reaches
+    first.  The raised text is the walk's either way."""
+    monkeypatch.setattr(hypotheses, "good_symbols", broken_guarantee(*cases))
+    for cap in CAPS:
+        expected = outcome(oracles.check_order_consistency, zoo.hardcore_family(3), cap)
+        assert expected[:2] == ("raised", "HypothesisFailure")
+        assert named in expected[2] and "good-set guarantee violated" in expected[2]
+        assert outcome(hypotheses.check_order_consistency, zoo.hardcore_family(3), cap) == expected
 
 
 DRAWS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -134,5 +189,8 @@ def test_drawn_families_agree_with_the_walks(seed, builder, pick):
         family = BUILDERS[builder](seed)
         return family if pick is None else zoo.doubled_entry(family, pick)
 
-    assert_pass_counts_the_passing_family(draw(), draw())
+    assert_record_counts_the_walk(draw(), draw())
     assert_eight_factor_walk_passes(draw(), draw())
+    assert_all_witnesses_equal_the_oracles(draw)
+    assert (outcome(hypotheses.check_pointwise_compatibility, draw())
+            == outcome(oracles.check_pointwise_compatibility, draw()))

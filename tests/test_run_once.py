@@ -549,20 +549,37 @@ def test_construct_and_verify_callers_share_one_axiom_report(
     assert compositions["axiom_record"] == compositions["specification_axioms"] == 1
 
 
+@pytest.fixture
+def pair_records(monkeypatch) -> list:
+    """The failing cells of each order-consistency pair record a singleton
+    family computes, one list per computation."""
+    records = []
+    honest_cached = SingletonFamily.cached
+
+    def counted_cached(self, key, compute):
+        if key[0] != "pair_record":
+            return honest_cached(self, key, compute)
+
+        def counted():
+            record = compute()
+            records.append(record[1])
+            return record
+        return honest_cached(self, key, counted)
+
+    monkeypatch.setattr(SingletonFamily, "cached", counted_cached)
+    return records
+
+
 def test_check_of_a_positive_family_evaluates_no_strict_identity_cell(
-        tmp_path, monkeypatch, capsys):
-    """Order consistency passes on a positive family, so bounded positivity
-    reads its strict identity off that report: no loop, no density read."""
+        pair_records, tmp_path, monkeypatch, capsys):
+    """Bounded positivity reads its strict identity off order consistency's
+    pair record: the family computes one record, and the gate reads no
+    density."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
     counts = Counter()
-    honest_loop = hypotheses._strict_identity
     honest_bounds = hypotheses.check_bounded_positivity
     honest_density = SingletonFamily.density
-
-    def counted_loop(*args):
-        counts["loop"] += 1
-        return honest_loop(*args)
 
     def counted_bounds(*args, **kwargs):
         counts["bounds"] += 1
@@ -573,43 +590,53 @@ def test_check_of_a_positive_family_evaluates_no_strict_identity_cell(
             counts["inside"] -= 1
 
     def counted_density(self, *args):
+        counts["density"] += 1
         counts["density_in_bounds"] += counts["inside"] > 0
         return honest_density(self, *args)
 
-    monkeypatch.setattr(hypotheses, "_strict_identity", counted_loop)
     monkeypatch.setattr(cli, "check_bounded_positivity", counted_bounds)
     monkeypatch.setattr(SingletonFamily, "density", counted_density)
     assert main(["check", "chain5.model", "--json", "report.json"]) == 0
     capsys.readouterr()
     assert '"strict_identity": true' in (tmp_path / "report.json").read_text()
     assert counts["bounds"] == 1
-    assert counts["loop"] == counts["density_in_bounds"] == 0
+    assert counts["density_in_bounds"] == 0
+    assert pair_records == [[]]
 
     family = potential_family(1, n_sites=5)[2]
+    read = counts["density"]
     assert hypotheses.check_bounded_positivity(family).data["strict_identity"] is True
-    assert counts["loop"] == 0
+    assert counts["density"] == read
+    assert hypotheses.check_order_consistency(family).passed
+    assert pair_records == [[], []]
 
 
-def test_a_passing_check_walks_no_pair_configuration(tmp_path, monkeypatch, capsys):
-    """Order consistency of ``CHAIN5`` is decided pair by pair, and pointwise
-    compatibility is read off it: neither per-configuration walk runs.  A
-    failing family still takes both walks, which build the witnesses."""
+def test_a_passing_check_walks_no_pair_configuration(
+        pair_records, tmp_path, monkeypatch, capsys):
+    """Order consistency of ``CHAIN5`` is decided by one pair record that
+    lists no failing cell, and pointwise compatibility is read off it: the
+    eight-factor walk does not run.  A failing family's record lists its
+    failing cells, and the eight-factor walk builds its witnesses."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
-    calls = Counter()
-    for name in ("_consistency_failures", "_eight_factor_failures"):
-        def counted(*args, name=name, honest=getattr(hypotheses, name)):
-            calls[name] += 1
-            return honest(*args)
-        monkeypatch.setattr(hypotheses, name, counted)
+    walks = Counter()
+    honest = hypotheses._eight_factor_failures
+
+    def counted(*args):
+        walks["eight_factor"] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(hypotheses, "_eight_factor_failures", counted)
     assert main(["check", "chain5.model", "--json", "report.json"]) == 0
     capsys.readouterr()
     report = (tmp_path / "report.json").read_text()
     assert '"comparisons": 1280' in report and '"comparisons": 5120' in report
-    assert calls == Counter()
+    assert pair_records == [[]]
+    assert walks == Counter()
     assert main(["check", bundled("broken_h2")]) == 1
     capsys.readouterr()
-    assert calls["_consistency_failures"] > 0 and calls["_eight_factor_failures"] > 0
+    assert len(pair_records) == 2 and pair_records[1]
+    assert walks["eight_factor"] > 0
 
 
 def test_singleton_family_construction_integrates_in_integers(monkeypatch):
