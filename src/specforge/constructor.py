@@ -68,8 +68,9 @@ class DensityFamily(Tabulated):
     input family's table lists.  Tables are immutable once registered;
     ``replace_table`` returns a modified sibling for perturbation probes
     without touching the original.  ``cached`` memoises what the tables
-    determine: ratio integrals, extension divisors and the kernel rows
-    the verifier reads, each keyed by its regions and exterior class,
+    determine: ratio integrals, extension divisors and one kernel row
+    per region and class that the verifier reads (integer pairs or
+    `Fraction` weights), each keyed by its regions and exterior class,
     the full-window kernel measure of each tail class, and the record of
     passing block splits (`check_order_independence`).  Integrals of
     shared single-site tables are the singleton family's; a sibling
@@ -118,7 +119,7 @@ class DensityFamily(Tabulated):
     def replace_table(self, region: Iterable[Site],
                       values: Sequence[Fraction]) -> "DensityFamily":
         """A sibling with one region's table swapped for ``values``, the
-        k-th at configuration index k, each an exact rational."""
+        k-th at configuration index k, each an exact nonnegative rational."""
         space = self.space
         reg = space.universe.region(region)
         if reg not in self._tables:
@@ -130,9 +131,12 @@ class DensityFamily(Tabulated):
         sibling.singletons = self.singletons
         sibling.space = space
         sibling._tables = dict(self._tables)
-        sibling._tables[reg] = [
-            exact(value, lambda: f"region {reg!r}, {space.at(index)!r}")
-            for index, value in enumerate(values)]
+        table = sibling._tables[reg] = []
+        for index, value in enumerate(values):
+            value = exact(value, lambda: f"region {reg!r}, {space.at(index)!r}")
+            if value < 0:
+                raise DomainError(f"negative density at region {reg!r}, {space.at(index)!r}")
+            table.append(value)
         sibling._cache = {}
         return sibling
 
@@ -225,9 +229,10 @@ def extension_divisor(
 
 
 def _extended(pair: tuple[int, int]) -> ExtendedRational:
-    """The value of a divisor's integer pair; a zero second member is INF."""
+    """The value of a divisor's integer pair, both members nonnegative; a
+    zero second member is INF."""
     num, den = pair
-    return INF if not den else ExtendedRational(Fraction(num, den))
+    return INF if not den else ExtendedRational._trusted(Fraction(num, den))
 
 
 def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],

@@ -142,6 +142,14 @@ class ExtendedRational:
     def infinity(cls) -> "ExtendedRational":
         return cls(None)
 
+    @classmethod
+    def _trusted(cls, value: Fraction) -> "ExtendedRational":
+        """The finite element ``value``, a `Fraction` the caller has
+        proven nonnegative; unchecked, for the hot integer paths."""
+        element = object.__new__(cls)
+        element._value = value
+        return element
+
     @property
     def is_infinite(self) -> bool:
         return self._value is None
@@ -638,15 +646,24 @@ class Space:
              self.product_weight(region, fill))
             for fill in self.assignments(region)])
 
+    def fill_pairs(self, region: tuple[Site, ...]) -> list[tuple[int, int, int]]:
+        """`fill_offsets` with each weight as its integer pair:
+        ``(offset, num, den)`` per fill, memoised per canonical region."""
+        try:
+            return self._memo["pairs", region]
+        except KeyError:
+            pairs = self._memo["pairs", region] = [
+                (offset, *w.as_integer_ratio()) for offset, w in self.fill_offsets(region)]
+            return pairs
+
     def free_integral(self, region: tuple[Site, ...], value: Callable[[int], Fraction],
                       cfg: Configuration) -> tuple[int, int]:
         """Free integral over the canonical ``region`` at the class of
         ``cfg`` of ``value``, read at each member's configuration index,
         as `_line_sum`'s integer pair."""
-        base = self.class_index(cfg, region)
+        base = self._class_map(region)[cfg.index]
         terms = []
-        for offset, w in self.fill_offsets(region):
-            w_num, w_den = w.as_integer_ratio()
+        for offset, w_num, w_den in self.fill_pairs(region):
             v_num, v_den = value(base + offset).as_integer_ratio()
             if w_num and v_num:
                 terms.append((w_num * v_num, w_den * v_den))
@@ -661,18 +678,24 @@ class Space:
     ) -> ExtendedRational | None:
         """Free integral over the canonical sites `over` of num/den at `cfg`.
 
-        `num` and `den` are flat density tables, read at the `fill_offsets`
-        of the class of `cfg` off `over`.  Nothing raises: a 0/0 point,
-        or an infinite ratio on a zero-weight fill, makes the integral
-        undefined and returns None; an infinite ratio on a positive
-        weight makes it infinite.  The finite terms w·n/d are summed by
-        `_line_sum`, and one `Fraction` is built for the result.
+        `num` and `den` are flat nonnegative density tables, read at the
+        `fill_offsets` of the class of `cfg` off `over`.  Nothing raises:
+        a 0/0 point, or an infinite ratio on a zero-weight fill, makes
+        the integral undefined and returns None; an infinite ratio on a
+        positive weight makes it infinite.  The weights are read as
+        `fill_pairs` and the class base off the memoised class map, and
+        the finite terms w·n/d are summed by `_line_sum`.  One `Fraction`
+        is built for the result and wrapped unchecked
+        (`ExtendedRational._trusted`): every term is nonnegative over a
+        positive denominator, so the sum is.  Every family's tables are
+        nonnegative: `SingletonFamily` and `replace_table` refuse a
+        negative value, and a built table divides nonnegative values by
+        positive divisors.
         """
-        base = self.class_index(cfg, over)
+        base = self._class_map(over)[cfg.index]
         terms = []
         infinite = False
-        for offset, w in self.fill_offsets(over):
-            w_num, w_den = w.as_integer_ratio()
+        for offset, w_num, w_den in self.fill_pairs(over):
             n_num, n_den = num[base + offset].as_integer_ratio()
             d_num, d_den = den[base + offset].as_integer_ratio()
             if not d_num:
@@ -681,4 +704,4 @@ class Space:
                 infinite = True
             elif w_num and n_num:
                 terms.append((w_num * n_num * d_den, w_den * n_den * d_num))
-        return INF if infinite else ExtendedRational(Fraction(*_line_sum(terms)))
+        return INF if infinite else ExtendedRational._trusted(Fraction(*_line_sum(terms)))

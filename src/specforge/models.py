@@ -22,6 +22,7 @@ from .core import (
     Site,
     Space,
     SpecforgeError,
+    _line_sum,
     exact,
 )
 
@@ -80,14 +81,21 @@ class Tabulated:
         at ``cfg``, None where undefined, memoised per (over, against, class
         of ``cfg`` off ``over``), which is all it reads.
 
-        It keeps the raw value, since bounded positivity's witnesses tell
-        undefined, infinite and zero apart; other readers use the guard.
+        A hit is read straight off the owner's memo; a miss is computed
+        through `cached` under ``("ratio_integral", over, against,
+        class)``.  It keeps the raw value, since bounded positivity's
+        witnesses tell undefined, infinite and zero apart; other readers
+        use the guard.
         """
         space = self.space
-        tables = self._tables
-        return self._integral_memo(over, against).cached(
-            ("ratio_integral", over, against, space.class_index(cfg, over)),
-            lambda: space.ratio_integral(over, tables[over], tables[against], cfg))
+        owner = self._integral_memo(over, against)
+        key = ("ratio_integral", over, against, space._class_map(over)[cfg.index])
+        try:
+            return owner._cache[key]
+        except KeyError:
+            tables = self._tables
+            return owner.cached(key, lambda: space.ratio_integral(
+                over, tables[over], tables[against], cfg))
 
     def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
                        cfg: Configuration) -> Fraction | None:
@@ -103,9 +111,10 @@ class SingletonFamily(Tabulated):
 
     Construction takes one table per site keyed by `Configuration.key`,
     the input boundary of the configuration index, and checks that every
-    value is an exact nonnegative rational and that the unit-mass
-    condition holds at every site for every configuration.  Evaluation is
-    a pure table lookup.
+    value is an exact nonnegative rational, that no table names a site
+    outside the universe or a key that is no configuration of the space,
+    and that the unit-mass condition holds at every site for every
+    configuration.  Evaluation is a pure table lookup.
     """
 
     def __init__(
@@ -114,6 +123,9 @@ class SingletonFamily(Tabulated):
         tables: Mapping[Site, Mapping[tuple, Fraction]],
         provenance: str = "table",
     ):
+        stray = [site for site in tables if site not in space.universe]
+        if stray:
+            raise DomainError(f"density tables name sites outside the universe {stray}")
         self.space = space
         self.provenance = provenance
         self._tables = {}
@@ -130,8 +142,27 @@ class SingletonFamily(Tabulated):
                 if value < 0:
                     raise DomainError(f"negative density at site {site!r}, {cfg!r}")
                 table.append(value)
+            if len(given) != len(table):
+                keys = {cfg.key for cfg in space.configurations()}
+                key = next(key for key in given if key not in keys)
+                raise DomainError(f"density table for site {site!r} names {key!r}, "
+                                  "which is no configuration of the space")
             self._tables[(site,)] = table
         self._check_unit_mass()
+
+    @classmethod
+    def _of_tables(cls, space: Space, tables: dict[tuple[Site, ...], list[Fraction]],
+                   provenance: str) -> "SingletonFamily":
+        """The family of flat ``tables``, one list per one-site region in
+        index order, trusted: the caller has proven every value an exact
+        nonnegative rational and every site's mass 1 (as `normalize`
+        does), so nothing is re-keyed or re-checked."""
+        family = cls.__new__(cls)
+        family.space = space
+        family.provenance = provenance
+        family._tables = tables
+        family._cache = {}
+        return family
 
     @classmethod
     def from_function(
@@ -278,48 +309,45 @@ class PotentialModel:
 
 
 def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
-    """Scale raw site weights to unit mass, configuration by configuration.
+    """Scale raw site weights to unit mass, exterior class by exterior class.
 
-    The scale factor at (site, cfg) is the free integral of the raw weight
-    over the site's own coordinate, summed by `Space.free_integral` in
-    integers; it must be positive (raw weights are finite), otherwise a
-    NormalizationError names the offending site and configuration.
-    ``raw_value`` runs once per (site, configuration): the mass of a class,
-    summed at its first member, reads the values the later members reuse.
-    A negative raw weight raises `DomainError` naming the configuration
-    it is read at, a later member of the class included.
+    One pass per (site, exterior class off the site), classes in index
+    order: it reads the q raw weights r_d of the class in digit order,
+    each once, sums the mass M = Σ_d w_d·r_d (w_d the site's free
+    weights) by `_line_sum` in integers, and writes each density r_d/M
+    as one `Fraction` into a flat table.  The mass must be positive (raw
+    weights are finite), otherwise a NormalizationError names the site
+    and the class's first member; a negative raw weight raises
+    `DomainError` naming the configuration it is read at.  The result
+    has unit mass by construction, Σ_d w_d·r_d/M = M/M = 1 exactly, and
+    every value is a nonnegative `Fraction`, so the family is built from
+    the tables as they are (`SingletonFamily._of_tables`).
     """
-    tables: dict[Site, dict[tuple, Fraction]] = {}
+    tables: dict[tuple[Site, ...], list[Fraction]] = {}
     for site in space.universe:
-        table: dict[tuple, Fraction] = {}
-        masses: dict[int, Fraction] = {}
-        raws: dict[int, Fraction] = {}
-
-        def read(index: int) -> Fraction:
-            try:
-                return raws[index]
-            except KeyError:
-                c = space.at(index)
-                value = exact(model.raw_value(space, site, c),
-                              lambda: f"raw weight of site {site!r}, {c!r}")
-                if value < 0:
+        table: list[Fraction] = [Fraction(0)] * space.size
+        fills = space.fill_pairs((site,))
+        for cfg in space.exterior_classes((site,)):
+            base = cfg.index
+            raws = []
+            for offset, _, _ in fills:
+                c = space.at(base + offset)
+                raw = exact(model.raw_value(space, site, c),
+                            lambda: f"raw weight of site {site!r}, {c!r}").as_integer_ratio()
+                if raw[0] < 0:
                     raise DomainError(f"negative raw weight at site {site!r}, {c!r}")
-                raws[index] = value
-                return value
-
-        for cfg in space.configurations():
-            raw = read(cfg.index)
-            mkey = space.class_index(cfg, (site,))
-            if mkey not in masses:
-                num, den = space.free_integral((site,), read, cfg)
-                if not num:
-                    raise NormalizationError(
-                        f"raw mass at site {site!r} is 0 (need positive finite) at {cfg!r}"
-                    )
-                masses[mkey] = Fraction(num, den)
-            table[cfg.key] = raw / masses[mkey]
-        tables[site] = table
-    return SingletonFamily(space, tables, provenance=model.provenance)
+                raws.append(raw)
+            m_num, m_den = _line_sum((w_num * r_num, w_den * r_den)
+                                     for (_, w_num, w_den), (r_num, r_den) in zip(fills, raws)
+                                     if w_num and r_num)
+            if not m_num:
+                raise NormalizationError(
+                    f"raw mass at site {site!r} is 0 (need positive finite) at {cfg!r}"
+                )
+            for (offset, _, _), (r_num, r_den) in zip(fills, raws):
+                table[base + offset] = Fraction(r_num * m_den, r_den * m_num)
+        tables[(site,)] = table
+    return SingletonFamily._of_tables(space, tables, model.provenance)
 
 
 def extract_singletons(

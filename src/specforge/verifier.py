@@ -266,11 +266,50 @@ def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
     A row reads the density only at points that carry ``cfg`` off the
     region, so it is fixed by the region and ``cfg``'s exterior class;
     the memo holds one row per class, at most as many weights as the
-    tables hold cells.  ``region`` must be canonical.  Rows are shared,
-    so callers only read them.
+    tables hold cells.  Where `_pair_row` has memoised the class's row,
+    its pairs become the `Fraction` weights and the pair row is dropped,
+    so one row is kept per class.  ``region`` must be canonical.  Rows
+    are shared, so callers only read them.
     """
-    key = ("kernel_row", region, dens.space.class_index(cfg, region))
-    return dens.cached(key, lambda: assemble_kernel(dens, region, cfg))
+    base = dens.space.class_index(cfg, region)
+
+    def compute() -> dict[int, Fraction]:
+        pairs = dens._cache.pop(("pair_row", region, base), None)
+        if pairs is None:
+            return assemble_kernel(dens, region, cfg)
+        return {index: Fraction(num, den) for index, (num, den) in pairs.items()}
+
+    return dens.cached(("kernel_row", region, base), compute)
+
+
+def _pair_row(dens: DensityFamily, region: tuple[Site, ...],
+              cfg: Configuration) -> dict[int, tuple[int, int]]:
+    """The kernel row of ``region`` at ``cfg``'s exterior class as integer
+    pairs: ``index -> (v_num·w_num, v_den·w_den)`` for the nonzero cells,
+    in block order, v the density and w the product free weight
+    (`Space.fill_pairs`).  Each pair is the row's `Fraction` weight v·w,
+    unreduced, over a positive denominator, so sums go through
+    `_line_sum` and comparisons cross-multiply.  Memoised on the family
+    per region and class, unless `_kernel_row` holds the class's row:
+    then the pairs are read off it and not kept.  ``region`` must be
+    canonical; rows are shared, so callers only read them.
+    """
+    space = dens.space
+    base = space.class_index(cfg, region)
+    row = dens._cache.get(("kernel_row", region, base))
+    if row is not None:
+        return {index: w.as_integer_ratio() for index, w in row.items()}
+
+    def compute() -> dict[int, tuple[int, int]]:
+        table = dens._tables[region]
+        pairs = {}
+        for offset, w_num, w_den in space.fill_pairs(region):
+            v_num, v_den = table[base + offset].as_integer_ratio()
+            if v_num and w_num:
+                pairs[base + offset] = (v_num * w_num, v_den * w_den)
+        return pairs
+
+    return dens.cached(("pair_row", region, base), compute)
 
 
 def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
@@ -301,33 +340,32 @@ def _covering_pairs_agree(dens: DensityFamily, region: tuple[Site, ...],
     with M_Λ(s|ω) the mass of the row of Λ on points carrying s at x:
     one inner row per value of x, read at any charged point with that
     value.  The inner rows of distinct values charge disjoint points, so
-    each weight is one product, equal to that of `_composed_row`.  Each
-    mass is summed by `_line_sum`, and each direct weight d is compared
-    with M·w cross-multiplied, every denominator being positive.  When
-    every inner point is a direct point of weight M·w, no other direct
-    point is left: by (b) the inner row has mass 1, so the direct points
-    carrying s at x and off it weigh M(s|ω) − M(s|ω)·1 = 0 together, and
-    rows hold nonzero weights only.
+    each weight is one product, equal to that of `_composed_row`.  The
+    rows are `_pair_row`'s, each mass is summed by `_line_sum`, and each
+    direct weight d is compared with M·w cross-multiplied, every
+    denominator being positive.  When every inner point is a direct
+    point of weight M·w, no other direct point is left: by (b) the inner
+    row has mass 1, so the direct points carrying s at x and off it
+    weigh M(s|ω) − M(s|ω)·1 = 0 together, and rows hold nonzero weights
+    only.
     """
-    at = dens.space.at
-    direct = _kernel_row(dens, region, cfg)
-    for site in region:
-        position = dens.space.universe.index(site)
-        weights: dict[str, list] = {}
-        charged: dict[str, Configuration] = {}
-        for index, w in direct.items():
-            point = at(index)
-            value = point.values[position]
-            weights.setdefault(value, []).append(w.as_integer_ratio())
-            charged.setdefault(value, point)
+    space = dens.space
+    q = len(space.alphabet)
+    direct = _pair_row(dens, region, cfg)
+    for site, stride in zip(region, space.strides(region)):
+        weights: dict[int, list] = {}
+        charged: dict[int, int] = {}
+        for index, pair in direct.items():
+            digit = index // stride % q
+            weights.setdefault(digit, []).append(pair)
+            charged.setdefault(digit, index)
         inner = tuple(s for s in region if s != site)
-        for value, pairs in weights.items():
+        for digit, pairs in weights.items():
             m_num, m_den = _line_sum(pairs)
-            for index, w in _kernel_row(dens, inner, charged[value]).items():
+            for index, (w_num, w_den) in _pair_row(dens, inner, space.at(charged[digit])).items():
                 if index not in direct:
                     return False
-                d_num, d_den = direct[index].as_integer_ratio()
-                w_num, w_den = w.as_integer_ratio()
+                d_num, d_den = direct[index]
                 if d_num * m_den * w_den != m_num * w_num * d_den:
                     return False
     return True
@@ -338,12 +376,15 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
     family: ``(masses, pairs, failures)``.
 
     ``masses`` lists ``(region, cfg, mass)`` at each configuration whose
-    row has mass other than 1, in region then configuration order.
-    ``pairs`` counts the nested pairs of (c); ``failures`` maps each
-    differing (large, small) pair, in enumeration order, to its first
-    differing exterior class of ``large`` and smallest differing point.
-    When (b) holds and the covering pairs agree, the proof given there
-    settles every pair and nothing is composed.  The axiom report, at
+    row has mass other than 1, in region then configuration order; each
+    mass is the `_line_sum` of the class's `_pair_row`.  ``pairs``
+    counts the nested pairs of (c); ``failures`` maps each differing
+    (large, small) pair, in enumeration order, to its first differing
+    exterior class of ``large`` and smallest differing point.  When (b)
+    holds and the covering pairs agree, the proof given there settles
+    every pair, nothing is composed, and no `Fraction` row is built:
+    both parts read the integer pair rows.  Otherwise (c) composes the
+    `Fraction` rows of `_kernel_row` pair by pair.  The axiom report, at
     every witness cap, and the uniqueness self-check read this memo.
     """
     def compute() -> tuple[list, int, dict]:
@@ -352,7 +393,7 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
         masses = []
         for region in universe.subsets():
             for cfg, (num, den) in space.per_class(region, lambda cfg: _line_sum(
-                    w.as_integer_ratio() for w in _kernel_row(dens, region, cfg).values())):
+                    _pair_row(dens, region, cfg).values())):
                 if num != den:
                     masses.append((region, cfg, Fraction(num, den)))
         if not masses and all(_covering_pairs_agree(dens, region, cfg)
@@ -391,14 +432,14 @@ def check_specification_axioms(
     region's kernel changes nothing, for every nested pair.
 
     (a), and the off-region half of (b), hold for every density table.
-    `assemble_kernel` reads ``cfg`` only through
-    ``space.overlay(cfg, region, block)``, which rewrites every
-    coordinate of the region.  So the members of one exterior class
-    overlay to the same points, read the same cells and give the same
-    row, and every point a row charges carries ``cfg``'s coordinates off
-    the region.  Only the mass of (b) is left, and it is a function of
-    the class: it is summed once per region and exterior class, from the
-    row memo, and its verdict and witnesses are replayed at every
+    `assemble_kernel` and `_pair_row` read ``cfg`` only through its
+    class index off the region, plus the offsets of the region's fills,
+    which rewrite every coordinate of the region.  So the members of one
+    exterior class read the same cells and give the same row, and every
+    point a row charges carries ``cfg``'s coordinates off the region.
+    Only the mass of (b) is left, and it is a function of the class: it
+    is summed once per region and exterior class, from the pair row
+    memo, and its verdict and witnesses are replayed at every
     configuration of the class (`Space.per_class`).  The two counts are
     those of a check at every region and configuration, T·q^n·2^n for n
     sites, q symbols and T tail classes.

@@ -112,6 +112,16 @@ class TestDensityFamily:
                            rf"Configuration\(abb, tail=default\): {inexact!r}"):
             dens.replace_table(("s1", "s2"), table)
 
+    def test_replace_table_takes_nonnegative_values_only(self):
+        """Densities are nonnegative, which the ratio integral's result
+        wrapper presumes; a negative value is refused where it sits."""
+        dens = build_family(independent_family())
+        table = list(dens.table(("s1", "s2")))
+        table[3] = Fraction(-1, 2)
+        with pytest.raises(DomainError, match=r"negative density at region \('s1', 's2'\), "
+                           r"Configuration\(abb, tail=default\)$"):
+            dens.replace_table(("s1", "s2"), table)
+
 
 class TestExtensionDivisor:
     def test_single_site_base_case_matches_pair_divisor(self):

@@ -22,6 +22,7 @@ Every family built with the gates checked, from the zoo and from 400
 random zero-table seeds, must pass the axioms.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -233,7 +234,7 @@ def test_good_membership_ignores_the_context(name):
 # -- the fast paths run --------------------------------------------------------
 
 def axiom_row_reads(space) -> int:
-    """Kernel-row reads of the axiom check: per region of k sites and each
+    """Pair-row reads of the axiom check: per region of k sites and each
     of its T·q^(n-k) exterior classes, one read for the mass of (b), and
     for the covering pairs the region's row and at most q inner rows per
     member site."""
@@ -263,28 +264,28 @@ def test_fast_paths_read_only_the_generating_sets(monkeypatch, make):
     assert positivity.data["index_points"] == n * t * (q + 1) ** (n - 1)
 
     dens = build_family(fam, checked=False)
-    row_reads = []
-    assembled = []
-    honest_row = verifier._kernel_row
+    reads = Counter()
+    honest_pair_row = verifier._pair_row
+    honest_kernel_row = verifier._kernel_row
     honest_assemble = verifier.assemble_kernel
 
-    def counted_row(*args):
-        row_reads.append(args)
-        return honest_row(*args)
+    def counted(kind, honest):
+        def count(*args):
+            reads[kind] += 1
+            return honest(*args)
+        return count
 
-    def counted_assemble(*args):
-        assembled.append(args)
-        return honest_assemble(*args)
-
-    monkeypatch.setattr(verifier, "_kernel_row", counted_row)
-    monkeypatch.setattr(verifier, "assemble_kernel", counted_assemble)
+    monkeypatch.setattr(verifier, "_pair_row", counted("pair_row", honest_pair_row))
+    monkeypatch.setattr(verifier, "_kernel_row", counted("kernel_row", honest_kernel_row))
+    monkeypatch.setattr(verifier, "assemble_kernel", counted("assemble", honest_assemble))
     axioms = check_specification_axioms(dens)
     assert axioms.passed
-    assert 0 < len(row_reads) <= axiom_row_reads(space)
+    assert 0 < reads["pair_row"] <= axiom_row_reads(space)
     assert axioms.data["checks"]["nested_pairs"] == t * (q + 2) ** n
-    # (b) assembles one row per region and exterior class, Σ_k C(n,k)·T·q^(n−k)
-    # in all, and (c) reads those rows through the memo
-    assert len(assembled) == t * (q + 1) ** n
+    # (b) and (c) read integer pair rows, one memo entry per region and
+    # exterior class, Σ_k C(n,k)·T·q^(n−k) in all; no Fraction row is built
+    assert reads["kernel_row"] == reads["assemble"] == 0
+    assert sum(key[0] == "pair_row" for key in dens._cache) == t * (q + 1) ** n
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

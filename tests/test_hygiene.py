@@ -27,8 +27,9 @@ The key scan lists the module-level functions and methods under
 ``src/`` that read the attribute ``make`` or ``key``.  The library keys
 tables, rows and measures by configuration index; the key form
 ``(values, tail)`` is read only where input tables come in
-(``SingletonFamily`` and the two functions that fill its tables) and
-where reports sort points by it, and ``Space.make`` only by
+(``SingletonFamily``'s constructor and ``from_function``, which fills
+its tables; ``normalize`` writes flat tables by index) and where
+reports sort points by it, and ``Space.make`` only by
 ``Space.configuration``.
 """
 
@@ -283,7 +284,6 @@ def test_the_key_form_is_read_only_at_the_input_and_report_boundaries():
     assert attribute_readers(MODULES, "key") == {
         "specforge/models:SingletonFamily.__init__",
         "specforge/models:SingletonFamily.from_function",
-        "specforge/models:normalize",
         "specforge/verifier:_axiom_record",
         "specforge/cli/main:measure_perturbation_suite",
     }

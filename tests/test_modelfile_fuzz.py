@@ -1,4 +1,4 @@
-"""Fuzzed model text: ``check`` answers every file with an exit code.
+"""Fuzzed model text: every command answers every file with an exit code.
 
 ``hypothesis`` draws a valid model of each kind and edits a few of its
 lines: it deletes lines, repeats them, and inserts lines of the other
@@ -7,8 +7,11 @@ repeated and duplicated directives and labels, undeclared sites, symbols
 and tails, malformed rationals and integers, and zero and negative
 weights, and the unedited ones parse and reach the gates.  Whatever the
 text, ``main(["check", path])`` must return 0, 1 or 2 and print no
-traceback; every rejection names its cause on stderr.  Draws are
-derandomised and not stored, so every run tries the same files.
+traceback; every rejection names its cause on stderr.  ``construct``
+(writing its table) and ``verify`` (every suite) must do the same on
+fewer draws, since they build and verify every file that passes the
+gates.  Draws are derandomised and not stored, so every run tries the
+same files.
 """
 
 import contextlib
@@ -62,16 +65,40 @@ def model_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def answers(argv: list[str], text: str) -> None:
+    """``main(argv)`` returns 0, 1 or 2, prints no traceback, and a 2
+    names its cause."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, text)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), text
+    if code == 2:
+        assert err.getvalue().startswith("specforge: "), text
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(model_texts())
 def test_check_answers_any_model_text_with_an_exit_code(tmp_path, text):
     path = tmp_path / "fuzz.model"
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path)])
-    assert code in (0, 1, 2), (code, text)
-    assert "Traceback" not in out.getvalue() + err.getvalue(), text
-    if code == 2:
-        assert err.getvalue().startswith("specforge: "), text
+    answers(["check", str(path)], text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model_texts())
+def test_construct_answers_any_model_text_with_an_exit_code(tmp_path, text):
+    path = tmp_path / "fuzz.model"
+    path.write_text(text, encoding="utf-8")
+    answers(["construct", str(path), "-o", str(tmp_path / "fuzz.rho")], text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model_texts())
+def test_verify_answers_any_model_text_with_an_exit_code(tmp_path, text):
+    path = tmp_path / "fuzz.model"
+    path.write_text(text, encoding="utf-8")
+    answers(["verify", str(path)], text)

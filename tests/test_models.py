@@ -322,6 +322,31 @@ class TestFamilyInvariants:
                            rf"tail=default\): {inexact!r}"):
             SingletonFamily(space, {"s1": table})
 
+    def test_table_for_a_site_outside_the_universe_rejected(self):
+        family = independent_family(2)
+        space = family.space
+        tables = {site: {cfg.key: family.density(site, cfg) for cfg in space.configurations()}
+                  for site in space.universe.sites}
+        tables["s9"] = {}
+        with pytest.raises(DomainError, match=r"density tables name sites outside the "
+                                              r"universe \['s9'\]"):
+            SingletonFamily(space, tables)
+
+    @pytest.mark.parametrize("key", [(("z", "z"), "default"), (("a", "a"), "t9"),
+                                     (("a",), "default"), "aa"])
+    def test_entry_at_no_configuration_rejected(self, key):
+        family = independent_family(2)
+        space = family.space
+        tables = {site: {cfg.key: family.density(site, cfg) for cfg in space.configurations()}
+                  for site in space.universe.sites}
+        tables["s2"][key] = Fraction(5)
+        with pytest.raises(DomainError) as raised:
+            SingletonFamily(space, tables)
+        assert str(raised.value) == (f"density table for site 's2' names {key!r}, "
+                                     "which is no configuration of the space")
+        del tables["s2"][key]
+        assert SingletonFamily(space, tables)._tables == family._tables
+
     def test_unnormalized_tables_rejected(self):
         space = plain_space(1)
         tables = {

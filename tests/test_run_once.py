@@ -44,7 +44,9 @@ consistency report on a positive family, walking no cell of its own;
 it decides order consistency of ``CHAIN5`` one site pair at a time and
 reads pointwise compatibility off it, walking neither per configuration;
 and a ``SingletonFamily`` checks unit mass with one integer line sum per
-site and exterior class, building no extended rational.
+site and exterior class, building no extended rational.  ``normalize``
+reads each raw weight once and builds its family without that check:
+it calls neither ``Space.free_integral`` nor ``_check_unit_mass``.
 """
 
 import importlib
@@ -57,7 +59,7 @@ from specforge import constructor, hypotheses, verifier
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
 from specforge.core import ExtendedRational, Space
-from specforge.models import SingletonFamily
+from specforge.models import SingletonFamily, normalize
 from specforge.verifier import (
     FiniteMeasure,
     check_good_support_mass,
@@ -68,6 +70,7 @@ from specforge.verifier import (
 )
 
 from test_bundled_golden import CHAIN5
+import oracles
 import zoo
 from zoo import alternating_exclusion_family, hardcore_family, potential_family
 
@@ -664,3 +667,32 @@ def test_singleton_family_construction_integrates_in_integers(monkeypatch):
     n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
     assert counts == Counter({"free_integral": n * t * q ** (n - 1)})
     assert not hasattr(Space, "free_kernel")
+
+
+@pytest.mark.parametrize("n_sites", [3, 5])
+def test_normalize_reads_each_raw_weight_once_and_rechecks_no_mass(monkeypatch, n_sites):
+    space, model, _ = potential_family(1, n_sites=n_sites)
+    expected = oracles.normalize(space, model)._tables
+    counts = Counter()
+    honest_raw = model.raw_value
+
+    class Counted:
+        provenance = model.provenance
+
+        def raw_value(self, space, site, cfg):
+            counts[site, cfg.index] += 1
+            return honest_raw(space, site, cfg)
+
+    def refused(name):
+        def call(*args):
+            counts[name] += 1
+        return call
+
+    monkeypatch.setattr(Space, "free_integral", refused("free_integral"))
+    monkeypatch.setattr(SingletonFamily, "_check_unit_mass", refused("_check_unit_mass"))
+    fresh = normalize(space, Counted())
+    assert counts["free_integral"] == counts["_check_unit_mass"] == 0
+    del counts["free_integral"], counts["_check_unit_mass"]
+    assert set(counts.values()) == {1}
+    assert len(counts) == len(space.universe) * space.size
+    assert fresh._tables == expected
