@@ -217,14 +217,8 @@ def check_jobs(fam: SingletonFamily) -> list[Job]:
     ]
 
 
-def _free_strictly_positive(fam: SingletonFamily) -> bool:
-    space = fam.space
-    return all(space.free.weight(site, sym) > 0
-               for site in space.universe for sym in space.alphabet)
-
-
 def uniqueness_applicable(fam: SingletonFamily) -> bool:
-    return _free_strictly_positive(fam) and check_uniqueness_condition(fam).passed
+    return fam.space.free.is_positive and check_uniqueness_condition(fam).passed
 
 
 def measure_jobs(model: ModelFile, dens: DensityFamily) -> list[Job]:

@@ -8,10 +8,13 @@ holding one exact table per subset of the universe, from which finite
 conditional-probability kernels are assembled on demand.
 
 The construction itself makes choices (which good block to evaluate at,
-which order to sweep the sites) that provably do not matter; those
-facts are not assumed here but re-verified, both inline (every good
-block is evaluated and compared) and by the dedicated
-`check_order_independence` suite.
+which order to sweep the sites, how to split a region into blocks) that
+provably do not matter.  Inline, every good block is evaluated and
+compared.  The dedicated `check_order_independence` suite reads the
+rest off a passing record of the specification axioms when the free
+weights are positive (the construction theorem run in reverse, proof
+there), and otherwise re-verifies it by walking every sweep and block
+split.
 """
 
 from __future__ import annotations
@@ -392,13 +395,61 @@ def check_order_independence(
     For every permutation of the universe (or a seeded sample of
     ``permutation_cap`` permutations when there are more) it reports the
     first region whose table a sweep in that order builds differently
-    from the default build, which `build_family` memoises, without
-    rebuilding the sweep.  Proof: `_sweep` builds region R as
-    ``extend_density`` of R minus x by (x,), x being R's last swept
-    site, and that reads only the tables of R minus x and {x}.  Let
-    J(R, x) say that this join on the default tables gives R's default
-    table, and R* be the first region of size at least 2, by size and
-    then site order, with J false.  R minus x precedes R, so by
+    from the default build, which `build_family` memoises.  It also
+    reports every ordered split of every region into two nonempty
+    disjoint blocks θ, γ whose *block* extension, density(θ)/divisor,
+    does not reproduce the stored table.  ``block_splits_tested`` is
+    Σ_{|R|≥2} (2^|R| − 2) on a passing family.  When every block split
+    passes, the verdict is recorded on every family `build_family` has
+    memoised for ``singletons``, the reference among them, under
+    ``("block_splits",)``; `good_support_report` and `uniqueness_probe`
+    read the record.
+
+    *Read off the axioms.*  If the reference family carries a passing
+    record of axioms (b) and (c) (`verifier._axiom_record`: no mass
+    other than 1, no failing nested pair) and every free weight is
+    positive, every split and every sweep passes, and the report is
+    the closed form above with no mismatch and no failure; nothing is
+    computed.  The record is read, never computed here: a failing one
+    costs the full pair enumeration, and the walk would still follow.
+    Proof.  Take a region R = θ⊔γ, ω the exterior off R, λ the free
+    measure.
+    1. Axiom (c) on (R, θ) at a point σ reads
+       ρ_R(σ)·λ(σ_R) = λ(σ_R)·ρ_θ(σ)·m_θ(σ_γ, ω), m_θ(σ_γ, ω) being
+       Σ_τ λ(τ)·ρ_R(τ, σ_γ, ω) over the fills τ of θ.  λ(σ_R) > 0
+       cancels: ρ_R(σ) = ρ_θ(σ)·m_θ(σ_γ, ω), and symmetrically
+       ρ_R(σ) = ρ_γ(σ)·m_γ(σ_θ, ω).
+    2. Very weak positivity, checked by the build, gives a good block ξ
+       of θ against γ; each ξ_k is good against (θ∖k)∪γ, so ρ_k > 0 at
+       every rewrite of that context.  At any τ_γ, (b) on θ gives a
+       point with ρ_θ > 0; switch its θ-coordinates to ξ one at a time.
+       Step 1 on (θ, {k}) writes ρ_θ = ρ_k·m_k, with m_k not reading
+       site k; m_k > 0 before the switch and ρ_k > 0 after it, so
+       ρ_θ(ξ, τ_γ, ω) > 0 for every τ_γ.  The ratio integral
+       I(ξ, ω) = Σ_τ λ(τ)·ρ_γ/ρ_θ at (ξ, τ, ω), over the fills τ of γ,
+       is then defined and finite, and positive since (b) on γ puts
+       mass 1 on the fiber.  So `extension_divisor`'s "good-set
+       guarantee violated" raises cannot fire.
+    3. At (ξ, τ_γ, ω), where ρ_θ > 0 by step 2, step 1 gives
+       m_θ(τ_γ, ω) = m_γ(ξ, ω)·ρ_γ/ρ_θ.  (b) on R gives 1 = Σ λ·ρ_R
+       over the fills of R; summed over θ first, that is
+       Σ_τ λ(τ)·m_θ(τ, ω) over the fills τ of γ, so by the line above
+       1 = m_γ(ξ, ω)·I(ξ, ω).  Hence
+       m_θ(σ_γ, ω) = ρ_γ(p)/(ρ_θ(p)·I(ξ, ω)) = 1/D, p = (ξ, σ_γ, ω)
+       and D the divisor's value at ξ, infinite iff ρ_γ(p) = 0, at
+       *every* good block.  So every good block gives the same divisor,
+       and every cell holds: ρ_R(σ) = ρ_θ(σ)·m_θ(σ_γ, ω) = ρ_θ(σ)/D.
+    In particular every join J(R, x) below holds, and by its induction
+    every sweep builds the reference's tables.
+
+    *The walk*, without the premises (a zero free weight, no record, as
+    for a suite run alone, ``replay`` or a custom `sweep`, or a failing
+    record), settles the sweeps without rebuilding one.  `_sweep` builds
+    region R as ``extend_density`` of R minus x by (x,), x being R's
+    last swept site, and that reads only the tables of R minus x and
+    {x}.  Let J(R, x) say that this join on the default tables gives R's
+    default table, and R* be the first region of size at least 2, by
+    size and then site order, with J false.  R minus x precedes R, so by
     induction every region before R* is rebuilt equal to the default,
     and R* is rebuilt as its join on default tables, which differs.  So
     one ``extend_density`` per (R, x) settles every sweep.  Only a
@@ -406,28 +457,45 @@ def check_order_independence(
     also runs joins past a sweep's first mismatch, on wrong tables: its
     message may name another join, or a rebuild may raise where this
     suite reports a mismatch.
-    Additionally recomputes every region's table by *block* extension:
-    for every ordered split of the region into two nonempty disjoint
-    blocks, density(theta)/divisor must reproduce the stored table, so
-    multi-site joins agree with site-by-site sweeps, with one divisor per
-    exterior class of theta, up to the first mismatching cell.  A split
-    (R minus x, {x}) walks the cells of J(R, x), so it passes unwalked if
-    the sweeps found that join true, and walks to its witness if false.
-    A cell compares density(theta)·den(divisor) with the stored value
-    times num(divisor) as integers.
-    When every block split passes (a raise leaves the check unfinished),
-    the verdict is recorded on every family `build_family` has memoised
-    for ``singletons``, the reference among them, under
-    ``("block_splits",)``.  Each split (R minus x, {x}) is J(R, x), so
-    every join holds and, by the induction above, every sweep builds the
-    reference's tables.  `good_support_report` and `uniqueness_probe`
-    read the record.
+    Then every split is walked with one divisor per exterior class of
+    θ, up to its first mismatching cell.  A split (R minus x, {x})
+    walks the cells of J(R, x), so it passes unwalked if the sweeps
+    found that join true, and walks to its witness if false.  A cell
+    compares density(θ)·den(divisor) with the stored value times
+    num(divisor) as integers.  A raise leaves the check unfinished.
     """
     space = singletons.space
     report = HypothesisReport(name="order_independence", passed=True)
     reference = build_family(singletons, checked=True)
     perms, sampled = _sweep_orders(space.universe.sites, permutation_cap, seed)
     regions = reference.regions()
+    # `verifier._axiom_record`'s (masses, pairs, failures), if computed
+    record = reference._cache.get(("axiom_record",))
+    if record is not None and not record[0] and not record[2] and space.free.is_positive:
+        counts = 0, sum(2 ** len(r) - 2 for r in regions if len(r) >= 2), 0
+    else:
+        counts = _walk_orders(reference, regions, perms, report, witness_cap)
+    mismatched_perms, split_checks, split_failures = counts
+    if not split_failures:
+        for key, family in singletons._cache.items():
+            if key[0] == "family":
+                family._cache[("block_splits",)] = True
+    report.data = {
+        "permutations_tested": len(perms),
+        "permutations_sampled": sampled,
+        "permutation_mismatches": mismatched_perms,
+        "block_splits_tested": split_checks,
+        "block_split_failures": split_failures,
+    }
+    return report
+
+
+def _walk_orders(reference: DensityFamily, regions: list, perms: list,
+                 report: HypothesisReport, witness_cap: int) -> tuple[int, int, int]:
+    """The walk of `check_order_independence`: fails ``report`` per
+    mismatch and returns (permutation mismatches, block splits tested,
+    block split failures)."""
+    space = reference.space
     joins: dict[tuple, bool] = {}
 
     def join(region: tuple[Site, ...], site: Site) -> bool:
@@ -490,15 +558,4 @@ def check_order_independence(
                         break
                 if not ok:
                     break
-    if not split_failures:
-        for key, family in singletons._cache.items():
-            if key[0] == "family":
-                family._cache[("block_splits",)] = True
-    report.data = {
-        "permutations_tested": len(perms),
-        "permutations_sampled": sampled,
-        "permutation_mismatches": mismatched_perms,
-        "block_splits_tested": split_checks,
-        "block_split_failures": split_failures,
-    }
-    return report
+    return mismatched_perms, split_checks, split_failures

@@ -381,6 +381,8 @@ class FreeMeasure:
     Each site carries a finite nonnegative weight per symbol with at least one
     strictly positive entry.  `is_normalized` reports whether every per-site
     total equals one; parts of the verifier require that and say so.
+    `is_positive` reports whether no weight is zero, which the uniqueness
+    probe and the order-independence read-off need.
     """
 
     alphabet: Alphabet
@@ -422,6 +424,11 @@ class FreeMeasure:
     @property
     def is_normalized(self) -> bool:
         return all(self.site_mass(site) == 1 for site in self.weights)
+
+    @property
+    def is_positive(self) -> bool:
+        """Whether every site gives every symbol a positive weight."""
+        return all(w > 0 for row in self.weights.values() for w in row.values())
 
 
 class Configuration:

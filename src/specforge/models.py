@@ -10,7 +10,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Protocol
 
@@ -217,15 +217,24 @@ class TableModel:
 
     The context is the restriction of the configuration to the other sites,
     in universe order.  This is the general-purpose carrier; the other model
-    kinds are compact special cases.
+    kinds are compact special cases.  The positions a raw read looks up are
+    memoised per universe and site.
     """
 
     entries: Mapping[Site, Mapping[tuple, Fraction]]
     provenance: str = "table"
+    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
-        others = tuple(s for s in space.universe if s != site)
-        key = (cfg.symbol(site), cfg.restrict(others), cfg.tail)
+        at = (space.universe.sites, site)
+        if at not in self._positions:
+            # the universe positions of the site and of the others
+            universe = space.universe
+            self._positions[at] = (universe.index(site),
+                                   tuple(universe.index(s) for s in universe if s != site))
+        own, others = self._positions[at]
+        values = cfg.values
+        key = (values[own], tuple([values[k] for k in others]), cfg.tail)
         try:
             value = self.entries[site][key]
         except KeyError:
@@ -266,12 +275,14 @@ class PotentialModel:
     symbol) -> weight (> 0), with the pair key and symbol order matching the
     universe order of the two sites.  The raw weight of a site multiplies its
     field by every pair factor it participates in, which mirrors conditioning
-    a strictly positive product-form joint on the other coordinates.
+    a strictly positive product-form joint on the other coordinates.  The
+    pair tables holding each site are looked up once per universe and site.
     """
 
     fields: Mapping[Site, Mapping[str, Fraction]]
     pairs: Mapping[tuple, Mapping[tuple, Fraction]] = None  # type: ignore[assignment]
     provenance: str = "potential"
+    _incident: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def positive(w, kind: str, at: str) -> Fraction:
@@ -297,14 +308,23 @@ class PotentialModel:
             value = self.fields[site][cfg.symbol(site)]
         except KeyError:
             raise DomainError(f"potential misses field for site {site!r}") from None
-        for (a, b), table in self.pairs.items():
-            if site in (a, b):
-                symbols = (cfg.symbol(a), cfg.symbol(b))
-                try:
-                    value *= table[symbols]
-                except KeyError:
-                    raise DomainError(f"potential pair {(a, b)!r} misses symbol pair "
-                                      f"{symbols!r}") from None
+        at = (space.universe.sites, site)
+        if at not in self._incident:
+            # each pair table holding the site, in ``pairs`` order, with the
+            # universe positions of its sites: None off the universe, where
+            # reading the symbol raises
+            position = space.universe._index.get
+            self._incident[at] = [(edge, position(edge[0]), position(edge[1]), table)
+                                  for edge, table in self.pairs.items() if site in edge]
+        values = cfg.values
+        for (a, b), i, j, table in self._incident[at]:
+            symbols = ((values[i], values[j]) if i is not None and j is not None
+                       else (cfg.symbol(a), cfg.symbol(b)))
+            try:
+                value *= table[symbols]
+            except KeyError:
+                raise DomainError(f"potential pair {(a, b)!r} misses symbol pair "
+                                  f"{symbols!r}") from None
         return value
 
 

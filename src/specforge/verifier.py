@@ -709,8 +709,11 @@ def good_support_report(
     k ∈ W against (W∖k) + V, which `good_symbols` canonicalises to Λ∖k,
     the context of p's core table for k, and that table is a union of
     whole lines along Λ∖k (below), so p's other symbols on W do not
-    matter.  `extension_divisor` raises unless every good block agrees
-    with the first, so D is the candidate at p:
+    matter.  Every good block gives the same divisor: on a walk because
+    `extension_divisor` raises unless every good block agrees with the
+    first, and on `check_order_independence`'s read-off of a passing
+    axiom record by step 3 of its proof (step 2 there rules out the
+    raises below).  So D is the candidate at p:
     ρ_W(p)·I(V, W, p) / ρ_V(p), where ρ_W(p) > 0 and the integral, the
     same `ratio_integral` read here, lies in (0, inf), or else it raises.
     If ρ_V(p) > 0 the cell says ρ_Λ(p) = ρ_V(p) / I(V, W, p); if

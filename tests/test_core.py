@@ -164,6 +164,13 @@ class TestValidation:
         lopsided = FreeMeasure(alphabet, {"i": {"a": Fraction(1), "b": Fraction(2)}})
         assert not lopsided.is_normalized
 
+    def test_positive_flag(self):
+        alphabet = Alphabet(("a", "b"))
+        assert FreeMeasure(alphabet, {"i": {"a": Fraction(1), "b": Fraction(2)}}).is_positive
+        one_zero = FreeMeasure(alphabet, {"i": {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+                                          "j": {"a": Fraction(1), "b": Fraction(0)}})
+        assert one_zero.is_normalized and not one_zero.is_positive
+
     def test_space_rejects_free_weights_outside_its_universe(self):
         """A stray site's weights would count in `is_normalized` and turn
         the measure suites off for a window that does not hold it."""

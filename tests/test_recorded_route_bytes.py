@@ -10,16 +10,27 @@ chain, every ``good_support``, ``uniqueness_probe``,
 ``measure_consistency[kernel:*]`` and ``support_mass[kernel:*]`` entry of
 the full report must serialise to the same bytes as the entry of that
 name in the report that walks.
+
+``order_independence`` in a full ``verify`` runs after the specification
+axioms and is read off their passing record.  A full ``verify`` whose
+order-independence suite finds that record withheld walks every sweep
+and block split instead; its JSON report and stdout must equal those of
+the read-off route byte for byte.
 """
 
+import importlib
 import json
 from importlib import resources
 
 import pytest
 
+from specforge import constructor
 from specforge.cli.main import main
 
 from test_bundled_golden import CHAIN5
+
+# the package re-exports the function ``main`` under the module's name
+cli = importlib.import_module("specforge.cli.main")
 
 MODELS = ("broken_h2", "example1", "extracted", "independent", "potential")
 
@@ -71,3 +82,36 @@ def test_recorded_and_walked_entries_are_byte_identical(model, tmp_path, monkeyp
         assert "good_support" in full and any(name.startswith("measure") for name in full)
     for name, entry in full.items():
         assert walked[name] == entry, name
+
+
+@pytest.mark.parametrize("model", sorted(SOURCES))
+def test_read_off_and_walked_order_independence_are_byte_identical(
+        model, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = SOURCES[model]
+    if text is None:
+        text = (resources.files("specforge") / "data" / f"{model}.model").read_text(
+            encoding="utf-8")
+    (tmp_path / "model.model").write_text(text, encoding="utf-8")
+    argv = ["verify", "model.model", "--json", "report.json"]
+    code = main(argv)
+    read_off = (tmp_path / "report.json").read_bytes(), capsys.readouterr().out
+    honest = cli.check_order_independence
+    withheld = []
+
+    def without_record(singletons, *args, **kwargs):
+        dens = constructor.build_family(singletons)
+        record = dens._cache.pop(("axiom_record",), None)
+        withheld.append(record)
+        try:
+            return honest(singletons, *args, **kwargs)
+        finally:
+            if record is not None:
+                dens._cache[("axiom_record",)] = record
+
+    monkeypatch.setattr(cli, "check_order_independence", without_record)
+    assert main(argv) == code
+    walked = (tmp_path / "report.json").read_bytes(), capsys.readouterr().out
+    if model != "broken_h2":
+        assert withheld and withheld[0] is not None
+    assert walked == read_off

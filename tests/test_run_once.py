@@ -46,7 +46,11 @@ reads pointwise compatibility off it, walking neither per configuration;
 and a ``SingletonFamily`` checks unit mass with one integer line sum per
 site and exterior class, building no extended rational.  ``normalize``
 reads each raw weight once and builds its family without that check:
-it calls neither ``Space.free_integral`` nor ``_check_unit_mass``.
+it calls neither ``Space.free_integral`` nor ``_check_unit_mass``; a
+potential or table model looks up each site's pair tables or
+complement once per universe.  A full ``verify`` checks the axioms
+before order independence and reads the latter off their record,
+computing no extension divisor inside it; ``verify --orders`` walks.
 """
 
 import importlib
@@ -59,7 +63,7 @@ from specforge import constructor, hypotheses, verifier
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
 from specforge.core import ExtendedRational, Space
-from specforge.models import SingletonFamily, normalize
+from specforge.models import SingletonFamily, TableModel, normalize
 from specforge.verifier import (
     FiniteMeasure,
     check_good_support_mass,
@@ -70,6 +74,7 @@ from specforge.verifier import (
 )
 
 from test_bundled_golden import CHAIN5
+from test_recorded_route_bytes import hardcore_chain
 import oracles
 import zoo
 from zoo import alternating_exclusion_family, hardcore_family, potential_family
@@ -696,3 +701,61 @@ def test_normalize_reads_each_raw_weight_once_and_rechecks_no_mass(monkeypatch, 
     assert set(counts.values()) == {1}
     assert len(counts) == len(space.universe) * space.size
     assert fresh._tables == expected
+
+
+@pytest.mark.parametrize("model", ["chain5", "hardcore4"])
+def test_full_verify_reads_order_independence_off_the_axiom_record(
+        model, tmp_path, monkeypatch, capsys):
+    """A full ``verify`` checks the axioms first, so order independence
+    is read off their passing record and computes no extension divisor;
+    ``verify --orders`` alone has no record and walks every split."""
+    monkeypatch.chdir(tmp_path)
+    text = CHAIN5 if model == "chain5" else hardcore_chain(4)
+    (tmp_path / f"{model}.model").write_text(text, encoding="utf-8")
+    counts = Counter()
+    inside = []
+    honest_suite = cli.check_order_independence
+    honest_cached = constructor.DensityFamily.cached
+
+    def suite(*args, **kwargs):
+        inside.append(True)
+        try:
+            return honest_suite(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_cached(self, key, compute):
+        def counted():
+            counts["divisors_in_order_independence"] += bool(inside)
+            return compute()
+        return honest_cached(self, key, counted if key[0] == "extension_divisor" else compute)
+
+    monkeypatch.setattr(cli, "check_order_independence", suite)
+    monkeypatch.setattr(constructor.DensityFamily, "cached", counted_cached)
+    assert main(["verify", f"{model}.model", "--json", "full.json"]) == 0
+    assert '"block_splits_tested"' in (tmp_path / "full.json").read_text()
+    assert counts == Counter()
+    assert main(["verify", f"{model}.model", "--orders"]) == 0
+    capsys.readouterr()
+    assert counts["divisors_in_order_independence"] > 0
+
+
+@pytest.mark.parametrize("kind", ["potential", "table"])
+def test_raw_reads_look_up_each_site_once_per_universe(kind):
+    """``normalize`` looks up a site's pair tables, or the positions of
+    its complement, once per universe, not once per raw read."""
+    if kind == "potential":
+        space, model, _ = potential_family(1, n_sites=4)
+        memo = model._incident
+    else:
+        family = hardcore_family(3)
+        space = family.space
+        model = TableModel({site: {(cfg.symbol(site), cfg.restrict(
+            [s for s in space.universe if s != site]), cfg.tail): family.density(site, cfg)
+            for cfg in space.configurations()} for site in space.universe})
+        memo = model._positions
+    first = normalize(space, model)
+    assert sorted(site for _, site in memo) == sorted(space.universe.sites)
+    held = dict(memo)
+    assert normalize(space, model)._tables == first._tables
+    assert memo.keys() == held.keys() and all(memo[at] is held[at] for at in held)
