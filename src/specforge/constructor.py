@@ -29,7 +29,6 @@ from .core import (
     Configuration,
     DomainError,
     ExtendedRational,
-    INF,
     Site,
     SpecforgeError,
     exact,
@@ -75,9 +74,10 @@ class DensityFamily(Tabulated):
     per region and class that the verifier reads (integer pairs or
     `Fraction` weights), each keyed by its regions and exterior class,
     the full-window kernel measure of each tail class, and the record of
-    passing block splits (`check_order_independence`).  Integrals of
-    shared single-site tables are the singleton family's; a sibling
-    starts with an empty memo, so it never reads its parent's.
+    passing block splits (`check_order_independence`).  The ratio tables
+    of two shared single-site tables are the singleton family's; a
+    sibling starts with an empty memo, so it never reads its parent's,
+    and builds its own tables for a replaced site.
     """
 
     def __init__(self, singletons: SingletonFamily):
@@ -160,8 +160,9 @@ def extension_divisor(
     only off theta.  Each block's point is the class index of ``cfg``
     off theta plus the block's digits times theta's strides, and its
     value is the integer pair (num(rho_theta)·den(rho_gamma)·num(I),
-    den(rho_theta)·num(rho_gamma)·den(I)), a zero second member being
-    the infinite value.  Both first members are positive, so two pairs
+    den(rho_theta)·num(rho_gamma)·den(I)), with (num(I), den(I)) the
+    family's `ratio_pair`, a zero second member being the infinite
+    value.  Both first members are positive, so two pairs
     agree iff they cross-multiply equal, infinite ones included; one
     `ExtendedRational` is built per divisor.
     """
@@ -197,18 +198,19 @@ def extension_divisor(
                     f"{block!r} at {cfg!r}; good-set guarantee violated"
                 )
             shifted = space.at(point)
-            integral = dens.ratio_integral(ga, th, shifted)
+            integral = dens.ratio_pair(ga, th, shifted)
             if integral is None:
                 raise ConstructionError(
                     f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
                     "is not in (0, inf); good-set guarantee violated"
                 )
-            candidate = (num.numerator * den.denominator * integral.numerator,
-                         num.denominator * den.numerator * integral.denominator)
+            candidate = (num.numerator * den.denominator * integral[0],
+                         num.denominator * den.numerator * integral[1])
             if value is None:
                 value, first_block = candidate, block
             elif candidate[0] * value[1] != candidate[1] * value[0]:
-                lhs, rhs = str(_extended(value)), str(_extended(candidate))
+                lhs, rhs = (str(ExtendedRational._of_pair(value)),
+                            str(ExtendedRational._of_pair(candidate)))
                 raise ConstructionError(
                     f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
                     f"disagrees across good blocks: {lhs} via "
@@ -226,16 +228,9 @@ def extension_divisor(
                         lhs=lhs, rhs=rhs,
                     ),
                 )
-        return _extended(value)
+        return ExtendedRational._of_pair(value)
 
     return dens.cached(("extension_divisor", th, ga, base), compute)
-
-
-def _extended(pair: tuple[int, int]) -> ExtendedRational:
-    """The value of a divisor's integer pair, both members nonnegative; a
-    zero second member is INF."""
-    num, den = pair
-    return INF if not den else ExtendedRational._trusted(Fraction(num, den))
 
 
 def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],

@@ -9,8 +9,9 @@ point at infinity where ratios demand it.  The indeterminate contractions
 0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
 never silent conventions.  Sums along a line of the free measure
 (`Space.free_integral`, `Space.ratio_integral`) are accumulated in
-integers by `_line_sum`, one numerator over one common denominator, and
-one `Fraction` is built per result.
+integers by `_line_sum`, one numerator over one common denominator; a
+ratio integral's undefined, infinite and zero cases are decided once,
+by `_ratio_line`, and one `Fraction` is built per finite result.
 
 A configuration's index is its position in `Space.configurations()`: with
 pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
@@ -95,6 +96,27 @@ def _line_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
+def _ratio_line(terms: Iterable[tuple[int, int, tuple[int, int], tuple[int, int]]]
+                ) -> tuple[int, int] | None:
+    """Σ w·n/d along one line of the free measure, ``terms`` holding per
+    fill the weight w as ``w_num, w_den`` and n and d as integer pairs,
+    all nonnegative over positive denominators.  None where the sum is
+    undefined: a 0/0 point, or n/d infinite on a zero weight.  Else an
+    integer pair: (1, 0) where n/d is infinite on a positive weight, or
+    `_line_sum`'s pair of the finite terms, whose first member is zero
+    iff the sum is; `ExtendedRational._of_pair` is its value."""
+    finite = []
+    infinite = False
+    for w_num, w_den, (n_num, n_den), (d_num, d_den) in terms:
+        if not d_num:
+            if not n_num or not w_num:
+                return None
+            infinite = True
+        elif w_num and n_num:
+            finite.append((w_num * n_num * d_den, w_den * n_den * d_num))
+    return (1, 0) if infinite else _line_sum(finite)
+
+
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
 
 
@@ -149,6 +171,13 @@ class ExtendedRational:
         element = object.__new__(cls)
         element._value = value
         return element
+
+    @classmethod
+    def _of_pair(cls, pair: tuple[int, int]) -> "ExtendedRational":
+        """The value of an integer pair with both members nonnegative: a
+        zero second member is infinite, else the quotient."""
+        num, den = pair
+        return INF if not den else cls._trusted(Fraction(num, den))
 
     @property
     def is_infinite(self) -> bool:
@@ -686,29 +715,19 @@ class Space:
         """Free integral over the canonical sites `over` of num/den at `cfg`.
 
         `num` and `den` are flat nonnegative density tables, read at the
-        `fill_offsets` of the class of `cfg` off `over`.  Nothing raises:
-        a 0/0 point, or an infinite ratio on a zero-weight fill, makes
-        the integral undefined and returns None; an infinite ratio on a
-        positive weight makes it infinite.  The weights are read as
-        `fill_pairs` and the class base off the memoised class map, and
-        the finite terms w·n/d are summed by `_line_sum`.  One `Fraction`
-        is built for the result and wrapped unchecked
-        (`ExtendedRational._trusted`): every term is nonnegative over a
-        positive denominator, so the sum is.  Every family's tables are
-        nonnegative: `SingletonFamily` and `replace_table` refuse a
-        negative value, and a built table divides nonnegative values by
-        positive divisors.
+        `fill_pairs` of the class of `cfg` off `over` (its base read off
+        the memoised class map) as integer pairs and summed by
+        `_ratio_line`, which holds the rules.  Nothing raises: a 0/0
+        point, or an infinite ratio on a zero-weight fill, makes the
+        integral undefined and returns None; an infinite ratio on a
+        positive weight makes it infinite.  One `Fraction` is built for
+        a finite result (`ExtendedRational._of_pair`).  Every family's
+        tables are nonnegative: `SingletonFamily` and `replace_table`
+        refuse a negative value, and a built table divides nonnegative
+        values by positive divisors.
         """
         base = self._class_map(over)[cfg.index]
-        terms = []
-        infinite = False
-        for offset, w_num, w_den in self.fill_pairs(over):
-            n_num, n_den = num[base + offset].as_integer_ratio()
-            d_num, d_den = den[base + offset].as_integer_ratio()
-            if not d_num:
-                if not n_num or not w_num:
-                    return None
-                infinite = True
-            elif w_num and n_num:
-                terms.append((w_num * n_num * d_den, w_den * n_den * d_num))
-        return INF if infinite else ExtendedRational._trusted(Fraction(*_line_sum(terms)))
+        pair = _ratio_line((w_num, w_den, num[base + offset].as_integer_ratio(),
+                            den[base + offset].as_integer_ratio())
+                           for offset, w_num, w_den in self.fill_pairs(over))
+        return None if pair is None else ExtendedRational._of_pair(pair)

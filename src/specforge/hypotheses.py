@@ -28,9 +28,10 @@ pair and exterior class off it at a time, into one record
 bounded positivity's strict identity are read off it, and pointwise
 compatibility off a passing order consistency.  The two-site identities
 and bounded positivity's extremes are decided by cross-multiplying
-integer numerators and denominators, over ratio integrals that
-`Space.ratio_integral` sums in integers; a `Fraction` is built only for
-a witness or a reported bound.
+integer numerators and denominators, over ratio integrals read as
+integer pairs off the family's single-site ratio tables
+(`SingletonFamily.ratio_table`); a `Fraction` is built only for a
+witness or a reported bound.
 """
 
 from __future__ import annotations
@@ -148,6 +149,17 @@ def _replay_point(cfg: Configuration, **extra) -> dict:
     return out
 
 
+def _kernel_failure(over: Site, against: Site, cfg: Configuration,
+                    where: str) -> HypothesisFailure:
+    """The error of a ratio integral read outside (0, inf) where the
+    good-set definition keeps it inside: broken good-set bookkeeping."""
+    return HypothesisFailure(
+        f"ratio integral over {over!r} of {over!r}/{against!r} at "
+        f"{cfg!r} is not in (0, inf) during {where}; good-set guarantee "
+        "violated"
+    )
+
+
 def _checked_ratio_kernel(
     family: SingletonFamily,
     over: Site,
@@ -155,17 +167,14 @@ def _checked_ratio_kernel(
     cfg: Configuration,
     where: str,
 ) -> Fraction:
-    """`SingletonFamily.ratio_integral` of ``over`` against ``against``,
-    which the good-set definition keeps in (0, inf) where the callers
-    read it; a miss means broken good-set bookkeeping, so it raises."""
-    value = family.ratio_integral((over,), (against,), cfg)
-    if value is None:
-        raise HypothesisFailure(
-            f"ratio integral over {over!r} of {over!r}/{against!r} at "
-            f"{cfg!r} is not in (0, inf) during {where}; good-set guarantee "
-            "violated"
-        )
-    return value
+    """The ratio integral over ``over`` of ``over``/``against`` at
+    ``cfg`` (`SingletonFamily.ratio_pair`), which the good-set
+    definition keeps in (0, inf) where the callers read it; a miss means
+    broken good-set bookkeeping, so it raises `_kernel_failure`."""
+    k = family.ratio_pair((over,), (against,), cfg)
+    if k is None:
+        raise _kernel_failure(over, against, cfg, where)
+    return Fraction(*k)
 
 
 def _full_lines(points: frozenset, stride: int, q: int) -> frozenset:
@@ -397,17 +406,17 @@ def _pair_densities(
     family: SingletonFamily, i: Site, j: Site, cfg: Configuration
 ) -> tuple[dict, dict]:
     """density(i) and density(j) at ``cfg`` rewritten to each (s_i, s_j),
-    each as its (numerator, denominator) pair; every denominator is
-    positive."""
+    each as its (numerator, denominator) pair off the family's integer
+    pair views; every denominator is positive."""
     space = family.space
     base = space.class_index(cfg, (i, j))
-    table_i, table_j = family._tables[(i,)], family._tables[(j,)]
+    table_i, table_j = family._integer_pairs((i,)), family._integer_pairs((j,))
     d_i: dict[tuple[str, str], tuple[int, int]] = {}
     d_j: dict[tuple[str, str], tuple[int, int]] = {}
     for s, (offset, _) in zip(itertools.product(space.alphabet.symbols, repeat=2),
                               space.fill_offsets((i, j))):
-        d_i[s] = table_i[base + offset].as_integer_ratio()
-        d_j[s] = table_j[base + offset].as_integer_ratio()
+        d_i[s] = table_i[base + offset]
+        d_j[s] = table_j[base + offset]
     return d_i, d_j
 
 
@@ -425,15 +434,18 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     class's base index b (both sites on digit 0).  The classes go in the
     order a walk over every configuration, then pair, first reaches
     them: by (b, pair position).  In each class every K of a good symbol
-    is read, g_i's then g_j's, through `_checked_ratio_kernel`, so a
-    broken good-set guarantee raises at that walk's integral, with its
-    text.
+    is read, g_i's then g_j's, as an unreduced integer pair by index off
+    the family's `ratio_table` over j against i, or over i against j:
+    the point b with i on x is its own class base off j.  A K outside
+    (0, inf) raises `_kernel_failure`, the error of
+    `_checked_ratio_kernel`, so a broken good-set guarantee raises at
+    that walk's integral, with its text.
 
     Write a(s, t) and c(s, t) for d_i and d_j with i = s, j = t, so that
     lhs_x(u) = a(u) P_x(u_j) and rhs_y(u) = c(u) Q_y(u_i), with P_x =
     c(x, .) / (a(x, .) K_i(x)) and Q_y = a(., y) / (c(., y) K_j(y)).
     K_i(x) in (0, inf) forces a(x, v) > 0 for every v, good sets or not:
-    where a(x, v) = 0, `Space.ratio_integral` is undefined (a 0/0 point,
+    where a(x, v) = 0, `_ratio_line` is undefined (a 0/0 point,
     or an infinite ratio on a zero free weight) or infinite, and the
     guard raises.  Mirrored, c(., y) > 0.  So each side is one integer
     numerator over one positive integer denominator, read off the tables
@@ -461,16 +473,31 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
         space = family.space
         q = len(space.alphabet)
         digit = {s: d for d, s in enumerate(space.alphabet.symbols)}
-        ratios = {site: [value.as_integer_ratio() for value in family._tables[(site,)]]
-                  for site in space.universe.sites}
+        ratios = {site: family._integer_pairs((site,)) for site in space.universe.sites}
         pairs = list(itertools.combinations(space.universe.sites, 2))
         rank = {pair: pos for pos, pair in enumerate(pairs)}
 
+        def kernels(over: Site, against: Site, b: int, good: tuple[str, ...],
+                    stride: int) -> list[tuple[str, tuple[int, int]]]:
+            """``(x, K)`` per good symbol x of ``against``, K the integer
+            pair of the integral over ``over`` at ``b`` with ``against``
+            (of stride ``stride``) on x; raises at the first K outside
+            (0, inf)."""
+            table = family.ratio_table((over,), (against,))
+            out = []
+            for x in good:
+                p = b + digit[x] * stride
+                k = table[p]
+                if k is None or not k[0] or not k[1]:
+                    raise _kernel_failure(over, against, space.at(p), "order consistency")
+                out.append((x, k))
+            return out
+
         def resolution(d_own: list, d_other: list, row: int, stride: int,
-                       k: Fraction) -> list[tuple[int, int]]:
+                       k: tuple[int, int]) -> list[tuple[int, int]]:
             """d_other / (d_own K) from index ``row`` along the line of
             stride ``stride``, as integer pairs."""
-            k_num, k_den = k.as_integer_ratio()
+            k_num, k_den = k
             return [(d_other[p][0] * d_own[p][1] * k_den, d_other[p][1] * d_own[p][0] * k_num)
                     for p in range(row, row + q * stride, stride)]
 
@@ -502,10 +529,7 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
             s_i, s_j = space.strides((i, j))
             cfg = space.at(b)
             good_i, good_j = good_symbols(family, i, (j,), cfg), good_symbols(family, j, (i,), cfg)
-            g_i = [(x, _checked_ratio_kernel(family, j, i, space.at(b + digit[x] * s_i),
-                                             "order consistency")) for x in good_i]
-            g_j = [(y, _checked_ratio_kernel(family, i, j, space.at(b + digit[y] * s_j),
-                                             "order consistency")) for y in good_j]
+            g_i, g_j = kernels(j, i, b, good_i, s_i), kernels(i, j, b, good_j, s_j)
             comparisons += q * q * len(g_i) * len(g_j)
             if any(failing(i, j, b, g_i[:1], g_j[:1])):
                 failures.extend(failing(i, j, b, g_i, g_j))
@@ -531,9 +555,10 @@ def check_order_consistency(
     family's `_pair_record`, which decides each pair and exterior class
     off it from the q² cells of one pair of good symbols and compares
     every cell only where one of those fails.  Each ratio integral is
-    read from the family's memo (`SingletonFamily.raw_ratio_integral`),
-    which `check_bounded_positivity` reads too, and bounded positivity
-    reads its strict identity off the same record.
+    an integer pair read by index off the family's
+    `SingletonFamily.ratio_table` of its ordered site pair, which
+    `check_bounded_positivity` walks too, and bounded positivity reads
+    its strict identity off the same record.
 
     Memoised on the family per ``witness_cap``, like the positivity
     report it reads first; a raised HypothesisFailure is not memoised.
@@ -795,12 +820,13 @@ def check_bounded_positivity(
     other) == density(other)/integral(other against site) is also
     audited and reported under data["strict_identity"].
 
-    Each integral is the raw value of the family's memo
-    (`SingletonFamily.raw_ratio_integral`), so after
-    `check_order_consistency` on a family whose good sets are the whole
-    alphabet no integral is evaluated afresh.  Extremes are kept as
-    integer pairs and compared cross-multiplied; denominators are
-    positive.
+    The integrals of each ordered pair are read in one walk over its
+    `SingletonFamily.ratio_table`, class by class in index order, each
+    an integer pair or None; a failing class is witnessed at its first
+    member.  After `check_order_consistency`, which reads every table
+    once very weak positivity passes, no table is built afresh.
+    Extremes are kept as integer pairs and compared cross-multiplied;
+    denominators are positive.
 
     The strict identity is read off order consistency's `_pair_record`.
     With n ≥ 2 sites, passing bounds make every density positive: a zero
@@ -828,23 +854,22 @@ def check_bounded_positivity(
             lo: tuple[int, int] | None = None
             hi: tuple[int, int] | None = None
             defined = True
-            for cfg in space.exterior_classes((j,)):
-                value = family.raw_ratio_integral((j,), (i,), cfg)
-                if value is None or value.is_infinite or value.is_zero:
+            for b, value in family.ratio_table((j,), (i,)).items():
+                if value is None or not value[0] or not value[1]:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
                         check="bounded_positivity",
                         description=(
                             f"ratio integral of {j!r} against {i!r} is "
                             + ("undefined" if value is None else
-                               "infinite" if value.is_infinite else "zero")
+                               "infinite" if not value[1] else "zero")
                         ),
                         replay=_replay_point(
-                            cfg, site=str(i), other=str(j),
+                            space.at(b), site=str(i), other=str(j),
                         ),
                     ))
                     continue
-                f_num, f_den = value.fraction.as_integer_ratio()
+                f_num, f_den = value
                 if lo is None or f_num * lo[1] < lo[0] * f_den:
                     lo = f_num, f_den
                 if hi is None or f_num * hi[1] > hi[0] * f_den:

@@ -23,6 +23,7 @@ from .core import (
     Space,
     SpecforgeError,
     _line_sum,
+    _ratio_line,
     exact,
 )
 
@@ -58,10 +59,12 @@ class Tabulated:
         """``compute()``, memoised under ``key`` for the life of the family.
 
         ``key[0]`` names the kind of value, then come its sites or regions
-        and the `Space.class_index` of the exterior class it reads, as in
-        ``("ratio_integral", over, against, class)``.  Good-point tables
-        are sets of configuration indices.  Values are shared, so callers
-        only read them; a ``compute`` that raises leaves no entry.
+        and, for a value read at one exterior class, the `Space.class_index`
+        of that class, as in ``("ratio_integral", over, against, class)``;
+        a `ratio_table` is keyed ``("ratio_table", over, against)``.
+        Good-point tables are sets of configuration indices.  Values are
+        shared, so callers only read them; a ``compute`` that raises
+        leaves no entry.
         """
         try:
             return self._cache[key]
@@ -75,21 +78,65 @@ class Tabulated:
         ``against``: this one, unless it reads another family's tables."""
         return self
 
+    def _integer_pairs(self, region: tuple[Site, ...]) -> list[tuple[int, int]]:
+        """The table of ``region`` as integer pairs, in index order,
+        memoised under ``("integer_pairs", region)``."""
+        return self.cached(("integer_pairs", region), lambda: [
+            value.as_integer_ratio() for value in self._tables[region]])
+
+    def ratio_table(self, over: tuple[Site, ...],
+                    against: tuple[Site, ...]) -> dict[int, tuple[int, int] | None]:
+        """The free integral over the one-site region ``over`` of
+        density(over)/density(against), one-site too, at every exterior
+        class off ``over``: class index -> `_ratio_line`'s integer pair,
+        None where undefined, a zero second member where infinite and a
+        zero first member where zero.
+
+        Filled in one pass over the class bases, in index order, from the
+        `_integer_pairs` of both tables; no `Fraction` is built.  Kept on
+        the memo of the family `_integral_memo` names, once per ordered
+        pair, so the gates, the build and the verifier read one table.
+        Shared, so callers only read it.
+        """
+        owner = self._integral_memo(over, against)
+        key = ("ratio_table", over, against)
+        try:
+            return owner._cache[key]
+        except KeyError:
+            pass
+
+        def compute() -> dict[int, tuple[int, int] | None]:
+            space = owner.space
+            fills = space.fill_pairs(over)
+            num, den = owner._integer_pairs(over), owner._integer_pairs(against)
+            return {b: _ratio_line((w_num, w_den, num[b + offset], den[b + offset])
+                                   for offset, w_num, w_den in fills)
+                    for b in (cfg.index for cfg in space.exterior_classes(over))}
+
+        return owner.cached(key, compute)
+
     def raw_ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
                            cfg: Configuration) -> ExtendedRational | None:
         """The free integral over ``over`` of density(over)/density(against)
-        at ``cfg``, None where undefined, memoised per (over, against, class
-        of ``cfg`` off ``over``), which is all it reads.
+        at ``cfg``, None where undefined; it reads ``cfg`` only off
+        ``over``.
 
-        A hit is read straight off the owner's memo; a miss is computed
-        through `cached` under ``("ratio_integral", over, against,
-        class)``.  It keeps the raw value, since bounded positivity's
-        witnesses tell undefined, infinite and zero apart; other readers
-        use the guard.
+        Between two single sites it is read off their `ratio_table`, an
+        `ExtendedRational` built for the caller.  Otherwise it is
+        memoised per (over, against, class of ``cfg`` off ``over``): a
+        hit is read straight off the owner's memo, a miss is computed by
+        `Space.ratio_integral` through `cached` under
+        ``("ratio_integral", over, against, class)``.  It keeps the raw
+        value, which tells undefined, infinite and zero apart; other
+        readers use the guard, `ratio_pair`.
         """
         space = self.space
+        index = space._class_map(over)[cfg.index]
+        if len(over) == len(against) == 1:
+            pair = self.ratio_table(over, against)[index]
+            return None if pair is None else ExtendedRational._of_pair(pair)
         owner = self._integral_memo(over, against)
-        key = ("ratio_integral", over, against, space._class_map(over)[cfg.index])
+        key = ("ratio_integral", over, against, index)
         try:
             return owner._cache[key]
         except KeyError:
@@ -97,13 +144,24 @@ class Tabulated:
             return owner.cached(key, lambda: space.ratio_integral(
                 over, tables[over], tables[against], cfg))
 
-    def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
-                       cfg: Configuration) -> Fraction | None:
-        """`raw_ratio_integral` when it lies in (0, inf), else None."""
+    def ratio_pair(self, over: tuple[Site, ...], against: tuple[Site, ...],
+                   cfg: Configuration) -> tuple[int, int] | None:
+        """`raw_ratio_integral` as an integer pair over a positive
+        denominator when it lies in (0, inf), else None; between two
+        single sites it is the `ratio_table` entry as it is, unreduced."""
+        if len(over) == len(against) == 1:
+            pair = self.ratio_table(over, against)[self.space._class_map(over)[cfg.index]]
+            return pair if pair is not None and pair[0] and pair[1] else None
         value = self.raw_ratio_integral(over, against, cfg)
         if value is None or value.is_infinite or value.is_zero:
             return None
-        return value.fraction
+        return value.fraction.as_integer_ratio()
+
+    def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
+                       cfg: Configuration) -> Fraction | None:
+        """`ratio_pair` as a `Fraction`."""
+        pair = self.ratio_pair(over, against, cfg)
+        return None if pair is None else Fraction(*pair)
 
 
 class SingletonFamily(Tabulated):

@@ -243,7 +243,7 @@ def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
     """The support-identity walk: ``(point, j)``, lazily, for each good-core
     point of ``region`` in index order and each j-th ``(V, W)`` of
     ``sides`` in order, where density(region) = density(V) / I(V, W)
-    fails at the point or I = ratio_integral(V, W) is undefined.
+    fails at the point or I = ratio_pair(V, W) is None.
 
     With ρ_Λ = a/b, ρ_V = c/d and I = e/f, every denominator and e
     positive, the identity holds iff a·d·e = c·b·f, so it is compared in
@@ -253,9 +253,9 @@ def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
     for point in sorted(_good_core(dens.singletons, region)):
         a, b = table[point].as_integer_ratio()
         for j, (v, w) in enumerate(sides):
-            i = dens.ratio_integral(v, w, dens.space.at(point))
+            i = dens.ratio_pair(v, w, dens.space.at(point))
             c, d = dens._tables[v][point].as_integer_ratio()
-            if i is None or a * d * i.numerator != c * b * i.denominator:
+            if i is None or a * d * i[0] != c * b * i[1]:
                 yield point, j
 
 
@@ -715,7 +715,7 @@ def good_support_report(
     axiom record by step 3 of its proof (step 2 there rules out the
     raises below).  So D is the candidate at p:
     ρ_W(p)·I(V, W, p) / ρ_V(p), where ρ_W(p) > 0 and the integral, the
-    same `ratio_integral` read here, lies in (0, inf), or else it raises.
+    same `ratio_pair` read here, lies in (0, inf), or else it raises.
     If ρ_V(p) > 0 the cell says ρ_Λ(p) = ρ_V(p) / I(V, W, p); if
     ρ_V(p) = 0, D is infinite, the cell says ρ_Λ(p) = 0, and so is the
     right side.  So every identity holds, and the report passes with the

@@ -95,9 +95,9 @@ they were before they compared cross-multiplied integers: both sides of
 every identity are built as `Fraction` values, pointwise compatibility
 walks its identity also where a passing order consistency settles it,
 and bounded positivity evaluates every ratio integral afresh instead of
-reading the family's memo, keeps its extremes as `Fraction` values, and
-walks the strict identity at every cell, also where order consistency
-settles it.
+reading the family's ratio tables, keeps its extremes as `Fraction`
+values, and walks the strict identity at every cell, also where order
+consistency settles it.
 
 ``check_divisor_factorization`` is the factorization lemma for ratio
 integrals that no command runs: peeling one site off the base block of

@@ -5,8 +5,8 @@ good sets, ratio integrals and densities once per site pair and exterior
 class off the pair and compare their sides as cross-multiplied integers
 (a passing family is decided pair by pair, and pointwise compatibility
 read off it; ``test_pair_pass_oracle.py`` holds that route to the same
-oracles); ``check_bounded_positivity`` reads the ratio integrals
-memoised on the family; ``extend_density`` and the block-split loop of
+oracles); ``check_bounded_positivity`` reads the family's ratio
+tables; ``extend_density`` and the block-split loop of
 ``check_order_independence`` fetch one extension divisor per exterior
 class of the base block; and ``uniqueness_probe`` re-derives each region
 once per exterior class of the region.  Each replays its counts and

@@ -14,12 +14,14 @@ The measure suites push a measure only through the kernels their
 verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
 measure's certificate is memoised.
-Each ratio integral is evaluated once per (over, against, exterior class
-off ``over``), counted by wrapping the families' memos: the single-site
-ones of the gates and of the build through the singleton family's memo,
-so that ``check_bounded_positivity`` evaluates none after
+Ratio integrals are counted by wrapping the families' memos.  Those
+between two single sites are evaluated only in one table per ordered
+pair (over, against), built at most once per family: the gates and the
+build read the singleton family's tables, so that
+``check_bounded_positivity`` builds none after
 ``check_order_consistency`` on a positive family, and ``build_family``
-none that the gates have.  The build and the block splits of
+none that the gates have.  Every other ratio integral is evaluated once
+per (over, against, exterior class off ``over``).  The build and the block splits of
 ``check_order_independence`` evaluate every integral that
 ``good_support_report`` and ``uniqueness_probe`` read on a positive
 family: each core point's own block is a good block of every split of
@@ -54,12 +56,14 @@ computing no extension divisor inside it; ``verify --orders`` walks.
 """
 
 import importlib
+import itertools
 from collections import Counter
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
-from specforge import constructor, hypotheses, verifier
+from specforge import constructor, hypotheses, models, verifier
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
 from specforge.core import ExtendedRational, Space
@@ -118,43 +122,64 @@ def runs(monkeypatch) -> Counter:
 
 @pytest.fixture
 def integrals(monkeypatch):
-    """Counts ratio-integral evaluations by (over, against, exterior class
-    off ``over``), over every family's memo.
+    """Counts ratio-integral evaluations over every family's memo: the
+    single-site tables built, by (over, against), in ``tables``, and the
+    other integrals computed, by (over, against, exterior class off
+    ``over``), in ``classes``.
 
-    An evaluation is a ``"ratio_integral"`` memo entry being computed, on
-    a singleton or a density family; the key names the regions, a lone
-    site counting as its one-site region.  The fixture also checks that
-    ``Space.ratio_integral`` runs only inside such a computation, so that
-    no evaluation escapes the count.
+    A table is built when a ``"ratio_table"`` memo entry is computed and
+    an integral when a ``"ratio_integral"`` entry is, on a singleton or a
+    density family; no ``"ratio_integral"`` entry may have one site on
+    each side, since those integrals are the tables'.  The fixture also
+    checks that the line sum of a table runs only inside a table build,
+    and ``Space.ratio_integral`` only inside a ``"ratio_integral"``
+    computation, so that no evaluation escapes the count.
     """
-    counts: Counter = Counter()
-    depth = [0]
+    counts = SimpleNamespace(tables=Counter(), classes=Counter())
+    depth = Counter()
     honest_integral = Space.ratio_integral
+    honest_line = models._ratio_line
 
     def counted_integral(self, *args):
-        assert depth[0] > 0, "a ratio integral evaluated outside the memo"
+        assert depth["ratio_integral"] > 0, "a ratio integral evaluated outside the memo"
         return honest_integral(self, *args)
+
+    def counted_line(*args):
+        assert depth["ratio_table"] > 0, "a single-site integral evaluated outside its table"
+        return honest_line(*args)
 
     def counting(cached):
         def counted(self, key, compute):
-            if key[0] != "ratio_integral":
+            kind = key[0]
+            if kind not in ("ratio_table", "ratio_integral"):
                 return cached(self, key, compute)
+            over, against = key[1:3]
+            assert kind == "ratio_table" or len(over) + len(against) > 2, (
+                "a single-site integral memoised outside its table")
 
             def evaluate():
-                over, against = (r if isinstance(r, tuple) else (r,) for r in key[1:3])
-                counts[over, against, key[3]] += 1
-                depth[0] += 1
+                if kind == "ratio_table":
+                    counts.tables[over, against] += 1
+                else:
+                    counts.classes[over, against, key[3]] += 1
+                depth[kind] += 1
                 try:
                     return compute()
                 finally:
-                    depth[0] -= 1
+                    depth[kind] -= 1
             return cached(self, key, evaluate)
         return counted
 
     monkeypatch.setattr(Space, "ratio_integral", counted_integral)
+    monkeypatch.setattr(models, "_ratio_line", counted_line)
     for owner in (SingletonFamily, constructor.DensityFamily):
         monkeypatch.setattr(owner, "cached", counting(owner.cached))
     return counts
+
+
+def evaluated(integrals) -> int:
+    """The tables built and the other integrals computed so far."""
+    return sum(integrals.tables.values()) + sum(integrals.classes.values())
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -237,7 +262,8 @@ def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypa
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
     assert main(["verify", "chain5.model"]) == 0
     capsys.readouterr()
-    assert integrals and max(integrals.values()) == 1
+    assert integrals.tables and max(integrals.tables.values()) == 1
+    assert integrals.classes and max(integrals.classes.values()) == 1
 
 
 @pytest.mark.parametrize("model", ["example1", "chain5"])
@@ -263,40 +289,42 @@ def test_check_evaluates_each_single_site_integral_once(
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
     assert main(["check", "chain5.model"]) == 0
     capsys.readouterr()
-    single = [count for key, count in integrals.items() if len(key[0]) == 1]
-    assert single and max(single) == 1
+    sites = [f"s{k}" for k in range(1, 6)]
+    assert integrals.tables == Counter({((i,), (j,)): 1
+                                        for i, j in itertools.permutations(sites, 2)})
+    assert integrals.classes == Counter()
 
 
 def test_construct_evaluates_each_single_site_integral_once(integrals):
-    """The gates and the build share one memo for one-site integrals."""
+    """The gates and the build share one table per ordered site pair."""
     family = potential_family(1, n_sites=5)[2]
     assert hypotheses.check_very_weak_positivity(family).passed
     assert hypotheses.check_order_consistency(family).passed
     assert hypotheses.check_bounded_positivity(family).passed
+    built = Counter(integrals.tables)
     constructor.build_family(family, checked=False)
-    single = [count for (over, against, _), count in integrals.items()
-              if len(over) == len(against) == 1]
-    assert single and max(single) == 1
+    assert built and integrals.tables == built
+    assert integrals.classes and max(integrals.classes.values()) == 1
 
 
 def test_bounded_positivity_reads_the_order_consistency_integrals(integrals):
     family = potential_family(1, n_sites=5)[2]
     assert hypotheses.check_order_consistency(family).passed
-    made = sum(integrals.values())
+    made = evaluated(integrals)
     assert hypotheses.check_bounded_positivity(family).passed
-    assert made > 0 and sum(integrals.values()) == made
+    assert integrals.tables and evaluated(integrals) == made
 
 
 def test_support_and_probe_integrals_are_block_split_entries(integrals):
     family = potential_family(1, n_sites=5)[2]
     assert constructor.check_order_independence(family).passed
-    made = sum(integrals.values())
+    made = evaluated(integrals)
     dens = constructor.build_family(family)
     support = good_support_report(dens)
     probe = uniqueness_probe(dens)
     assert support.passed and support.data["core_points"] > 0
     assert probe.passed and probe.data["rederived_points"] > 0
-    assert made > 0 and sum(integrals.values()) == made
+    assert made > 0 and evaluated(integrals) == made
 
 
 @pytest.mark.parametrize("model", MODELS)
