@@ -18,7 +18,9 @@ pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
 tail_pos·q^n + Σ_k pos(v_k)·q^(n-1-k), site 0 most significant.  Its class
 off some hidden sites is the index with the hidden digits zeroed
 (`Space.class_index`), the index of the class's first member, read off
-one class map per tuple of hidden sites.  The index is
+one class map per tuple of hidden sites; `Space.class_bases` lists the
+distinct ones in order, once per tuple, for walks over the classes that
+need no `Configuration`.  The index is
 the only key inside the library: density tables are lists indexed by it,
 memos key classes by it, and kernel rows and measure weights are keyed by
 it.  `Configuration.key`, ``(values, tail)``, keys only the per-site
@@ -549,7 +551,8 @@ class Space:
                                    for index, (tail, values) in enumerate(fills))),
                 ("_q", q), ("_strides", tuple(q ** (n - 1 - k) for k in range(n))),
                 ("_digits", {sym: d for d, sym in enumerate(self.alphabet.symbols)}),
-                ("_site_strides", {}), ("_class_maps", {}), ("_memo", {})):
+                ("_site_strides", {}), ("_class_maps", {}), ("_class_bases", {}),
+                ("_memo", {})):
             object.__setattr__(self, name, value)
 
     def _memoised(self, key: tuple, compute: Callable[[], object]):
@@ -643,17 +646,27 @@ class Space:
         hidden digits zeroed, the index of the class's first member."""
         return self._class_map(hidden)[cfg.index]
 
+    def class_bases(self, hidden: Iterable[Site]) -> tuple[int, ...]:
+        """The sorted distinct class indices off ``hidden``: every hidden
+        digit 0, the visible digits and the tail free.  Memoised per
+        tuple; an input that raises leaves no entry."""
+        hidden = tuple(hidden)
+        try:
+            return self._class_bases[hidden]
+        except KeyError:
+            q = self._q
+            masked = set(self.strides(hidden))  # strides differ unless q = 1, all digits 0
+            bases = [t * q * self._strides[0] for t in range(len(self.tail_classes))]
+            for stride in self._strides:
+                if stride not in masked:
+                    bases = [b + d * stride for b in bases for d in range(q)]
+            bases = self._class_bases[hidden] = tuple(bases)
+            return bases
+
     def exterior_classes(self, hidden: Iterable[Site]) -> Iterator[Configuration]:
-        """The first member of each exterior class off ``hidden``, at the
-        sorted distinct class indices (every hidden site on the first
-        symbol)."""
-        q = self._q
-        masked = set(self.strides(hidden))  # strides differ unless q = 1, all digits 0
-        visible = [stride for stride in self._strides if stride not in masked]
-        for t in range(len(self.tail_classes)):
-            for digits in itertools.product(range(q), repeat=len(visible)):
-                yield self._configs[t * q * self._strides[0] + sum(
-                    d * stride for d, stride in zip(digits, visible))]
+        """The first member of each exterior class off ``hidden``, at its
+        `class_bases`."""
+        return map(self._configs.__getitem__, self.class_bases(hidden))
 
     def per_class(self, hidden: Iterable[Site],
                   evaluate: Callable[[Configuration], object]) -> Iterator[tuple]:

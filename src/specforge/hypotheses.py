@@ -21,7 +21,11 @@ and exhaustively, before any multi-site kernel is assembled:
   admits two-sided density bounds.
 
 All verdicts come back as `HypothesisReport` values carrying replayable
-witnesses; nothing is sampled, every index point is enumerated.
+witnesses; nothing is sampled, every index point is enumerated.  The
+(site, context, exterior class) index points are walked as integer class
+bases (`Space.class_bases`), once per family, into one record of the
+points whose good set has zero free mass (`_good_set_sweep`), which very
+weak positivity and the uniqueness condition both read when they fail.
 Order consistency's two-site cells are read once per family, one site
 pair and exterior class off it at a time, into one record
 (`_pair_record`): the order-consistency report at every witness cap and
@@ -235,7 +239,8 @@ def good_symbols(
     Both conditions depend only on which densities vanish (the free
     weights enter through unit mass alone), so a symbol is good iff
     ``cfg`` with ``site`` set to it lies in the site's good-point table
-    for the canonical context (`_good_points`).  The result depends on
+    for the canonical context (`_good_points`), read by `_good_digits`
+    at the class of ``cfg`` off ``site``.  The result depends on
     ``cfg`` only off ``context + (site,)``.  The argument checks and the
     canonical context are memoised per (site, context as given); nothing
     is memoised per exterior.
@@ -253,10 +258,18 @@ def good_symbols(
         return ctx, space.strides((site,))[0]
 
     ctx, stride = family.cached(("good_symbols", site, context), canonical)
-    table = _good_points(family, site, ctx)
-    base = space.class_index(cfg, (site,))
-    return tuple(s for d, s in enumerate(space.alphabet.symbols)
-                 if base + d * stride in table)
+    symbols = space.alphabet.symbols
+    return tuple(map(symbols.__getitem__, _good_digits(
+        _good_points(family, site, ctx), space.class_index(cfg, (site,)), stride,
+        len(symbols))))
+
+
+def _good_digits(table: frozenset, base: int, stride: int, q: int) -> tuple[int, ...]:
+    """The digits d < ``q`` whose point ``base + d * stride`` lies in the
+    good-point ``table``: with ``base`` a class index off the table's
+    site, of stride ``stride``, the site's good set there, in alphabet
+    order.  The one reader of a good-point table for a good set."""
+    return tuple(d for d in range(q) if base + d * stride in table)
 
 
 def site_is_good(
@@ -333,14 +346,41 @@ def _index_points(family: SingletonFamily) -> int:
     return n * len(space.tail_classes) * (len(space.alphabet) + 1) ** (n - 1)
 
 
-def _good_set_sweep(family: SingletonFamily):
-    """``(site, ctx, cfg, good symbols)`` at every index point."""
-    space = family.space
-    for site in space.universe.sites:
-        complement = space.universe.complement((site,))
-        for ctx in space.universe.subsets(complement):
-            for cfg in space.exterior_classes(ctx + (site,)):
-                yield site, ctx, cfg, good_symbols(family, site, ctx, cfg)
+def _good_set_sweep(family: SingletonFamily) -> list[tuple]:
+    """The index points whose good set has zero free mass, once per
+    family: ``(site, ctx, b, good)`` in sweep order.
+
+    The sweep walks every site, every context inside its complement in
+    `Universe.subsets` order, and every base b of `Space.class_bases`
+    off the context and the site, in index order: the
+    ``_index_points`` points.  Each good set is read by `_good_digits`
+    off the (site, context) `_good_points` table at b, as digits; no
+    `Configuration` is built and `good_symbols` is not called.  A good
+    set has zero mass iff none of its digits has a positive free weight
+    (weights are nonnegative), so no `Fraction` is summed.  An empty
+    good set has zero mass, so the points without a good symbol are the
+    kept points with an empty ``good``.  Very weak positivity and the
+    uniqueness condition both read this record on their failing paths;
+    shared, so callers only read it.
+    """
+    def compute() -> list[tuple]:
+        space = family.space
+        q = len(space.alphabet)
+        universe = space.universe
+        zero_mass = []
+        for site in universe.sites:
+            stride = space.strides((site,))[0]
+            weighted = {d for d, s in enumerate(space.alphabet.symbols)
+                        if space.free.weight(site, s)}
+            for ctx in universe.subsets(universe.complement((site,))):
+                table = _good_points(family, site, ctx)
+                for b in space.class_bases(ctx + (site,)):
+                    good = _good_digits(table, b, stride, q)
+                    if weighted.isdisjoint(good):
+                        zero_mass.append((site, ctx, b, good))
+        return zero_mass
+
+    return family.cached(("good_set_sweep",), compute)
 
 
 def check_very_weak_positivity(
@@ -356,22 +396,21 @@ def check_very_weak_positivity(
     Every good set contains the floor set of its site and tail class
     (`_floor_good_sets`), so when no floor set is empty the check passes
     at all ``_index_points`` without visiting them.  A floor set is
-    itself an index point, so otherwise the check fails, and the sweep
-    runs to collect the violations and witnesses.
+    itself an index point, so otherwise the check fails, and its
+    violations are the points of the family's `_good_set_sweep` record
+    with an empty good set, in sweep order; a `Configuration` is looked
+    up only for a kept witness.
 
     Memoised on the family per ``witness_cap``: later calls return the
     same report, which callers only read.
     """
     def compute() -> HypothesisReport:
         report = HypothesisReport(name="very_weak_positivity", passed=True)
-        if all(_floor_good_sets(family).values()):
-            report.data = {"index_points": _index_points(family), "violations": 0}
-            return report
-        checked = 0
         violations = 0
-        for site, ctx, cfg, good in _good_set_sweep(family):
-            checked += 1
-            if not good:
+        if not all(_floor_good_sets(family).values()):
+            for site, ctx, b, good in _good_set_sweep(family):
+                if good:
+                    continue
                 violations += 1
                 report.fail(witness_cap, lambda: Witness(
                     check="very_weak_positivity",
@@ -380,11 +419,11 @@ def check_very_weak_positivity(
                         f"context {list(map(str, ctx))!r}"
                     ),
                     replay=_replay_point(
-                        cfg, site=str(site),
+                        family.space.at(b), site=str(site),
                         context=[str(s) for s in ctx],
                     ),
                 ))
-        report.data = {"index_points": checked, "violations": violations}
+        report.data = {"index_points": _index_points(family), "violations": violations}
         return report
 
     return family.cached(("very_weak_positivity", witness_cap), compute)
@@ -400,24 +439,6 @@ def _per_pair_class(family: SingletonFamily, evaluate: Callable):
                      for i, j in pairs)):
         for (i, j), (cfg, outcome) in zip(pairs, row):
             yield cfg, i, j, outcome
-
-
-def _pair_densities(
-    family: SingletonFamily, i: Site, j: Site, cfg: Configuration
-) -> tuple[dict, dict]:
-    """density(i) and density(j) at ``cfg`` rewritten to each (s_i, s_j),
-    each as its (numerator, denominator) pair off the family's integer
-    pair views; every denominator is positive."""
-    space = family.space
-    base = space.class_index(cfg, (i, j))
-    table_i, table_j = family._integer_pairs((i,)), family._integer_pairs((j,))
-    d_i: dict[tuple[str, str], tuple[int, int]] = {}
-    d_j: dict[tuple[str, str], tuple[int, int]] = {}
-    for s, (offset, _) in zip(itertools.product(space.alphabet.symbols, repeat=2),
-                              space.fill_offsets((i, j))):
-        d_i[s] = table_i[base + offset]
-        d_j[s] = table_j[base + offset]
-    return d_i, d_j
 
 
 def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
@@ -598,32 +619,46 @@ def _eight_factor_failures(
     """Comparison count and failing rows of the identity on pair {i, j}.
 
     Every configuration the identity reads rewrites both ``i`` and ``j``,
-    so the outcome depends on ``cfg`` only off {i, j}.  Each side is a
-    product of four densities, taken as the product of their numerators
-    over the product of their denominators, which is positive; so lhs ==
-    rhs iff num(lhs) den(rhs) == num(rhs) den(lhs), and a `Fraction` is
-    built only for a failing row.  Failing rows are ``(u_i, u_j, x_i,
-    x_j, lhs, rhs)`` in loop order.
+    so the outcome depends on ``cfg`` only off {i, j}: it is read at the
+    class base b of ``cfg`` off the pair, by index, as `_pair_record`
+    reads its cells.  The good sets of i against {j} and of j against
+    {i} are `_good_digits` of their `_good_points` tables at b (a table
+    against {j} holds whole lines along j, so b stands for every member
+    of the class), and each density an integer pair off the family's
+    `_integer_pairs`.  Each side is a product of four densities, taken
+    as the product of their numerators over the product of their
+    denominators, which is positive; so lhs == rhs iff num(lhs) den(rhs)
+    == num(rhs) den(lhs), and a `Fraction` is built only for a failing
+    row.  Failing rows are ``(u_i, u_j, x_i, x_j, lhs, rhs)``, symbols
+    and values, in loop order.
     """
-    alphabet = family.space.alphabet.symbols
-    gi = good_symbols(family, i, (j,), cfg)
-    gj = good_symbols(family, j, (i,), cfg)
-    d_i, d_j = _pair_densities(family, i, j, cfg)
+    space = family.space
+    symbols = space.alphabet.symbols
+    q = len(symbols)
+    s_i, s_j = space.strides((i, j))
+    b = space.class_index(cfg, (i, j))
+    g_i = _good_digits(_good_points(family, i, (j,)), b, s_i, q)
+    g_j = _good_digits(_good_points(family, j, (i,)), b, s_j, q)
+    d_i, d_j = family._integer_pairs((i,)), family._integer_pairs((j,))
     failures = []
-    for u_i in alphabet:
-        for u_j in alphabet:
-            for x_i in gi:
-                for x_j in gj:
-                    (n1, m1), (n2, m2), (n3, m3), (n4, m4) = (
-                        d_i[(u_i, x_j)], d_j[(u_i, u_j)], d_i[(x_i, u_j)], d_j[(x_i, x_j)])
-                    (n5, m5), (n6, m6), (n7, m7), (n8, m8) = (
-                        d_j[(x_i, u_j)], d_i[(u_i, u_j)], d_j[(u_i, x_j)], d_i[(x_i, x_j)])
+    for u_i in range(q):
+        row = b + u_i * s_i
+        for u_j in range(q):
+            u = row + u_j * s_j
+            (n2, m2), (n6, m6) = d_j[u], d_i[u]
+            for x_i in g_i:
+                column = b + x_i * s_i
+                (n3, m3), (n5, m5) = d_i[column + u_j * s_j], d_j[column + u_j * s_j]
+                for x_j in g_j:
+                    (n1, m1), (n7, m7) = d_i[row + x_j * s_j], d_j[row + x_j * s_j]
+                    (n4, m4), (n8, m8) = d_j[column + x_j * s_j], d_i[column + x_j * s_j]
                     l_num, l_den = n1 * n2 * n3 * n4, m1 * m2 * m3 * m4
                     r_num, r_den = n5 * n6 * n7 * n8, m5 * m6 * m7 * m8
                     if l_num * r_den != r_num * l_den:
-                        failures.append((u_i, u_j, x_i, x_j, Fraction(l_num, l_den),
+                        failures.append((symbols[u_i], symbols[u_j], symbols[x_i],
+                                         symbols[x_j], Fraction(l_num, l_den),
                                          Fraction(r_num, r_den)))
-    return len(alphabet) ** 2 * len(gi) * len(gj), failures
+    return q * q * len(g_i) * len(g_j), failures
 
 
 def check_pointwise_compatibility(
@@ -661,7 +696,8 @@ def check_pointwise_compatibility(
     Otherwise the identity is evaluated once per pair and exterior off
     the pair, then counted at every configuration that shares them, and
     decided by integer cross-multiplication of the two products'
-    numerators and denominators (`_eight_factor_failures`).
+    numerators and denominators (`_eight_factor_failures`, which reads
+    good sets and densities by index at the class base off the pair).
     """
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
     if check_very_weak_positivity(family).passed:
@@ -757,51 +793,37 @@ def check_uniqueness_condition(
     set of its site and tail class (`_floor_good_sets`), which is an
     index point itself, so the smallest mass is the smallest floor mass.
     When that is positive the check passes without visiting the other
-    index points; otherwise the sweep runs to collect the witnesses.
+    index points.  Otherwise it is zero, and the violations are the
+    points of the family's `_good_set_sweep` record, which lists the
+    points of zero mass in sweep order; a `Configuration` is looked up
+    only for a kept witness.  So a `Fraction` mass is summed only once
+    per distinct (site, floor set).
 
     Memoised on the family per ``witness_cap``: later calls return the
     same report, which callers only read.
     """
     def compute() -> HypothesisReport:
         space = family.space
-
-        def mass(site: Site, good: tuple[str, ...]) -> Fraction:
-            return sum((space.free.weight(site, x) for x in good), Fraction(0))
-
         report = HypothesisReport(name="uniqueness_condition", passed=True)
-        floor = min(mass(site, good)
-                    for (site, _), good in _floor_good_sets(family).items())
-        if floor > 0:
-            report.data = {"index_points": _index_points(family),
-                           "violations": 0, "min_good_mass": str(floor)}
-            return report
-        checked = 0
-        violations = 0
-        min_mass: Fraction | None = None
-        for site, ctx, cfg, good in _good_set_sweep(family):
-            checked += 1
-            good_mass = mass(site, good)
-            if min_mass is None or good_mass < min_mass:
-                min_mass = good_mass
-            if good_mass == 0:
-                violations += 1
-                report.fail(witness_cap, lambda: Witness(
-                    check="uniqueness_condition",
-                    description=(
-                        f"good symbols of site {site!r} against "
-                        f"context {list(map(str, ctx))!r} have zero "
-                        "free mass"
-                    ),
-                    replay=_replay_point(
-                        cfg, site=str(site),
-                        context=[str(s) for s in ctx],
-                    ),
-                ))
-        report.data = {
-            "index_points": checked,
-            "violations": violations,
-            "min_good_mass": str(min_mass) if min_mass is not None else None,
-        }
+        floor = min(sum((space.free.weight(site, x) for x in good), Fraction(0))
+                    for site, good in {(site, good) for (site, _), good
+                                       in _floor_good_sets(family).items()})
+        zero_mass = _good_set_sweep(family) if floor == 0 else []
+        for site, ctx, b, _ in zero_mass:
+            report.fail(witness_cap, lambda: Witness(
+                check="uniqueness_condition",
+                description=(
+                    f"good symbols of site {site!r} against "
+                    f"context {list(map(str, ctx))!r} have zero "
+                    "free mass"
+                ),
+                replay=_replay_point(
+                    space.at(b), site=str(site),
+                    context=[str(s) for s in ctx],
+                ),
+            ))
+        report.data = {"index_points": _index_points(family),
+                       "violations": len(zero_mass), "min_good_mass": str(floor)}
         return report
 
     return family.cached(("uniqueness_condition", witness_cap), compute)

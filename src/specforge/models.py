@@ -111,7 +111,7 @@ class Tabulated:
             num, den = owner._integer_pairs(over), owner._integer_pairs(against)
             return {b: _ratio_line((w_num, w_den, num[b + offset], den[b + offset])
                                    for offset, w_num, w_den in fills)
-                    for b in (cfg.index for cfg in space.exterior_classes(over))}
+                    for b in space.class_bases(over)}
 
         return owner.cached(key, compute)
 
@@ -405,8 +405,7 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
     for site in space.universe:
         table: list[Fraction] = [Fraction(0)] * space.size
         fills = space.fill_pairs((site,))
-        for cfg in space.exterior_classes((site,)):
-            base = cfg.index
+        for base in space.class_bases((site,)):
             raws = []
             for offset, _, _ in fills:
                 c = space.at(base + offset)
@@ -419,9 +418,8 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
                                      for (_, w_num, w_den), (r_num, r_den) in zip(fills, raws)
                                      if w_num and r_num)
             if not m_num:
-                raise NormalizationError(
-                    f"raw mass at site {site!r} is 0 (need positive finite) at {cfg!r}"
-                )
+                raise NormalizationError(f"raw mass at site {site!r} is 0 (need positive "
+                                         f"finite) at {space.at(base)!r}")
             for (offset, _, _), (r_num, r_den) in zip(fills, raws):
                 table[base + offset] = Fraction(r_num * m_den, r_den * m_num)
         tables[(site,)] = table

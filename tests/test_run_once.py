@@ -9,7 +9,10 @@ most one ``extend_density`` per (region, joining site).  A memoised
 report must equal a fresh computation on a newly parsed family.  The
 support suites read good membership off the good-point tables alone,
 each built once per (site, context); misses are counted by wrapping
-``SingletonFamily.cached``.
+``SingletonFamily.cached``.  A failing ``check`` walks the index points
+of very weak positivity and the uniqueness condition once: both read
+one good-set sweep record, which calls no ``good_symbols`` and looks up
+no configuration, and each gate looks one up per witness it keeps.
 The measure suites push a measure only through the kernels their
 verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
@@ -405,6 +408,85 @@ def test_good_symbols_memoises_nothing_per_exterior():
     n = len(family.space.universe)
     assert keys and all(len(key) == 3 for key in keys)
     assert len(keys) <= n * 2 ** (n - 1)
+
+
+def copycat_model(n: int = 3) -> str:
+    """Each site copies its right neighbour (the last its left one): its
+    density is 1 where it holds the neighbour's symbol, else 0, so no
+    symbol is good against the empty context."""
+    sites = [f"s{k}" for k in range(1, n + 1)]
+    lines = [f"name copycat{n}", "sites " + " ".join(sites), "alphabet a b",
+             "free uniform", "kind table"]
+    for k, site in enumerate(sites):
+        copied = k + 1 if k + 1 < n else k - 1
+        for values in itertools.product("ab", repeat=n):
+            ctx = " ".join(values[:k] + values[k + 1:])
+            weight = 1 if values[k] == values[copied] else 0
+            lines.append(f"entry {site} {values[k]} {ctx} default {weight}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_failing_check_sweeps_the_index_points_once(tmp_path, monkeypatch, capsys):
+    """Very weak positivity and the uniqueness condition of a failing
+    ``check`` read one good-set sweep record.  The sweep calls no
+    ``good_symbols`` and looks up no configuration; each gate looks up
+    one per witness it keeps."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "copycat3.model").write_text(copycat_model(), encoding="utf-8")
+    counts: Counter = Counter()
+    inside: list = []
+    reports = {}
+    honest_cached = SingletonFamily.cached
+    honest_good = hypotheses.good_symbols
+    honest_at = Space.at
+
+    def within(name, run, *args, **kwargs):
+        inside.append(name)
+        try:
+            return run(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_cached(self, key, compute):
+        if key[0] != "good_set_sweep":
+            return honest_cached(self, key, compute)
+        counts["read", inside[-1] if inside else None] += 1
+
+        def counted():
+            counts["sweeps"] += 1
+            return within("sweep", compute)
+        return honest_cached(self, key, counted)
+
+    def counted_good(*args):
+        counts["good_symbols", inside[-1] if inside else None] += 1
+        return honest_good(*args)
+
+    def counted_at(self, index):
+        counts["at", inside[-1] if inside else None] += 1
+        return honest_at(self, index)
+
+    def gate(name):
+        honest = getattr(cli, f"check_{name}")
+
+        def run(*args, **kwargs):
+            reports[name] = within(name, honest, *args, **kwargs)
+            return reports[name]
+        return run
+
+    monkeypatch.setattr(SingletonFamily, "cached", counted_cached)
+    monkeypatch.setattr(hypotheses, "good_symbols", counted_good)
+    monkeypatch.setattr(Space, "at", counted_at)
+    for name in ("very_weak_positivity", "uniqueness_condition"):
+        monkeypatch.setattr(cli, f"check_{name}", gate(name))
+    assert main(["check", "copycat3.model"]) == 1
+    capsys.readouterr()
+    assert counts["sweeps"] == 1
+    for name, report in reports.items():
+        assert not report.passed
+        assert counts["read", name] == 1
+        assert counts["at", name] == len(report.witnesses) > 0
+    assert counts["good_symbols", "sweep"] == counts["at", "sweep"] == 0
+    assert len(reports) == 2
 
 
 def test_measure_suites_push_single_sites_only(monkeypatch):
