@@ -36,7 +36,10 @@ a,b=q`` is the same factor as ``pair s1 s2 b,a=q``, and each unordered
 pair may be given once.  Every directive but ``free``, ``entry``,
 ``rule``, ``field``, ``pair`` and ``joint`` may be given once, and the
 labels of ``sites``, ``alphabet`` and ``tails`` must be distinct; a
-repeat is rejected at the line that repeats it.
+repeat is rejected at the line that repeats it.  A site label may not
+hold ``+``, ``,``, ``|`` or ``->``, nor be ``*``, and a symbol may not
+hold ``,`` or ``=``: the outputs and the grammar join labels with them,
+so such a label is rejected at its line.
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ KINDS = ("table", "tail_rule", "potential", "joint")
 # directives a model may give at most once
 SINGLE_VALUED = ("name", "sites", "dimension", "alphabet", "tails", "kind", "sweep",
                  "permutations", "trials", "seed", "float_tolerance")
+
+# what joins labels in the outputs: regions ("s1+s2"), mass keys
+# ("s1|s2,s3"), bound keys ("s1->s2"), assignments and symbol pairs
+# ("a,b") and weights ("a=1"); a label holding one would merge keys
+SITE_SEPARATORS = ("+", ",", "|", "->")
+SYMBOL_SEPARATORS = (",", "=")
 
 DEFAULT_PERMUTATIONS = 24
 DEFAULT_TRIALS = 12
@@ -179,11 +188,15 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
     def fail(line_no: int, message: str) -> ModelFileError:
         return ModelFileError(path, line_no, message)
 
-    def distinct(labels: list[str], line_no: int, what: str) -> tuple[str, ...]:
+    def distinct(labels: list[str], line_no: int, what: str,
+                 separators: tuple[str, ...] = ()) -> tuple[str, ...]:
         seen: set[str] = set()
         for label in labels:
             if label in seen:
                 raise fail(line_no, f"duplicate {what} {label!r}")
+            held = next((sep for sep in separators if sep in label), None)
+            if held is not None:
+                raise fail(line_no, f"{what} {label!r} holds the output separator {held!r}")
             seen.add(label)
         return tuple(labels)
 
@@ -259,7 +272,9 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
         elif directive == "sites":
             if not args:
                 raise fail(line_no, "sites needs at least one label")
-            sites = distinct(args, line_no, "site label")
+            if "*" in args:
+                raise fail(line_no, "site label '*' is the rule wildcard")
+            sites = distinct(args, line_no, "site label", SITE_SEPARATORS)
         elif directive == "dimension":
             if len(args) != 1 or not _INTEGER.fullmatch(args[0]) or args[0].startswith("-"):
                 raise fail(line_no, "dimension takes one nonnegative integer")
@@ -267,7 +282,7 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
         elif directive == "alphabet":
             if not args:
                 raise fail(line_no, "alphabet needs at least one symbol")
-            alphabet = distinct(args, line_no, "alphabet symbol")
+            alphabet = distinct(args, line_no, "alphabet symbol", SYMBOL_SEPARATORS)
         elif directive == "tails":
             if not args:
                 raise fail(line_no, "tails needs at least one label")

@@ -70,14 +70,16 @@ class DensityFamily(Tabulated):
     input family's table lists.  Tables are immutable once registered;
     ``replace_table`` returns a modified sibling for perturbation probes
     without touching the original.  ``cached`` memoises what the tables
-    determine: ratio integrals, extension divisors and one kernel row
-    per region and class that the verifier reads (integer pairs or
-    `Fraction` weights), each keyed by its regions and exterior class,
-    the full-window kernel measure of each tail class, and the record of
-    passing block splits (`check_order_independence`).  The ratio tables
-    of two shared single-site tables are the singleton family's; a
-    sibling starts with an empty memo, so it never reads its parent's,
-    and builds its own tables for a replaced site.
+    determine: one ratio table per ordered pair of regions, keyed by the
+    pair, then extension divisors and one kernel row per region and
+    class that the verifier reads (integer pairs or `Fraction` weights),
+    each keyed by its regions and exterior class, the full-window kernel
+    measure of each tail class, and the record of passing block splits
+    (`check_order_independence`).  The ratio tables of two shared
+    single-site tables are the singleton family's; every other pair's is
+    kept here.  A sibling starts with an empty memo, so it never reads
+    its parent's, and builds its own table for every pair that is not
+    two shared single-site tables.
     """
 
     def __init__(self, singletons: SingletonFamily):
@@ -161,7 +163,8 @@ def extension_divisor(
     off theta plus the block's digits times theta's strides, and its
     value is the integer pair (num(rho_theta)·den(rho_gamma)·num(I),
     den(rho_theta)·num(rho_gamma)·den(I)), with (num(I), den(I)) the
-    family's `ratio_pair`, a zero second member being the infinite
+    family's `ratio_pair`, the unreduced entry of its `ratio_table` of
+    gamma against theta, a zero second member being the infinite
     value.  Both first members are positive, so two pairs
     agree iff they cross-multiply equal, infinite ones included; one
     `ExtendedRational` is built per divisor.

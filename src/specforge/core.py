@@ -8,10 +8,11 @@ kernel.  All numeric work uses `fractions.Fraction`, extended with a single
 point at infinity where ratios demand it.  The indeterminate contractions
 0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
 never silent conventions.  Sums along a line of the free measure
-(`Space.free_integral`, `Space.ratio_integral`) are accumulated in
-integers by `_line_sum`, one numerator over one common denominator; a
-ratio integral's undefined, infinite and zero cases are decided once,
-by `_ratio_line`, and one `Fraction` is built per finite result.
+(`Space.free_integral`, and the ratio integrals a family tabulates by
+region pair, `Tabulated.ratio_table`) are accumulated in integers by
+`_line_sum`, one numerator over one common denominator; a ratio
+integral's undefined, infinite and zero cases are decided once, by
+`_ratio_line`, and no `Fraction` is built for either.
 
 A configuration's index is its position in `Space.configurations()`: with
 pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
@@ -35,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Site = Union[str, int]
 
@@ -717,30 +718,3 @@ class Space:
             if w_num and v_num:
                 terms.append((w_num * v_num, w_den * v_den))
         return _line_sum(terms)
-
-    def ratio_integral(
-        self,
-        over: tuple[Site, ...],
-        num: Sequence[Fraction],
-        den: Sequence[Fraction],
-        cfg: Configuration,
-    ) -> ExtendedRational | None:
-        """Free integral over the canonical sites `over` of num/den at `cfg`.
-
-        `num` and `den` are flat nonnegative density tables, read at the
-        `fill_pairs` of the class of `cfg` off `over` (its base read off
-        the memoised class map) as integer pairs and summed by
-        `_ratio_line`, which holds the rules.  Nothing raises: a 0/0
-        point, or an infinite ratio on a zero-weight fill, makes the
-        integral undefined and returns None; an infinite ratio on a
-        positive weight makes it infinite.  One `Fraction` is built for
-        a finite result (`ExtendedRational._of_pair`).  Every family's
-        tables are nonnegative: `SingletonFamily` and `replace_table`
-        refuse a negative value, and a built table divides nonnegative
-        values by positive divisors.
-        """
-        base = self._class_map(over)[cfg.index]
-        pair = _ratio_line((w_num, w_den, num[base + offset].as_integer_ratio(),
-                            den[base + offset].as_integer_ratio())
-                           for offset, w_num, w_den in self.fill_pairs(over))
-        return None if pair is None else ExtendedRational._of_pair(pair)

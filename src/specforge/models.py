@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Protocol
 from .core import (
     Configuration,
     DomainError,
-    ExtendedRational,
     FreeMeasure,
     Site,
     Space,
@@ -60,7 +59,7 @@ class Tabulated:
 
         ``key[0]`` names the kind of value, then come its sites or regions
         and, for a value read at one exterior class, the `Space.class_index`
-        of that class, as in ``("ratio_integral", over, against, class)``;
+        of that class, as in ``("extension_divisor", theta, gamma, class)``;
         a `ratio_table` is keyed ``("ratio_table", over, against)``.
         Good-point tables are sets of configuration indices.  Values are
         shared, so callers only read them; a ``compute`` that raises
@@ -86,17 +85,21 @@ class Tabulated:
 
     def ratio_table(self, over: tuple[Site, ...],
                     against: tuple[Site, ...]) -> dict[int, tuple[int, int] | None]:
-        """The free integral over the one-site region ``over`` of
-        density(over)/density(against), one-site too, at every exterior
-        class off ``over``: class index -> `_ratio_line`'s integer pair,
-        None where undefined, a zero second member where infinite and a
-        zero first member where zero.
+        """The free integral over the canonical region ``over`` of
+        density(over)/density(against), ``against`` a canonical region
+        disjoint from it, at every exterior class off ``over``: class
+        index -> `_ratio_line`'s integer pair, None where undefined, a
+        zero second member where infinite and a zero first member where
+        zero.  The pairs are not reduced.
 
         Filled in one pass over the class bases, in index order, from the
         `_integer_pairs` of both tables; no `Fraction` is built.  Kept on
         the memo of the family `_integral_memo` names, once per ordered
         pair, so the gates, the build and the verifier read one table.
-        Shared, so callers only read it.
+        Every family's tables are nonnegative: `SingletonFamily` and
+        `replace_table` refuse a negative value, and a built table
+        divides nonnegative values by positive divisors.  Shared, so
+        callers only read it.
         """
         owner = self._integral_memo(over, against)
         key = ("ratio_table", over, against)
@@ -115,47 +118,12 @@ class Tabulated:
 
         return owner.cached(key, compute)
 
-    def raw_ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
-                           cfg: Configuration) -> ExtendedRational | None:
-        """The free integral over ``over`` of density(over)/density(against)
-        at ``cfg``, None where undefined; it reads ``cfg`` only off
-        ``over``.
-
-        Between two single sites it is read off their `ratio_table`, an
-        `ExtendedRational` built for the caller.  Otherwise it is
-        memoised per (over, against, class of ``cfg`` off ``over``): a
-        hit is read straight off the owner's memo, a miss is computed by
-        `Space.ratio_integral` through `cached` under
-        ``("ratio_integral", over, against, class)``.  It keeps the raw
-        value, which tells undefined, infinite and zero apart; other
-        readers use the guard, `ratio_pair`.
-        """
-        space = self.space
-        index = space._class_map(over)[cfg.index]
-        if len(over) == len(against) == 1:
-            pair = self.ratio_table(over, against)[index]
-            return None if pair is None else ExtendedRational._of_pair(pair)
-        owner = self._integral_memo(over, against)
-        key = ("ratio_integral", over, against, index)
-        try:
-            return owner._cache[key]
-        except KeyError:
-            tables = self._tables
-            return owner.cached(key, lambda: space.ratio_integral(
-                over, tables[over], tables[against], cfg))
-
     def ratio_pair(self, over: tuple[Site, ...], against: tuple[Site, ...],
                    cfg: Configuration) -> tuple[int, int] | None:
-        """`raw_ratio_integral` as an integer pair over a positive
-        denominator when it lies in (0, inf), else None; between two
-        single sites it is the `ratio_table` entry as it is, unreduced."""
-        if len(over) == len(against) == 1:
-            pair = self.ratio_table(over, against)[self.space._class_map(over)[cfg.index]]
-            return pair if pair is not None and pair[0] and pair[1] else None
-        value = self.raw_ratio_integral(over, against, cfg)
-        if value is None or value.is_infinite or value.is_zero:
-            return None
-        return value.fraction.as_integer_ratio()
+        """The `ratio_table` entry at ``cfg``'s class off ``over``, as it
+        is, unreduced, when it lies in (0, inf), else None."""
+        pair = self.ratio_table(over, against)[self.space._class_map(over)[cfg.index]]
+        return pair if pair is not None and pair[0] and pair[1] else None
 
     def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
                        cfg: Configuration) -> Fraction | None:

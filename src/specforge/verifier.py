@@ -245,8 +245,9 @@ def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
     ``sides`` in order, where density(region) = density(V) / I(V, W)
     fails at the point or I = ratio_pair(V, W) is None.
 
-    With ρ_Λ = a/b, ρ_V = c/d and I = e/f, every denominator and e
-    positive, the identity holds iff a·d·e = c·b·f, so it is compared in
+    With ρ_Λ = a/b, ρ_V = c/d and I = e/f, the unreduced entry of the
+    family's `ratio_table` of (V, W), every denominator and e positive,
+    the identity holds iff a·d·e = c·b·f, so it is compared in
     integers; `_support_value` builds the `Fraction` of a witness.
     """
     table = dens._tables[region]

@@ -20,9 +20,9 @@ exterior classes before the class index did.
 ``naive_exterior_classes`` is the first-occurrence scan over every
 configuration that ``Space.exterior_classes`` replaced;
 ``site_ratio_kernel`` and ``regional_ratio_integral`` are the two guarded
-ratio integrals that ``Space.ratio_integral`` replaced, one reading a
-singleton family site by site and one reading a density family region by
-region.
+ratio integrals that the families' ratio tables (``Tabulated.ratio_table``)
+replaced, one reading a singleton family site by site and one reading a
+density family region by region.
 
 ``block_kernel``, ``BlockKernel.apply``, ``kernel_row`` and
 ``exchange_identity`` are the block-keyed kernel the library used before
@@ -101,7 +101,8 @@ consistency settles it.
 
 ``check_divisor_factorization`` is the factorization lemma for ratio
 integrals that no command runs: peeling one site off the base block of
-a ratio integral splits it into two.
+a ratio integral splits it into two.  Its integrals are
+``regional_ratio_integral``'s, so it reads no table of the library's.
 
 ``check_specification_axioms``, ``check_very_weak_positivity`` and
 ``check_uniqueness_condition`` are those checks as they were before they
@@ -1579,7 +1580,6 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
     """
     space = dens.space
     universe = space.universe
-    tables = dens._tables
     report = HypothesisReport(name="divisor_factorization", passed=True)
     checked = 0
     violations = 0
@@ -1601,13 +1601,10 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
                             b for s, b in zip(theta, block) if s != k
                         )
                         shifted_rest = space.overlay(cfg, theta_rest, rest_block)
-                        lhs = space.ratio_integral(
-                            gamma, tables[gamma], tables[theta], shifted)
-                        f1 = space.ratio_integral(
-                            gamma, tables[gamma], tables[(k,)], shifted)
-                        f2 = space.ratio_integral(
-                            gamma_plus, tables[gamma_plus], tables[theta_rest],
-                            shifted_rest)
+                        lhs = regional_ratio_integral(dens, gamma, gamma, theta, shifted)
+                        f1 = regional_ratio_integral(dens, gamma, gamma, (k,), shifted)
+                        f2 = regional_ratio_integral(
+                            dens, gamma_plus, gamma_plus, theta_rest, shifted_rest)
                         defined = (lhs is not None and f1 is not None
                                    and f2 is not None)
                         rhs = None

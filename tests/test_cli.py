@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -183,6 +184,34 @@ class TestModelFileParsing:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"bad.model:2: duplicate {what}" in err and "invalid model" not in err
+
+    @pytest.mark.parametrize("line, at, message", [
+        ("sites a b a+b", 2, "site label 'a+b' holds the output separator '+'"),
+        ("sites a b,c", 2, "site label 'b,c' holds the output separator ','"),
+        ("sites a|b b", 2, "site label 'a|b' holds the output separator '|'"),
+        ("sites a b->a", 2, "site label 'b->a' holds the output separator '->'"),
+        ("sites a * b", 2, "site label '*' is the rule wildcard"),
+        ("alphabet x,y", 3, "alphabet symbol 'x,y' holds the output separator ','"),
+        ("alphabet x=y z", 3, "alphabet symbol 'x=y' holds the output separator '='"),
+    ], ids=["plus", "comma", "bar", "arrow", "wildcard", "symbol_comma", "symbol_equals"])
+    def test_labels_holding_an_output_separator_rejected_at_their_line(
+            self, line, at, message, tmp_path, capsys):
+        """A site label joined with '+', ',', '|' or '->' in the outputs,
+        or the rule wildcard, and a symbol joined with ',' or '=', would
+        merge two keys of a `.rho` table or a report: each is refused at
+        its declaring line."""
+        lines = ["name m", "sites a b", "alphabet x y", "free uniform", "kind potential",
+                 "field a x=1 y=2", "field b x=1 y=1"]
+        lines[at - 1] = line
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ModelFileError, match=rf"^bad\.model:{at}: {re.escape(message)}$"):
+            parse_model_text(text, path="bad.model")
+        path = tmp_path / "bad.model"
+        path.write_text(text, encoding="utf-8")
+        for command in ("check", "construct", "verify"):
+            assert main([command, str(path)]) == 2
+            assert f"bad.model:{at}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.rho"))
 
     @pytest.mark.parametrize("line", [
         "trials \u00b2", "permutations \u00b9\u00b2", "seed --5",

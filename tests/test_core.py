@@ -1,6 +1,6 @@
 """Core layer: extended arithmetic, configurations, and the free kernel
-that `Space.free_integral` and `Space.ratio_integral` are checked against
-(`oracles.free_kernel`)."""
+that `Space.free_integral` and the families' ratio tables are checked
+against (`oracles.free_kernel`)."""
 
 from __future__ import annotations
 

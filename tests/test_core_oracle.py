@@ -6,22 +6,34 @@ class index off a set of hidden sites must group configurations exactly
 as the ``masked_key`` tuples did, at the index of each class's first
 member.  ``Space.exterior_classes`` builds one representative per
 exterior class directly; the oracle scans every configuration and keeps
-the first of each ``masked_key`` class.  ``Space.ratio_integral`` is the
-one raw ratio integral; the oracles are the single-site and the regional
-copies it replaced.  ``DensityFamily.ratio_integral`` is the one guarded
-ratio integral, memoised per exterior class of the region it integrates
-over; at every configuration it must equal the raw integral there when
-that lies in (0, inf), and None otherwise.  Results must agree exactly,
+the first of each ``masked_key`` class.  ``Tabulated.ratio_table`` is the
+one raw ratio integral, one table per ordered pair of disjoint regions
+(over, against) over the exterior classes off ``over``; the oracles are
+the single-site and the regional copies it replaced.
+``DensityFamily.ratio_pair`` is the one guarded ratio integral, read off
+that table, and ``ratio_integral`` its `Fraction`; at every configuration
+both must equal the regional oracle there when that lies in (0, inf), and
+None otherwise.  A `replace_table` sibling reads tables of its own for
+every pair but two shared single sites.  Results must agree exactly,
 representatives and their order included, and undefined (None) and
 infinite outcomes included.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from specforge.constructor import DensityFamily, build_family
-from specforge.core import Alphabet, DomainError, FreeMeasure, Space, SpecforgeError, Universe
+from specforge.core import (
+    Alphabet,
+    DomainError,
+    ExtendedRational,
+    FreeMeasure,
+    Space,
+    SpecforgeError,
+    Universe,
+)
 
 from oracles import (
     masked_key,
@@ -200,24 +212,35 @@ def outcome(value) -> str:
     return "infinite" if value.is_infinite else "finite"
 
 
+def disjoint_pairs(dens) -> list:
+    """Every ordered pair of disjoint nonempty built regions."""
+    regions = [region for region in dens.regions() if region]
+    return [(over, against) for over, against in itertools.product(regions, repeat=2)
+            if not set(over) & set(against)]
+
+
+def table_value(dens, over, against, cfg):
+    """The ``ratio_table`` entry at the class of ``cfg`` off ``over`` as
+    an extended rational, None where undefined."""
+    pair = dens.ratio_table(over, against)[dens.space.class_index(cfg, over)]
+    return None if pair is None else ExtendedRational._of_pair(pair)
+
+
 def compare_ratio_integrals(singletons) -> set:
-    """Assert agreement on every (over, num, den, cfg); return the outcomes seen."""
+    """Assert the ratio table of every ordered pair of disjoint nonempty
+    regions equals both replaced copies at every configuration; return
+    the outcomes seen."""
     dens = density_family(singletons)
     space = dens.space
-    regions = dens.regions()
-    tables = {region: dens.table(region) for region in regions}
     seen = set()
-    for over in regions:
-        if not over:
-            continue
-        for num, den in itertools.product(regions, repeat=2):
-            for cfg in space.configurations():
-                fast = space.ratio_integral(over, tables[num], tables[den], cfg)
-                assert fast == regional_ratio_integral(dens, over, num, den, cfg)
-                if len(over) == 1 and len(num) == 1 and len(den) == 1:
-                    assert fast == site_ratio_kernel(
-                        singletons, over[0], num[0], den[0], cfg)
-                seen.add(outcome(fast))
+    for over, against in disjoint_pairs(dens):
+        for cfg in space.configurations():
+            fast = table_value(dens, over, against, cfg)
+            assert fast == regional_ratio_integral(dens, over, over, against, cfg)
+            if len(over) == len(against) == 1:
+                assert fast == site_ratio_kernel(
+                    singletons, over[0], over[0], against[0], cfg)
+            seen.add(outcome(fast))
     return seen
 
 
@@ -243,21 +266,21 @@ def guarded(value):
 
 
 def compare_memoised_ratio_integrals(dens) -> set:
-    """Assert the memo equals the raw integral for every ordered pair of
-    disjoint nonempty built regions at every configuration, filling it in
-    reverse enumeration order so that each class is first met at its last
-    member; return the raw outcomes seen."""
+    """Assert the guarded reads equal the guarded oracle for every ordered
+    pair of disjoint nonempty built regions at every configuration,
+    reading in reverse enumeration order so that each table is first
+    read at the last member of a class; return the raw outcomes seen."""
     space = dens.space
-    regions = [region for region in dens.regions() if region]
-    tables = {region: dens.table(region) for region in regions}
+    pairs = disjoint_pairs(dens)
     seen = set()
     for cfg in reversed(list(space.configurations())):
-        for over, against in itertools.product(regions, repeat=2):
-            if set(over) & set(against):
-                continue
-            raw = space.ratio_integral(over, tables[over], tables[against], cfg)
-            assert dens.ratio_integral(over, against, cfg) == guarded(raw), (
-                over, against, cfg)
+        for over, against in pairs:
+            raw = regional_ratio_integral(dens, over, over, against, cfg)
+            want = guarded(raw)
+            pair = dens.ratio_pair(over, against, cfg)
+            assert dens.ratio_integral(over, against, cfg) == want, (over, against, cfg)
+            assert (None if pair is None else Fraction(*pair)) == want
+            assert pair is None or pair[1] > 0
             seen.add(outcome(raw))
     return seen
 
@@ -282,6 +305,14 @@ class TestMemoisedRatioIntegral:
             region, [value * (k % 3 + 1) for k, value in enumerate(table)])
         compare_memoised_ratio_integrals(dens)
         compare_memoised_ratio_integrals(sibling)
+        for over, against in disjoint_pairs(dens):
+            if len(over) == len(against) == 1:
+                assert (sibling.ratio_table(over, against)
+                        is dens.singletons.ratio_table(over, against))
+            else:
+                assert ("ratio_table", over, against) in sibling._cache
+                assert (sibling.ratio_table(over, against)
+                        is not dens.ratio_table(over, against))
         cfg = next(dens.space.configurations())
         assert any(dens.ratio_integral(over, region, cfg)
                    != sibling.ratio_integral(over, region, cfg)

@@ -1,11 +1,11 @@
 """Integer line sums and cross-multiplied comparisons against their
 `Fraction` oracles.
 
-``Space.ratio_integral`` and ``Space.free_integral`` add every term of a
-free-measure line as one integer numerator over one integer denominator
-(``core._line_sum``); ``normalize``'s class masses, the unit-mass check
-of ``SingletonFamily`` and the part (b) masses and covering-pair masses
-of the axiom check use the same sum.  ``check_bounded_positivity`` and
+The ratio tables (``Tabulated.ratio_table``) and ``Space.free_integral``
+add every term of a free-measure line as one integer numerator over one
+integer denominator (``core._line_sum``); ``normalize``'s class masses,
+the unit-mass check of ``SingletonFamily`` and the part (b) masses and
+covering-pair masses of the axiom check use the same sum.  ``check_bounded_positivity`` and
 ``ratio_bounds`` keep their extremes as integer pairs, the covering pairs
 compare each direct weight with mass·w cross-multiplied, and the strict
 identity of bounded positivity is read off order consistency when that
@@ -13,9 +13,10 @@ passes.  The oracles in ``oracles.py`` do each of these in `Fraction`
 values.  Results must be equal, undefined (None) and infinite integrals
 included, on the zoo and on random zero-table draws, whose free measures
 have zero weights; error messages must be equal where unit mass fails.
+No singleton table has an integral of zero, so a sibling with a zero
+line supplies that outcome.
 """
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,7 @@ import pytest
 
 from specforge import hypotheses
 from specforge.constructor import DensityFamily, build_family
-from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe
+from specforge.core import Alphabet, ExtendedRational, FreeMeasure, Space, SpecforgeError, Universe
 from specforge.hypotheses import check_bounded_positivity, check_order_consistency
 from specforge.models import NormalizationError, SingletonFamily, TableModel, normalize
 from specforge.verifier import _covering_pairs_agree, check_specification_axioms, ratio_bounds
@@ -75,10 +76,11 @@ def kind(value) -> str:
     return "infinite" if value.is_infinite else "zero" if value.is_zero else "finite"
 
 
-def compare_line_sums(singletons) -> set:
+def compare_line_sums(dens) -> set:
     """Assert both line sums equal their oracles on every region, table
-    pair and configuration; return the ratio-integral outcomes seen."""
-    dens = density_family(singletons)
+    pair and configuration, the ratio integrals through the family's
+    ratio table of every ordered pair of disjoint nonempty regions;
+    return the ratio-integral outcomes seen."""
     space = dens.space
     regions = [region for region in dens.regions() if region]
     tables = {region: dens.table(region) for region in regions}
@@ -90,23 +92,39 @@ def compare_line_sums(singletons) -> set:
                 got = space.free_integral(over, table.__getitem__, cfg)
                 want = oracles.free_kernel(space, over, lambda c: table[c.index], cfg)
                 assert Fraction(*got) == want.fraction, (over, region, cfg)
-            for num, den in itertools.product(regions, repeat=2):
-                got = space.ratio_integral(over, tables[num], tables[den], cfg)
+            for against in regions:
+                if set(over) & set(against):
+                    continue
+                pair = dens.ratio_table(over, against)[cfg.index]
+                got = None if pair is None else ExtendedRational._of_pair(pair)
                 assert got == oracles.ratio_integral(
-                    space, over, tables[num], tables[den], cfg), (over, num, den, cfg)
+                    space, over, tables[over], tables[against], cfg), (over, against, cfg)
                 seen.add(kind(got))
     return seen
 
 
+def zero_line_sibling(dens) -> DensityFamily:
+    """A sibling whose first site's table is zero on the line of class 0
+    off that site: no singleton table can be, for each has mass 1 on
+    every line, so only such a table gives an integral over it of zero."""
+    space = dens.space
+    site = space.universe.sites[0]
+    line = {offset for offset, _ in space.fill_offsets((site,))}
+    return dens.replace_table((site,), [0 if k in line else value
+                                        for k, value in enumerate(dens.table((site,)))])
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_line_sums_equal_their_fraction_oracles(name):
-    compare_line_sums(FAMILIES[name]())
+    compare_line_sums(density_family(FAMILIES[name]()))
 
 
 def test_every_ratio_integral_outcome_occurs():
     seen = set()
     for seed in ZERO_SEEDS:
-        seen |= compare_line_sums(zoo.random_zero_table_family(seed))
+        dens = density_family(zoo.random_zero_table_family(seed))
+        seen |= compare_line_sums(dens)
+        seen |= compare_line_sums(zero_line_sibling(dens))
     assert {"undefined", "infinite", "zero", "finite"} <= seen
 
 

@@ -1,21 +1,27 @@
-"""The single-site ratio tables against the `Fraction` oracle.
+"""The ratio tables against the `Fraction` oracles.
 
-``Tabulated.ratio_table`` holds, per ordered pair of sites (over,
-against) and exterior class off ``over``, the free integral over
+``Tabulated.ratio_table`` holds, per ordered pair of disjoint regions
+(over, against) and exterior class off ``over``, the free integral over
 ``over`` of density(over)/density(against) as an integer pair: None
 where it is undefined, a zero second member where it is infinite and a
-zero first member where it is zero.  Every entry must equal
+zero first member where it is zero.  It is the only ratio integral the
+library computes.  Between two sites every entry must equal
 ``oracles.ratio_integral``, one `Fraction` operation per term, at the
 class's first member, outcome included, and the table must list every
-class off ``over`` in index order.  ``raw_ratio_integral``, which reads
-the table, must equal the oracle at every configuration of the class.
-Covered: the zoo, zero-table seeds 15 and 28, hard-core draws, a family
-with zero free weights, and whole tables drawn by ``hypothesis`` with
-up to three sites, three symbols and two tail classes, zeros included
-on purpose among both the free weights and the raw weights.  A
-`replace_table` sibling whose replaced region is one site reads tables
-of its own for that site, never the singleton family's, which it leaves
-as they were.
+class off ``over`` in index order; read at any configuration of the
+class, the table must give the oracle's value there, and its guards,
+``ratio_pair`` and ``ratio_integral``, the value where it lies in
+(0, inf) and None elsewhere.  Covered: the zoo, zero-table seeds 15 and
+28, hard-core draws, a family with zero free weights, and whole tables
+drawn by ``hypothesis`` with up to three sites, three symbols and two
+tail classes, zeros included on purpose among both the free weights and
+the raw weights.  On each family's build (its singleton tables where it
+does not build) every ordered pair of disjoint nonempty regions is
+compared in the same way with ``oracles.regional_ratio_integral``, which
+reads the family's densities point by point.  A `replace_table` sibling
+reads tables of its own for every pair but two shared sites, so never
+its parent's or the singleton family's for a replaced region, and
+leaves those as they were.
 """
 
 import itertools
@@ -24,8 +30,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from specforge.constructor import build_family
-from specforge.core import Alphabet, FreeMeasure, Space, Universe
+from specforge.constructor import DensityFamily, build_family
+from specforge.core import Alphabet, ExtendedRational, FreeMeasure, Space, SpecforgeError, Universe
 from specforge.models import normalize
 
 import oracles
@@ -87,9 +93,27 @@ def kind(value) -> str:
     return "infinite" if value.is_infinite else "zero" if value.is_zero else "finite"
 
 
+def value_of(pair):
+    """A table entry as an extended rational, None where undefined."""
+    return None if pair is None else ExtendedRational._of_pair(pair)
+
+
+def check_reads(family, over, against, cfg, want) -> None:
+    """The table read at ``cfg`` is the oracle's value ``want``, and the
+    guards give it where it lies in (0, inf) and None elsewhere."""
+    space = family.space
+    table = family.ratio_table(over, against)
+    assert value_of(table[space.class_index(cfg, over)]) == want, (over, against, cfg)
+    guarded = want.fraction if kind(want) == "finite" else None
+    assert family.ratio_integral(over, against, cfg) == guarded, (over, against, cfg)
+    pair = family.ratio_pair(over, against, cfg)
+    assert (None if pair is None else Fraction(*pair)) == guarded, (over, against, cfg)
+
+
 def compare_tables(family) -> set:
-    """Assert every ratio table of ``family`` equals the oracle, entry by
-    entry, and return the outcomes seen."""
+    """Assert every ratio table of two sites of ``family`` equals the
+    oracle, entry by entry and read at every configuration, and return
+    the outcomes seen."""
     space = family.space
     seen = set()
     for i, j in itertools.product(space.universe.sites, repeat=2):
@@ -106,9 +130,36 @@ def compare_tables(family) -> set:
                 assert Fraction(*pair) == want.fraction, (over, against, b)
             seen.add(got)
         for cfg in space.configurations():
-            want = oracles.ratio_integral(space, over, family._tables[over],
-                                          family._tables[against], cfg)
-            assert family.raw_ratio_integral(over, against, cfg) == want, (over, against, cfg)
+            check_reads(family, over, against, cfg, oracles.ratio_integral(
+                space, over, family._tables[over], family._tables[against], cfg))
+    return seen
+
+
+def density_family(singletons) -> DensityFamily:
+    """Every region when the family builds, else the empty and site tables."""
+    try:
+        return build_family(singletons, checked=False)
+    except SpecforgeError:
+        return DensityFamily(singletons)
+
+
+def compare_region_tables(dens) -> set:
+    """Assert the ratio table of every ordered pair of disjoint nonempty
+    regions of ``dens`` lists every class off ``over`` in index order and,
+    read at every configuration, equals `oracles.regional_ratio_integral`
+    there; return the outcomes seen."""
+    space = dens.space
+    regions = [region for region in dens.regions() if region]
+    seen = set()
+    for over, against in itertools.product(regions, repeat=2):
+        if set(over) & set(against):
+            continue
+        table = dens.ratio_table(over, against)
+        assert list(table) == [cfg.index for cfg in space.exterior_classes(over)]
+        for cfg in space.configurations():
+            want = oracles.regional_ratio_integral(dens, over, over, against, cfg)
+            check_reads(dens, over, against, cfg, want)
+            seen.add(kind(want))
     return seen
 
 
@@ -138,7 +189,7 @@ def test_a_sibling_with_another_site_table_reads_its_own_tables():
     space = family.space
     pairs = list(itertools.product(space.universe.sites, repeat=2))
     parent = {pair: dict(dens.ratio_table((pair[0],), (pair[1],))) for pair in pairs}
-    reads = [(pair, cfg, dens.raw_ratio_integral((pair[0],), (pair[1],), cfg))
+    reads = [(pair, cfg, dens.ratio_pair((pair[0],), (pair[1],), cfg))
              for pair in pairs for cfg in space.configurations()]
     memo = dict(family._cache)
     site = space.universe.sites[0]
@@ -159,8 +210,61 @@ def test_a_sibling_with_another_site_table_reads_its_own_tables():
                for other in space.universe.sites if other != site)
     assert family._cache.keys() == memo.keys()
     assert {pair: dens.ratio_table((pair[0],), (pair[1],)) for pair in pairs} == parent
-    assert all(dens.raw_ratio_integral((pair[0],), (pair[1],), cfg) == value
+    assert all(dens.ratio_pair((pair[0],), (pair[1],), cfg) == value
                for pair, cfg, value in reads)
+
+
+BUILT = {name: FAMILIES[name]
+         for name in (*ZOO, "zero_table_15", "zero_table_28",
+                      *(f"random_hardcore_{seed}" for seed in range(8)))}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_region_pair_tables_equal_the_regional_oracle(name):
+    compare_region_tables(density_family(BUILT[name]()))
+
+
+def test_region_pairs_of_several_sites_and_every_outcome_occur():
+    """Most of these families build at three sites or more, so their
+    pairs have several sites on either side, and the comparison meets
+    undefined, infinite and finite integrals."""
+    seen = set()
+    several = 0
+    for name in sorted(BUILT):
+        dens = density_family(BUILT[name]())
+        several += max(len(region) for region in dens.regions()) >= 3
+        seen |= compare_region_tables(dens)
+    assert several >= 10
+    assert {"undefined", "infinite", "finite"} <= seen
+
+
+def test_a_sibling_with_another_region_table_reads_its_own_tables():
+    """A `replace_table` sibling of a two-site region, with a zero line,
+    reads every pair through tables of its own but those of two shared
+    sites, and they equal the regional oracle on its tables, a zero
+    integral included; the parent's tables and reads stay as they were."""
+    dens = build_family(zoo.potential_family(1)[2], checked=False)
+    space = dens.space
+    region = space.universe.sites[:2]
+    regions = [r for r in dens.regions() if r]
+    pairs = [(over, against) for over, against in itertools.product(regions, repeat=2)
+             if not set(over) & set(against)]
+    parent = {pair: dict(dens.ratio_table(*pair)) for pair in pairs}
+    line = {offset for offset, _ in space.fill_offsets(region)}
+    sibling = dens.replace_table(region, [
+        Fraction(0) if k in line else value * (k % 3 + 1)
+        for k, value in enumerate(dens.table(region))])
+    assert "zero" in compare_region_tables(sibling)
+    for over, against in pairs:
+        table = sibling.ratio_table(over, against)
+        if len(over) == len(against) == 1:
+            assert table is dens.singletons.ratio_table(over, against)
+        else:
+            assert ("ratio_table", over, against) in sibling._cache
+            assert table is not dens.ratio_table(over, against)
+    assert any(sibling.ratio_table(over, region) != parent[over, region]
+               for over, against in pairs if against == region)
+    assert {pair: dens.ratio_table(*pair) for pair in pairs} == parent
 
 
 VALUES = (0, 0, 1, 2, Fraction(1, 3))

@@ -17,18 +17,17 @@ The measure suites push a measure only through the kernels their
 verdicts read: the perturbation suite through at most one single-site
 kernel per site and trial, the mass suite through none once the
 measure's certificate is memoised.
-Ratio integrals are counted by wrapping the families' memos.  Those
-between two single sites are evaluated only in one table per ordered
-pair (over, against), built at most once per family: the gates and the
-build read the singleton family's tables, so that
-``check_bounded_positivity`` builds none after
+Ratio integrals are counted by wrapping the families' memos.  They are
+evaluated only in one table per ordered pair of regions (over, against),
+filled at most once per family: the gates and the build read the
+singleton family's tables of two sites, so that
+``check_bounded_positivity`` fills none after
 ``check_order_consistency`` on a positive family, and ``build_family``
-none that the gates have.  Every other ratio integral is evaluated once
-per (over, against, exterior class off ``over``).  The build and the block splits of
-``check_order_independence`` evaluate every integral that
-``good_support_report`` and ``uniqueness_probe`` read on a positive
-family: each core point's own block is a good block of every split of
-its region.  Once the block splits have passed, those two suites read
+none that the gates have; the build keeps those of larger regions.  The
+build and the block splits of ``check_order_independence`` fill every
+table that ``good_support_report`` and ``uniqueness_probe`` read on a
+positive family: each core point's own block is a good block of every
+split of its region.  Once the block splits have passed, those two suites read
 their record and walk nothing: a full ``verify`` of ``CHAIN5`` runs no
 support walk and reads no ratio integral inside them.  A block split
 that is a single-site join the sweeps have compared walks no cell of
@@ -62,7 +61,6 @@ import importlib
 import itertools
 from collections import Counter
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 
@@ -124,65 +122,47 @@ def runs(monkeypatch) -> Counter:
 
 
 @pytest.fixture
-def integrals(monkeypatch):
-    """Counts ratio-integral evaluations over every family's memo: the
-    single-site tables built, by (over, against), in ``tables``, and the
-    other integrals computed, by (over, against, exterior class off
-    ``over``), in ``classes``.
-
-    A table is built when a ``"ratio_table"`` memo entry is computed and
-    an integral when a ``"ratio_integral"`` entry is, on a singleton or a
-    density family; no ``"ratio_integral"`` entry may have one site on
-    each side, since those integrals are the tables'.  The fixture also
-    checks that the line sum of a table runs only inside a table build,
-    and ``Space.ratio_integral`` only inside a ``"ratio_integral"``
-    computation, so that no evaluation escapes the count.
+def integrals(monkeypatch) -> Counter:
+    """Counts the ratio tables filled over every family's memo, by
+    (owner, over, against): a table is filled when a ``"ratio_table"``
+    memo entry is computed, on a singleton or a density family.  The
+    fixture also checks that `_ratio_line`, the line sum of every ratio
+    integral, runs only inside a fill, so that no evaluation escapes the
+    count.
     """
-    counts = SimpleNamespace(tables=Counter(), classes=Counter())
+    counts: Counter = Counter()
     depth = Counter()
-    honest_integral = Space.ratio_integral
     honest_line = models._ratio_line
 
-    def counted_integral(self, *args):
-        assert depth["ratio_integral"] > 0, "a ratio integral evaluated outside the memo"
-        return honest_integral(self, *args)
-
     def counted_line(*args):
-        assert depth["ratio_table"] > 0, "a single-site integral evaluated outside its table"
+        assert depth["fill"] > 0, "a ratio integral evaluated outside its table"
         return honest_line(*args)
 
     def counting(cached):
         def counted(self, key, compute):
-            kind = key[0]
-            if kind not in ("ratio_table", "ratio_integral"):
+            if key[0] != "ratio_table":
                 return cached(self, key, compute)
-            over, against = key[1:3]
-            assert kind == "ratio_table" or len(over) + len(against) > 2, (
-                "a single-site integral memoised outside its table")
 
             def evaluate():
-                if kind == "ratio_table":
-                    counts.tables[over, against] += 1
-                else:
-                    counts.classes[over, against, key[3]] += 1
-                depth[kind] += 1
+                counts[self, key[1], key[2]] += 1
+                depth["fill"] += 1
                 try:
                     return compute()
                 finally:
-                    depth[kind] -= 1
+                    depth["fill"] -= 1
             return cached(self, key, evaluate)
         return counted
 
-    monkeypatch.setattr(Space, "ratio_integral", counted_integral)
     monkeypatch.setattr(models, "_ratio_line", counted_line)
     for owner in (SingletonFamily, constructor.DensityFamily):
         monkeypatch.setattr(owner, "cached", counting(owner.cached))
     return counts
 
 
-def evaluated(integrals) -> int:
-    """The tables built and the other integrals computed so far."""
-    return sum(integrals.tables.values()) + sum(integrals.classes.values())
+def single_site(fill) -> bool:
+    """Whether a counted fill integrates one site against one site."""
+    _, over, against = fill
+    return len(over) == len(against) == 1
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -265,8 +245,8 @@ def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypa
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
     assert main(["verify", "chain5.model"]) == 0
     capsys.readouterr()
-    assert integrals.tables and max(integrals.tables.values()) == 1
-    assert integrals.classes and max(integrals.classes.values()) == 1
+    assert integrals and max(integrals.values()) == 1
+    assert not all(map(single_site, integrals))
 
 
 @pytest.mark.parametrize("model", ["example1", "chain5"])
@@ -293,9 +273,9 @@ def test_check_evaluates_each_single_site_integral_once(
     assert main(["check", "chain5.model"]) == 0
     capsys.readouterr()
     sites = [f"s{k}" for k in range(1, 6)]
-    assert integrals.tables == Counter({((i,), (j,)): 1
-                                        for i, j in itertools.permutations(sites, 2)})
-    assert integrals.classes == Counter()
+    assert len({owner for owner, _, _ in integrals}) == 1
+    assert Counter({(over, against): count for (_, over, against), count in integrals.items()}
+                   ) == Counter({((i,), (j,)): 1 for i, j in itertools.permutations(sites, 2)})
 
 
 def test_construct_evaluates_each_single_site_integral_once(integrals):
@@ -304,30 +284,32 @@ def test_construct_evaluates_each_single_site_integral_once(integrals):
     assert hypotheses.check_very_weak_positivity(family).passed
     assert hypotheses.check_order_consistency(family).passed
     assert hypotheses.check_bounded_positivity(family).passed
-    built = Counter(integrals.tables)
+    gated = Counter(integrals)
     constructor.build_family(family, checked=False)
-    assert built and integrals.tables == built
-    assert integrals.classes and max(integrals.classes.values()) == 1
+    assert gated and all(map(single_site, gated))
+    assert Counter({fill: count for fill, count in integrals.items() if single_site(fill)}
+                   ) == gated
+    assert integrals != gated and max(integrals.values()) == 1
 
 
 def test_bounded_positivity_reads_the_order_consistency_integrals(integrals):
     family = potential_family(1, n_sites=5)[2]
     assert hypotheses.check_order_consistency(family).passed
-    made = evaluated(integrals)
+    made = Counter(integrals)
     assert hypotheses.check_bounded_positivity(family).passed
-    assert integrals.tables and evaluated(integrals) == made
+    assert made and integrals == made
 
 
 def test_support_and_probe_integrals_are_block_split_entries(integrals):
     family = potential_family(1, n_sites=5)[2]
     assert constructor.check_order_independence(family).passed
-    made = evaluated(integrals)
+    made = Counter(integrals)
     dens = constructor.build_family(family)
     support = good_support_report(dens)
     probe = uniqueness_probe(dens)
     assert support.passed and support.data["core_points"] > 0
     assert probe.passed and probe.data["rederived_points"] > 0
-    assert made > 0 and evaluated(integrals) == made
+    assert made and integrals == made
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -532,7 +514,7 @@ def test_verify_reads_the_support_suites_off_the_split_record(tmp_path, monkeypa
     inside = []
     kernels = []
     honest_walk = verifier._support_failures
-    honest_integral = constructor.DensityFamily.ratio_integral
+    honest_integral = constructor.DensityFamily.ratio_pair
     honest_push = FiniteMeasure.push_kernel
     honest_kernel = FiniteMeasure.kernel_measure
 
@@ -564,7 +546,7 @@ def test_verify_reads_the_support_suites_off_the_split_record(tmp_path, monkeypa
     for name in ("good_support_report", "uniqueness_probe"):
         monkeypatch.setattr(cli, name, suite(name, getattr(cli, name)))
     monkeypatch.setattr(verifier, "_support_failures", counted_walk)
-    monkeypatch.setattr(constructor.DensityFamily, "ratio_integral", counted_integral)
+    monkeypatch.setattr(constructor.DensityFamily, "ratio_pair", counted_integral)
     monkeypatch.setattr(FiniteMeasure, "push_kernel", counted_push)
     monkeypatch.setattr(FiniteMeasure, "kernel_measure", classmethod(kernel_measure))
     assert main(["verify", "chain5.model", "--json", "report.json"]) == 0
