@@ -50,7 +50,7 @@ from ..verifier import (
     uniqueness_probe,
 )
 from .modelfile import ModelFile, ModelFileError, parse_model_file
-from .report import Report, file_sha256, render_json, render_text
+from .report import Report, render_json, render_text
 
 __all__ = ["main"]
 
@@ -365,7 +365,7 @@ def fresh_report(command: str, model: ModelFile, budget: int) -> Report:
         command=command,
         model_path=model.path,
         model_name=model.name,
-        model_sha256=file_sha256(model.path),
+        model_sha256=model.sha256,
         cells=model.cell_count(),
         budget=budget,
     )
@@ -499,8 +499,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not model_path:
         raise UsageError("report records no model path; pass --model")
     model = load_model(model_path, args.budget)
-    digest = file_sha256(model_path)
-    if digest != recorded.get("model", {}).get("sha256"):
+    if model.sha256 != recorded.get("model", {}).get("sha256"):
         raise UsageError(
             f"model file {model_path!r} no longer matches the report "
             "(sha256 differs); replay needs the original input")

@@ -44,8 +44,8 @@ so such a label is rejected at its line.
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..core import Alphabet, DomainError, FreeMeasure, Space, SpecforgeError, Universe, parse_rational
@@ -88,29 +88,46 @@ class ModelFileError(SpecforgeError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-@dataclass
 class ModelFile:
-    """A parsed model definition, ready to realize into library objects."""
+    """A parsed model definition, ready to realize into library objects.
 
-    path: str
-    name: str
-    sites: tuple[str, ...]
-    dimension: int
-    alphabet: tuple[str, ...]
-    tails: tuple[str, ...]
-    free_uniform: bool
-    free_weights: dict[str, dict[str, Fraction]]
-    kind: str
-    table_entries: dict[str, dict[tuple, Fraction]] = field(default_factory=dict)
-    rules: dict[tuple, dict[str, Fraction]] = field(default_factory=dict)
-    fields: dict[str, dict[str, Fraction]] = field(default_factory=dict)
-    pairs: dict[tuple, dict[tuple, Fraction]] = field(default_factory=dict)
-    joint: dict[tuple, Fraction] = field(default_factory=dict)
-    sweep: tuple[str, ...] | None = None
-    permutations: int = DEFAULT_PERMUTATIONS
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    float_tolerance: Fraction = DEFAULT_FLOAT_TOLERANCE
+    ``sha256`` is the hex digest of the bytes the model was parsed from
+    when `parse_model_file` read it from a file, else None.
+    """
+
+    def __init__(self, path: str, name: str, sites: tuple[str, ...], dimension: int,
+                 alphabet: tuple[str, ...], tails: tuple[str, ...], free_uniform: bool,
+                 free_weights: dict[str, dict[str, Fraction]], kind: str,
+                 table_entries: dict[str, dict[tuple, Fraction]] | None = None,
+                 rules: dict[tuple, dict[str, Fraction]] | None = None,
+                 fields: dict[str, dict[str, Fraction]] | None = None,
+                 pairs: dict[tuple, dict[tuple, Fraction]] | None = None,
+                 joint: dict[tuple, Fraction] | None = None,
+                 sweep: tuple[str, ...] | None = None,
+                 permutations: int = DEFAULT_PERMUTATIONS,
+                 trials: int = DEFAULT_TRIALS,
+                 seed: int = DEFAULT_SEED,
+                 float_tolerance: Fraction = DEFAULT_FLOAT_TOLERANCE):
+        self.path = path
+        self.name = name
+        self.sites = sites
+        self.dimension = dimension
+        self.alphabet = alphabet
+        self.tails = tails
+        self.free_uniform = free_uniform
+        self.free_weights = free_weights
+        self.kind = kind
+        self.table_entries = {} if table_entries is None else table_entries
+        self.rules = {} if rules is None else rules
+        self.fields = {} if fields is None else fields
+        self.pairs = {} if pairs is None else pairs
+        self.joint = {} if joint is None else joint
+        self.sweep = sweep
+        self.permutations = permutations
+        self.trials = trials
+        self.seed = seed
+        self.float_tolerance = float_tolerance
+        self.sha256: str | None = None
 
     def cell_count(self) -> int:
         """Total table cells a full construction would hold."""
@@ -153,12 +170,25 @@ class ModelFile:
 
 
 def parse_model_file(path: str) -> ModelFile:
+    """Parse the model file at ``path``, read once as bytes; its ``sha256``
+    is their digest.  The bytes decode as UTF-8 with universal newlines,
+    as a text-mode read would; a byte that does not decode is a
+    `ModelFileError` at its line."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ModelFileError(path, 0, f"cannot read model file: {exc}") from exc
-    return parse_model_text(text, path=path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the bad byte, counted as the parser counts lines
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ModelFileError(path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                         f"does not decode ({exc.reason})") from None
+    model = parse_model_text(text.replace("\r\n", "\n").replace("\r", "\n"), path=path)
+    model.sha256 = hashlib.sha256(data).hexdigest()
+    return model
 
 
 def parse_model_text(text: str, path: str = "<string>") -> ModelFile:

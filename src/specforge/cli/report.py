@@ -8,7 +8,6 @@ readability, clamping anything below the model's float tolerance to 0.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from typing import Iterable
@@ -16,7 +15,7 @@ from typing import Iterable
 from ..core import parse_rational
 from ..hypotheses import HypothesisReport
 
-__all__ = ["SCHEMA_VERSION", "Report", "file_sha256", "render_json", "render_text"]
+__all__ = ["SCHEMA_VERSION", "Report", "render_json", "render_text"]
 
 SCHEMA_VERSION = 1
 
@@ -70,14 +69,6 @@ class Report:
             "notes": list(self.notes),
             "summary": {"passed": self.passed, "exit_code": self.exit_code},
         }
-
-
-def file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def render_json(report: Report) -> str:

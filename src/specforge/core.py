@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -49,6 +48,7 @@ __all__ = [
     "INF",
     "parse_rational",
     "exact",
+    "Frozen",
     "Alphabet",
     "Universe",
     "FreeMeasure",
@@ -307,20 +307,49 @@ class ExtendedRational:
 INF = ExtendedRational.infinity()
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Frozen:
+    """Immutable once built: an ``__init__`` assigns its attributes, then
+    calls `_freeze`; every later assignment or deletion raises
+    `AttributeError`.  Attributes holding memo dicts still fill in place."""
+
+    _frozen = False
+
+    def _freeze(self) -> None:
+        object.__setattr__(self, "_frozen", True)
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._frozen:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self._frozen:
+            raise AttributeError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+
+class Alphabet(Frozen):
     """The finite symbol set shared by every site."""
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if not symbols:
             raise DomainError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DomainError(f"duplicate alphabet symbols: {self.symbols}")
-        for sym in self.symbols:
+        if len(set(symbols)) != len(symbols):
+            raise DomainError(f"duplicate alphabet symbols: {symbols}")
+        for sym in symbols:
             if not sym or any(ch.isspace() for ch in sym):
                 raise DomainError(f"bad alphabet symbol: {sym!r}")
+        self.symbols = symbols
+        self._freeze()
+
+    def __eq__(self, other) -> bool:
+        # `Space` compares its alphabet with the free measure's by symbols
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
 
     def index(self, symbol: str) -> int:
         try:
@@ -338,8 +367,7 @@ class Alphabet:
         return symbol in self.symbols
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Frozen):
     """The ordered finite window of sites the artifact actually models.
 
     Site labels are abstract; `dimension_hint` is optional metadata for tools
@@ -347,20 +375,20 @@ class Universe:
     computation.
     """
 
-    sites: tuple[Site, ...]
-    dimension_hint: int | None = None
-
-    def __post_init__(self):
-        if not self.sites:
+    def __init__(self, sites: tuple[Site, ...], dimension_hint: int | None = None):
+        if not sites:
             raise DomainError("universe must contain at least one site")
-        if len(set(self.sites)) != len(self.sites):
-            raise DomainError(f"duplicate sites: {self.sites}")
-        object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.sites)})
-        object.__setattr__(self, "_regions", {})
+        if len(set(sites)) != len(sites):
+            raise DomainError(f"duplicate sites: {sites}")
+        self.sites = sites
+        self.dimension_hint = dimension_hint
+        self._index = {s: k for k, s in enumerate(sites)}
+        self._regions: dict[tuple, tuple[Site, ...]] = {}
+        self._freeze()
 
     def index(self, site: Site) -> int:
         try:
-            return self._index[site]  # type: ignore[attr-defined]
+            return self._index[site]
         except KeyError:
             raise DomainError(f"site {site!r} not in universe {self.sites}") from None
 
@@ -371,7 +399,7 @@ class Universe:
         return len(self.sites)
 
     def __contains__(self, site) -> bool:
-        return site in self._index  # type: ignore[attr-defined]
+        return site in self._index
 
     def region(self, sites: Iterable[Site]) -> tuple[Site, ...]:
         """Canonical form of a site subset: ordered by universe position.
@@ -379,7 +407,7 @@ class Universe:
         Memoised per input tuple; an input that raises leaves no entry."""
         sites = tuple(sites)
         try:
-            return self._regions[sites]  # type: ignore[attr-defined]
+            return self._regions[sites]
         except KeyError:
             pass
         seen = set()
@@ -390,7 +418,7 @@ class Universe:
                 raise DomainError(f"site {s!r} listed twice in region")
             seen.add(k)
             idx.append(k)
-        region = self._regions[sites] = tuple(  # type: ignore[attr-defined]
+        region = self._regions[sites] = tuple(
             self.sites[k] for k in sorted(idx))
         return region
 
@@ -406,8 +434,7 @@ class Universe:
                 yield combo
 
 
-@dataclass(frozen=True)
-class FreeMeasure:
+class FreeMeasure(Frozen):
     """Per-site reference weights over the alphabet.
 
     Each site carries a finite nonnegative weight per symbol with at least one
@@ -417,27 +444,26 @@ class FreeMeasure:
     probe and the order-independence read-off need.
     """
 
-    alphabet: Alphabet
-    weights: Mapping[Site, Mapping[str, Fraction]]
-
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, weights: Mapping[Site, Mapping[str, Fraction]]):
         frozen: dict[Site, dict[str, Fraction]] = {}
-        for site, table in self.weights.items():
+        for site, table in weights.items():
             row: dict[str, Fraction] = {}
-            for sym in self.alphabet:
+            for sym in alphabet:
                 if sym not in table:
                     raise DomainError(f"free measure at site {site!r} misses symbol {sym!r}")
                 w = exact(table[sym], lambda: f"site {site!r}, symbol {sym!r}")
                 if w < 0:
                     raise DomainError(f"negative free weight at site {site!r}, symbol {sym!r}")
                 row[sym] = w
-            extra = set(table) - set(self.alphabet.symbols)
+            extra = set(table) - set(alphabet.symbols)
             if extra:
                 raise DomainError(f"free measure at site {site!r} names unknown symbols {sorted(extra)}")
             if all(w == 0 for w in row.values()):
                 raise DomainError(f"free measure at site {site!r} has no positive weight")
             frozen[site] = row
-        object.__setattr__(self, "weights", frozen)
+        self.alphabet = alphabet
+        self.weights = frozen
+        self._freeze()
 
     @classmethod
     def uniform(cls, alphabet: Alphabet, sites: Iterable[Site]) -> "FreeMeasure":
@@ -512,8 +538,7 @@ class Configuration:
         return f"Configuration({''.join(self.values)}, tail={self.tail})"
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Frozen):
     """Alphabet, window, tail classes and free measure bundled together.
 
     This is the ambient context every model and kernel computation shares.
@@ -523,38 +548,39 @@ class Space:
     byte.  Each configuration is built once, at its index.
     """
 
-    alphabet: Alphabet
-    universe: Universe
-    free: FreeMeasure
-    tail_classes: tuple[str, ...] = ("default",)
-
-    def __post_init__(self):
-        if not self.tail_classes:
+    def __init__(self, alphabet: Alphabet, universe: Universe, free: FreeMeasure,
+                 tail_classes: tuple[str, ...] = ("default",)):
+        if not tail_classes:
             raise DomainError("at least one tail class is required")
-        if len(set(self.tail_classes)) != len(self.tail_classes):
-            raise DomainError(f"duplicate tail classes: {self.tail_classes}")
-        missing = [s for s in self.universe if s not in self.free.weights]
+        if len(set(tail_classes)) != len(tail_classes):
+            raise DomainError(f"duplicate tail classes: {tail_classes}")
+        missing = [s for s in universe if s not in free.weights]
         if missing:
             raise DomainError(f"free measure misses sites {missing}")
-        stray = [s for s in self.free.weights if s not in self.universe.sites]
+        stray = [s for s in free.weights if s not in universe.sites]
         if stray:
             raise DomainError(f"free measure names sites outside the universe {stray}")
-        if self.free.alphabet != self.alphabet:
+        if free.alphabet != alphabet:
             raise DomainError("free measure alphabet differs from space alphabet")
-        q, n = len(self.alphabet), len(self.universe)
-        fills = itertools.product(self.tail_classes,
-                                  itertools.product(self.alphabet.symbols, repeat=n))
+        self.alphabet = alphabet
+        self.universe = universe
+        self.free = free
+        self.tail_classes = tail_classes
+        q, n = len(alphabet), len(universe)
+        fills = itertools.product(tail_classes, itertools.product(alphabet.symbols, repeat=n))
         # the configurations by index, q, each site's stride and symbol's
         # digit; memos of strides and class maps per site tuple, fill
         # offsets and weights
-        for name, value in (
-                ("_configs", tuple(Configuration(self, values, tail, index)
-                                   for index, (tail, values) in enumerate(fills))),
-                ("_q", q), ("_strides", tuple(q ** (n - 1 - k) for k in range(n))),
-                ("_digits", {sym: d for d, sym in enumerate(self.alphabet.symbols)}),
-                ("_site_strides", {}), ("_class_maps", {}), ("_class_bases", {}),
-                ("_memo", {})):
-            object.__setattr__(self, name, value)
+        self._configs = tuple(Configuration(self, values, tail, index)
+                              for index, (tail, values) in enumerate(fills))
+        self._q = q
+        self._strides = tuple(q ** (n - 1 - k) for k in range(n))
+        self._digits = {sym: d for d, sym in enumerate(alphabet.symbols)}
+        self._site_strides: dict[tuple, tuple[int, ...]] = {}
+        self._class_maps: dict[tuple, list[int]] = {}
+        self._class_bases: dict[tuple, tuple[int, ...]] = {}
+        self._memo: dict[tuple, object] = {}
+        self._freeze()
 
     def _memoised(self, key: tuple, compute: Callable[[], object]):
         try:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -50,6 +49,7 @@ from .core import (
     Configuration,
     DomainError,
     ExtendedRational,
+    Frozen,
     Site,
     SpecforgeError,
 )
@@ -89,15 +89,17 @@ class HypothesisFailure(SpecforgeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """One replayable counterexample (or anomaly) found by a check."""
 
-    check: str
-    description: str
-    replay: dict
-    lhs: str | None = None
-    rhs: str | None = None
+    def __init__(self, check: str, description: str, replay: dict,
+                 lhs: str | None = None, rhs: str | None = None):
+        self.check = check
+        self.description = description
+        self.replay = replay
+        self.lhs = lhs
+        self.rhs = rhs
+        self._freeze()
 
     def as_dict(self) -> dict:
         out = {"check": self.check, "description": self.description,
@@ -109,7 +111,6 @@ class Witness:
         return out
 
 
-@dataclass
 class HypothesisReport:
     """Outcome of one exhaustive check over a family.
 
@@ -118,10 +119,12 @@ class HypothesisReport:
     all JSON-friendly.  ``passed`` is the overall verdict.
     """
 
-    name: str
-    passed: bool
-    witnesses: list[Witness] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    def __init__(self, name: str, passed: bool, witnesses: list[Witness] | None = None,
+                 data: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.data = {} if data is None else data
 
     def as_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Protocol
 
@@ -18,6 +17,7 @@ from .core import (
     Configuration,
     DomainError,
     FreeMeasure,
+    Frozen,
     Site,
     Space,
     SpecforgeError,
@@ -237,8 +237,7 @@ class SingletonFamily(Tabulated):
                 for sym, (offset, w) in zip(space.alphabet, space.fill_offsets((site,)))}
 
 
-@dataclass(frozen=True)
-class TableModel:
+class TableModel(Frozen):
     """Fully explicit raw weights: (site, own symbol, context, tail) -> value.
 
     The context is the restriction of the configuration to the other sites,
@@ -247,9 +246,12 @@ class TableModel:
     memoised per universe and site.
     """
 
-    entries: Mapping[Site, Mapping[tuple, Fraction]]
-    provenance: str = "table"
-    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, entries: Mapping[Site, Mapping[tuple, Fraction]],
+                 provenance: str = "table"):
+        self.entries = entries
+        self.provenance = provenance
+        self._positions: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+        self._freeze()
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
         at = (space.universe.sites, site)
@@ -268,8 +270,7 @@ class TableModel:
         return exact(value, lambda: f"table model entry for site {site!r}, key {key}")
 
 
-@dataclass(frozen=True)
-class TailRuleModel:
+class TailRuleModel(Frozen):
     """Raw weights that depend only on the tail class and the own symbol.
 
     rules: (tail class, site) -> symbol -> weight.  Assignment-dependent
@@ -277,8 +278,11 @@ class TailRuleModel:
     singletons are driven purely by the exterior class.
     """
 
-    rules: Mapping[tuple, Mapping[str, Fraction]]
-    provenance: str = "tail_rule"
+    def __init__(self, rules: Mapping[tuple, Mapping[str, Fraction]],
+                 provenance: str = "tail_rule"):
+        self.rules = rules
+        self.provenance = provenance
+        self._freeze()
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
         try:
@@ -293,8 +297,7 @@ class TailRuleModel:
         return exact(value, lambda: f"{rule}, symbol {cfg.symbol(site)!r}")
 
 
-@dataclass(frozen=True)
-class PotentialModel:
+class PotentialModel(Frozen):
     """Strictly positive pairwise-interaction weights, given as exact rationals.
 
     fields: site -> symbol -> weight (> 0); pairs: (site, site) -> (symbol,
@@ -305,29 +308,27 @@ class PotentialModel:
     pair tables holding each site are looked up once per universe and site.
     """
 
-    fields: Mapping[Site, Mapping[str, Fraction]]
-    pairs: Mapping[tuple, Mapping[tuple, Fraction]] = None  # type: ignore[assignment]
-    provenance: str = "potential"
-    _incident: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, fields: Mapping[Site, Mapping[str, Fraction]],
+                 pairs: Mapping[tuple, Mapping[tuple, Fraction]] | None = None,
+                 provenance: str = "potential"):
         def positive(w, kind: str, at: str) -> Fraction:
             value = exact(w, lambda: f"{kind} {at}")
             if value <= 0:
                 raise DomainError(f"{kind} must be positive at {at}")
             return value
 
-        fields = {site: {sym: positive(w, "field weight", f"{site!r}/{sym!r}")
-                         for sym, w in vector.items()}
-                  for site, vector in self.fields.items()}
-        pairs = {}
-        for edge, table in (self.pairs or {}).items():
+        self.fields = {site: {sym: positive(w, "field weight", f"{site!r}/{sym!r}")
+                              for sym, w in vector.items()}
+                       for site, vector in fields.items()}
+        self.pairs = {}
+        for edge, table in (pairs or {}).items():
             if len(edge) != 2 or edge[0] == edge[1]:
                 raise DomainError(f"bad pair key {edge!r}")
-            pairs[edge] = {syms: positive(w, "pair weight", f"{edge!r}/{syms!r}")
-                           for syms, w in table.items()}
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "pairs", pairs)
+            self.pairs[edge] = {syms: positive(w, "pair weight", f"{edge!r}/{syms!r}")
+                                for syms, w in table.items()}
+        self.provenance = provenance
+        self._incident: dict[tuple, list] = {}
+        self._freeze()
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
         try:

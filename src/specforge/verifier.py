@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .core import (
     Configuration,
     DomainError,
+    Frozen,
     Site,
     Space,
     _line_sum,
@@ -174,8 +174,7 @@ class FiniteMeasure:
         return self.weights == other.weights
 
 
-@dataclass(frozen=True)
-class SupportClassCertificate:
+class SupportClassCertificate(Frozen):
     """Exact masses of the bad sets under the free-smoothed measure.
 
     One line per (site, context): the mass that the measure, smoothed by
@@ -184,8 +183,10 @@ class SupportClassCertificate:
     class iff every line is exactly zero.
     """
 
-    lines: dict[tuple[Site, tuple[Site, ...]], Fraction]
-    passed: bool
+    def __init__(self, lines: dict[tuple[Site, tuple[Site, ...]], Fraction], passed: bool):
+        self.lines = lines
+        self.passed = passed
+        self._freeze()
 
     def as_dict(self) -> dict:
         return {

@@ -333,6 +333,56 @@ class TestCheckCommand:
         ]
 
 
+class TestModelFileBytes:
+    """A model file is read once, as bytes: they decode as UTF-8 or the
+    command is a usage error at the bad byte's line, and the report's
+    digest is theirs."""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("command", ["check", "construct", "verify"])
+    def test_bad_byte_is_a_usage_error_at_its_line(self, command, newline, capsys,
+                                                   tmp_path, monkeypatch):
+        lines = Path(INDEPENDENT).read_bytes().splitlines()
+        lines[1] += b" \xff"
+        model = tmp_path / "bad.model"
+        model.write_bytes(newline.join(lines) + newline)
+        monkeypatch.chdir(tmp_path)
+        args = [command, str(model), "--json", "r.json"]
+        assert main(args + (["-o", "t.rho"] if command == "construct" else [])) == 2
+        captured = capsys.readouterr()
+        assert f"{model}:2: not UTF-8 text: byte 0xff" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.model"]
+
+    def test_construct_default_out_not_written_for_a_bad_byte(self, capsys, tmp_path,
+                                                              monkeypatch):
+        model = tmp_path / "bad.model"
+        model.write_bytes(Path(INDEPENDENT).read_bytes().replace(b"Three", b"Thr\xc3e", 1))
+        monkeypatch.chdir(tmp_path)
+        assert main(["construct", str(model)]) == 2
+        assert f"{model}:1: not UTF-8 text: byte 0xc3" in capsys.readouterr().err
+        assert not (tmp_path / "bad.rho").exists()
+
+    def test_crlf_model_digest_is_of_its_raw_bytes(self, capsys, tmp_path):
+        raw = Path(INDEPENDENT).read_bytes().replace(b"\n", b"\r\n")
+        model = tmp_path / "independent.model"
+        model.write_bytes(raw)
+        assert parse_model_file(str(model)).sha256 == hashlib.sha256(raw).hexdigest()
+        crlf, lf = tmp_path / "crlf.json", tmp_path / "lf.json"
+        assert main(["check", str(model), "--json", str(crlf)]) == 0
+        assert main(["check", INDEPENDENT, "--json", str(lf)]) == 0
+        crlf_report, lf_report = (json.loads(p.read_text()) for p in (crlf, lf))
+        assert crlf_report["model"]["sha256"] == hashlib.sha256(raw).hexdigest()
+        assert crlf_report["suites"] == lf_report["suites"]
+
+    def test_lone_carriage_returns_count_as_newlines(self, tmp_path):
+        # a missing directive is reported on the line after the last one
+        model = tmp_path / "old.model"
+        model.write_bytes(b"sites s1\ralphabet a b\rfree uniform\r")
+        with pytest.raises(ModelFileError, match=r"old\.model:4: missing 'kind'"):
+            parse_model_file(str(model))
+
+
 class TestConstructCommand:
     def test_example1_tables_match_closed_form(self, capsys, tmp_path):
         out = tmp_path / "ex1.rho"

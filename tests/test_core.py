@@ -182,6 +182,27 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"outside the universe \['s9'\]"):
             Space(alphabet, Universe(("s1", "s2")), free)
 
+    def test_space_compares_alphabets_by_symbols(self):
+        universe = Universe(("i", "j"))
+        free = FreeMeasure.uniform(Alphabet(("a", "b")), universe)
+        space = Space(Alphabet(("a", "b")), universe, free)
+        assert space.alphabet == free.alphabet and space.alphabet is not free.alphabet
+        assert hash(space.alphabet) == hash(free.alphabet)
+        with pytest.raises(DomainError, match="alphabet differs"):
+            Space(Alphabet(("b", "a")), universe, free)
+
+    def test_value_classes_are_frozen(self):
+        space = two_site_space()
+        for obj, name in ((space.alphabet, "symbols"), (space.universe, "sites"),
+                          (space.free, "weights"), (space, "free"), (space, "extra")):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field 'tail_classes'"):
+            del space.tail_classes
+        assert space.tail_classes == ("default",)
+        # memo dicts still fill in place
+        assert space.universe.region(("j", "i")) == ("i", "j")
+
     def test_configuration_requires_total_assignment(self):
         space = two_site_space()
         with pytest.raises(DomainError):

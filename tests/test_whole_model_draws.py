@@ -19,6 +19,11 @@ uniqueness probe where the command line runs it (positive free weights
 and the uniqueness condition).  ``event`` reports the share of gated
 draws with a zero density at three sites or more, the regime where the
 good sets do the work.
+
+A drawn kind-joint model file with strictly positive joint and free
+weights must round-trip exactly: `roundtrip_reconstruction` passes, and
+every singleton table equals the joint's conditionals, computed here
+from the drawn weights, divided by the free weight of the own symbol.
 """
 
 import itertools
@@ -27,13 +32,20 @@ from fractions import Fraction
 from hypothesis import event, given, settings, strategies as st
 
 from specforge.cli.main import uniqueness_applicable
+from specforge.cli.modelfile import parse_model_text
 from specforge.constructor import build_family, check_order_independence
 from specforge.core import Alphabet, FreeMeasure, Space, Universe
 from specforge.hypotheses import check_order_consistency, check_very_weak_positivity
 from specforge.models import normalize
-from specforge.verifier import check_specification_axioms, good_support_report, uniqueness_probe
+from specforge.verifier import (
+    check_specification_axioms,
+    good_support_report,
+    roundtrip_reconstruction,
+    uniqueness_probe,
+)
 
 VALUES = (0, 0, 1, 2, 3, Fraction(1, 2))
+POSITIVE = (1, 2, 3, 5, Fraction(1, 2), Fraction(7, 3))
 
 
 class JointWeights:
@@ -100,3 +112,41 @@ def test_gated_draws_build_a_specification(family):
     assert good_support_report(dens).passed
     if uniqueness_applicable(family):
         assert uniqueness_probe(dens).passed
+
+
+@st.composite
+def positive_joint_models(draw):
+    """A kind-joint model file, with its joint and free weights as drawn."""
+    n, q, t = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    sites = tuple(f"s{k}" for k in range(1, n + 1))
+    alphabet = ("a", "b", "c")[:q]
+    free = {site: dict(zip(alphabet, draw(st.lists(st.sampled_from(POSITIVE),
+                                                    min_size=q, max_size=q))))
+            for site in sites}
+    assignments = list(itertools.product(alphabet, repeat=n))
+    joint = dict(zip(assignments, map(Fraction, draw(st.lists(
+        st.sampled_from(POSITIVE), min_size=len(assignments), max_size=len(assignments))))))
+    lines = [f"sites {' '.join(sites)}", f"alphabet {' '.join(alphabet)}",
+             f"tails {' '.join(('t0', 't1')[:t])}", "kind joint"]
+    lines += [f"free {site} " + " ".join(f"{sym}={w}" for sym, w in row.items())
+              for site, row in free.items()]
+    lines += [f"joint {' '.join(values)} {w}" for values, w in joint.items()]
+    return "\n".join(lines) + "\n", free, joint
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(positive_joint_models())
+def test_positive_joints_round_trip_exactly(drawn):
+    text, free, joint = drawn
+    _, family, parsed_joint = parse_model_text(text).realize()
+    event(f"sites x symbols: {len(free)} x {len(next(iter(free.values())))}")
+    assert roundtrip_reconstruction(family, parsed_joint).passed
+    space = family.space
+    for site in space.universe:
+        k = space.universe.index(site)
+        for cfg in space.configurations():
+            values = cfg.values
+            section = sum(joint[values[:k] + (sym,) + values[k + 1:]]
+                          for sym in space.alphabet)
+            expected = joint[values] / section / free[site][values[k]]
+            assert family.density(site, cfg) == expected, (site, cfg)
