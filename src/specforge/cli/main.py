@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from ..constructor import (
     ConstructionError,
@@ -50,7 +49,7 @@ from ..verifier import (
     uniqueness_probe,
 )
 from .modelfile import ModelFile, ModelFileError, parse_model_file
-from .report import Report, render_json, render_text
+from .report import Report, encode_json, render_json, render_text
 
 __all__ = ["main"]
 
@@ -159,6 +158,7 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
     """
     space = dens.space
     report = HypothesisReport(name="measure_perturbations", passed=True)
+    import random  # only verify draws; kept off start-up
     rng = random.Random(seed)
     sites = space.universe.sites
     # the first configuration of each tail class
@@ -342,14 +342,37 @@ def load_model(path: str, budget: int) -> ModelFile:
     return model
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file, written yet or not."""
+    if os.path.realpath(first) == os.path.realpath(second):
+        return True
+    try:
+        return os.path.samefile(first, second)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
 def check_output_paths(args: argparse.Namespace) -> None:
-    """Refuse, before any work, an output path under a missing directory."""
-    for flag, path in (("--json", getattr(args, "json", None)),
-                       ("--out", getattr(args, "out", None))):
-        parent = os.path.dirname(path or "") or "."
-        if path and not os.path.isdir(parent):
+    """Refuse, before any work, an output path that cannot be written as
+    asked: under a missing directory, itself a directory, the model file,
+    or, for ``construct``, the report and the table at one path."""
+    outputs = [("--json", getattr(args, "json", None))]
+    if args.command == "construct":
+        outputs.append(("--out", args.out or _default_out(args.model)))
+    outputs = [(flag, path) for flag, path in outputs if path]
+    for flag, path in outputs:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
             raise UsageError(
                 f"cannot write {flag} {path!r}: {parent!r} is not a directory")
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {flag} {path!r}: it is a directory")
+        if _same_file(path, args.model):
+            raise UsageError(
+                f"cannot write {flag} {path!r}: it is the model file")
+    if len(outputs) == 2 and _same_file(outputs[0][1], outputs[1][1]):
+        raise UsageError(
+            f"cannot write --json and --out to one file, {outputs[0][1]!r}")
 
 
 def positive_budget(text: str) -> int:
@@ -468,10 +491,10 @@ def replay_catalog(model: ModelFile) -> dict[str, Callable[[], HypothesisReport]
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    import json as json_module
+    import json  # only replay reads JSON; the start-up of the rest skips it
     try:
         with open(args.report, "r", encoding="utf-8") as handle:
-            recorded = json_module.load(handle)
+            recorded = json.load(handle)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.report!r}: {exc}")
     entries = recorded.get("suites", []) if isinstance(recorded, dict) else None
@@ -507,10 +530,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.suite not in catalog:
         raise UsageError(f"suite {args.suite!r} is not replayable for this model")
     fresh = _guarded(args.suite, catalog[args.suite])
-    target = json_module.dumps(recorded_witness, sort_keys=True)
-    reproduced = any(
-        json_module.dumps(w.as_dict(), sort_keys=True) == target
-        for w in fresh.witnesses)
+    target = encode_json(recorded_witness)
+    reproduced = any(encode_json(w.as_dict()) == target for w in fresh.witnesses)
     if reproduced:
         sys.stdout.write(
             f"replay: witness {args.witness} of {args.suite} reproduced\n")

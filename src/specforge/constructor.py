@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .core import (
     Configuration,
@@ -371,6 +370,7 @@ def _sweep_orders(sites: Sequence[Site], cap: int, seed: int) -> tuple[list, boo
     count = math.factorial(len(sites))
     if count <= cap:
         return list(itertools.permutations(sites)), False
+    import random  # only a drawn sample needs it; kept off start-up
     perms = []
     for rank in random.Random(seed).sample(range(count), cap):
         pool = list(sites)

@@ -34,10 +34,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
 
-Site = Union[str, int]
+Site = str | int
 
 __all__ = [
     "Site",
@@ -151,7 +151,7 @@ class ExtendedRational:
 
     __slots__ = ("_value",)
 
-    def __init__(self, value: Union[Fraction, int, "ExtendedRational", None] = 0):
+    def __init__(self, value: Fraction | int | ExtendedRational | None = 0):
         if isinstance(value, ExtendedRational):
             self._value = value._value
             return

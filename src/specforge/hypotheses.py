@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .core import (
     Configuration,

@@ -10,8 +10,8 @@ configuration.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping, Protocol
 
 from .core import (
     Configuration,
@@ -42,8 +42,11 @@ class NormalizationError(SpecforgeError):
     """A raw weight family cannot be scaled to unit mass at some site."""
 
 
-class RawWeightModel(Protocol):
-    """Anything that yields raw (not yet normalized) site weights."""
+class RawWeightModel:
+    """Anything that yields raw (not yet normalized) site weights.
+
+    An interface for the annotations: the sources below provide it
+    without subclassing it."""
 
     provenance: str
 

@@ -21,9 +21,8 @@ failing split) both walk their identities through `_support_failures`.
 from __future__ import annotations
 
 import itertools
-import random
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 from .core import (
     Configuration,
@@ -581,6 +580,7 @@ def uniqueness_probe(
                     f"site {site!r} gives zero weight to {symbol!r}"
                 )
     report = HypothesisReport(name="uniqueness_probe", passed=True)
+    import random  # only verify draws; kept off start-up
     rng = random.Random(seed)
 
     multi_regions = [r for r in universe.subsets() if len(r) >= 2]

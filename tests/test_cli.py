@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import re
+import shutil
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -649,6 +650,10 @@ class TestTextRendering:
         assert "bounded_positivity  [informational]" in out
 
 
+OUTPUT_FLAGS = [("check", "--json"), ("construct", "--json"),
+                ("construct", "-o"), ("verify", "--json")]
+
+
 class TestArgumentsCheckedFirst:
     """Unusable output paths and budgets are refused before any work."""
 
@@ -689,6 +694,44 @@ class TestArgumentsCheckedFirst:
         assert "--out" in err and str(target) in err
         assert suites_run == []
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+    def test_output_over_the_model_file(self, command, flag, capsys, tmp_path,
+                                         monkeypatch, suites_run):
+        monkeypatch.chdir(tmp_path)
+        original = Path(EXAMPLE1).read_bytes()
+        (tmp_path / "m.model").write_bytes(original)
+        target = str(tmp_path / "m.model") if flag == "-o" else "./m.model"
+        assert main([command, "m.model", flag, target]) == 2
+        err = capsys.readouterr().err
+        assert "is the model file" in err and "m.model" in err
+        assert suites_run == []
+        assert (tmp_path / "m.model").read_bytes() == original
+
+    @pytest.mark.parametrize("out", ["same.out", None])
+    def test_construct_report_over_its_table(self, out, capsys, tmp_path,
+                                             monkeypatch, suites_run):
+        monkeypatch.chdir(tmp_path)
+        shutil.copyfile(INDEPENDENT, tmp_path / "ind.model")
+        # without -o the table goes to ind.rho
+        target = out or "ind.rho"
+        argv = ["construct", "ind.model", "--json", target]
+        assert main(argv + (["-o", out] if out else [])) == 2
+        err = capsys.readouterr().err
+        assert "--json and --out" in err and target in err
+        assert suites_run == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ind.model"]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+    def test_output_that_is_a_directory(self, command, flag, capsys, tmp_path,
+                                        suites_run):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert main([command, INDEPENDENT, flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "is a directory" in err and str(target) in err
+        assert suites_run == []
+        assert list(target.iterdir()) == []
 
     def test_paths_in_the_working_directory_are_accepted(
             self, capsys, tmp_path, monkeypatch):

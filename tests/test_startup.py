@@ -2,11 +2,13 @@
 
 Every ``specforge`` command starts by importing the package, so the
 import stays free of ``dataclasses`` and of the ``inspect`` machinery it
-loads.  ``python -m specforge`` must behave as the in-process ``main``:
-same exit code, same stdout, on every bundled model.
+loads, of ``typing``, of ``random`` (only ``verify`` draws, and imports
+it where it does) and of ``json`` (reports are written by
+``report.encode_json``; only ``replay`` reads one).  ``python -m
+specforge`` must behave as the in-process ``main``: same exit code, same
+stdout, on every bundled model.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,19 +22,24 @@ from specforge.cli.main import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 BUNDLED = sorted(str(path) for path in (resources.files("specforge") / "data").iterdir()
                  if path.name.endswith(".model"))
-HEAVY = ("dataclasses", "inspect")
+HEAVY = ("dataclasses", "inspect", "json", "typing", "random")
 
 
 def test_the_cli_imports_without_dataclasses_or_inspect(tmp_path):
-    # -S: no site module, so only src and the standard library are on the path
-    code = ("import json, sys\n"
+    # -S: no site module, so only src and the standard library are on the
+    # path; the snapshot comes first, so the snippet's own imports (sys
+    # alone) cannot hide a module the package loads
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import specforge.cli.main\n"
-            f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+            f"print(' '.join(m for m in {HEAVY!r} if m in before))\n"
+            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], cwd=tmp_path,
                             env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert json.loads(result.stdout) == []
+    preloaded, loaded = result.stdout.split("\n")[:2]
+    assert (preloaded, loaded) == ("", "")
 
 
 @pytest.mark.parametrize("model", BUNDLED, ids=[Path(m).name for m in BUNDLED])
