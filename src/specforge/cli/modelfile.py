@@ -44,9 +44,17 @@ so such a label is rejected at its line.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from fractions import Fraction
+
+# the interpreter's builtin SHA-256, not hashlib's, which loads OpenSSL
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:  # a Python built without the builtin hashes
+        from hashlib import sha256
 
 from ..core import Alphabet, DomainError, FreeMeasure, Space, SpecforgeError, Universe, parse_rational
 from ..models import (
@@ -171,9 +179,10 @@ class ModelFile:
 
 def parse_model_file(path: str) -> ModelFile:
     """Parse the model file at ``path``, read once as bytes; its ``sha256``
-    is their digest.  The bytes decode as UTF-8 with universal newlines,
-    as a text-mode read would; a byte that does not decode is a
-    `ModelFileError` at its line."""
+    is their SHA-256 hex digest, from the interpreter's builtin hash
+    module (``hashlib`` only where that is missing).  The bytes decode as
+    UTF-8 with universal newlines, as a text-mode read would; a byte that
+    does not decode is a `ModelFileError` at its line."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -187,7 +196,7 @@ def parse_model_file(path: str) -> ModelFile:
         raise ModelFileError(path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
                                          f"does not decode ({exc.reason})") from None
     model = parse_model_text(text.replace("\r\n", "\n").replace("\r", "\n"), path=path)
-    model.sha256 = hashlib.sha256(data).hexdigest()
+    model.sha256 = sha256(data).hexdigest()
     return model
 
 

@@ -187,10 +187,6 @@ class ExtendedRational:
         return self._value is None
 
     @property
-    def is_zero(self) -> bool:
-        return self._value == 0
-
-    @property
     def fraction(self) -> Fraction:
         if self._value is None:
             raise DomainError("the infinite element has no finite value")
@@ -511,10 +507,6 @@ class Configuration:
 
     def symbol(self, site: Site) -> str:
         return self.values[self.space.universe.index(site)]
-
-    def restrict(self, sites: Iterable[Site]) -> tuple[str, ...]:
-        uni = self.space.universe
-        return tuple(self.values[uni.index(s)] for s in sites)
 
     def with_sites(self, assignment: Mapping[Site, str]) -> "Configuration":
         for sym in assignment.values():

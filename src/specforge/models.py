@@ -228,17 +228,6 @@ class SingletonFamily(Tabulated):
             raise DomainError(f"site {site!r} not in universe") from None
         return table[cfg.index]
 
-    def kernel_weights(self, site: Site, cfg: Configuration) -> dict[str, Fraction]:
-        """The single-site kernel row at cfg: symbol -> density * free weight.
-
-        Rows sum to 1 by the unit-mass invariant.
-        """
-        space = self.space
-        table = self._tables[(site,)]
-        base = space.class_index(cfg, (site,))
-        return {sym: table[base + offset] * w
-                for sym, (offset, w) in zip(space.alphabet, space.fill_offsets((site,)))}
-
 
 class TableModel(Frozen):
     """Fully explicit raw weights: (site, own symbol, context, tail) -> value.

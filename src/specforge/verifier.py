@@ -128,18 +128,6 @@ class FiniteMeasure:
 
         return dens.cached(("kernel_measure", cfg.tail), compute)
 
-    @classmethod
-    def free_measure(cls, space: Space, tail: str) -> "FiniteMeasure":
-        """The product of the single-site free weights on one tail class,
-        whose indices start at tail_pos·q^n."""
-        sites = space.universe.sites
-        base = space.tail_classes.index(tail) * len(space.alphabet) ** len(sites)
-        return cls(space, {base + offset: w for offset, w in space.fill_offsets(sites)})
-
-    def expect(self, h: Callable[[Configuration], Fraction]) -> Fraction:
-        at = self.space.at
-        return sum((w * h(at(index)) for index, w in self.weights.items()), Fraction(0))
-
     def push_kernel(self, dens: DensityFamily, region: Iterable[Site]) -> "FiniteMeasure":
         """The image measure under the region's conditional kernel."""
         space = self.space

@@ -57,6 +57,14 @@ arithmetic and compared the candidates as integer pairs: each point is
 an overlay, each candidate an `ExtendedRational` product, and nothing
 is memoised.
 
+``is_zero``, ``restrict``, ``free_measure``, ``expect`` and
+``kernel_weights`` were methods that no library code read (of
+`ExtendedRational`, `Configuration`, `FiniteMeasure` twice and
+`SingletonFamily`): whether an extended value is zero, a
+configuration's symbols on some sites, the product of the free weights
+on one tail class as a measure, a measure's integral of a function, and
+a site's kernel row (density times free weight per symbol).
+
 ``support_class_certificate``, ``good_support_report`` and
 ``check_good_support_mass`` are the support suites as they were before
 they read good membership off one good-point table per (site, context):
@@ -148,6 +156,35 @@ def ratio(numerator: Fraction, denominator: Fraction) -> ExtendedRational:
     return ExtendedRational(Fraction(numerator, denominator))
 
 
+def is_zero(value: ExtendedRational) -> bool:
+    return not value.is_infinite and value.fraction == 0
+
+
+def restrict(cfg, sites) -> tuple[str, ...]:
+    return tuple(cfg.symbol(site) for site in sites)
+
+
+def free_measure(space, tail: str) -> verifier.FiniteMeasure:
+    """The free product measure on one tail class, whose indices start
+    at tail_pos·q^n."""
+    sites = space.universe.sites
+    base = space.tail_classes.index(tail) * len(space.alphabet) ** len(sites)
+    return verifier.FiniteMeasure(space, {base + offset: w
+                                          for offset, w in space.fill_offsets(sites)})
+
+
+def expect(mu, h) -> Fraction:
+    return sum((w * h(mu.space.at(index)) for index, w in mu.weights.items()), Fraction(0))
+
+
+def kernel_weights(family, site, cfg) -> dict:
+    """The single-site kernel row at cfg: symbol -> density * free weight."""
+    space = family.space
+    base = space.class_index(cfg, (site,))
+    return {sym: family.density(site, space.at(base + offset)) * w
+            for sym, (offset, w) in zip(space.alphabet, space.fill_offsets((site,)))}
+
+
 def keyed(space, weights) -> dict:
     """An index-keyed row or measure weight dict keyed by ``(values, tail)``."""
     return {space.at(index).key: w for index, w in weights.items()}
@@ -176,7 +213,7 @@ def normalize(space, model) -> SingletonFamily:
             mkey = masked_key(space, cfg, (site,))
             if mkey not in masses:
                 mass = free_kernel(space, (site,), read, cfg)
-                if mass.is_infinite or mass.is_zero:
+                if mass.is_infinite or is_zero(mass):
                     raise NormalizationError(
                         f"raw mass at site {site!r} is {mass} (need positive finite) at {cfg!r}"
                     )

@@ -73,7 +73,7 @@ def density_family(singletons) -> DensityFamily:
 def kind(value) -> str:
     if value is None:
         return "undefined"
-    return "infinite" if value.is_infinite else "zero" if value.is_zero else "finite"
+    return "infinite" if value.is_infinite else "zero" if oracles.is_zero(value) else "finite"
 
 
 def compare_line_sums(dens) -> set:

@@ -90,7 +90,7 @@ def kind(value) -> str:
     """The outcome of an oracle value."""
     if value is None:
         return "undefined"
-    return "infinite" if value.is_infinite else "zero" if value.is_zero else "finite"
+    return "infinite" if value.is_infinite else "zero" if oracles.is_zero(value) else "finite"
 
 
 def value_of(pair):

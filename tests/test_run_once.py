@@ -842,8 +842,8 @@ def test_raw_reads_look_up_each_site_once_per_universe(kind):
     else:
         family = hardcore_family(3)
         space = family.space
-        model = TableModel({site: {(cfg.symbol(site), cfg.restrict(
-            [s for s in space.universe if s != site]), cfg.tail): family.density(site, cfg)
+        model = TableModel({site: {(cfg.symbol(site), oracles.restrict(
+            cfg, [s for s in space.universe if s != site]), cfg.tail): family.density(site, cfg)
             for cfg in space.configurations()} for site in space.universe})
         memo = model._positions
     first = normalize(space, model)

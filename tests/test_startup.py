@@ -3,8 +3,10 @@
 Every ``specforge`` command starts by importing the package, so the
 import stays free of ``dataclasses`` and of the ``inspect`` machinery it
 loads, of ``typing``, of ``random`` (only ``verify`` draws, and imports
-it where it does) and of ``json`` (reports are written by
-``report.encode_json``; only ``replay`` reads one).  ``python -m
+it where it does), of ``json`` (reports are written by
+``report.encode_json``; only ``replay`` reads one) and of ``hashlib``
+and OpenSSL's ``_hashlib`` (the model file's digest comes from the
+builtin ``_sha256``, ``_sha2`` from Python 3.12).  ``python -m
 specforge`` must behave as the in-process ``main``: same exit code, same
 stdout, on every bundled model.
 """
@@ -22,7 +24,7 @@ from specforge.cli.main import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 BUNDLED = sorted(str(path) for path in (resources.files("specforge") / "data").iterdir()
                  if path.name.endswith(".model"))
-HEAVY = ("dataclasses", "inspect", "json", "typing", "random")
+HEAVY = ("dataclasses", "inspect", "json", "typing", "random", "hashlib", "_hashlib")
 
 
 def test_the_cli_imports_without_dataclasses_or_inspect(tmp_path):
