@@ -23,7 +23,7 @@ from ..constructor import (
     build_family,
     check_order_independence,
 )
-from ..core import SpecforgeError
+from ..core import SpecforgeError, _pair_text
 from ..hypotheses import (
     WITNESS_CAP,
     HypothesisFailure,
@@ -300,19 +300,18 @@ def rho_table_lines(dens: DensityFamily) -> list[str]:
 
     Fields are space-separated: the region as plus-joined site labels,
     the full window assignment as comma-joined symbols, the tail class,
-    and the exact rational value.  Lexicographic line order makes the
-    file bit-exact across platforms.
+    and the exact rational value, written straight from the table's
+    reduced pair as ``n`` or ``n/d`` (`_pair_text`).  Lexicographic line
+    order makes the file bit-exact across platforms.
     """
-    space = dens.space
+    points = [f"{','.join(cfg.values)} {cfg.tail}" for cfg in dens.space.configurations()]
     lines = []
     for region in dens.regions():
         if not region:
             continue
         label = "+".join(str(site) for site in region)
-        for cfg in space.configurations():
-            value = dens.density(region, cfg)
-            lines.append(
-                f"{label} {','.join(cfg.values)} {cfg.tail} {value}")
+        lines.extend(f"{label} {point} {_pair_text(*value)}"
+                     for point, value in zip(points, dens._tables[region]))
     return sorted(lines)
 
 

@@ -27,9 +27,10 @@ from fractions import Fraction
 from .core import (
     Configuration,
     DomainError,
-    ExtendedRational,
     Site,
     SpecforgeError,
+    _pair_text,
+    _reduced,
     exact,
 )
 from .hypotheses import (
@@ -64,16 +65,19 @@ class ConstructionError(SpecforgeError):
 class DensityFamily(Tabulated):
     """Exact density tables for every built region of the universe.
 
-    ``density(region, cfg)`` reads the finite multi-site density; the
-    empty region is the constant 1 and the single-site regions share the
-    input family's table lists.  Tables are immutable once registered;
-    ``replace_table`` returns a modified sibling for perturbation probes
-    without touching the original.  ``cached`` memoises what the tables
-    determine: one ratio table per ordered pair of regions, keyed by the
-    pair, then extension divisors and one kernel row per region and
-    class that the verifier reads (integer pairs or `Fraction` weights),
-    each keyed by its regions and exterior class, the full-window kernel
-    measure of each tail class, and the record of passing block splits
+    Each table is a flat list indexed by configuration index, of reduced
+    integer pairs as `Tabulated` holds them; the empty region is the
+    constant (1, 1) and the single-site regions share the input family's
+    table lists.  ``density(region, cfg)`` and ``table(region)`` read
+    the finite multi-site density back as `Fraction`s.  Tables are
+    immutable once registered; ``replace_table`` returns a modified
+    sibling for perturbation probes without touching the original.
+    ``cached`` memoises what the tables determine: one ratio table per
+    ordered pair of regions, keyed by the pair, then extension divisors
+    and one integer-pair kernel row per region and class that the
+    verifier reads, each keyed by its regions and exterior class, the
+    full-window kernel measure of each tail class, and the record of
+    passing block splits
     (`check_order_independence`).  The ratio tables of two shared
     single-site tables are the singleton family's; every other pair's is
     kept here.  A sibling starts with an empty memo, so it never reads
@@ -84,7 +88,7 @@ class DensityFamily(Tabulated):
     def __init__(self, singletons: SingletonFamily):
         self.singletons = singletons
         self.space = singletons.space
-        ones = [Fraction(1)] * self.space.size
+        ones = [(1, 1)] * self.space.size
         self._tables = {(): ones, **singletons._tables}
         self._cache = {}
 
@@ -111,14 +115,14 @@ class DensityFamily(Tabulated):
             table = self._tables.get(reg)
         if table is None:
             raise DomainError(f"region {reg!r} has not been built")
-        return table[cfg.index]
+        return Fraction(*table[cfg.index])
 
     def table(self, region: Iterable[Site]) -> tuple[Fraction, ...]:
         """The region's values, the k-th at configuration index k."""
         reg = self.space.universe.region(region)
         if reg not in self._tables:
             raise DomainError(f"region {reg!r} has not been built")
-        return tuple(self._tables[reg])
+        return tuple(Fraction(num, den) for num, den in self._tables[reg])
 
     def replace_table(self, region: Iterable[Site],
                       values: Sequence[Fraction]) -> "DensityFamily":
@@ -131,17 +135,20 @@ class DensityFamily(Tabulated):
         if len(values) != space.size:
             raise DomainError(f"replacement table holds {len(values)} values; "
                               f"expected one per configuration, {space.size}")
-        sibling = DensityFamily.__new__(DensityFamily)
-        sibling.singletons = self.singletons
-        sibling.space = space
-        sibling._tables = dict(self._tables)
-        table = sibling._tables[reg] = []
+        table = []
         for index, value in enumerate(values):
             value = exact(value, lambda: f"region {reg!r}, {space.at(index)!r}")
             if value < 0:
                 raise DomainError(f"negative density at region {reg!r}, {space.at(index)!r}")
-            table.append(value)
-        sibling._cache = {}
+            table.append(value.as_integer_ratio())
+        return self._sibling(reg, table)
+
+    def _sibling(self, reg: tuple[Site, ...], table: list[tuple[int, int]]) -> "DensityFamily":
+        """`replace_table`'s sibling, with the built canonical region
+        ``reg`` holding ``table``, reduced nonnegative pairs, one per
+        configuration, trusted."""
+        sibling = DensityFamily(self.singletons)
+        sibling._tables = {**self._tables, reg: table}
         return sibling
 
 
@@ -150,7 +157,7 @@ def extension_divisor(
     theta: Iterable[Site],
     gamma: Iterable[Site],
     cfg: Configuration,
-) -> ExtendedRational:
+) -> tuple[int, int]:
     """The factor dividing a region's density when a block joins it.
 
     Evaluated as (density(theta)/density(gamma) times the regional ratio
@@ -158,15 +165,18 @@ def extension_divisor(
     theta carries a good block; every good block is evaluated and must
     agree.  The value lies in (0, inf]; it is infinite exactly when
     density(gamma) vanishes at the rewritten point.  Depends on ``cfg``
-    only off theta.  Each block's point is the class index of ``cfg``
-    off theta plus the block's digits times theta's strides, and its
-    value is the integer pair (num(rho_theta)·den(rho_gamma)·num(I),
+    only off theta.  Returned as an integer pair in lowest terms with a
+    positive first member, the infinite value being (1, 0).
+
+    Each block's point is the class index of ``cfg`` off theta plus the
+    block's digits times theta's strides, and its value is the integer
+    pair (num(rho_theta)·den(rho_gamma)·num(I),
     den(rho_theta)·num(rho_gamma)·den(I)), with (num(I), den(I)) the
     family's `ratio_pair`, the unreduced entry of its `ratio_table` of
     gamma against theta, a zero second member being the infinite
-    value.  Both first members are positive, so two pairs
-    agree iff they cross-multiply equal, infinite ones included; one
-    `ExtendedRational` is built per divisor.
+    value.  Both first members are positive, so two pairs agree iff
+    they cross-multiply equal, infinite ones included; the first is
+    reduced once per divisor.
     """
     space = dens.space
     th = space.universe.region(theta)
@@ -180,7 +190,7 @@ def extension_divisor(
             raise ConstructionError(f"region {reg!r} has not been built yet")
     base = space.class_index(cfg, th)
 
-    def compute() -> ExtendedRational:
+    def compute() -> tuple[int, int]:
         blocks = good_blocks(dens.singletons, th, ga, cfg)
         if not blocks:
             raise ConstructionError(
@@ -193,8 +203,8 @@ def extension_divisor(
         first_block: tuple[str, ...] | None = None
         for block in blocks:
             point = base + sum(digits[sym] * stride for sym, stride in zip(block, strides))
-            num, den = th_table[point], ga_table[point]
-            if num == 0:
+            (a, b), (c, d) = th_table[point], ga_table[point]
+            if a == 0:
                 raise ConstructionError(
                     f"density of {th!r} vanishes at its own good block "
                     f"{block!r} at {cfg!r}; good-set guarantee violated"
@@ -206,13 +216,11 @@ def extension_divisor(
                     f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
                     "is not in (0, inf); good-set guarantee violated"
                 )
-            candidate = (num.numerator * den.denominator * integral[0],
-                         num.denominator * den.numerator * integral[1])
+            candidate = (a * d * integral[0], b * c * integral[1])
             if value is None:
                 value, first_block = candidate, block
             elif candidate[0] * value[1] != candidate[1] * value[0]:
-                lhs, rhs = (str(ExtendedRational._of_pair(value)),
-                            str(ExtendedRational._of_pair(candidate)))
+                lhs, rhs = _pair_text(*_reduced(*value)), _pair_text(*_reduced(*candidate))
                 raise ConstructionError(
                     f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
                     f"disagrees across good blocks: {lhs} via "
@@ -230,7 +238,7 @@ def extension_divisor(
                         lhs=lhs, rhs=rhs,
                     ),
                 )
-        return ExtendedRational._of_pair(value)
+        return _reduced(*value)
 
     return dens.cached(("extension_divisor", th, ga, base), compute)
 
@@ -238,33 +246,33 @@ def extension_divisor(
 def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],
                     gamma: Iterable[Site]):
     """``(cfg, num, den)`` per configuration, lazily, with den > 0 and
-    num/den = density(th)/divisor, one divisor per exterior class of
-    ``th``; an infinite divisor gives 0."""
+    num/den = density(th)/divisor, unreduced, one divisor per exterior
+    class of ``th``; an infinite divisor gives 0."""
     def reciprocal(cfg: Configuration) -> tuple[int, int]:
-        divisor = extension_divisor(dens, th, gamma, cfg)
-        if divisor.is_infinite:
-            return 0, 1
-        return divisor.fraction.denominator, divisor.fraction.numerator
+        num, den = extension_divisor(dens, th, gamma, cfg)
+        return (den, num) if den else (0, 1)
 
+    table = dens._tables[th]
     for cfg, (num, den) in dens.space.per_class(th, reciprocal):
-        value = dens._tables[th][cfg.index]
-        yield cfg, value.numerator * num, value.denominator * den
+        value_num, value_den = table[cfg.index]
+        yield cfg, value_num * num, value_den * den
 
 
 def extend_density(
     dens: DensityFamily,
     theta: Iterable[Site],
     gamma: Iterable[Site],
-) -> list[Fraction]:
+) -> list[tuple[int, int]]:
     """Flat density table for theta + gamma: density(theta) over the divisor.
 
     Built over every configuration with one `extension_divisor` call per
     exterior class of theta; an infinite divisor contracts to the exact
-    value 0, so the stored table is finite everywhere.  The table is
-    returned, not registered; `build_family` owns the bookkeeping.
+    value 0, so the stored table is finite everywhere.  Each cell is a
+    reduced integer pair, one gcd per cell.  The table is returned, not
+    registered; `build_family` owns the bookkeeping.
     """
     th = dens.space.universe.region(theta)
-    return [Fraction(num, den) for _, num, den in _extended_cells(dens, th, gamma)]
+    return [_reduced(num, den) for _, num, den in _extended_cells(dens, th, gamma)]
 
 
 def build_family(
@@ -348,12 +356,15 @@ def assemble_kernel(
     """
     space = dens.space
     reg = space.universe.region(region)
+    if reg not in dens._tables:
+        raise DomainError(f"region {reg!r} has not been built")
     base = space.class_index(cfg, reg)
+    table = dens._tables[reg]
     row: dict[int, Fraction] = {}
-    for offset, w in space.fill_offsets(reg):
-        weight = dens.density(reg, space.at(base + offset)) * w
-        if weight:
-            row[base + offset] = weight
+    for offset, w_num, w_den in space.fill_pairs(reg):
+        v_num, v_den = table[base + offset]
+        if v_num and w_num:
+            row[base + offset] = Fraction(v_num * w_num, v_den * w_den)
     return row
 
 
@@ -460,7 +471,8 @@ def check_order_independence(
     walks the cells of J(R, x), so it passes unwalked if the sweeps
     found that join true, and walks to its witness if false.  A cell
     compares density(θ)·den(divisor) with the stored value times
-    num(divisor) as integers.  A raise leaves the check unfinished.
+    num(divisor) as integers, and a join compares reduced pair tables.
+    A raise leaves the check unfinished.
     """
     space = singletons.space
     report = HypothesisReport(name="order_independence", passed=True)
@@ -534,8 +546,8 @@ def _walk_orders(reference: DensityFamily, regions: list, perms: list,
                 ok = True
                 table = reference._tables[region]
                 for cfg, num, den in _extended_cells(reference, theta, gamma):
-                    value = table[cfg.index]
-                    if num * value.denominator != value.numerator * den:
+                    v_num, v_den = table[cfg.index]
+                    if num * v_den != v_num * den:
                         ok = False
                         split_failures += 1
                         report.fail(witness_cap, lambda: Witness(
@@ -550,8 +562,8 @@ def _walk_orders(reference: DensityFamily, regions: list, perms: list,
                                 "theta": [str(s) for s in theta],
                                 "gamma": [str(s) for s in gamma],
                             },
-                            lhs=str(Fraction(num, den)),
-                            rhs=str(value),
+                            lhs=_pair_text(*_reduced(num, den)),
+                            rhs=_pair_text(v_num, v_den),
                         ))
                         break
                 if not ok:

@@ -4,8 +4,12 @@ Everything downstream works on a finite window of sites, a finite symbol
 alphabet and a finite set of frozen tail-class labels.  A configuration is a
 full symbol assignment on the window plus one tail label; the label stands in
 for the behaviour of the unmodelled exterior and is never touched by any
-kernel.  All numeric work uses `fractions.Fraction`, extended with a single
-point at infinity where ratios demand it.  The indeterminate contractions
+kernel.  Values are exact nonnegative rationals.  Tables hold them as
+integer pairs in lowest terms, ``(num, den)`` with den > 0 and zero as
+(0, 1); a `fractions.Fraction` is built only where a value enters or
+leaves the library: parsing, the public readers, report text
+(`_pair_text`).  `ExtendedRational` adds a single point at infinity
+where ratios demand it.  The indeterminate contractions
 0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
 never silent conventions.  Sums along a line of the free measure
 (`Space.free_integral`, and the ratio integrals a family tabulates by
@@ -99,6 +103,20 @@ def _line_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """``num/den`` in lowest terms, for ``num`` >= 0 and ``den`` > 0, or
+    ``num`` > 0 and ``den`` = 0, the infinite (1, 0): zero is (0, 1)."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _pair_text(num: int, den: int) -> str:
+    """The text of a reduced pair, ``n`` or ``n/d``: ``str(Fraction(num,
+    den))``, without building the `Fraction`; ``inf`` for (1, 0), as an
+    `ExtendedRational` prints it."""
+    return "inf" if not den else str(num) if den == 1 else f"{num}/{den}"
+
+
 def _ratio_line(terms: Iterable[tuple[int, int, tuple[int, int], tuple[int, int]]]
                 ) -> tuple[int, int] | None:
     """Σ w·n/d along one line of the free measure, ``terms`` holding per
@@ -107,7 +125,7 @@ def _ratio_line(terms: Iterable[tuple[int, int, tuple[int, int], tuple[int, int]
     undefined: a 0/0 point, or n/d infinite on a zero weight.  Else an
     integer pair: (1, 0) where n/d is infinite on a positive weight, or
     `_line_sum`'s pair of the finite terms, whose first member is zero
-    iff the sum is; `ExtendedRational._of_pair` is its value."""
+    iff the sum is."""
     finite = []
     infinite = False
     for w_num, w_den, (n_num, n_den), (d_num, d_den) in terms:
@@ -166,21 +184,6 @@ class ExtendedRational:
     @classmethod
     def infinity(cls) -> "ExtendedRational":
         return cls(None)
-
-    @classmethod
-    def _trusted(cls, value: Fraction) -> "ExtendedRational":
-        """The finite element ``value``, a `Fraction` the caller has
-        proven nonnegative; unchecked, for the hot integer paths."""
-        element = object.__new__(cls)
-        element._value = value
-        return element
-
-    @classmethod
-    def _of_pair(cls, pair: tuple[int, int]) -> "ExtendedRational":
-        """The value of an integer pair with both members nonnegative: a
-        zero second member is infinite, else the quotient."""
-        num, den = pair
-        return INF if not den else cls._trusted(Fraction(num, den))
 
     @property
     def is_infinite(self) -> bool:
@@ -434,10 +437,11 @@ class FreeMeasure(Frozen):
     """Per-site reference weights over the alphabet.
 
     Each site carries a finite nonnegative weight per symbol with at least one
-    strictly positive entry.  `is_normalized` reports whether every per-site
+    strictly positive entry.  `is_normalized` says whether every per-site
     total equals one; parts of the verifier require that and say so.
-    `is_positive` reports whether no weight is zero, which the uniqueness
-    probe and the order-independence read-off need.
+    `is_positive` says whether no weight is zero, which the uniqueness
+    probe and the order-independence read-off need.  Both are decided
+    once, at construction.
     """
 
     def __init__(self, alphabet: Alphabet, weights: Mapping[Site, Mapping[str, Fraction]]):
@@ -448,17 +452,20 @@ class FreeMeasure(Frozen):
                 if sym not in table:
                     raise DomainError(f"free measure at site {site!r} misses symbol {sym!r}")
                 w = exact(table[sym], lambda: f"site {site!r}, symbol {sym!r}")
-                if w < 0:
+                if w.numerator < 0:
                     raise DomainError(f"negative free weight at site {site!r}, symbol {sym!r}")
                 row[sym] = w
             extra = set(table) - set(alphabet.symbols)
             if extra:
                 raise DomainError(f"free measure at site {site!r} names unknown symbols {sorted(extra)}")
-            if all(w == 0 for w in row.values()):
+            if not any(w.numerator for w in row.values()):
                 raise DomainError(f"free measure at site {site!r} has no positive weight")
             frozen[site] = row
         self.alphabet = alphabet
         self.weights = frozen
+        masses = [_line_sum(w.as_integer_ratio() for w in row.values()) for row in frozen.values()]
+        self.is_normalized = all(num == den for num, den in masses)
+        self.is_positive = all(w.numerator for row in frozen.values() for w in row.values())
         self._freeze()
 
     @classmethod
@@ -474,15 +481,6 @@ class FreeMeasure(Frozen):
 
     def site_mass(self, site: Site) -> Fraction:
         return sum(self.weights[site].values(), Fraction(0))
-
-    @property
-    def is_normalized(self) -> bool:
-        return all(self.site_mass(site) == 1 for site in self.weights)
-
-    @property
-    def is_positive(self) -> bool:
-        """Whether every site gives every symbol a positive weight."""
-        return all(w > 0 for row in self.weights.values() for w in row.values())
 
 
 class Configuration:
@@ -706,33 +704,40 @@ class Space(Frozen):
             start=Fraction(1)))
 
     def fill_offsets(self, region: tuple[Site, ...]) -> list[tuple[int, Fraction]]:
-        """``(offset, product free weight)`` per fill of the canonical
-        ``region``, in `assignments` order: a class index off ``region``
-        plus the offset indexes the class member carrying the fill."""
+        """`fill_pairs` with each product free weight as a `Fraction`:
+        ``(offset, weight)`` per fill, memoised per canonical region."""
         return self._memoised(("offsets", region), lambda: [
-            (sum(self._digits[sym] * stride for sym, stride in zip(fill, self.strides(region))),
-             self.product_weight(region, fill))
-            for fill in self.assignments(region)])
+            (offset, Fraction(num, den)) for offset, num, den in self.fill_pairs(region)])
 
     def fill_pairs(self, region: tuple[Site, ...]) -> list[tuple[int, int, int]]:
-        """`fill_offsets` with each weight as its integer pair:
-        ``(offset, num, den)`` per fill, memoised per canonical region."""
+        """``(offset, num, den)`` per fill of the canonical ``region``, in
+        `assignments` order: a class index off ``region`` plus the offset
+        indexes the class member carrying the fill, and num/den, in lowest
+        terms, is the fill's product free weight, multiplied out in
+        integers.  Memoised per region."""
         try:
             return self._memo["pairs", region]
         except KeyError:
-            pairs = self._memo["pairs", region] = [
-                (offset, *w.as_integer_ratio()) for offset, w in self.fill_offsets(region)]
-            return pairs
+            pass
+        fills = [(0, 1, 1)]
+        for site, stride in zip(region, self.strides(region)):
+            row = [w.as_integer_ratio() for w in self.free.weights[site].values()]
+            fills = [(offset + d * stride, num * w_num, den * w_den)
+                     for offset, num, den in fills for d, (w_num, w_den) in enumerate(row)]
+        pairs = self._memo["pairs", region] = [
+            (offset, *_reduced(num, den)) for offset, num, den in fills]
+        return pairs
 
-    def free_integral(self, region: tuple[Site, ...], value: Callable[[int], Fraction],
+    def free_integral(self, region: tuple[Site, ...], value: Callable[[int], tuple[int, int]],
                       cfg: Configuration) -> tuple[int, int]:
         """Free integral over the canonical ``region`` at the class of
-        ``cfg`` of ``value``, read at each member's configuration index,
-        as `_line_sum`'s integer pair."""
+        ``cfg`` of ``value``, an integer pair over a positive denominator
+        read at each member's configuration index, as `_line_sum`'s
+        integer pair."""
         base = self._class_map(region)[cfg.index]
         terms = []
         for offset, w_num, w_den in self.fill_pairs(region):
-            v_num, v_den = value(base + offset).as_integer_ratio()
+            v_num, v_den = value(base + offset)
             if w_num and v_num:
                 terms.append((w_num * v_num, w_den * v_den))
         return _line_sum(terms)

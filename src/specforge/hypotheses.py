@@ -216,7 +216,7 @@ def _good_points(family: SingletonFamily, site: Site, ctx: tuple[Site, ...]) -> 
         if ctx:
             return _full_lines(_good_points(family, site, ctx[:-1]),
                                space.strides(ctx[-1:])[0], q)
-        live = frozenset(i for i, value in enumerate(family._tables[(site,)]) if value != 0)
+        live = frozenset(i for i, (num, _) in enumerate(family._tables[(site,)]) if num)
         return live.intersection(*(_full_lines(live, stride, q)
                                    for stride in space.strides(
                                        space.universe.complement((site,)))))
@@ -497,7 +497,7 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
         space = family.space
         q = len(space.alphabet)
         digit = {s: d for d, s in enumerate(space.alphabet.symbols)}
-        ratios = {site: family._integer_pairs((site,)) for site in space.universe.sites}
+        ratios = {site: family._tables[(site,)] for site in space.universe.sites}
         pairs = list(itertools.combinations(space.universe.sites, 2))
         rank = {pair: pos for pos, pair in enumerate(pairs)}
 
@@ -627,8 +627,8 @@ def _eight_factor_failures(
     reads its cells.  The good sets of i against {j} and of j against
     {i} are `_good_digits` of their `_good_points` tables at b (a table
     against {j} holds whole lines along j, so b stands for every member
-    of the class), and each density an integer pair off the family's
-    `_integer_pairs`.  Each side is a product of four densities, taken
+    of the class), and each density the integer pair the family's
+    table holds.  Each side is a product of four densities, taken
     as the product of their numerators over the product of their
     denominators, which is positive; so lhs == rhs iff num(lhs) den(rhs)
     == num(rhs) den(lhs), and a `Fraction` is built only for a failing
@@ -642,7 +642,7 @@ def _eight_factor_failures(
     b = space.class_index(cfg, (i, j))
     g_i = _good_digits(_good_points(family, i, (j,)), b, s_i, q)
     g_j = _good_digits(_good_points(family, j, (i,)), b, s_j, q)
-    d_i, d_j = family._integer_pairs((i,)), family._integer_pairs((j,))
+    d_i, d_j = family._tables[(i,)], family._tables[(j,)]
     failures = []
     for u_i in range(q):
         row = b + u_i * s_i

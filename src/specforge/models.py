@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     Configuration,
@@ -46,7 +47,9 @@ class RawWeightModel:
     """Anything that yields raw (not yet normalized) site weights.
 
     An interface for the annotations: the sources below provide it
-    without subclassing it."""
+    without subclassing it.  A source may also offer ``raw_pair``, the
+    raw weight as an integer pair over a positive denominator, which
+    `normalize` then reads instead."""
 
     provenance: str
 
@@ -54,8 +57,10 @@ class RawWeightModel:
 
 
 class Tabulated:
-    """``_tables``, a list per canonical region of exact values indexed by
-    `Space` configuration index, and a memo of what they determine."""
+    """``_tables``, a list per canonical region of exact nonnegative
+    values indexed by `Space` configuration index, each an integer pair
+    ``(num, den)`` in lowest terms with den > 0, zero being (0, 1), and
+    a memo of what they determine.  Equal values are equal pairs."""
 
     def cached(self, key: tuple, compute: Callable[[], object]):
         """``compute()``, memoised under ``key`` for the life of the family.
@@ -80,12 +85,6 @@ class Tabulated:
         ``against``: this one, unless it reads another family's tables."""
         return self
 
-    def _integer_pairs(self, region: tuple[Site, ...]) -> list[tuple[int, int]]:
-        """The table of ``region`` as integer pairs, in index order,
-        memoised under ``("integer_pairs", region)``."""
-        return self.cached(("integer_pairs", region), lambda: [
-            value.as_integer_ratio() for value in self._tables[region]])
-
     def ratio_table(self, over: tuple[Site, ...],
                     against: tuple[Site, ...]) -> dict[int, tuple[int, int] | None]:
         """The free integral over the canonical region ``over`` of
@@ -96,7 +95,7 @@ class Tabulated:
         zero.  The pairs are not reduced.
 
         Filled in one pass over the class bases, in index order, from the
-        `_integer_pairs` of both tables; no `Fraction` is built.  Kept on
+        pairs of both tables; no `Fraction` is built.  Kept on
         the memo of the family `_integral_memo` names, once per ordered
         pair, so the gates, the build and the verifier read one table.
         Every family's tables are nonnegative: `SingletonFamily` and
@@ -114,7 +113,7 @@ class Tabulated:
         def compute() -> dict[int, tuple[int, int] | None]:
             space = owner.space
             fills = space.fill_pairs(over)
-            num, den = owner._integer_pairs(over), owner._integer_pairs(against)
+            num, den = owner._tables[over], owner._tables[against]
             return {b: _ratio_line((w_num, w_den, num[b + offset], den[b + offset])
                                    for offset, w_num, w_den in fills)
                     for b in space.class_bases(over)}
@@ -143,7 +142,9 @@ class SingletonFamily(Tabulated):
     value is an exact nonnegative rational, that no table names a site
     outside the universe or a key that is no configuration of the space,
     and that the unit-mass condition holds at every site for every
-    configuration.  Evaluation is a pure table lookup.
+    configuration.  Each value is stored as its reduced integer pair, in
+    a flat table per one-site region; `density` reads one back as a
+    `Fraction`.
     """
 
     def __init__(
@@ -170,7 +171,7 @@ class SingletonFamily(Tabulated):
                 value = exact(given[cfg.key], lambda: f"site {site!r}, {cfg!r}")
                 if value < 0:
                     raise DomainError(f"negative density at site {site!r}, {cfg!r}")
-                table.append(value)
+                table.append(value.as_integer_ratio())
             if len(given) != len(table):
                 keys = {cfg.key for cfg in space.configurations()}
                 key = next(key for key in given if key not in keys)
@@ -180,12 +181,13 @@ class SingletonFamily(Tabulated):
         self._check_unit_mass()
 
     @classmethod
-    def _of_tables(cls, space: Space, tables: dict[tuple[Site, ...], list[Fraction]],
+    def _of_tables(cls, space: Space, tables: dict[tuple[Site, ...], list[tuple[int, int]]],
                    provenance: str) -> "SingletonFamily":
-        """The family of flat ``tables``, one list per one-site region in
-        index order, trusted: the caller has proven every value an exact
-        nonnegative rational and every site's mass 1 (as `normalize`
-        does), so nothing is re-keyed or re-checked."""
+        """The family of flat ``tables``, one list of pairs per one-site
+        region in index order, trusted: the caller has proven every pair
+        reduced and nonnegative over a positive denominator and every
+        site's mass 1 (as `normalize` does), so nothing is re-keyed or
+        re-checked."""
         family = cls.__new__(cls)
         family.space = space
         family.provenance = provenance
@@ -226,7 +228,7 @@ class SingletonFamily(Tabulated):
             table = self._tables[(site,)]
         except KeyError:
             raise DomainError(f"site {site!r} not in universe") from None
-        return table[cfg.index]
+        return Fraction(*table[cfg.index])
 
 
 class TableModel(Frozen):
@@ -296,55 +298,71 @@ class PotentialModel(Frozen):
     symbol) -> weight (> 0), with the pair key and symbol order matching the
     universe order of the two sites.  The raw weight of a site multiplies its
     field by every pair factor it participates in, which mirrors conditioning
-    a strictly positive product-form joint on the other coordinates.  The
-    pair tables holding each site are looked up once per universe and site.
+    a strictly positive product-form joint on the other coordinates.  Each
+    weight is taken as an integer pair once, at construction, and the
+    pair tables holding each site are looked up once per universe and
+    site, so `raw_pair` multiplies integers only.
     """
 
     def __init__(self, fields: Mapping[Site, Mapping[str, Fraction]],
                  pairs: Mapping[tuple, Mapping[tuple, Fraction]] | None = None,
                  provenance: str = "potential"):
-        def positive(w, kind: str, at: str) -> Fraction:
-            value = exact(w, lambda: f"{kind} {at}")
-            if value <= 0:
-                raise DomainError(f"{kind} must be positive at {at}")
+        def positive(w, kind: str, key, symbols) -> Fraction:
+            value = exact(w, lambda: f"{kind} {key!r}/{symbols!r}")
+            if value.numerator <= 0:
+                raise DomainError(f"{kind} must be positive at {key!r}/{symbols!r}")
             return value
 
-        self.fields = {site: {sym: positive(w, "field weight", f"{site!r}/{sym!r}")
+        self.fields = {site: {sym: positive(w, "field weight", site, sym)
                               for sym, w in vector.items()}
                        for site, vector in fields.items()}
         self.pairs = {}
         for edge, table in (pairs or {}).items():
             if len(edge) != 2 or edge[0] == edge[1]:
                 raise DomainError(f"bad pair key {edge!r}")
-            self.pairs[edge] = {syms: positive(w, "pair weight", f"{edge!r}/{syms!r}")
+            self.pairs[edge] = {syms: positive(w, "pair weight", edge, syms)
                                 for syms, w in table.items()}
         self.provenance = provenance
+        self._field_pairs, self._pair_tables = ({
+            key: {symbols: w.as_integer_ratio() for symbols, w in table.items()}
+            for key, table in weights.items()} for weights in (self.fields, self.pairs))
         self._incident: dict[tuple, list] = {}
         self._freeze()
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
+        return Fraction(*self.raw_pair(space, site, cfg))
+
+    def raw_pair(self, space: Space, site: Site, cfg: Configuration) -> tuple[int, int]:
+        """`raw_value` as an integer pair: the product of the factors'
+        numerators over the product of their denominators, unreduced."""
         try:
-            value = self.fields[site][cfg.symbol(site)]
+            own, incident = self._incident[space.universe, site]
         except KeyError:
-            raise DomainError(f"potential misses field for site {site!r}") from None
-        at = (space.universe.sites, site)
-        if at not in self._incident:
-            # each pair table holding the site, in ``pairs`` order, with the
-            # universe positions of its sites: None off the universe, where
+            # the site's universe position and each pair table holding
+            # it, in ``pairs`` order, as integer pairs, with the universe
+            # positions of its sites: None off the universe, where
             # reading the symbol raises
             position = space.universe._index.get
-            self._incident[at] = [(edge, position(edge[0]), position(edge[1]), table)
-                                  for edge, table in self.pairs.items() if site in edge]
+            own, incident = self._incident[space.universe, site] = position(site), [
+                (edge, position(edge[0]), position(edge[1]), table)
+                for edge, table in self._pair_tables.items() if site in edge]
         values = cfg.values
-        for (a, b), i, j, table in self._incident[at]:
+        try:
+            num, den = self._field_pairs[site][
+                values[own] if own is not None else cfg.symbol(site)]
+        except KeyError:
+            raise DomainError(f"potential misses field for site {site!r}") from None
+        for (a, b), i, j, table in incident:
             symbols = ((values[i], values[j]) if i is not None and j is not None
                        else (cfg.symbol(a), cfg.symbol(b)))
             try:
-                value *= table[symbols]
+                w_num, w_den = table[symbols]
             except KeyError:
                 raise DomainError(f"potential pair {(a, b)!r} misses symbol pair "
                                   f"{symbols!r}") from None
-        return value
+            num *= w_num
+            den *= w_den
+        return num, den
 
 
 def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
@@ -352,37 +370,45 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
 
     One pass per (site, exterior class off the site), classes in index
     order: it reads the q raw weights r_d of the class in digit order,
-    each once, sums the mass M = Σ_d w_d·r_d (w_d the site's free
-    weights) by `_line_sum` in integers, and writes each density r_d/M
-    as one `Fraction` into a flat table.  The mass must be positive (raw
-    weights are finite), otherwise a NormalizationError names the site
-    and the class's first member; a negative raw weight raises
-    `DomainError` naming the configuration it is read at.  The result
-    has unit mass by construction, Σ_d w_d·r_d/M = M/M = 1 exactly, and
-    every value is a nonnegative `Fraction`, so the family is built from
-    the tables as they are (`SingletonFamily._of_tables`).
+    each once, as an integer pair (the model's ``raw_pair`` if it has
+    one, else the ``as_integer_ratio`` of its exact ``raw_value``), sums
+    the mass M = Σ_d w_d·r_d (w_d the site's free weights) by
+    `_line_sum` in integers, and writes each density r_d/M into a flat
+    table as one reduced pair, one gcd per cell.  The mass must be
+    positive (raw weights are finite), otherwise a NormalizationError
+    names the site and the class's first member; a negative raw weight
+    raises `DomainError` naming the configuration it is read at.  The
+    result has unit mass by construction, Σ_d w_d·r_d/M = M/M = 1
+    exactly, and every pair is reduced and nonnegative, so the family is
+    built from the tables as they are (`SingletonFamily._of_tables`).
     """
-    tables: dict[tuple[Site, ...], list[Fraction]] = {}
+    read = getattr(model, "raw_pair", None)
+    if read is None:
+        def read(space: Space, site: Site, c: Configuration) -> tuple[int, int]:
+            return exact(model.raw_value(space, site, c),
+                         lambda: f"raw weight of site {site!r}, {c!r}").as_integer_ratio()
+    tables: dict[tuple[Site, ...], list[tuple[int, int]]] = {}
     for site in space.universe:
-        table: list[Fraction] = [Fraction(0)] * space.size
+        table = [(0, 1)] * space.size
         fills = space.fill_pairs((site,))
         for base in space.class_bases((site,)):
             raws = []
             for offset, _, _ in fills:
                 c = space.at(base + offset)
-                raw = exact(model.raw_value(space, site, c),
-                            lambda: f"raw weight of site {site!r}, {c!r}").as_integer_ratio()
+                raw = read(space, site, c)
                 if raw[0] < 0:
                     raise DomainError(f"negative raw weight at site {site!r}, {c!r}")
                 raws.append(raw)
-            m_num, m_den = _line_sum((w_num * r_num, w_den * r_den)
-                                     for (_, w_num, w_den), (r_num, r_den) in zip(fills, raws)
-                                     if w_num and r_num)
+            m_num, m_den = _line_sum([(w_num * r_num, w_den * r_den)
+                                      for (_, w_num, w_den), (r_num, r_den) in zip(fills, raws)
+                                      if w_num and r_num])
             if not m_num:
                 raise NormalizationError(f"raw mass at site {site!r} is 0 (need positive "
                                          f"finite) at {space.at(base)!r}")
             for (offset, _, _), (r_num, r_den) in zip(fills, raws):
-                table[base + offset] = Fraction(r_num * m_den, r_den * m_num)
+                num, den = r_num * m_den, r_den * m_num
+                g = gcd(num, den)  # `core._reduced`, inline: one call less per cell
+                table[base + offset] = (num // g, den // g)
         tables[(site,)] = table
     return SingletonFamily._of_tables(space, tables, model.provenance)
 

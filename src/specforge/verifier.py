@@ -31,12 +31,12 @@ from .core import (
     Site,
     Space,
     _line_sum,
+    _reduced,
     exact,
 )
 from . import hypotheses
 from .constructor import (
     DensityFamily,
-    assemble_kernel,
     build_family,
 )
 from .hypotheses import (
@@ -119,7 +119,7 @@ class FiniteMeasure:
         sites = space.universe.sites
 
         def compute() -> "FiniteMeasure":
-            mu = cls(space, _kernel_row(dens, sites, cfg))
+            mu = cls(space, {i: Fraction(*w) for i, w in _pair_row(dens, sites, cfg).items()})
             failures = _axiom_record(dens)[2]
             mu._cache.update({("preserved_by", dens, region): True
                               for region in space.universe.subsets()
@@ -129,14 +129,14 @@ class FiniteMeasure:
         return dens.cached(("kernel_measure", cfg.tail), compute)
 
     def push_kernel(self, dens: DensityFamily, region: Iterable[Site]) -> "FiniteMeasure":
-        """The image measure under the region's conditional kernel."""
+        """The image measure under the region's conditional kernel, the
+        `_mixed_row` of its weights and the region's pair rows: one
+        `Fraction` per image point."""
         space = self.space
         reg = space.universe.region(region)
-        out: dict[int, Fraction] = {}
-        for index, w in self.weights.items():
-            for point, kw in _kernel_row(dens, reg, space.at(index)).items():
-                out[point] = out.get(point, Fraction(0)) + w * kw
-        return FiniteMeasure(space, out)
+        image = _mixed_row((w.as_integer_ratio(), _pair_row(dens, reg, space.at(index)))
+                           for index, w in self.weights.items())
+        return FiniteMeasure(space, {point: Fraction(*w) for point, w in image.items()})
 
     def preserved_by(self, dens: DensityFamily, region: Iterable[Site]) -> bool:
         """Does the region's kernel map the measure to itself?  Memoised."""
@@ -240,62 +240,37 @@ def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
     """
     table = dens._tables[region]
     for point in sorted(_good_core(dens.singletons, region)):
-        a, b = table[point].as_integer_ratio()
+        a, b = table[point]
         for j, (v, w) in enumerate(sides):
             i = dens.ratio_pair(v, w, dens.space.at(point))
-            c, d = dens._tables[v][point].as_integer_ratio()
+            c, d = dens._tables[v][point]
             if i is None or a * d * i[0] != c * b * i[1]:
                 yield point, j
-
-
-def _kernel_row(dens: DensityFamily, region: tuple[Site, ...],
-                cfg: Configuration) -> dict[int, Fraction]:
-    """``assemble_kernel(dens, region, cfg)``, memoised on the family.
-
-    A row reads the density only at points that carry ``cfg`` off the
-    region, so it is fixed by the region and ``cfg``'s exterior class;
-    the memo holds one row per class, at most as many weights as the
-    tables hold cells.  Where `_pair_row` has memoised the class's row,
-    its pairs become the `Fraction` weights and the pair row is dropped,
-    so one row is kept per class.  ``region`` must be canonical.  Rows
-    are shared, so callers only read them.
-    """
-    base = dens.space.class_index(cfg, region)
-
-    def compute() -> dict[int, Fraction]:
-        pairs = dens._cache.pop(("pair_row", region, base), None)
-        if pairs is None:
-            return assemble_kernel(dens, region, cfg)
-        return {index: Fraction(num, den) for index, (num, den) in pairs.items()}
-
-    return dens.cached(("kernel_row", region, base), compute)
 
 
 def _pair_row(dens: DensityFamily, region: tuple[Site, ...],
               cfg: Configuration) -> dict[int, tuple[int, int]]:
     """The kernel row of ``region`` at ``cfg``'s exterior class as integer
-    pairs: ``index -> (v_num·w_num, v_den·w_den)`` for the nonzero cells,
-    in block order, v the density and w the product free weight
-    (`Space.fill_pairs`).  Each pair is the row's `Fraction` weight v·w,
-    unreduced, over a positive denominator, so sums go through
-    `_line_sum` and comparisons cross-multiply.  Memoised on the family
-    per region and class, unless `_kernel_row` holds the class's row:
-    then the pairs are read off it and not kept.  ``region`` must be
-    canonical; rows are shared, so callers only read them.
+    pairs: ``index -> (num, den)``, the weight v·w in lowest terms, for
+    the nonzero cells, in block order, v the density and w the product
+    free weight (`Space.fill_pairs`).  Equal rows are equal dicts; sums go through
+    `_line_sum`, and other comparisons cross-multiply.  A row reads the
+    density only at points that carry ``cfg`` off the region, so it is
+    fixed by the region and ``cfg``'s exterior class: memoised on the
+    family per region and class, at most as many pairs as the tables
+    hold cells.  ``region`` must be canonical; rows are shared, so
+    callers only read them.
     """
     space = dens.space
     base = space.class_index(cfg, region)
-    row = dens._cache.get(("kernel_row", region, base))
-    if row is not None:
-        return {index: w.as_integer_ratio() for index, w in row.items()}
 
     def compute() -> dict[int, tuple[int, int]]:
         table = dens._tables[region]
         pairs = {}
         for offset, w_num, w_den in space.fill_pairs(region):
-            v_num, v_den = table[base + offset].as_integer_ratio()
+            v_num, v_den = table[base + offset]
             if v_num and w_num:
-                pairs[base + offset] = (v_num * w_num, v_den * w_den)
+                pairs[base + offset] = _reduced(v_num * w_num, v_den * w_den)
         return pairs
 
     return dens.cached(("pair_row", region, base), compute)
@@ -303,15 +278,27 @@ def _pair_row(dens: DensityFamily, region: tuple[Site, ...],
 
 def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
                   inner: DensityFamily, inner_region: tuple[Site, ...],
-                  cfg: Configuration) -> dict[int, Fraction]:
+                  cfg: Configuration) -> dict[int, tuple[int, int]]:
     """Row of (outer kernel) followed by (inner kernel) at one exterior,
-    nonzero weights only, as kernel rows hold them."""
+    as `_pair_row` holds rows: the `_mixed_row` of the outer row's
+    weights and the inner rows at its points."""
     at = outer.space.at
-    out: dict[int, Fraction] = {}
-    for mid, w1 in _kernel_row(outer, outer_region, cfg).items():
-        for point, w2 in _kernel_row(inner, inner_region, at(mid)).items():
-            out[point] = out.get(point, Fraction(0)) + w1 * w2
-    return {point: w for point, w in out.items() if w}
+    return _mixed_row((w, _pair_row(inner, inner_region, at(mid)))
+                      for mid, w in _pair_row(outer, outer_region, cfg).items())
+
+
+def _mixed_row(parts: Iterable[tuple[tuple[int, int], dict[int, tuple[int, int]]]]
+               ) -> dict[int, tuple[int, int]]:
+    """Σ w·row over ``parts``, pairs ``(w, row)`` of a nonnegative weight
+    as an integer pair and a pair row: ``point -> (num, den)``, its
+    weight summed by `_line_sum` and reduced, nonzero weights only, in
+    order of first appearance."""
+    terms: dict[int, list] = {}
+    for (w_num, w_den), row in parts:
+        for point, (k_num, k_den) in row.items():
+            terms.setdefault(point, []).append((w_num * k_num, w_den * k_den))
+    out = {point: _reduced(*_line_sum(pairs)) for point, pairs in terms.items()}
+    return {point: pair for point, pair in out.items() if pair[0]}
 
 
 def _covering_pairs_agree(dens: DensityFamily, region: tuple[Site, ...],
@@ -371,10 +358,9 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
     (large, small) pair, in enumeration order, to its first differing
     exterior class of ``large`` and smallest differing point.  When (b)
     holds and the covering pairs agree, the proof given there settles
-    every pair, nothing is composed, and no `Fraction` row is built:
-    both parts read the integer pair rows.  Otherwise (c) composes the
-    `Fraction` rows of `_kernel_row` pair by pair.  The axiom report, at
-    every witness cap, and the uniqueness self-check read this memo.
+    every pair and nothing is composed.  Otherwise (c) composes the pair
+    rows pair by pair (`_composed_row`).  The axiom report, at every
+    witness cap, and the uniqueness self-check read this memo.
     """
     def compute() -> tuple[list, int, dict]:
         space = dens.space
@@ -396,7 +382,7 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
             for small in universe.subsets(large):
                 for cfg in space.exterior_classes(large):
                     pairs += 1
-                    direct = _kernel_row(dens, large, cfg)
+                    direct = _pair_row(dens, large, cfg)
                     composed = _composed_row(dens, large, dens, small, cfg)
                     if direct != composed:
                         point = min((space.at(i) for i in direct.keys() | composed.keys()
@@ -513,8 +499,8 @@ def exchange_identity(
     union = space.universe.region(a + b)
 
     def integrate(region, x, h) -> Fraction:
-        row = _kernel_row(dens, region, x)
-        return sum((w * h(space.at(i)) for i, w in row.items()), Fraction(0))
+        row = _pair_row(dens, region, x)
+        return sum((Fraction(*w) * h(space.at(i)) for i, w in row.items()), Fraction(0))
 
     lhs = integrate(union, cfg, lambda x: f(x) * integrate(
         a, x, lambda y: integrate(b, y, g)))
@@ -574,7 +560,7 @@ def uniqueness_probe(
     multi_regions = [r for r in universe.subsets() if len(r) >= 2]
 
     def singleton_consistent(family: DensityFamily, region: tuple[Site, ...]) -> bool:
-        return all(_kernel_row(family, region, cfg)
+        return all(_pair_row(family, region, cfg)
                    == _composed_row(family, region, dens, (site,), cfg)
                    for site in region for cfg in space.exterior_classes(region))
 
@@ -599,19 +585,20 @@ def uniqueness_probe(
         region = multi_regions[rng.randrange(len(multi_regions))]
         reps = list(space.exterior_classes(region))
         rep = reps[rng.randrange(len(reps))]
-        blocks = list(space.assignments(region))
-        original = dens.table(region)
+        fills = space.fill_pairs(region)
+        original = dens._tables[region]
         new_table = list(original)
         for attempt in range(10):
-            raw = {block: Fraction(rng.randint(1, 9)) for block in blocks}
-            mass = sum(raw[block] * space.product_weight(region, block) for block in blocks)
-            for block in blocks:
-                new_table[space.overlay(rep, region, block).index] = raw[block] / mass
-            if tuple(new_table) != original:
+            raws = [rng.randint(1, 9) for _ in fills]
+            m_num, m_den = _line_sum((raw * w_num, w_den)
+                                     for raw, (_, w_num, w_den) in zip(raws, fills))
+            for raw, (offset, _, _) in zip(raws, fills):
+                new_table[rep.index + offset] = _reduced(raw * m_den, m_num)
+            if new_table != original:
                 break
         else:
             continue
-        perturbed = dens.replace_table(region, new_table)
+        perturbed = dens._sibling(region, new_table)
         ok = singleton_consistent(perturbed, region)
         perturbations.append({
             "region": [str(s) for s in region],
@@ -925,13 +912,14 @@ def roundtrip_reconstruction(
         sections = space.per_class(region, lambda cfg: sum(
             (joint[space.overlay(cfg, region, fill).values]
              for fill in space.assignments(region)), Fraction(0)))
+        built = dens._tables[region]
         for cfg, section in sections:
             compared += 1
             free = space.product_weight(
                 region, tuple(cfg.symbol(s) for s in region)
             )
             expected = joint[cfg.values] / (section * free)
-            if dens.density(region, cfg) != expected:
+            if built[cfg.index] != expected.as_integer_ratio():
                 mismatches += 1
                 report.fail(witness_cap, lambda: Witness(
                     check="roundtrip_reconstruction",
@@ -950,6 +938,29 @@ def roundtrip_reconstruction(
     return report
 
 
+def _largest_spread(table: list[tuple[int, int]], keys: Iterable) -> tuple[int, int]:
+    """The largest max − min of ``table``'s values over the groups of
+    indices with equal ``keys``, the k-th key that of index k, as an
+    unreduced pair over a positive denominator; (0, 1) for no group.
+    Values are compared cross-multiplied, every denominator positive."""
+    lo, hi = {}, {}
+    for key, value in zip(keys, table):
+        low = lo.get(key)
+        if low is None:
+            lo[key] = hi[key] = value
+        elif value[0] * low[1] < low[0] * value[1]:
+            lo[key] = value
+        elif value[0] * hi[key][1] > hi[key][0] * value[1]:
+            hi[key] = value
+    best = (0, 1)
+    for key, (h_num, h_den) in hi.items():
+        l_num, l_den = lo[key]
+        spread = (h_num * l_den - l_num * h_den, h_den * l_den)
+        if spread[0] * best[1] > best[0] * spread[1]:
+            best = spread
+    return best
+
+
 def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
     """How far away can the exterior still move a region's density?
 
@@ -957,51 +968,35 @@ def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
     under rewrites at the exterior sites farthest from the region (in
     declared site order) and under tail-class swaps at fixed assignment.
     Purely diagnostic: the report always passes, locality shows up as
-    zero variation and tail sensitivity as a nonzero entry.
+    zero variation and tail sensitivity as a nonzero entry.  Each
+    region's table is read by index: grouped by the class map off the
+    far sites, and by the index less its tail digit for the swaps
+    (`_largest_spread`); a `Fraction` is built only for each reported
+    variation.
     """
     space = dens.space
     universe = space.universe
     report = HypothesisReport(name="quasilocality", passed=True)
     per_region = {}
+    assignments = [index % (space.size // len(space.tail_classes))
+                   for index in range(space.size)]
     for region in universe.subsets():
         if not region:
             continue
+        table = dens._tables[region]
         indices = [universe.index(s) for s in region]
         distances = {
             s: min(abs(universe.index(s) - i) for i in indices)
             for s in universe.sites
             if s not in region
         }
-        if distances:
-            dmax = max(distances.values())
-            far = universe.region(s for s, d in distances.items() if d == dmax)
-            groups: dict[int, list[Fraction]] = {}
-            for cfg in space.configurations():
-                groups.setdefault(
-                    space.class_index(cfg, far), []
-                ).append(dens.density(region, cfg))
-            far_variation = max(
-                (max(vals) - min(vals) for vals in groups.values()),
-                default=Fraction(0),
-            )
-        else:
-            dmax = 0
-            far = ()
-            far_variation = Fraction(0)
-        tail_groups: dict[tuple, list[Fraction]] = {}
-        for cfg in space.configurations():
-            tail_groups.setdefault(cfg.values, []).append(
-                dens.density(region, cfg)
-            )
-        tail_variation = max(
-            (max(vals) - min(vals) for vals in tail_groups.values()),
-            default=Fraction(0),
-        )
+        dmax = max(distances.values(), default=0)
+        far = universe.region(s for s, d in distances.items() if d == dmax)
         per_region["+".join(str(s) for s in region)] = {
             "far_sites": [str(s) for s in far],
             "far_distance": dmax,
-            "far_variation": str(far_variation),
-            "tail_variation": str(tail_variation),
+            "far_variation": str(Fraction(*_largest_spread(table, space._class_map(far)))),
+            "tail_variation": str(Fraction(*_largest_spread(table, assignments))),
         }
     report.data = {"regions": per_region}
     return report
@@ -1013,9 +1008,10 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
     For each region, the extreme values of density(region)/density(site)
     over all member sites and configurations; passes iff every ratio is
     defined (no positive density over a vanishing single-site density,
-    no 0/0) with finite positive extremes.  Each ratio is kept as an
-    integer pair over a positive denominator and compared
-    cross-multiplied; a `Fraction` is built only for each reported bound.
+    no 0/0) with finite positive extremes.  Both tables are read by
+    index; each ratio is kept as an integer pair over a positive
+    denominator and compared cross-multiplied, and a `Fraction` is built
+    only for each reported bound.
     """
     space = dens.space
     report = HypothesisReport(name="ratio_bounds", passed=True)
@@ -1026,10 +1022,10 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
         lo: tuple[int, int] | None = None
         hi: tuple[int, int] | None = None
         defined = True
+        table = dens._tables[region]
         for site in region:
-            for cfg in space.configurations():
-                n_num, n_den = dens.density(region, cfg).as_integer_ratio()
-                d_num, d_den = dens.density((site,), cfg).as_integer_ratio()
+            for index, ((n_num, n_den), (d_num, d_den)) in enumerate(
+                    zip(table, dens._tables[(site,)])):
                 if not d_num:
                     defined = False
                     report.fail(witness_cap, lambda: Witness(
@@ -1039,8 +1035,8 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
                             "two-sided bound for region "
                             f"{[str(s) for s in region]!r}"
                         ),
-                        replay={"assignment": list(cfg.values),
-                                "tail": cfg.tail, "site": str(site)},
+                        replay={"assignment": list(space.at(index).values),
+                                "tail": space.at(index).tail, "site": str(site)},
                     ))
                     continue
                 v_num, v_den = n_num * d_den, n_den * d_num

@@ -14,6 +14,11 @@ integral of any function (infinite values included) over a region, and
 ``covering_pairs_agree`` compares the direct row with a dict of the
 products mass·w.
 
+``build_tables`` builds every region's table of the default sweep in
+`Fraction`s, from the singleton family's densities up; ``fractions``
+reads a family's stored pair table back as `Fraction`s, checking each
+pair reduced over a positive denominator.
+
 ``naive_index`` computes a configuration's index digit by digit, and
 ``masked_key`` is the tuple key (hidden sites set to None) that named
 exterior classes before the class index did.
@@ -127,6 +132,7 @@ library's record of part (c).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,6 +160,14 @@ def ratio(numerator: Fraction, denominator: Fraction) -> ExtendedRational:
             raise ArithmeticDomainError("indeterminate quotient 0 / 0")
         return INF
     return ExtendedRational(Fraction(numerator, denominator))
+
+
+def extended(pair: tuple[int, int]) -> ExtendedRational:
+    """The value of an integer pair with both members nonnegative, as
+    `constructor.extension_divisor` and the ratio tables give them: a
+    zero second member is infinite, else the quotient."""
+    num, den = pair
+    return INF if not den else ExtendedRational(Fraction(num, den))
 
 
 def is_zero(value: ExtendedRational) -> bool:
@@ -422,7 +436,7 @@ def kernel_class_violations(dens) -> list:
         first = {}
         for cfg in space.configurations():
             mask = masked_key(space, cfg, region)
-            row = list(keyed(space, verifier.assemble_kernel(dens, region, cfg)).items())
+            row = list(keyed(space, constructor.assemble_kernel(dens, region, cfg)).items())
             if (row != first.setdefault(mask, row)
                     or any(masked_key(space, space.make(*key), region) != mask
                            for key, _ in row)):
@@ -1195,10 +1209,45 @@ def extend_density(dens, theta, gamma) -> list:
     th = space.universe.region(theta)
     table = []
     for cfg in space.configurations():
-        divisor = constructor.extension_divisor(dens, th, gamma, cfg)
+        divisor = extended(constructor.extension_divisor(dens, th, gamma, cfg))
         value = ExtendedRational(dens.density(th, cfg)) / divisor
         table.append(value.fraction)
     return table
+
+
+def build_tables(singletons) -> dict:
+    """Every region's table of the default sweep, built afresh in
+    `Fraction`s, keyed by canonical region like ``DensityFamily._tables``.
+
+    The empty region is 1 and each site's table is its densities, read
+    through ``SingletonFamily.density``.  A region R joins its last site
+    x to θ = R∖x: at each configuration, every good block of θ against
+    {x} (`hypotheses.good_blocks`) gives the divisor
+    ρ_θ/ρ_x · ∫ ρ_x/ρ_θ over x at the block's point, the integral by
+    ``ratio_integral`` on these tables, and every block must give the
+    same one; the value is ρ_θ over that divisor, 0 where it is
+    infinite."""
+    space = singletons.space
+    configs = list(space.configurations())
+    tables = {(): [Fraction(1)] * space.size}
+    tables.update({(site,): [singletons.density(site, cfg) for cfg in configs]
+                   for site in space.universe})
+    for region in space.universe.subsets():
+        if len(region) < 2:
+            continue
+        theta, gamma = region[:-1], region[-1:]
+        table = []
+        for cfg in configs:
+            divisors = set()
+            for block in hypotheses.good_blocks(singletons, theta, gamma, cfg):
+                point = space.overlay(cfg, theta, block)
+                integral = ratio_integral(space, gamma, tables[gamma], tables[theta], point)
+                divisors.add(ratio(tables[theta][point.index], tables[gamma][point.index])
+                             * integral)
+            (divisor,) = divisors
+            table.append((ExtendedRational(tables[theta][cfg.index]) / divisor).fraction)
+        tables[region] = table
+    return tables
 
 
 def uniqueness_probe(dens, trials=25, seed=8141,
@@ -1237,8 +1286,8 @@ def uniqueness_probe(dens, trials=25, seed=8141,
     def singleton_consistent(family, region):
         for site in region:
             for cfg in space.exterior_classes(region):
-                direct = verifier._kernel_row(family, region, cfg)
-                composed = verifier._composed_row(family, region, dens, (site,), cfg)
+                direct = constructor.assemble_kernel(family, region, cfg)
+                composed = composed_row(family, region, dens, (site,), cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
                 if direct != composed:
                     return False, {
@@ -1402,7 +1451,7 @@ def check_order_independence(singletons, permutation_cap=24, seed=20260819,
                 split_checks += 1
                 ok = True
                 for cfg in space.configurations():
-                    divisor = constructor.extension_divisor(reference, theta, gamma, cfg)
+                    divisor = extended(constructor.extension_divisor(reference, theta, gamma, cfg))
                     value = ExtendedRational(reference.density(theta, cfg)) / divisor
                     if value.fraction != reference.density(region, cfg):
                         ok = False
@@ -1456,7 +1505,7 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
         rows: dict = {}
         for cfg in space.configurations():
             mask = masked_key(space, cfg, region)
-            row = keyed(space, verifier.assemble_kernel(dens, region, cfg))
+            row = keyed(space, constructor.assemble_kernel(dens, region, cfg))
             checks["exterior"] += 1
             if mask in rows:
                 if rows[mask] != row:
@@ -1494,10 +1543,11 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
         for small in universe.subsets(large):
             for cfg in space.exterior_classes(large):
                 checks["nested_pairs"] += 1
-                direct = keyed(space, verifier._kernel_row(dens, large, cfg))
+                direct = keyed(space, constructor.assemble_kernel(dens, large, cfg))
                 composed: dict = {}
                 for mid_key, w1 in direct.items():
-                    inner = keyed(space, verifier._kernel_row(dens, small, space.make(*mid_key)))
+                    inner = keyed(space, constructor.assemble_kernel(
+                        dens, small, space.make(*mid_key)))
                     for key, w2 in inner.items():
                         composed[key] = composed.get(key, Fraction(0)) + w1 * w2
                 composed = {k: v for k, v in composed.items() if v != 0}
@@ -1676,12 +1726,48 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
     return report
 
 
+def composed_row(outer, outer_region, inner, inner_region, cfg) -> dict:
+    """The row of the outer kernel followed by the inner one at ``cfg``:
+    `Fraction` sums of `constructor.assemble_kernel` products, zeros
+    kept."""
+    out = {}
+    for mid, w1 in constructor.assemble_kernel(outer, outer_region, cfg).items():
+        for point, w2 in constructor.assemble_kernel(inner, inner_region,
+                                                     outer.space.at(mid)).items():
+            out[point] = out.get(point, Fraction(0)) + w1 * w2
+    return out
+
+
+def fractions(table) -> list:
+    """A flat table of integer pairs, as the families store them, each
+    checked to be in lowest terms over a positive denominator, read back
+    as `Fraction`s."""
+    for num, den in table:
+        assert type(num) is int and type(den) is int, (num, den)
+        assert den > 0 and math.gcd(num, den) == 1, (num, den)
+    return [Fraction(num, den) for num, den in table]
+
+
+def divisor_value(dens, theta, gamma, cfg) -> ExtendedRational:
+    """`constructor.extension_divisor`, looked up at each call, its pair
+    checked to be in lowest terms with a positive first member, as an
+    `ExtendedRational`."""
+    num, den = constructor.extension_divisor(dens, theta, gamma, cfg)
+    assert num > 0 and den >= 0 and math.gcd(num, den) == 1, (num, den)
+    return extended((num, den))
+
+
+def extend_values(dens, theta, gamma) -> list:
+    """`constructor.extend_density`'s table, through `fractions`."""
+    return fractions(constructor.extend_density(dens, theta, gamma))
+
+
 def covering_pairs_agree(dens, region, cfg) -> bool:
     """``verifier._covering_pairs_agree`` as it was before it summed each
     mass in integers: the masses as `Fraction` sums, and the direct row
     compared with a dict of the products mass·w."""
     at = dens.space.at
-    direct = verifier._kernel_row(dens, region, cfg)
+    direct = constructor.assemble_kernel(dens, region, cfg)
     for site in region:
         position = dens.space.universe.index(site)
         masses: dict = {}
@@ -1693,7 +1779,8 @@ def covering_pairs_agree(dens, region, cfg) -> bool:
             charged.setdefault(value, point)
         inner = tuple(s for s in region if s != site)
         if direct != {index: mass * w for value, mass in masses.items()
-                      for index, w in verifier._kernel_row(dens, inner, charged[value]).items()}:
+                      for index, w in constructor.assemble_kernel(
+                          dens, inner, charged[value]).items()}:
             return False
     return True
 

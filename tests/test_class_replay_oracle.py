@@ -20,8 +20,11 @@ probe needs a built family, so it runs on the families whose unchecked
 build succeeds; its self-check reads the record of axiom (c) that the
 axiom report reads, so the axiom report is compared on those families
 too.  ``extension_divisor`` decides its good-block candidates as integer
-pairs; its oracle builds each as an `ExtendedRational` product, and the
-two must return equal values or raise the same text and witness.
+pairs and returns a reduced pair; its oracle builds each as an
+`ExtendedRational` product, and the two must return equal values (the
+pair read back by ``oracles.divisor_value``) or raise the same text and
+witness.  ``extend_density``'s pair tables are read back through
+``oracles.fractions``, which checks every pair reduced.
 """
 
 from fractions import Fraction
@@ -138,14 +141,14 @@ def test_bounded_positivity(name):
 def test_extend_density_on_every_split(name):
     fam = FAMILIES[name]()
     for i, j in splits(fam.space.universe.sites[:2]):
-        assert (cells(extend_density, DensityFamily(fam), i, j)
+        assert (cells(oracles.extend_values, DensityFamily(fam), i, j)
                 == cells(oracles.extend_density, DensityFamily(fam), i, j))
     dens = built(fam)
     if dens is None:
         return
     for region in dens.regions():
         for theta, gamma in splits(region):
-            assert (cells(extend_density, fresh(dens), theta, gamma)
+            assert (cells(oracles.extend_values, fresh(dens), theta, gamma)
                     == cells(oracles.extend_density, fresh(dens), theta, gamma))
 
 
@@ -191,10 +194,10 @@ def test_block_split_mismatch_stops_at_the_same_cell(monkeypatch):
     honest = constructor.extension_divisor
 
     def perturbed(dens, theta, gamma, cfg):
-        divisor = honest(dens, theta, gamma, cfg)
-        if tuple(theta) + tuple(gamma) == ("s1", "s2", "s3"):
-            return divisor * 2
-        return divisor
+        num, den = honest(dens, theta, gamma, cfg)
+        if tuple(theta) + tuple(gamma) == ("s1", "s2", "s3") and den:
+            return Fraction(2 * num, den).as_integer_ratio()
+        return num, den
 
     monkeypatch.setattr(constructor, "extension_divisor", perturbed)
     fam = zoo.hardcore_family(4)
@@ -266,9 +269,8 @@ def test_infinite_divisor_writes_exact_zero():
     """Hard-core extension meets infinite divisors; their cells are 0."""
     dens = build_family(zoo.hardcore_family(3), checked=False)
     table = extend_density(fresh(dens), ("s1",), ("s2",))
-    assert all(type(value) is Fraction for value in table)
-    assert Fraction(0) in table
-    assert table == oracles.extend_density(fresh(dens), ("s1",), ("s2",))
+    assert (0, 1) in table
+    assert oracles.fractions(table) == oracles.extend_density(fresh(dens), ("s1",), ("s2",))
 
 
 def divisor(run, dens, theta, gamma, cfg):
@@ -300,13 +302,13 @@ def test_extension_divisor(name):
     split of every region of the families that build."""
     fam = FAMILIES[name]()
     joins = site_joins(fam.space)
-    assert (divisors(constructor.extension_divisor, DensityFamily(fam), joins)
+    assert (divisors(oracles.divisor_value, DensityFamily(fam), joins)
             == divisors(oracles.extension_divisor, DensityFamily(fam), joins))
     dens = built(fam)
     if dens is None:
         return
     joins = [split for region in dens.regions() for split in splits(region)]
-    assert (divisors(constructor.extension_divisor, fresh(dens), joins)
+    assert (divisors(oracles.divisor_value, fresh(dens), joins)
             == divisors(oracles.extension_divisor, fresh(dens), joins))
 
 
@@ -315,7 +317,7 @@ def test_extension_divisor_comparison_meets_every_outcome():
     seen = set()
     for name in ("hardcore_3", "broken_pair", "zero_table_0"):
         fam = FAMILIES[name]()
-        for value in divisors(constructor.extension_divisor, DensityFamily(fam),
+        for value in divisors(oracles.divisor_value, DensityFamily(fam),
                               site_joins(fam.space)):
             seen.add(value[:2] if isinstance(value, tuple) else value.is_infinite)
     assert {False, True, ("raised", "ConstructionError")} <= seen
@@ -336,7 +338,7 @@ def test_disagreeing_good_blocks_raise_the_same_witness(table, expected):
     values[0] = values[0] * 2 if table == ("s1",) else 0
     sibling = dens.replace_table(table, values)
     cfg = dens.space.at(0)
-    got = divisor(constructor.extension_divisor, sibling, ("s1",), ("s2",), cfg)
+    got = divisor(oracles.divisor_value, sibling, ("s1",), ("s2",), cfg)
     assert got == divisor(oracles.extension_divisor, fresh(sibling), ("s1",), ("s2",), cfg)
     lhs, rhs = expected
     assert got == ("raised", "ConstructionError",

@@ -19,7 +19,7 @@ from specforge.constructor import (
     check_order_independence,
     extension_divisor,
 )
-from specforge.core import DomainError, ExtendedRational, INF, Space
+from specforge.core import DomainError, ExtendedRational, Space
 from specforge import hypotheses
 from specforge.hypotheses import good_blocks
 
@@ -36,7 +36,7 @@ from zoo import (
     potential_family,
     ring_potential_family,
 )
-from oracles import check_divisor_factorization, free_kernel, pair_divisor
+from oracles import check_divisor_factorization, extended, free_kernel, pair_divisor
 
 
 def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:
@@ -128,16 +128,15 @@ class TestExtensionDivisor:
         space, _, family = extracted_family(41)
         dens = build_family(family)
         for cfg in space.configurations():
-            assert extension_divisor(dens, ("s1",), ("s2",), cfg) == pair_divisor(
+            assert extended(extension_divisor(dens, ("s1",), ("s2",), cfg)) == pair_divisor(
                 family, "s1", "s2", cfg
             )
 
     def test_independent_model_divisor_is_one(self):
         dens = build_family(independent_family())
         cfg = next(dens.space.configurations())
-        one = ExtendedRational(Fraction(1))
-        assert extension_divisor(dens, ("s1",), ("s2", "s3"), cfg) == one
-        assert extension_divisor(dens, ("s1", "s3"), ("s2",), cfg) == one
+        assert extension_divisor(dens, ("s1",), ("s2", "s3"), cfg) == (1, 1)
+        assert extension_divisor(dens, ("s1", "s3"), ("s2",), cfg) == (1, 1)
 
     def test_example1_closed_form(self):
         dens = build_family(example1_family())
@@ -145,13 +144,9 @@ class TestExtensionDivisor:
         all_low = space.make((LOW, LOW, LOW, LOW), MANY_HIGH)
         one_high = space.make((LOW, LOW, LOW, HIGH), MANY_HIGH)
         theta, gamma = ("s1", "s2"), ("s3", "s4")
-        assert extension_divisor(dens, theta, gamma, all_low) == ExtendedRational(
-            Fraction(1, 4)
-        )
-        assert extension_divisor(dens, theta, gamma, one_high) == INF
-        assert extension_divisor(dens, ("s1",), ("s2", "s3", "s4"), all_low) == (
-            ExtendedRational(Fraction(1, 8))
-        )
+        assert extension_divisor(dens, theta, gamma, all_low) == (1, 4)
+        assert extension_divisor(dens, theta, gamma, one_high) == (1, 0)
+        assert extension_divisor(dens, ("s1",), ("s2", "s3", "s4"), all_low) == (1, 8)
 
     def test_overlapping_blocks_rejected(self):
         dens = build_family(independent_family())

@@ -100,7 +100,8 @@ class TestOrderIndependenceOracle:
             table = honest(dens, theta, gamma)
             if (set(theta) | set(gamma) == set(chosen)
                     and tuple(gamma) == chosen[-1:]):
-                table[0] += 1
+                num, den = table[0]
+                table[0] = (num + den, den)  # one more, still reduced
             return table
 
         monkeypatch.setattr(constructor, "extend_density", perturbed)

@@ -36,6 +36,7 @@ from specforge.core import (
 )
 
 from oracles import (
+    extended,
     masked_key,
     naive_exterior_classes,
     naive_index,
@@ -223,7 +224,7 @@ def table_value(dens, over, against, cfg):
     """The ``ratio_table`` entry at the class of ``cfg`` off ``over`` as
     an extended rational, None where undefined."""
     pair = dens.ratio_table(over, against)[dens.space.class_index(cfg, over)]
-    return None if pair is None else ExtendedRational._of_pair(pair)
+    return None if pair is None else extended(pair)
 
 
 def compare_ratio_integrals(singletons) -> set:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from specforge import hypotheses, verifier
+from specforge import constructor, hypotheses, verifier
 from specforge.cli.main import exchange_suite
 from specforge.constructor import ConstructionError, DensityFamily, build_family
 from specforge.core import SpecforgeError
@@ -266,8 +266,6 @@ def test_fast_paths_read_only_the_generating_sets(monkeypatch, make):
     dens = build_family(fam, checked=False)
     reads = Counter()
     honest_pair_row = verifier._pair_row
-    honest_kernel_row = verifier._kernel_row
-    honest_assemble = verifier.assemble_kernel
 
     def counted(kind, honest):
         def count(*args):
@@ -276,15 +274,16 @@ def test_fast_paths_read_only_the_generating_sets(monkeypatch, make):
         return count
 
     monkeypatch.setattr(verifier, "_pair_row", counted("pair_row", honest_pair_row))
-    monkeypatch.setattr(verifier, "_kernel_row", counted("kernel_row", honest_kernel_row))
-    monkeypatch.setattr(verifier, "assemble_kernel", counted("assemble", honest_assemble))
+    monkeypatch.setattr(constructor, "assemble_kernel",
+                        counted("assemble", constructor.assemble_kernel))
+    monkeypatch.setattr(verifier, "Fraction", counted("fraction", Fraction))
     axioms = check_specification_axioms(dens)
     assert axioms.passed
     assert 0 < reads["pair_row"] <= axiom_row_reads(space)
     assert axioms.data["checks"]["nested_pairs"] == t * (q + 2) ** n
     # (b) and (c) read integer pair rows, one memo entry per region and
-    # exterior class, Σ_k C(n,k)·T·q^(n−k) in all; no Fraction row is built
-    assert reads["kernel_row"] == reads["assemble"] == 0
+    # exterior class, Σ_k C(n,k)·T·q^(n−k) in all; no Fraction is built
+    assert reads["fraction"] == reads["assemble"] == 0
     assert sum(key[0] == "pair_row" for key in dens._cache) == t * (q + 1) ** n
 
 

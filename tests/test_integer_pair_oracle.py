@@ -8,8 +8,9 @@ the block-keyed kernel) over a positive denominator, in the same order,
 at every region and exterior class: on the zoo, on random zero-table
 draws, on ``replace_table`` siblings with a doubled row and on families
 with a doubled singleton entry.  A family keeps one row per region and
-class: reading the `Fraction` row drops the pair row, and pairs are then
-read off the `Fraction` row.
+class, the pair row, the only row kind: a second read returns the same
+row, whose pairs read back as `constructor.assemble_kernel`'s weights
+on a fresh family.
 
 ``normalize`` writes each density as r/M from one integer line sum per
 site and exterior class, and builds its family without re-checking unit
@@ -28,6 +29,7 @@ from fractions import Fraction
 import pytest
 
 from specforge import verifier
+from specforge.constructor import assemble_kernel
 from specforge.core import Alphabet, DomainError, FreeMeasure, Space, Universe
 from specforge.models import NormalizationError, TableModel, TailRuleModel, normalize
 
@@ -95,17 +97,13 @@ def test_one_row_is_kept_per_region_and_class(name):
     pairs = {(region, cfg.index): verifier._pair_row(dens, region, cfg)
              for region, cfg in classes}
     assert pair_entries(dens) == len(classes)
-    for region, cfg in classes:
-        row = verifier._kernel_row(dens, region, cfg)
-        assert row == {index: Fraction(num, den)
-                       for index, (num, den) in pairs[region, cfg.index].items()}
-        assert verifier._pair_row(dens, region, cfg) == {
-            index: w.as_integer_ratio() for index, w in row.items()}
-    assert pair_entries(dens) == 0
     fresh = density_family(FAMILIES[name]())
     for region, cfg in classes:
-        assert list(verifier._kernel_row(dens, region, cfg).items()) == list(
-            verifier.assemble_kernel(fresh, region, cfg).items())
+        row = pairs[region, cfg.index]
+        assert verifier._pair_row(dens, region, cfg) is row
+        assert [(index, Fraction(num, den)) for index, (num, den) in row.items()] == list(
+            assemble_kernel(fresh, region, cfg).items())
+    assert pair_entries(dens) == len(classes)
 
 
 # -- normalize -------------------------------------------------------------------
@@ -239,7 +237,8 @@ def test_normalize_equals_the_oracle_tables_and_errors(kind):
             seen.add(got[0])
         else:
             seen.add("normalized")
-            assert oracles.check_unit_mass(space, got[1]) is None
+            assert oracles.check_unit_mass(space, {region: oracles.fractions(table)
+                                                   for region, table in got[1].items()}) is None
     assert seen == {"normalized", "DomainError", "NormalizationError"}
     assert zero_weights
 

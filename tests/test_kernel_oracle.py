@@ -149,6 +149,12 @@ def test_good_blocks_are_the_product_of_good_symbols(name):
         assert partial, "zero densities must reach a partial product"
 
 
+def pair_row_values(row: dict) -> dict:
+    """A `verifier._pair_row` with each pair read back as a `Fraction`,
+    in the row's order."""
+    return {index: Fraction(num, den) for index, (num, den) in row.items()}
+
+
 MEMO_FAMILIES = ("hardcore", "one_sided_hardcore", "anchored_table",
                  "potential", "unnormalized_free")
 
@@ -160,9 +166,9 @@ def test_memoised_rows_equal_fresh_rows(name):
     for region in dens.regions():
         for cfg in space.configurations():
             fresh = assemble_kernel(dens, region, cfg)
-            row = verifier._kernel_row(dens, region, cfg)
-            assert list(row.items()) == list(fresh.items())
-            assert verifier._kernel_row(dens, region, cfg) is row
+            row = verifier._pair_row(dens, region, cfg)
+            assert list(pair_row_values(row).items()) == list(fresh.items())
+            assert verifier._pair_row(dens, region, cfg) is row
 
 
 def test_sibling_reads_its_own_rows_not_the_parents():
@@ -170,15 +176,15 @@ def test_sibling_reads_its_own_rows_not_the_parents():
     space = dens.space
     region = space.universe.sites[:2]
     configurations = list(space.configurations())
-    parent_rows = [verifier._kernel_row(dens, region, cfg)
+    parent_rows = [pair_row_values(verifier._pair_row(dens, region, cfg))
                    for cfg in configurations]
     doubled = [2 * value for value in dens.table(region)]
     sibling = dens.replace_table(region, doubled)
     for cfg, parent_row in zip(configurations, parent_rows):
-        row = verifier._kernel_row(sibling, region, cfg)
+        row = pair_row_values(verifier._pair_row(sibling, region, cfg))
         assert row == assemble_kernel(sibling, region, cfg)
         assert row == {key: 2 * w for key, w in parent_row.items()}
-        assert verifier._kernel_row(dens, region, cfg) == (
+        assert pair_row_values(verifier._pair_row(dens, region, cfg)) == (
             assemble_kernel(dens, region, cfg))
 
 
@@ -197,7 +203,7 @@ def test_axiom_a_catches_a_row_that_reads_inside_its_region(monkeypatch, name):
             return dict(zip(row, reversed(list(row.values()))))
         return row
 
-    monkeypatch.setattr(verifier, "assemble_kernel", mutated)
+    monkeypatch.setattr(constructor, "assemble_kernel", mutated)
     violations = oracles.kernel_class_violations(densities(FAMILIES[name]()))
     assert violations
     assert all(cfg.symbol(region[0]) != first for region, cfg in violations)

@@ -39,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from specforge import constructor
 from specforge.constructor import build_family, check_order_independence
-from specforge.core import ExtendedRational, SpecforgeError
+from specforge.core import SpecforgeError
 from specforge.hypotheses import (
     check_bounded_positivity,
     check_order_consistency,
@@ -204,12 +204,12 @@ def test_perturbed_join_order_independence_equals_the_full_rebuild(seed, extract
     honest = constructor.extension_divisor
 
     def perturbed(dens, theta, gamma, cfg):
-        divisor = honest(dens, theta, gamma, cfg)
+        num, den = honest(dens, theta, gamma, cfg)
         if tuple(gamma) != (site,) or not region <= set(theta) | {site}:
-            return divisor
-        if divisor.is_infinite:
-            return ExtendedRational(1)
-        return ExtendedRational(2 * divisor.fraction)
+            return num, den
+        if not den:  # infinite
+            return 1, 1
+        return Fraction(2 * num, den).as_integer_ratio()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(constructor, "extension_divisor", perturbed)

@@ -95,7 +95,7 @@ def kind(value) -> str:
 
 def value_of(pair):
     """A table entry as an extended rational, None where undefined."""
-    return None if pair is None else ExtendedRational._of_pair(pair)
+    return None if pair is None else oracles.extended(pair)
 
 
 def check_reads(family, over, against, cfg, want) -> None:
@@ -121,8 +121,9 @@ def compare_tables(family) -> set:
         table = family.ratio_table(over, against)
         assert list(table) == [cfg.index for cfg in space.exterior_classes(over)]
         for b, pair in table.items():
-            want = oracles.ratio_integral(space, over, family._tables[over],
-                                          family._tables[against], space.at(b))
+            want = oracles.ratio_integral(space, over, oracles.fractions(family._tables[over]),
+                                          oracles.fractions(family._tables[against]),
+                                          space.at(b))
             got = ("undefined" if pair is None else "infinite" if not pair[1]
                    else "zero" if not pair[0] else "finite")
             assert got == kind(want), (over, against, b)
@@ -131,7 +132,8 @@ def compare_tables(family) -> set:
             seen.add(got)
         for cfg in space.configurations():
             check_reads(family, over, against, cfg, oracles.ratio_integral(
-                space, over, family._tables[over], family._tables[against], cfg))
+                space, over, oracles.fractions(family._tables[over]),
+                oracles.fractions(family._tables[against]), cfg))
     return seen
 
 

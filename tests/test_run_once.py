@@ -634,13 +634,13 @@ def test_construct_and_verify_callers_share_one_axiom_report(
     jobs = {job.name: job for job in cli.verify_jobs(model, fam, dens, joint, selected)}
     assert jobs["specification_axioms"].run() is axioms
     rows = Counter()
-    honest_row = verifier._kernel_row
+    honest_row = verifier._pair_row
 
     def counted_row(*args):
         rows["read"] += 1
         return honest_row(*args)
 
-    monkeypatch.setattr(verifier, "_kernel_row", counted_row)
+    monkeypatch.setattr(verifier, "_pair_row", counted_row)
     exchange = jobs["exchange_identity"].run()
     probe = uniqueness_probe(dens, trials=0)
     assert exchange.passed and probe.passed

@@ -104,7 +104,7 @@ def test_gated_draws_build_a_specification(family):
     if not gated:
         return
     space = family.space
-    zero = any(value == 0 for table in family._tables.values() for value in table)
+    zero = any(value == (0, 1) for table in family._tables.values() for value in table)
     event(f"gated, zero density at n >= 3: {zero and len(space.universe) >= 3}")
     dens = build_family(family, checked=True)
     assert check_specification_axioms(dens).passed
