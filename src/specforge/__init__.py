@@ -5,12 +5,9 @@ desk-scale models."""
 
 from .core import (
     Alphabet,
-    ArithmeticDomainError,
     Configuration,
     DomainError,
-    ExtendedRational,
     FreeMeasure,
-    INF,
     Space,
     SpecforgeError,
     Universe,

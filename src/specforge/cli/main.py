@@ -23,7 +23,7 @@ from ..constructor import (
     build_family,
     check_order_independence,
 )
-from ..core import SpecforgeError, _pair_text
+from ..core import SpecforgeError, _line_sum, _pair_text, _reduced
 from ..hypotheses import (
     WITNESS_CAP,
     HypothesisFailure,
@@ -155,6 +155,9 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
     through them raises ``DomainError`` and this suite does not.  Such
     rows fail axiom (b), which ``verify``'s checked build satisfies.
     The seeded draw reads the support sorted by `Configuration.key`.
+    Weights are reduced pairs: with μ(lower) = a/b and k the draw,
+    δ = a/(b·k), μ′(lower) = a·(k−1)/(b·k) and μ′(raised) = μ(raised) + δ,
+    so μ′ totals 1 and is built from its pairs.
     """
     space = dens.space
     report = HypothesisReport(name="measure_perturbations", passed=True)
@@ -176,11 +179,13 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
             raise HypothesisFailure(
                 "measure consistency needs normalized free weights")
         raised, lowered = rng.sample(support, 2)
-        delta = mu.weights[lowered] / rng.randint(2, 9)
+        k = rng.randint(2, 9)
+        num, den = mu.weights[lowered]
+        delta = _reduced(num, den * k)
         weights = dict(mu.weights)
-        weights[raised] += delta
-        weights[lowered] -= delta
-        perturbed = FiniteMeasure(space, weights)
+        weights[raised] = _reduced(*_line_sum((weights[raised], delta)))
+        weights[lowered] = _reduced(num * (k - 1), den * k)
+        perturbed = FiniteMeasure._of_pairs(space, weights)
         performed += 1
         if (support_class_certificate(mu, dens.singletons).passed
                 and all(perturbed.preserved_by(dens, (site,)) for site in sites)):
@@ -193,7 +198,7 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
                     "trial": trial, "tail": first.tail,
                     "raise_assignment": list(space.at(raised).values),
                     "lower_assignment": list(space.at(lowered).values),
-                    "delta": str(delta),
+                    "delta": _pair_text(*delta),
                 },
             ))
     report.data = {"seed": seed, "trials": trials, "performed": performed,

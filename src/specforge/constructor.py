@@ -38,6 +38,7 @@ from .hypotheses import (
     HypothesisFailure,
     HypothesisReport,
     Witness,
+    _replay_point,
     check_order_consistency,
     good_blocks,
 )
@@ -228,13 +229,10 @@ def extension_divisor(
                     witness=Witness(
                         check="extension_divisor",
                         description="good-block disagreement",
-                        replay={
-                            "assignment": list(cfg.values), "tail": cfg.tail,
-                            "theta": [str(s) for s in th],
-                            "gamma": [str(s) for s in ga],
-                            "block_first": list(first_block),
-                            "block_second": list(block),
-                        },
+                        replay=_replay_point(
+                            cfg, theta=[str(s) for s in th], gamma=[str(s) for s in ga],
+                            block_first=list(first_block), block_second=list(block),
+                        ),
                         lhs=lhs, rhs=rhs,
                     ),
                 )
@@ -556,12 +554,10 @@ def _walk_orders(reference: DensityFamily, regions: list, perms: list,
                                 "block extension disagrees with the "
                                 "site-by-site table"
                             ),
-                            replay={
-                                "assignment": list(cfg.values),
-                                "tail": cfg.tail,
-                                "theta": [str(s) for s in theta],
-                                "gamma": [str(s) for s in gamma],
-                            },
+                            replay=_replay_point(
+                                cfg, theta=[str(s) for s in theta],
+                                gamma=[str(s) for s in gamma],
+                            ),
                             lhs=_pair_text(*_reduced(num, den)),
                             rhs=_pair_text(v_num, v_den),
                         ))

@@ -6,12 +6,14 @@ full symbol assignment on the window plus one tail label; the label stands in
 for the behaviour of the unmodelled exterior and is never touched by any
 kernel.  Values are exact nonnegative rationals.  Tables hold them as
 integer pairs in lowest terms, ``(num, den)`` with den > 0 and zero as
-(0, 1); a `fractions.Fraction` is built only where a value enters or
-leaves the library: parsing, the public readers, report text
-(`_pair_text`).  `ExtendedRational` adds a single point at infinity
-where ratios demand it.  The indeterminate contractions
-0 * inf, 0 / 0 and inf / inf are hard errors carrying the offending context,
-never silent conventions.  Sums along a line of the free measure
+(0, 1), and every value the library computes past its input is such a
+pair: table cells, free weights (`Space.fill_pairs`), kernel rows,
+measure weights and certificate lines.  A `fractions.Fraction` is built
+only where a value enters or leaves the library: parsing and the public
+constructors on the way in, the public readers and report or witness
+text (`_pair_text`) on the way out.  The one infinite value, where a
+ratio integral or an extension divisor demands it, is the pair (1, 0);
+an undefined ratio integral is None.  Sums along a line of the free measure
 (`Space.free_integral`, and the ratio integrals a family tabulates by
 region pair, `Tabulated.ratio_table`) are accumulated in integers by
 `_line_sum`, one numerator over one common denominator; a ratio
@@ -47,9 +49,6 @@ __all__ = [
     "Site",
     "SpecforgeError",
     "DomainError",
-    "ArithmeticDomainError",
-    "ExtendedRational",
-    "INF",
     "parse_rational",
     "exact",
     "Frozen",
@@ -67,16 +66,6 @@ class SpecforgeError(Exception):
 
 class DomainError(SpecforgeError):
     """A caller violated a documented precondition."""
-
-
-class ArithmeticDomainError(SpecforgeError):
-    """An indeterminate extended-arithmetic contraction was attempted.
-
-    Raised for 0 * inf, 0 / 0 and inf / inf.  These never occur along valid
-    computation paths (good symbols keep every denominator usable), so hitting
-    one means either bad input data or a genuine hypothesis violation; the
-    message names the offending quantity and, where known, the configuration.
-    """
 
 
 def exact(value, where: Callable[[], str]) -> Fraction:
@@ -112,8 +101,9 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 def _pair_text(num: int, den: int) -> str:
     """The text of a reduced pair, ``n`` or ``n/d``: ``str(Fraction(num,
-    den))``, without building the `Fraction`; ``inf`` for (1, 0), as an
-    `ExtendedRational` prints it."""
+    den))``, without building the `Fraction`; ``inf`` for the infinite
+    (1, 0).  The one writer of a computed value into report, witness or
+    `.rho` text."""
     return "inf" if not den else str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -153,157 +143,6 @@ def parse_rational(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(3)) if m.group(3) else 1
     return Fraction(num, den)
-
-
-class ExtendedRational:
-    """A nonnegative rational extended with a single infinite element.
-
-    Supports exactly the operations the kernel calculus needs: addition,
-    multiplication, division and total ordering, with the conventions
-
-        a / inf = 0        a / 0 = inf (a > 0)        a * inf = inf (a > 0)
-
-    and hard `ArithmeticDomainError` for 0 * inf, 0 / 0 and inf / inf.
-    Instances are immutable and hash-compatible with `Fraction`.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Fraction | int | ExtendedRational | None = 0):
-        if isinstance(value, ExtendedRational):
-            self._value = value._value
-            return
-        if value is None:
-            self._value = None  # the infinite element
-            return
-        frac = exact(value, lambda: "ExtendedRational")
-        if frac < 0:
-            raise DomainError(f"negative value not representable: {value}")
-        self._value = frac
-
-    @classmethod
-    def infinity(cls) -> "ExtendedRational":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def fraction(self) -> Fraction:
-        if self._value is None:
-            raise DomainError("the infinite element has no finite value")
-        return self._value
-
-    @classmethod
-    def parse(cls, text: str) -> "ExtendedRational":
-        text = text.strip()
-        if text == "inf":
-            return cls(None)
-        return cls(parse_rational(text))
-
-    def __str__(self) -> str:
-        return "inf" if self._value is None else str(self._value)
-
-    def __repr__(self) -> str:
-        return f"ExtendedRational({str(self)!r})"
-
-    @staticmethod
-    def _lift(other) -> "ExtendedRational":
-        if isinstance(other, ExtendedRational):
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return ExtendedRational(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "ExtendedRational":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None or other._value is None:
-            return ExtendedRational(None)
-        return ExtendedRational(self._value + other._value)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "ExtendedRational":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None or other._value is None:
-            if (self._value == 0) or (other._value == 0):
-                raise ArithmeticDomainError("indeterminate product 0 * inf")
-            return ExtendedRational(None)
-        return ExtendedRational(self._value * other._value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ExtendedRational":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            if other._value is None:
-                raise ArithmeticDomainError("indeterminate quotient inf / inf")
-            return ExtendedRational(None)
-        if other._value is None:
-            return ExtendedRational(0)
-        if other._value == 0:
-            if self._value == 0:
-                raise ArithmeticDomainError("indeterminate quotient 0 / 0")
-            return ExtendedRational(None)
-        return ExtendedRational(self._value / other._value)
-
-    def __rtruediv__(self, other) -> "ExtendedRational":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
-
-    def __eq__(self, other) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._value == other._value
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __lt__(self, other) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            return False
-        if other._value is None:
-            return True
-        return self._value < other._value
-
-    def __le__(self, other) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other <= self
-
-    def __hash__(self) -> int:
-        # Hash-compatible with Fraction so mixed comparisons stay coherent.
-        return hash(self._value) if self._value is not None else hash("ExtendedRational:inf")
-
-
-INF = ExtendedRational.infinity()
 
 
 class Frozen:
@@ -479,9 +318,6 @@ class FreeMeasure(Frozen):
         except KeyError:
             raise DomainError(f"free measure has no weight for site {site!r}, symbol {symbol!r}") from None
 
-    def site_mass(self, site: Site) -> Fraction:
-        return sum(self.weights[site].values(), Fraction(0))
-
 
 class Configuration:
     """A full assignment on the window plus a tail-class label.
@@ -559,8 +395,8 @@ class Space(Frozen):
         q, n = len(alphabet), len(universe)
         fills = itertools.product(tail_classes, itertools.product(alphabet.symbols, repeat=n))
         # the configurations by index, q, each site's stride and symbol's
-        # digit; memos of strides and class maps per site tuple, fill
-        # offsets and weights
+        # digit; memos of strides, class maps and class bases per site
+        # tuple, and of `fill_pairs` per region
         self._configs = tuple(Configuration(self, values, tail, index)
                               for index, (tail, values) in enumerate(fills))
         self._q = q
@@ -569,15 +405,8 @@ class Space(Frozen):
         self._site_strides: dict[tuple, tuple[int, ...]] = {}
         self._class_maps: dict[tuple, list[int]] = {}
         self._class_bases: dict[tuple, tuple[int, ...]] = {}
-        self._memo: dict[tuple, object] = {}
+        self._fills: dict[tuple, list[tuple[int, int, int]]] = {}
         self._freeze()
-
-    def _memoised(self, key: tuple, compute: Callable[[], object]):
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
 
     # -- construction ------------------------------------------------------
 
@@ -698,17 +527,6 @@ class Space(Frozen):
 
     # -- free integrals ----------------------------------------------------
 
-    def product_weight(self, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Fraction:
-        return self._memoised(("weight", region, symbols), lambda: math.prod(
-            (self.free.weight(site, sym) for site, sym in zip(region, symbols)),
-            start=Fraction(1)))
-
-    def fill_offsets(self, region: tuple[Site, ...]) -> list[tuple[int, Fraction]]:
-        """`fill_pairs` with each product free weight as a `Fraction`:
-        ``(offset, weight)`` per fill, memoised per canonical region."""
-        return self._memoised(("offsets", region), lambda: [
-            (offset, Fraction(num, den)) for offset, num, den in self.fill_pairs(region)])
-
     def fill_pairs(self, region: tuple[Site, ...]) -> list[tuple[int, int, int]]:
         """``(offset, num, den)`` per fill of the canonical ``region``, in
         `assignments` order: a class index off ``region`` plus the offset
@@ -716,7 +534,7 @@ class Space(Frozen):
         terms, is the fill's product free weight, multiplied out in
         integers.  Memoised per region."""
         try:
-            return self._memo["pairs", region]
+            return self._fills[region]
         except KeyError:
             pass
         fills = [(0, 1, 1)]
@@ -724,7 +542,7 @@ class Space(Frozen):
             row = [w.as_integer_ratio() for w in self.free.weights[site].values()]
             fills = [(offset + d * stride, num * w_num, den * w_den)
                      for offset, num, den in fills for d, (w_num, w_den) in enumerate(row)]
-        pairs = self._memo["pairs", region] = [
+        pairs = self._fills[region] = [
             (offset, *_reduced(num, den)) for offset, num, den in fills]
         return pairs
 

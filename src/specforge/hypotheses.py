@@ -34,8 +34,8 @@ compatibility off a passing order consistency.  The two-site identities
 and bounded positivity's extremes are decided by cross-multiplying
 integer numerators and denominators, over ratio integrals read as
 integer pairs off the family's single-site ratio tables
-(`SingletonFamily.ratio_table`); a `Fraction` is built only for a
-witness or a reported bound.
+(`SingletonFamily.ratio_table`); a value is reduced and written as
+text only for a witness or a reported bound.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ from fractions import Fraction
 from .core import (
     Configuration,
     DomainError,
-    ExtendedRational,
     Frozen,
     Site,
     SpecforgeError,
+    _line_sum,
+    _pair_text,
+    _reduced,
 )
 from .models import SingletonFamily
 
@@ -165,23 +167,6 @@ def _kernel_failure(over: Site, against: Site, cfg: Configuration,
         f"{cfg!r} is not in (0, inf) during {where}; good-set guarantee "
         "violated"
     )
-
-
-def _checked_ratio_kernel(
-    family: SingletonFamily,
-    over: Site,
-    against: Site,
-    cfg: Configuration,
-    where: str,
-) -> Fraction:
-    """The ratio integral over ``over`` of ``over``/``against`` at
-    ``cfg`` (`SingletonFamily.ratio_pair`), which the good-set
-    definition keeps in (0, inf) where the callers read it; a miss means
-    broken good-set bookkeeping, so it raises `_kernel_failure`."""
-    k = family.ratio_pair((over,), (against,), cfg)
-    if k is None:
-        raise _kernel_failure(over, against, cfg, where)
-    return Fraction(*k)
 
 
 def _full_lines(points: frozenset, stride: int, q: int) -> frozenset:
@@ -461,9 +446,8 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     is read, g_i's then g_j's, as an unreduced integer pair by index off
     the family's `ratio_table` over j against i, or over i against j:
     the point b with i on x is its own class base off j.  A K outside
-    (0, inf) raises `_kernel_failure`, the error of
-    `_checked_ratio_kernel`, so a broken good-set guarantee raises at
-    that walk's integral, with its text.
+    (0, inf) raises `_kernel_failure`, so a broken good-set guarantee
+    raises at that walk's integral, with its text.
 
     Write a(s, t) and c(s, t) for d_i and d_j with i = s, j = t, so that
     lhs_x(u) = a(u) P_x(u_j) and rhs_y(u) = c(u) Q_y(u_i), with P_x =
@@ -474,7 +458,7 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     guard raises.  Mirrored, c(., y) > 0.  So each side is one integer
     numerator over one positive integer denominator, read off the tables
     as integer pairs, and lhs == rhs iff num(lhs) den(rhs) == num(rhs)
-    den(lhs).  A `Fraction` is built only for a failing cell.
+    den(lhs).  Only a failing cell's two sides are reduced.
 
     The q² cells of the first good pair (x0, y0) decide the class.  By
     the definition of K_i(x0), Σ_v w_j(v) P_x0(v) = 1.  The cell
@@ -490,7 +474,8 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     cells of a walk over every configuration and pair.  ``failures``
     lists each failing cell ``(index, i, j, x, y, lhs, rhs)``, with u
     the configuration of ``index``, in configuration order, then pair
-    order, x-major: that walk's order.  Memoised on the family; an error
+    order, x-major: that walk's order, lhs and rhs as reduced pairs.
+    Memoised on the family; an error
     leaves no entry, so it raises on every call.
     """
     def compute() -> tuple[int, list[tuple]]:
@@ -542,8 +527,8 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
                         for y, mirror in q_y:
                             r_num, r_den = c_num * mirror[u_i][0], c_den * mirror[u_i][1]
                             if l_num * r_den != r_num * l_den:
-                                yield (p, i, j, x, y, Fraction(l_num, l_den),
-                                       Fraction(r_num, r_den))
+                                yield (p, i, j, x, y, _reduced(l_num, l_den),
+                                       _reduced(r_num, r_den))
 
         comparisons = 0
         failures: list[tuple] = []
@@ -608,7 +593,7 @@ def check_order_consistency(
                     site_first=str(i), site_second=str(j),
                     symbol_first=x, symbol_second=y,
                 ),
-                lhs=str(lhs), rhs=str(rhs),
+                lhs=_pair_text(*lhs), rhs=_pair_text(*rhs),
             ))
         report.data = {"comparisons": comparisons, "violations": len(failures)}
         return report
@@ -631,9 +616,9 @@ def _eight_factor_failures(
     table holds.  Each side is a product of four densities, taken
     as the product of their numerators over the product of their
     denominators, which is positive; so lhs == rhs iff num(lhs) den(rhs)
-    == num(rhs) den(lhs), and a `Fraction` is built only for a failing
-    row.  Failing rows are ``(u_i, u_j, x_i, x_j, lhs, rhs)``, symbols
-    and values, in loop order.
+    == num(rhs) den(lhs), and only a failing row's sides are reduced.
+    Failing rows are ``(u_i, u_j, x_i, x_j, lhs, rhs)``, symbols and
+    values as reduced pairs, in loop order.
     """
     space = family.space
     symbols = space.alphabet.symbols
@@ -659,8 +644,8 @@ def _eight_factor_failures(
                     r_num, r_den = n5 * n6 * n7 * n8, m5 * m6 * m7 * m8
                     if l_num * r_den != r_num * l_den:
                         failures.append((symbols[u_i], symbols[u_j], symbols[x_i],
-                                         symbols[x_j], Fraction(l_num, l_den),
-                                         Fraction(r_num, r_den)))
+                                         symbols[x_j], _reduced(l_num, l_den),
+                                         _reduced(r_num, r_den)))
     return q * q * len(g_i) * len(g_j), failures
 
 
@@ -736,7 +721,7 @@ def check_pointwise_compatibility(
                     good_first=x_i,
                     good_second=x_j,
                 ),
-                lhs=str(lhs), rhs=str(rhs),
+                lhs=_pair_text(*lhs), rhs=_pair_text(*rhs),
             ))
     report.data = {"comparisons": checked, "violations": violations}
     return report
@@ -749,13 +734,16 @@ def two_point_identity(
     cfg: Configuration,
     x_site: str,
     x_other: str,
-) -> tuple[ExtendedRational, ExtendedRational]:
+) -> tuple[Fraction, Fraction]:
     """Both sides of the integrated two-site identity at one point.
 
     Left: density(site, rewrite both) times the ratio integral of other
     against site at (site -> x_site).  Right: the mirror image.  The
     symbols must be good for their sites against the opposite site as
     context; on order-consistent families the two values are equal.
+    Each integral is the family's `ratio_pair`, which the good symbols
+    keep in (0, inf); a miss raises `_kernel_failure`.  Both sides are
+    finite, returned as `Fraction`s.
     """
     if site == other:
         raise DomainError("two-point identity needs two distinct sites")
@@ -770,15 +758,15 @@ def two_point_identity(
             f"[{site!r}] at {cfg!r}"
         )
     both = cfg.with_sites({site: x_site, other: x_other})
-    left_integral = _checked_ratio_kernel(
-        family, other, site, cfg.with_sites({site: x_site}), "two-point identity",
-    )
-    right_integral = _checked_ratio_kernel(
-        family, site, other, cfg.with_sites({other: x_other}), "two-point identity",
-    )
-    lhs = ExtendedRational(family.density(site, both) * left_integral)
-    rhs = ExtendedRational(family.density(other, both) * right_integral)
-    return lhs, rhs
+    sides = []
+    for own, against, x in ((site, other, x_site), (other, site, x_other)):
+        shifted = cfg.with_sites({own: x})
+        k = family.ratio_pair((against,), (own,), shifted)
+        if k is None:
+            raise _kernel_failure(against, own, shifted, "two-point identity")
+        num, den = family._tables[(own,)][both.index]
+        sides.append(Fraction(num * k[0], den * k[1]))
+    return sides[0], sides[1]
 
 
 def check_uniqueness_condition(
@@ -799,8 +787,10 @@ def check_uniqueness_condition(
     index points.  Otherwise it is zero, and the violations are the
     points of the family's `_good_set_sweep` record, which lists the
     points of zero mass in sweep order; a `Configuration` is looked up
-    only for a kept witness.  So a `Fraction` mass is summed only once
-    per distinct (site, floor set).
+    only for a kept witness.  So a mass is summed only once per distinct
+    (site, floor set), by `_line_sum` over the site's free weights as
+    `Space.fill_pairs` holds them, and the smallest is found by
+    cross-multiplying.
 
     Memoised on the family per ``witness_cap``: later calls return the
     same report, which callers only read.
@@ -808,10 +798,14 @@ def check_uniqueness_condition(
     def compute() -> HypothesisReport:
         space = family.space
         report = HypothesisReport(name="uniqueness_condition", passed=True)
-        floor = min(sum((space.free.weight(site, x) for x in good), Fraction(0))
-                    for site, good in {(site, good) for (site, _), good
-                                       in _floor_good_sets(family).items()})
-        zero_mass = _good_set_sweep(family) if floor == 0 else []
+        floor = None
+        for site, good in {(site, good) for (site, _), good
+                           in _floor_good_sets(family).items()}:
+            fills = space.fill_pairs((site,))
+            num, den = _line_sum(fills[space._digits[x]][1:] for x in good)
+            if floor is None or num * floor[1] < floor[0] * den:
+                floor = num, den
+        zero_mass = _good_set_sweep(family) if not floor[0] else []
         for site, ctx, b, _ in zero_mass:
             report.fail(witness_cap, lambda: Witness(
                 check="uniqueness_condition",
@@ -826,7 +820,8 @@ def check_uniqueness_condition(
                 ),
             ))
         report.data = {"index_points": _index_points(family),
-                       "violations": len(zero_mass), "min_good_mass": str(floor)}
+                       "violations": len(zero_mass),
+                       "min_good_mass": _pair_text(*_reduced(*floor))}
         return report
 
     return family.cached(("uniqueness_condition", witness_cap), compute)
@@ -900,8 +895,8 @@ def check_bounded_positivity(
                 if hi is None or f_num * hi[1] > hi[0] * f_den:
                     hi = f_num, f_den
             bounds[f"{i}->{j}"] = {
-                "min": str(Fraction(*lo)) if defined and lo is not None else None,
-                "max": str(Fraction(*hi)) if defined and hi is not None else None,
+                "min": _pair_text(*_reduced(*lo)) if defined and lo is not None else None,
+                "max": _pair_text(*_reduced(*hi)) if defined and hi is not None else None,
             }
     strict: bool | None = None
     if report.passed:
@@ -920,7 +915,7 @@ def check_bounded_positivity(
                 replay=_replay_point(
                     cfg, site=str(i), other=str(j),
                 ),
-                lhs=str(rhs), rhs=str(lhs),
+                lhs=_pair_text(*rhs), rhs=_pair_text(*lhs),
             ))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report

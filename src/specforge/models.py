@@ -23,7 +23,9 @@ from .core import (
     Space,
     SpecforgeError,
     _line_sum,
+    _pair_text,
     _ratio_line,
+    _reduced,
     exact,
 )
 
@@ -127,12 +129,6 @@ class Tabulated:
         pair = self.ratio_table(over, against)[self.space._class_map(over)[cfg.index]]
         return pair if pair is not None and pair[0] and pair[1] else None
 
-    def ratio_integral(self, over: tuple[Site, ...], against: tuple[Site, ...],
-                       cfg: Configuration) -> Fraction | None:
-        """`ratio_pair` as a `Fraction`."""
-        pair = self.ratio_pair(over, against, cfg)
-        return None if pair is None else Fraction(*pair)
-
 
 class SingletonFamily(Tabulated):
     """The per-site densities, tabulated, validated and immutable.
@@ -219,7 +215,8 @@ class SingletonFamily(Tabulated):
                 num, den = space.free_integral((site,), table.__getitem__, cfg)
                 if num != den:
                     raise NormalizationError(
-                        f"site {site!r} has mass {Fraction(num, den)} (expected 1) at {cfg!r}"
+                        f"site {site!r} has mass {_pair_text(*_reduced(num, den))} "
+                        f"(expected 1) at {cfg!r}"
                     )
 
     def density(self, site: Site, cfg: Configuration) -> Fraction:
@@ -424,7 +421,10 @@ def extract_singletons(
     tail classes, if several are declared, all share it.  The density at
     (site, cfg) is the joint's conditional probability of the site's symbol
     given the rest, divided by the free weight of that symbol.  Requires a
-    strictly positive free measure for the division to stay finite.
+    strictly positive free measure for the division to stay finite.  Each
+    site's table is `_joint_conditionals`'s, which has unit mass exactly
+    (Σ_s w(s)·j(s)/(S·w(s)) = S/S over the section sum S) and holds
+    reduced pairs, so the family is built from the tables as they are.
     """
     for site in space.universe:
         for sym in space.alphabet:
@@ -432,21 +432,42 @@ def extract_singletons(
                 raise DomainError(
                     f"extraction needs strictly positive free weights; zero at {site!r}/{sym!r}"
                 )
-    table_values = {}
+    weights = []
     for values in space.assignments(space.universe.sites):
         if values not in joint:
             raise DomainError(f"joint weight misses assignment {values}")
         w = exact(joint[values], lambda: f"joint weight of {values}")
         if w <= 0:
             raise DomainError(f"joint weight must be strictly positive; got {w} at {values}")
-        table_values[values] = w
+        weights.append(w.as_integer_ratio())
+    return SingletonFamily._of_tables(
+        space, {(site,): _joint_conditionals(space, weights, (site,))
+                for site in space.universe}, provenance)
 
-    def density(site: Site, cfg: Configuration) -> Fraction:
-        section = sum((table_values[space.overlay(cfg, (site,), (b,)).values]
-                       for b in space.alphabet), Fraction(0))
-        return table_values[cfg.values] / (space.free.weight(site, cfg.symbol(site)) * section)
 
-    return SingletonFamily.from_function(space, density, provenance)
+def _joint_conditionals(space: Space, joint: list[tuple[int, int]],
+                        region: tuple[Site, ...]) -> list[tuple[int, int]]:
+    """A strictly positive joint weight's conditional density of the
+    canonical ``region``, per configuration index, as reduced pairs.
+
+    ``joint`` holds the weight j of each full assignment as a positive
+    integer pair, in `Space.assignments` order, so a configuration's
+    index modulo their number is its position; every tail class shares
+    it.  At σ the density is j(σ) / (S·w), S the section sum of j over
+    the fills of ``region`` at σ's class off it (by `_line_sum`) and w
+    the product free weight of σ on ``region`` (`Space.fill_pairs`),
+    which must be positive: j_num·S_den·w_den over j_den·S_num·w_num,
+    one gcd per cell.  `extract_singletons` reads it per site and
+    `verifier.roundtrip_reconstruction` per region.
+    """
+    table = [(0, 1)] * space.size
+    fills = space.fill_pairs(region)
+    for base in space.class_bases(region):
+        cells = [joint[(base + offset) % len(joint)] for offset, _, _ in fills]
+        s_num, s_den = _line_sum(cells)
+        for (offset, w_num, w_den), (j_num, j_den) in zip(fills, cells):
+            table[base + offset] = _reduced(j_num * s_den * w_den, j_den * s_num * w_num)
+    return table
 
 
 def rebalance_free(

@@ -31,6 +31,7 @@ from .core import (
     Site,
     Space,
     _line_sum,
+    _pair_text,
     _reduced,
     exact,
 )
@@ -44,11 +45,12 @@ from .hypotheses import (
     HypothesisFailure,
     HypothesisReport,
     Witness,
+    _replay_point,
     check_order_consistency,
     check_uniqueness_condition,
     check_very_weak_positivity,
 )
-from .models import SingletonFamily
+from .models import SingletonFamily, _joint_conditionals
 
 __all__ = [
     "FiniteMeasure",
@@ -69,16 +71,16 @@ __all__ = [
 class FiniteMeasure:
     """A probability measure on the finite configuration space.
 
-    Weights are exact nonnegative rationals keyed by configuration index
-    and must total exactly 1; missing configurations carry weight 0.
+    Built from exact nonnegative rationals keyed by configuration index,
+    which must total exactly 1; missing configurations carry weight 0.
+    ``weights`` holds each nonzero weight as a reduced integer pair,
+    ``index -> (num, den)``, so equal measures have equal weights.
     Measures are read-only, so they are shared, and ``cached`` memoises
     their support-class certificates and which kernels preserve them.
     """
 
     def __init__(self, space: Space, weights: Mapping[int, Fraction]):
-        self.space = space
-        cleaned: dict[int, Fraction] = {}
-        total = Fraction(0)
+        pairs: dict[int, tuple[int, int]] = {}
         for index, value in weights.items():
             if (isinstance(index, bool) or not isinstance(index, int)
                     or not 0 <= index < space.size):
@@ -87,11 +89,23 @@ class FiniteMeasure:
             if value < 0:
                 raise DomainError(f"negative weight {value} at {space.at(index)!r}")
             if value:
-                cleaned[index] = value
-                total += value
-        if total != 1:
-            raise DomainError(f"total mass is {total}, expected 1")
-        self.weights = cleaned
+                pairs[index] = value.as_integer_ratio()
+        self._hold(space, pairs)
+
+    @classmethod
+    def _of_pairs(cls, space: Space, pairs: dict[int, tuple[int, int]]) -> "FiniteMeasure":
+        """The measure of ``pairs``, nonzero reduced nonnegative pairs by
+        configuration index, trusted but for the total, which must be 1."""
+        mu = cls.__new__(cls)
+        mu._hold(space, pairs)
+        return mu
+
+    def _hold(self, space: Space, pairs: dict[int, tuple[int, int]]) -> None:
+        num, den = _line_sum(pairs.values())
+        if num != den:
+            raise DomainError(f"total mass is {_pair_text(*_reduced(num, den))}, expected 1")
+        self.space = space
+        self.weights = pairs
         self._cache: dict = {}
 
     def cached(self, key: tuple, compute: Callable[[], object]):
@@ -119,7 +133,7 @@ class FiniteMeasure:
         sites = space.universe.sites
 
         def compute() -> "FiniteMeasure":
-            mu = cls(space, {i: Fraction(*w) for i, w in _pair_row(dens, sites, cfg).items()})
+            mu = cls._of_pairs(space, _mixed_row([((1, 1), _pair_row(dens, sites, cfg))]))
             failures = _axiom_record(dens)[2]
             mu._cache.update({("preserved_by", dens, region): True
                               for region in space.universe.subsets()
@@ -130,13 +144,11 @@ class FiniteMeasure:
 
     def push_kernel(self, dens: DensityFamily, region: Iterable[Site]) -> "FiniteMeasure":
         """The image measure under the region's conditional kernel, the
-        `_mixed_row` of its weights and the region's pair rows: one
-        `Fraction` per image point."""
+        `_mixed_row` of its weights and the region's pair rows."""
         space = self.space
         reg = space.universe.region(region)
-        image = _mixed_row((w.as_integer_ratio(), _pair_row(dens, reg, space.at(index)))
-                           for index, w in self.weights.items())
-        return FiniteMeasure(space, {point: Fraction(*w) for point, w in image.items()})
+        return FiniteMeasure._of_pairs(space, _mixed_row(
+            (w, _pair_row(dens, reg, space.at(index))) for index, w in self.weights.items()))
 
     def preserved_by(self, dens: DensityFamily, region: Iterable[Site]) -> bool:
         """Does the region's kernel map the measure to itself?  Memoised."""
@@ -145,17 +157,16 @@ class FiniteMeasure:
                            lambda: self.push_kernel(dens, reg).same_as(self))
 
     def push_free(self, region: Iterable[Site]) -> "FiniteMeasure":
-        """The image measure under the free kernel of a region."""
+        """The image measure under the free kernel of a region: the
+        `_mixed_row` of its weights and, at each weight's class off the
+        region, the fills of positive product free weight."""
         space = self.space
         reg = space.universe.region(region)
-        offsets = space.fill_offsets(reg)
-        out: dict[int, Fraction] = {}
-        for index, w in self.weights.items():
-            base = space.class_index(space.at(index), reg)
-            for offset, kw in offsets:
-                if kw:
-                    out[base + offset] = out.get(base + offset, Fraction(0)) + w * kw
-        return FiniteMeasure(space, out)
+        fills = [(offset, (num, den)) for offset, num, den in space.fill_pairs(reg) if num]
+        classes = space._class_map(reg)
+        return FiniteMeasure._of_pairs(space, _mixed_row(
+            (w, {classes[index] + offset: kw for offset, kw in fills})
+            for index, w in self.weights.items()))
 
     def same_as(self, other: "FiniteMeasure") -> bool:
         return self.weights == other.weights
@@ -166,11 +177,12 @@ class SupportClassCertificate(Frozen):
 
     One line per (site, context): the mass that the measure, smoothed by
     the site's free kernel, puts outside the good-membership event of
-    that site against that context.  The measure belongs to the support
-    class iff every line is exactly zero.
+    that site against that context, as a reduced integer pair.  The
+    measure belongs to the support class iff every line is exactly zero.
     """
 
-    def __init__(self, lines: dict[tuple[Site, tuple[Site, ...]], Fraction], passed: bool):
+    def __init__(self, lines: dict[tuple[Site, tuple[Site, ...]], tuple[int, int]],
+                 passed: bool):
         self.lines = lines
         self.passed = passed
         self._freeze()
@@ -179,7 +191,7 @@ class SupportClassCertificate(Frozen):
         return {
             "passed": self.passed,
             "lines": {
-                f"{site}|{','.join(str(s) for s in ctx)}": str(mass)
+                f"{site}|{','.join(str(s) for s in ctx)}": _pair_text(*mass)
                 for (site, ctx), mass in sorted(
                     self.lines.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
                 )
@@ -193,19 +205,21 @@ def support_class_certificate(
     """Membership test for the class where consistency reduces to singletons.
 
     Each line is the smoothed measure's weight off the good-point table
-    of its (site, context).  Memoised on the measure per family.
+    of its (site, context), summed by `_line_sum` and reduced.  Memoised
+    on the measure per family.
     """
     def compute() -> SupportClassCertificate:
         space = singletons.space
-        lines: dict[tuple[Site, tuple[Site, ...]], Fraction] = {}
+        lines: dict[tuple[Site, tuple[Site, ...]], tuple[int, int]] = {}
         for site in space.universe.sites:
             smoothed = mu.push_free((site,))
             complement = space.universe.complement((site,))
             for ctx in space.universe.subsets(complement):
                 good = hypotheses._good_points(singletons, site, ctx)
-                lines[(site, ctx)] = sum((w for index, w in smoothed.weights.items()
-                                          if index not in good), Fraction(0))
-        return SupportClassCertificate(lines=lines, passed=not any(lines.values()))
+                lines[(site, ctx)] = _reduced(*_line_sum(
+                    w for index, w in smoothed.weights.items() if index not in good))
+        return SupportClassCertificate(
+            lines=lines, passed=not any(num for num, _ in lines.values()))
 
     return mu.cached(("certificate", singletons), compute)
 
@@ -219,11 +233,14 @@ def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozens
 
 
 def _support_value(dens: DensityFamily, over: tuple[Site, ...],
-                   against: tuple[Site, ...], cfg: Configuration) -> Fraction | None:
-    """density(over) / ratio_integral(over, against) at ``cfg``, None
-    where the integral is not in (0, inf)."""
-    integral = dens.ratio_integral(over, against, cfg)
-    return None if integral is None else dens.density(over, cfg) / integral
+                   against: tuple[Site, ...], cfg: Configuration) -> str | None:
+    """The text of density(over) / I at ``cfg``, I = ratio_pair(over,
+    against) read as it is, None where I is not in (0, inf)."""
+    integral = dens.ratio_pair(over, against, cfg)
+    if integral is None:
+        return None
+    num, den = dens._tables[over][cfg.index]
+    return _pair_text(*_reduced(num * integral[1], den * integral[0]))
 
 
 def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
@@ -236,7 +253,7 @@ def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
     With ρ_Λ = a/b, ρ_V = c/d and I = e/f, the unreduced entry of the
     family's `ratio_table` of (V, W), every denominator and e positive,
     the identity holds iff a·d·e = c·b·f, so it is compared in
-    integers; `_support_value` builds the `Fraction` of a witness.
+    integers; `_support_value` writes the value of a witness.
     """
     table = dens._tables[region]
     for point in sorted(_good_core(dens.singletons, region)):
@@ -353,7 +370,7 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
 
     ``masses`` lists ``(region, cfg, mass)`` at each configuration whose
     row has mass other than 1, in region then configuration order; each
-    mass is the `_line_sum` of the class's `_pair_row`.  ``pairs``
+    mass is the `_line_sum` of the class's `_pair_row`, reduced.  ``pairs``
     counts the nested pairs of (c); ``failures`` maps each differing
     (large, small) pair, in enumeration order, to its first differing
     exterior class of ``large`` and smallest differing point.  When (b)
@@ -370,7 +387,7 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
             for cfg, (num, den) in space.per_class(region, lambda cfg: _line_sum(
                     _pair_row(dens, region, cfg).values())):
                 if num != den:
-                    masses.append((region, cfg, Fraction(num, den)))
+                    masses.append((region, cfg, _reduced(num, den)))
         if not masses and all(_covering_pairs_agree(dens, region, cfg)
                               for region in universe.subsets()
                               for cfg in space.exterior_classes(region)):
@@ -443,11 +460,9 @@ def check_specification_axioms(
             report.fail(witness_cap, lambda: Witness(
                 check="point_mass_off_region",
                 description=(
-                    f"kernel of {[str(s) for s in region]!r} has mass {mass}"
+                    f"kernel of {[str(s) for s in region]!r} has mass {_pair_text(*mass)}"
                 ),
-                replay={"region": [str(s) for s in region],
-                        "assignment": list(cfg.values),
-                        "tail": cfg.tail},
+                replay=_replay_point(cfg, region=[str(s) for s in region]),
             ))
         for (large, small), (cfg, point) in failures.items():
             report.fail(witness_cap, lambda: Witness(
@@ -456,12 +471,10 @@ def check_specification_axioms(
                     f"composing {[str(s) for s in small]!r} after "
                     f"{[str(s) for s in large]!r} changes the kernel"
                 ),
-                replay={"large": [str(s) for s in large],
-                        "small": [str(s) for s in small],
-                        "assignment": list(cfg.values),
-                        "tail": cfg.tail,
-                        "point_assignment": list(point.values),
-                        "point_tail": point.tail},
+                replay=_replay_point(cfg, large=[str(s) for s in large],
+                                     small=[str(s) for s in small],
+                                     point_assignment=list(point.values),
+                                     point_tail=point.tail),
             ))
         n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
         report.data = {
@@ -535,8 +548,9 @@ def uniqueness_probe(
     `good_support_report` with V = {k}, so on a family carrying the
     record of passing block splits it holds everywhere (proof there) and
     nothing is walked.  Otherwise `_support_failures` walks it once per
-    core point, and each failure is replayed at every member of its
-    class, in configuration order.
+    core point, and each failing (core point, site) is reported once:
+    sorted, stably, by class base, so a class's failures keep the
+    walk's order.
     """
     singletons = dens.singletons
     space = dens.space
@@ -575,8 +589,7 @@ def uniqueness_probe(
                     "the constructed family itself fails singleton "
                     f"consistency on {[str(s) for s in region]!r}"
                 ),
-                replay={"site": str(site), "assignment": list(cfg.values),
-                        "tail": cfg.tail},
+                replay=_replay_point(cfg, site=str(site)),
             ))
 
     survivors = 0
@@ -614,8 +627,7 @@ def uniqueness_probe(
                     "a perturbed family still satisfies singleton "
                     f"consistency on {[str(s) for s in region]!r}"
                 ),
-                replay={"region": [str(s) for s in region],
-                        "assignment": list(rep.values), "tail": rep.tail},
+                replay=_replay_point(rep, region=[str(s) for s in region]),
             ))
 
     rederived_points = 0
@@ -628,30 +640,23 @@ def uniqueness_probe(
         if not walk:
             continue
         sides = [((k,), tuple(s for s in region if s != k)) for k in region]
-        failed: dict[int, list] = {}
-        for point, j in _support_failures(dens, region, sides):
+        classes = space._class_map(region)
+        for point, j in sorted(_support_failures(dens, region, sides),
+                               key=lambda failure: classes[failure[0]]):
+            rederive_ok = False
             shifted = space.at(point)
-            failed.setdefault(space.class_index(shifted, region), []).append((shifted, j))
-        for cfg in space.configurations() if failed else ():
-            for shifted, j in failed.get(space.class_index(cfg, region), ()):
-                rederive_ok = False
-                expected = _support_value(dens, *sides[j], shifted)
-                report.fail(witness_cap, lambda: Witness(
-                    check="uniqueness_probe",
-                    description=(
-                        "closed-form re-derivation disagrees "
-                        f"with the built density on "
-                        f"{[str(s) for s in region]!r}"
-                    ),
-                    replay={
-                        "region": [str(s) for s in region],
-                        "site": str(region[j]),
-                        "assignment": list(shifted.values),
-                        "tail": shifted.tail,
-                    },
-                    lhs=str(dens.density(region, shifted)),
-                    rhs=str(expected) if expected is not None else "undefined",
-                ))
+            report.fail(witness_cap, lambda: Witness(
+                check="uniqueness_probe",
+                description=(
+                    "closed-form re-derivation disagrees "
+                    f"with the built density on "
+                    f"{[str(s) for s in region]!r}"
+                ),
+                replay=_replay_point(shifted, region=[str(s) for s in region],
+                                     site=str(region[j])),
+                lhs=_pair_text(*dens._tables[region][point]),
+                rhs=_support_value(dens, *sides[j], shifted) or "undefined",
+            ))
     report.data = {
         "seed": seed,
         "regions_self_checked": len(multi_regions),
@@ -748,9 +753,9 @@ def good_support_report(
                 check="good_support",
                 description=(f"support identity fails on region {[str(s) for s in region]!r} "
                              f"split {[str(s) for s in v]!r} / {[str(s) for s in w]!r}"),
-                replay={"assignment": list(cfg.values), "tail": cfg.tail},
-                lhs=str(dens.density(region, cfg)),
-                rhs=",".join(str(x) for x in values) or "undefined",
+                replay=_replay_point(cfg),
+                lhs=_pair_text(*dens._tables[region][point]),
+                rhs=",".join(values) or "undefined",
             ))
     n = len(universe)
     report.data = {
@@ -871,15 +876,15 @@ def roundtrip_reconstruction(
     """Rebuild a joint's singleton family (`extract_singletons`), compare exactly.
 
     The expected densities come straight from the joint weight (section
-    sums over the region divided by free weights); every region's built
-    table, the single sites' included, must match them entry for entry.
-    A section sum reads the configuration only off its region, so it is
-    summed once per exterior class (`Space.per_class`).  The family's
-    gates and default build are its memoised ones.
+    sums over the region divided by free weights): each region's table
+    is `models._joint_conditionals`'s, the one `extract_singletons`
+    reads per site.  Every region's built table, the single sites'
+    included, must match it entry for entry.  The family's gates and
+    default build are its memoised ones.
     """
     space = singletons.space
     sites = space.universe.sites
-    table: dict[tuple, Fraction] = {}
+    weights = []
     for values in space.assignments(sites):
         w = joint.get(values)
         if w is not None:
@@ -889,8 +894,7 @@ def roundtrip_reconstruction(
                 f"round trip needs a strictly positive joint; offending "
                 f"assignment {values!r}"
             )
-        table[values] = w
-    joint = table
+        weights.append(w.as_integer_ratio())
     for site, sym in itertools.product(sites, space.alphabet):
         if space.free.weight(site, sym) == 0:
             raise DomainError("round trip needs strictly positive free "
@@ -909,17 +913,10 @@ def roundtrip_reconstruction(
     for region in space.universe.subsets():
         if not region:
             continue
-        sections = space.per_class(region, lambda cfg: sum(
-            (joint[space.overlay(cfg, region, fill).values]
-             for fill in space.assignments(region)), Fraction(0)))
-        built = dens._tables[region]
-        for cfg, section in sections:
+        expected = _joint_conditionals(space, weights, region)
+        for index, (got, want) in enumerate(zip(dens._tables[region], expected)):
             compared += 1
-            free = space.product_weight(
-                region, tuple(cfg.symbol(s) for s in region)
-            )
-            expected = joint[cfg.values] / (section * free)
-            if built[cfg.index] != expected.as_integer_ratio():
+            if got != want:
                 mismatches += 1
                 report.fail(witness_cap, lambda: Witness(
                     check="roundtrip_reconstruction",
@@ -927,11 +924,9 @@ def roundtrip_reconstruction(
                         f"built density of {[str(s) for s in region]!r} "
                         "differs from the joint's conditional"
                     ),
-                    replay={"region": [str(s) for s in region],
-                            "assignment": list(cfg.values),
-                            "tail": cfg.tail},
-                    lhs=str(dens.density(region, cfg)),
-                    rhs=str(expected),
+                    replay=_replay_point(space.at(index), region=[str(s) for s in region]),
+                    lhs=_pair_text(*got),
+                    rhs=_pair_text(*want),
                 ))
     report.data["points_compared"] = compared
     report.data["mismatches"] = mismatches
@@ -971,8 +966,7 @@ def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
     zero variation and tail sensitivity as a nonzero entry.  Each
     region's table is read by index: grouped by the class map off the
     far sites, and by the index less its tail digit for the swaps
-    (`_largest_spread`); a `Fraction` is built only for each reported
-    variation.
+    (`_largest_spread`); only each reported variation is reduced.
     """
     space = dens.space
     universe = space.universe
@@ -995,8 +989,9 @@ def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
         per_region["+".join(str(s) for s in region)] = {
             "far_sites": [str(s) for s in far],
             "far_distance": dmax,
-            "far_variation": str(Fraction(*_largest_spread(table, space._class_map(far)))),
-            "tail_variation": str(Fraction(*_largest_spread(table, assignments))),
+            "far_variation": _pair_text(*_reduced(*_largest_spread(
+                table, space._class_map(far)))),
+            "tail_variation": _pair_text(*_reduced(*_largest_spread(table, assignments))),
         }
     report.data = {"regions": per_region}
     return report
@@ -1010,8 +1005,8 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
     defined (no positive density over a vanishing single-site density,
     no 0/0) with finite positive extremes.  Both tables are read by
     index; each ratio is kept as an integer pair over a positive
-    denominator and compared cross-multiplied, and a `Fraction` is built
-    only for each reported bound.
+    denominator and compared cross-multiplied, and only each reported
+    bound is reduced.
     """
     space = dens.space
     report = HypothesisReport(name="ratio_bounds", passed=True)
@@ -1035,8 +1030,7 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
                             "two-sided bound for region "
                             f"{[str(s) for s in region]!r}"
                         ),
-                        replay={"assignment": list(space.at(index).values),
-                                "tail": space.at(index).tail, "site": str(site)},
+                        replay=_replay_point(space.at(index), site=str(site)),
                     ))
                     continue
                 v_num, v_den = n_num * d_den, n_den * d_num
@@ -1046,8 +1040,8 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
                     hi = v_num, v_den
         key = "+".join(str(s) for s in region)
         bounds[key] = {
-            "lower": str(Fraction(*lo)) if defined and lo is not None else None,
-            "upper": str(Fraction(*hi)) if defined and hi is not None else None,
+            "lower": _pair_text(*_reduced(*lo)) if defined and lo is not None else None,
+            "upper": _pair_text(*_reduced(*hi)) if defined and hi is not None else None,
         }
         if defined and lo is not None and not lo[0]:
             report.fail(witness_cap, lambda: Witness(

@@ -13,8 +13,6 @@ from importlib import resources
 from time import monotonic
 
 from specforge import (
-    INF,
-    ExtendedRational,
     FiniteMeasure,
     build_family,
     check_bounded_positivity,
@@ -30,7 +28,7 @@ from specforge import (
 from specforge.cli.modelfile import parse_model_file
 
 import zoo
-from oracles import pair_divisor
+from oracles import INF, ExtendedRational, fraction_values, pair_divisor, product_weight
 
 
 def bundled(name: str) -> str:
@@ -42,7 +40,7 @@ def conditional_density(space, joint, region, cfg) -> Fraction:
     section = Fraction(0)
     for fill in space.assignments(region):
         section += joint[space.overlay(cfg, region, fill).values]
-    free = space.product_weight(region, tuple(cfg.symbol(s) for s in region))
+    free = product_weight(space, region, tuple(cfg.symbol(s) for s in region))
     return joint[cfg.values] / (section * free)
 
 
@@ -51,16 +49,16 @@ def free_mass_of_region(space, dens, region, cfg) -> Fraction:
     total = Fraction(0)
     for fill in space.assignments(region):
         point = space.overlay(cfg, region, fill)
-        total += space.product_weight(region, fill) * dens.density(region, point)
+        total += product_weight(space, region, fill) * dens.density(region, point)
     return total
 
 
 def transfer_perturbation(mu: FiniteMeasure, rng: random.Random) -> FiniteMeasure:
     """Move a sliver of mass between two support points (support kept)."""
-    support = sorted(mu.weights)
+    weights = fraction_values(mu.weights)
+    support = sorted(weights)
     raise_key, lower_key = rng.sample(support, 2)
-    delta = mu.weights[lower_key] / rng.randint(2, 9)
-    weights = dict(mu.weights)
+    delta = weights[lower_key] / rng.randint(2, 9)
     weights[raise_key] += delta
     weights[lower_key] -= delta
     return FiniteMeasure(mu.space, weights)

@@ -19,7 +19,7 @@ from specforge.constructor import (
     check_order_independence,
     extension_divisor,
 )
-from specforge.core import DomainError, ExtendedRational, Space
+from specforge.core import DomainError, Space
 from specforge import hypotheses
 from specforge.hypotheses import good_blocks
 
@@ -36,7 +36,14 @@ from zoo import (
     potential_family,
     ring_potential_family,
 )
-from oracles import check_divisor_factorization, extended, free_kernel, pair_divisor
+from oracles import (
+    ExtendedRational,
+    product_weight,
+    check_divisor_factorization,
+    extended,
+    free_kernel,
+    pair_divisor,
+)
 
 
 def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:
@@ -49,7 +56,7 @@ def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:
     section = Fraction(0)
     for fill in space.assignments(region):
         section += joint[space.overlay(cfg, region, fill).values]
-    free = space.product_weight(region, tuple(cfg.symbol(s) for s in region))
+    free = product_weight(space, region, tuple(cfg.symbol(s) for s in region))
     return num / (section * free)
 
 
@@ -59,7 +66,7 @@ def regional_integral(dens: DensityFamily, over, num_region, den_region, cfg) ->
     total = Fraction(0)
     for fill in space.assignments(over):
         point = space.overlay(cfg, over, fill)
-        total += (space.product_weight(over, fill)
+        total += (product_weight(space, over, fill)
                   * dens.density(num_region, point)
                   / dens.density(den_region, point))
     return total

@@ -3,10 +3,11 @@
 ``check_order_independence`` rebuilds no sweep: it reads each sweep's
 first mismatching region off the single-site joins of the reference
 tables, one ``extend_density`` call per (region, joining site), and
-``Space.product_weight`` memoizes free-weight products.  The oracles
-below are the direct definitions: a full rebuild of the family under
-every permutation (``oracles.check_order_independence``), and the
-product of the free weights taken afresh.  Results must agree exactly,
+``Space.fill_pairs`` memoizes the free-weight product of every fill of
+a region as a reduced integer pair.  The oracles below are the direct
+definitions: a full rebuild of the family under every permutation
+(``oracles.check_order_independence``), and the product of the free
+weights taken afresh, with each fill's offset from its naive index.  Results must agree exactly,
 witnesses and raised errors included.  The sweep sample draws ranks and
 unranks them; it must equal the sample drawn from the list of every
 permutation.
@@ -22,7 +23,7 @@ from specforge import constructor
 from specforge.constructor import ConstructionError, check_order_independence
 from specforge.core import FreeMeasure, Space
 
-from oracles import check_order_independence as naive_order_independence
+from oracles import check_order_independence as naive_order_independence, naive_index
 from zoo import (
     broken_pair_family,
     example1_family,
@@ -137,22 +138,23 @@ def naive_product_weight(space, region, block) -> Fraction:
     return w
 
 
-class TestProductWeightMemo:
+class TestFillPairsMemo:
     @pytest.mark.parametrize("family", [
         lopsided_free_family, unnormalized_free_family,
         lambda: random_zero_table_family(3), lambda: example1_family(3),
     ])
-    def test_every_region_order_and_block(self, family):
+    def test_every_region_and_block(self, family):
         space = family().space
-        sites = space.universe.sites
-        for size in range(len(sites) + 1):
-            for region in itertools.permutations(sites, size):
-                for block in space.assignments(region):
-                    expected = naive_product_weight(space, region, block)
-                    for _ in range(2):
-                        got = space.product_weight(region, block)
-                        assert type(got) is Fraction
-                        assert got == expected
+        first = space.at(0)
+        for region in space.universe.subsets():
+            fills = space.fill_pairs(region)
+            assert space.fill_pairs(region) is fills
+            blocks = list(space.assignments(region))
+            assert len(fills) == len(blocks)
+            for (offset, num, den), block in zip(fills, blocks):
+                assert type(num) is int and type(den) is int
+                assert (num, den) == naive_product_weight(space, region, block).as_integer_ratio()
+                assert offset == naive_index(space, first.with_sites(dict(zip(region, block))))
 
     def test_spaces_with_different_free_measures_do_not_share(self):
         space = lopsided_free_family().space
@@ -161,7 +163,7 @@ class TestProductWeightMemo:
             for site in space.universe
         })
         other = Space(space.alphabet, space.universe, heavy)
-        region, block = ("s1", "s2"), ("b", "a")
-        assert space.product_weight(region, block) == 0
-        assert other.product_weight(region, block) == 9
-        assert space.product_weight(region, block) == 0
+        region, position = ("s1", "s2"), 2  # the block ("b", "a")
+        assert space.fill_pairs(region)[position][1:] == (0, 1)
+        assert other.fill_pairs(region)[position][1:] == (9, 1)
+        assert space.fill_pairs(region)[position][1:] == (0, 1)

@@ -1,6 +1,7 @@
-"""Core layer: extended arithmetic, configurations, and the free kernel
-that `Space.free_integral` and the families' ratio tables are checked
-against (`oracles.free_kernel`)."""
+"""Core layer: configurations, the free kernel that `Space.free_integral`
+and the families' ratio tables are checked against (`oracles.free_kernel`),
+and the extended arithmetic the oracles compute with
+(`oracles.ExtendedRational`)."""
 
 from __future__ import annotations
 
@@ -11,18 +12,15 @@ import pytest
 
 from specforge.core import (
     Alphabet,
-    ArithmeticDomainError,
     Configuration,
     DomainError,
-    ExtendedRational,
     FreeMeasure,
-    INF,
     Space,
     Universe,
     parse_rational,
 )
 
-from oracles import free_kernel, ratio
+from oracles import INF, ArithmeticDomainError, ExtendedRational, free_kernel, ratio
 
 
 def concat(primary, secondary, base: Configuration) -> Configuration:

@@ -166,7 +166,7 @@ def renormalized(dens: DensityFamily, region) -> DensityFamily:
     space = dens.space
     blocks = list(space.assignments(region))
     raw = {block: Fraction(k + 2) for k, block in enumerate(blocks)}
-    mass = sum(raw[b] * space.product_weight(region, b) for b in blocks)
+    mass = sum(raw[b] * oracles.product_weight(space, region, b) for b in blocks)
     return zoo.reweighted(dens, region, lambda block, _: raw[block] / mass)
 
 

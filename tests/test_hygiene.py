@@ -31,6 +31,17 @@ tables, rows and measures by configuration index; the key form
 its tables; ``normalize`` writes flat tables by index) and where
 reports sort points by it, and ``Space.make`` only by
 ``Space.configuration``.
+
+The `Fraction` scan lists, in the same way, the functions and methods
+that name ``Fraction``, in an annotation or in code.  Past the input
+boundary (parsing and the public constructors) and before the output
+boundary (the public readers and report text) every value is a reduced
+integer pair, so each of them must be on ``FRACTION_BOUNDARY``, with the
+reason it stands there; a new one is a `Fraction` twin of a pair
+primitive.  No module under ``src/`` may define an ``ExtendedRational``,
+nor any of the other names the pair primitives replaced: an infinite
+value is the pair (1, 0), and the extended arithmetic lives on only in
+``tests/oracles.py``.
 """
 
 import ast
@@ -259,10 +270,11 @@ def test_the_scan_flags_an_unread_method(tmp_path):
         "a.py:11: leftover", "a.py:13: unread", "a.py:14: unread_nested"]
 
 
-def attribute_readers(paths, attr: str, root: Path = SRC) -> set[str]:
+def readers(paths, reads, root: Path = SRC) -> set[str]:
     """``module:function`` or ``module:Class.method`` of each module-level
-    function and method that reads the attribute ``attr``, at any depth."""
-    readers = set()
+    function and method holding, at any depth, a node for which
+    ``reads(node)`` is true."""
+    found = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         scopes = []
@@ -273,10 +285,15 @@ def attribute_readers(paths, attr: str, root: Path = SRC) -> set[str]:
             elif isinstance(node, ast.FunctionDef):
                 scopes.append((node.name, node))
         module = path.relative_to(root).with_suffix("").as_posix()
-        readers |= {f"{module}:{name}" for name, scope in scopes
-                    if any(isinstance(sub, ast.Attribute) and sub.attr == attr
-                           for sub in ast.walk(scope))}
-    return readers
+        found |= {f"{module}:{name}" for name, scope in scopes
+                  if any(reads(sub) for sub in ast.walk(scope))}
+    return found
+
+
+def attribute_readers(paths, attr: str, root: Path = SRC) -> set[str]:
+    """The `readers` of the attribute ``attr``."""
+    return readers(paths, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == attr, root)
 
 
 def test_the_key_form_is_read_only_at_the_input_and_report_boundaries():
@@ -303,3 +320,113 @@ def test_the_scan_finds_nested_attribute_reads(tmp_path):
     )
     assert attribute_readers([tmp_path / "a.py"], "key", tmp_path) == {
         "a:outer", "a:Space.fill"}
+
+
+def names_fraction(node: ast.AST) -> bool:
+    """Whether ``node`` names ``Fraction``, as a name or an attribute, in
+    code or in an annotation (string annotations included)."""
+    if isinstance(node, ast.Name):
+        return node.id == "Fraction"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "Fraction"
+    if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+        return "Fraction" in annotation_names(node.annotation)
+    if isinstance(node, ast.FunctionDef) and node.returns is not None:
+        return "Fraction" in annotation_names(node.returns)
+    return False
+
+
+FRACTION_BOUNDARY = {
+    "specforge/core:exact": "input: an exact int or Fraction as a Fraction, or refused",
+    "specforge/core:parse_rational": "input: parses a rational literal",
+    "specforge/core:FreeMeasure.__init__": "input: public constructor from exact weights",
+    "specforge/core:FreeMeasure.uniform": "input: public constructor of the weights 1/q",
+    "specforge/core:FreeMeasure.weight": "output: public reader of one free weight",
+    "specforge/models:RawWeightModel.raw_value": "input: the raw-weight interface",
+    "specforge/models:SingletonFamily.__init__": "input: public constructor from exact tables",
+    "specforge/models:SingletonFamily.from_function": "input: public constructor "
+                                                      "from a density function",
+    "specforge/models:SingletonFamily.density": "output: public reader of one density",
+    "specforge/models:TableModel.__init__": "input: public constructor from exact weights",
+    "specforge/models:TableModel.raw_value": "input: one exact raw weight, for normalize",
+    "specforge/models:TailRuleModel.__init__": "input: public constructor from exact rules",
+    "specforge/models:TailRuleModel.raw_value": "input: one exact raw weight, for normalize",
+    "specforge/models:PotentialModel.__init__": "input: public constructor; checks exact "
+                                                "positive weights, then keeps their pairs",
+    "specforge/models:PotentialModel.raw_value": "output: public reader of raw_pair",
+    "specforge/models:extract_singletons": "input: public constructor from an exact joint",
+    "specforge/models:rebalance_free": "input: public constructor from exact rescalers",
+    "specforge/constructor:DensityFamily.density": "output: public reader of one density",
+    "specforge/constructor:DensityFamily.table": "output: public reader of one table",
+    "specforge/constructor:DensityFamily.replace_table": "input: public constructor of a "
+                                                         "sibling from exact values",
+    "specforge/constructor:assemble_kernel": "output: public reader of one kernel row",
+    "specforge/hypotheses:two_point_identity": "output: public reader of both sides",
+    "specforge/verifier:FiniteMeasure.__init__": "input: public constructor from exact weights",
+    "specforge/verifier:exchange_identity": "output: integrates caller-given exact observables",
+    "specforge/verifier:roundtrip_reconstruction": "input: takes an exact joint weight",
+    "specforge/cli/modelfile:ModelFile.__init__": "input: the parsed model's exact fields",
+    "specforge/cli/modelfile:ModelFile.realize": "input: the model's exact weights, "
+                                                 "handed to the public constructors",
+    "specforge/cli/modelfile:parse_model_text": "input: the model-file parser",
+    "specforge/cli/report:_approx": "output: a report value's float rendering",
+    "specforge/cli/report:_witness_lines": "output: the tolerance of _approx",
+    "specforge/cli/report:render_text": "output: the tolerance of _approx",
+}
+
+REPLACED = ("ExtendedRational", "INF", "ArithmeticDomainError", "product_weight",
+            "fill_offsets", "_memoised", "site_mass", "ratio_integral",
+            "_checked_ratio_kernel")
+
+
+def defined_names(paths, names, root: Path = SRC) -> list[str]:
+    """``module:line: name`` of each class, function or assigned name
+    among ``names`` defined anywhere in ``paths``."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [sub.id for target in targets for sub in ast.walk(target)
+                           if isinstance(sub, ast.Name)]
+            else:
+                continue
+            found += [f"{path.relative_to(root).as_posix()}:{node.lineno}: {name}"
+                      for name in defined if name in names]
+    return found
+
+
+def test_fraction_is_named_only_at_the_boundary():
+    assert all(reason for reason in FRACTION_BOUNDARY.values())
+    assert readers(MODULES, names_fraction) == set(FRACTION_BOUNDARY)
+
+
+def test_no_replaced_twin_is_defined():
+    assert defined_names(MODULES, REPLACED) == []
+
+
+def test_the_fraction_scans_flag_a_twin(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from fractions import Fraction\n"
+        "def pairs(x):\n"
+        "    return x.as_integer_ratio()\n"
+        "def twin(x) -> 'Fraction':\n"
+        "    return x\n"
+        "class Measure:\n"
+        "    def weight(self, w: Fraction):\n"
+        "        return w\n"
+        "    def total(self):\n"
+        "        def add(a, b):\n"
+        "            return fractions.Fraction(a) + b\n"
+        "        return add\n"
+        "class ExtendedRational:\n"
+        "    pass\n"
+        "INF = ExtendedRational()\n"
+    )
+    assert readers([tmp_path / "a.py"], names_fraction, tmp_path) == {
+        "a:twin", "a:Measure.weight", "a:Measure.total"}
+    assert defined_names([tmp_path / "a.py"], REPLACED, tmp_path) == [
+        "a.py:13: ExtendedRational", "a.py:15: INF"]

@@ -202,7 +202,7 @@ def edited(space, model, rng):
     site = rng.choice(space.universe.sites)
     index = rng.randrange(space.size)
     base = space.class_index(space.at(index), (site,))
-    members = [base + offset for offset, _ in space.fill_offsets((site,))]
+    members = [base + offset for offset, _ in oracles.fill_offsets(space, (site,))]
     edit = rng.choice(("none", "negative", "negatives", "zero_class"))
     if edit == "negative":
         return Edited(model, {(site, index): Fraction(-1, rng.randint(1, 3))})

@@ -25,7 +25,7 @@ import pytest
 
 from specforge import hypotheses
 from specforge.constructor import DensityFamily, build_family
-from specforge.core import Alphabet, ExtendedRational, FreeMeasure, Space, SpecforgeError, Universe
+from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe
 from specforge.hypotheses import check_bounded_positivity, check_order_consistency
 from specforge.models import NormalizationError, SingletonFamily, TableModel, normalize
 from specforge.verifier import _covering_pairs_agree, check_specification_axioms, ratio_bounds
@@ -109,7 +109,7 @@ def zero_line_sibling(dens) -> DensityFamily:
     every line, so only such a table gives an integral over it of zero."""
     space = dens.space
     site = space.universe.sites[0]
-    line = {offset for offset, _ in space.fill_offsets((site,))}
+    line = {offset for offset, _ in oracles.fill_offsets(space, (site,))}
     return dens.replace_table((site,), [0 if k in line else value
                                         for k, value in enumerate(dens.table((site,)))])
 

@@ -99,7 +99,8 @@ def test_kernel_measure_reads_the_full_window_row(name):
     sites = space.universe.sites
     for cfg in space.configurations():
         mu = FiniteMeasure.kernel_measure(dens, cfg)
-        assert oracles.keyed(space, mu.weights) == oracles.kernel_row(dens, sites, cfg)
+        assert (oracles.keyed(space, oracles.fraction_values(mu.weights))
+                == oracles.kernel_row(dens, sites, cfg))
 
 
 def observables(space):

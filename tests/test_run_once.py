@@ -67,7 +67,7 @@ import pytest
 from specforge import constructor, hypotheses, models, verifier
 from specforge.cli.main import main
 from specforge.cli.modelfile import parse_model_file
-from specforge.core import ExtendedRational, Space
+from specforge.core import Space
 from specforge.models import SingletonFamily, TableModel, normalize
 from specforge.verifier import (
     FiniteMeasure,
@@ -564,7 +564,7 @@ def test_a_sibling_kernel_measure_pushes_its_failed_regions(monkeypatch):
     space = dens.space
     window = space.universe.sites
     blocks = list(space.assignments(window))
-    mass = sum((k + 2) * space.product_weight(window, b) for k, b in enumerate(blocks))
+    mass = sum((k + 2) * oracles.product_weight(space, window, b) for k, b in enumerate(blocks))
     row = {block: (k + 2) / mass for k, block in enumerate(blocks)}
     sibling = zoo.reweighted(dens, window, lambda block, _: row[block])
     failed = sorted(small for large, small in verifier._axiom_record(sibling)[2]
@@ -741,25 +741,20 @@ def test_a_passing_check_walks_no_pair_configuration(
 
 def test_singleton_family_construction_integrates_in_integers(monkeypatch):
     """Unit mass is one integer line sum per (site, exterior class off the
-    site), with no extended rational built."""
+    site).  No extended rational is built: the library defines none, which
+    `test_hygiene.py` pins."""
     family = potential_family(1, n_sites=5)[2]
     space = family.space
     tables = {site: {cfg.key: family.density(site, cfg) for cfg in space.configurations()}
               for site in space.universe.sites}
     counts = Counter()
     honest_integral = Space.free_integral
-    honest_init = ExtendedRational.__init__
 
     def counted_integral(self, *args):
         counts["free_integral"] += 1
         return honest_integral(self, *args)
 
-    def counted_init(self, *args):
-        counts["extended"] += 1
-        honest_init(self, *args)
-
     monkeypatch.setattr(Space, "free_integral", counted_integral)
-    monkeypatch.setattr(ExtendedRational, "__init__", counted_init)
     SingletonFamily(space, tables)
     n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
     assert counts == Counter({"free_integral": n * t * q ** (n - 1)})

@@ -65,7 +65,8 @@ BUILDING_SEEDS = (7, 15, 18, 20, 28, 31, 32, 44, 46, 52,
 def normalized(fam: SingletonFamily) -> SingletonFamily:
     """The same zero patterns over free weights rescaled to unit mass per site."""
     space = fam.space
-    mass = {site: space.free.site_mass(site) for site in space.universe}
+    mass = {site: sum(space.free.weights[site].values(), Fraction(0))
+            for site in space.universe}
     free = FreeMeasure(space.alphabet, {
         site: {sym: w / mass[site] for sym, w in row.items()}
         for site, row in space.free.weights.items()

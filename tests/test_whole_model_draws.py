@@ -44,6 +44,8 @@ from specforge.verifier import (
     uniqueness_probe,
 )
 
+from oracles import fill_offsets
+
 VALUES = (0, 0, 1, 2, 3, Fraction(1, 2))
 POSITIVE = (1, 2, 3, 5, Fraction(1, 2), Fraction(7, 3))
 
@@ -66,7 +68,7 @@ def repaired(space, joints: dict) -> dict:
     for site in space.universe:
         for cfg in space.exterior_classes((site,)):
             fills = [(space.at(cfg.index + offset), w)
-                     for offset, w in space.fill_offsets((site,))]
+                     for offset, w in fill_offsets(space, (site,))]
             if not any(w and joints[c.tail][c.values] for c, w in fills):
                 c = next(c for c, w in fills if w)
                 joints[c.tail][c.values] = Fraction(1)
