@@ -9,11 +9,11 @@ input files carry the same exactness contract as the library.
 
 Grammar (one directive per line, ``#`` starts a comment):
 
-    name <label>                          optional display name
+    name <label>                          display name ("model")
     sites <label> ...                     window sites, in order
-    dimension <int>                       optional geometry hint
+    dimension <int>                       geometry hint, read by no computation (1)
     alphabet <symbol> ...                 at least one symbol
-    tails <label> ...                     optional, default "default"
+    tails <label> ...                     tail classes ("default")
     free uniform                          uniform free weights, or
     free <site> <sym>=<q> ...             one line per site
     kind table | tail_rule | potential | joint
@@ -22,7 +22,7 @@ Grammar (one directive per line, ``#`` starts a comment):
     field <site> <sym>=<q> ...                kind potential
     pair <site> <site> <sym>,<sym>=<q> ...    kind potential
     joint <sym> ... <q>                       kind joint
-    sweep <site> ...                      optional construction order
+    sweep <site> ...                      construction order (site order)
     permutations <int>                    order-independence budget (24)
     trials <int>                          uniqueness probe budget (12)
     seed <int>                            probe seed (20260819)
@@ -40,6 +40,12 @@ repeat is rejected at the line that repeats it.  A site label may not
 hold ``+``, ``,``, ``|`` or ``->``, nor be ``*``, and a symbol may not
 hold ``,`` or ``=``: the outputs and the grammar join labels with them,
 so such a label is rejected at its line.
+
+Each directive's field is declared once, on `ModelFile`: a single-valued
+directive's as a class attribute holding the default above, a repeated
+directive's as the container its constructor makes.  `parse_model_text`
+makes the model first and writes each directive's value onto it, so a
+new directive is that one declaration and its branch of the parser.
 """
 
 from __future__ import annotations
@@ -79,10 +85,6 @@ SINGLE_VALUED = ("name", "sites", "dimension", "alphabet", "tails", "kind", "swe
 SITE_SEPARATORS = ("+", ",", "|", "->")
 SYMBOL_SEPARATORS = (",", "=")
 
-DEFAULT_PERMUTATIONS = 24
-DEFAULT_TRIALS = 12
-DEFAULT_SEED = 20260819
-DEFAULT_FLOAT_TOLERANCE = Fraction(1, 10**9)
 # ASCII digits: str.isdigit() also accepts "²", which int() rejects
 _INTEGER = re.compile("-?[0-9]+")
 
@@ -99,43 +101,36 @@ class ModelFileError(SpecforgeError):
 class ModelFile:
     """A parsed model definition, ready to realize into library objects.
 
-    ``sha256`` is the hex digest of the bytes the model was parsed from
-    when `parse_model_file` read it from a file, else None.
+    Each single-valued directive's field is declared once, here, holding
+    its default; the repeated directives fill the containers the
+    constructor makes, one per kind of line.  `parse_model_text` writes
+    each given value onto the model.  ``sha256`` is the hex digest of
+    the bytes the model was parsed from when `parse_model_file` read it
+    from a file, else None.
     """
 
-    def __init__(self, path: str, name: str, sites: tuple[str, ...], dimension: int,
-                 alphabet: tuple[str, ...], tails: tuple[str, ...], free_uniform: bool,
-                 free_weights: dict[str, dict[str, Fraction]], kind: str,
-                 table_entries: dict[str, dict[tuple, Fraction]] | None = None,
-                 rules: dict[tuple, dict[str, Fraction]] | None = None,
-                 fields: dict[str, dict[str, Fraction]] | None = None,
-                 pairs: dict[tuple, dict[tuple, Fraction]] | None = None,
-                 joint: dict[tuple, Fraction] | None = None,
-                 sweep: tuple[str, ...] | None = None,
-                 permutations: int = DEFAULT_PERMUTATIONS,
-                 trials: int = DEFAULT_TRIALS,
-                 seed: int = DEFAULT_SEED,
-                 float_tolerance: Fraction = DEFAULT_FLOAT_TOLERANCE):
+    name = "model"
+    sites: tuple[str, ...] | None = None
+    dimension = 1
+    alphabet: tuple[str, ...] | None = None
+    tails: tuple[str, ...] = ("default",)
+    free_uniform: bool | None = None
+    kind: str | None = None
+    sweep: tuple[str, ...] | None = None
+    permutations = 24
+    trials = 12
+    seed = 20260819
+    float_tolerance = Fraction(1, 10**9)
+    sha256: str | None = None
+
+    def __init__(self, path: str):
         self.path = path
-        self.name = name
-        self.sites = sites
-        self.dimension = dimension
-        self.alphabet = alphabet
-        self.tails = tails
-        self.free_uniform = free_uniform
-        self.free_weights = free_weights
-        self.kind = kind
-        self.table_entries = {} if table_entries is None else table_entries
-        self.rules = {} if rules is None else rules
-        self.fields = {} if fields is None else fields
-        self.pairs = {} if pairs is None else pairs
-        self.joint = {} if joint is None else joint
-        self.sweep = sweep
-        self.permutations = permutations
-        self.trials = trials
-        self.seed = seed
-        self.float_tolerance = float_tolerance
-        self.sha256: str | None = None
+        self.free_weights: dict[str, dict[str, Fraction]] = {}
+        self.table_entries: dict[str, dict[tuple, Fraction]] = {}
+        self.rules: dict[tuple, dict[str, Fraction]] = {}
+        self.fields: dict[str, dict[str, Fraction]] = {}
+        self.pairs: dict[tuple, dict[tuple, Fraction]] = {}
+        self.joint: dict[tuple, Fraction] = {}
 
     def cell_count(self) -> int:
         """Total table cells a full construction would hold."""
@@ -201,27 +196,8 @@ def parse_model_file(path: str) -> ModelFile:
 
 
 def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
-    sites: tuple[str, ...] | None = None
-    dimension = 1
-    name: str | None = None
-    alphabet: tuple[str, ...] | None = None
-    tails: tuple[str, ...] = ("default",)
-    free_uniform: bool | None = None
-    free_weights: dict[str, dict[str, Fraction]] = {}
-    kind: str | None = None
-    table_entries: dict[str, dict[tuple, Fraction]] = {}
-    rules: dict[tuple, dict[str, Fraction]] = {}
-    fields: dict[str, dict[str, Fraction]] = {}
-    pairs: dict[tuple, dict[tuple, Fraction]] = {}
-    joint: dict[tuple, Fraction] = {}
-    sweep: tuple[str, ...] | None = None
+    model = ModelFile(path)
     tail_uses: list[tuple[int, str]] = []
-    options = {
-        "permutations": DEFAULT_PERMUTATIONS,
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-    }
-    float_tolerance = DEFAULT_FLOAT_TOLERANCE
     first_given: dict[str, int] = {}
 
     def fail(line_no: int, message: str) -> ModelFileError:
@@ -262,14 +238,14 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
         return out
 
     def need_sites(line_no: int) -> tuple[str, ...]:
-        if sites is None:
+        if model.sites is None:
             raise fail(line_no, "this directive needs 'sites' declared first")
-        return sites
+        return model.sites
 
     def need_alphabet(line_no: int) -> tuple[str, ...]:
-        if alphabet is None:
+        if model.alphabet is None:
             raise fail(line_no, "this directive needs 'alphabet' declared first")
-        return alphabet
+        return model.alphabet
 
     def full_vector(tokens: list[str], line_no: int, what: str) -> dict[str, Fraction]:
         symbols = need_alphabet(line_no)
@@ -282,15 +258,14 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             )
         return out
 
-    def need_kind(line_no: int, *allowed: str) -> str:
-        if kind is None:
+    def need_kind(line_no: int, *allowed: str) -> None:
+        if model.kind is None:
             raise fail(line_no, "this directive needs 'kind' declared first")
-        if kind not in allowed:
+        if model.kind not in allowed:
             raise fail(
                 line_no,
-                f"directive only valid for kind {' or '.join(allowed)}, model is {kind!r}",
+                f"directive only valid for kind {' or '.join(allowed)}, model is {model.kind!r}",
             )
-        return kind
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -307,49 +282,49 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
         if directive == "name":
             if len(args) != 1:
                 raise fail(line_no, "name takes exactly one label")
-            name = args[0]
+            model.name = args[0]
         elif directive == "sites":
             if not args:
                 raise fail(line_no, "sites needs at least one label")
             if "*" in args:
                 raise fail(line_no, "site label '*' is the rule wildcard")
-            sites = distinct(args, line_no, "site label", SITE_SEPARATORS)
+            model.sites = distinct(args, line_no, "site label", SITE_SEPARATORS)
         elif directive == "dimension":
             if len(args) != 1 or not _INTEGER.fullmatch(args[0]) or args[0].startswith("-"):
                 raise fail(line_no, "dimension takes one nonnegative integer")
-            dimension = int(args[0])
+            model.dimension = int(args[0])
         elif directive == "alphabet":
             if not args:
                 raise fail(line_no, "alphabet needs at least one symbol")
-            alphabet = distinct(args, line_no, "alphabet symbol", SYMBOL_SEPARATORS)
+            model.alphabet = distinct(args, line_no, "alphabet symbol", SYMBOL_SEPARATORS)
         elif directive == "tails":
             if not args:
                 raise fail(line_no, "tails needs at least one label")
-            tails = distinct(args, line_no, "tail label")
+            model.tails = distinct(args, line_no, "tail label")
         elif directive == "free":
             if args == ["uniform"]:
-                if free_weights:
+                if model.free_weights:
                     raise fail(line_no, "free uniform conflicts with per-site free lines")
-                free_uniform = True
+                model.free_uniform = True
             else:
-                if free_uniform:
+                if model.free_uniform:
                     raise fail(line_no, "per-site free line conflicts with free uniform")
-                free_uniform = False
+                model.free_uniform = False
                 known = need_sites(line_no)
                 if not args or args[0] not in known:
                     raise fail(line_no, "free needs 'uniform' or a declared site label")
                 site = args[0]
-                if site in free_weights:
+                if site in model.free_weights:
                     raise fail(line_no, f"duplicate free line for site {site!r}")
-                free_weights[site] = full_vector(args[1:], line_no, "free weight")
+                model.free_weights[site] = full_vector(args[1:], line_no, "free weight")
         elif directive == "kind":
             if len(args) != 1 or args[0] not in KINDS:
                 raise fail(line_no, f"kind must be one of {', '.join(KINDS)}")
-            kind = args[0]
+            model.kind = args[0]
         elif directive == "entry":
             need_kind(line_no, "table")
             known = need_sites(line_no)
-            if alphabet is None:
+            if model.alphabet is None:
                 raise fail(line_no, "entry needs 'alphabet' declared first")
             want = 1 + 1 + (len(known) - 1) + 1 + 1
             if len(args) != want:
@@ -364,11 +339,11 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             if site not in known:
                 raise fail(line_no, f"unknown site {site!r}")
             for sym in (own, *ctx):
-                if sym not in alphabet:
+                if sym not in model.alphabet:
                     raise fail(line_no, f"unknown symbol {sym!r}")
             tail_uses.append((line_no, tail))
             key = (own, ctx, tail)
-            bucket = table_entries.setdefault(site, {})
+            bucket = model.table_entries.setdefault(site, {})
             if key in bucket:
                 raise fail(line_no, f"duplicate entry for {site!r} {key!r}")
             bucket[key] = rational(value, line_no, "entry value")
@@ -382,18 +357,18 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
                 raise fail(line_no, f"unknown site {site!r}")
             tail_uses.append((line_no, tail))
             key = (tail, site)
-            if key in rules:
+            if key in model.rules:
                 raise fail(line_no, f"duplicate rule for {key!r}")
-            rules[key] = full_vector(args[2:], line_no, "rule weight")
+            model.rules[key] = full_vector(args[2:], line_no, "rule weight")
         elif directive == "field":
             need_kind(line_no, "potential")
             known = need_sites(line_no)
             if not args or args[0] not in known:
                 raise fail(line_no, "field needs a declared site label")
             site = args[0]
-            if site in fields:
+            if site in model.fields:
                 raise fail(line_no, f"duplicate field line for site {site!r}")
-            fields[site] = full_vector(args[1:], line_no, "field weight")
+            model.fields[site] = full_vector(args[1:], line_no, "field weight")
         elif directive == "pair":
             need_kind(line_no, "potential")
             known = need_sites(line_no)
@@ -426,9 +401,9 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
                 first, second = second, first
                 vector = {(y, x): value for (x, y), value in vector.items()}
             pair_key = (first, second)
-            if pair_key in pairs:
+            if pair_key in model.pairs:
                 raise fail(line_no, f"duplicate pair line for {pair_key!r}")
-            pairs[pair_key] = vector
+            model.pairs[pair_key] = vector
         elif directive == "joint":
             need_kind(line_no, "joint")
             known = need_sites(line_no)
@@ -441,74 +416,46 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             values = tuple(args[:-1])
             if any(sym not in symbols for sym in values):
                 raise fail(line_no, f"joint uses symbols outside the alphabet: {values!r}")
-            if values in joint:
+            if values in model.joint:
                 raise fail(line_no, f"duplicate joint line for {values!r}")
-            joint[values] = rational(args[-1], line_no, "joint value")
+            model.joint[values] = rational(args[-1], line_no, "joint value")
         elif directive == "sweep":
             known = need_sites(line_no)
             if sorted(args) != sorted(known):
                 raise fail(line_no, "sweep must list every site exactly once")
-            sweep = tuple(args)
+            model.sweep = tuple(args)
         elif directive in ("permutations", "trials", "seed"):
             if len(args) != 1 or not _INTEGER.fullmatch(args[0]):
                 raise fail(line_no, f"{directive} takes one integer")
             value = int(args[0])
             if directive != "seed" and value < 1:
                 raise fail(line_no, f"{directive} must be at least 1")
-            options[directive] = value
+            setattr(model, directive, value)
         elif directive == "float_tolerance":
             if len(args) != 1:
                 raise fail(line_no, "float_tolerance takes one rational")
-            float_tolerance = rational(args[0], line_no, "float_tolerance")
+            model.float_tolerance = rational(args[0], line_no, "float_tolerance")
         else:
             raise fail(line_no, f"unknown directive {directive!r}")
 
     for line_no, tail in tail_uses:
-        if tail not in tails:
+        if tail not in model.tails:
             raise fail(
                 line_no,
-                f"undeclared tail class {tail!r}; declared: {' '.join(tails)}",
+                f"undeclared tail class {tail!r}; declared: {' '.join(model.tails)}",
             )
     last = text.count("\n") + 1
-    if sites is None:
-        raise fail(last, "missing 'sites' directive")
-    if alphabet is None:
-        raise fail(last, "missing 'alphabet' directive")
-    if kind is None:
-        raise fail(last, "missing 'kind' directive")
-    if free_uniform is None:
-        raise fail(last, "missing 'free' directive")
-    if not free_uniform:
-        missing = [s for s in sites if s not in free_weights]
+    for directive, field in (("sites", "sites"), ("alphabet", "alphabet"), ("kind", "kind"),
+                             ("free", "free_uniform")):
+        if getattr(model, field) is None:
+            raise fail(last, f"missing {directive!r} directive")
+    if not model.free_uniform:
+        missing = [s for s in model.sites if s not in model.free_weights]
         if missing:
             raise fail(last, f"missing free weights for sites {missing}")
-    if kind == "table" and not table_entries:
-        raise fail(last, "kind table declared but no entry lines")
-    if kind == "tail_rule" and not rules:
-        raise fail(last, "kind tail_rule declared but no rule lines")
-    if kind == "potential" and not (fields or pairs):
-        raise fail(last, "kind potential declared but no field or pair lines")
-    if kind == "joint" and not joint:
-        raise fail(last, "kind joint declared but no joint lines")
-
-    return ModelFile(
-        path=path,
-        name=name or "model",
-        sites=sites,
-        dimension=dimension,
-        alphabet=alphabet,
-        tails=tails,
-        free_uniform=bool(free_uniform),
-        free_weights=free_weights,
-        kind=kind,
-        table_entries=table_entries,
-        rules=rules,
-        fields=fields,
-        pairs=pairs,
-        joint=joint,
-        sweep=sweep,
-        permutations=options["permutations"],
-        trials=options["trials"],
-        seed=options["seed"],
-        float_tolerance=float_tolerance,
-    )
+    given, lines = {"table": (model.table_entries, "entry"), "tail_rule": (model.rules, "rule"),
+                    "potential": (model.fields or model.pairs, "field or pair"),
+                    "joint": (model.joint, "joint")}[model.kind]
+    if not given:
+        raise fail(last, f"kind {model.kind} declared but no {lines} lines")
+    return model

@@ -416,9 +416,11 @@ def check_order_independence(
     record of axioms (b) and (c) (`verifier._axiom_record`: no mass
     other than 1, no failing nested pair) and every free weight is
     positive, every split and every sweep passes, and the report is
-    the closed form above with no mismatch and no failure; nothing is
-    computed.  The record is read, never computed here: a failing one
-    costs the full pair enumeration, and the walk would still follow.
+    the closed form above with no mismatch and no failure, and
+    min(n!, ``permutation_cap``) sweeps tested; nothing is computed,
+    and no sweep order is listed.  The record is read, never computed
+    here: a failing one costs the full pair enumeration, and the walk
+    would still follow.
     Proof.  Take a region R = θ⊔γ, ω the exterior off R, λ the free
     measure.
     1. Axiom (c) on (R, θ) at a point σ reads
@@ -475,13 +477,17 @@ def check_order_independence(
     space = singletons.space
     report = HypothesisReport(name="order_independence", passed=True)
     reference = build_family(singletons, checked=True)
-    perms, sampled = _sweep_orders(space.universe.sites, permutation_cap, seed)
     regions = reference.regions()
     # `verifier._axiom_record`'s (masses, pairs, failures), if computed
     record = reference._cache.get(("axiom_record",))
     if record is not None and not record[0] and not record[2] and space.free.is_positive:
+        # the count `_sweep_orders` would list, without listing the orders
+        count = math.factorial(len(space.universe.sites))
+        tested, sampled = min(count, permutation_cap), count > permutation_cap
         counts = 0, sum(2 ** len(r) - 2 for r in regions if len(r) >= 2), 0
     else:
+        perms, sampled = _sweep_orders(space.universe.sites, permutation_cap, seed)
+        tested = len(perms)
         counts = _walk_orders(reference, regions, perms, report, witness_cap)
     mismatched_perms, split_checks, split_failures = counts
     if not split_failures:
@@ -489,7 +495,7 @@ def check_order_independence(
             if key[0] == "family":
                 family._cache[("block_splits",)] = True
     report.data = {
-        "permutations_tested": len(perms),
+        "permutations_tested": tested,
         "permutations_sampled": sampled,
         "permutation_mismatches": mismatched_perms,
         "block_splits_tested": split_checks,

@@ -53,8 +53,6 @@ class RawWeightModel:
     raw weight as an integer pair over a positive denominator, which
     `normalize` then reads instead."""
 
-    provenance: str
-
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction: ...
 
 
@@ -143,17 +141,11 @@ class SingletonFamily(Tabulated):
     `Fraction`.
     """
 
-    def __init__(
-        self,
-        space: Space,
-        tables: Mapping[Site, Mapping[tuple, Fraction]],
-        provenance: str = "table",
-    ):
+    def __init__(self, space: Space, tables: Mapping[Site, Mapping[tuple, Fraction]]):
         stray = [site for site in tables if site not in space.universe]
         if stray:
             raise DomainError(f"density tables name sites outside the universe {stray}")
         self.space = space
-        self.provenance = provenance
         self._tables = {}
         self._cache = {}
         for site in space.universe:
@@ -177,8 +169,8 @@ class SingletonFamily(Tabulated):
         self._check_unit_mass()
 
     @classmethod
-    def _of_tables(cls, space: Space, tables: dict[tuple[Site, ...], list[tuple[int, int]]],
-                   provenance: str) -> "SingletonFamily":
+    def _of_tables(cls, space: Space,
+                   tables: dict[tuple[Site, ...], list[tuple[int, int]]]) -> "SingletonFamily":
         """The family of flat ``tables``, one list of pairs per one-site
         region in index order, trusted: the caller has proven every pair
         reduced and nonnegative over a positive denominator and every
@@ -186,23 +178,18 @@ class SingletonFamily(Tabulated):
         re-checked."""
         family = cls.__new__(cls)
         family.space = space
-        family.provenance = provenance
         family._tables = tables
         family._cache = {}
         return family
 
     @classmethod
-    def from_function(
-        cls,
-        space: Space,
-        density: Callable[[Site, Configuration], Fraction],
-        provenance: str = "table",
-    ) -> "SingletonFamily":
+    def from_function(cls, space: Space,
+                      density: Callable[[Site, Configuration], Fraction]) -> "SingletonFamily":
         tables = {
             site: {cfg.key: density(site, cfg) for cfg in space.configurations()}
             for site in space.universe
         }
-        return cls(space, tables, provenance)
+        return cls(space, tables)
 
     def _check_unit_mass(self) -> None:
         """Each site's mass, the free integral of its density over its own
@@ -237,10 +224,8 @@ class TableModel(Frozen):
     memoised per universe and site.
     """
 
-    def __init__(self, entries: Mapping[Site, Mapping[tuple, Fraction]],
-                 provenance: str = "table"):
+    def __init__(self, entries: Mapping[Site, Mapping[tuple, Fraction]]):
         self.entries = entries
-        self.provenance = provenance
         self._positions: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._freeze()
 
@@ -269,10 +254,8 @@ class TailRuleModel(Frozen):
     singletons are driven purely by the exterior class.
     """
 
-    def __init__(self, rules: Mapping[tuple, Mapping[str, Fraction]],
-                 provenance: str = "tail_rule"):
+    def __init__(self, rules: Mapping[tuple, Mapping[str, Fraction]]):
         self.rules = rules
-        self.provenance = provenance
         self._freeze()
 
     def raw_value(self, space: Space, site: Site, cfg: Configuration) -> Fraction:
@@ -302,8 +285,7 @@ class PotentialModel(Frozen):
     """
 
     def __init__(self, fields: Mapping[Site, Mapping[str, Fraction]],
-                 pairs: Mapping[tuple, Mapping[tuple, Fraction]] | None = None,
-                 provenance: str = "potential"):
+                 pairs: Mapping[tuple, Mapping[tuple, Fraction]] | None = None):
         def positive(w, kind: str, key, symbols) -> Fraction:
             value = exact(w, lambda: f"{kind} {key!r}/{symbols!r}")
             if value.numerator <= 0:
@@ -319,7 +301,6 @@ class PotentialModel(Frozen):
                 raise DomainError(f"bad pair key {edge!r}")
             self.pairs[edge] = {syms: positive(w, "pair weight", edge, syms)
                                 for syms, w in table.items()}
-        self.provenance = provenance
         self._field_pairs, self._pair_tables = ({
             key: {symbols: w.as_integer_ratio() for symbols, w in table.items()}
             for key, table in weights.items()} for weights in (self.fields, self.pairs))
@@ -407,14 +388,10 @@ def normalize(space: Space, model: RawWeightModel) -> SingletonFamily:
                 g = gcd(num, den)  # `core._reduced`, inline: one call less per cell
                 table[base + offset] = (num // g, den // g)
         tables[(site,)] = table
-    return SingletonFamily._of_tables(space, tables, model.provenance)
+    return SingletonFamily._of_tables(space, tables)
 
 
-def extract_singletons(
-    space: Space,
-    joint: Mapping[tuple, Fraction],
-    provenance: str = "extracted",
-) -> SingletonFamily:
+def extract_singletons(space: Space, joint: Mapping[tuple, Fraction]) -> SingletonFamily:
     """Recover the single-site densities of a strictly positive joint weight.
 
     `joint` maps full assignments (in universe order) to positive rationals;
@@ -442,7 +419,7 @@ def extract_singletons(
         weights.append(w.as_integer_ratio())
     return SingletonFamily._of_tables(
         space, {(site,): _joint_conditionals(space, weights, (site,))
-                for site in space.universe}, provenance)
+                for site in space.universe})
 
 
 def _joint_conditionals(space: Space, joint: list[tuple[int, int]],
@@ -513,5 +490,4 @@ def rebalance_free(
     return SingletonFamily.from_function(
         new_space,
         lambda site, cfg: (family.density(site, cfg) * masses[site]
-                           / scales[site][cfg.symbol(site)]),
-        provenance=family.provenance)
+                           / scales[site][cfg.symbol(site)]))

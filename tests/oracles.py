@@ -434,7 +434,7 @@ def normalize(space, model) -> SingletonFamily:
                 masses[mkey] = mass.fraction
             table[cfg.key] = raw / masses[mkey]
         tables[site] = table
-    return SingletonFamily(space, tables, provenance=model.provenance)
+    return SingletonFamily(space, tables)
 
 
 def naive_index(space, cfg) -> int:

@@ -11,14 +11,17 @@ walks every split cell by cell, at witness caps 0, 1 and 25, miss no
 The oracle passes on every family whose record passes, the theorem's
 conclusion checked on its premises.  A zero free weight, a call with no
 record, a record patched to fail and a record held only by a family
-built under another sweep each walk, and still equal the oracle.
+built under another sweep each walk, and still equal the oracle.  A
+read-off ``verify`` counts the sweep orders without listing them.
 """
 
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 
 from specforge import constructor
+from specforge.cli.main import main
 from specforge.constructor import build_family, check_order_independence
 from specforge.core import SpecforgeError
 from specforge.verifier import _axiom_record, check_specification_axioms
@@ -144,3 +147,47 @@ def test_the_record_of_another_sweep_is_not_read(name, divisors):
     assert divisors[id(dens)] > 0
     assert ("block_splits",) in dens._cache and ("block_splits",) in swept._cache
     assert_equals_oracle(fam, reports)
+
+
+CHAIN4 = """\
+name chain4
+sites s1 s2 s3 s4
+alphabet a b
+free uniform
+kind potential
+field s2 a=3/2 b=1
+pair s1 s2 a,a=2 a,b=1 b,a=1 b,b=2
+pair s2 s3 a,a=2 a,b=1 b,a=1 b,b=2
+pair s3 s4 a,a=2 a,b=1 b,a=1 b,b=2
+"""
+
+# SHA-256 of stdout and of the ``verify --json`` report of CHAIN4 at
+# ``permutations`` 4! - 1, 4! and 4! + 1, recorded while the read-off
+# still listed every sweep order before counting them
+READ_OFF_VERIFY = {
+    23: ("d98045133d561fdbf32d5d19eeedfaa20773c52389ade38fa20c830c0b75bac3",
+         "2b5fe6dac2393fca46ff426dbaeae1c9415c1eec5fadf7e1edfe192254863acc"),
+    24: ("c23f752f6df558f246fa430345a2a0abab9ea65280168713464f2dcb3eea3b91",
+         "c72bfb2da3a7325e01ef9275b9d81f279e631bb45bc156b65b27984501b0f894"),
+    25: ("c23f752f6df558f246fa430345a2a0abab9ea65280168713464f2dcb3eea3b91",
+         "d79ce3a6608921ff81c35295014098340862af233afeae297a2f6b9b970f3f3f"),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(READ_OFF_VERIFY))
+def test_a_read_off_verify_lists_no_sweep_order(cap, tmp_path, monkeypatch, capsys):
+    """``verify`` reads order independence off the axiom record, so it
+    counts the sweep orders in closed form: ``_sweep_orders`` patched to
+    raise is never called, and the outputs keep their bytes below, at
+    and above a cap of n!."""
+    def listed(*args):
+        raise AssertionError("the read-off listed the sweep orders")
+
+    monkeypatch.setattr(constructor, "_sweep_orders", listed)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain4.model").write_text(CHAIN4 + f"permutations {cap}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "chain4.model", "--json", "report.json"]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    report = (tmp_path / "report.json").read_bytes()
+    assert (sha256(stdout).hexdigest(), sha256(report).hexdigest()) == READ_OFF_VERIFY[cap]

@@ -132,13 +132,19 @@ class TestModelFileParsing:
         with pytest.raises(ModelFileError, match="sweep must list every site"):
             parse_model_text(text)
 
-    def test_options_parsed(self):
+    @pytest.mark.parametrize("options, fields", [
+        ("seed 99\ntrials 3\npermutations 6\nfloat_tolerance 1/100\n",
+         {"seed": 99, "trials": 3, "permutations": 6, "float_tolerance": Fraction(1, 100)}),
+        # a minimal model holds the defaults the grammar lists
+        ("", {"name": "model", "dimension": 1, "tails": ("default",), "sweep": None,
+              "permutations": 24, "trials": 12, "seed": 20260819,
+              "float_tolerance": Fraction(1, 10**9), "sha256": None}),
+    ], ids=["given", "defaults"])
+    def test_options_parsed(self, options, fields):
         text = ("sites a\nalphabet x\nfree uniform\nkind tail_rule\n"
-                "rule default a x=1\nseed 99\ntrials 3\npermutations 6\n"
-                "float_tolerance 1/100\n")
+                "rule default a x=1\n" + options)
         model = parse_model_text(text)
-        assert (model.seed, model.trials, model.permutations) == (99, 3, 6)
-        assert model.float_tolerance == Fraction(1, 100)
+        assert {field: getattr(model, field) for field in fields} == fields
 
     @pytest.mark.parametrize("first, again", [
         ("name one", "name two"), ("sites a", "sites a"), ("dimension 1", "dimension 2"),

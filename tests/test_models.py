@@ -165,8 +165,6 @@ class TestNormalize:
         honest = model.raw_value
 
         class Counted:
-            provenance = model.provenance
-
             def raw_value(self, space, site, cfg):
                 calls[site, cfg.key] += 1
                 return honest(space, site, cfg)
@@ -425,8 +423,6 @@ class TestRebalance:
 
 class RawWeights:
     """A raw weight model whose every value is ``value``."""
-
-    provenance = "raw"
 
     def __init__(self, value):
         self.value = value

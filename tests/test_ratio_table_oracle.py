@@ -41,8 +41,6 @@ from test_class_replay_oracle import ZOO
 class DrawnWeights:
     """Raw weights given as one list per site, indexed by configuration."""
 
-    provenance = "drawn"
-
     def __init__(self, raws: dict):
         self.raws = raws
 

@@ -159,10 +159,10 @@ def zoo_model(name: str) -> ModelFile:
     """A model whose ``realize`` gives the zoo family ``name``."""
     family = FAMILIES[name]()
     space = family.space
-    model = ModelFile(path=f"{name}.model", name=name, sites=tuple(space.universe.sites),
-                      dimension=1, alphabet=tuple(space.alphabet),
-                      tails=tuple(space.tail_classes), free_uniform=True,
-                      free_weights={}, kind="table")
+    model = ModelFile(f"{name}.model")
+    model.name, model.sites = name, tuple(space.universe.sites)
+    model.alphabet, model.tails = tuple(space.alphabet), tuple(space.tail_classes)
+    model.free_uniform, model.kind = True, "table"
     model.sha256 = "0" * 64
     model.realize = lambda: (space, family, None)
     return model

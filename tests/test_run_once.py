@@ -769,8 +769,6 @@ def test_normalize_reads_each_raw_weight_once_and_rechecks_no_mass(monkeypatch, 
     honest_raw = model.raw_value
 
     class Counted:
-        provenance = model.provenance
-
         def raw_value(self, space, site, cfg):
             counts[site, cfg.index] += 1
             return honest_raw(space, site, cfg)

@@ -53,8 +53,6 @@ POSITIVE = (1, 2, 3, 5, Fraction(1, 2), Fraction(7, 3))
 class JointWeights:
     """Raw weights read off one joint weight per tail class."""
 
-    provenance = "joint"
-
     def __init__(self, joints: dict):
         self.joints = joints
 

@@ -55,7 +55,7 @@ def plain_space(n_sites: int = 3, symbols: tuple[str, ...] = ("a", "b")) -> Spac
 
 def independent_family(n_sites: int = 3, symbols: tuple[str, ...] = ("a", "b")) -> SingletonFamily:
     space = plain_space(n_sites, symbols)
-    return SingletonFamily.from_function(space, lambda site, cfg: Fraction(1), provenance="table")
+    return SingletonFamily.from_function(space, lambda site, cfg: Fraction(1))
 
 
 def random_joint(space: Space, rng: random.Random) -> dict[tuple, Fraction]:
@@ -215,7 +215,7 @@ def lopsided_free_family() -> SingletonFamily:
         "s2": {"a": Fraction(1, 2), "b": Fraction(1, 2)},
     })
     space = Space(alphabet, universe, free)
-    return SingletonFamily.from_function(space, lambda site, cfg: Fraction(1), provenance="table")
+    return SingletonFamily.from_function(space, lambda site, cfg: Fraction(1))
 
 
 def unnormalized_free_family() -> SingletonFamily:
@@ -230,7 +230,7 @@ def unnormalized_free_family() -> SingletonFamily:
         site: {"a": Fraction(1), "b": Fraction(1)} for site in universe
     })
     space = Space(alphabet, universe, free)
-    return SingletonFamily.from_function(space, lambda site, cfg: Fraction(1, 2), provenance="table")
+    return SingletonFamily.from_function(space, lambda site, cfg: Fraction(1, 2))
 
 
 def anchored_table_family(seed: int, n_sites: int = 3, symbols: tuple[str, ...] = ("a", "b")):
@@ -462,4 +462,4 @@ def doubled_entry(family: SingletonFamily, pick: int) -> SingletonFamily:
     mass = sum(space.free.weight(site, key[0][k]) * table[key] for key in line)
     for key in line:
         table[key] /= mass
-    return SingletonFamily(space, tables, provenance=family.provenance)
+    return SingletonFamily(space, tables)
