@@ -165,7 +165,7 @@ def measure_perturbation_suite(dens: DensityFamily, trials: int,
     rng = random.Random(seed)
     sites = space.universe.sites
     # the first configuration of each tail class
-    firsts = list(space.exterior_classes(sites))
+    firsts = [space.at(b) for b in space.class_bases(sites)]
     performed = 0
     skipped = 0
     for trial in range(trials):
@@ -228,7 +228,8 @@ def uniqueness_applicable(fam: SingletonFamily) -> bool:
 
 def measure_jobs(model: ModelFile, dens: DensityFamily) -> list[Job]:
     jobs = [Job("good_support", lambda: good_support_report(dens))]
-    for first in dens.space.exterior_classes(dens.space.universe.sites):
+    space = dens.space
+    for first in map(space.at, space.class_bases(space.universe.sites)):
         def consistency(cfg=first) -> HypothesisReport:
             return check_measure_consistency(FiniteMeasure.kernel_measure(dens, cfg), dens)
 

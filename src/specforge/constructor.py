@@ -75,8 +75,9 @@ class DensityFamily(Tabulated):
     sibling for perturbation probes without touching the original.
     ``cached`` memoises what the tables determine: one ratio table per
     ordered pair of regions, keyed by the pair, then extension divisors
-    and one integer-pair kernel row per region and class that the
-    verifier reads, each keyed by its regions and exterior class, the
+    and one integer-pair kernel row per region and class (`_pair_row`,
+    which `assemble_kernel` and the verifier read), each keyed by its
+    regions and the class base, the
     full-window kernel measure of each tail class, and the record of
     passing block splits
     (`check_order_independence`).  The ratio tables of two shared
@@ -169,7 +170,7 @@ def extension_divisor(
     only off theta.  Returned as an integer pair in lowest terms with a
     positive first member, the infinite value being (1, 0).
 
-    Each block's point is the class index of ``cfg`` off theta plus the
+    Each block's point is the class base of ``cfg`` off theta plus the
     block's digits times theta's strides, and its value is the integer
     pair (num(rho_theta)·den(rho_gamma)·num(I),
     den(rho_theta)·num(rho_gamma)·den(I)), with (num(I), den(I)) the
@@ -189,7 +190,7 @@ def extension_divisor(
     for reg in (th, ga):
         if reg not in dens._tables:
             raise ConstructionError(f"region {reg!r} has not been built yet")
-    base = space.class_index(cfg, th)
+    base = space.class_map(th)[cfg.index]
 
     def compute() -> tuple[int, int]:
         blocks = good_blocks(dens.singletons, th, ga, cfg)
@@ -210,11 +211,10 @@ def extension_divisor(
                     f"density of {th!r} vanishes at its own good block "
                     f"{block!r} at {cfg!r}; good-set guarantee violated"
                 )
-            shifted = space.at(point)
-            integral = dens.ratio_pair(ga, th, shifted)
+            integral = dens.ratio_pair(ga, th, point)
             if integral is None:
                 raise ConstructionError(
-                    f"ratio integral over {ga!r} against {th!r} at {shifted!r} "
+                    f"ratio integral over {ga!r} against {th!r} at {space.at(point)!r} "
                     "is not in (0, inf); good-set guarantee violated"
                 )
             candidate = (a * d * integral[0], b * c * integral[1])
@@ -243,17 +243,20 @@ def extension_divisor(
 
 def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],
                     gamma: Iterable[Site]):
-    """``(cfg, num, den)`` per configuration, lazily, with den > 0 and
-    num/den = density(th)/divisor, unreduced, one divisor per exterior
-    class of ``th``; an infinite divisor gives 0."""
-    def reciprocal(cfg: Configuration) -> tuple[int, int]:
-        num, den = extension_divisor(dens, th, gamma, cfg)
+    """``(index, num, den)`` per configuration index, lazily, with den > 0
+    and num/den = density(th)/divisor, unreduced, one divisor per
+    exterior class of ``th``, read at its class base; an infinite divisor
+    gives 0."""
+    at = dens.space.at
+
+    def reciprocal(base: int) -> tuple[int, int]:
+        num, den = extension_divisor(dens, th, gamma, at(base))
         return (den, num) if den else (0, 1)
 
     table = dens._tables[th]
-    for cfg, (num, den) in dens.space.per_class(th, reciprocal):
-        value_num, value_den = table[cfg.index]
-        yield cfg, value_num * num, value_den * den
+    for index, (num, den) in dens.space.per_class(th, reciprocal):
+        value_num, value_den = table[index]
+        yield index, value_num * num, value_den * den
 
 
 def extend_density(
@@ -337,6 +340,35 @@ def _sweep(singletons: SingletonFamily, order) -> DensityFamily:
     return dens
 
 
+def _pair_row(dens: DensityFamily, region: tuple[Site, ...],
+              index: int) -> dict[int, tuple[int, int]]:
+    """The kernel row of ``region`` at the exterior class of the
+    configuration ``index`` as integer pairs: ``index -> (num, den)``,
+    the weight v·w in lowest terms, for the nonzero cells, in block
+    order, v the density and w the product free weight
+    (`Space.fill_pairs`).  Equal rows are equal dicts; sums go through
+    `_line_sum`, and other comparisons cross-multiply.  A row reads the
+    density only at the class base off the region plus the offsets of
+    the region's fills, so it is fixed by the region and the class:
+    memoised on the family per region and class base, at most as many
+    pairs as the tables hold cells.  ``region`` must be canonical; rows
+    are shared, so callers only read them.
+    """
+    space = dens.space
+    base = space.class_map(region)[index]
+
+    def compute() -> dict[int, tuple[int, int]]:
+        table = dens._tables[region]
+        pairs = {}
+        for offset, w_num, w_den in space.fill_pairs(region):
+            v_num, v_den = table[base + offset]
+            if v_num and w_num:
+                pairs[base + offset] = _reduced(v_num * w_num, v_den * w_den)
+        return pairs
+
+    return dens.cached(("pair_row", region, base), compute)
+
+
 def assemble_kernel(
     dens: DensityFamily,
     region: Iterable[Site],
@@ -349,21 +381,14 @@ def assemble_kernel(
     weights only, in block order.  The weight of the point carrying
     ``block`` on the region is density(region, block over cfg) times the
     product free weight of the block.  The empty region gives the point
-    mass at ``cfg``; weights depend on ``cfg`` only off the region.  Every
-    call assembles a new row, which the caller owns.
+    mass at ``cfg``; weights depend on ``cfg`` only off the region.  The
+    row is the family's `_pair_row` read as `Fraction`s; every call
+    returns a new dict, which the caller owns.
     """
-    space = dens.space
-    reg = space.universe.region(region)
+    reg = dens.space.universe.region(region)
     if reg not in dens._tables:
         raise DomainError(f"region {reg!r} has not been built")
-    base = space.class_index(cfg, reg)
-    table = dens._tables[reg]
-    row: dict[int, Fraction] = {}
-    for offset, w_num, w_den in space.fill_pairs(reg):
-        v_num, v_den = table[base + offset]
-        if v_num and w_num:
-            row[base + offset] = Fraction(v_num * w_num, v_den * w_den)
-    return row
+    return {index: Fraction(*w) for index, w in _pair_row(dens, reg, cfg.index).items()}
 
 
 def _sweep_orders(sites: Sequence[Site], cap: int, seed: int) -> tuple[list, bool]:
@@ -461,15 +486,19 @@ def check_order_independence(
     size and then site order, with J false.  R minus x precedes R, so by
     induction every region before R* is rebuilt equal to the default,
     and R* is rebuilt as its join on default tables, which differs.  So
-    one ``extend_density`` per (R, x) settles every sweep.  Only a
-    raised `ConstructionError` can differ from a full rebuild, which
-    also runs joins past a sweep's first mismatch, on wrong tables: its
-    message may name another join, or a rebuild may raise where this
-    suite reports a mismatch.
+    one ``extend_density`` per (R, x) settles every sweep: the walk
+    evaluates every join once, before any order, and tests each order
+    only against the regions holding a false join, in region order; if
+    every join holds, no order is read.  Only a raised
+    `ConstructionError` can differ from a full rebuild, which runs only
+    the joins its sweeps reach, and also runs joins past a sweep's
+    first mismatch, on wrong tables: its message may name another join,
+    or a rebuild may raise where this suite reports a mismatch, or not
+    raise where a join raises here.
     Then every split is walked with one divisor per exterior class of
     θ, up to its first mismatching cell.  A split (R minus x, {x})
-    walks the cells of J(R, x), so it passes unwalked if the sweeps
-    found that join true, and walks to its witness if false.  A cell
+    walks the cells of J(R, x), so it passes unwalked if that join is
+    true, and walks to its witness if false.  A cell
     compares density(θ)·den(divisor) with the stored value times
     num(divisor) as integers, and a join compares reduced pair tables.
     A raise leaves the check unfinished.
@@ -510,19 +539,15 @@ def _walk_orders(reference: DensityFamily, regions: list, perms: list,
     mismatch and returns (permutation mismatches, block splits tested,
     block split failures)."""
     space = reference.space
-    joins: dict[tuple, bool] = {}
-
-    def join(region: tuple[Site, ...], site: Site) -> bool:
-        if (region, site) not in joins:
-            rest = tuple(s for s in region if s != site)
-            joins[region, site] = (extend_density(reference, rest, (site,))
-                                   == reference._tables[region])
-        return joins[region, site]
-
+    multi = [region for region in regions if len(region) >= 2]
+    joins = {(region, site): extend_density(reference, tuple(s for s in region if s != site),
+                                            (site,)) == reference._tables[region]
+             for region in multi for site in region}
+    failing = [region for region in multi if not all(joins[region, site] for site in region)]
     mismatched_perms = 0
-    for perm in perms:
-        for region in regions:
-            if len(region) >= 2 and not join(region, max(region, key=perm.index)):
+    for perm in perms if failing else ():
+        for region in failing:
+            if not joins[region, max(region, key=perm.index)]:
                 mismatched_perms += 1
                 report.fail(witness_cap, lambda: Witness(
                     check="order_independence",
@@ -536,21 +561,19 @@ def _walk_orders(reference: DensityFamily, regions: list, perms: list,
                 break
     split_checks = 0
     split_failures = 0
-    for region in regions:
-        if len(region) < 2:
-            continue
+    for region in multi:
         members = set(region)
         for r in range(1, len(region)):
             for theta in itertools.combinations(region, r):
                 gamma = space.universe.region(members - set(theta))
                 theta = space.universe.region(theta)
                 split_checks += 1
-                if len(gamma) == 1 and joins.get((region, gamma[0])):
+                if len(gamma) == 1 and joins[region, gamma[0]]:
                     continue
                 ok = True
                 table = reference._tables[region]
-                for cfg, num, den in _extended_cells(reference, theta, gamma):
-                    v_num, v_den = table[cfg.index]
+                for index, num, den in _extended_cells(reference, theta, gamma):
+                    v_num, v_den = table[index]
                     if num * v_den != v_num * den:
                         ok = False
                         split_failures += 1
@@ -561,7 +584,7 @@ def _walk_orders(reference: DensityFamily, regions: list, perms: list,
                                 "site-by-site table"
                             ),
                             replay=_replay_point(
-                                cfg, theta=[str(s) for s in theta],
+                                space.at(index), theta=[str(s) for s in theta],
                                 gamma=[str(s) for s in gamma],
                             ),
                             lhs=_pair_text(*_reduced(num, den)),

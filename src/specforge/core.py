@@ -13,9 +13,9 @@ only where a value enters or leaves the library: parsing and the public
 constructors on the way in, the public readers and report or witness
 text (`_pair_text`) on the way out.  The one infinite value, where a
 ratio integral or an extension divisor demands it, is the pair (1, 0);
-an undefined ratio integral is None.  Sums along a line of the free measure
-(`Space.free_integral`, and the ratio integrals a family tabulates by
-region pair, `Tabulated.ratio_table`) are accumulated in integers by
+an undefined ratio integral is None.  Sums along a line of the free measure (the unit
+mass of a site, and the ratio integrals a family tabulates by region
+pair, `Tabulated.ratio_table`) are accumulated in integers by
 `_line_sum`, one numerator over one common denominator; a ratio
 integral's undefined, infinite and zero cases are decided once, by
 `_ratio_line`, and no `Fraction` is built for either.
@@ -23,16 +23,18 @@ integral's undefined, infinite and zero cases are decided once, by
 A configuration's index is its position in `Space.configurations()`: with
 pos(v) the alphabet position of v, (v_0 ... v_{n-1}, tail) has index
 tail_pos·q^n + Σ_k pos(v_k)·q^(n-1-k), site 0 most significant.  Its class
-off some hidden sites is the index with the hidden digits zeroed
-(`Space.class_index`), the index of the class's first member, read off
-one class map per tuple of hidden sites; `Space.class_bases` lists the
-distinct ones in order, once per tuple, for walks over the classes that
-need no `Configuration`.  The index is
-the only key inside the library: density tables are lists indexed by it,
-memos key classes by it, and kernel rows and measure weights are keyed by
-it.  `Configuration.key`, ``(values, tail)``, keys only the per-site
-tables a `SingletonFamily` is given and the report orders that sort
-points by it.
+off some hidden sites is the index with the hidden digits zeroed, the
+index of the class's first member, its class base: `Space.class_map`
+holds the base of every index per tuple of hidden sites, and
+`Space.class_bases` lists the distinct ones in order, once per tuple.
+The index is the only point inside the library: density tables are
+lists indexed by it, memos key classes by their base, kernel rows and
+measure weights are keyed by it, and private code passes indices and
+class bases, never a `Configuration`.  A `Configuration` is built only
+at the boundary: the public readers and the functions that take one,
+the raw weights a model is read at, and witness or error text.
+`Configuration.key`, ``(values, tail)``, keys only the per-site tables a
+`SingletonFamily` is given and the report orders that sort points by it.
 """
 
 from __future__ import annotations
@@ -342,12 +344,6 @@ class Configuration:
     def symbol(self, site: Site) -> str:
         return self.values[self.space.universe.index(site)]
 
-    def with_sites(self, assignment: Mapping[Site, str]) -> "Configuration":
-        for sym in assignment.values():
-            if sym not in self.space.alphabet:
-                raise DomainError(f"symbol {sym!r} not in alphabet")
-        return self.space.overlay(self, tuple(assignment), tuple(assignment.values()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
@@ -456,14 +452,6 @@ class Space(Frozen):
         """The number of configurations, T·q^n."""
         return len(self._configs)
 
-    def overlay(self, cfg: Configuration, region: tuple[Site, ...], symbols: tuple[str, ...]) -> Configuration:
-        """`cfg` with the sites of `region` rewritten to `symbols`."""
-        index = cfg.index
-        for site, sym in zip(region, symbols):
-            stride = self._strides[self.universe.index(site)]
-            index += (self._digits[sym] - index // stride % self._q) * stride
-        return self._configs[index]
-
     def strides(self, sites: Iterable[Site]) -> tuple[int, ...]:
         """The index stride of each of ``sites``, memoised per tuple."""
         sites = tuple(sites)
@@ -474,9 +462,10 @@ class Space(Frozen):
                 self._strides[self.universe.index(site)] for site in sites)
             return strides
 
-    def _class_map(self, hidden: Iterable[Site]) -> list[int]:
-        """The `class_index` off ``hidden`` of every configuration, in
-        index order, memoised per tuple."""
+    def class_map(self, hidden: Iterable[Site]) -> list[int]:
+        """The class base off ``hidden`` of every configuration index, in
+        index order: the index with the hidden digits zeroed, the index
+        of the class's first member.  Memoised per tuple."""
         hidden = tuple(hidden)
         try:
             return self._class_maps[hidden]
@@ -487,13 +476,8 @@ class Space(Frozen):
             self._class_maps[hidden] = classes
             return classes
 
-    def class_index(self, cfg: Configuration, hidden: Iterable[Site]) -> int:
-        """The exterior class of ``cfg`` off ``hidden``: its index with the
-        hidden digits zeroed, the index of the class's first member."""
-        return self._class_map(hidden)[cfg.index]
-
     def class_bases(self, hidden: Iterable[Site]) -> tuple[int, ...]:
-        """The sorted distinct class indices off ``hidden``: every hidden
+        """The sorted distinct class bases off ``hidden``: every hidden
         digit 0, the visible digits and the tail free.  Memoised per
         tuple; an input that raises leaves no entry."""
         hidden = tuple(hidden)
@@ -509,27 +493,23 @@ class Space(Frozen):
             bases = self._class_bases[hidden] = tuple(bases)
             return bases
 
-    def exterior_classes(self, hidden: Iterable[Site]) -> Iterator[Configuration]:
-        """The first member of each exterior class off ``hidden``, at its
-        `class_bases`."""
-        return map(self._configs.__getitem__, self.class_bases(hidden))
-
     def per_class(self, hidden: Iterable[Site],
-                  evaluate: Callable[[Configuration], object]) -> Iterator[tuple]:
-        """``(cfg, evaluate(cfg))`` for every configuration, in order, lazily,
-        for an ``evaluate`` that reads ``cfg`` only off ``hidden``: it runs
-        once per `class_index`, at the class's first member."""
+                  evaluate: Callable[[int], object]) -> Iterator[tuple[int, object]]:
+        """``(index, evaluate(base))`` for every configuration index, in
+        order, lazily, base the index's `class_map` entry off ``hidden``,
+        for an ``evaluate`` that reads its point only off ``hidden``: it
+        runs once per class, at the class base."""
         outcomes: dict[int, object] = {}
-        for cfg, key in zip(self._configs, self._class_map(hidden)):
-            if key not in outcomes:
-                outcomes[key] = evaluate(cfg)
-            yield cfg, outcomes[key]
+        for index, base in enumerate(self.class_map(hidden)):
+            if base not in outcomes:
+                outcomes[base] = evaluate(base)
+            yield index, outcomes[base]
 
-    # -- free integrals ----------------------------------------------------
+    # -- free weights ------------------------------------------------------
 
     def fill_pairs(self, region: tuple[Site, ...]) -> list[tuple[int, int, int]]:
         """``(offset, num, den)`` per fill of the canonical ``region``, in
-        `assignments` order: a class index off ``region`` plus the offset
+        `assignments` order: a class base off ``region`` plus the offset
         indexes the class member carrying the fill, and num/den, in lowest
         terms, is the fill's product free weight, multiplied out in
         integers.  Memoised per region."""
@@ -545,17 +525,3 @@ class Space(Frozen):
         pairs = self._fills[region] = [
             (offset, *_reduced(num, den)) for offset, num, den in fills]
         return pairs
-
-    def free_integral(self, region: tuple[Site, ...], value: Callable[[int], tuple[int, int]],
-                      cfg: Configuration) -> tuple[int, int]:
-        """Free integral over the canonical ``region`` at the class of
-        ``cfg`` of ``value``, an integer pair over a positive denominator
-        read at each member's configuration index, as `_line_sum`'s
-        integer pair."""
-        base = self._class_map(region)[cfg.index]
-        terms = []
-        for offset, w_num, w_den in self.fill_pairs(region):
-            v_num, v_den = value(base + offset)
-            if w_num and v_num:
-                terms.append((w_num * v_num, w_den * v_den))
-        return _line_sum(terms)

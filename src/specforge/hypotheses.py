@@ -248,7 +248,7 @@ def good_symbols(
     ctx, stride = family.cached(("good_symbols", site, context), canonical)
     symbols = space.alphabet.symbols
     return tuple(map(symbols.__getitem__, _good_digits(
-        _good_points(family, site, ctx), space.class_index(cfg, (site,)), stride,
+        _good_points(family, site, ctx), space.class_map((site,))[cfg.index], stride,
         len(symbols))))
 
 
@@ -317,10 +317,11 @@ def _floor_good_sets(family: SingletonFamily) -> dict[tuple[Site, str], tuple[st
     Computed once per family.
     """
     def compute() -> dict[tuple[Site, str], tuple[str, ...]]:
-        universe = family.space.universe
+        space = family.space
+        universe = space.universe
+        firsts = [space.at(b) for b in space.class_bases(universe.sites)]
         return {(site, cfg.tail): good_symbols(family, site, universe.complement((site,)), cfg)
-                for site in universe.sites
-                for cfg in family.space.exterior_classes(universe.sites)}
+                for site in universe.sites for cfg in firsts}
 
     return family.cached(("floor_good_sets",), compute)
 
@@ -418,15 +419,16 @@ def check_very_weak_positivity(
 
 
 def _per_pair_class(family: SingletonFamily, evaluate: Callable):
-    """``(cfg, i, j, outcome)`` per configuration, then site pair, with
-    ``evaluate(family, i, j, cfg)`` run once per exterior class off {i, j}.
+    """``(index, i, j, outcome)`` per configuration index, then site pair,
+    with ``evaluate(family, i, j, b)`` run once per exterior class off
+    {i, j}, at its class base b.
     """
     space = family.space
     pairs = list(itertools.combinations(space.universe.sites, 2))
-    for row in zip(*(space.per_class((i, j), lambda cfg, i=i, j=j: evaluate(family, i, j, cfg))
+    for row in zip(*(space.per_class((i, j), lambda b, i=i, j=j: evaluate(family, i, j, b))
                      for i, j in pairs)):
-        for (i, j), (cfg, outcome) in zip(pairs, row):
-            yield cfg, i, j, outcome
+        for (i, j), (index, outcome) in zip(pairs, row):
+            yield index, i, j, outcome
 
 
 def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
@@ -532,8 +534,8 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
 
         comparisons = 0
         failures: list[tuple] = []
-        for b, pos in sorted((cfg.index, pos) for pos, pair in enumerate(pairs)
-                             for cfg in space.exterior_classes(pair)):
+        for b, pos in sorted((b, pos) for pos, pair in enumerate(pairs)
+                             for b in space.class_bases(pair)):
             i, j = pairs[pos]
             s_i, s_j = space.strides((i, j))
             cfg = space.at(b)
@@ -602,14 +604,14 @@ def check_order_consistency(
 
 
 def _eight_factor_failures(
-    family: SingletonFamily, i: Site, j: Site, cfg: Configuration
+    family: SingletonFamily, i: Site, j: Site, b: int
 ) -> tuple[int, list[tuple]]:
-    """Comparison count and failing rows of the identity on pair {i, j}.
+    """Comparison count and failing rows of the identity on pair {i, j}
+    at the exterior class of class base ``b`` off the pair.
 
     Every configuration the identity reads rewrites both ``i`` and ``j``,
-    so the outcome depends on ``cfg`` only off {i, j}: it is read at the
-    class base b of ``cfg`` off the pair, by index, as `_pair_record`
-    reads its cells.  The good sets of i against {j} and of j against
+    so the outcome depends on a configuration only off {i, j}: it is
+    read at b, by index, as `_pair_record` reads its cells.  The good sets of i against {j} and of j against
     {i} are `_good_digits` of their `_good_points` tables at b (a table
     against {j} holds whole lines along j, so b stands for every member
     of the class), and each density the integer pair the family's
@@ -624,7 +626,6 @@ def _eight_factor_failures(
     symbols = space.alphabet.symbols
     q = len(symbols)
     s_i, s_j = space.strides((i, j))
-    b = space.class_index(cfg, (i, j))
     g_i = _good_digits(_good_points(family, i, (j,)), b, s_i, q)
     g_j = _good_digits(_good_points(family, j, (i,)), b, s_j, q)
     d_i, d_j = family._tables[(i,)], family._tables[(j,)]
@@ -701,7 +702,7 @@ def check_pointwise_compatibility(
             return report
     checked = 0
     violations = 0
-    for cfg, i, j, (count, failures) in _per_pair_class(
+    for index, i, j, (count, failures) in _per_pair_class(
             family, _eight_factor_failures):
         checked += count
         for u_i, u_j, x_i, x_j, lhs, rhs in failures:
@@ -713,7 +714,7 @@ def check_pointwise_compatibility(
                     f"({i!r}, {j!r})"
                 ),
                 replay=_replay_point(
-                    cfg,
+                    family.space.at(index),
                     site_first=str(i),
                     site_second=str(j),
                     free_first=u_i,
@@ -742,8 +743,10 @@ def two_point_identity(
     symbols must be good for their sites against the opposite site as
     context; on order-consistent families the two values are equal.
     Each integral is the family's `ratio_pair`, which the good symbols
-    keep in (0, inf); a miss raises `_kernel_failure`.  Both sides are
-    finite, returned as `Fraction`s.
+    keep in (0, inf); a miss raises `_kernel_failure`.  The rewritten
+    points are indices: a class base off the rewritten sites plus each
+    new symbol's digit times its site's stride.  Both sides are finite,
+    returned as `Fraction`s.
     """
     if site == other:
         raise DomainError("two-point identity needs two distinct sites")
@@ -757,14 +760,18 @@ def two_point_identity(
             f"symbol {x_other!r} is not good for site {other!r} against "
             f"[{site!r}] at {cfg!r}"
         )
-    both = cfg.with_sites({site: x_site, other: x_other})
+    space = family.space
+    digits = space._digits
+    strides = dict(zip((site, other), space.strides((site, other))))
+    both = (space.class_map((site, other))[cfg.index]
+            + digits[x_site] * strides[site] + digits[x_other] * strides[other])
     sides = []
     for own, against, x in ((site, other, x_site), (other, site, x_other)):
-        shifted = cfg.with_sites({own: x})
+        shifted = space.class_map((own,))[cfg.index] + digits[x] * strides[own]
         k = family.ratio_pair((against,), (own,), shifted)
         if k is None:
-            raise _kernel_failure(against, own, shifted, "two-point identity")
-        num, den = family._tables[(own,)][both.index]
+            raise _kernel_failure(against, own, space.at(shifted), "two-point identity")
+        num, den = family._tables[(own,)][both]
         sides.append(Fraction(num * k[0], den * k[1]))
     return sides[0], sides[1]
 
@@ -844,9 +851,9 @@ def check_bounded_positivity(
     `SingletonFamily.ratio_table`, class by class in index order, each
     an integer pair or None; a failing class is witnessed at its first
     member.  After `check_order_consistency`, which reads every table
-    once very weak positivity passes, no table is built afresh.
-    Extremes are kept as integer pairs and compared cross-multiplied;
-    denominators are positive.
+    once very weak positivity passes, no table is built afresh.  A pair
+    with a failing class reports no bounds; otherwise its extremes are
+    `_extreme_texts`'s.
 
     The strict identity is read off order consistency's `_pair_record`.
     With n ≥ 2 sites, passing bounds make every density positive: a zero
@@ -871,39 +878,31 @@ def check_bounded_positivity(
         for j in sites:
             if i == j:
                 continue
-            lo: tuple[int, int] | None = None
-            hi: tuple[int, int] | None = None
-            defined = True
-            for b, value in family.ratio_table((j,), (i,)).items():
-                if value is None or not value[0] or not value[1]:
-                    defined = False
-                    report.fail(witness_cap, lambda: Witness(
-                        check="bounded_positivity",
-                        description=(
-                            f"ratio integral of {j!r} against {i!r} is "
-                            + ("undefined" if value is None else
-                               "infinite" if not value[1] else "zero")
-                        ),
-                        replay=_replay_point(
-                            space.at(b), site=str(i), other=str(j),
-                        ),
-                    ))
-                    continue
-                f_num, f_den = value
-                if lo is None or f_num * lo[1] < lo[0] * f_den:
-                    lo = f_num, f_den
-                if hi is None or f_num * hi[1] > hi[0] * f_den:
-                    hi = f_num, f_den
-            bounds[f"{i}->{j}"] = {
-                "min": _pair_text(*_reduced(*lo)) if defined and lo is not None else None,
-                "max": _pair_text(*_reduced(*hi)) if defined and hi is not None else None,
-            }
+            table = family.ratio_table((j,), (i,))
+            undefined = [(b, value) for b, value in table.items()
+                         if value is None or not value[0] or not value[1]]
+            for b, value in undefined:
+                report.fail(witness_cap, lambda: Witness(
+                    check="bounded_positivity",
+                    description=(
+                        f"ratio integral of {j!r} against {i!r} is "
+                        + ("undefined" if value is None else
+                           "infinite" if not value[1] else "zero")
+                    ),
+                    replay=_replay_point(
+                        space.at(b), site=str(i), other=str(j),
+                    ),
+                ))
+            low, high = (None, None) if undefined else _extreme_texts(table.values())
+            bounds[f"{i}->{j}"] = {"min": low, "max": high}
     strict: bool | None = None
     if report.passed:
         strict = True
+        q = len(space.alphabet)
+        digits = space._digits
         for index, i, j, x, y, lhs, rhs in _pair_record(family)[1]:
-            cfg = space.at(index)
-            if (x, y) != (cfg.symbol(i), cfg.symbol(j)):
+            s_i, s_j = space.strides((i, j))
+            if (digits[x], digits[y]) != (index // s_i % q, index // s_j % q):
                 continue
             strict = False
             report.add_witness(witness_cap, lambda: Witness(
@@ -913,9 +912,29 @@ def check_bounded_positivity(
                     f"fails on pair ({i!r}, {j!r})"
                 ),
                 replay=_replay_point(
-                    cfg, site=str(i), other=str(j),
+                    space.at(index), site=str(i), other=str(j),
                 ),
                 lhs=_pair_text(*rhs), rhs=_pair_text(*lhs),
             ))
     report.data = {"bounds": bounds, "strict_identity": strict}
     return report
+
+
+def _extreme_texts(values: Iterable[tuple[int, int]]) -> tuple[str | None, str | None]:
+    """The texts of the least and the greatest of ``values``, integer
+    pairs over positive denominators compared cross-multiplied, each
+    reduced only to be written; (None, None) for no value.  The one
+    extremes loop of `check_bounded_positivity` and
+    `verifier.ratio_bounds`."""
+    lo = hi = None
+    for value in values:
+        num, den = value
+        if lo is None:
+            lo = hi = value
+        elif num * lo[1] < lo[0] * den:
+            lo = value
+        elif num * hi[1] > hi[0] * den:
+            hi = value
+    if lo is None:
+        return None, None
+    return _pair_text(*_reduced(*lo)), _pair_text(*_reduced(*hi))

@@ -66,8 +66,8 @@ class Tabulated:
         """``compute()``, memoised under ``key`` for the life of the family.
 
         ``key[0]`` names the kind of value, then come its sites or regions
-        and, for a value read at one exterior class, the `Space.class_index`
-        of that class, as in ``("extension_divisor", theta, gamma, class)``;
+        and, for a value read at one exterior class, the class base of
+        that class, as in ``("extension_divisor", theta, gamma, base)``;
         a `ratio_table` is keyed ``("ratio_table", over, against)``.
         Good-point tables are sets of configuration indices.  Values are
         shared, so callers only read them; a ``compute`` that raises
@@ -121,10 +121,11 @@ class Tabulated:
         return owner.cached(key, compute)
 
     def ratio_pair(self, over: tuple[Site, ...], against: tuple[Site, ...],
-                   cfg: Configuration) -> tuple[int, int] | None:
-        """The `ratio_table` entry at ``cfg``'s class off ``over``, as it
-        is, unreduced, when it lies in (0, inf), else None."""
-        pair = self.ratio_table(over, against)[self.space._class_map(over)[cfg.index]]
+                   index: int) -> tuple[int, int] | None:
+        """The `ratio_table` entry at the class off ``over`` of the
+        configuration ``index``, as it is, unreduced, when it lies in
+        (0, inf), else None."""
+        pair = self.ratio_table(over, against)[self.space.class_map(over)[index]]
         return pair if pair is not None and pair[0] and pair[1] else None
 
 
@@ -193,17 +194,22 @@ class SingletonFamily(Tabulated):
 
     def _check_unit_mass(self) -> None:
         """Each site's mass, the free integral of its density over its own
-        coordinate, is 1 at every exterior class: `Space.free_integral`'s
-        numerator equals its denominator."""
+        coordinate, is 1 at every exterior class: at each class base, the
+        `_line_sum` of the fills' weights times their densities, as
+        `normalize` sums its masses, has its numerator equal to its
+        denominator."""
         space = self.space
         for site in space.universe:
             table = self._tables[(site,)]
-            for cfg in space.exterior_classes((site,)):
-                num, den = space.free_integral((site,), table.__getitem__, cfg)
+            fills = space.fill_pairs((site,))
+            for base in space.class_bases((site,)):
+                num, den = _line_sum((w_num * table[base + offset][0],
+                                      w_den * table[base + offset][1])
+                                     for offset, w_num, w_den in fills)
                 if num != den:
                     raise NormalizationError(
                         f"site {site!r} has mass {_pair_text(*_reduced(num, den))} "
-                        f"(expected 1) at {cfg!r}"
+                        f"(expected 1) at {space.at(base)!r}"
                     )
 
     def density(self, site: Site, cfg: Configuration) -> Fraction:

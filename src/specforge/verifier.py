@@ -38,6 +38,7 @@ from .core import (
 from . import hypotheses
 from .constructor import (
     DensityFamily,
+    _pair_row,
     build_family,
 )
 from .hypotheses import (
@@ -45,6 +46,7 @@ from .hypotheses import (
     HypothesisFailure,
     HypothesisReport,
     Witness,
+    _extreme_texts,
     _replay_point,
     check_order_consistency,
     check_uniqueness_condition,
@@ -133,7 +135,7 @@ class FiniteMeasure:
         sites = space.universe.sites
 
         def compute() -> "FiniteMeasure":
-            mu = cls._of_pairs(space, _mixed_row([((1, 1), _pair_row(dens, sites, cfg))]))
+            mu = cls._of_pairs(space, _mixed_row([((1, 1), _pair_row(dens, sites, cfg.index))]))
             failures = _axiom_record(dens)[2]
             mu._cache.update({("preserved_by", dens, region): True
                               for region in space.universe.subsets()
@@ -148,7 +150,7 @@ class FiniteMeasure:
         space = self.space
         reg = space.universe.region(region)
         return FiniteMeasure._of_pairs(space, _mixed_row(
-            (w, _pair_row(dens, reg, space.at(index))) for index, w in self.weights.items()))
+            (w, _pair_row(dens, reg, index)) for index, w in self.weights.items()))
 
     def preserved_by(self, dens: DensityFamily, region: Iterable[Site]) -> bool:
         """Does the region's kernel map the measure to itself?  Memoised."""
@@ -163,7 +165,7 @@ class FiniteMeasure:
         space = self.space
         reg = space.universe.region(region)
         fills = [(offset, (num, den)) for offset, num, den in space.fill_pairs(reg) if num]
-        classes = space._class_map(reg)
+        classes = space.class_map(reg)
         return FiniteMeasure._of_pairs(space, _mixed_row(
             (w, {classes[index] + offset: kw for offset, kw in fills})
             for index, w in self.weights.items()))
@@ -233,13 +235,14 @@ def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozens
 
 
 def _support_value(dens: DensityFamily, over: tuple[Site, ...],
-                   against: tuple[Site, ...], cfg: Configuration) -> str | None:
-    """The text of density(over) / I at ``cfg``, I = ratio_pair(over,
-    against) read as it is, None where I is not in (0, inf)."""
-    integral = dens.ratio_pair(over, against, cfg)
+                   against: tuple[Site, ...], index: int) -> str | None:
+    """The text of density(over) / I at the configuration ``index``,
+    I = ratio_pair(over, against) read as it is, None where I is not in
+    (0, inf)."""
+    integral = dens.ratio_pair(over, against, index)
     if integral is None:
         return None
-    num, den = dens._tables[over][cfg.index]
+    num, den = dens._tables[over][index]
     return _pair_text(*_reduced(num * integral[1], den * integral[0]))
 
 
@@ -259,49 +262,21 @@ def _support_failures(dens: DensityFamily, region: tuple[Site, ...],
     for point in sorted(_good_core(dens.singletons, region)):
         a, b = table[point]
         for j, (v, w) in enumerate(sides):
-            i = dens.ratio_pair(v, w, dens.space.at(point))
+            i = dens.ratio_pair(v, w, point)
             c, d = dens._tables[v][point]
             if i is None or a * d * i[0] != c * b * i[1]:
                 yield point, j
 
 
-def _pair_row(dens: DensityFamily, region: tuple[Site, ...],
-              cfg: Configuration) -> dict[int, tuple[int, int]]:
-    """The kernel row of ``region`` at ``cfg``'s exterior class as integer
-    pairs: ``index -> (num, den)``, the weight v·w in lowest terms, for
-    the nonzero cells, in block order, v the density and w the product
-    free weight (`Space.fill_pairs`).  Equal rows are equal dicts; sums go through
-    `_line_sum`, and other comparisons cross-multiply.  A row reads the
-    density only at points that carry ``cfg`` off the region, so it is
-    fixed by the region and ``cfg``'s exterior class: memoised on the
-    family per region and class, at most as many pairs as the tables
-    hold cells.  ``region`` must be canonical; rows are shared, so
-    callers only read them.
-    """
-    space = dens.space
-    base = space.class_index(cfg, region)
-
-    def compute() -> dict[int, tuple[int, int]]:
-        table = dens._tables[region]
-        pairs = {}
-        for offset, w_num, w_den in space.fill_pairs(region):
-            v_num, v_den = table[base + offset]
-            if v_num and w_num:
-                pairs[base + offset] = _reduced(v_num * w_num, v_den * w_den)
-        return pairs
-
-    return dens.cached(("pair_row", region, base), compute)
-
-
 def _composed_row(outer: DensityFamily, outer_region: tuple[Site, ...],
                   inner: DensityFamily, inner_region: tuple[Site, ...],
-                  cfg: Configuration) -> dict[int, tuple[int, int]]:
-    """Row of (outer kernel) followed by (inner kernel) at one exterior,
-    as `_pair_row` holds rows: the `_mixed_row` of the outer row's
-    weights and the inner rows at its points."""
-    at = outer.space.at
-    return _mixed_row((w, _pair_row(inner, inner_region, at(mid)))
-                      for mid, w in _pair_row(outer, outer_region, cfg).items())
+                  index: int) -> dict[int, tuple[int, int]]:
+    """Row of (outer kernel) followed by (inner kernel) at the exterior
+    of the configuration ``index``, as `_pair_row` holds rows: the
+    `_mixed_row` of the outer row's weights and the inner rows at its
+    points."""
+    return _mixed_row((w, _pair_row(inner, inner_region, mid))
+                      for mid, w in _pair_row(outer, outer_region, index).items())
 
 
 def _mixed_row(parts: Iterable[tuple[tuple[int, int], dict[int, tuple[int, int]]]]
@@ -319,9 +294,9 @@ def _mixed_row(parts: Iterable[tuple[tuple[int, int], dict[int, tuple[int, int]]
 
 
 def _covering_pairs_agree(dens: DensityFamily, region: tuple[Site, ...],
-                          cfg: Configuration) -> bool:
-    """Does γ_Λ γ_{Λ∖x} = γ_Λ hold at ``cfg``'s exterior class, for
-    Λ = ``region`` and every x in Λ?
+                          base: int) -> bool:
+    """Does γ_Λ γ_{Λ∖x} = γ_Λ hold at the exterior class of class base
+    ``base``, for Λ = ``region`` and every x in Λ?
 
     Under (a) and (b) of `check_specification_axioms`, every point the
     row of Λ charges agrees with its exterior ω off Λ, and the row of
@@ -344,7 +319,7 @@ def _covering_pairs_agree(dens: DensityFamily, region: tuple[Site, ...],
     """
     space = dens.space
     q = len(space.alphabet)
-    direct = _pair_row(dens, region, cfg)
+    direct = _pair_row(dens, region, base)
     for site, stride in zip(region, space.strides(region)):
         weights: dict[int, list] = {}
         charged: dict[int, int] = {}
@@ -355,7 +330,7 @@ def _covering_pairs_agree(dens: DensityFamily, region: tuple[Site, ...],
         inner = tuple(s for s in region if s != site)
         for digit, pairs in weights.items():
             m_num, m_den = _line_sum(pairs)
-            for index, (w_num, w_den) in _pair_row(dens, inner, space.at(charged[digit])).items():
+            for index, (w_num, w_den) in _pair_row(dens, inner, charged[digit]).items():
                 if index not in direct:
                     return False
                 d_num, d_den = direct[index]
@@ -368,12 +343,13 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
     """Parts (b) and (c) of `check_specification_axioms`, once per
     family: ``(masses, pairs, failures)``.
 
-    ``masses`` lists ``(region, cfg, mass)`` at each configuration whose
-    row has mass other than 1, in region then configuration order; each
-    mass is the `_line_sum` of the class's `_pair_row`, reduced.  ``pairs``
-    counts the nested pairs of (c); ``failures`` maps each differing
-    (large, small) pair, in enumeration order, to its first differing
-    exterior class of ``large`` and smallest differing point.  When (b)
+    ``masses`` lists ``(region, index, mass)`` at each configuration
+    index whose row has mass other than 1, in region then index order;
+    each mass is the `_line_sum` of the class's `_pair_row`, reduced.
+    ``pairs`` counts the nested pairs of (c); ``failures`` maps each
+    differing (large, small) pair, in enumeration order, to the class
+    base of its first differing exterior class of ``large`` and the
+    index of its smallest differing point by `Configuration.key`.  When (b)
     holds and the covering pairs agree, the proof given there settles
     every pair and nothing is composed.  Otherwise (c) composes the pair
     rows pair by pair (`_composed_row`).  The axiom report, at every
@@ -384,28 +360,28 @@ def _axiom_record(dens: DensityFamily) -> tuple[list, int, dict]:
         universe = space.universe
         masses = []
         for region in universe.subsets():
-            for cfg, (num, den) in space.per_class(region, lambda cfg: _line_sum(
-                    _pair_row(dens, region, cfg).values())):
+            for index, (num, den) in space.per_class(region, lambda base: _line_sum(
+                    _pair_row(dens, region, base).values())):
                 if num != den:
-                    masses.append((region, cfg, _reduced(num, den)))
-        if not masses and all(_covering_pairs_agree(dens, region, cfg)
+                    masses.append((region, index, _reduced(num, den)))
+        if not masses and all(_covering_pairs_agree(dens, region, base)
                               for region in universe.subsets()
-                              for cfg in space.exterior_classes(region)):
+                              for base in space.class_bases(region)):
             n, q, t = len(universe), len(space.alphabet), len(space.tail_classes)
             return masses, t * (q + 2) ** n, {}
         pairs = 0
         failures: dict = {}
         for large in universe.subsets():
             for small in universe.subsets(large):
-                for cfg in space.exterior_classes(large):
+                for base in space.class_bases(large):
                     pairs += 1
-                    direct = _pair_row(dens, large, cfg)
-                    composed = _composed_row(dens, large, dens, small, cfg)
+                    direct = _pair_row(dens, large, base)
+                    composed = _composed_row(dens, large, dens, small, base)
                     if direct != composed:
-                        point = min((space.at(i) for i in direct.keys() | composed.keys()
+                        point = min((i for i in direct.keys() | composed.keys()
                                      if direct.get(i) != composed.get(i)),
-                                    key=lambda p: p.key)
-                        failures[large, small] = (cfg, point)
+                                    key=lambda i: space.at(i).key)
+                        failures[large, small] = (base, point)
                         break
         return masses, pairs, failures
 
@@ -425,7 +401,7 @@ def check_specification_axioms(
 
     (a), and the off-region half of (b), hold for every density table.
     `assemble_kernel` and `_pair_row` read ``cfg`` only through its
-    class index off the region, plus the offsets of the region's fills,
+    class base off the region, plus the offsets of the region's fills,
     which rewrite every coordinate of the region.  So the members of one
     exterior class read the same cells and give the same row, and every
     point a row charges carries ``cfg``'s coordinates off the region.
@@ -456,22 +432,23 @@ def check_specification_axioms(
         space = dens.space
         masses, pairs, failures = _axiom_record(dens)
         report = HypothesisReport(name="specification_axioms", passed=True)
-        for region, cfg, mass in masses:
+        for region, index, mass in masses:
             report.fail(witness_cap, lambda: Witness(
                 check="point_mass_off_region",
                 description=(
                     f"kernel of {[str(s) for s in region]!r} has mass {_pair_text(*mass)}"
                 ),
-                replay=_replay_point(cfg, region=[str(s) for s in region]),
+                replay=_replay_point(space.at(index), region=[str(s) for s in region]),
             ))
-        for (large, small), (cfg, point) in failures.items():
+        for (large, small), (base, index) in failures.items():
+            point = space.at(index)
             report.fail(witness_cap, lambda: Witness(
                 check="consistency",
                 description=(
                     f"composing {[str(s) for s in small]!r} after "
                     f"{[str(s) for s in large]!r} changes the kernel"
                 ),
-                replay=_replay_point(cfg, large=[str(s) for s in large],
+                replay=_replay_point(space.at(base), large=[str(s) for s in large],
                                      small=[str(s) for s in small],
                                      point_assignment=list(point.values),
                                      point_tail=point.tail),
@@ -511,14 +488,20 @@ def exchange_identity(
         raise DomainError("exchange identity needs disjoint regions")
     union = space.universe.region(a + b)
 
-    def integrate(region, x, h) -> Fraction:
-        row = _pair_row(dens, region, x)
-        return sum((Fraction(*w) * h(space.at(i)) for i, w in row.items()), Fraction(0))
+    def integrate(region, index: int, h) -> Fraction:
+        row = _pair_row(dens, region, index)
+        return sum((Fraction(*w) * h(i) for i, w in row.items()), Fraction(0))
 
-    lhs = integrate(union, cfg, lambda x: f(x) * integrate(
-        a, x, lambda y: integrate(b, y, g)))
-    rhs = integrate(union, cfg, lambda x: g(x) * integrate(
-        b, x, lambda y: integrate(a, y, f)))
+    def f_at(index: int) -> Fraction:
+        return f(space.at(index))
+
+    def g_at(index: int) -> Fraction:
+        return g(space.at(index))
+
+    lhs = integrate(union, cfg.index, lambda x: f_at(x) * integrate(
+        a, x, lambda y: integrate(b, y, g_at)))
+    rhs = integrate(union, cfg.index, lambda x: g_at(x) * integrate(
+        b, x, lambda y: integrate(a, y, f_at)))
     return lhs, rhs
 
 
@@ -574,15 +557,15 @@ def uniqueness_probe(
     multi_regions = [r for r in universe.subsets() if len(r) >= 2]
 
     def singleton_consistent(family: DensityFamily, region: tuple[Site, ...]) -> bool:
-        return all(_pair_row(family, region, cfg)
-                   == _composed_row(family, region, dens, (site,), cfg)
-                   for site in region for cfg in space.exterior_classes(region))
+        return all(_pair_row(family, region, base)
+                   == _composed_row(family, region, dens, (site,), base)
+                   for site in region for base in space.class_bases(region))
 
     failures = _axiom_record(dens)[2]
     for region in multi_regions:
         site = next((s for s in region if (region, (s,)) in failures), None)
         if site is not None:
-            cfg = failures[region, (site,)][0]
+            cfg = space.at(failures[region, (site,)][0])
             report.fail(witness_cap, lambda: Witness(
                 check="uniqueness_probe",
                 description=(
@@ -596,7 +579,7 @@ def uniqueness_probe(
     perturbations = []
     for trial in range(trials if multi_regions else 0):
         region = multi_regions[rng.randrange(len(multi_regions))]
-        reps = list(space.exterior_classes(region))
+        reps = space.class_bases(region)
         rep = reps[rng.randrange(len(reps))]
         fills = space.fill_pairs(region)
         original = dens._tables[region]
@@ -606,17 +589,18 @@ def uniqueness_probe(
             m_num, m_den = _line_sum((raw * w_num, w_den)
                                      for raw, (_, w_num, w_den) in zip(raws, fills))
             for raw, (offset, _, _) in zip(raws, fills):
-                new_table[rep.index + offset] = _reduced(raw * m_den, m_num)
+                new_table[rep + offset] = _reduced(raw * m_den, m_num)
             if new_table != original:
                 break
         else:
             continue
         perturbed = dens._sibling(region, new_table)
         ok = singleton_consistent(perturbed, region)
+        first = space.at(rep)
         perturbations.append({
             "region": [str(s) for s in region],
-            "tail": rep.tail,
-            "exterior": list(rep.values),
+            "tail": first.tail,
+            "exterior": list(first.values),
             "violates": not ok,
         })
         if ok:
@@ -627,7 +611,7 @@ def uniqueness_probe(
                     "a perturbed family still satisfies singleton "
                     f"consistency on {[str(s) for s in region]!r}"
                 ),
-                replay=_replay_point(rep, region=[str(s) for s in region]),
+                replay=_replay_point(first, region=[str(s) for s in region]),
             ))
 
     rederived_points = 0
@@ -640,11 +624,10 @@ def uniqueness_probe(
         if not walk:
             continue
         sides = [((k,), tuple(s for s in region if s != k)) for k in region]
-        classes = space._class_map(region)
+        classes = space.class_map(region)
         for point, j in sorted(_support_failures(dens, region, sides),
                                key=lambda failure: classes[failure[0]]):
             rederive_ok = False
-            shifted = space.at(point)
             report.fail(witness_cap, lambda: Witness(
                 check="uniqueness_probe",
                 description=(
@@ -652,10 +635,10 @@ def uniqueness_probe(
                     f"with the built density on "
                     f"{[str(s) for s in region]!r}"
                 ),
-                replay=_replay_point(shifted, region=[str(s) for s in region],
+                replay=_replay_point(space.at(point), region=[str(s) for s in region],
                                      site=str(region[j])),
                 lhs=_pair_text(*dens._tables[region][point]),
-                rhs=_support_value(dens, *sides[j], shifted) or "undefined",
+                rhs=_support_value(dens, *sides[j], point) or "undefined",
             ))
     report.data = {
         "seed": seed,
@@ -745,15 +728,14 @@ def good_support_report(
         failed = dict.fromkeys((point, j // 2) for point, j
                                in _support_failures(dens, region, sides))
         for point, split in failed:
-            cfg = space.at(point)
             v, w = splits[split]
-            values = [_support_value(dens, v, w, cfg), _support_value(dens, w, v, cfg)]
+            values = [_support_value(dens, v, w, point), _support_value(dens, w, v, point)]
             values = values[:values.index(None)] if None in values else values
             report.fail(witness_cap, lambda: Witness(
                 check="good_support",
                 description=(f"support identity fails on region {[str(s) for s in region]!r} "
                              f"split {[str(s) for s in v]!r} / {[str(s) for s in w]!r}"),
-                replay=_replay_point(cfg),
+                replay=_replay_point(space.at(point)),
                 lhs=_pair_text(*dens._tables[region][point]),
                 rhs=",".join(values) or "undefined",
             ))
@@ -990,7 +972,7 @@ def quasilocality_diagnostic(dens: DensityFamily) -> HypothesisReport:
             "far_sites": [str(s) for s in far],
             "far_distance": dmax,
             "far_variation": _pair_text(*_reduced(*_largest_spread(
-                table, space._class_map(far)))),
+                table, space.class_map(far)))),
             "tail_variation": _pair_text(*_reduced(*_largest_spread(table, assignments))),
         }
     report.data = {"regions": per_region}
@@ -1005,8 +987,8 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
     defined (no positive density over a vanishing single-site density,
     no 0/0) with finite positive extremes.  Both tables are read by
     index; each ratio is kept as an integer pair over a positive
-    denominator and compared cross-multiplied, and only each reported
-    bound is reduced.
+    denominator, and a region with no vanishing member density reports
+    `hypotheses._extreme_texts` of its ratios.
     """
     space = dens.space
     report = HypothesisReport(name="ratio_bounds", passed=True)
@@ -1014,36 +996,28 @@ def ratio_bounds(dens: DensityFamily, witness_cap: int = WITNESS_CAP) -> Hypothe
     for region in space.universe.subsets():
         if not region:
             continue
-        lo: tuple[int, int] | None = None
-        hi: tuple[int, int] | None = None
-        defined = True
         table = dens._tables[region]
+        ratios = []
+        defined = True
         for site in region:
             for index, ((n_num, n_den), (d_num, d_den)) in enumerate(
                     zip(table, dens._tables[(site,)])):
-                if not d_num:
-                    defined = False
-                    report.fail(witness_cap, lambda: Witness(
-                        check="ratio_bounds",
-                        description=(
-                            f"density of member {site!r} vanishes, no "
-                            "two-sided bound for region "
-                            f"{[str(s) for s in region]!r}"
-                        ),
-                        replay=_replay_point(space.at(index), site=str(site)),
-                    ))
+                if d_num:
+                    ratios.append((n_num * d_den, n_den * d_num))
                     continue
-                v_num, v_den = n_num * d_den, n_den * d_num
-                if lo is None or v_num * lo[1] < lo[0] * v_den:
-                    lo = v_num, v_den
-                if hi is None or v_num * hi[1] > hi[0] * v_den:
-                    hi = v_num, v_den
-        key = "+".join(str(s) for s in region)
-        bounds[key] = {
-            "lower": _pair_text(*_reduced(*lo)) if defined and lo is not None else None,
-            "upper": _pair_text(*_reduced(*hi)) if defined and hi is not None else None,
-        }
-        if defined and lo is not None and not lo[0]:
+                defined = False
+                report.fail(witness_cap, lambda: Witness(
+                    check="ratio_bounds",
+                    description=(
+                        f"density of member {site!r} vanishes, no "
+                        "two-sided bound for region "
+                        f"{[str(s) for s in region]!r}"
+                    ),
+                    replay=_replay_point(space.at(index), site=str(site)),
+                ))
+        lower, upper = _extreme_texts(ratios) if defined else (None, None)
+        bounds["+".join(str(s) for s in region)] = {"lower": lower, "upper": upper}
+        if lower == "0":
             report.fail(witness_cap, lambda: Witness(
                 check="ratio_bounds",
                 description=(

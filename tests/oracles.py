@@ -41,7 +41,12 @@ pair reduced over a positive denominator.
 ``masked_key`` is the tuple key (hidden sites set to None) that named
 exterior classes before the class index did.
 ``naive_exterior_classes`` is the first-occurrence scan over every
-configuration that ``Space.exterior_classes`` replaced;
+configuration, the first member of each class, whose indices
+``Space.class_bases`` lists.  ``with_sites``, ``overlay`` and
+``class_index`` rewrite sites of a configuration, and find its class
+base, by building the rewritten configuration through
+``Space.configuration``, never by the library's stride arithmetic,
+which they check;
 ``site_ratio_kernel`` and ``regional_ratio_integral`` are the two guarded
 ratio integrals that the families' ratio tables (``Tabulated.ratio_table``)
 replaced, one reading a singleton family site by site and one reading a
@@ -348,7 +353,7 @@ def fill_offsets(space, region) -> list[tuple[int, Fraction]]:
     index off ``region`` plus it indexes the class member carrying the
     fill, and the weight is its ``product_weight``."""
     first = space.at(0)
-    return [(naive_index(space, first.with_sites(dict(zip(region, fill)))),
+    return [(naive_index(space, with_sites(first, dict(zip(region, fill)))),
              product_weight(space, region, fill))
             for fill in space.assignments(region)]
 
@@ -394,7 +399,7 @@ def expect(mu, h) -> Fraction:
 def kernel_weights(family, site, cfg) -> dict:
     """The single-site kernel row at cfg: symbol -> density * free weight."""
     space = family.space
-    base = space.class_index(cfg, (site,))
+    base = class_index(space, cfg, (site,))
     return {sym: family.density(site, space.at(base + offset)) * w
             for sym, (offset, w) in zip(space.alphabet, fill_offsets(space, (site,)))}
 
@@ -466,6 +471,33 @@ def naive_exterior_classes(space, hidden):
         yield cfg
 
 
+def with_sites(cfg, assignment):
+    """``cfg`` with the sites of ``assignment`` rewritten to its symbols,
+    built through ``Space.configuration`` from every site's symbol: the
+    ``Configuration.with_sites`` of the library before its private code
+    passed configuration indices, without its stride arithmetic."""
+    space = cfg.space
+    symbols = {site: cfg.symbol(site) for site in space.universe}
+    for site, sym in assignment.items():
+        space.universe.index(site)  # refuses a site off the window
+        symbols[site] = sym
+    return space.configuration(symbols, cfg.tail)
+
+
+def overlay(space, cfg, region, symbols):
+    """``cfg`` with the sites of ``region`` rewritten to ``symbols``, by
+    ``with_sites``: the library's former ``Space.overlay``."""
+    return with_sites(cfg, dict(zip(region, symbols)))
+
+
+def class_index(space, cfg, hidden) -> int:
+    """The ``naive_index`` of ``cfg`` with every ``hidden`` site on the
+    first symbol: the index of the first member of ``cfg``'s exterior
+    class off ``hidden``, the library's class base."""
+    first = space.alphabet.symbols[0]
+    return naive_index(space, with_sites(cfg, dict.fromkeys(hidden, first)))
+
+
 def free_kernel(space, sites, h, cfg) -> ExtendedRational:
     """Integrate ``h`` over the given sites against the free weights.
 
@@ -477,7 +509,7 @@ def free_kernel(space, sites, h, cfg) -> ExtendedRational:
     region = space.universe.region(sites)
     if not region:
         return ExtendedRational(h(cfg))
-    base = space.class_index(cfg, region)
+    base = class_index(space, cfg, region)
     total = Fraction(0)
     infinite = False
     for offset, w in fill_offsets(space, region):
@@ -499,7 +531,7 @@ def check_unit_mass(space, tables) -> None:
     class's mass a ``free_kernel`` value compared with 1."""
     for site in space.universe:
         table = tables[(site,)]
-        for cfg in space.exterior_classes((site,)):
+        for cfg in naive_exterior_classes(space, (site,)):
             mass = free_kernel(space, (site,), lambda c: table[c.index], cfg)
             if mass != 1:
                 raise NormalizationError(
@@ -511,7 +543,7 @@ def ratio_integral(space, over, num, den, cfg):
     """Free integral over the canonical sites ``over`` of num/den at ``cfg``,
     read from flat tables, one `Fraction` operation per term; None where
     undefined, INF where infinite."""
-    base = space.class_index(cfg, over)
+    base = class_index(space, cfg, over)
     total = Fraction(0)
     infinite = False
     for offset, w in fill_offsets(space, over):
@@ -579,7 +611,7 @@ def regional_ratio_integral(dens, over, num_region, den_region, cfg):
     infinite = False
     for fill in space.assignments(over):
         w = product_weight(space, over, fill)
-        point = space.overlay(cfg, over, fill)
+        point = overlay(space, cfg, over, fill)
         num = dens.density(num_region, point)
         den = dens.density(den_region, point)
         if den == 0:
@@ -607,7 +639,7 @@ class BlockKernel:
         for block, w in self.weights.items():
             if w == 0:
                 continue
-            total += w * h(space.overlay(self.exterior, self.region, block))
+            total += w * h(overlay(space, self.exterior, self.region, block))
         return total
 
 
@@ -617,7 +649,7 @@ def block_kernel(dens, region, cfg) -> BlockKernel:
     reg = space.universe.region(region)
     weights = {}
     for block in space.assignments(reg):
-        point = space.overlay(cfg, reg, block)
+        point = overlay(space, cfg, reg, block)
         weights[block] = dens.density(reg, point) * product_weight(space, reg, block)
     return BlockKernel(region=reg, exterior=cfg, weights=weights)
 
@@ -627,7 +659,7 @@ def kernel_row(dens, region, cfg) -> dict:
     space = dens.space
     table = block_kernel(dens, region, cfg)
     return {
-        space.overlay(cfg, table.region, block).key: w
+        overlay(space, cfg, table.region, block).key: w
         for block, w in table.weights.items()
         if w != 0
     }
@@ -703,7 +735,7 @@ def push_free(mu, region) -> dict:
         for fill in space.assignments(reg):
             kw = product_weight(space, reg, fill)
             if kw:
-                point = naive_index(space, cfg.with_sites(dict(zip(reg, fill))))
+                point = naive_index(space, with_sites(cfg, dict(zip(reg, fill))))
                 out[point] = out.get(point, Fraction(0)) + w * kw
     return out
 
@@ -775,7 +807,7 @@ def pair_divisor(family, site, other, cfg) -> ExtendedRational:
         )
     seen = []
     for x in good:
-        shifted = cfg.with_sites({site: x})
+        shifted = with_sites(cfg, {site: x})
         num = family.density(site, shifted)
         den = family.density(other, shifted)
         integral = checked_ratio_kernel(family, other, site, shifted, "pair_divisor")
@@ -917,12 +949,12 @@ def membership_measurability(singletons) -> tuple[int, list]:
         for ctx in universe.subsets(universe.complement((site,))):
             if not ctx:
                 continue
-            for cfg in space.exterior_classes(ctx):
+            for cfg in naive_exterior_classes(space, ctx):
                 base = site_is_good(singletons, site, ctx, cfg)
                 for fill in space.assignments(ctx):
                     points += 1
                     if site_is_good(
-                        singletons, site, ctx, space.overlay(cfg, ctx, fill)
+                        singletons, site, ctx, overlay(space, cfg, ctx, fill)
                     ) != base:
                         violations.append((site, ctx, cfg, fill))
     return points, violations
@@ -1119,7 +1151,7 @@ def exchange_suite(dens) -> HypothesisReport:
     evaluations = 0
     for i, site_a in enumerate(sites):
         for site_b in sites[i + 1:]:
-            for cfg in space.exterior_classes((site_a, site_b)):
+            for cfg in naive_exterior_classes(space, (site_a, site_b)):
                 for sym_a in symbols:
                     for sym_b in symbols:
                         def f(x, s=site_a, v=sym_a) -> Fraction:
@@ -1159,7 +1191,7 @@ def consistency_side(family, first, second, cfg, x_first) -> Fraction:
     shifted), where shifted rewrites ``first`` to the good symbol
     ``x_first``.  Finite by the good-set guarantees.
     """
-    shifted = cfg.with_sites({first: x_first})
+    shifted = with_sites(cfg, {first: x_first})
     integral = checked_ratio_kernel(family, second, first, shifted, "order consistency")
     num = family.density(first, cfg) * family.density(second, shifted)
     den = family.density(first, shifted) * integral
@@ -1272,30 +1304,37 @@ def check_pointwise_compatibility(family, witness_cap=WITNESS_CAP) -> Hypothesis
     says.
     """
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
+    space = family.space
+    pairs = list(itertools.combinations(space.universe.sites, 2))
+    outcomes = {}
     checked = 0
     violations = 0
-    for cfg, i, j, (count, failures) in hypotheses._per_pair_class(
-            family, eight_factor_failures):
-        checked += count
-        for u_i, u_j, x_i, x_j, lhs, rhs in failures:
-            violations += 1
-            report.fail(witness_cap, lambda: Witness(
-                check="pointwise_compatibility",
-                description=(
-                    f"eight-factor identity fails on pair "
-                    f"({i!r}, {j!r})"
-                ),
-                replay=_replay_point(
-                    cfg,
-                    site_first=str(i),
-                    site_second=str(j),
-                    free_first=u_i,
-                    free_second=u_j,
-                    good_first=x_i,
-                    good_second=x_j,
-                ),
-                lhs=str(lhs), rhs=str(rhs),
-            ))
+    for cfg in space.configurations():
+        for i, j in pairs:
+            key = (i, j, masked_key(space, cfg, (i, j)))
+            if key not in outcomes:
+                outcomes[key] = eight_factor_failures(family, i, j, cfg)
+            count, failures = outcomes[key]
+            checked += count
+            for u_i, u_j, x_i, x_j, lhs, rhs in failures:
+                violations += 1
+                report.fail(witness_cap, lambda: Witness(
+                    check="pointwise_compatibility",
+                    description=(
+                        f"eight-factor identity fails on pair "
+                        f"({i!r}, {j!r})"
+                    ),
+                    replay=_replay_point(
+                        cfg,
+                        site_first=str(i),
+                        site_second=str(j),
+                        free_first=u_i,
+                        free_second=u_j,
+                        good_first=x_i,
+                        good_second=x_j,
+                    ),
+                    lhs=str(lhs), rhs=str(rhs),
+                ))
     report.data = {"comparisons": checked, "violations": violations}
     return report
 
@@ -1323,7 +1362,7 @@ def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRepor
             lo: Fraction | None = None
             hi: Fraction | None = None
             defined = True
-            for cfg in space.exterior_classes((j,)):
+            for cfg in naive_exterior_classes(space, (j,)):
                 value = site_ratio_kernel(family, j, j, i, cfg)
                 integrals[(i, j, masked_key(space, cfg, (j,)))] = value
                 if value is None or value.is_infinite or value == 0:
@@ -1399,7 +1438,7 @@ def extension_divisor(dens, theta, gamma, cfg) -> ExtendedRational:
     value = None
     first_block = None
     for block in blocks:
-        shifted = space.overlay(cfg, th, block)
+        shifted = overlay(space, cfg, th, block)
         num = dens.density(th, shifted)
         den = dens.density(ga, shifted)
         if num == 0:
@@ -1480,7 +1519,7 @@ def build_tables(singletons) -> dict:
         for cfg in configs:
             divisors = set()
             for block in hypotheses.good_blocks(singletons, theta, gamma, cfg):
-                point = space.overlay(cfg, theta, block)
+                point = overlay(space, cfg, theta, block)
                 integral = ratio_integral(space, gamma, tables[gamma], tables[theta], point)
                 divisors.add(ratio(tables[theta][point.index], tables[gamma][point.index])
                              * integral)
@@ -1528,7 +1567,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
 
     def singleton_consistent(family, region):
         for site in region:
-            for cfg in space.exterior_classes(region):
+            for cfg in naive_exterior_classes(space, region):
                 direct = constructor.assemble_kernel(family, region, cfg)
                 composed = composed_row(family, region, dens, (site,), cfg)
                 composed = {k: v for k, v in composed.items() if v != 0}
@@ -1558,7 +1597,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
     perturbations = []
     for trial in range(trials if multi_regions else 0):
         region = multi_regions[rng.randrange(len(multi_regions))]
-        reps = list(space.exterior_classes(region))
+        reps = list(naive_exterior_classes(space, region))
         rep = reps[rng.randrange(len(reps))]
         blocks = list(space.assignments(region))
         original = dens.table(region)
@@ -1572,7 +1611,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
             row = {block: raw[block] / mass for block in blocks}
             changed = False
             for block in blocks:
-                index = space.overlay(rep, region, block).index
+                index = overlay(space, rep, region, block).index
                 if original[index] != row[block]:
                     changed = True
                 new_table[index] = row[block]
@@ -1606,7 +1645,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
     for region in multi_regions:
         for cfg in space.configurations():
             for block in hypotheses.good_blocks(singletons, region, (), cfg):
-                shifted = space.overlay(cfg, region, block)
+                shifted = overlay(space, cfg, region, block)
                 for k in region:
                     rest = universe.region(s for s in region if s != k)
                     integral = regional_ratio_integral(dens, (k,), (k,), rest, shifted)
@@ -1788,7 +1827,7 @@ def check_specification_axioms(dens, witness_cap=WITNESS_CAP) -> HypothesisRepor
                 ))
     for large in universe.subsets():
         for small in universe.subsets(large):
-            for cfg in space.exterior_classes(large):
+            for cfg in naive_exterior_classes(space, large):
                 checks["nested_pairs"] += 1
                 direct = keyed(space, constructor.assemble_kernel(dens, large, cfg))
                 composed: dict = {}
@@ -1841,7 +1880,7 @@ def check_very_weak_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRep
     for site in space.universe.sites:
         complement = space.universe.complement((site,))
         for ctx in space.universe.subsets(complement):
-            for cfg in space.exterior_classes(ctx + (site,)):
+            for cfg in naive_exterior_classes(space, ctx + (site,)):
                 checked += 1
                 if not hypotheses.good_symbols(family, site, ctx, cfg):
                     violations += 1
@@ -1870,7 +1909,7 @@ def check_uniqueness_condition(family, witness_cap=WITNESS_CAP) -> HypothesisRep
     for site in space.universe.sites:
         complement = space.universe.complement((site,))
         for ctx in space.universe.subsets(complement):
-            for cfg in space.exterior_classes(ctx + (site,)):
+            for cfg in naive_exterior_classes(space, ctx + (site,)):
                 checked += 1
                 mass = sum(
                     (space.free.weight(site, x)
@@ -1927,14 +1966,14 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
             for k in theta:
                 theta_rest = universe.region(s for s in theta if s != k)
                 gamma_plus = universe.region(gamma + (k,))
-                for cfg in space.exterior_classes(theta):
+                for cfg in naive_exterior_classes(space, theta):
                     for block in hypotheses.good_blocks(dens.singletons, theta, gamma, cfg):
                         checked += 1
-                        shifted = space.overlay(cfg, theta, block)
+                        shifted = overlay(space, cfg, theta, block)
                         rest_block = tuple(
                             b for s, b in zip(theta, block) if s != k
                         )
-                        shifted_rest = space.overlay(cfg, theta_rest, rest_block)
+                        shifted_rest = overlay(space, cfg, theta_rest, rest_block)
                         lhs = regional_ratio_integral(dens, gamma, gamma, theta, shifted)
                         f1 = regional_ratio_integral(dens, gamma, gamma, (k,), shifted)
                         f2 = regional_ratio_integral(
@@ -1993,7 +2032,7 @@ def joint_conditional(space, joint, region) -> list:
     ``product_weight`` on ``region``, each section summed afresh."""
     table = []
     for cfg in space.configurations():
-        section = sum((joint[space.overlay(cfg, region, fill).values]
+        section = sum((joint[overlay(space, cfg, region, fill).values]
                        for fill in space.assignments(region)), Fraction(0))
         free = product_weight(space, region, tuple(cfg.symbol(s) for s in region))
         table.append(joint[cfg.values] / (section * free))
@@ -2068,10 +2107,10 @@ def two_point_identity(family, site, other, cfg, x_site, x_other):
             f"symbol {x_other!r} is not good for site {other!r} against "
             f"[{site!r}] at {cfg!r}"
         )
-    both = cfg.with_sites({site: x_site, other: x_other})
-    left = checked_ratio_kernel(family, other, site, cfg.with_sites({site: x_site}),
+    both = with_sites(cfg, {site: x_site, other: x_other})
+    left = checked_ratio_kernel(family, other, site, with_sites(cfg, {site: x_site}),
                                 "two-point identity")
-    right = checked_ratio_kernel(family, site, other, cfg.with_sites({other: x_other}),
+    right = checked_ratio_kernel(family, site, other, with_sites(cfg, {other: x_other}),
                                  "two-point identity")
     return family.density(site, both) * left, family.density(other, both) * right
 

@@ -28,7 +28,7 @@ from specforge import (
 from specforge.cli.modelfile import parse_model_file
 
 import zoo
-from oracles import INF, ExtendedRational, fraction_values, pair_divisor, product_weight
+from oracles import ExtendedRational, fraction_values, INF, overlay, pair_divisor, product_weight
 
 
 def bundled(name: str) -> str:
@@ -39,7 +39,7 @@ def conditional_density(space, joint, region, cfg) -> Fraction:
     """Oracle: the conditional density of a joint weight, from scratch."""
     section = Fraction(0)
     for fill in space.assignments(region):
-        section += joint[space.overlay(cfg, region, fill).values]
+        section += joint[overlay(space, cfg, region, fill).values]
     free = product_weight(space, region, tuple(cfg.symbol(s) for s in region))
     return joint[cfg.values] / (section * free)
 
@@ -48,7 +48,7 @@ def free_mass_of_region(space, dens, region, cfg) -> Fraction:
     """Oracle: the free integral of a region's density at one exterior."""
     total = Fraction(0)
     for fill in space.assignments(region):
-        point = space.overlay(cfg, region, fill)
+        point = overlay(space, cfg, region, fill)
         total += product_weight(space, region, fill) * dens.density(region, point)
     return total
 

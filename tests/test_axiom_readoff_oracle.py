@@ -125,10 +125,10 @@ def test_a_record_patched_to_fail_walks(name, part, divisors):
     fam = GATED[name]()
     dens = build_family(fam, checked=True)
     masses, pairs, failures = _axiom_record(dens)
-    window, cfg = dens.space.universe.sites, dens.space.at(0)
+    window = dens.space.universe.sites
     dens._cache[("axiom_record",)] = (
-        ([(window, cfg, 2)], pairs, failures) if part == "masses"
-        else (masses, pairs, {(window, ()): (cfg, cfg)}))
+        ([(window, 0, (2, 1))], pairs, failures) if part == "masses"
+        else (masses, pairs, {(window, ()): (0, 0)}))
     divisors.clear()
     reports = outcomes(fam)
     assert divisors[id(dens)] > 0

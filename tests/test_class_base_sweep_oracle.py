@@ -2,7 +2,8 @@
 configurations.
 
 ``Space.class_bases(hidden)`` lists the sorted distinct class indices
-off ``hidden``; it must equal the indices of
+off ``hidden``; it, and the distinct entries of ``Space.class_map``,
+must equal the indices of
 ``oracles.naive_exterior_classes``, the first-occurrence scan, for every
 hidden tuple (every subset, in universe order and reversed), on spaces
 with two tail classes and three symbols and with one symbol, and an
@@ -63,7 +64,7 @@ def test_class_bases_equal_the_first_occurrence_scan(space):
             bases = space.class_bases(hidden)
             assert list(bases) == want, hidden
             assert space.class_bases(hidden) is bases
-            assert list(space.exterior_classes(hidden)) == [space.at(b) for b in want]
+            assert sorted(set(space.class_map(hidden))) == want, hidden
 
 
 @pytest.mark.parametrize("hidden", [("nowhere",), ("s1", "nowhere")])
@@ -73,8 +74,9 @@ def test_an_unknown_site_raises_on_every_call(hidden):
         with pytest.raises(DomainError, match="nowhere"):
             space.class_bases(hidden)
         with pytest.raises(DomainError, match="nowhere"):
-            list(space.exterior_classes(hidden))
+            space.class_map(hidden)
     assert hidden not in space._class_bases
+    assert hidden not in space._class_maps
 
 
 def sole_zero_weight_good_family() -> SingletonFamily:

@@ -261,9 +261,9 @@ def test_per_class_evaluates_at_each_first_member_once():
             for cfg in cfgs:
                 first.setdefault(oracles.masked_key(space, cfg, hidden), cfg)
             calls = []
-            replayed = list(space.per_class(hidden, lambda cfg: calls.append(cfg) or cfg))
-            assert calls == list(first.values())
-            assert replayed == [(cfg, first[oracles.masked_key(space, cfg, hidden)])
+            replayed = list(space.per_class(hidden, lambda b: calls.append(b) or b))
+            assert calls == [cfg.index for cfg in first.values()]
+            assert replayed == [(cfg.index, first[oracles.masked_key(space, cfg, hidden)].index)
                                 for cfg in cfgs]
 
 

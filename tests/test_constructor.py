@@ -37,12 +37,13 @@ from zoo import (
     ring_potential_family,
 )
 from oracles import (
-    ExtendedRational,
-    product_weight,
     check_divisor_factorization,
     extended,
+    ExtendedRational,
     free_kernel,
+    overlay,
     pair_divisor,
+    product_weight,
 )
 
 
@@ -55,7 +56,7 @@ def oracle_density(space: Space, joint: dict, region: tuple, cfg) -> Fraction:
     num = joint[cfg.values]
     section = Fraction(0)
     for fill in space.assignments(region):
-        section += joint[space.overlay(cfg, region, fill).values]
+        section += joint[overlay(space, cfg, region, fill).values]
     free = product_weight(space, region, tuple(cfg.symbol(s) for s in region))
     return num / (section * free)
 
@@ -65,7 +66,7 @@ def regional_integral(dens: DensityFamily, over, num_region, den_region, cfg) ->
     space = dens.space
     total = Fraction(0)
     for fill in space.assignments(over):
-        point = space.overlay(cfg, over, fill)
+        point = overlay(space, cfg, over, fill)
         total += (product_weight(space, over, fill)
                   * dens.density(num_region, point)
                   / dens.density(den_region, point))
@@ -218,7 +219,7 @@ class TestBuildFamily:
                     gamma = space.universe.region(set(region) - set(theta))
                     for cfg in space.configurations():
                         for block in good_blocks(family, theta, gamma, cfg):
-                            shifted = space.overlay(cfg, theta, block)
+                            shifted = overlay(space, cfg, theta, block)
                             expected = dens.density(gamma, shifted) / regional_integral(
                                 dens, gamma, gamma, theta, shifted
                             )
@@ -319,11 +320,11 @@ class TestAssembleKernel:
         region = ("s1", "s2")
         cfg = space.make((HIGH, HIGH, LOW, HIGH), MANY_HIGH)
         row = assemble_kernel(dens, region, cfg)
-        assert row[space.overlay(cfg, region, (LOW, LOW)).index] == 1
+        assert row[overlay(space, cfg, region, (LOW, LOW)).index] == 1
         assert sum(row.values()) == 1
         fh = space.make((HIGH, HIGH, LOW, HIGH), FEW_HIGH)
         assert assemble_kernel(dens, region, fh)[
-            space.overlay(fh, region, (HIGH, HIGH)).index] == 1
+            overlay(space, fh, region, (HIGH, HIGH)).index] == 1
 
     def test_extracted_kernel_matches_conditional_probabilities(self):
         space, joint, family = extracted_family(48)
@@ -332,11 +333,11 @@ class TestAssembleKernel:
         for cfg in space.configurations():
             row = assemble_kernel(dens, region, cfg)
             section = sum(
-                joint[space.overlay(cfg, region, fill).values]
+                joint[overlay(space, cfg, region, fill).values]
                 for fill in space.assignments(region)
             )
             for block in space.assignments(region):
-                point = space.overlay(cfg, region, block)
+                point = overlay(space, cfg, region, block)
                 expected = joint[point.values] / section
                 assert row.get(point.index, Fraction(0)) == expected
 
@@ -355,7 +356,7 @@ class TestAssembleKernel:
         space = dens.space
         cfg = next(space.configurations())
         row = assemble_kernel(dens, ("s1", "s2"), cfg)
-        probe = space.overlay(cfg, ("s1", "s2"), ("b", "a"))
+        probe = overlay(space, cfg, ("s1", "s2"), ("b", "a"))
         h = lambda c: Fraction(1) if c == probe else Fraction(0)
         integral = sum(w * h(space.at(index)) for index, w in row.items())
         assert integral == row[probe.index]

@@ -23,7 +23,7 @@ from specforge import constructor
 from specforge.constructor import ConstructionError, check_order_independence
 from specforge.core import FreeMeasure, Space
 
-from oracles import check_order_independence as naive_order_independence, naive_index
+from oracles import check_order_independence as naive_order_independence, naive_index, with_sites
 from zoo import (
     broken_pair_family,
     example1_family,
@@ -154,7 +154,7 @@ class TestFillPairsMemo:
             for (offset, num, den), block in zip(fills, blocks):
                 assert type(num) is int and type(den) is int
                 assert (num, den) == naive_product_weight(space, region, block).as_integer_ratio()
-                assert offset == naive_index(space, first.with_sites(dict(zip(region, block))))
+                assert offset == naive_index(space, with_sites(first, dict(zip(region, block))))
 
     def test_spaces_with_different_free_measures_do_not_share(self):
         space = lopsided_free_family().space

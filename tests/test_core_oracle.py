@@ -4,9 +4,12 @@ The integer configuration index must be the position in
 ``configurations()`` and follow its digits (``naive_index``), and the
 class index off a set of hidden sites must group configurations exactly
 as the ``masked_key`` tuples did, at the index of each class's first
-member.  ``Space.exterior_classes`` builds one representative per
-exterior class directly; the oracle scans every configuration and keeps
-the first of each ``masked_key`` class.  ``Tabulated.ratio_table`` is the
+member, and ``Space.class_map`` must equal the oracle's ``class_index``,
+which rewrites the hidden sites through ``Space.configuration``.
+``Space.class_bases`` lists the first member of each exterior class
+directly; the oracle scans every configuration and keeps the first of
+each ``masked_key`` class.  The oracle's ``overlay`` and ``with_sites``
+must land on the configuration whose key carries the rewrite.  ``Tabulated.ratio_table`` is the
 one raw ratio integral, one table per ordered pair of disjoint regions
 (over, against) over the exterior classes off ``over``; the oracles are
 the single-site and the regional copies it replaced.
@@ -35,12 +38,15 @@ from specforge.core import (
 
 from oracles import (
     ExtendedRational,
+    class_index,
     extended,
     masked_key,
     naive_exterior_classes,
     naive_index,
+    overlay,
     regional_ratio_integral,
     site_ratio_kernel,
+    with_sites,
 )
 from zoo import (
     example1_space,
@@ -96,8 +102,8 @@ class TestConfigurationIndex:
         for cfg in space.configurations():
             for k, site in enumerate(sites):
                 sym = symbols[k % len(symbols)]
-                for moved in (space.overlay(cfg, (site,), (sym,)),
-                              cfg.with_sites({site: sym})):
+                for moved in (overlay(space, cfg, (site,), (sym,)),
+                              with_sites(cfg, {site: sym})):
                     values = cfg.values[:k] + (sym,) + cfg.values[k + 1:]
                     assert moved.key == (values, cfg.tail)
                     assert moved.index == naive_index(space, moved)
@@ -113,30 +119,30 @@ class TestConfigurationIndex:
             for cfg in space.configurations():
                 first.setdefault(masked_key(space, cfg, hidden), cfg)
             for cfg in space.configurations():
-                assert (space.class_index(cfg, hidden)
-                        == first[masked_key(space, cfg, hidden)].index), hidden
+                assert (space.class_map(hidden)[cfg.index]
+                        == first[masked_key(space, cfg, hidden)].index
+                        == class_index(space, cfg, hidden)), hidden
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_classes_and_per_class_replay_the_first_member(self, name):
         space = SPACES[name]()
         for hidden in every_hidden(space):
-            slow = list(naive_exterior_classes(space, hidden))
-            assert list(space.exterior_classes(hidden)) == slow, hidden
-            assert [cfg.index for cfg in slow] == sorted(
-                {space.class_index(cfg, hidden) for cfg in space.configurations()})
-            first = {masked_key(space, cfg, hidden): cfg for cfg in reversed(slow)}
+            slow = [cfg.index for cfg in naive_exterior_classes(space, hidden)]
+            assert list(space.class_bases(hidden)) == slow, hidden
+            assert slow == sorted(set(space.class_map(hidden)))
+            first = {masked_key(space, space.at(b), hidden): b for b in reversed(slow)}
             for form in (tuple, iter):
                 calls = []
                 replayed = list(space.per_class(form(hidden),
-                                                lambda cfg: calls.append(cfg) or cfg))
+                                                lambda b: calls.append(b) or b))
                 assert calls == slow
-                assert replayed == [(cfg, first[masked_key(space, cfg, hidden)])
+                assert replayed == [(cfg.index, first[masked_key(space, cfg, hidden)])
                                     for cfg in space.configurations()]
 
 
 class TestMemoisedIndexBookkeeping:
-    """``Universe.region`` and the class maps behind ``Space.class_index``
-    and ``Space.per_class`` are memoised per input tuple: a repeated call
+    """``Universe.region`` and the class maps of ``Space.class_map``,
+    which ``Space.per_class`` reads, are memoised per input tuple: a repeated call
     must return what the first did, whatever form the sites come in (the
     class maps are read twice in ``TestConfigurationIndex``), and an input
     that raises must raise on every call."""
@@ -165,12 +171,11 @@ class TestMemoisedIndexBookkeeping:
 
     def test_unknown_hidden_site_raises_on_every_call(self):
         space = plain_space(2)
-        cfg = space.at(0)
         for _ in range(2):
             with pytest.raises(DomainError, match="not in universe"):
-                space.class_index(cfg, ("s1", "nowhere"))
+                space.class_map(("s1", "nowhere"))
             with pytest.raises(DomainError, match="not in universe"):
-                list(space.per_class(("nowhere",), lambda cfg: cfg))
+                list(space.per_class(("nowhere",), lambda b: b))
 
 
 class TestExteriorClasses:
@@ -178,14 +183,14 @@ class TestExteriorClasses:
     def test_representatives_match_the_first_occurrence_scan(self, name):
         space = SPACES[name]()
         for hidden in every_hidden(space):
-            fast = [cfg.key for cfg in space.exterior_classes(hidden)]
+            fast = [space.at(b).key for b in space.class_bases(hidden)]
             slow = [cfg.key for cfg in naive_exterior_classes(space, hidden)]
             assert fast == slow, hidden
 
     def test_unknown_site_rejected(self):
         space = plain_space(2)
         with pytest.raises(SpecforgeError):
-            list(space.exterior_classes(("nowhere",)))
+            space.class_bases(("nowhere",))
 
 
 def density_family(singletons) -> DensityFamily:
@@ -222,7 +227,7 @@ def disjoint_pairs(dens) -> list:
 def table_value(dens, over, against, cfg):
     """The ``ratio_table`` entry at the class of ``cfg`` off ``over`` as
     an extended rational, None where undefined."""
-    pair = dens.ratio_table(over, against)[dens.space.class_index(cfg, over)]
+    pair = dens.ratio_table(over, against)[dens.space.class_map(over)[cfg.index]]
     return None if pair is None else extended(pair)
 
 
@@ -267,7 +272,7 @@ def guarded(value):
 
 def guarded_read(dens, over, against, cfg):
     """``ratio_pair``'s value at ``cfg`` as a `Fraction`, None where it is."""
-    pair = dens.ratio_pair(over, against, cfg)
+    pair = dens.ratio_pair(over, against, cfg.index)
     return None if pair is None else Fraction(*pair)
 
 
@@ -283,7 +288,7 @@ def compare_memoised_ratio_integrals(dens) -> set:
         for over, against in pairs:
             raw = regional_ratio_integral(dens, over, over, against, cfg)
             want = guarded(raw)
-            pair = dens.ratio_pair(over, against, cfg)
+            pair = dens.ratio_pair(over, against, cfg.index)
             assert guarded_read(dens, over, against, cfg) == want, (over, against, cfg)
             assert pair is None or pair[1] > 0
             seen.add(outcome(raw))

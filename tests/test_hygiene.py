@@ -42,6 +42,15 @@ primitive.  No module under ``src/`` may define an ``ExtendedRational``,
 nor any of the other names the pair primitives replaced: an infinite
 value is the pair (1, 0), and the extended arithmetic lives on only in
 ``tests/oracles.py``.
+
+The configuration scans do the same for points.  Private code passes
+configuration indices and class bases, and builds a `Configuration`
+only for the text of a witness or an error, so every underscore-named
+function or method under ``src/`` with a parameter annotated
+``Configuration`` must be on ``CONFIGURATION_WRITERS``.  No module under
+``src/`` may define any of the five walkers the index replaced
+(``REMOVED_WALKERS``); ``tests/oracles.py`` keeps its own ``overlay``,
+``with_sites`` and exterior-class scan.
 """
 
 import ast
@@ -430,3 +439,64 @@ def test_the_fraction_scans_flag_a_twin(tmp_path):
         "a:twin", "a:Measure.weight", "a:Measure.total"}
     assert defined_names([tmp_path / "a.py"], REPLACED, tmp_path) == [
         "a.py:13: ExtendedRational", "a.py:15: INF"]
+
+
+CONFIGURATION_WRITERS = {"specforge/hypotheses.py:_replay_point": "a witness's replay dict",
+                         "specforge/hypotheses.py:_kernel_failure": "an error's text"}
+
+REMOVED_WALKERS = ("overlay", "with_sites", "exterior_classes", "free_integral", "class_index")
+
+
+def private_configuration_takers(paths, root: Path = SRC) -> set[str]:
+    """``module:name`` of each underscore-named function or method, at any
+    depth, dunder methods aside, with a parameter annotated
+    ``Configuration``, string annotations included."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or not node.name.startswith("_") or node.name.endswith("__")):
+                continue
+            args = node.args
+            if any(arg is not None and arg.annotation is not None
+                   and "Configuration" in annotation_names(arg.annotation)
+                   for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                               args.vararg, args.kwarg)):
+                found.add(f"{path.relative_to(root).as_posix()}:{node.name}")
+    return found
+
+
+def test_private_code_passes_indices_not_configurations():
+    assert all(reason for reason in CONFIGURATION_WRITERS.values())
+    assert private_configuration_takers(MODULES) == set(CONFIGURATION_WRITERS)
+
+
+def test_no_removed_walker_is_defined():
+    assert defined_names(MODULES, REMOVED_WALKERS) == []
+
+
+def test_the_configuration_scans_flag_a_taker(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from specforge.core import Configuration\n"
+        "def _row(dens, cfg: Configuration):\n"
+        "    return cfg\n"
+        "def _text(cfg: 'Configuration | None', index: int):\n"
+        "    return index\n"
+        "def public(cfg: Configuration):\n"
+        "    def _inner(*, point: Configuration):\n"
+        "        return point\n"
+        "    return _inner\n"
+        "class Space:\n"
+        "    def overlay(self, cfg, region):\n"
+        "        return cfg\n"
+        "    def _walk(self, index: int):\n"
+        "        return index\n"
+        "    def __eq__(self, other: Configuration):\n"
+        "        return False\n"
+        "exterior_classes = None\n"
+    )
+    assert private_configuration_takers([tmp_path / "a.py"], tmp_path) == {
+        "a.py:_row", "a.py:_text", "a.py:_inner"}
+    assert sorted(defined_names([tmp_path / "a.py"], REMOVED_WALKERS, tmp_path)) == [
+        "a.py:11: overlay", "a.py:17: exterior_classes"]

@@ -18,7 +18,7 @@ from specforge.hypotheses import (
     good_symbols,
 )
 
-from oracles import site_ratio_kernel
+from oracles import overlay, site_ratio_kernel, with_sites
 
 from zoo import (
     alternating_exclusion_family,
@@ -41,8 +41,8 @@ def naive_good_symbols(family, site, context, cfg) -> tuple[str, ...]:
     ctx_fills = list(space.assignments(ctx))
     members = []
     for candidate in space.alphabet:
-        base = cfg.with_sites({site: candidate})
-        sections = [space.overlay(base, ctx, fill) for fill in ctx_fills]
+        base = with_sites(cfg, {site: candidate})
+        sections = [overlay(space, base, ctx, fill) for fill in ctx_fills]
         if any(family.density(site, s) == 0 for s in sections):
             continue
         keeps = True
@@ -77,10 +77,10 @@ def naive_pointwise_compatibility(family, witness_cap: int = 25) -> HypothesisRe
                         for x_i in gi:
                             for x_j in gj:
                                 checked += 1
-                                c_xj_ui = cfg.with_sites({j: x_j, i: u_i})
-                                c_uj_ui = cfg.with_sites({j: u_j, i: u_i})
-                                c_xi_uj = cfg.with_sites({i: x_i, j: u_j})
-                                c_xi_xj = cfg.with_sites({i: x_i, j: x_j})
+                                c_xj_ui = with_sites(cfg, {j: x_j, i: u_i})
+                                c_uj_ui = with_sites(cfg, {j: u_j, i: u_i})
+                                c_xi_uj = with_sites(cfg, {i: x_i, j: u_j})
+                                c_xi_xj = with_sites(cfg, {i: x_i, j: x_j})
                                 lhs = (family.density(i, c_xj_ui)
                                        * family.density(j, c_uj_ui)
                                        * family.density(i, c_xi_uj)

@@ -1,11 +1,13 @@
 """Integer line sums and cross-multiplied comparisons against their
 `Fraction` oracles.
 
-The ratio tables (``Tabulated.ratio_table``) and ``Space.free_integral``
-add every term of a free-measure line as one integer numerator over one
-integer denominator (``core._line_sum``); ``normalize``'s class masses,
-the unit-mass check of ``SingletonFamily`` and the part (b) masses and
-covering-pair masses of the axiom check use the same sum.  ``check_bounded_positivity`` and
+The ratio tables (``Tabulated.ratio_table``) and the free integral of a
+table at a class base (``line_integral``, the sum the unit-mass check
+of ``SingletonFamily`` makes over ``Space.fill_pairs``) add every term
+of a free-measure line as one integer numerator over one integer
+denominator (``core._line_sum``); ``normalize``'s class masses and the
+part (b) masses and covering-pair masses of the axiom check use the
+same sum.  ``check_bounded_positivity`` and
 ``ratio_bounds`` keep their extremes as integer pairs, the covering pairs
 compare each direct weight with mass·w cross-multiplied, and the strict
 identity of bounded positivity is read off order consistency when that
@@ -25,7 +27,7 @@ import pytest
 
 from specforge import hypotheses
 from specforge.constructor import DensityFamily, build_family
-from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe
+from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe, _line_sum
 from specforge.hypotheses import check_bounded_positivity, check_order_consistency
 from specforge.models import NormalizationError, SingletonFamily, TableModel, normalize
 from specforge.verifier import _covering_pairs_agree, check_specification_axioms, ratio_bounds
@@ -76,6 +78,14 @@ def kind(value) -> str:
     return "infinite" if value.is_infinite else "zero" if oracles.is_zero(value) else "finite"
 
 
+def line_integral(space, over, table, base) -> tuple[int, int]:
+    """The free integral over ``over`` of a pair ``table`` at the class
+    base ``base``, as the unit-mass check sums it: `_line_sum` of each
+    fill's weight times the table's pair there."""
+    return _line_sum((w_num * table[base + offset][0], w_den * table[base + offset][1])
+                     for offset, w_num, w_den in space.fill_pairs(over))
+
+
 def compare_line_sums(dens) -> set:
     """Assert both line sums equal their oracles on every region, table
     pair and configuration, the ratio integrals through the family's
@@ -86,10 +96,10 @@ def compare_line_sums(dens) -> set:
     tables = {region: dens.table(region) for region in regions}
     seen = set()
     for over in regions:
-        for cfg in space.exterior_classes(over):
+        for cfg in oracles.naive_exterior_classes(space, over):
             for region in regions:
                 table = tables[region]
-                got = space.free_integral(over, dens._tables[region].__getitem__, cfg)
+                got = line_integral(space, over, dens._tables[region], cfg.index)
                 want = oracles.free_kernel(space, over, lambda c: table[c.index], cfg)
                 assert Fraction(*got) == want.fraction, (over, region, cfg)
             for against in regions:
@@ -206,10 +216,10 @@ def covering_outcomes(dens) -> list:
     rows have mass one, as the covering-pair check presumes."""
     assert check_specification_axioms(dens).data["point_mass_off_region"]
     space = dens.space
-    return [(_covering_pairs_agree(dens, region, cfg),
+    return [(_covering_pairs_agree(dens, region, cfg.index),
              oracles.covering_pairs_agree(dens, region, cfg))
             for region in dens.regions() if region
-            for cfg in space.exterior_classes(region)]
+            for cfg in oracles.naive_exterior_classes(space, region)]
 
 
 @pytest.mark.parametrize("name", BUILDING)

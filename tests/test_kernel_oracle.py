@@ -167,9 +167,9 @@ def test_memoised_rows_equal_fresh_rows(name):
     for region in dens.regions():
         for cfg in space.configurations():
             fresh = assemble_kernel(dens, region, cfg)
-            row = verifier._pair_row(dens, region, cfg)
+            row = verifier._pair_row(dens, region, cfg.index)
             assert list(pair_row_values(row).items()) == list(fresh.items())
-            assert verifier._pair_row(dens, region, cfg) is row
+            assert verifier._pair_row(dens, region, cfg.index) is row
 
 
 def test_sibling_reads_its_own_rows_not_the_parents():
@@ -177,15 +177,15 @@ def test_sibling_reads_its_own_rows_not_the_parents():
     space = dens.space
     region = space.universe.sites[:2]
     configurations = list(space.configurations())
-    parent_rows = [pair_row_values(verifier._pair_row(dens, region, cfg))
+    parent_rows = [pair_row_values(verifier._pair_row(dens, region, cfg.index))
                    for cfg in configurations]
     doubled = [2 * value for value in dens.table(region)]
     sibling = dens.replace_table(region, doubled)
     for cfg, parent_row in zip(configurations, parent_rows):
-        row = pair_row_values(verifier._pair_row(sibling, region, cfg))
+        row = pair_row_values(verifier._pair_row(sibling, region, cfg.index))
         assert row == assemble_kernel(sibling, region, cfg)
         assert row == {key: 2 * w for key, w in parent_row.items()}
-        assert pair_row_values(verifier._pair_row(dens, region, cfg)) == (
+        assert pair_row_values(verifier._pair_row(dens, region, cfg.index)) == (
             assemble_kernel(dens, region, cfg))
 
 

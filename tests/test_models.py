@@ -59,7 +59,7 @@ class TestEvaluate:
         all_low = space.make((LOW,) * 4, MANY_HIGH)
         for site in space.universe:
             assert family.density(site, all_low) == 2
-            assert family.density(site, all_low.with_sites({site: HIGH})) == 0
+            assert family.density(site, oracles.with_sites(all_low, {site: HIGH})) == 0
 
     def test_density_reads_only_assignment_and_tail(self):
         family = example1_family()
@@ -101,7 +101,7 @@ class TestNormalize:
                 total = Fraction(0)
                 for sym in space.alphabet:
                     total += space.free.weight(site, sym) * family.density(
-                        site, cfg.with_sites({site: sym})
+                        site, oracles.with_sites(cfg, {site: sym})
                     )
                 assert total == 1
         assert unit_mass_everywhere(family)
@@ -360,8 +360,8 @@ class TestFamilyInvariants:
         cfg = space.make(("0", "0"), "default")
         assert family.density(u, cfg) == 1
         assert family.density(v, cfg) == Fraction(2, 3)
-        assert family.density(v, cfg.with_sites({v: "1"})) == Fraction(4, 3)
-        assert family.density(v, cfg.with_sites({u: "1"})) == Fraction(4, 3)
+        assert family.density(v, oracles.with_sites(cfg, {v: "1"})) == Fraction(4, 3)
+        assert family.density(v, oracles.with_sites(cfg, {u: "1"})) == Fraction(4, 3)
 
 
 class TestRebalance:

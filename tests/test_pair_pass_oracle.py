@@ -151,8 +151,8 @@ def broken_guarantee(*cases):
         context = tuple(context)
         space = family.space
         for c_site, c_context, first in cases:
-            if (site, context) == (c_site, c_context) and space.class_index(
-                    cfg, (site,) + context) >= first:
+            if (site, context) == (c_site, c_context) and space.class_map(
+                    (site,) + context)[cfg.index] >= first:
                 return space.alphabet.symbols
         return honest(family, site, context, cfg)
 

@@ -101,7 +101,7 @@ def kernel_measures(dens: DensityFamily) -> list[FiniteMeasure]:
     space = dens.space
     try:
         return [FiniteMeasure.kernel_measure(dens, cfg)
-                for cfg in space.exterior_classes(space.universe.sites)]
+                for cfg in oracles.naive_exterior_classes(space, space.universe.sites)]
     except SpecforgeError:
         return []
 

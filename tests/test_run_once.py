@@ -50,7 +50,7 @@ reads pointwise compatibility off it, walking neither per configuration;
 and a ``SingletonFamily`` checks unit mass with one integer line sum per
 site and exterior class, building no extended rational.  ``normalize``
 reads each raw weight once and builds its family without that check:
-it calls neither ``Space.free_integral`` nor ``_check_unit_mass``; a
+it does not call ``_check_unit_mass``; a
 potential or table model looks up each site's pair tables or
 complement once per universe.  A full ``verify`` checks the axioms
 before order independence and reads the latter off their record,
@@ -240,6 +240,32 @@ def test_block_splits_walk_no_cell_a_join_has_walked(build, monkeypatch):
     assert len(walked) == joins + multi_site_splits
 
 
+@pytest.mark.parametrize("build", [lambda: hardcore_family(4),
+                                   lambda: potential_family(1, n_sites=4)[2]],
+                         ids=["hardcore_4", "potential_1_4"])
+def test_a_walk_whose_joins_all_hold_reads_no_sweep_order(build, monkeypatch):
+    """A sweep order can change a table only through a failing join, so
+    the walk, with no axiom record to read, evaluates each (region, site)
+    join once and, when all of them hold, lists the orders but never
+    iterates them."""
+    family = build()
+    honest_orders = constructor._sweep_orders
+
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("the walk iterated the sweep orders")
+
+    def unread_orders(*args):
+        perms, sampled = honest_orders(*args)
+        return Unread(perms), sampled
+
+    monkeypatch.setattr(constructor, "_sweep_orders", unread_orders)
+    report = constructor.check_order_independence(family)
+    assert report.passed
+    assert report.data["permutations_tested"] == 24
+    assert report.data["permutation_mismatches"] == 0
+
+
 def test_verify_evaluates_each_ratio_integral_once(integrals, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
@@ -412,7 +438,9 @@ def test_a_failing_check_sweeps_the_index_points_once(tmp_path, monkeypatch, cap
     """Very weak positivity and the uniqueness condition of a failing
     ``check`` read one good-set sweep record.  The sweep calls no
     ``good_symbols`` and looks up no configuration; each gate looks up
-    one per witness it keeps."""
+    one per witness it keeps, and very weak positivity, which runs
+    first, one per tail class more: the first member of the class, at
+    which its floor good sets call ``good_symbols``."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "copycat3.model").write_text(copycat_model(), encoding="utf-8")
     counts: Counter = Counter()
@@ -463,10 +491,12 @@ def test_a_failing_check_sweeps_the_index_points_once(tmp_path, monkeypatch, cap
     assert main(["check", "copycat3.model"]) == 1
     capsys.readouterr()
     assert counts["sweeps"] == 1
+    floors = {"very_weak_positivity": 1, "uniqueness_condition": 0}
     for name, report in reports.items():
         assert not report.passed
         assert counts["read", name] == 1
-        assert counts["at", name] == len(report.witnesses) > 0
+        assert counts["at", name] == len(report.witnesses) + floors[name]
+        assert report.witnesses
     assert counts["good_symbols", "sweep"] == counts["at", "sweep"] == 0
     assert len(reports) == 2
 
@@ -490,7 +520,7 @@ def test_measure_suites_push_single_sites_only(monkeypatch):
     monkeypatch.setattr(FiniteMeasure, "push_free", push_free)
     space = dens.space
     kernels = [FiniteMeasure.kernel_measure(dens, cfg)
-               for cfg in space.exterior_classes(space.universe.sites)]
+               for cfg in oracles.naive_exterior_classes(space, space.universe.sites)]
     for mu in kernels:
         support_class_certificate(mu, family)
     pushes.clear()
@@ -748,16 +778,16 @@ def test_singleton_family_construction_integrates_in_integers(monkeypatch):
     tables = {site: {cfg.key: family.density(site, cfg) for cfg in space.configurations()}
               for site in space.universe.sites}
     counts = Counter()
-    honest_integral = Space.free_integral
+    honest_sum = models._line_sum
 
-    def counted_integral(self, *args):
-        counts["free_integral"] += 1
-        return honest_integral(self, *args)
+    def counted_sum(terms):
+        counts["_line_sum"] += 1
+        return honest_sum(terms)
 
-    monkeypatch.setattr(Space, "free_integral", counted_integral)
+    monkeypatch.setattr(models, "_line_sum", counted_sum)
     SingletonFamily(space, tables)
     n, q, t = len(space.universe), len(space.alphabet), len(space.tail_classes)
-    assert counts == Counter({"free_integral": n * t * q ** (n - 1)})
+    assert counts == Counter({"_line_sum": n * t * q ** (n - 1)})
     assert not hasattr(Space, "free_kernel")
 
 
@@ -778,11 +808,10 @@ def test_normalize_reads_each_raw_weight_once_and_rechecks_no_mass(monkeypatch, 
             counts[name] += 1
         return call
 
-    monkeypatch.setattr(Space, "free_integral", refused("free_integral"))
     monkeypatch.setattr(SingletonFamily, "_check_unit_mass", refused("_check_unit_mass"))
     fresh = normalize(space, Counted())
-    assert counts["free_integral"] == counts["_check_unit_mass"] == 0
-    del counts["free_integral"], counts["_check_unit_mass"]
+    assert counts["_check_unit_mass"] == 0
+    del counts["_check_unit_mass"]
     assert set(counts.values()) == {1}
     assert len(counts) == len(space.universe) * space.size
     assert fresh._tables == expected

@@ -39,7 +39,7 @@ def apply_kernel(dens, region, h, cfg):
     region = space.universe.region(region)
     total = Fraction(0)
     for block in space.assignments(region):
-        point = space.overlay(cfg, region, block)
+        point = oracles.overlay(space, cfg, region, block)
         total += (
             dens.density(region, point)
             * oracles.product_weight(space, region, block)
@@ -54,7 +54,7 @@ def kernel_row(dens, region, cfg):
     region = space.universe.region(region)
     row = {}
     for block in space.assignments(region):
-        point = space.overlay(cfg, region, block)
+        point = oracles.overlay(space, cfg, region, block)
         w = dens.density(region, point) * oracles.product_weight(space, region, block)
         if w:
             row[point.key] = w
@@ -68,8 +68,8 @@ def renormalized_entry_bump(dens, region, key, factor):
     table = list(dens.table(region))
     cfg = space.make(*key)
     table[cfg.index] = table[cfg.index] * factor
-    mask = space.class_index(cfg, region)
-    row = [c for c in space.configurations() if space.class_index(c, region) == mask]
+    classes = space.class_map(region)
+    row = [c for c in space.configurations() if classes[c.index] == classes[cfg.index]]
     mass = sum(table[c.index] * oracles.product_weight(space, region, oracles.restrict(c, region))
                for c in row)
     for c in row:

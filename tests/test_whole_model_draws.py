@@ -44,7 +44,7 @@ from specforge.verifier import (
     uniqueness_probe,
 )
 
-from oracles import fill_offsets
+from oracles import fill_offsets, naive_exterior_classes
 
 VALUES = (0, 0, 1, 2, 3, Fraction(1, 2))
 POSITIVE = (1, 2, 3, 5, Fraction(1, 2), Fraction(7, 3))
@@ -64,7 +64,7 @@ def repaired(space, joints: dict) -> dict:
     """``joints`` with weight 1 at the first fill of positive free weight
     of every (site, exterior class) line that carries no mass."""
     for site in space.universe:
-        for cfg in space.exterior_classes((site,)):
+        for cfg in naive_exterior_classes(space, (site,)):
             fills = [(space.at(cfg.index + offset), w)
                      for offset, w in fill_offsets(space, (site,))]
             if not any(w and joints[c.tail][c.values] for c, w in fills):

@@ -438,10 +438,11 @@ def reweighted(dens, region, weigh):
     """``dens`` with the region's row at its first exterior class replaced
     by ``weigh(block, original density)`` for every block."""
     space = dens.space
-    rep = next(space.exterior_classes(region))
+    first = dict(zip(space.universe.sites, space.at(0).values))
     table = list(dens.table(region))
     for block in space.assignments(region):
-        index = space.overlay(rep, region, block).index
+        index = space.configuration({**first, **dict(zip(region, block))},
+                                    space.tail_classes[0]).index
         table[index] = weigh(block, table[index])
     return dens.replace_table(region, table)
 
