@@ -42,7 +42,6 @@ from .hypotheses import (
     check_very_weak_positivity,
     good_blocks,
     good_symbols,
-    site_is_good,
     two_point_identity,
 )
 from .verifier import (

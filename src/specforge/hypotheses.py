@@ -63,7 +63,6 @@ __all__ = [
     "HypothesisReport",
     "HypothesisFailure",
     "good_symbols",
-    "site_is_good",
     "good_blocks",
     "check_very_weak_positivity",
     "check_order_consistency",
@@ -232,6 +231,11 @@ def good_symbols(
     ``cfg`` only off ``context + (site,)``.  The argument checks and the
     canonical context are memoised per (site, context as given); nothing
     is memoised per exterior.
+
+    The library's own sweeps skip this reader and read the tables at
+    class bases: order consistency's `_pair_record`, the good-set sweep
+    `_good_set_sweep`, the eight-factor walk `_eight_factor_failures`,
+    and the support suites of `verifier`.
     """
     context = tuple(context)
     space = family.space
@@ -258,20 +262,6 @@ def _good_digits(table: frozenset, base: int, stride: int, q: int) -> tuple[int,
     site, of stride ``stride``, the site's good set there, in alphabet
     order.  The one reader of a good-point table for a good set."""
     return tuple(d for d in range(q) if base + d * stride in table)
-
-
-def site_is_good(
-    family: SingletonFamily,
-    site: Site,
-    context: Iterable[Site],
-    cfg: Configuration,
-) -> bool:
-    """Is the configuration's own symbol at ``site`` a good one?
-
-    Membership of ``cfg[site]`` in the good set of ``site`` against
-    ``context`` at exterior ``cfg``.
-    """
-    return cfg.symbol(site) in good_symbols(family, site, context, cfg)
 
 
 def good_blocks(
@@ -441,13 +431,16 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     mirrors it as rhs_y(u) = d_j(u) d_i(u_i, y) / (d_j(u_i, y) K_j(y)).
     Good sets and integrals depend on u only off {i, j}, so the cells
     are read one unordered pair {i, j} and exterior class off it at a
-    time, with the good sets g_i and g_j from `good_symbols` at the
-    class's base index b (both sites on digit 0).  The classes go in the
-    order a walk over every configuration, then pair, first reaches
-    them: by (b, pair position).  In each class every K of a good symbol
-    is read, g_i's then g_j's, as an unreduced integer pair by index off
-    the family's `ratio_table` over j against i, or over i against j:
-    the point b with i on x is its own class base off j.  A K outside
+    time, with the good sets g_i and g_j read at the class's base index
+    b (both sites on digit 0) off the `_good_points` tables of i against
+    (j,) and of j against (i,): x is good iff b + x·s_i is in the first,
+    s_i the stride of i.  The tables, strides, densities and ratio
+    tables are fetched once per pair.  The classes go in the order a
+    walk over every configuration, then pair, first reaches them: by
+    (b, pair position).  In each class every K of a good symbol is read,
+    g_i's then g_j's, as an unreduced integer pair by index off the
+    family's `ratio_table` over j against i, or over i against j: the
+    point b with i on x is its own class base off j.  A K outside
     (0, inf) raises `_kernel_failure`, so a broken good-set guarantee
     raises at that walk's integral, with its text.
 
@@ -470,7 +463,8 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     Mirrored, the cells (u = (v, y), x0, y0) give Q_y = Q_y0, since
     P_x0(y) > 0.  So when those q² cells hold, every lhs_x(u) equals
     lhs_x0(u), every rhs_y(u) equals rhs_y0(u), and those two are equal.
-    Only when one of them fails are all cells of the class compared.
+    They are compared in the walk itself, building nothing; only when
+    one of them fails are all cells of the class compared.
 
     ``comparisons`` is Σ over pairs and classes of q²·|g_i|·|g_j|, the
     cells of a walk over every configuration and pair.  ``failures``
@@ -483,26 +477,13 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     def compute() -> tuple[int, list[tuple]]:
         space = family.space
         q = len(space.alphabet)
-        digit = {s: d for d, s in enumerate(space.alphabet.symbols)}
-        ratios = {site: family._tables[(site,)] for site in space.universe.sites}
+        symbols = space.alphabet.symbols
         pairs = list(itertools.combinations(space.universe.sites, 2))
         rank = {pair: pos for pos, pair in enumerate(pairs)}
-
-        def kernels(over: Site, against: Site, b: int, good: tuple[str, ...],
-                    stride: int) -> list[tuple[str, tuple[int, int]]]:
-            """``(x, K)`` per good symbol x of ``against``, K the integer
-            pair of the integral over ``over`` at ``b`` with ``against``
-            (of stride ``stride``) on x; raises at the first K outside
-            (0, inf)."""
-            table = family.ratio_table((over,), (against,))
-            out = []
-            for x in good:
-                p = b + digit[x] * stride
-                k = table[p]
-                if k is None or not k[0] or not k[1]:
-                    raise _kernel_failure(over, against, space.at(p), "order consistency")
-                out.append((x, k))
-            return out
+        walks = [(i, j, *space.strides((i, j)), family._tables[(i,)], family._tables[(j,)],
+                  _good_points(family, i, (j,)), _good_points(family, j, (i,)),
+                  family.ratio_table((j,), (i,)), family.ratio_table((i,), (j,)))
+                 for i, j in pairs]
 
         def resolution(d_own: list, d_other: list, row: int, stride: int,
                        k: tuple[int, int]) -> list[tuple[int, int]]:
@@ -512,14 +493,14 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
             return [(d_other[p][0] * d_own[p][1] * k_den, d_other[p][1] * d_own[p][0] * k_num)
                     for p in range(row, row + q * stride, stride)]
 
-        def failing(i: Site, j: Site, b: int, g_i: list, g_j: list):
-            """The failing cells of the class off {i, j} at ``b`` with x, y
-            from the ``(symbol, K)`` lists ``g_i``, ``g_j``, in u then x
-            then y order."""
-            s_i, s_j = space.strides((i, j))
-            d_i, d_j = ratios[i], ratios[j]
-            p_x = [(x, resolution(d_i, d_j, b + digit[x] * s_i, s_j, k)) for x, k in g_i]
-            q_y = [(y, resolution(d_j, d_i, b + digit[y] * s_j, s_i, k)) for y, k in g_j]
+        def failing(walk: tuple, b: int):
+            """The failing cells of the class off {i, j} at ``b``, every
+            good x and y, in u then x then y order."""
+            i, j, s_i, s_j, d_i, d_j, good_i, good_j, k_i, k_j = walk
+            p_x = [(symbols[x], resolution(d_i, d_j, b + x * s_i, s_j, k_i[b + x * s_i]))
+                   for x in range(q) if b + x * s_i in good_i]
+            q_y = [(symbols[y], resolution(d_j, d_i, b + y * s_j, s_i, k_j[b + y * s_j]))
+                   for y in range(q) if b + y * s_j in good_j]
             for u_i in range(q):
                 for u_j in range(q):
                     p = b + u_i * s_i + u_j * s_j
@@ -536,14 +517,43 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
         failures: list[tuple] = []
         for b, pos in sorted((b, pos) for pos, pair in enumerate(pairs)
                              for b in space.class_bases(pair)):
-            i, j = pairs[pos]
-            s_i, s_j = space.strides((i, j))
-            cfg = space.at(b)
-            good_i, good_j = good_symbols(family, i, (j,), cfg), good_symbols(family, j, (i,), cfg)
-            g_i, g_j = kernels(j, i, b, good_i, s_i), kernels(i, j, b, good_j, s_j)
-            comparisons += q * q * len(g_i) * len(g_j)
-            if any(failing(i, j, b, g_i[:1], g_j[:1])):
-                failures.extend(failing(i, j, b, g_i, g_j))
+            i, j, s_i, s_j, d_i, d_j, good_i, good_j, k_i, k_j = walks[pos]
+            n_i = n_j = 0
+            for p in range(b, b + q * s_i, s_i):
+                if p in good_i:
+                    k = k_i[p]
+                    if k is None or not k[0] or not k[1]:
+                        raise _kernel_failure(j, i, space.at(p), "order consistency")
+                    if not n_i:
+                        p_x, (kx_num, kx_den) = p, k
+                    n_i += 1
+            for p in range(b, b + q * s_j, s_j):
+                if p in good_j:
+                    k = k_j[p]
+                    if k is None or not k[0] or not k[1]:
+                        raise _kernel_failure(i, j, space.at(p), "order consistency")
+                    if not n_j:
+                        p_y, (ky_num, ky_den) = p, k
+                    n_j += 1
+            if not n_i or not n_j:
+                continue
+            comparisons += q * q * n_i * n_j
+            # the cells (u, x0, y0), p_x the point b with i on x0 and p_y
+            # the point b with j on y0: a(u) P_x0(u_j) == c(u) Q_y0(u_i),
+            # cross-multiplied, with both K's folded into P's pair
+            holds = True
+            for u_j in range(q):
+                (pa_num, pa_den), (pc_num, pc_den) = d_i[p_x + u_j * s_j], d_j[p_x + u_j * s_j]
+                p_num, p_den = pc_num * pa_den * kx_den * ky_num, pc_den * pa_num * kx_num * ky_den
+                for u_i in range(q):
+                    u, v = b + u_i * s_i + u_j * s_j, p_y + u_i * s_i
+                    (a_num, a_den), (c_num, c_den) = d_i[u], d_j[u]
+                    (qa_num, qa_den), (qc_num, qc_den) = d_i[v], d_j[v]
+                    if (a_num * c_den * p_num * qa_den * qc_num
+                            != c_num * a_den * p_den * qa_num * qc_den):
+                        holds = False
+            if not holds:
+                failures.extend(failing(walks[pos], b))
         failures.sort(key=lambda cell: (cell[0], rank[cell[1], cell[2]]))
         return comparisons, failures
 
@@ -565,7 +575,10 @@ def check_order_consistency(
     The count, the failing cells and the raised error are those of the
     family's `_pair_record`, which decides each pair and exterior class
     off it from the q² cells of one pair of good symbols and compares
-    every cell only where one of those fails.  Each ratio integral is
+    every cell only where one of those fails.  Its good sets are read
+    off the `_good_points` tables directly, not through `good_symbols`,
+    so this check calls `good_symbols` only through very weak
+    positivity's floor good sets.  Each ratio integral is
     an integer pair read by index off the family's
     `SingletonFamily.ratio_table` of its ordered site pair, which
     `check_bounded_positivity` walks too, and bounded positivity reads

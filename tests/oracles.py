@@ -97,6 +97,8 @@ a site's kernel row (density times free weight per symbol).
 ``check_good_support_mass`` are the support suites as they were before
 they read good membership off one good-point table per (site, context):
 they ask ``site_is_good`` configuration by configuration.
+``site_is_good`` is the library's membership helper of that name,
+which nothing under ``src/`` read; it asks ``hypotheses.good_symbols``.
 ``check_good_support_mass`` also charges every smoothed and plain part,
 which ``verifier.check_good_support_mass`` proves and counts in closed
 form.
@@ -122,8 +124,12 @@ configuration computes its own good sets, ratio integrals and extension
 divisor.  ``check_order_independence`` also rebuilds the whole family
 under every permutation instead of sharing tables between them.  They
 look up ``good_symbols`` and ``good_blocks`` on their modules at call
-time, so a test that patches one patches the library and the oracle
-alike; their guarded single-site ratio integrals are
+time.  The library's order-consistency record reads the good-point
+tables (``hypotheses._good_points``) without ``good_symbols``, and
+``good_symbols`` reads them too, so a test that patches
+``hypotheses._good_points`` patches the library and the oracle alike;
+one that patches ``good_symbols`` no longer reaches the library's
+order consistency.  Their guarded single-site ratio integrals are
 ``checked_ratio_kernel``'s, which sums ``site_ratio_kernel`` afresh and
 raises the library's ``hypotheses._kernel_failure`` outside (0, inf).
 
@@ -170,7 +176,6 @@ from specforge.hypotheses import (
     Witness,
     _kernel_failure,
     good_symbols,
-    site_is_good,
 )
 from specforge import constructor, hypotheses, verifier
 from specforge.hypotheses import _replay_point
@@ -822,6 +827,16 @@ def pair_divisor(family, site, other, cfg) -> ExtendedRational:
                 "fails"
             )
     return first_val
+
+
+def site_is_good(family, site, context, cfg) -> bool:
+    """Is the configuration's own symbol at ``site`` a good one?
+
+    Membership of ``cfg[site]`` in the good set of ``site`` against
+    ``context`` at exterior ``cfg``, through ``hypotheses.good_symbols``
+    looked up at call time.
+    """
+    return cfg.symbol(site) in hypotheses.good_symbols(family, site, context, cfg)
 
 
 def support_class_certificate(mu, singletons) -> SupportClassCertificate:

@@ -3,8 +3,11 @@
 import hashlib
 import importlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -754,3 +757,26 @@ class TestArgumentsCheckedFirst:
         assert "--budget" in err and "positive" in err
         assert "over the budget" not in err
         assert suites_run == []
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    """`main` builds its parser on the first call and reuses it: each
+    call returns its own result, a usage error after a successful call
+    exits 2 with the stderr of a fresh process, and ``--help`` exits 0."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    shutil.copy(EXAMPLE1, "example1.model")
+    assert main(["check", BROKEN_H2]) == 1
+    assert "summary: FAIL" in capsys.readouterr().out
+    assert main(["construct", "example1.model", "-o", "first.rho"]) == 0
+    assert main(["construct", "example1.model"]) == 0
+    assert (tmp_path / "example1.rho").read_bytes() == (tmp_path / "first.rho").read_bytes()
+    capsys.readouterr()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "specforge", "construct"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        timeout=60)
+    assert main(["construct"]) == fresh.returncode == 2
+    assert capsys.readouterr().err == fresh.stderr
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: specforge")

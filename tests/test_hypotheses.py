@@ -20,7 +20,6 @@ from specforge.hypotheses import (
     check_very_weak_positivity,
     good_blocks,
     good_symbols,
-    site_is_good,
     two_point_identity,
 )
 
@@ -82,8 +81,8 @@ class TestGoodSymbols:
         space = family.space
         good = space.make((LOW, LOW, LOW, LOW), MANY_HIGH)
         bad = space.make((HIGH, LOW, LOW, LOW), MANY_HIGH)
-        assert site_is_good(family, "s1", ("s2",), good)
-        assert not site_is_good(family, "s1", ("s2",), bad)
+        assert oracles.site_is_good(family, "s1", ("s2",), good)
+        assert not oracles.site_is_good(family, "s1", ("s2",), bad)
 
     def test_result_ignores_hidden_coordinates(self):
         _, family = anchored_table_family(5)

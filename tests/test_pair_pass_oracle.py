@@ -9,22 +9,30 @@ those fails.  ``check_order_consistency`` builds its report from it,
 ``check_pointwise_compatibility`` passes with q² times its count when
 very weak positivity and order consistency pass.  The reports must equal
 the oracles in ``oracles.py`` at caps 0, 1 and 25: on the zoo families,
-zero-table seeds 15 and 28, hard-core draws and families that fail only
-at their last site pair, with pointwise compatibility run after order
-consistency on the same family (as ``check`` runs them) and alone on a
-fresh one; on the failing families, at a cap past every witness too.
+zero-table seeds 15 and 28, hard-core draws, families that fail only
+at their last site pair, and the 5-site one-sided and the two-tail
+hard-core chains that the zero-density benchmark runs, with pointwise
+compatibility run after order consistency on the same family (as
+``check`` runs them) and alone on a fresh one; on the failing families,
+at a cap past every witness too.
 The record's count must be the oracle's, its failures empty exactly when
 the oracle passes, and wherever order consistency passes the oracle's
 eight-factor walk must pass with q² times its count, so the read-off is
-held to a walk that does not read order consistency.
+held to a walk that does not read order consistency.  The record reads
+good sets off the good-point tables, so the fault-injection tests patch
+``hypotheses._good_points``, which the oracles' ``good_symbols`` reads
+too, and a record that raises nothing calls neither ``good_symbols`` nor
+``Space.at``.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specforge import hypotheses
+from specforge.core import Space
 
 import oracles
 import zoo
@@ -39,6 +47,8 @@ FAMILIES = {
        for seed in HARDCORE_SEEDS},
     "last_pair_broken_3": lambda: zoo.last_pair_broken_family(3),
     "last_pair_broken_4": lambda: zoo.last_pair_broken_family(4),
+    "one_sided_hardcore_5": lambda: zoo.one_sided_hardcore_family(5),
+    "two_tail_hardcore_4": zoo.two_tail_hardcore_family,
 }
 
 
@@ -90,7 +100,8 @@ def test_eight_factor_walk_passes_wherever_order_consistency_passes(name):
 
 
 FAILING = ("anchored_table_5", "anchored_table_6_n4", "broken_pair", "forced_exclusion",
-           "last_pair_broken_3", "last_pair_broken_4", "one_sided_hardcore_3")
+           "last_pair_broken_3", "last_pair_broken_4", "one_sided_hardcore_3",
+           "one_sided_hardcore_5")
 ALL_WITNESSES = 10_000
 
 
@@ -125,13 +136,21 @@ def test_the_record_reaches_the_last_pair_and_fails_only_there(n_sites, monkeypa
     family = zoo.last_pair_broken_family(n_sites)
     assert hypotheses.check_very_weak_positivity(family).passed
     asked = set()
-    honest = hypotheses.good_symbols
+    honest = hypotheses._good_points
+    depth = 0
 
-    def recorded(family, site, context, cfg):
-        asked.add((site, tuple(context)))
-        return honest(family, site, context, cfg)
+    def recorded(family, site, ctx):
+        # the tables asked for, not the prefix tables a build reads itself
+        nonlocal depth
+        if not depth:
+            asked.add((site, ctx))
+        depth += 1
+        try:
+            return honest(family, site, ctx)
+        finally:
+            depth -= 1
 
-    monkeypatch.setattr(hypotheses, "good_symbols", recorded)
+    monkeypatch.setattr(hypotheses, "_good_points", recorded)
     failures = hypotheses._pair_record(family)[1]
     pairs = list(itertools.combinations(family.space.universe.sites, 2))
     assert asked == {(i, (j,)) for i, j in pairs} | {(j, (i,)) for i, j in pairs}
@@ -142,19 +161,41 @@ def test_the_record_reaches_the_last_pair_and_fails_only_there(n_sites, monkeypa
             for w in report.witnesses} == {pairs[-1]}
 
 
-def broken_guarantee(*cases):
-    """`good_symbols` with every symbol good for the given (site, context,
-    smallest class index off both) cases."""
-    honest = hypotheses.good_symbols
+@pytest.mark.parametrize("name", ["hardcore_4", "two_tail_hardcore_4", "one_sided_hardcore_5"])
+def test_the_record_asks_no_good_symbols_and_builds_no_configuration(name, monkeypatch):
+    """The record reads good digits off the good-point tables and every
+    cell by index, so, raising nothing, it calls neither `good_symbols`
+    nor `Space.at`; very weak positivity on a fresh family calls both."""
+    family = FAMILIES[name]()
+    assert hypotheses.check_very_weak_positivity(family).passed
+    calls = Counter()
+    for owner, attr in ((hypotheses, "good_symbols"), (Space, "at")):
+        def counted(*args, honest=getattr(owner, attr), attr=attr):
+            calls[attr] += 1
+            return honest(*args)
 
-    def patched(family, site, context, cfg):
-        context = tuple(context)
+        monkeypatch.setattr(owner, attr, counted)
+    count, failures = hypotheses._pair_record(family)
+    assert count and (name in FAILING) == bool(failures)
+    assert not calls
+    hypotheses.check_very_weak_positivity(FAMILIES[name]())
+    assert calls["good_symbols"] and calls["at"]
+
+
+def broken_guarantee(*cases):
+    """`_good_points` with every symbol good for the given (site, context,
+    smallest class index off both) cases: the table of each case also
+    holds every point of the classes at or past ``first``."""
+    honest = hypotheses._good_points
+
+    def patched(family, site, ctx):
+        table = honest(family, site, ctx)
         space = family.space
         for c_site, c_context, first in cases:
-            if (site, context) == (c_site, c_context) and space.class_map(
-                    (site,) + context)[cfg.index] >= first:
-                return space.alphabet.symbols
-        return honest(family, site, context, cfg)
+            if (site, ctx) == (c_site, c_context):
+                classes = space.class_map((site,) + ctx)
+                table = table | {p for p in range(space.size) if classes[p] >= first}
+        return table
 
     return patched
 
@@ -167,7 +208,7 @@ def test_a_broken_guarantee_raises_where_the_walk_does(cases, named, monkeypatch
     """Pair (s1, s2) breaks only at its second class; (s2, s3), a later
     pair, breaks at its first, which a walk over configurations reaches
     first.  The raised text is the walk's either way."""
-    monkeypatch.setattr(hypotheses, "good_symbols", broken_guarantee(*cases))
+    monkeypatch.setattr(hypotheses, "_good_points", broken_guarantee(*cases))
     for cap in CAPS:
         expected = outcome(oracles.check_order_consistency, zoo.hardcore_family(3), cap)
         assert expected[:2] == ("raised", "HypothesisFailure")

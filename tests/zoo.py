@@ -259,28 +259,51 @@ def anchored_table_family(seed: int, n_sites: int = 3, symbols: tuple[str, ...] 
     return space, normalize(space, TableModel(entries))
 
 
+def _hardcore_chain(n_sites: int, tails: tuple[str, ...] = ("default",),
+                    exempt: frozenset[int] = frozenset()) -> SingletonFamily:
+    """Symbol "b" at site k has weight k + 1 unless a neighbour carries
+    "b", which sites of an index in ``exempt`` ignore, or the tail is
+    "pinned" and k is an end of the chain; "a" has weight 1."""
+    alphabet = Alphabet(("a", "b"))
+    universe = Universe(tuple(f"s{k}" for k in range(1, n_sites + 1)), dimension_hint=1)
+    space = Space(alphabet, universe, FreeMeasure.uniform(alphabet, universe), tails)
+    sites = universe.sites
+    entries: dict = {}
+    for k, site in enumerate(sites):
+        table = {}
+        for values in space.assignments(sites):
+            neighbours = values[max(k - 1, 0):k] + values[k + 1:k + 2]
+            for tail in tails:
+                if values[k] == "a":
+                    w = Fraction(1)
+                elif tail == "pinned" and k in (0, n_sites - 1):
+                    w = Fraction(0)
+                elif k not in exempt and "b" in neighbours:
+                    w = Fraction(0)
+                else:
+                    w = Fraction(k + 1)
+                table[(values[k], values[:k] + values[k + 1:], tail)] = w
+        entries[site] = table
+    return normalize(space, TableModel(entries))
+
+
 def hardcore_family(n_sites: int = 3) -> SingletonFamily:
     """A hard-core chain: "b" at site k has weight k + 1 unless a neighbour has "b".
 
     These are the conditionals of a Gibbs measure with site activities
     k + 1, so every hypothesis holds while many densities are zero.
     """
-    space = plain_space(n_sites, ("a", "b"))
-    sites = space.universe.sites
-    entries: dict = {}
-    for k, site in enumerate(sites):
-        table = {}
-        for values in space.assignments(sites):
-            neighbours = values[max(k - 1, 0):k] + values[k + 1:k + 2]
-            if values[k] == "a":
-                w = Fraction(1)
-            elif "b" in neighbours:
-                w = Fraction(0)
-            else:
-                w = Fraction(k + 1)
-            table[(values[k], values[:k] + values[k + 1:], "default")] = w
-        entries[site] = table
-    return normalize(space, TableModel(entries))
+    return _hardcore_chain(n_sites)
+
+
+def two_tail_hardcore_family(n_sites: int = 4) -> SingletonFamily:
+    """`hardcore_family` under two tail classes, "open" and "pinned";
+    tail "pinned" also forbids "b" at both ends of the chain.
+
+    Each tail class carries the conditionals of its own hard-core Gibbs
+    measure, so every hypothesis holds.
+    """
+    return _hardcore_chain(n_sites, ("open", "pinned"))
 
 
 def one_sided_hardcore_family(n_sites: int = 3) -> SingletonFamily:
@@ -291,22 +314,7 @@ def one_sided_hardcore_family(n_sites: int = 3) -> SingletonFamily:
     positivity holds, but no joint has these conditionals: order
     consistency and the eight-factor identity fail.
     """
-    space = plain_space(n_sites, ("a", "b"))
-    sites = space.universe.sites
-    entries: dict = {}
-    for k, site in enumerate(sites):
-        table = {}
-        for values in space.assignments(sites):
-            neighbours = values[max(k - 1, 0):k] + values[k + 1:k + 2]
-            if values[k] == "a":
-                w = Fraction(1)
-            elif k > 0 and "b" in neighbours:
-                w = Fraction(0)
-            else:
-                w = Fraction(k + 1)
-            table[(values[k], values[:k] + values[k + 1:], "default")] = w
-        entries[site] = table
-    return normalize(space, TableModel(entries))
+    return _hardcore_chain(n_sites, exempt=frozenset({0}))
 
 
 def random_zero_table_family(seed: int) -> SingletonFamily:
