@@ -42,7 +42,6 @@ from .hypotheses import (
     check_very_weak_positivity,
     good_blocks,
     good_symbols,
-    two_point_identity,
 )
 from .verifier import (
     FiniteMeasure,
@@ -50,7 +49,6 @@ from .verifier import (
     check_good_support_mass,
     check_measure_consistency,
     check_specification_axioms,
-    exchange_identity,
     good_support_report,
     quasilocality_diagnostic,
     ratio_bounds,

@@ -30,7 +30,11 @@ Order consistency's two-site cells are read once per family, one site
 pair and exterior class off it at a time, into one record
 (`_pair_record`): the order-consistency report at every witness cap and
 bounded positivity's strict identity are read off it, and pointwise
-compatibility off a passing order consistency.  The two-site identities
+compatibility off a passing order consistency.  Order consistency and
+the eight-factor identity are one two-site cell with two choices of a
+pair of weights, and one walker compares it (`_class_cells`): on
+order consistency's failing classes, and on every class when pointwise
+compatibility cannot be read off.  The two-site identities
 and bounded positivity's extremes are decided by cross-multiplying
 integer numerators and denominators, over ratio integrals read as
 integer pairs off the family's single-site ratio tables
@@ -43,7 +47,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 
 from .core import (
     Configuration,
@@ -67,7 +70,6 @@ __all__ = [
     "check_very_weak_positivity",
     "check_order_consistency",
     "check_pointwise_compatibility",
-    "two_point_identity",
     "check_uniqueness_condition",
     "check_bounded_positivity",
 ]
@@ -233,9 +235,9 @@ def good_symbols(
     is memoised per exterior.
 
     The library's own sweeps skip this reader and read the tables at
-    class bases: order consistency's `_pair_record`, the good-set sweep
-    `_good_set_sweep`, the eight-factor walk `_eight_factor_failures`,
-    and the support suites of `verifier`.
+    class bases: the two-site walk `_pair_walk` of order consistency and
+    pointwise compatibility, the good-set sweep `_good_set_sweep`, and
+    the support suites of `verifier`.
     """
     context = tuple(context)
     space = family.space
@@ -408,17 +410,66 @@ def check_very_weak_positivity(
     return family.cached(("very_weak_positivity", witness_cap), compute)
 
 
-def _per_pair_class(family: SingletonFamily, evaluate: Callable):
-    """``(index, i, j, outcome)`` per configuration index, then site pair,
-    with ``evaluate(family, i, j, b)`` run once per exterior class off
-    {i, j}, at its class base b.
+def _pair_walk(family: SingletonFamily) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """The two-site walks' setup: ``(pairs, classes)``.
+
+    ``pairs`` holds ``(i, j, s_i, s_j, d_i, d_j, good_i, good_j)`` per
+    unordered site pair {i, j}, in `itertools.combinations` order: the
+    strides, the singleton tables, and the `_good_points` tables of i
+    against (j,) and of j against (i,), fetched once per pair.
+    ``classes`` holds ``(b, pos)`` per pair and exterior class off it,
+    ``pos`` the pair's position and b the class base (both sites on
+    digit 0), in the order a walk over every configuration, then pair,
+    first reaches them: by (b, pos).
     """
     space = family.space
-    pairs = list(itertools.combinations(space.universe.sites, 2))
-    for row in zip(*(space.per_class((i, j), lambda b, i=i, j=j: evaluate(family, i, j, b))
-                     for i, j in pairs)):
-        for (i, j), (index, outcome) in zip(pairs, row):
-            yield index, i, j, outcome
+    pairs = [(i, j, *space.strides((i, j)), family._tables[(i,)], family._tables[(j,)],
+              _good_points(family, i, (j,)), _good_points(family, j, (i,)))
+             for i, j in itertools.combinations(space.universe.sites, 2)]
+    classes = sorted((b, pos) for pos, pair in enumerate(pairs)
+                     for b in space.class_bases(pair[:2]))
+    return pairs, classes
+
+
+def _class_cells(pair: tuple, q: int, b: int,
+                 weights: Callable[[int, int], tuple]) -> tuple[int, list[tuple]]:
+    """The two-site cells of a `_pair_walk` pair {i, j} at the exterior
+    class of base ``b`` off it: ``(count, failing)``.
+
+    Write a(s, t) and c(s, t) for d_i and d_j at b with i = s, j = t.
+    For every u = (u_i, u_j), every x of g_i and every y of g_j, the good
+    sets `_good_digits` reads at b off the pair's good-point tables (a
+    table against (j,) holds whole lines along j, so b stands for every
+    member of the class), the cell (u, x, y) compares the left product
+    a(u) c(x, u_j) c(u_i, y) L with the right product c(u) a(u_i, y)
+    a(x, u_j) R, where (L, R) = ``weights(x, y)`` are integer pairs over
+    positive denominators.  Each density is the integer pair its table
+    holds, so each product is the product of numerators over the
+    positive product of denominators, and the two are equal iff they
+    cross-multiply equal.  ``count`` is q²·|g_i|·|g_j|; ``failing`` lists
+    ``(u_i, u_j, x, y, left, right)`` per unequal cell, digits and
+    unreduced products, in u_i, u_j, x, y order.
+    """
+    _, _, s_i, s_j, d_i, d_j, good_i, good_j = pair
+    g_i = _good_digits(good_i, b, s_i, q)
+    g_j = _good_digits(good_j, b, s_j, q)
+    weight = {(x, y): weights(x, y) for x in g_i for y in g_j}
+    failing = []
+    for u_i in range(q):
+        row = b + u_i * s_i
+        mirrors = [(y, d_i[row + y * s_j], d_j[row + y * s_j]) for y in g_j]
+        for u_j in range(q):
+            (a_num, a_den), (c_num, c_den) = d_i[row + u_j * s_j], d_j[row + u_j * s_j]
+            for x in g_i:
+                (ax_num, ax_den), (cx_num, cx_den) = (d_i[b + x * s_i + u_j * s_j],
+                                                      d_j[b + x * s_i + u_j * s_j])
+                for y, (ay_num, ay_den), (cy_num, cy_den) in mirrors:
+                    (l_num, l_den), (r_num, r_den) = weight[x, y]
+                    l_num, l_den = a_num * cx_num * cy_num * l_num, a_den * cx_den * cy_den * l_den
+                    r_num, r_den = c_num * ay_num * ax_num * r_num, c_den * ay_den * ax_den * r_den
+                    if l_num * r_den != r_num * l_den:
+                        failing.append((u_i, u_j, x, y, (l_num, l_den), (r_num, r_den)))
+    return q * q * len(g_i) * len(g_j), failing
 
 
 def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
@@ -431,18 +482,15 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     mirrors it as rhs_y(u) = d_j(u) d_i(u_i, y) / (d_j(u_i, y) K_j(y)).
     Good sets and integrals depend on u only off {i, j}, so the cells
     are read one unordered pair {i, j} and exterior class off it at a
-    time, with the good sets g_i and g_j read at the class's base index
-    b (both sites on digit 0) off the `_good_points` tables of i against
-    (j,) and of j against (i,): x is good iff b + x·s_i is in the first,
-    s_i the stride of i.  The tables, strides, densities and ratio
-    tables are fetched once per pair.  The classes go in the order a
-    walk over every configuration, then pair, first reaches them: by
-    (b, pair position).  In each class every K of a good symbol is read,
-    g_i's then g_j's, as an unreduced integer pair by index off the
-    family's `ratio_table` over j against i, or over i against j: the
-    point b with i on x is its own class base off j.  A K outside
-    (0, inf) raises `_kernel_failure`, so a broken good-set guarantee
-    raises at that walk's integral, with its text.
+    time, in `_pair_walk`'s order, with the good sets g_i and g_j read
+    at the class's base index b off the pair's `_good_points` tables: x
+    is good iff b + x·s_i is in the first, s_i the stride of i.  The
+    ratio tables are fetched once per pair.  In each class every K of a
+    good symbol is read, g_i's then g_j's, as an unreduced integer pair
+    by index off the family's `ratio_table` over j against i, or over i
+    against j: the point b with i on x is its own class base off j.  A K
+    outside (0, inf) raises `_kernel_failure`, so a broken good-set
+    guarantee raises at that walk's integral, with its text.
 
     Write a(s, t) and c(s, t) for d_i and d_j with i = s, j = t, so that
     lhs_x(u) = a(u) P_x(u_j) and rhs_y(u) = c(u) Q_y(u_i), with P_x =
@@ -464,7 +512,11 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     P_x0(y) > 0.  So when those q² cells hold, every lhs_x(u) equals
     lhs_x0(u), every rhs_y(u) equals rhs_y0(u), and those two are equal.
     They are compared in the walk itself, building nothing; only when
-    one of them fails are all cells of the class compared.
+    one of them fails are all cells of the class compared, by
+    `_class_cells` with (L, R) = (K_j(y), K_i(x)): its left and right
+    products are lhs_x(u) and rhs_y(u) times the positive factor
+    a(x, u_j) c(u_i, y) K_i(x) K_j(y), which a failing cell's two sides
+    are divided by.
 
     ``comparisons`` is Σ over pairs and classes of q²·|g_i|·|g_j|, the
     cells of a walk over every configuration and pair.  ``failures``
@@ -478,46 +530,14 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
         space = family.space
         q = len(space.alphabet)
         symbols = space.alphabet.symbols
-        pairs = list(itertools.combinations(space.universe.sites, 2))
-        rank = {pair: pos for pos, pair in enumerate(pairs)}
-        walks = [(i, j, *space.strides((i, j)), family._tables[(i,)], family._tables[(j,)],
-                  _good_points(family, i, (j,)), _good_points(family, j, (i,)),
-                  family.ratio_table((j,), (i,)), family.ratio_table((i,), (j,)))
-                 for i, j in pairs]
-
-        def resolution(d_own: list, d_other: list, row: int, stride: int,
-                       k: tuple[int, int]) -> list[tuple[int, int]]:
-            """d_other / (d_own K) from index ``row`` along the line of
-            stride ``stride``, as integer pairs."""
-            k_num, k_den = k
-            return [(d_other[p][0] * d_own[p][1] * k_den, d_other[p][1] * d_own[p][0] * k_num)
-                    for p in range(row, row + q * stride, stride)]
-
-        def failing(walk: tuple, b: int):
-            """The failing cells of the class off {i, j} at ``b``, every
-            good x and y, in u then x then y order."""
-            i, j, s_i, s_j, d_i, d_j, good_i, good_j, k_i, k_j = walk
-            p_x = [(symbols[x], resolution(d_i, d_j, b + x * s_i, s_j, k_i[b + x * s_i]))
-                   for x in range(q) if b + x * s_i in good_i]
-            q_y = [(symbols[y], resolution(d_j, d_i, b + y * s_j, s_i, k_j[b + y * s_j]))
-                   for y in range(q) if b + y * s_j in good_j]
-            for u_i in range(q):
-                for u_j in range(q):
-                    p = b + u_i * s_i + u_j * s_j
-                    (a_num, a_den), (c_num, c_den) = d_i[p], d_j[p]
-                    for x, factor in p_x:
-                        l_num, l_den = a_num * factor[u_j][0], a_den * factor[u_j][1]
-                        for y, mirror in q_y:
-                            r_num, r_den = c_num * mirror[u_i][0], c_den * mirror[u_i][1]
-                            if l_num * r_den != r_num * l_den:
-                                yield (p, i, j, x, y, _reduced(l_num, l_den),
-                                       _reduced(r_num, r_den))
-
+        pairs, classes = _pair_walk(family)
+        kernels = [(family.ratio_table((j,), (i,)), family.ratio_table((i,), (j,)))
+                   for i, j, *_ in pairs]
         comparisons = 0
         failures: list[tuple] = []
-        for b, pos in sorted((b, pos) for pos, pair in enumerate(pairs)
-                             for b in space.class_bases(pair)):
-            i, j, s_i, s_j, d_i, d_j, good_i, good_j, k_i, k_j = walks[pos]
+        for b, pos in classes:
+            i, j, s_i, s_j, d_i, d_j, good_i, good_j = pairs[pos]
+            k_i, k_j = kernels[pos]
             n_i = n_j = 0
             for p in range(b, b + q * s_i, s_i):
                 if p in good_i:
@@ -552,9 +572,20 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
                     if (a_num * c_den * p_num * qa_den * qc_num
                             != c_num * a_den * p_den * qa_num * qc_den):
                         holds = False
-            if not holds:
-                failures.extend(failing(walks[pos], b))
-        failures.sort(key=lambda cell: (cell[0], rank[cell[1], cell[2]]))
+            if holds:
+                continue
+            _, failing = _class_cells(pairs[pos], q, b, lambda x, y: (
+                k_j[b + y * s_j], k_i[b + x * s_i]))
+            for u_i, u_j, x, y, (l_num, l_den), (r_num, r_den) in failing:
+                (a_num, a_den), (c_num, c_den) = (d_i[b + x * s_i + u_j * s_j],
+                                                  d_j[b + u_i * s_i + y * s_j])
+                (ki_num, ki_den), (kj_num, kj_den) = k_i[b + x * s_i], k_j[b + y * s_j]
+                f_num, f_den = a_num * c_num * ki_num * kj_num, a_den * c_den * ki_den * kj_den
+                failures.append((b + u_i * s_i + u_j * s_j, i, j, symbols[x], symbols[y],
+                                 _reduced(l_num * f_den, l_den * f_num),
+                                 _reduced(r_num * f_den, r_den * f_num)))
+        rank = {pair[:2]: pos for pos, pair in enumerate(pairs)}
+        failures.sort(key=lambda cell: (cell[0], rank[cell[1:3]]))
         return comparisons, failures
 
     return family.cached(("pair_record",), compute)
@@ -616,53 +647,6 @@ def check_order_consistency(
     return family.cached(("order_consistency", witness_cap), compute)
 
 
-def _eight_factor_failures(
-    family: SingletonFamily, i: Site, j: Site, b: int
-) -> tuple[int, list[tuple]]:
-    """Comparison count and failing rows of the identity on pair {i, j}
-    at the exterior class of class base ``b`` off the pair.
-
-    Every configuration the identity reads rewrites both ``i`` and ``j``,
-    so the outcome depends on a configuration only off {i, j}: it is
-    read at b, by index, as `_pair_record` reads its cells.  The good sets of i against {j} and of j against
-    {i} are `_good_digits` of their `_good_points` tables at b (a table
-    against {j} holds whole lines along j, so b stands for every member
-    of the class), and each density the integer pair the family's
-    table holds.  Each side is a product of four densities, taken
-    as the product of their numerators over the product of their
-    denominators, which is positive; so lhs == rhs iff num(lhs) den(rhs)
-    == num(rhs) den(lhs), and only a failing row's sides are reduced.
-    Failing rows are ``(u_i, u_j, x_i, x_j, lhs, rhs)``, symbols and
-    values as reduced pairs, in loop order.
-    """
-    space = family.space
-    symbols = space.alphabet.symbols
-    q = len(symbols)
-    s_i, s_j = space.strides((i, j))
-    g_i = _good_digits(_good_points(family, i, (j,)), b, s_i, q)
-    g_j = _good_digits(_good_points(family, j, (i,)), b, s_j, q)
-    d_i, d_j = family._tables[(i,)], family._tables[(j,)]
-    failures = []
-    for u_i in range(q):
-        row = b + u_i * s_i
-        for u_j in range(q):
-            u = row + u_j * s_j
-            (n2, m2), (n6, m6) = d_j[u], d_i[u]
-            for x_i in g_i:
-                column = b + x_i * s_i
-                (n3, m3), (n5, m5) = d_i[column + u_j * s_j], d_j[column + u_j * s_j]
-                for x_j in g_j:
-                    (n1, m1), (n7, m7) = d_i[row + x_j * s_j], d_j[row + x_j * s_j]
-                    (n4, m4), (n8, m8) = d_j[column + x_j * s_j], d_i[column + x_j * s_j]
-                    l_num, l_den = n1 * n2 * n3 * n4, m1 * m2 * m3 * m4
-                    r_num, r_den = n5 * n6 * n7 * n8, m5 * m6 * m7 * m8
-                    if l_num * r_den != r_num * l_den:
-                        failures.append((symbols[u_i], symbols[u_j], symbols[x_i],
-                                         symbols[x_j], _reduced(l_num, l_den),
-                                         _reduced(r_num, r_den)))
-    return q * q * len(g_i) * len(g_j), failures
-
-
 def check_pointwise_compatibility(
     family: SingletonFamily, witness_cap: int = WITNESS_CAP
 ) -> HypothesisReport:
@@ -674,34 +658,37 @@ def check_pointwise_compatibility(
     path must equal the product along the mirrored path.  No integrals
     are involved.
 
-    Order consistency implies the identity cell by cell.  Write d for
-    densities at the configuration with i and j rewritten, u = (u_i,
-    u_j), x good for i and y good for j, and K_i(x), K_j(y) for the
-    ratio integrals of `_pair_record`.  Order consistency at the
-    cell (u = (x, y), x, y) reads d_j(x,y) / K_i(x) = d_i(x,y) / K_j(y),
-    that is d_j(x,y) K_j(y) = d_i(x,y) K_i(x).  A passing order
-    consistency has read both integrals inside (0, inf), which makes
-    d_i(x, .) positive along j's line and d_j(., y) along i's line
-    (`_pair_record`), good sets or not.  At the cell
-    (u, x, y) it reads d_i(u) d_j(x,u_j) d_j(u_i,y) K_j(y) = d_j(u)
-    d_i(u_i,y) d_i(x,u_j) K_i(x), once both sides are multiplied by
-    their positive divisors.  Put K_i(x) = d_j(x,y) K_j(y) / d_i(x,y),
-    multiply by d_i(x,y) and cancel K_j(y) > 0: d_i(u) d_j(x,u_j)
-    d_j(u_i,y) d_i(x,y) = d_j(u) d_i(u_i,y) d_i(x,u_j) d_j(x,y), the
-    eight-factor identity at (u, x, y).  Both checks read the same good
-    sets at every configuration, and each of order consistency's cells
-    is q² cells here, one per u.  So when very weak positivity and the
-    memoised order consistency both pass, this check passes with q²
-    times its comparison count and evaluates nothing.  The converse is
-    only observed on the test batteries, not proven.
+    Order consistency implies the identity cell by cell.  Both are the
+    cell (u, x, y) of `_class_cells`, which compares a(u) c(x,u_j)
+    c(u_i,y) L with c(u) a(u_i,y) a(x,u_j) R, a and c the densities of i
+    and j with both sites rewritten, u = (u_i, u_j), x good for i and y
+    good for j: order consistency with (L, R) = (K_j(y), K_i(x)), the
+    ratio integrals of `_pair_record`, and this identity with (L, R) =
+    (a(x,y), c(x,y)), its two sides the right and left products.  A
+    passing order consistency has read both integrals inside (0, inf),
+    which makes a(x, .) positive along j's line and c(., y) along i's
+    line (`_pair_record`), good sets or not.  Its cell (u = (x, y), x,
+    y), divided by a(x,y) c(x,y) > 0, reads c(x,y) K_j(y) = a(x,y)
+    K_i(x); so (K_j(y), K_i(x)) is (a(x,y), c(x,y)) times K_i(x) /
+    c(x,y) > 0, and at every u the two cells' products differ by that
+    one positive factor: the one holds iff the other does.  Both checks
+    read the same good sets at every configuration, and each of order
+    consistency's cells is q² cells here, one per u.  So when very weak
+    positivity and the memoised order consistency both pass, this check
+    passes with q² times its comparison count and evaluates nothing.
+    The converse is only observed on the test batteries, not proven.
 
-    Otherwise the identity is evaluated once per pair and exterior off
-    the pair, then counted at every configuration that shares them, and
-    decided by integer cross-multiplication of the two products'
-    numerators and denominators (`_eight_factor_failures`, which reads
-    good sets and densities by index at the class base off the pair).
+    Otherwise `_class_cells` compares the cells once per pair and
+    exterior class off the pair, in `_pair_walk`'s order, reading no
+    integral, and each class's count and failing cells are counted at
+    its q² configurations.  The witnesses are the first ``witness_cap``
+    failing cells by (configuration index, pair position, cell): the
+    order of a walk over every configuration, then pair.
     """
     report = HypothesisReport(name="pointwise_compatibility", passed=True)
+    space = family.space
+    symbols = space.alphabet.symbols
+    q = len(symbols)
     if check_very_weak_positivity(family).passed:
         try:
             consistent = check_order_consistency(family)
@@ -709,84 +696,43 @@ def check_pointwise_compatibility(
             # a broken good-set guarantee; the walk below reads no integral
             consistent = None
         if consistent is not None and consistent.passed:
-            q = len(family.space.alphabet)
             report.data = {"comparisons": q * q * consistent.data["comparisons"],
                            "violations": 0}
             return report
+    pairs, classes = _pair_walk(family)
     checked = 0
-    violations = 0
-    for index, i, j, (count, failures) in _per_pair_class(
-            family, _eight_factor_failures):
+    failing = []
+    for b, pos in classes:
+        _, _, s_i, s_j, d_i, d_j, *_ = pairs[pos]
+        count, cells = _class_cells(pairs[pos], q, b, lambda x, y: (
+            d_i[b + x * s_i + y * s_j], d_j[b + x * s_i + y * s_j]))
         checked += count
-        for u_i, u_j, x_i, x_j, lhs, rhs in failures:
-            violations += 1
-            report.fail(witness_cap, lambda: Witness(
-                check="pointwise_compatibility",
-                description=(
-                    f"eight-factor identity fails on pair "
-                    f"({i!r}, {j!r})"
-                ),
-                replay=_replay_point(
-                    family.space.at(index),
-                    site_first=str(i),
-                    site_second=str(j),
-                    free_first=u_i,
-                    free_second=u_j,
-                    good_first=x_i,
-                    good_second=x_j,
-                ),
-                lhs=_pair_text(*lhs), rhs=_pair_text(*rhs),
-            ))
-    report.data = {"comparisons": checked, "violations": violations}
+        failing += [(b + v_i * s_i + v_j * s_j, pos, cell)
+                    for v_i in range(q) for v_j in range(q) for cell in cells]
+    # stable: a class's cells keep their order at each configuration
+    failing.sort(key=lambda row: row[:2])
+    report.passed = not failing
+    for index, pos, (u_i, u_j, x, y, left, right) in failing[:witness_cap]:
+        i, j = pairs[pos][:2]
+        report.witnesses.append(Witness(
+            check="pointwise_compatibility",
+            description=(
+                f"eight-factor identity fails on pair "
+                f"({i!r}, {j!r})"
+            ),
+            replay=_replay_point(
+                space.at(index),
+                site_first=str(i),
+                site_second=str(j),
+                free_first=symbols[u_i],
+                free_second=symbols[u_j],
+                good_first=symbols[x],
+                good_second=symbols[y],
+            ),
+            lhs=_pair_text(*_reduced(*right)), rhs=_pair_text(*_reduced(*left)),
+        ))
+    report.data = {"comparisons": q * q * checked, "violations": len(failing)}
     return report
-
-
-def two_point_identity(
-    family: SingletonFamily,
-    site: Site,
-    other: Site,
-    cfg: Configuration,
-    x_site: str,
-    x_other: str,
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the integrated two-site identity at one point.
-
-    Left: density(site, rewrite both) times the ratio integral of other
-    against site at (site -> x_site).  Right: the mirror image.  The
-    symbols must be good for their sites against the opposite site as
-    context; on order-consistent families the two values are equal.
-    Each integral is the family's `ratio_pair`, which the good symbols
-    keep in (0, inf); a miss raises `_kernel_failure`.  The rewritten
-    points are indices: a class base off the rewritten sites plus each
-    new symbol's digit times its site's stride.  Both sides are finite,
-    returned as `Fraction`s.
-    """
-    if site == other:
-        raise DomainError("two-point identity needs two distinct sites")
-    if x_site not in good_symbols(family, site, (other,), cfg):
-        raise DomainError(
-            f"symbol {x_site!r} is not good for site {site!r} against "
-            f"[{other!r}] at {cfg!r}"
-        )
-    if x_other not in good_symbols(family, other, (site,), cfg):
-        raise DomainError(
-            f"symbol {x_other!r} is not good for site {other!r} against "
-            f"[{site!r}] at {cfg!r}"
-        )
-    space = family.space
-    digits = space._digits
-    strides = dict(zip((site, other), space.strides((site, other))))
-    both = (space.class_map((site, other))[cfg.index]
-            + digits[x_site] * strides[site] + digits[x_other] * strides[other])
-    sides = []
-    for own, against, x in ((site, other, x_site), (other, site, x_other)):
-        shifted = space.class_map((own,))[cfg.index] + digits[x] * strides[own]
-        k = family.ratio_pair((against,), (own,), shifted)
-        if k is None:
-            raise _kernel_failure(against, own, space.at(shifted), "two-point identity")
-        num, den = family._tables[(own,)][both]
-        sides.append(Fraction(num * k[0], den * k[1]))
-    return sides[0], sides[1]
 
 
 def check_uniqueness_condition(

@@ -1,8 +1,8 @@
 """Independent verification suites for constructed kernel families.
 
 The suites check, over the finite configuration space: the
-specification axioms, the two-kernel exchange identity, uniqueness
-probes against perturbed alternatives, support-set identities,
+specification axioms, uniqueness probes against perturbed
+alternatives, support-set identities,
 consistency of finite measures with the family (and its equivalence to
 consistency with singletons alone), exact reconstruction round trips,
 locality diagnostics, and two-sided density ratio bounds.  What a proof
@@ -58,7 +58,6 @@ __all__ = [
     "FiniteMeasure",
     "SupportClassCertificate",
     "check_specification_axioms",
-    "exchange_identity",
     "uniqueness_probe",
     "good_support_report",
     "support_class_certificate",
@@ -464,45 +463,6 @@ def check_specification_axioms(
         return report
 
     return dens.cached(("specification_axioms", witness_cap), compute)
-
-
-def exchange_identity(
-    dens: DensityFamily,
-    region_a: Iterable[Site],
-    region_b: Iterable[Site],
-    f: Callable[[Configuration], Fraction],
-    g: Callable[[Configuration], Fraction],
-    cfg: Configuration,
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the two-kernel exchange identity at one exterior.
-
-    Left: the joint kernel of a + b applied to f times (kernel of a
-    applied to (kernel of b applied to g)).  Right: the mirror image
-    with f and g (and a and b) swapped.  Equal on every family passing
-    the specification axioms.
-    """
-    space = dens.space
-    a = space.universe.region(region_a)
-    b = space.universe.region(region_b)
-    if set(a) & set(b):
-        raise DomainError("exchange identity needs disjoint regions")
-    union = space.universe.region(a + b)
-
-    def integrate(region, index: int, h) -> Fraction:
-        row = _pair_row(dens, region, index)
-        return sum((Fraction(*w) * h(i) for i, w in row.items()), Fraction(0))
-
-    def f_at(index: int) -> Fraction:
-        return f(space.at(index))
-
-    def g_at(index: int) -> Fraction:
-        return g(space.at(index))
-
-    lhs = integrate(union, cfg.index, lambda x: f_at(x) * integrate(
-        a, x, lambda y: integrate(b, y, g_at)))
-    rhs = integrate(union, cfg.index, lambda x: g_at(x) * integrate(
-        b, x, lambda y: integrate(a, y, f_at)))
-    return lhs, rhs
 
 
 def uniqueness_probe(

@@ -16,7 +16,10 @@ point in `Fraction`s.  ``joint_conditional`` and
 region and the round trip against it, in `Fraction`s, as they were
 before both read ``models._joint_conditionals``.
 ``two_point_identity`` is that public reader as it was before it read
-ratio pairs, through ``checked_ratio_kernel``.
+ratio pairs, through ``checked_ratio_kernel``, and
+``pair_two_point_identity`` is the reader as the library last held it,
+on ratio pairs: nothing under ``src/`` read it, and order consistency's
+two-site cells compare the same identity.
 
 ``normalize`` is ``models.normalize`` as it was when the first member of
 each exterior class read every member's raw weight a second time to sum
@@ -52,6 +55,10 @@ ratio integrals that the families' ratio tables (``Tabulated.ratio_table``)
 replaced, one reading a singleton family site by site and one reading a
 density family region by region.
 
+``row_exchange_identity`` is the two-kernel exchange identity at one
+exterior as the library last held it, integrating the index-keyed pair
+rows; nothing under ``src/`` read it, and the command line's exchange
+suite reads the specification axioms instead.
 ``block_kernel``, ``BlockKernel.apply``, ``kernel_row`` and
 ``exchange_identity`` are the block-keyed kernel the library used before
 ``assemble_kernel`` returned rows keyed by point: weights per block of
@@ -714,6 +721,37 @@ def exchange_identity(dens, region_a, region_b, f, g, cfg):
     return lhs, rhs
 
 
+def row_exchange_identity(dens, region_a, region_b, f, g, cfg):
+    """Both sides of the two-kernel exchange identity at one exterior, as
+    ``verifier.exchange_identity`` computed them: the joint kernel of
+    a + b applied to f times (kernel of a applied to (kernel of b
+    applied to g)), and the mirror image with f and g (and a and b)
+    swapped, each kernel the index-keyed pair row ``_pair_row``
+    integrated in `Fraction`s."""
+    space = dens.space
+    a = space.universe.region(region_a)
+    b = space.universe.region(region_b)
+    if set(a) & set(b):
+        raise DomainError("exchange identity needs disjoint regions")
+    union = space.universe.region(a + b)
+
+    def integrate(region, index, h):
+        row = constructor._pair_row(dens, region, index)
+        return sum((Fraction(*w) * h(i) for i, w in row.items()), Fraction(0))
+
+    def f_at(index):
+        return f(space.at(index))
+
+    def g_at(index):
+        return g(space.at(index))
+
+    lhs = integrate(union, cfg.index, lambda x: f_at(x) * integrate(
+        a, x, lambda y: integrate(b, y, g_at)))
+    rhs = integrate(union, cfg.index, lambda x: g_at(x) * integrate(
+        b, x, lambda y: integrate(a, y, f_at)))
+    return lhs, rhs
+
+
 def push_kernel(mu, dens, region) -> dict:
     """The image of the measure ``mu`` under the region's kernel, in
     `Fraction`s: index -> Σ_x μ(x)·``kernel_row``(x), nonzero weights
@@ -1175,7 +1213,7 @@ def exchange_suite(dens) -> HypothesisReport:
                         def g(x, s=site_b, v=sym_b) -> Fraction:
                             return Fraction(1 if x.symbol(s) == v else 0)
 
-                        lhs, rhs = verifier.exchange_identity(
+                        lhs, rhs = row_exchange_identity(
                             dens, (site_a,), (site_b,), f, g, cfg)
                         evaluations += 1
                         if lhs != rhs:
@@ -2128,6 +2166,41 @@ def two_point_identity(family, site, other, cfg, x_site, x_other):
     right = checked_ratio_kernel(family, site, other, with_sites(cfg, {other: x_other}),
                                  "two-point identity")
     return family.density(site, both) * left, family.density(other, both) * right
+
+
+def pair_two_point_identity(family, site, other, cfg, x_site, x_other):
+    """``hypotheses.two_point_identity`` as it was when it read ratio
+    pairs: each side the integer pair of a density times the family's
+    ``ratio_pair``, at points found by class base plus digit times
+    stride, returned as `Fraction`s; good symbols looked up on their
+    module at call time, and a ratio integral outside (0, inf) raising
+    ``hypotheses._kernel_failure``."""
+    if site == other:
+        raise DomainError("two-point identity needs two distinct sites")
+    if x_site not in hypotheses.good_symbols(family, site, (other,), cfg):
+        raise DomainError(
+            f"symbol {x_site!r} is not good for site {site!r} against "
+            f"[{other!r}] at {cfg!r}"
+        )
+    if x_other not in hypotheses.good_symbols(family, other, (site,), cfg):
+        raise DomainError(
+            f"symbol {x_other!r} is not good for site {other!r} against "
+            f"[{site!r}] at {cfg!r}"
+        )
+    space = family.space
+    digits = space._digits
+    strides = dict(zip((site, other), space.strides((site, other))))
+    both = (space.class_map((site, other))[cfg.index]
+            + digits[x_site] * strides[site] + digits[x_other] * strides[other])
+    sides = []
+    for own, against, x in ((site, other, x_site), (other, site, x_other)):
+        shifted = space.class_map((own,))[cfg.index] + digits[x] * strides[own]
+        k = family.ratio_pair((against,), (own,), shifted)
+        if k is None:
+            raise _kernel_failure(against, own, space.at(shifted), "two-point identity")
+        num, den = family._tables[(own,)][both]
+        sides.append(Fraction(num * k[0], den * k[1]))
+    return sides[0], sides[1]
 
 
 def fractions(table) -> list:

@@ -50,7 +50,10 @@ function or method under ``src/`` with a parameter annotated
 ``Configuration`` must be on ``CONFIGURATION_WRITERS``.  No module under
 ``src/`` may define any of the five walkers the index replaced
 (``REMOVED_WALKERS``); ``tests/oracles.py`` keeps its own ``overlay``,
-``with_sites`` and exterior-class scan.
+``with_sites`` and exterior-class scan.  Nor may it define the two
+pointwise-compatibility walkers that the one two-site cell walk
+replaced, or the two public readers that no library code read and that
+live on in ``tests/oracles.py`` (``MERGED_OR_MOVED``).
 """
 
 import ast
@@ -370,9 +373,7 @@ FRACTION_BOUNDARY = {
     "specforge/constructor:DensityFamily.replace_table": "input: public constructor of a "
                                                          "sibling from exact values",
     "specforge/constructor:assemble_kernel": "output: public reader of one kernel row",
-    "specforge/hypotheses:two_point_identity": "output: public reader of both sides",
     "specforge/verifier:FiniteMeasure.__init__": "input: public constructor from exact weights",
-    "specforge/verifier:exchange_identity": "output: integrates caller-given exact observables",
     "specforge/verifier:roundtrip_reconstruction": "input: takes an exact joint weight",
     "specforge/cli/modelfile:ModelFile.__init__": "input: the parsed model's exact fields",
     "specforge/cli/modelfile:ModelFile.realize": "input: the model's exact weights, "
@@ -446,6 +447,9 @@ CONFIGURATION_WRITERS = {"specforge/hypotheses.py:_replay_point": "a witness's r
 
 REMOVED_WALKERS = ("overlay", "with_sites", "exterior_classes", "free_integral", "class_index")
 
+MERGED_OR_MOVED = ("_per_pair_class", "_eight_factor_failures", "two_point_identity",
+                   "exchange_identity")
+
 
 def private_configuration_takers(paths, root: Path = SRC) -> set[str]:
     """``module:name`` of each underscore-named function or method, at any
@@ -474,6 +478,10 @@ def test_private_code_passes_indices_not_configurations():
 
 def test_no_removed_walker_is_defined():
     assert defined_names(MODULES, REMOVED_WALKERS) == []
+
+
+def test_no_merged_walk_or_moved_reader_is_defined():
+    assert defined_names(MODULES, MERGED_OR_MOVED) == []
 
 
 def test_the_configuration_scans_flag_a_taker(tmp_path):

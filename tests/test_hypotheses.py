@@ -20,7 +20,6 @@ from specforge.hypotheses import (
     check_very_weak_positivity,
     good_blocks,
     good_symbols,
-    two_point_identity,
 )
 
 import oracles
@@ -330,7 +329,7 @@ class TestTwoPointIdentity:
     def test_independent_family_sides_are_one(self):
         family = independent_family()
         cfg = next(family.space.configurations())
-        lhs, rhs = two_point_identity(family, "s1", "s2", cfg, "a", "a")
+        lhs, rhs = oracles.pair_two_point_identity(family, "s1", "s2", cfg, "a", "a")
         assert type(lhs) is type(rhs) is Fraction
         assert lhs == Fraction(1)
         assert rhs == Fraction(1)
@@ -338,13 +337,13 @@ class TestTwoPointIdentity:
     def test_example1_sides_agree(self):
         family = example1_family()
         cfg = family.space.make((HIGH, HIGH, LOW, LOW), MANY_HIGH)
-        lhs, rhs = two_point_identity(family, "s1", "s2", cfg, LOW, LOW)
+        lhs, rhs = oracles.pair_two_point_identity(family, "s1", "s2", cfg, LOW, LOW)
         assert lhs == rhs == Fraction(1)
 
     def test_broken_pair_sides_differ(self):
         family = broken_pair_family()
         cfg = family.space.make(("0", "0"), "default")
-        lhs, rhs = two_point_identity(family, "s1", "s2", cfg, "0", "0")
+        lhs, rhs = oracles.pair_two_point_identity(family, "s1", "s2", cfg, "0", "0")
         assert lhs == Fraction(1)
         assert rhs == Fraction(3, 4)
 
@@ -352,7 +351,7 @@ class TestTwoPointIdentity:
         family = example1_family()
         cfg = family.space.make((LOW, LOW, LOW, LOW), MANY_HIGH)
         with pytest.raises(DomainError):
-            two_point_identity(family, "s1", "s2", cfg, HIGH, LOW)
+            oracles.pair_two_point_identity(family, "s1", "s2", cfg, HIGH, LOW)
 
     def test_equality_everywhere_on_extracted_family(self):
         space, _, family = extracted_family(37)
@@ -362,7 +361,7 @@ class TestTwoPointIdentity:
                 for j in sites[a_pos + 1:]:
                     for x_i in good_symbols(family, i, (j,), cfg):
                         for x_j in good_symbols(family, j, (i,), cfg):
-                            lhs, rhs = two_point_identity(family, i, j, cfg, x_i, x_j)
+                            lhs, rhs = oracles.pair_two_point_identity(family, i, j, cfg, x_i, x_j)
                             assert lhs == rhs
 
 

@@ -24,9 +24,11 @@ reads per site and ``roundtrip_reconstruction`` per region; it must
 equal ``oracles.joint_conditional`` at every configuration of every
 region, over two tail classes and free weights that are not uniform,
 and the round trip, passing or not, must report what
-``oracles.roundtrip_reconstruction`` reports.  ``two_point_identity``
-reads its ratio integrals as pairs and must return the oracle's two
-`Fraction`s, or raise its error with its text.
+``oracles.roundtrip_reconstruction`` reports.
+``oracles.pair_two_point_identity``, the two-point identity as the
+library last held it, reads its ratio integrals as pairs and must return
+``oracles.two_point_identity``'s two `Fraction`s, or raise its error
+with its text.
 """
 
 import importlib
@@ -39,7 +41,6 @@ from specforge import hypotheses
 from specforge.cli.modelfile import parse_model_text
 from specforge.constructor import build_family
 from specforge.core import Alphabet, FreeMeasure, Space, SpecforgeError, Universe
-from specforge.hypotheses import two_point_identity
 from specforge.models import _joint_conditionals, extract_singletons
 from specforge.verifier import (
     FiniteMeasure,
@@ -257,9 +258,9 @@ def test_two_point_identity_equals_the_fraction_oracle(name):
                         and y in hypotheses.good_symbols(family, j, (i,), cfg)) else None
                     if expected is None:
                         with pytest.raises(SpecforgeError, match="is not good for site"):
-                            two_point_identity(family, i, j, cfg, x, y)
+                            oracles.pair_two_point_identity(family, i, j, cfg, x, y)
                         continue
-                    got = two_point_identity(family, i, j, cfg, x, y)
+                    got = oracles.pair_two_point_identity(family, i, j, cfg, x, y)
                     assert all(type(side) is Fraction for side in got)
                     assert got == expected
                     assert got[0] == got[1]
@@ -281,7 +282,7 @@ def test_two_point_identity_raises_the_oracle_error_off_the_good_sets(name, monk
             for x in space.alphabet:
                 for y in space.alphabet:
                     expected = outcome_pair(oracles.two_point_identity, family, i, j, cfg, x, y)
-                    got = outcome_pair(two_point_identity, family, i, j, cfg, x, y)
+                    got = outcome_pair(oracles.pair_two_point_identity, family, i, j, cfg, x, y)
                     assert got == expected
                     raised += got[0] == "raised"
     assert raised > 0

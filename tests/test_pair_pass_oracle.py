@@ -10,11 +10,15 @@ those fails.  ``check_order_consistency`` builds its report from it,
 very weak positivity and order consistency pass.  The reports must equal
 the oracles in ``oracles.py`` at caps 0, 1 and 25: on the zoo families,
 zero-table seeds 15 and 28, hard-core draws, families that fail only
-at their last site pair, and the 5-site one-sided and the two-tail
-hard-core chains that the zero-density benchmark runs, with pointwise
-compatibility run after order consistency on the same family (as
-``check`` runs them) and alone on a fresh one; on the failing families,
-at a cap past every witness too.
+at their last site pair, and the 5-site one-sided hard-core chain, the
+two-tail hard-core chain and the copycat family that the zero-density
+benchmark runs, with pointwise compatibility run after order
+consistency on the same family (as ``check`` runs them) and alone on a
+fresh one; on the failing families, and for pointwise compatibility on
+the copycat family, whose order consistency raises, at a cap past every
+witness too.  Off a passing order consistency, pointwise compatibility
+runs order consistency's cell walker ``hypotheses._class_cells`` once
+per site pair and exterior class off it, and ``Space.per_class`` never.
 The record's count must be the oracle's, its failures empty exactly when
 the oracle passes, and wherever order consistency passes the oracle's
 eight-factor walk must pass with q² times its count, so the read-off is
@@ -49,6 +53,7 @@ FAMILIES = {
     "last_pair_broken_4": lambda: zoo.last_pair_broken_family(4),
     "one_sided_hardcore_5": lambda: zoo.one_sided_hardcore_family(5),
     "two_tail_hardcore_4": zoo.two_tail_hardcore_family,
+    "copycat_5": zoo.copycat_family,
 }
 
 
@@ -129,6 +134,48 @@ def test_failing_families_list_every_witness_in_walk_order(name):
     report = hypotheses.check_order_consistency(family, ALL_WITNESSES)
     assert len(report.witnesses) == report.data["violations"] > 0
     assert_all_witnesses_equal_the_oracles(FAMILIES[name])
+
+
+@pytest.mark.parametrize("name", FAILING + ("copycat_5",))
+def test_the_pointwise_walk_lists_every_witness_in_walk_order(name):
+    """Where order consistency fails or raises, pointwise compatibility
+    walks its cells; past every witness, its report is the oracle's."""
+    expected = outcome(oracles.check_pointwise_compatibility, FAMILIES[name](), ALL_WITNESSES)
+    assert len(expected["witnesses"]) == expected["data"]["violations"]
+    assert (outcome(hypotheses.check_pointwise_compatibility, FAMILIES[name](), ALL_WITNESSES)
+            == expected)
+
+
+@pytest.mark.parametrize("name", ["one_sided_hardcore_5", "copycat_5"])
+def test_the_pointwise_walk_compares_each_pair_class_once(name, monkeypatch):
+    """Off a failing or raising order consistency, pointwise compatibility
+    runs the cell walker of order consistency's failing classes once per
+    site pair and exterior class off it, and replays no class at every
+    configuration through `Space.per_class`."""
+    family = FAMILIES[name]()
+    try:
+        assert not hypotheses.check_order_consistency(family).passed
+    except hypotheses.HypothesisFailure:
+        assert name == "copycat_5"
+    calls = Counter()
+    honest_cells, honest_per_class = hypotheses._class_cells, Space.per_class
+
+    def counted_cells(pair, q, b, weights):
+        calls[pair[:2], b] += 1
+        return honest_cells(pair, q, b, weights)
+
+    def counted_per_class(*args):
+        calls["per_class"] += 1
+        return honest_per_class(*args)
+
+    monkeypatch.setattr(hypotheses, "_class_cells", counted_cells)
+    monkeypatch.setattr(Space, "per_class", counted_per_class)
+    report = hypotheses.check_pointwise_compatibility(family)
+    space = family.space
+    assert calls == Counter({(pair, b): 1
+                             for pair in itertools.combinations(space.universe.sites, 2)
+                             for b in space.class_bases(pair)})
+    assert report.data["comparisons"] > 0 and report.passed == (name == "copycat_5")
 
 
 @pytest.mark.parametrize("n_sites", [3, 4])

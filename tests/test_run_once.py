@@ -745,18 +745,19 @@ def test_a_passing_check_walks_no_pair_configuration(
         pair_records, tmp_path, monkeypatch, capsys):
     """Order consistency of ``CHAIN5`` is decided by one pair record that
     lists no failing cell, and pointwise compatibility is read off it: the
-    eight-factor walk does not run.  A failing family's record lists its
-    failing cells, and the eight-factor walk builds its witnesses."""
+    two-site cell walker does not run.  A failing family's record lists
+    its failing cells, which the walker compares, and the walker builds
+    pointwise compatibility's witnesses."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain5.model").write_text(CHAIN5, encoding="utf-8")
     walks = Counter()
-    honest = hypotheses._eight_factor_failures
+    honest = hypotheses._class_cells
 
     def counted(*args):
-        walks["eight_factor"] += 1
+        walks["class_cells"] += 1
         return honest(*args)
 
-    monkeypatch.setattr(hypotheses, "_eight_factor_failures", counted)
+    monkeypatch.setattr(hypotheses, "_class_cells", counted)
     assert main(["check", "chain5.model", "--json", "report.json"]) == 0
     capsys.readouterr()
     report = (tmp_path / "report.json").read_text()
@@ -766,7 +767,7 @@ def test_a_passing_check_walks_no_pair_configuration(
     assert main(["check", bundled("broken_h2")]) == 1
     capsys.readouterr()
     assert len(pair_records) == 2 and pair_records[1]
-    assert walks["eight_factor"] > 0
+    assert walks["class_cells"] > 0
 
 
 def test_singleton_family_construction_integrates_in_integers(monkeypatch):

@@ -317,6 +317,28 @@ def one_sided_hardcore_family(n_sites: int = 3) -> SingletonFamily:
     return _hardcore_chain(n_sites, exempt=frozenset({0}))
 
 
+def copycat_family(n_sites: int = 5, seed: int = 0) -> SingletonFamily:
+    """Site s2 copies s1: the zero-density benchmark's copycat shape.
+
+    s2 has raw weight 1 on the symbol of s1 and 0 on the other; every
+    other site follows the conditional of a seeded positive
+    nearest-neighbour chain.  Every symbol of s2 dies under some rewrite
+    of s1, so very weak positivity fails and order consistency raises.
+    """
+    space = plain_space(n_sites)
+    chain = chain_potential(space, random.Random(seed))
+    entries: dict = {}
+    for k, site in enumerate(space.universe.sites):
+        table = {}
+        for cfg in space.configurations():
+            values = cfg.values
+            table[(values[k], values[:k] + values[k + 1:], cfg.tail)] = (
+                Fraction(int(values[1] == values[0])) if k == 1
+                else chain.raw_value(space, site, cfg))
+        entries[site] = table
+    return normalize(space, TableModel(entries))
+
+
 def random_zero_table_family(seed: int) -> SingletonFamily:
     """A random table family in the zero-density regime.
 
