@@ -40,7 +40,6 @@ from .hypotheses import (
     check_pointwise_compatibility,
     check_uniqueness_condition,
     check_very_weak_positivity,
-    good_blocks,
     good_symbols,
 )
 from .verifier import (

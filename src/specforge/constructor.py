@@ -10,11 +10,13 @@ conditional-probability kernels are assembled on demand.
 The construction itself makes choices (which good block to evaluate at,
 which order to sweep the sites, how to split a region into blocks) that
 provably do not matter.  Inline, every good block is evaluated and
-compared.  The dedicated `check_order_independence` suite reads the
-rest off a passing record of the specification axioms when the free
-weights are positive (the construction theorem run in reverse, proof
-there), and otherwise re-verifies it by walking every sweep and block
-split.
+compared; the blocks are read as configuration indices off the
+singleton family's good-point tables (`hypotheses._block_tables`), and
+no divisor is memoised.  The dedicated `check_order_independence`
+suite reads the rest off a passing record of the specification axioms
+when the free weights are positive (the construction theorem run in
+reverse, proof there), and otherwise re-verifies it by walking every
+sweep and block split.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from .hypotheses import (
     HypothesisFailure,
     HypothesisReport,
     Witness,
+    _block_tables,
+    _good_digits,
     _replay_point,
     check_order_consistency,
-    good_blocks,
 )
 from .models import SingletonFamily, Tabulated
 
@@ -74,15 +77,14 @@ class DensityFamily(Tabulated):
     immutable once registered; ``replace_table`` returns a modified
     sibling for perturbation probes without touching the original.
     ``cached`` memoises what the tables determine: one ratio table per
-    ordered pair of regions, keyed by the pair, then extension divisors
-    and one integer-pair kernel row per region and class (`_pair_row`,
-    which `assemble_kernel` and the verifier read), each keyed by its
-    regions and the class base, the
+    ordered pair of regions, keyed by the pair, one integer-pair kernel
+    row per region and class (`_pair_row`, which `assemble_kernel` and
+    the verifier read), keyed by the region and the class base, the
     full-window kernel measure of each tail class, and the record of
-    passing block splits
-    (`check_order_independence`).  The ratio tables of two shared
-    single-site tables are the singleton family's; every other pair's is
-    kept here.  A sibling starts with an empty memo, so it never reads
+    passing block splits (`check_order_independence`).  Extension
+    divisors are not memoised: the build reads each once.  The ratio
+    tables of two shared single-site tables are the singleton family's;
+    every other pair's is kept here.  A sibling starts with an empty memo, so it never reads
     its parent's, and builds its own table for every pair that is not
     two shared single-site tables.
     """
@@ -170,15 +172,24 @@ def extension_divisor(
     only off theta.  Returned as an integer pair in lowest terms with a
     positive first member, the infinite value being (1, 0).
 
-    Each block's point is the class base of ``cfg`` off theta plus the
-    block's digits times theta's strides, and its value is the integer
-    pair (num(rho_theta)·den(rho_gamma)·num(I),
-    den(rho_theta)·num(rho_gamma)·den(I)), with (num(I), den(I)) the
-    family's `ratio_pair`, the unreduced entry of its `ratio_table` of
-    gamma against theta, a zero second member being the infinite
-    value.  Both first members are positive, so two pairs agree iff
-    they cross-multiply equal, infinite ones included; the first is
-    reduced once per divisor.
+    A good block gives each site k of theta a symbol good against
+    (theta∖k) + gamma at ``cfg``.  The blocks are read as digits off
+    `hypotheses._block_tables` at b, the class base of ``cfg`` off
+    theta: the product, in theta's order, of each table's good digits
+    at b, and the block (d_k) is the point b + Σ d_k·s_k, s_k the
+    stride of k, so blocks come in index order.  Reading at b is
+    reading at ``cfg``: k's table is a union of whole lines along every
+    site of its context (proof in `verifier.good_support_report`), and
+    the context holds theta∖k, so membership of b + d·s_k equals that
+    of ``cfg`` with k on d, which is what `good_symbols` reads.  A
+    block's value is the integer pair (num(rho_theta)·den(rho_gamma)·
+    num(I), den(rho_theta)·num(rho_gamma)·den(I)) at its point, with
+    (num(I), den(I)) the family's `ratio_pair`, the unreduced entry of
+    its `ratio_table` of gamma against theta, a zero second member
+    being the infinite value.  Both first members are positive, so two
+    pairs agree iff they cross-multiply equal, infinite ones included;
+    the first is reduced once per call.  Symbols are built only for the
+    text of an error.
     """
     space = dens.space
     th = space.universe.region(theta)
@@ -191,54 +202,52 @@ def extension_divisor(
         if reg not in dens._tables:
             raise ConstructionError(f"region {reg!r} has not been built yet")
     base = space.class_map(th)[cfg.index]
-
-    def compute() -> tuple[int, int]:
-        blocks = good_blocks(dens.singletons, th, ga, cfg)
-        if not blocks:
+    q, symbols = len(space.alphabet), space.alphabet.symbols
+    tables = _block_tables(dens.singletons, th, ga)
+    th_table, ga_table = dens._tables[th], dens._tables[ga]
+    value: tuple[int, int] | None = None
+    for block in itertools.product(*(_good_digits(table, base, stride, q)
+                                     for stride, table in tables)):
+        point = base + sum(digit * stride for digit, (stride, _) in zip(block, tables))
+        (a, b), (c, d) = th_table[point], ga_table[point]
+        if a == 0:
             raise ConstructionError(
-                f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
-                "very weak positivity fails"
+                f"density of {th!r} vanishes at its own good block "
+                f"{tuple(map(symbols.__getitem__, block))!r} at {cfg!r}; "
+                "good-set guarantee violated"
             )
-        digits, strides = space._digits, space.strides(th)
-        th_table, ga_table = dens._tables[th], dens._tables[ga]
-        value: tuple[int, int] | None = None
-        first_block: tuple[str, ...] | None = None
-        for block in blocks:
-            point = base + sum(digits[sym] * stride for sym, stride in zip(block, strides))
-            (a, b), (c, d) = th_table[point], ga_table[point]
-            if a == 0:
-                raise ConstructionError(
-                    f"density of {th!r} vanishes at its own good block "
-                    f"{block!r} at {cfg!r}; good-set guarantee violated"
-                )
-            integral = dens.ratio_pair(ga, th, point)
-            if integral is None:
-                raise ConstructionError(
-                    f"ratio integral over {ga!r} against {th!r} at {space.at(point)!r} "
-                    "is not in (0, inf); good-set guarantee violated"
-                )
-            candidate = (a * d * integral[0], b * c * integral[1])
-            if value is None:
-                value, first_block = candidate, block
-            elif candidate[0] * value[1] != candidate[1] * value[0]:
-                lhs, rhs = _pair_text(*_reduced(*value)), _pair_text(*_reduced(*candidate))
-                raise ConstructionError(
-                    f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
-                    f"disagrees across good blocks: {lhs} via "
-                    f"{first_block!r} vs {rhs} via {block!r}",
-                    witness=Witness(
-                        check="extension_divisor",
-                        description="good-block disagreement",
-                        replay=_replay_point(
-                            cfg, theta=[str(s) for s in th], gamma=[str(s) for s in ga],
-                            block_first=list(first_block), block_second=list(block),
-                        ),
-                        lhs=lhs, rhs=rhs,
+        integral = dens.ratio_pair(ga, th, point)
+        if integral is None:
+            raise ConstructionError(
+                f"ratio integral over {ga!r} against {th!r} at {space.at(point)!r} "
+                "is not in (0, inf); good-set guarantee violated"
+            )
+        candidate = (a * d * integral[0], b * c * integral[1])
+        if value is None:
+            value, first_block = candidate, block
+        elif candidate[0] * value[1] != candidate[1] * value[0]:
+            lhs, rhs = _pair_text(*_reduced(*value)), _pair_text(*_reduced(*candidate))
+            first, second = (tuple(map(symbols.__getitem__, blk)) for blk in (first_block, block))
+            raise ConstructionError(
+                f"extension divisor of {th!r} by {ga!r} at {cfg!r} "
+                f"disagrees across good blocks: {lhs} via "
+                f"{first!r} vs {rhs} via {second!r}",
+                witness=Witness(
+                    check="extension_divisor",
+                    description="good-block disagreement",
+                    replay=_replay_point(
+                        cfg, theta=[str(s) for s in th], gamma=[str(s) for s in ga],
+                        block_first=list(first), block_second=list(second),
                     ),
-                )
-        return _reduced(*value)
-
-    return dens.cached(("extension_divisor", th, ga, base), compute)
+                    lhs=lhs, rhs=rhs,
+                ),
+            )
+    if value is None:
+        raise ConstructionError(
+            f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
+            "very weak positivity fails"
+        )
+    return _reduced(*value)
 
 
 def _extended_cells(dens: DensityFamily, th: tuple[Site, ...],
@@ -291,7 +300,7 @@ def build_family(
     runs the positivity check itself) and failures are raised as
     construction errors.  The family built under each sweep order is
     memoised on ``singletons``, so a second build returns the same
-    family, its divisor and kernel-row memos included.
+    family, its kernel-row memo included.
     """
     space = singletons.space
     universe = space.universe

@@ -66,7 +66,6 @@ __all__ = [
     "HypothesisReport",
     "HypothesisFailure",
     "good_symbols",
-    "good_blocks",
     "check_very_weak_positivity",
     "check_order_consistency",
     "check_pointwise_compatibility",
@@ -236,8 +235,10 @@ def good_symbols(
 
     The library's own sweeps skip this reader and read the tables at
     class bases: the two-site walk `_pair_walk` of order consistency and
-    pointwise compatibility, the good-set sweep `_good_set_sweep`, and
-    the support suites of `verifier`.
+    pointwise compatibility, the good-set sweep `_good_set_sweep`, the
+    blockwise tables `_block_tables` of the build's extension divisors
+    and the verifier's good cores, and the support certificate of
+    `verifier`.  Only the floor good sets (`_floor_good_sets`) call it.
     """
     context = tuple(context)
     space = family.space
@@ -266,37 +267,28 @@ def _good_digits(table: frozenset, base: int, stride: int, q: int) -> tuple[int,
     return tuple(d for d in range(q) if base + d * stride in table)
 
 
-def good_blocks(
-    family: SingletonFamily,
-    region: Iterable[Site],
-    context: Iterable[Site],
-    cfg: Configuration,
-) -> tuple[tuple[str, ...], ...]:
-    """Blockwise good assignments for ``region`` against ``context``.
+def _block_tables(family: SingletonFamily, region: tuple[Site, ...],
+                  context: tuple[Site, ...]) -> tuple[tuple[int, frozenset], ...]:
+    """The blockwise good-point tables of ``region`` against ``context``:
+    ``(stride, _good_points(k, canonical((region∖k) + context)))`` per
+    site k of the region, in region order.
 
-    Site ``k`` of the region is tested against the context formed by the
-    rest of the region together with ``context``.  Returns the tuple of
-    good blocks: the cartesian product of the per-site good symbols, each
-    block aligned with the canonical order of ``region``.  Empty iff some
-    site has no good symbol.  Each site's context is memoised per
-    (region, context as given), like the canonical context of
-    `good_symbols`; an overlap leaves no entry, so it raises every call.
+    ``region`` and ``context`` must be canonical and disjoint.  The good
+    blocks at a class base b off the region are the product, in region
+    order, of each table's `_good_digits` at b; the block (d_k) is the
+    point b + Σ d_k·s_k, so product order is index order.  The
+    library's one source of good blocks: `constructor.extension_divisor`
+    evaluates every block, and `verifier._good_core` intersects the
+    tables of a region against the empty context.  Memoised per
+    (region, context).
     """
-    region, context = tuple(region), tuple(context)
-    universe = family.space.universe
+    def compute() -> tuple[tuple[int, frozenset], ...]:
+        space = family.space
+        return tuple((stride, _good_points(family, k, space.universe.region(
+                          tuple(s for s in region if s != k) + context)))
+                     for k, stride in zip(region, space.strides(region)))
 
-    def contexts() -> tuple[tuple[Site, tuple[Site, ...]], ...]:
-        reg = universe.region(region)
-        ctx = universe.region(context)
-        overlap = set(reg) & set(ctx)
-        if overlap:
-            raise DomainError(f"region and context overlap on {sorted(map(str, overlap))!r}")
-        return tuple((k, tuple(s for s in reg if s != k) + ctx) for k in reg)
-
-    return tuple(itertools.product(*(
-        good_symbols(family, k, k_ctx, cfg)
-        for k, k_ctx in family.cached(("good_blocks", region, context), contexts)
-    )))
+    return family.cached(("block_tables", region, context), compute)
 
 
 def _floor_good_sets(family: SingletonFamily) -> dict[tuple[Site, str], tuple[str, ...]]:
@@ -521,15 +513,15 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
     ``comparisons`` is Σ over pairs and classes of q²·|g_i|·|g_j|, the
     cells of a walk over every configuration and pair.  ``failures``
     lists each failing cell ``(index, i, j, x, y, lhs, rhs)``, with u
-    the configuration of ``index``, in configuration order, then pair
-    order, x-major: that walk's order, lhs and rhs as reduced pairs.
+    the configuration of ``index`` and x, y good digits, in
+    configuration order, then pair order, x-major: that walk's order,
+    lhs and rhs as reduced pairs.
     Memoised on the family; an error
     leaves no entry, so it raises on every call.
     """
     def compute() -> tuple[int, list[tuple]]:
         space = family.space
         q = len(space.alphabet)
-        symbols = space.alphabet.symbols
         pairs, classes = _pair_walk(family)
         kernels = [(family.ratio_table((j,), (i,)), family.ratio_table((i,), (j,)))
                    for i, j, *_ in pairs]
@@ -581,7 +573,7 @@ def _pair_record(family: SingletonFamily) -> tuple[int, list[tuple]]:
                                                   d_j[b + u_i * s_i + y * s_j])
                 (ki_num, ki_den), (kj_num, kj_den) = k_i[b + x * s_i], k_j[b + y * s_j]
                 f_num, f_den = a_num * c_num * ki_num * kj_num, a_den * c_den * ki_den * kj_den
-                failures.append((b + u_i * s_i + u_j * s_j, i, j, symbols[x], symbols[y],
+                failures.append((b + u_i * s_i + u_j * s_j, i, j, x, y,
                                  _reduced(l_num * f_den, l_den * f_num),
                                  _reduced(r_num * f_den, r_den * f_num)))
         rank = {pair[:2]: pos for pos, pair in enumerate(pairs)}
@@ -627,6 +619,7 @@ def check_order_consistency(
             )
         comparisons, failures = _pair_record(family)
         report = HypothesisReport(name="order_consistency", passed=True)
+        symbols = family.space.alphabet.symbols
         for index, i, j, x, y, lhs, rhs in failures:
             report.fail(witness_cap, lambda: Witness(
                 check="order_consistency",
@@ -637,7 +630,7 @@ def check_order_consistency(
                 replay=_replay_point(
                     family.space.at(index),
                     site_first=str(i), site_second=str(j),
-                    symbol_first=x, symbol_second=y,
+                    symbol_first=symbols[x], symbol_second=symbols[y],
                 ),
                 lhs=_pair_text(*lhs), rhs=_pair_text(*rhs),
             ))
@@ -858,10 +851,9 @@ def check_bounded_positivity(
     if report.passed:
         strict = True
         q = len(space.alphabet)
-        digits = space._digits
         for index, i, j, x, y, lhs, rhs in _pair_record(family)[1]:
             s_i, s_j = space.strides((i, j))
-            if (digits[x], digits[y]) != (index // s_i % q, index // s_j % q):
+            if (x, y) != (index // s_i % q, index // s_j % q):
                 continue
             strict = False
             report.add_witness(witness_cap, lambda: Witness(

@@ -67,7 +67,7 @@ class Tabulated:
 
         ``key[0]`` names the kind of value, then come its sites or regions
         and, for a value read at one exterior class, the class base of
-        that class, as in ``("extension_divisor", theta, gamma, base)``;
+        that class, as in ``("pair_row", region, base)``;
         a `ratio_table` is keyed ``("ratio_table", over, against)``.
         Good-point tables are sets of configuration indices.  Values are
         shared, so callers only read them; a ``compute`` that raises

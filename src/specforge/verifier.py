@@ -226,11 +226,11 @@ def support_class_certificate(
 
 
 def _good_core(singletons: SingletonFamily, region: tuple[Site, ...]) -> frozenset:
-    """Indices where every member of ``region`` is good against the rest."""
+    """Indices where every member of ``region`` is good against the rest:
+    the intersection of the region's `hypotheses._block_tables` against
+    the empty context."""
     return frozenset.intersection(*(
-        hypotheses._good_points(singletons, k, tuple(s for s in region if s != k))
-        for k in region
-    ))
+        table for _, table in hypotheses._block_tables(singletons, region, ())))
 
 
 def _support_value(dens: DensityFamily, over: tuple[Site, ...],
@@ -630,11 +630,12 @@ def good_support_report(
     is walked.  Take a core point p of Λ and a split (V, W).  The
     block-split cell (θ = W, γ = V) at p compares ρ_Λ(p) with
     ρ_W(p) / D, D being `extension_divisor` of W by V at p's class off W.
-    p's own W-block is one of D's good blocks: `good_blocks` tests each
-    k ∈ W against (W∖k) + V, which `good_symbols` canonicalises to Λ∖k,
-    the context of p's core table for k, and that table is a union of
-    whole lines along Λ∖k (below), so p's other symbols on W do not
-    matter.  Every good block gives the same divisor: on a walk because
+    p's own W-block is one of D's good blocks: D's block tables
+    (`hypotheses._block_tables`) test each k ∈ W against the canonical
+    (W∖k) + V, which is Λ∖k, the context of p's core table for k, and
+    that table is a union of whole lines along Λ∖k (below), so p's
+    other symbols on W do not matter.  Every good block gives the same
+    divisor: on a walk because
     `extension_divisor` raises unless every good block agrees with the
     first, and on `check_order_independence`'s read-off of a passing
     axiom record by step 3 of its proof (step 2 there rules out the

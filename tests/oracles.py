@@ -130,15 +130,19 @@ were before they evaluated each quantity once per exterior class: every
 configuration computes its own good sets, ratio integrals and extension
 divisor.  ``check_order_independence`` also rebuilds the whole family
 under every permutation instead of sharing tables between them.  They
-look up ``good_symbols`` and ``good_blocks`` on their modules at call
-time.  The library's order-consistency record reads the good-point
+look up ``good_symbols`` on its module at call time, directly or
+through ``good_blocks``.  ``good_blocks`` is the library's blockwise
+reader as it was before the build read its good blocks as indices off
+the good-point tables (``hypotheses._block_tables``): the product of
+the per-site ``good_symbols``, with no memo.  The library's
+order-consistency record and extension divisors read the good-point
 tables (``hypotheses._good_points``) without ``good_symbols``, and
 ``good_symbols`` reads them too, so a test that patches
 ``hypotheses._good_points`` patches the library and the oracle alike;
 one that patches ``good_symbols`` no longer reaches the library's
-order consistency.  Their guarded single-site ratio integrals are
-``checked_ratio_kernel``'s, which sums ``site_ratio_kernel`` afresh and
-raises the library's ``hypotheses._kernel_failure`` outside (0, inf).
+order consistency or build.  Their guarded single-site ratio integrals
+are ``checked_ratio_kernel``'s, which sums ``site_ratio_kernel`` afresh
+and raises the library's ``hypotheses._kernel_failure`` outside (0, inf).
 
 ``check_pointwise_compatibility`` (with ``eight_factor_failures`` and
 ``pair_densities``) and ``check_bounded_positivity`` are those gates as
@@ -1468,6 +1472,25 @@ def check_bounded_positivity(family, witness_cap=WITNESS_CAP) -> HypothesisRepor
     return report
 
 
+def good_blocks(family, region, context, cfg) -> tuple:
+    """Blockwise good assignments for ``region`` against ``context`` at
+    ``cfg``: the cartesian product, in the canonical order of
+    ``region``, of the good symbols of each site k against the rest of
+    the region together with ``context``, asked of
+    ``hypotheses.good_symbols`` at each call.  Empty iff some site has
+    no good symbol; a region and context that overlap raise.  Nothing
+    is memoised."""
+    universe = family.space.universe
+    reg = universe.region(region)
+    ctx = universe.region(context)
+    overlap = set(reg) & set(ctx)
+    if overlap:
+        raise DomainError(f"region and context overlap on {sorted(map(str, overlap))!r}")
+    return tuple(itertools.product(*(
+        hypotheses.good_symbols(family, k, tuple(s for s in reg if s != k) + ctx, cfg)
+        for k in reg)))
+
+
 def extension_divisor(dens, theta, gamma, cfg) -> ExtendedRational:
     """The factor dividing a region's density when a block joins it,
     evaluated afresh: each good block's point by overlay, and each
@@ -1482,7 +1505,7 @@ def extension_divisor(dens, theta, gamma, cfg) -> ExtendedRational:
     for reg in (th, ga):
         if reg not in dens._tables:
             raise constructor.ConstructionError(f"region {reg!r} has not been built yet")
-    blocks = hypotheses.good_blocks(dens.singletons, th, ga, cfg)
+    blocks = good_blocks(dens.singletons, th, ga, cfg)
     if not blocks:
         raise constructor.ConstructionError(
             f"no good block for region {th!r} against {ga!r} at {cfg!r}; "
@@ -1554,7 +1577,7 @@ def build_tables(singletons) -> dict:
     The empty region is 1 and each site's table is its densities, read
     through ``SingletonFamily.density``.  A region R joins its last site
     x to θ = R∖x: at each configuration, every good block of θ against
-    {x} (`hypotheses.good_blocks`) gives the divisor
+    {x} (``good_blocks``) gives the divisor
     ρ_θ/ρ_x · ∫ ρ_x/ρ_θ over x at the block's point, the integral by
     ``ratio_integral`` on these tables, and every block must give the
     same one; the value is ρ_θ over that divisor, 0 where it is
@@ -1571,7 +1594,7 @@ def build_tables(singletons) -> dict:
         table = []
         for cfg in configs:
             divisors = set()
-            for block in hypotheses.good_blocks(singletons, theta, gamma, cfg):
+            for block in good_blocks(singletons, theta, gamma, cfg):
                 point = overlay(space, cfg, theta, block)
                 integral = ratio_integral(space, gamma, tables[gamma], tables[theta], point)
                 divisors.add(ratio(tables[theta][point.index], tables[gamma][point.index])
@@ -1697,7 +1720,7 @@ def uniqueness_probe(dens, trials=25, seed=8141,
     reported = set()
     for region in multi_regions:
         for cfg in space.configurations():
-            for block in hypotheses.good_blocks(singletons, region, (), cfg):
+            for block in good_blocks(singletons, region, (), cfg):
                 shifted = overlay(space, cfg, region, block)
                 for k in region:
                     rest = universe.region(s for s in region if s != k)
@@ -2020,7 +2043,7 @@ def check_divisor_factorization(dens, witness_cap=WITNESS_CAP) -> HypothesisRepo
                 theta_rest = universe.region(s for s in theta if s != k)
                 gamma_plus = universe.region(gamma + (k,))
                 for cfg in naive_exterior_classes(space, theta):
-                    for block in hypotheses.good_blocks(dens.singletons, theta, gamma, cfg):
+                    for block in good_blocks(dens.singletons, theta, gamma, cfg):
                         checked += 1
                         shifted = overlay(space, cfg, theta, block)
                         rest_block = tuple(

@@ -6,8 +6,8 @@ every sweep and block split passing in closed form and computes no
 extension divisor (proof in its docstring).  Each family below first
 runs ``check_specification_axioms``; the suite must then equal
 ``oracles.check_order_independence``, which rebuilds every sweep and
-walks every split cell by cell, at witness caps 0, 1 and 25, miss no
-``extension_divisor`` memo entry, and record ``("block_splits",)``.
+walks every split cell by cell, at witness caps 0, 1 and 25, call
+``extension_divisor`` never, and record ``("block_splits",)``.
 The oracle passes on every family whose record passes, the theorem's
 conclusion checked on its premises.  A zero free weight, a call with no
 record, a record patched to fail and a record held only by a family
@@ -47,20 +47,15 @@ ZERO_FREE = ("lopsided_free", "zero_table_15")
 
 @pytest.fixture
 def divisors(monkeypatch) -> Counter:
-    """Counts ``extension_divisor`` memo misses, per density family."""
+    """Counts calls of ``constructor.extension_divisor``, per density family."""
     counts: Counter = Counter()
-    honest = constructor.DensityFamily.cached
+    honest = constructor.extension_divisor
 
-    def counted(self, key, compute):
-        if key[0] != "extension_divisor":
-            return honest(self, key, compute)
+    def counted(dens, theta, gamma, cfg):
+        counts[id(dens)] += 1
+        return honest(dens, theta, gamma, cfg)
 
-        def miss():
-            counts[id(self)] += 1
-            return compute()
-        return honest(self, key, miss)
-
-    monkeypatch.setattr(constructor.DensityFamily, "cached", counted)
+    monkeypatch.setattr(constructor, "extension_divisor", counted)
     return counts
 
 

@@ -21,7 +21,6 @@ from specforge.constructor import (
 )
 from specforge.core import DomainError, Space
 from specforge import hypotheses
-from specforge.hypotheses import good_blocks
 
 from zoo import (
     HIGH,
@@ -41,6 +40,7 @@ from oracles import (
     extended,
     ExtendedRational,
     free_kernel,
+    good_blocks,
     overlay,
     pair_divisor,
     product_weight,

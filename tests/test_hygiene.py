@@ -52,8 +52,10 @@ function or method under ``src/`` with a parameter annotated
 (``REMOVED_WALKERS``); ``tests/oracles.py`` keeps its own ``overlay``,
 ``with_sites`` and exterior-class scan.  Nor may it define the two
 pointwise-compatibility walkers that the one two-site cell walk
-replaced, or the two public readers that no library code read and that
-live on in ``tests/oracles.py`` (``MERGED_OR_MOVED``).
+replaced, or the three public readers that no library code reads and
+that live on in ``tests/oracles.py`` (``MERGED_OR_MOVED``): the build
+reads its good blocks off ``hypotheses._block_tables``, not
+``good_blocks``.
 """
 
 import ast
@@ -448,7 +450,7 @@ CONFIGURATION_WRITERS = {"specforge/hypotheses.py:_replay_point": "a witness's r
 REMOVED_WALKERS = ("overlay", "with_sites", "exterior_classes", "free_integral", "class_index")
 
 MERGED_OR_MOVED = ("_per_pair_class", "_eight_factor_failures", "two_point_identity",
-                   "exchange_identity")
+                   "exchange_identity", "good_blocks")
 
 
 def private_configuration_takers(paths, root: Path = SRC) -> set[str]:

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from specforge import hypotheses
-from specforge.core import Configuration, DomainError, Universe
+from specforge.core import Configuration, DomainError
 from specforge.hypotheses import (
     HypothesisFailure,
     check_bounded_positivity,
@@ -18,7 +17,6 @@ from specforge.hypotheses import (
     check_pointwise_compatibility,
     check_uniqueness_condition,
     check_very_weak_positivity,
-    good_blocks,
     good_symbols,
 )
 
@@ -38,6 +36,7 @@ from zoo import (
     potential_family,
 )
 from oracles import ExtendedRational, INF, pair_divisor, with_sites
+from test_block_table_oracle import table_blocks
 
 
 def er(n, d=1) -> ExtendedRational:
@@ -103,67 +102,49 @@ class TestGoodSymbols:
 
 
 class TestGoodBlocks:
+    """The blocks the build reads off `hypotheses._block_tables`, and
+    their oracle, the product of good symbols."""
+
     def test_example1_single_block(self):
         family = example1_family()
         space = family.space
         cfg = space.make((LOW, HIGH, LOW, HIGH), MANY_HIGH)
-        blocks = good_blocks(family, ("s1", "s2"), (), cfg)
+        blocks = table_blocks(family, ("s1", "s2"), (), cfg)
         assert blocks == ((LOW, LOW),)
         assert (LOW, LOW) in blocks
+        assert oracles.good_blocks(family, ("s1", "s2"), (), cfg) == blocks
 
     def test_independent_blocks_are_full_products(self):
         family = independent_family()
         cfg = next(family.space.configurations())
-        blocks = good_blocks(family, ("s1", "s3"), ("s2",), cfg)
+        blocks = table_blocks(family, ("s1", "s3"), ("s2",), cfg)
         assert len(blocks) == 4
         # blocks are aligned with the canonical region order
-        assert good_blocks(family, ("s3", "s1"), ("s2",), cfg) == blocks
+        assert table_blocks(family, ("s3", "s1"), ("s2",), cfg) == blocks
+        assert oracles.good_blocks(family, ("s3", "s1"), ("s2",), cfg) == blocks
 
     def test_single_site_region_reduces_to_good_symbols(self):
         _, family = anchored_table_family(9)
         space = family.space
         cfg = space.make(("b", "a", "b"), "default")
-        blocks = good_blocks(family, ("s2",), ("s3",), cfg)
+        blocks = table_blocks(family, ("s2",), ("s3",), cfg)
         plain = good_symbols(family, "s2", ("s3",), cfg)
         assert blocks == tuple((x,) for x in plain)
+        assert oracles.good_blocks(family, ("s2",), ("s3",), cfg) == blocks
 
     def test_region_context_overlap_rejected(self):
         family = independent_family()
         cfg = next(family.space.configurations())
         with pytest.raises(DomainError):
-            good_blocks(family, ("s1", "s2"), ("s2",), cfg)
+            oracles.good_blocks(family, ("s1", "s2"), ("s2",), cfg)
 
     def test_an_overlap_raises_on_every_call(self):
         family = independent_family()
         cfg = next(family.space.configurations())
         for _ in range(2):
             with pytest.raises(DomainError, match=r"overlap on \['s2'\]"):
-                good_blocks(family, ("s1", "s2"), ("s2",), cfg)
-        assert [key for key in family._cache if key[0] == "good_blocks"] == []
-
-    def test_site_contexts_are_memoised_per_region_and_context_as_given(self, monkeypatch):
-        _, family = anchored_table_family(9)
-        cfgs = list(family.space.configurations())
-        first = [good_blocks(family, ("s3", "s1"), ("s2",), cfg) for cfg in cfgs]
-        regions = []
-        honest_region = Universe.region
-
-        def counted_region(self, sites):
-            regions.append(tuple(sites))
-            return honest_region(self, sites)
-
-        asked = []
-        honest_good = hypotheses.good_symbols
-
-        def counted_good(family, site, context, cfg):
-            asked.append((site, context))
-            return honest_good(family, site, context, cfg)
-
-        monkeypatch.setattr(Universe, "region", counted_region)
-        monkeypatch.setattr(hypotheses, "good_symbols", counted_good)
-        assert [good_blocks(family, ("s3", "s1"), ("s2",), cfg) for cfg in cfgs] == first
-        assert regions == []
-        assert asked == [("s1", ("s3", "s2")), ("s3", ("s1", "s2"))] * len(cfgs)
+                oracles.good_blocks(family, ("s1", "s2"), ("s2",), cfg)
+        assert [key for key in family._cache if key[0] in ("good_blocks", "block_tables")] == []
 
 
 class TestVeryWeakPositivity:

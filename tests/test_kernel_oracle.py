@@ -7,8 +7,9 @@ and rows are compared in that form through ``oracles.keyed``.  Rows must
 agree for every built region (the empty one included) and every
 configuration, in the same order, on families with zero densities and
 on positive ones.  ``exchange_identity`` must equal the old ``apply``
-composition, and ``good_blocks`` the product of the per-site good
-symbols.
+composition, and the good blocks read off the block tables
+(``test_block_table_oracle.table_blocks``) the product of the per-site
+good symbols.
 
 The verifier reads rows through a memo keyed by region and exterior
 class; a fresh ``assemble_kernel`` row is its oracle.  A sibling from
@@ -30,10 +31,11 @@ from specforge.constructor import (
     assemble_kernel,
     build_family,
 )
-from specforge.hypotheses import good_blocks, good_symbols
+from specforge.hypotheses import good_symbols
 from specforge.verifier import FiniteMeasure
 
 import oracles
+from test_block_table_oracle import table_blocks
 from zoo import (
     anchored_table_family,
     example1_family,
@@ -143,8 +145,9 @@ def test_good_blocks_are_the_product_of_good_symbols(name):
                     for k in region
                 ]
                 expected = tuple(itertools.product(*factors))
-                assert good_blocks(family, region, ctx, cfg) == expected
-                assert good_blocks(family, region[::-1], ctx, cfg) == expected
+                assert table_blocks(family, region, ctx, cfg) == expected
+                assert table_blocks(family, region[::-1], ctx, cfg) == expected
+                assert oracles.good_blocks(family, region[::-1], ctx, cfg) == expected
                 partial |= 0 < len(expected) < len(space.alphabet) ** len(region)
     if name in ZERO_DENSITY:
         assert partial, "zero densities must reach a partial product"

@@ -206,6 +206,10 @@ def test_the_record_reaches_the_last_pair_and_fails_only_there(n_sites, monkeypa
     assert not report.passed
     assert {(w.replay["site_first"], w.replay["site_second"])
             for w in report.witnesses} == {pairs[-1]}
+    # the record holds good digits; the witnesses name their symbols
+    symbols = family.space.alphabet.symbols
+    assert [(w.replay["symbol_first"], w.replay["symbol_second"]) for w in report.witnesses] == [
+        (symbols[x], symbols[y]) for _, _, _, x, y, *_ in failures[:len(report.witnesses)]]
 
 
 @pytest.mark.parametrize("name", ["hardcore_4", "two_tail_hardcore_4", "one_sided_hardcore_5"])

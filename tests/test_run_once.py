@@ -830,7 +830,7 @@ def test_full_verify_reads_order_independence_off_the_axiom_record(
     counts = Counter()
     inside = []
     honest_suite = cli.check_order_independence
-    honest_cached = constructor.DensityFamily.cached
+    honest_divisor = constructor.extension_divisor
 
     def suite(*args, **kwargs):
         inside.append(True)
@@ -839,14 +839,12 @@ def test_full_verify_reads_order_independence_off_the_axiom_record(
         finally:
             inside.pop()
 
-    def counted_cached(self, key, compute):
-        def counted():
-            counts["divisors_in_order_independence"] += bool(inside)
-            return compute()
-        return honest_cached(self, key, counted if key[0] == "extension_divisor" else compute)
+    def counted_divisor(*args):
+        counts["divisors_in_order_independence"] += bool(inside)
+        return honest_divisor(*args)
 
     monkeypatch.setattr(cli, "check_order_independence", suite)
-    monkeypatch.setattr(constructor.DensityFamily, "cached", counted_cached)
+    monkeypatch.setattr(constructor, "extension_divisor", counted_divisor)
     assert main(["verify", f"{model}.model", "--json", "full.json"]) == 0
     assert '"block_splits_tested"' in (tmp_path / "full.json").read_text()
     assert counts == Counter()
